@@ -22,7 +22,7 @@ from .errors import (
     StepTooCoarse,
 )
 from .interval import Interval, rounding_backend
-from .problems import make_problem, phi
+from .problems import make_problem
 from .rootfind import (
     CertifiableMap,
     CertificationJob,
@@ -39,7 +39,6 @@ __all__ = [
     "solve_linear",
     "rounding_backend",
     "make_problem",
-    "phi",
     "certify",
     "CertifiableMap",
     "CertificationJob",

@@ -21,7 +21,7 @@ import numpy as np
 from .boxes import IntervalMatrix, IntervalVector
 from .convexity import ConvexityCertificate
 from .interval import Interval, rounding_backend
-from .rootfind import CertificationOutcome, newton_operator, krawczyk_operator
+from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
 
 SCHEMA_VERSION = 1
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
@@ -178,9 +178,9 @@ def reverify_document(text: str) -> VerificationReport:
     """Re-check a stored verdict from serialized intervals only.
 
     Recomputes every iteration's operator image from the stored defect and
-    derivative enclosures (bit-identical arithmetic, no integration) and
-    re-evaluates the inclusion relations and the chaining between
-    iterations.
+    derivative enclosures (bit-identical arithmetic, no integration), then
+    re-derives each relation, each next box, the verdict, the operator
+    image and the refined box with the prover's own rule.
     """
     body = parse_document(text)
     rep = VerificationReport(ok=True)
@@ -198,10 +198,7 @@ def reverify_document(text: str) -> VerificationReport:
                 "no iterations recorded; only Inconclusive is acceptable")
         return rep
 
-    from .errors import EmptyIntersection
-
-    prev_X = IntervalVector.from_hex(body["box"])
-    shrink_emptied = False
+    next_X = IntervalVector.from_hex(body["box"])
     for rec in trace:
         idx = rec["index"]
         x = _unhex_vec(rec["x"])
@@ -210,7 +207,8 @@ def reverify_document(text: str) -> VerificationReport:
         df_X = IntervalMatrix.from_hex(rec["df_X"])
         image = IntervalVector.from_hex(rec["image"])
 
-        rep.add(X.subset(prev_X), f"iter {idx}: box is nested in its predecessor")
+        rep.add(next_X is not None and X == next_X,
+                f"iter {idx}: box is the previous box cut by its image")
         rep.add(X.contains_point(x), f"iter {idx}: candidate lies in the box")
 
         if method == "newton":
@@ -221,37 +219,25 @@ def reverify_document(text: str) -> VerificationReport:
         rep.add(recomputed == image,
                 f"iter {idx}: operator image reproduces bit-for-bit")
 
-        if image.subset_interior(X):
-            relation = "interior"
-        elif image.disjoint(X):
-            relation = "disjoint"
-        elif X.subset(image):
-            relation = "inflating"
-        else:
-            relation = "overlap"
+        relation, settled, next_X = judge(X, image)
         rep.add(relation == rec["relation"],
                 f"iter {idx}: relation {rec['relation']!r} re-derived")
-        shrink_emptied = False
-        try:
-            prev_X = X.intersect(image)
-        except EmptyIntersection:
-            shrink_emptied = True
-            prev_X = X
+        if settled is not None and rec is not trace[-1]:
+            rep.add(False, f"iter {idx}: the run stops here with {settled}")
 
-    final = trace[-1]["relation"]
-    expected = {"interior": "UniqueZero", "disjoint": "NoZero",
-                "inflating": "Inconclusive"}.get(final, "Inconclusive")
-    if final == "overlap" and shrink_emptied:
-        # the loop ends NoZero when the shrink intersection comes up empty
-        expected = "NoZero"
+    # Without a settled verdict the run stopped at the iteration limit or
+    # at a singular derivative enclosure in the iteration after the trace;
+    # only the latter leaves no operator image.
+    expected = settled or "Inconclusive"
     rep.add(verdict == expected,
-            f"final verdict {verdict!r} matches last relation {final!r}")
-
-    if verdict == "UniqueZero":
-        image = IntervalVector.from_hex(trace[-1]["image"])
-        X = IntervalVector.from_hex(trace[-1]["X"])
-        rep.add(image.subset_interior(X),
-                "certified image strictly inside the certified box")
+            f"final verdict {verdict!r} follows from the last relation "
+            f"{relation!r}")
+    rep.add(body["operator_image"] == rec["image"]
+            or (settled is None and body["operator_image"] is None),
+            "operator image is the last iteration's image")
+    refined = next_X.to_hex() if next_X is not None else None
+    rep.add(body["refined_box"] == refined,
+            "refined box is the last box cut by the last image")
     return rep
 
 

@@ -83,6 +83,14 @@ class _UsageError(Exception):
     pass
 
 
+def _problem(system: str, bodies, a_text):
+    """make_problem, with a bad system description as a usage error."""
+    try:
+        return make_problem(system, n_bodies=bodies, a_text=a_text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",") if p.strip()])
@@ -164,6 +172,7 @@ def _resolve_prove_params(args, system: str) -> dict:
     if missing:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
+    _problem(system, args.bodies, a_text)  # a bad system fails here, as usage
     return dict(system=system, bodies=args.bodies, a_text=a_text,
                 method=method, h_point=float(h_point), h_set=float(h_set),
                 order=int(order), delta=float(delta), candidate=candidate,
@@ -209,7 +218,7 @@ def run_certification(system: str, bodies, a_text, method, h_point, h_set,
     first = outcome.trace[0] if outcome.trace else None
     cert = ProofCertificate(
         problem_id=problem.key,
-        n_bodies=problem.n_bodies * (2 if problem.antipodal else 1),
+        n_bodies=problem.orbit_bodies,
         reduced_dim=problem.reduced_dim,
         reduced_names=problem.reduced_names,
         size_parameter=problem.size_parameter,
@@ -347,7 +356,7 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    problem = make_problem(args.system, n_bodies=args.bodies, a_text=args.a)
+    problem = _problem(args.system, args.bodies, args.a)
     guess = _parse_vector(args.guess)
     try:
         refined = refine_candidate(problem, guess, iters=args.iters)
@@ -369,7 +378,7 @@ def _cmd_emit_curve(args) -> int:
     pb = body["problem"]
     a_hex = pb.get("size_parameter")
     a_text = repr(float.fromhex(a_hex)) if a_hex else None
-    problem = make_problem(pb["id"], n_bodies=pb["n_bodies"], a_text=a_text)
+    problem = _problem(pb["id"], None, a_text)
     box = IntervalVector.from_hex(body["refined_box"])
     params = body["parameters"]
     h = args.h or float.fromhex(params["h_set"])

@@ -166,17 +166,11 @@ def _unfold_eight(problem: ChoreographyProblem,
 
 def _unfold_chain(problem: ChoreographyProblem,
                   crossing: SectionCrossing) -> UnfoldResult:
-    n = problem.n_bodies * (2 if problem.antipodal else 1)
+    n = problem.orbit_bodies
     half = n // 2
     residuals: list[tuple[str, Interval]] = []
 
-    full_state = crossing.state
-    if problem.antipodal:
-        full_state = (np.concatenate([crossing.state[0], -crossing.state[1]]),
-                      np.concatenate([crossing.state[1], -crossing.state[0]]))
-    from .dynamics import PhaseLayout
-    layout = PhaseLayout(n, "blocks") if problem.antipodal else problem.layout
-
+    layout, *full_state = problem.expand_state(*crossing.state)
     q = {i: _interval_components(full_state, layout.body_position(i))
          for i in range(n)}
     v = {i: _interval_components(full_state, layout.body_velocity(i))
@@ -251,10 +245,9 @@ def unfold(problem: ChoreographyProblem,
 
 def write_curve_file(path: str, problem: ChoreographyProblem,
                      result: UnfoldResult) -> None:
-    n_total = problem.n_bodies * (2 if problem.antipodal else 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# choreography curve samples: system={problem.key} "
-                 f"bodies={n_total}\n")
+                 f"bodies={problem.orbit_bodies}\n")
         fh.write(f"# period enclosure: [{result.period.lo!r}, "
                  f"{result.period.hi!r}]\n")
         if result.note:
@@ -269,8 +262,7 @@ def write_curve_file(path: str, problem: ChoreographyProblem,
 
 def write_segment_file(path: str, problem: ChoreographyProblem,
                        result: UnfoldResult) -> None:
-    n_total = problem.n_bodies * (2 if problem.antipodal else 1)
-    cols = " ".join(f"x{i} y{i}" for i in range(n_total))
+    cols = " ".join(f"x{i} y{i}" for i in range(problem.orbit_bodies))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# certified segment samples: system={problem.key}\n")
         fh.write(f"# columns: t {cols}\n")

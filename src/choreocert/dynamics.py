@@ -455,25 +455,7 @@ class LinearField:
         return kn.matvec_thin_left(self.A, sl, sh)
 
 
-# --- spec-level field surfaces and conserved quantities -----------------------
-
-def field_derivative(field, state_lo, state_hi) -> Pair:
-    """Interval enclosure of the vector field on a state box."""
-    return field.eval(np.asarray(state_lo, float), np.asarray(state_hi, float))
-
-
-def jacobian(field: GravityField, sl: np.ndarray, sh: np.ndarray) -> Pair:
-    """Interval Jacobian of the field at a box: [[0, I], [G, 0]] blocks in
-    the field's layout."""
-    return field.series(sl, sh, 1, variational=True).jacobian()
-
-
-def variational_rhs(field: GravityField, sl, sh, Vl, Vh) -> tuple[Pair, Pair]:
-    """(f(box), J(box) . V): the first-variation right-hand side."""
-    f = field.eval(sl, sh)
-    Jl, Jh = jacobian(field, sl, sh)
-    return f, kn.matmul(Jl, Jh, Vl, Vh)
-
+# --- conserved quantities ------------------------------------------------------
 
 def _pair_separations(layout: PhaseLayout, sl, sh):
     for i in range(layout.n_bodies):

@@ -8,23 +8,25 @@ R(P(E(x))) = 0 certifies one choreography:
 * eight    - the three-body figure Eight in the rotated frame (first body on
              the positive x axis, third at the origin); reduced space is the
              first body's velocity.
-* gerver   - the four-body SuperEight, a doubly symmetric linear chain;
-             reduced coordinates (x1, vx0, vy1) with size parameter a.
-* chain6   - the six-body linear chain in the antipodally reduced 12-dim
-             system (axes interchanged, quarter-period time shift);
-             reduced coordinates (vx0, x1, y1, vx1, vy1).
-* chain(N) - generic doubly symmetric chains for even N (full phase space),
-             N = 4k or 4k + 2.
+* chain(N) - doubly symmetric chains for even N (full phase space),
+             N = 4k or 4k + 2, with size parameter a; key "chainN".
+* gerver   - the four-body SuperEight: chain(4) with its reduced
+             coordinates reordered to (x1, vx0, vy1), as in the results
+             tables.
+* chain6   - the antipodal half of chain(6): the 12-dim system of the
+             first three bodies (q_{i+3} = -q_i) in the frame of the source
+             data (axes interchanged, quarter-period time shift); reduced
+             coordinates (vx0, x1, y1, vx1, vy1), section y1 = 0.
 
-Embeddings are exact: components are copies or negations of the reduced
-coordinates and of the size parameter, which is pinned to one binary64
-value, so E introduces no rounding at all.
+Embeddings are exact: components are copies, negations or doublings of the
+reduced coordinates, or the size parameter alone, which is pinned to one
+binary64 value, so E introduces no rounding at all.  LinearEmbedding checks
+this shape when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +47,20 @@ class LinearEmbedding:
     """Full state = offset + matrix * reduced point, with exact entries."""
 
     offset: np.ndarray       # constants: zeros and +-a
-    matrix: np.ndarray       # entries in {0, +-1, -2}
+    matrix: np.ndarray       # entries in {0, +-1, +-2}
+
+    def __post_init__(self):
+        # box() adds offset and scaled coordinates with plain float sums;
+        # these conditions make every such sum exact.
+        nonzero = self.matrix != 0
+        if np.any(nonzero.sum(axis=1) > 1):
+            raise ValueError("embedding row mixes several reduced coordinates")
+        if np.any(nonzero.any(axis=1) & (self.offset != 0)):
+            raise ValueError("embedding row has both an offset and a coordinate")
+        if not np.all(np.isin(np.abs(self.matrix[nonzero]), (1.0, 2.0))):
+            raise ValueError("embedding coefficients must be +-1 or +-2")
+        if np.unique(np.abs(self.offset[self.offset != 0])).size > 1:
+            raise ValueError("embedding offsets must share one magnitude")
 
     def point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
@@ -94,22 +109,32 @@ class LinearReduction:
 @dataclass
 class ChoreographyProblem:
     key: str
-    n_bodies: int
-    reduced_dim: int
     field: GravityField
     section: SectionSpec
     embed_map: LinearEmbedding
-    reduce_map: LinearReduction | None          # None: custom (the Eight)
+    reduce_map: LinearReduction | EightReduction
     size_parameter: float | None                # exact binary64, or None
     period_multiplier: int                      # T = multiplier * t_cross
     reduced_names: tuple[str, ...]
-    custom_reduce: Callable | None = None
-    custom_reduce_derivative: Callable | None = None
-    antipodal: bool = False                     # state is the 3-body half
+    antipodal: bool = False                     # state is the first half
 
     @property
     def layout(self) -> PhaseLayout:
         return self.field.layout
+
+    @property
+    def n_bodies(self) -> int:
+        """Bodies in the integrated state."""
+        return self.layout.n_bodies
+
+    @property
+    def orbit_bodies(self) -> int:
+        """Bodies on the full orbit (twice the state's when antipodal)."""
+        return 2 * self.n_bodies if self.antipodal else self.n_bodies
+
+    @property
+    def reduced_dim(self) -> int:
+        return self.embed_map.matrix.shape[1]
 
     # -- E --
 
@@ -138,13 +163,9 @@ class ChoreographyProblem:
         sh = np.asarray(sh, float)
         if sl.size != self.layout.dim:
             raise DimensionMismatch(f"{self.key}: bad full-state size")
-        if self.custom_reduce is not None:
-            return self.custom_reduce(sl, sh)
         return self.reduce_map.apply(sl, sh)
 
     def reduce_derivative(self, sl, sh) -> Pair:
-        if self.custom_reduce_derivative is not None:
-            return self.custom_reduce_derivative(sl, sh)
         return self.reduce_map.derivative(sl, sh)
 
     # -- full 4N-dim view (identity unless antipodally reduced) --
@@ -153,7 +174,7 @@ class ChoreographyProblem:
         """Full unreduced state for conserved-quantity evaluation."""
         if not self.antipodal:
             return self.layout, np.asarray(sl, float), np.asarray(sh, float)
-        full = PhaseLayout(2 * self.n_bodies, "blocks")
+        full = PhaseLayout(self.orbit_bodies, "blocks")
         el = np.concatenate([sl, -np.asarray(sh, float)])
         eh = np.concatenate([sh, -np.asarray(sl, float)])
         return full, el, eh
@@ -161,36 +182,39 @@ class ChoreographyProblem:
 
 # --- the Eight -----------------------------------------------------------------
 
-def _eight_reduce(sl: np.ndarray, sh: np.ndarray) -> IntervalVector:
-    s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
-    cross = (s[8] - s[10]) * s[1] - (s[9] - s[11]) * s[0]
-    dist = ((s[2] - s[0]).sqr() + (s[3] - s[1]).sqr()
-            - (s[4] - s[0]).sqr() - (s[5] - s[1]).sqr())
-    return IntervalVector.from_intervals([cross, dist])
+class EightReduction:
+    """The Eight's defects: the velocity cross product (v2 - v3) y1 -
+    (u2 - u3) x1, then the distance difference |q2-q1|^2 - |q3-q1|^2."""
 
+    def apply(self, sl: np.ndarray, sh: np.ndarray) -> IntervalVector:
+        s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
+        cross = (s[8] - s[10]) * s[1] - (s[9] - s[11]) * s[0]
+        dist = ((s[2] - s[0]).sqr() + (s[3] - s[1]).sqr()
+                - (s[4] - s[0]).sqr() - (s[5] - s[1]).sqr())
+        return IntervalVector.from_intervals([cross, dist])
 
-def _eight_reduce_derivative(sl: np.ndarray, sh: np.ndarray) -> Pair:
-    s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
-    two = Interval.point(2.0)
-    rows: list[list[Interval]] = [[Interval(0.0)] * 12 for _ in range(2)]
-    # d/ds of (v2 - v3) y1 - (u2 - u3) x1
-    rows[0][0] = -(s[9] - s[11])
-    rows[0][1] = s[8] - s[10]
-    rows[0][8] = s[1]
-    rows[0][10] = -s[1]
-    rows[0][9] = -s[0]
-    rows[0][11] = s[0]
-    # d/ds of |q2-q1|^2 - |q3-q1|^2
-    d21 = (s[2] - s[0], s[3] - s[1])
-    d31 = (s[4] - s[0], s[5] - s[1])
-    rows[1][0] = two * (d31[0] - d21[0])
-    rows[1][1] = two * (d31[1] - d21[1])
-    rows[1][2] = two * d21[0]
-    rows[1][3] = two * d21[1]
-    rows[1][4] = -(two * d31[0])
-    rows[1][5] = -(two * d31[1])
-    m = IntervalMatrix.from_intervals(rows)
-    return m.lo, m.hi
+    def derivative(self, sl: np.ndarray, sh: np.ndarray) -> Pair:
+        s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
+        two = Interval.point(2.0)
+        rows: list[list[Interval]] = [[Interval(0.0)] * 12 for _ in range(2)]
+        # d/ds of (v2 - v3) y1 - (u2 - u3) x1
+        rows[0][0] = -(s[9] - s[11])
+        rows[0][1] = s[8] - s[10]
+        rows[0][8] = s[1]
+        rows[0][10] = -s[1]
+        rows[0][9] = -s[0]
+        rows[0][11] = s[0]
+        # d/ds of |q2-q1|^2 - |q3-q1|^2
+        d21 = (s[2] - s[0], s[3] - s[1])
+        d31 = (s[4] - s[0], s[5] - s[1])
+        rows[1][0] = two * (d31[0] - d21[0])
+        rows[1][1] = two * (d31[1] - d21[1])
+        rows[1][2] = two * d21[0]
+        rows[1][3] = two * d21[1]
+        rows[1][4] = -(two * d31[0])
+        rows[1][5] = -(two * d31[1])
+        m = IntervalMatrix.from_intervals(rows)
+        return m.lo, m.hi
 
 
 def _eight_section() -> SectionSpec:
@@ -225,17 +249,13 @@ def eight_problem() -> ChoreographyProblem:
     mat[11, 1] = -2.0
     return ChoreographyProblem(
         key="eight",
-        n_bodies=3,
-        reduced_dim=2,
         field=nbody_field(3, kind="split"),
         section=_eight_section(),
         embed_map=LinearEmbedding(offset, mat),
-        reduce_map=None,
+        reduce_map=EightReduction(),
         size_parameter=None,
         period_multiplier=12,
         reduced_names=("v", "u"),
-        custom_reduce=_eight_reduce,
-        custom_reduce_derivative=_eight_reduce_derivative,
     )
 
 
@@ -288,69 +308,6 @@ def _chain_reduction(n_bodies: int, rows) -> LinearReduction:
         for body, comp, sign in terms:
             mat[r, 4 * body + comp] = sign
     return LinearReduction(mat)
-
-
-def gerver_problem(a_text: str = "0.157029944461") -> ChoreographyProblem:
-    """Gerver's SuperEight as the 4-body chain in the results tables'
-    coordinate order (x1, vx0, vy1)."""
-    a = float(a_text)
-    body_specs = [
-        ["0", ("a", 1.0), (1, 1.0), "0"],
-        [(0, 1.0), "0", "0", (2, 1.0)],
-        ["0", ("a", -1.0), (1, -1.0), "0"],
-        [(0, -1.0), "0", "0", (2, -1.0)],
-    ]
-    embed = _chain_embedding(4, body_specs, 3, a)
-    reduce_ = _chain_reduction(4, [
-        ((1, 1, 1.0), (0, 1, 1.0)),
-        ((1, 2, 1.0), (0, 2, 1.0)),
-        ((1, 3, 1.0), (0, 3, -1.0)),
-    ])
-    return ChoreographyProblem(
-        key="gerver",
-        n_bodies=4,
-        reduced_dim=3,
-        field=nbody_field(4, kind="blocks"),
-        section=_coordinate_section(4, 16, other=0, sign="+-"),
-        embed_map=embed,
-        reduce_map=reduce_,
-        size_parameter=a,
-        period_multiplier=8,
-        reduced_names=("x1", "vx0", "vy1"),
-    )
-
-
-def chain6_problem(a_text: str = "1.887041548253914") -> ChoreographyProblem:
-    """Six-body chain on the antipodally reduced 3-body system, in the frame
-    with interchanged axes and quarter-period shift used by the source data;
-    reduced coordinates (vx0, x1, y1, vx1, vy1), section y1 = 0."""
-    a = float(a_text)
-    body_specs = [
-        ["0", ("a", 1.0), (0, 1.0), "0"],
-        [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)],
-        [(1, 1.0), (2, -1.0), (3, -1.0), (4, 1.0)],
-    ]
-    embed = _chain_embedding(3, body_specs, 5, a)
-    reduce_ = _chain_reduction(3, [
-        ((1, 2, 1.0),),
-        ((0, 0, 1.0), (2, 0, -1.0)),
-        ((0, 1, 1.0), (2, 1, 1.0)),
-        ((0, 2, 1.0), (2, 2, 1.0)),
-        ((0, 3, 1.0), (2, 3, -1.0)),
-    ])
-    return ChoreographyProblem(
-        key="chain6",
-        n_bodies=3,
-        reduced_dim=5,
-        field=reduced6_field(kind="blocks"),
-        section=_coordinate_section(5, 12, sign="+-"),
-        embed_map=embed,
-        reduce_map=reduce_,
-        size_parameter=a,
-        period_multiplier=12,
-        reduced_names=("vx0", "x1", "y1", "vx1", "vy1"),
-        antipodal=True,
-    )
 
 
 def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
@@ -458,8 +415,6 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
     reduce_ = _chain_reduction(N, rows)
     return ChoreographyProblem(
         key=f"chain{N}",
-        n_bodies=N,
-        reduced_dim=N - 1,
         field=nbody_field(N, kind="blocks"),
         section=section,
         embed_map=embed,
@@ -470,14 +425,54 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
     )
 
 
+def gerver_problem(a_text: str = "0.157029944461") -> ChoreographyProblem:
+    """Gerver's SuperEight: chain(4) in the results tables' coordinate order
+    (x1, vx0, vy1).  The column order is part of the problem: it is the
+    column order of the set flow's initial slab, which feeds the QR frames."""
+    chain = chain_problem(4, a_text)
+    order = [1, 0, 2]
+    return replace(
+        chain,
+        key="gerver",
+        section=replace(chain.section, crossing_sign="+-"),
+        embed_map=LinearEmbedding(chain.embed_map.offset,
+                                  chain.embed_map.matrix[:, order]),
+        reduced_names=tuple(chain.reduced_names[i] for i in order),
+    )
+
+
+def chain6_problem(a_text: str = "1.887041548253914") -> ChoreographyProblem:
+    """chain(6) on its antipodal half q_{i+3} = -q_i: the first three
+    bodies under the reduced six-body field, section y1 = 0."""
+    chain = chain_problem(6, a_text)
+    dim = 12
+    reduction = chain.reduce_map.matrix
+    if np.any(reduction[:, dim:]):
+        raise ValueError("chain(6) defects read the antipodal bodies")
+    return replace(
+        chain,
+        field=reduced6_field(kind="blocks"),
+        section=_coordinate_section(5, dim, sign="+-"),
+        embed_map=LinearEmbedding(chain.embed_map.offset[:dim],
+                                  chain.embed_map.matrix[:dim]),
+        reduce_map=LinearReduction(reduction[:, :dim]),
+        antipodal=True,
+    )
+
+
 def make_problem(key: str, n_bodies: int | None = None,
                  a_text: str | None = None) -> ChoreographyProblem:
+    """The problem for a system name ("chain" with n_bodies), or for the key
+    a certificate records ("eight", "gerver", "chain6", "chainN")."""
     if key == "eight":
         return eight_problem()
     if key == "gerver":
         return gerver_problem(a_text) if a_text else gerver_problem()
     if key == "chain6":
         return chain6_problem(a_text) if a_text else chain6_problem()
+    if key.startswith("chain") and key[5:].isdigit():
+        n_bodies = int(key[5:])
+        key = "chain"
     if key == "chain":
         if n_bodies is None or a_text is None:
             raise ValueError("chain needs --bodies and --a")
@@ -547,18 +542,6 @@ def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector, h: float,
     return MapEvaluation(value=problem.reduce(*cr.state),
                          jacobian=IntervalMatrix(jl, jh), crossing=cr,
                          notes=_crossing_notes(problem, cr))
-
-
-def phi(problem: ChoreographyProblem, x_or_box, h: float, order: int,
-        mode: str = "C0", max_steps: int | None = None) -> MapEvaluation:
-    """Spec-level entry: value (and derivative in C1 mode) of R o P o E."""
-    if mode == "C1":
-        box = x_or_box if isinstance(x_or_box, IntervalVector) \
-            else IntervalVector.point(np.asarray(x_or_box, float))
-        return phi_jacobian(problem, box, h, order, max_steps)
-    pt = x_or_box.mid() if isinstance(x_or_box, IntervalVector) \
-        else np.asarray(x_or_box, float)
-    return phi_point(problem, pt, h, order, max_steps)
 
 
 def conservation_containment(problem: ChoreographyProblem, steps) -> dict:

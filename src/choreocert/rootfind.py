@@ -9,9 +9,11 @@ computes the chosen operator image T(x, [X]) and decides:
 * [X] inside T              -> the enclosures are too wide  (Inconclusive)
 * otherwise                 -> shrink [X] to [X] & T, re-center, repeat.
 
-The interior-inclusion test is used for both operators: the Krawczyk theorem
-demands it, and for Newton a boundary touch is deliberately treated as
-not-included so the iteration continues instead of over-claiming.
+`judge` is this rule; the certificate verifier applies the same function to
+the stored images.  The interior-inclusion test is used for both operators:
+the Krawczyk theorem demands it, and for Newton a boundary touch is
+deliberately treated as not-included so the iteration continues instead of
+over-claiming.
 
 Inconclusive never silently mutates integration parameters; the caller (the
 command-line driver) owns any retry policy.
@@ -99,6 +101,28 @@ def default_preconditioner(df_X: IntervalMatrix) -> np.ndarray:
     return np.linalg.inv(df_X.mid())
 
 
+def judge(X: IntervalVector, image: IntervalVector
+          ) -> tuple[str, Verdict | None, IntervalVector | None]:
+    """The one rule that turns an operator image over [X] into a verdict.
+
+    Returns the relation of the image to [X] (interior, disjoint, inflating
+    or overlap), the terminal verdict it settles (None: keep iterating) and
+    the box that goes with it: the refined box for a verdict, the next
+    iteration's box otherwise.  An overlap whose intersection comes up empty
+    in floating point settles NoZero.
+    """
+    if image.subset_interior(X):
+        return "interior", "UniqueZero", image.intersect(X)
+    if image.disjoint(X):
+        return "disjoint", "NoZero", None
+    if X.subset(image):
+        return "inflating", "Inconclusive", X
+    try:
+        return "overlap", None, X.intersect(image)
+    except EmptyIntersection:
+        return "overlap", "NoZero", None
+
+
 def certify(job: CertificationJob) -> CertificationOutcome:
     """Run the certification loop until a verdict or the iteration limit."""
     x = np.asarray(job.x0, float)
@@ -124,40 +148,21 @@ def certify(job: CertificationJob) -> CertificationOutcome:
                 iterations=it, trace=trace,
                 cause=f"derivative enclosure not certifiably regular: {exc}")
 
-        if image.subset_interior(X):
-            relation = "interior"
-        elif image.disjoint(X):
-            relation = "disjoint"
-        elif X.subset(image):
-            relation = "inflating"
-        else:
-            relation = "overlap"
+        relation, verdict, next_X = judge(X, image)
         trace.append(IterationRecord(
             index=it, x=x.copy(), X=X, f_x=f_x, df_X=df_X, C=C,
             image=image, relation=relation))
 
-        if relation == "interior":
+        if verdict is not None:
+            cause = ""
+            if relation == "inflating":
+                ratio = float(np.max(image.diam() / np.maximum(X.diam(), 1e-300)))
+                cause = (f"operator image inflates the box (ratio {ratio:.3g}); "
+                         "tighten the integration parameters")
             return CertificationOutcome(
-                verdict="UniqueZero", operator_image=image,
-                refined_box=image.intersect(X), iterations=it, trace=trace)
-        if relation == "disjoint":
-            return CertificationOutcome(
-                verdict="NoZero", operator_image=image, refined_box=None,
-                iterations=it, trace=trace)
-        if relation == "inflating":
-            ratio = float(np.max(image.diam() / np.maximum(X.diam(), 1e-300)))
-            return CertificationOutcome(
-                verdict="Inconclusive", operator_image=image, refined_box=X,
-                iterations=it, trace=trace,
-                cause=(f"operator image inflates the box (ratio {ratio:.3g}); "
-                       "tighten the integration parameters"))
-
-        try:
-            X = X.intersect(image)
-        except EmptyIntersection:
-            return CertificationOutcome(
-                verdict="NoZero", operator_image=image, refined_box=None,
-                iterations=it, trace=trace)
+                verdict=verdict, operator_image=image, refined_box=next_X,
+                iterations=it, trace=trace, cause=cause)
+        X = next_X
         x = X.mid()
 
     return CertificationOutcome(

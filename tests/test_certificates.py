@@ -24,9 +24,10 @@ def quadratic_map():
     return CertifiableMap(1, eval_point, eval_jacobian)
 
 
-def small_certificate(method="newton", x0=1.5, delta=0.5):
+def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
     job = CertificationJob(map=quadratic_map(), x0=np.array([x0]),
-                           X=IntervalVector.box([x0], delta), method=method)
+                           X=IntervalVector.box([x0], delta), method=method,
+                           max_iter=max_iter)
     out = certify(job)
     first = out.trace[0] if out.trace else None
     return ProofCertificate(
@@ -83,6 +84,15 @@ class TestReverify:
         report = reverify_document(cert.to_document())
         assert report.ok, report.messages
 
+    def test_agrees_on_shrinking_and_iteration_limit(self):
+        # [0.9, 1.5] overlaps its first image, so the box shrinks once
+        for max_iter, verdict in ((64, "UniqueZero"), (1, "Inconclusive")):
+            cert, out = small_certificate(x0=1.2, delta=0.3, max_iter=max_iter)
+            assert out.trace[0].relation == "overlap"
+            assert out.verdict == verdict
+            report = reverify_document(cert.to_document())
+            assert report.ok, report.messages
+
     def test_detects_tampered_image(self):
         cert, _ = small_certificate()
         doc = cert.to_document()
@@ -92,6 +102,20 @@ class TestReverify:
         tampered = body["trace"][-1]["image"][0]
         widened = float.fromhex(tampered[1]) + 1e-3
         body["trace"][-1]["image"][0][1] = widened.hex()
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+
+    def test_detects_unrelated_refined_box(self):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["refined_box"] = IntervalVector.box([1.4], 1e-3).to_hex()
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+
+    def test_detects_unrelated_operator_image(self):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["operator_image"] = IntervalVector.box([1.4], 1e-3).to_hex()
         report = reverify_document(json.dumps(body))
         assert not report.ok
 

@@ -40,6 +40,10 @@ class TestProve:
         with pytest.raises(SystemExit):
             main(["prove"])  # --system required
         assert main(["prove", "--system", "chain"]) == EXIT_USAGE
+        assert main(["refine", "--system", "nonsense",
+                     "--guess", "1,2"]) == EXIT_USAGE
+        assert main(["refine", "--system", "chain", "--bodies", "4",
+                     "--guess", "1,2,3"]) == EXIT_USAGE
 
     def test_expected_no_zero(self, tmp_path):
         shifted = [0.347116768716 + 0.01, 0.532724944657 + 0.01]

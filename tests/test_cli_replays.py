@@ -45,6 +45,9 @@ class TestVerbatimInvocations:
         assert code == EXIT_OK
         body = parse_document(out.read_text())
         assert body["verdict"] == "UniqueZero"
+        # the certificate's problem id "chain4" rebuilds the problem
+        assert main(["emit-curve", "--cert", str(out),
+                     "--out", str(tmp_path / "chain4.curve")]) == EXIT_OK
 
 
 class TestDeterminism:

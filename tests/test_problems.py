@@ -5,6 +5,7 @@ from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
 from choreocert.errors import DimensionMismatch
 from choreocert.problems import (
+    LinearEmbedding,
     chain6_problem,
     chain_problem,
     eight_problem,
@@ -71,6 +72,23 @@ class TestEmbeddings:
         layout, el, eh = prob.expand_state(s, s)
         cx, cy = center_of_mass(layout, el, eh)
         assert cx.contains(0.0) and cy.contains(0.0)
+
+    def test_embedding_rejects_inexact_rows(self):
+        offset = np.array([0.0, 0.5, 0.0])
+        ok = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -2.0]])
+        LinearEmbedding(offset, ok)
+        two_entries = ok.copy()
+        two_entries[0, 1] = 1.0
+        offset_and_coordinate = ok.copy()
+        offset_and_coordinate[1, 0] = 1.0
+        scaled = ok.copy()
+        scaled[0, 0] = 3.0
+        for mat in (two_entries, offset_and_coordinate, scaled):
+            with pytest.raises(ValueError):
+                LinearEmbedding(offset, mat)
+        with pytest.raises(ValueError):
+            LinearEmbedding(np.array([0.0, 0.5, 0.25]),
+                            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -156,8 +174,12 @@ class TestPhi:
     def test_make_problem_dispatch(self):
         assert make_problem("eight").key == "eight"
         assert make_problem("chain", n_bodies=8, a_text="0.3").key == "chain8"
+        # certificates record "chainN"; it rebuilds the same problem
+        assert make_problem("chain8", a_text="0.3").reduced_dim == 7
         with pytest.raises(ValueError):
             make_problem("chain")
+        with pytest.raises(ValueError):
+            make_problem("chain8")
         with pytest.raises(ValueError):
             make_problem("nonsense")
 
