@@ -107,9 +107,6 @@ class IntervalVector:
     def diam(self) -> np.ndarray:
         return kn.diam(self.lo, self.hi)
 
-    def max_diam(self) -> float:
-        return float(np.max(self.diam()))
-
     def mag(self) -> np.ndarray:
         return kn.mag(self.lo, self.hi)
 
@@ -218,9 +215,6 @@ class IntervalMatrix:
 
     def diam(self) -> np.ndarray:
         return kn.diam(self.lo, self.hi)
-
-    def transpose(self) -> IntervalMatrix:
-        return IntervalMatrix(self.lo.T.copy(), self.hi.T.copy())
 
     def hull(self, other: IntervalMatrix) -> IntervalMatrix:
         return IntervalMatrix(*kn.hull(self.lo, self.hi, other.lo, other.hi))

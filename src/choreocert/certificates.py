@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import IntervalMatrix, IntervalVector
-from .convexity import ConvexityCertificate
+from .convexity import ConvexityCertificate, starts_before_crossing
 from .interval import Interval, rounding_backend
 from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
 
@@ -37,10 +37,6 @@ def _unhex_vec(data) -> np.ndarray:
 
 def _hex_float(x: float | None):
     return None if x is None else float(x).hex()
-
-
-def _unhex_float(s):
-    return None if s is None else float.fromhex(s)
 
 
 @dataclass
@@ -291,6 +287,11 @@ def convexity_to_document(cert: ConvexityCertificate,
 
 
 def _reverify_convexity(body: dict, rep: VerificationReport) -> VerificationReport:
+    """Re-check every stored condition and, for a passing document, that the
+    rows cover what `verify_convexity` must check: each of the Eight's three
+    bodies on every step that starts before the crossing time, with the
+    inflection condition on step 1 body 3 only, and the origin in the first
+    step."""
     for c in body["checks"]:
         second = Interval.from_hex(*c["second"])
         third = Interval.from_hex(*c["third"])
@@ -305,4 +306,24 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> VerificationRepo
                     f"{where}: nonvanishing-curvature condition re-checked")
     rep.add(bool(body["passed"]) == all(c["passed"] for c in body["checks"]),
             "stored verdict consistent with stored checks")
+    if not body["passed"]:
+        return rep
+
+    n = body["steps_checked"]
+    rows = [(c["step"], c["body"], c["condition"]) for c in body["checks"]]
+    rep.add(len(rows) == 3 * n
+            and rows == [(k, b, "inflection" if (k, b) == (1, 3) else "curvature")
+                         for k in range(1, n + 1) for b in (1, 2, 3)],
+            f"one row per step 1..{n} and body 1..3, the inflection "
+            "condition on step 1 body 3 only")
+    rep.add(body["origin_in_first_step"] is True,
+            "origin lies in the first step enclosure")
+    if body["crossing_time"] is None:
+        rep.add(False, "a passing document records its crossing time")
+        return rep
+    h = float.fromhex(body["parameters"]["h"])
+    t_cross = Interval.from_hex(*body["crossing_time"])
+    rep.add(n >= 1 and starts_before_crossing(h, n - 1, t_cross)
+            and not starts_before_crossing(h, n, t_cross),
+            f"step {n} is the last step that begins before the crossing time")
     return rep

@@ -5,9 +5,10 @@ Subcommands:
 * prove       run a certification (Newton or Krawczyk) and write a
               machine-checkable certificate
 * convexity   verify lobe convexity of the Eight (inline existence proof or
-              from an existing certificate)
+              from an existing certificate, re-verified first)
 * refine      nonrigorous Newton refinement of a candidate point
-* emit-curve  unfold a certified segment into the full closed curve
+* emit-curve  unfold a certified segment (re-verified first) into the full
+              closed curve
 * verify      re-check a certificate from its serialized intervals only
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
@@ -313,10 +314,25 @@ def _cmd_prove(args) -> int:
     return max(codes)
 
 
+def _read_verified(command: str, path: str) -> dict | None:
+    """Body of the certificate at `path`, or None (after printing the first
+    failed check) when the no-integration verifier disagrees with it."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    report = reverify_document(text)
+    if not report.ok:
+        first = next(m for m in report.messages if m.startswith("FAIL"))
+        print(f"{command}: {path} does not verify: {first}", file=sys.stderr)
+        return None
+    return parse_document(text)
+
+
 def _cmd_convexity(args) -> int:
     problem = make_problem("eight")
     if args.cert:
-        body = parse_document(open(args.cert, encoding="utf-8").read())
+        body = _read_verified("convexity", args.cert)
+        if body is None:
+            return EXIT_VERIFY_DISAGREE
         if body.get("kind") != "existence" or body["problem"]["id"] != "eight" \
                 or body["verdict"] != "UniqueZero":
             print("convexity: --cert must be an Eight UniqueZero certificate",
@@ -370,7 +386,9 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_emit_curve(args) -> int:
-    body = parse_document(open(args.cert, encoding="utf-8").read())
+    body = _read_verified("emit-curve", args.cert)
+    if body is None:
+        return EXIT_VERIFY_DISAGREE
     if body.get("kind") != "existence" or body["verdict"] != "UniqueZero":
         print("emit-curve: need a UniqueZero existence certificate",
               file=sys.stderr)

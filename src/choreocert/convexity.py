@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 
 from .boxes import IntervalVector
 from .errors import NotAGraph, StepTooCoarse
-from .integrator import EnclosureStep, LohnerSet, _global_time, flow_to_section
+from .integrator import EnclosureStep, LohnerSet, flow_to_section
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -158,6 +158,12 @@ def check_step(problem: ChoreographyProblem, rec: EnclosureStep, body: int,
                          note=note)
 
 
+def starts_before_crossing(h: float, k: int, t_cross: Interval) -> bool:
+    """Whether step k (0-based, size h) can begin before the crossing time;
+    checking every such step covers the whole segment [0, crossing time]."""
+    return (Interval.point(h) * Interval.point(float(k))).lo < t_cross.hi
+
+
 @dataclass
 class ConvexityCertificate:
     problem: str
@@ -186,14 +192,6 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
 
     crossing = flow_to_section(problem.field, start, problem.section, h,
                                order, max_steps)
-    # Check every step that can begin before the section is reached, so the
-    # whole segment [0, crossing time] is covered.
-    last = crossing.first_zone_step
-    for k in range(crossing.first_zone_step, len(crossing.steps)):
-        start_time = _global_time(crossing.steps, k, 0.0, 0.0)
-        if not start_time.lo < crossing.t_cross.hi:
-            break
-        last = k
 
     # Origin membership for the inflection argument: the third body starts
     # at the origin exactly, so the first whole-step box contains it.
@@ -202,19 +200,21 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     origin_ok = (first.whole[0][ox] <= 0.0 <= first.whole[1][ox]
                  and first.whole[0][oy] <= 0.0 <= first.whole[1][oy])
 
+    n = 1
+    while (n < len(crossing.steps)
+           and starts_before_crossing(h, n, crossing.t_cross)):
+        n += 1
     cert = ConvexityCertificate(
-        problem=problem.key, h=h, order=order, passed=True,
-        steps_checked=last + 1, origin_in_first_step=bool(origin_ok),
-        crossing_time=crossing.t_cross)
+        problem=problem.key, h=h, order=order, passed=True, steps_checked=n,
+        origin_in_first_step=bool(origin_ok), crossing_time=crossing.t_cross)
     if not origin_ok:
         cert.passed = False
         cert.failure = "origin not contained in the first step enclosure"
         return cert
 
-    for k in range(last + 1):
-        rec = crossing.steps[k]
+    for rec in crossing.steps[:cert.steps_checked]:
         for body in range(problem.n_bodies):
-            special = (k == 0 and body == 2)
+            special = (rec.index == 0 and body == 2)
             try:
                 cert.checks.append(check_step(problem, rec, body,
                                               first_step_origin_body=special))

@@ -10,11 +10,14 @@ One step of the validated integrator produces, for the whole input box:
   transition itself over the step - the linear analogue of the rough
   enclosure).
 
-Sets are carried as center + frame * box, with the frame re-chosen every
-step from a floating-point QR factorization (columns sorted by contribution)
-to control the wrapping effect; the frame inverse is enclosed rigorously via
-a Neumann bound, so the representation change never loses soundness.  The
-C1 slab (selected monodromy columns) is propagated with the same machinery.
+The state set and the C1 slab (selected monodromy columns) are both carried
+as one `Frame`, center + Q * [r] with r an n x 1 or n x d box, and share one
+update: the frame is re-chosen every step from a floating-point QR
+factorization (columns sorted by contribution) to control the wrapping
+effect, and its inverse is enclosed rigorously via a Neumann bound, so the
+representation change never loses soundness.  The rough enclosure of the
+state and the a-priori enclosure of the transition come from one Picard
+validation loop.
 
 Section crossings are located in three rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, bisection of the
@@ -100,30 +103,58 @@ def _zero_hold(h: float, fl: np.ndarray, fh: np.ndarray) -> Pair:
 # --- set representation ------------------------------------------------------
 
 @dataclass
-class LohnerSet:
-    """Current enclosure: m + Q [r], optionally with a monodromy slab
-    V = Vm + QV [RV] (n x d columns of the flow derivative)."""
+class Frame:
+    """Doubleton m + Q [r] of an n x d block of columns (the C1 Lohner form):
+    the state set is the case d = 1, the monodromy slab carries d columns."""
 
     m: np.ndarray
     Q: np.ndarray
     r: Pair
-    Vm: np.ndarray | None = None
-    QV: np.ndarray | None = None
-    RV: Pair | None = None
+
+    def box(self) -> Pair:
+        sl, sh = kn.matmul_thin_left(self.Q, *self.r)
+        return kn.add(sl, sh, self.m, self.m)
+
+    def advance(self, A: Pair, image: Pair) -> tuple[Frame, Pair]:
+        """Frame of A [self] around `image`, an enclosure of A m, in a fresh
+        orthogonal frame; also returns B = A Q."""
+        bl, bh = kn.matmul(*A, self.Q, self.Q)
+        m = kn.mid(*image)
+        zl, zh = kn.sub(*image, m, m)
+        q = _sorted_qr(kn.mid(bl, bh), 0.5 * np.max(kn.diam(*self.r), axis=1))
+        qinv = _inverse_enclosure(q)
+        cl, ch = kn.matmul(*qinv, bl, bh)
+        rl, rh = kn.matmul(cl, ch, *self.r)
+        r2l, r2h = kn.matmul(*qinv, zl, zh)
+        return Frame(m, q, kn.add(rl, rh, r2l, r2h)), (bl, bh)
+
+
+def _column(v: Pair) -> Pair:
+    return v[0][:, None], v[1][:, None]
+
+
+def _exact_slab(columns: np.ndarray) -> Frame:
+    z = np.zeros(columns.shape)
+    return Frame(columns.copy(), np.eye(len(columns)), (z, z))
+
+
+@dataclass
+class LohnerSet:
+    """Current enclosure: the state frame, optionally with a monodromy slab
+    frame (n x d columns of the flow derivative)."""
+
+    state: Frame
+    slab: Frame | None = None
 
     @classmethod
     def from_box(cls, lo, hi, transition_dim: int | None = None) -> LohnerSet:
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         m = kn.mid(lo, hi)
-        n = m.size
-        rl, rh = kn.sub(lo, hi, m, m)
-        out = cls(m=m, Q=np.eye(n), r=(rl, rh))
-        if transition_dim is not None:
-            out.Vm = np.eye(n)[:, :transition_dim].copy()
-            out.QV = np.eye(n)
-            out.RV = (np.zeros((n, transition_dim)), np.zeros((n, transition_dim)))
-        return out
+        eye = np.eye(m.size)
+        slab = (None if transition_dim is None
+                else _exact_slab(eye[:, :transition_dim]))
+        return cls(Frame(m[:, None], eye, _column(kn.sub(lo, hi, m, m))), slab)
 
     @classmethod
     def from_slab(cls, anchor: np.ndarray, directions: np.ndarray,
@@ -137,29 +168,23 @@ class LohnerSet:
         """
         anchor = np.asarray(anchor, float)
         D = np.asarray(directions, float)
-        n, d = D.shape
         q, _ = np.linalg.qr(D, mode="complete")
         qinv = _inverse_enclosure(q)
         cl, ch = kn.matmul(*qinv, D, D)           # Q^-1 D, almost [R; 0]
-        rl, rh = kn.matvec(cl, ch, coords[0], coords[1])
-        out = cls(m=anchor, Q=q, r=(rl, rh))
-        if carry_transition:
-            out.Vm = D.copy()
-            out.QV = np.eye(n)
-            out.RV = (np.zeros((n, d)), np.zeros((n, d)))
-        return out
+        r = _column(kn.matvec(cl, ch, coords[0], coords[1]))
+        return cls(Frame(anchor[:, None], q, r),
+                   _exact_slab(D) if carry_transition else None)
 
     def box(self) -> Pair:
-        sl, sh = kn.matvec_thin_left(self.Q, self.r[0], self.r[1])
-        return kn.add(sl, sh, self.m, self.m)
+        lo, hi = self.state.box()
+        return lo[:, 0], hi[:, 0]
 
     def transition_box(self) -> Pair:
-        tl, th = kn.matmul_thin_left(self.QV, self.RV[0], self.RV[1])
-        return kn.add(tl, th, self.Vm, self.Vm)
+        return self.slab.box()
 
     @property
     def has_transition(self) -> bool:
-        return self.Vm is not None
+        return self.slab is not None
 
 
 @dataclass
@@ -171,12 +196,10 @@ class EnclosureStep:
     t_prev: float
     t_k: float
     h: float
-    order: int
     tight: Pair
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
-    trans_step: Pair                  # one-step transition enclosure [A]
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
@@ -199,41 +222,23 @@ def _inflate(wl: np.ndarray, wh: np.ndarray) -> Pair:
             kn.up(c + _ROUGH_INFLATE * (wh - c) + pad))
 
 
-def _rough_enclosure(field, xl, xh, h: float) -> Pair:
-    fl, fh = field.eval(xl, xh)
-    il, ih = _zero_hold(h, fl, fh)
-    wl, wh = kn.add(xl, xh, il, ih)
-    wl, wh = kn.hull(xl, xh, wl, wh)
+def _rough(x: Pair, rhs: Callable[[np.ndarray, np.ndarray], Pair], h: float,
+           start: Pair, what: str) -> Pair:
+    """A-priori enclosure over one step of y' = rhs(y), y(0) in x: a box c
+    with x + [0, h] rhs(c) inside c, found by Picard iteration from the
+    candidate `start`."""
+    wl, wh = start
     for _ in range(_ROUGH_TRIES):
         # Validate an inflated candidate; on failure re-anchor to the latest
         # Picard image (hull-and-grow overshoots on anisotropic boxes).
         cl, ch = _inflate(wl, wh)
-        fl, fh = field.eval(cl, ch)
-        il, ih = _zero_hold(h, fl, fh)
-        nl, nh = kn.add(xl, xh, il, ih)
+        il, ih = _zero_hold(h, *rhs(cl, ch))
+        nl, nh = kn.add(*x, il, ih)
         if kn.subset(nl, nh, cl, ch):
             return nl, nh
-        wl, wh = kn.hull(nl, nh, xl, xh)
+        wl, wh = kn.hull(nl, nh, *x)
     raise RoughEnclosureFailure(
-        f"no validated enclosure at step size {h}; reduce the step")
-
-
-def _rough_transition(jac: Pair, n: int, h: float) -> Pair:
-    """A-priori enclosure of the transition matrix over one step, from
-    Picard iteration on V' = J V, V(0) = I, with J ranging over the step."""
-    jl, jh = jac
-    eye = np.eye(n)
-    wl, wh = eye.copy(), eye.copy()
-    for _ in range(_ROUGH_TRIES):
-        cl, ch = _inflate(wl, wh)
-        pl, ph = kn.matmul(jl, jh, cl, ch)
-        il, ih = _zero_hold(h, pl, ph)
-        nl, nh = kn.add(eye, eye, il, ih)
-        if kn.subset(nl, nh, cl, ch):
-            return nl, nh
-        wl, wh = kn.hull(nl, nh, eye, eye)
-    raise RoughEnclosureFailure(
-        f"no validated transition enclosure at step size {h}")
+        f"no validated {what} at step size {h}; reduce the step")
 
 
 # --- the Lohner step ---------------------------------------------------------
@@ -244,9 +249,14 @@ def step(field, cur: LohnerSet, h: float, order: int,
     n = field.dim
     xl, xh = cur.box()
     kn.assert_valid(xl, xh, "step input")
-    wl, wh = _rough_enclosure(field, xl, xh, h)
+    # The state's Picard iteration starts from its first, un-inflated image.
+    il, ih = _zero_hold(h, *field.eval(xl, xh))
+    wl, wh = kn.add(xl, xh, il, ih)
+    wl, wh = _rough((xl, xh), field.eval, h, kn.hull(xl, xh, wl, wh),
+                    "enclosure")
 
-    ser_m = field.series(cur.m, cur.m, order)
+    center = cur.state.m[:, 0]
+    ser_m = field.series(center, center, order)
     ser_x = field.series(xl, xh, order, variational=True)
     ser_w = field.series(wl, wh, order + 1, variational=True)
 
@@ -258,9 +268,14 @@ def step(field, cur: LohnerSet, h: float, order: int,
     h_iv = Interval.point(h)
     pt = poly_eval(layers_m, rem, h_iv)
 
+    # The transition's Picard iteration on V' = J V, V(0) = I, with J over
+    # the rough enclosure, starts from I.
     mx = ser_x.transition_layers(order)
     mw = ser_w.transition_layers(order + 1)
-    vw = _rough_transition(ser_w.jacobian(), n, h)
+    jac = ser_w.jacobian()
+    eye = np.eye(n)
+    vw = _rough((eye, eye), lambda cl, ch: kn.matmul(*jac, cl, ch), h,
+                (eye, eye), "transition enclosure")
     trans_rem = kn.matmul(mw[0][order + 1], mw[1][order + 1], *vw)
     A = poly_eval(mx, trans_rem, h_iv)
 
@@ -270,51 +285,26 @@ def step(field, cur: LohnerSet, h: float, order: int,
     ql, qh = kn.intersect(ql, qh, wl, wh)
     whole = (ql, qh)
 
-    # Lohner propagation with a fresh orthogonal frame.
-    bl, bh = kn.matmul(*A, cur.Q, cur.Q)
-    m_new = kn.mid(*pt)
-    zl, zh = kn.sub(pt[0], pt[1], m_new, m_new)
-    rad = 0.5 * kn.diam(*cur.r)
-    q_new = _sorted_qr(kn.mid(bl, bh), rad)
-    qinv = _inverse_enclosure(q_new)
-    tl, th = kn.matmul(*qinv, bl, bh)
-    rl, rh = kn.matvec(tl, th, *cur.r)
-    r2l, r2h = kn.matvec(*qinv, zl, zh)
-    r_new = kn.add(rl, rh, r2l, r2h)
+    # Lohner propagation: the state is the n x 1 case of the frame update.
+    state, (bl, bh) = cur.state.advance(A, _column(pt))
+    nxt = LohnerSet(state)
 
     # Tight endpoint enclosure: direct image intersected with the frame box.
-    dl, dh = kn.matvec(bl, bh, *cur.r)
-    dl, dh = kn.add(dl, dh, *pt)
-    fl2, fh2 = kn.matvec_thin_left(q_new, *r_new)
-    fl2, fh2 = kn.add(fl2, fh2, m_new, m_new)
-    tight = kn.intersect(dl, dh, fl2, fh2)
+    dl, dh = kn.matmul(bl, bh, *cur.state.r)
+    dl, dh = kn.add(dl[:, 0], dh[:, 0], *pt)
+    tight = kn.intersect(dl, dh, *nxt.box())
     kn.assert_valid(*tight, "step output")
 
-    nxt = LohnerSet(m=m_new, Q=q_new, r=r_new)
-
     rec = EnclosureStep(
-        index=index, t_prev=t_prev, t_k=t_prev + h, h=h, order=order,
-        tight=tight, whole=whole,
-        layers=layers_x, rem=rem, trans_step=A)
+        index=index, t_prev=t_prev, t_k=t_prev + h, h=h, tight=tight,
+        whole=whole, layers=layers_x, rem=rem)
 
     if cur.has_transition:
-        v_start = cur.transition_box()
-        bvl, bvh = kn.matmul(*A, cur.QV, cur.QV)
-        pvl, pvh = kn.matmul_thin_right(*A, cur.Vm)
-        vm_new = kn.mid(pvl, pvh)
-        zvl, zvh = kn.sub(pvl, pvh, vm_new, vm_new)
-        radv = 0.5 * np.max(kn.diam(*cur.RV), axis=1)
-        qv_new = _sorted_qr(kn.mid(bvl, bvh), radv)
-        qvinv = _inverse_enclosure(qv_new)
-        cl, ch = kn.matmul(*qvinv, bvl, bvh)
-        rvl, rvh = kn.matmul(cl, ch, *cur.RV)
-        rv2 = kn.matmul(*qvinv, zvl, zvh)
-        rv_new = kn.add(rvl, rvh, *rv2)
-        nxt.Vm, nxt.QV, nxt.RV = vm_new, qv_new, rv_new
-
+        rec.v_start = cur.transition_box()
         rec.trans_layers = mx
         rec.trans_rem = trans_rem
-        rec.v_start = v_start
+        nxt.slab, _ = cur.slab.advance(
+            A, kn.matmul_thin_right(*A, cur.slab.m))
 
     return nxt, rec
 
@@ -367,7 +357,6 @@ class SectionCrossing:
     transition: Pair | None          # monodromy columns at the crossing
     projected: Pair | None           # after removing the flow direction
     steps: list[EnclosureStep]
-    first_zone_step: int
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
@@ -390,7 +379,6 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     """Integrate to the first transversal crossing of the section."""
     budget = max_steps if max_steps is not None else int(np.ceil(10.0 / h))
     want = _crossing_sign(section, section.g(*start.box()))
-    carry_v = start.has_transition
 
     steps: list[EnclosureStep] = []
     cur = start
@@ -423,32 +411,23 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     if not zone:
         raise NoCrossing("monitoring loop ended without a crossing zone")
 
-    zone_hull = steps[zone[0]].whole
-    for k in zone[1:]:
-        zone_hull = kn.hull(*zone_hull, *steps[k].whole)
-
-    t_enc, state = _locate_crossing(steps, zone, zone_hull, section, field)
+    t_enc, state = _locate_crossing(steps, zone, section, field)
     gdot = section.gdot(*state, field)
     if gdot.contains_zero():
         raise NonTransversal("transversality lost at the refined crossing")
 
     transition = projected = None
-    if carry_v:
+    if start.has_transition:
         transition = _transition_at_cross(steps, zone, t_enc)
         projected = _project_transition(field, section, state, gdot, transition)
 
     return SectionCrossing(
         state=state, t_cross=t_enc, gdot=gdot, transition=transition,
-        projected=projected, steps=steps, first_zone_step=zone[0])
+        projected=projected, steps=steps)
 
 
 def _windows_initial(steps, zone) -> list[tuple[int, float, float]]:
     return [(k, 0.0, steps[k].h) for k in zone]
-
-
-def _window_state(steps, win) -> Pair:
-    k, a, b = win
-    return steps[k].state_at(Interval(a, b))
 
 
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
@@ -473,27 +452,40 @@ def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | N
     return lo, hi
 
 
-def _span_state(steps, candidates, t_enc: Interval) -> Pair:
-    """Hull of the flow over every time in t_enc (no sign pruning): the valid
-    domain for mean-value slopes."""
-    state = None
-    for k in candidates:
+def _hull_over(steps, windows, t_enc: Interval,
+               at: Callable[[EnclosureStep, Interval], Pair]) -> Pair | None:
+    """Hull of at(step, tau) over every window (k, a, b) clipped to the
+    in-step times that t_enc covers; None when no window meets t_enc."""
+    out = None
+    for k, a, b in windows:
         rng = _step_tau_overlap(steps, k, t_enc)
         if rng is None:
             continue
-        sl, sh = steps[k].state_at(Interval(rng[0], rng[1]))
-        state = (sl, sh) if state is None else kn.hull(*state, sl, sh)
+        lo, hi = max(a, rng[0]), min(b, rng[1])
+        if lo > hi:
+            continue
+        enc = at(steps[k], Interval(lo, hi))
+        out = enc if out is None else kn.hull(*out, *enc)
+    return out
+
+
+def _span_state(steps, zone, t_enc: Interval) -> Pair:
+    """Hull of the flow over every time in t_enc (no sign pruning): the valid
+    domain for mean-value slopes."""
+    state = _hull_over(steps, _windows_initial(steps, zone), t_enc,
+                       EnclosureStep.state_at)
     if state is None:
         raise NonTransversal("crossing time enclosure left the crossing zone")
     return state
 
 
-def _locate_crossing(steps, zone, zone_hull: Pair, section: SectionSpec, field
+def _locate_crossing(steps, zone, section: SectionSpec, field
                      ) -> tuple[Interval, Pair]:
     windows = _windows_initial(steps, zone)
 
     def keep(win) -> bool:
-        return section.g(*_window_state(steps, win)).contains_zero()
+        k, a, b = win
+        return section.g(*steps[k].state_at(Interval(a, b))).contains_zero()
 
     windows = [w for w in windows if keep(w)]
     if not windows:
@@ -555,16 +547,7 @@ def _locate_crossing(steps, zone, zone_hull: Pair, section: SectionSpec, field
         t_enc = t_new
 
     # Final crossing state: kept windows clipped to the refined time range.
-    state = None
-    for k, a, b in windows:
-        rng = _step_tau_overlap(steps, k, t_enc)
-        if rng is None:
-            continue
-        lo, hi = max(a, rng[0]), min(b, rng[1])
-        if lo > hi:
-            continue
-        sl, sh = steps[k].state_at(Interval(lo, hi))
-        state = (sl, sh) if state is None else kn.hull(*state, sl, sh)
+    state = _hull_over(steps, windows, t_enc, EnclosureStep.state_at)
     if state is None:
         state = _span_state(steps, zone, t_enc)
 
@@ -573,13 +556,8 @@ def _locate_crossing(steps, zone, zone_hull: Pair, section: SectionSpec, field
 
 
 def _transition_at_cross(steps, zone, t_enc: Interval) -> Pair:
-    out = None
-    for k in zone:
-        rng = _step_tau_overlap(steps, k, t_enc)
-        if rng is None:
-            continue
-        vt = steps[k].transition_at(Interval(rng[0], rng[1]))
-        out = vt if out is None else kn.hull(*out, *vt)
+    out = _hull_over(steps, _windows_initial(steps, zone), t_enc,
+                     EnclosureStep.transition_at)
     if out is None:
         # Conservative fallback: the whole zone span.
         for k in zone:

@@ -1,15 +1,18 @@
 """Vectorized interval arithmetic on (lo, hi) float64 ndarray pairs.
 
-These kernels are the hot path of the validated integrator.  Semantics match
-the scalar `Interval` class: every result encloses the exact real result.
+These kernels are the hot path of the validated integrator.  Like the scalar
+`Interval` class, every result encloses the exact real result, but not bit
+for bit like it: `Interval` keeps products with a thin 0, +-1 or +-2 and
+representable squares of thin values exact, while `mul`, `div`, `sqr` and
+`sqrt` here keep only exact zeros exact (`scale` keeps 0, +-1 and +-2 exact).
 
 Rounding strategy per kernel:
 
 * add/sub use the two-sum error term and nudge an endpoint only when the
   float result is inexact in the needed direction, which is equivalent to
   true directed rounding (and keeps exact cancellations exact).
-* mul/div/sqrt compute in round-to-nearest and nudge one ulp outward, which
-  always covers a half-ulp rounding error.
+* mul/div/sqr/sqrt compute in round-to-nearest and nudge one ulp outward,
+  which always covers a half-ulp rounding error.
 * `dot` contracts a whole axis at once and covers all product and summation
   errors with a single a-priori bound (see the derivation inside), which is
   far cheaper than nudging every partial sum.
@@ -27,8 +30,7 @@ from .errors import DivisionByZeroInterval, EmptyIntersection
 
 _NINF = np.float64(-np.inf)
 _PINF = np.float64(np.inf)
-# One unit roundoff and one subnormal step; used by the dot error bound.
-_U = 2.0 ** -53
+# One subnormal step; used by the dot error bound.
 _ETA = 5e-324
 
 Pair = tuple[np.ndarray, np.ndarray]

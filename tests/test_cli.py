@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from choreocert.certificates import parse_document
 from choreocert.cli import (
     EXIT_INTEGRATOR,
     EXIT_NO_ZERO,
@@ -19,6 +22,34 @@ def eight_cert(tmp_path_factory):
                  "--out", str(path)])
     assert code == EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def eight_convexity_cert(eight_cert, tmp_path_factory):
+    path = tmp_path_factory.mktemp("certs") / "convexity.cert"
+    assert main(["convexity", "--cert", str(eight_cert),
+                 "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.fixture
+def moved_refined_box(eight_cert, tmp_path):
+    """The Eight certificate with its refined box moved by 2e-7."""
+    body = parse_document(eight_cert.read_text())
+    body["refined_box"] = [[(float.fromhex(lo) + 2e-7).hex(),
+                            (float.fromhex(hi) + 2e-7).hex()]
+                           for lo, hi in body["refined_box"]]
+    path = tmp_path / "moved.cert"
+    path.write_text(json.dumps(body))
+    return path
+
+
+def verify_edited(path, tmp_path, edit) -> int:
+    body = parse_document(path.read_text())
+    edit(body)
+    bad = tmp_path / "edited.cert"
+    bad.write_text(json.dumps(body))
+    return main(["verify", "--cert", str(bad), "--quiet"])
 
 
 class TestProve:
@@ -91,6 +122,14 @@ class TestEmitCurve:
         segdata = np.loadtxt(seg)
         assert segdata.shape[1] == 7
 
+    def test_forged_certificate_is_not_unfolded(self, moved_refined_box,
+                                                tmp_path, capsys):
+        code = main(["emit-curve", "--cert", str(moved_refined_box),
+                     "--out", str(tmp_path / "curve.txt")])
+        assert code == EXIT_VERIFY_DISAGREE
+        assert "FAIL refined box" in capsys.readouterr().err
+        assert not (tmp_path / "curve.txt").exists()
+
 
 class TestRefine:
     def test_refine_eight(self, capsys):
@@ -120,3 +159,42 @@ class TestConvexityCommand:
         assert main(["convexity", "--cert", str(eight_cert),
                      "--out", str(conv)]) == EXIT_OK
         assert main(["convexity", "--cert", str(conv)]) == EXIT_USAGE
+
+    def test_forged_certificate_is_rejected(self, moved_refined_box,
+                                            tmp_path, capsys):
+        out = tmp_path / "conv.cert"
+        code = main(["convexity", "--cert", str(moved_refined_box),
+                     "--out", str(out)])
+        assert code == EXIT_VERIFY_DISAGREE
+        assert "FAIL refined box" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConvexityVerify:
+    # the honest document AGREES: TestConvexityCommand.test_from_certificate
+    def test_truncated_rows(self, eight_convexity_cert, tmp_path):
+        def truncate(body):
+            body["checks"] = body["checks"][:3]
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             truncate) == EXIT_VERIFY_DISAGREE
+
+    def test_dropped_body_row(self, eight_convexity_cert, tmp_path):
+        def drop(body):
+            del body["checks"][7]
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             drop) == EXIT_VERIFY_DISAGREE
+
+    def test_duplicated_row(self, eight_convexity_cert, tmp_path):
+        def duplicate(body):
+            body["checks"].insert(5, body["checks"][4])
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             duplicate) == EXIT_VERIFY_DISAGREE
+
+    def test_rows_and_step_count_cut_together(self, eight_convexity_cert,
+                                              tmp_path):
+        # consistent rows that stop one step short of the crossing time
+        def cut(body):
+            body["steps_checked"] -= 1
+            body["checks"] = body["checks"][:-3]
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             cut) == EXIT_VERIFY_DISAGREE
