@@ -62,10 +62,6 @@ class IntervalVector:
         _, hi = kn.add(c, c, r, r)
         return cls(lo, hi)
 
-    @classmethod
-    def zeros(cls, n: int) -> IntervalVector:
-        return cls(np.zeros(n), np.zeros(n))
-
     # -- basics --
 
     def __len__(self) -> int:
@@ -155,9 +151,6 @@ class IntervalVector:
     def __neg__(self) -> IntervalVector:
         return IntervalVector(*kn.neg(self.lo, self.hi))
 
-    def scale(self, c: float) -> IntervalVector:
-        return IntervalVector(*kn.scale(self.lo, self.hi, float(c)))
-
     # -- serialization --
 
     def to_hex(self) -> list[list[str]]:
@@ -218,9 +211,6 @@ class IntervalMatrix:
 
     def hull(self, other: IntervalMatrix) -> IntervalMatrix:
         return IntervalMatrix(*kn.hull(self.lo, self.hi, other.lo, other.hi))
-
-    def overlaps(self, other: IntervalMatrix) -> bool:
-        return not kn.disjoint(self.lo, self.hi, other.lo, other.hi)
 
     def __add__(self, other: IntervalMatrix) -> IntervalMatrix:
         return IntervalMatrix(*kn.add(self.lo, self.hi, other.lo, other.hi))

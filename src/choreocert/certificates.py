@@ -14,12 +14,14 @@ be audited without any integration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import IntervalMatrix, IntervalVector
 from .convexity import ConvexityCertificate, starts_before_crossing
+from .errors import ChoreoCertError
 from .interval import Interval, rounding_backend
 from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
 
@@ -159,6 +161,13 @@ def parse_document(text: str) -> dict:
     return body
 
 
+# What reading an untrusted document can raise: a missing field, a wrong
+# type, a bad hex string or non-JSON text, and arithmetic the prover never
+# meets (a singular derivative, intervals out of order).
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError,
+              ArithmeticError, ChoreoCertError)
+
+
 @dataclass
 class VerificationReport:
     ok: bool
@@ -176,15 +185,33 @@ def reverify_document(text: str) -> VerificationReport:
     Recomputes every iteration's operator image from the stored defect and
     derivative enclosures (bit-identical arithmetic, no integration), then
     re-derives each relation, each next box, the verdict, the operator
-    image and the refined box with the prover's own rule.
+    image and the refined box with the prover's own rule.  A document that
+    cannot be read (a missing field, a wrong type, a bad hex string, text
+    that is not JSON) gets a FAIL line, like any other disagreement.
     """
-    body = parse_document(text)
     rep = VerificationReport(ok=True)
-    if body.get("kind") == "convexity":
-        return _reverify_convexity(body, rep)
-    if body.get("kind") != "existence":
-        rep.add(False, f"unknown certificate kind {body.get('kind')!r}")
-        return rep
+    try:
+        body = parse_document(text)
+        kind = body.get("kind")
+        if kind == "existence":
+            _reverify_existence(body, rep)
+        elif kind == "convexity":
+            _reverify_convexity(body, rep)
+        else:
+            rep.add(False, f"unknown certificate kind {kind!r}")
+    except _MALFORMED as exc:
+        rep.add(False, f"malformed document: {type(exc).__name__}: {exc}")
+    return rep
+
+
+def _reverify_existence(body: dict, rep: VerificationReport) -> None:
+    # The fields that commands read from a document once it verifies.
+    pb, params = body["problem"], body["parameters"]
+    a_hex = pb["size_parameter"]
+    rep.add(isinstance(pb["id"], str) and isinstance(params["order"], int)
+            and math.isfinite(float.fromhex(params["h_set"]))
+            and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
+            "problem and parameters are readable")
 
     method = body["method"]
     verdict = body["verdict"]
@@ -192,7 +219,7 @@ def reverify_document(text: str) -> VerificationReport:
     if not trace:
         rep.add(verdict == "Inconclusive",
                 "no iterations recorded; only Inconclusive is acceptable")
-        return rep
+        return
 
     next_X = IntervalVector.from_hex(body["box"])
     for rec in trace:
@@ -234,7 +261,6 @@ def reverify_document(text: str) -> VerificationReport:
     refined = next_X.to_hex() if next_X is not None else None
     rep.add(body["refined_box"] == refined,
             "refined box is the last box cut by the last image")
-    return rep
 
 
 # --- convexity certificates ------------------------------------------------
@@ -286,7 +312,7 @@ def convexity_to_document(cert: ConvexityCertificate,
     return "\n".join(lines) + "\n"
 
 
-def _reverify_convexity(body: dict, rep: VerificationReport) -> VerificationReport:
+def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored condition and, for a passing document, that the
     rows cover what `verify_convexity` must check: each of the Eight's three
     bodies on every step that starts before the crossing time, with the
@@ -307,7 +333,7 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> VerificationRepo
     rep.add(bool(body["passed"]) == all(c["passed"] for c in body["checks"]),
             "stored verdict consistent with stored checks")
     if not body["passed"]:
-        return rep
+        return
 
     n = body["steps_checked"]
     rows = [(c["step"], c["body"], c["condition"]) for c in body["checks"]]
@@ -320,10 +346,9 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> VerificationRepo
             "origin lies in the first step enclosure")
     if body["crossing_time"] is None:
         rep.add(False, "a passing document records its crossing time")
-        return rep
+        return
     h = float.fromhex(body["parameters"]["h"])
     t_cross = Interval.from_hex(*body["crossing_time"])
     rep.add(n >= 1 and starts_before_crossing(h, n - 1, t_cross)
             and not starts_before_crossing(h, n, t_cross),
             f"step {n} is the last step that begins before the crossing time")
-    return rep

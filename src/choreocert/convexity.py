@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 
 from .boxes import IntervalVector
 from .errors import NotAGraph, StepTooCoarse
-from .integrator import EnclosureStep, LohnerSet, flow_to_section
+from .integrator import EnclosureStep, flow_to_section, step_start
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -161,7 +161,7 @@ def check_step(problem: ChoreographyProblem, rec: EnclosureStep, body: int,
 def starts_before_crossing(h: float, k: int, t_cross: Interval) -> bool:
     """Whether step k (0-based, size h) can begin before the crossing time;
     checking every such step covers the whole segment [0, crossing time]."""
-    return (Interval.point(h) * Interval.point(float(k))).lo < t_cross.hi
+    return step_start(h, k).lo < t_cross.hi
 
 
 @dataclass
@@ -184,12 +184,7 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     and body.  Success means each lobe of the orbit is convex."""
     if order < 4:
         raise ValueError("third time derivatives need order >= 4")
-    mid = certified_box.mid()
-    anchor = problem.embed_point(mid)
-    de = problem.embed_derivative()
-    coords = (certified_box.lo - mid, certified_box.hi - mid)
-    start = LohnerSet.from_slab(anchor, de, coords, carry_transition=False)
-
+    start = problem.embed_slab(certified_box, carry_transition=False)
     crossing = flow_to_section(problem.field, start, problem.section, h,
                                order, max_steps)
 

@@ -27,7 +27,7 @@ from . import kernels as kn
 from .errors import GluingMismatch
 from .integrator import SectionCrossing
 from .interval import Interval
-from .problems import ChoreographyProblem
+from .problems import _COMPONENTS, _MIRROR, ChoreographyProblem
 
 Pair = tuple[np.ndarray, np.ndarray]
 
@@ -170,17 +170,23 @@ def _unfold_chain(problem: ChoreographyProblem,
     half = n // 2
     residuals: list[tuple[str, Interval]] = []
 
-    layout, *full_state = problem.expand_state(*crossing.state)
-    q = {i: _interval_components(full_state, layout.body_position(i))
-         for i in range(n)}
-    v = {i: _interval_components(full_state, layout.body_velocity(i))
-         for i in range(n)}
+    # At the crossing body j = half - 1 - i is the mirror image of body i:
+    # s_i - _MIRROR s_j must contain zero.
+    layout, lo, hi = problem.expand_state(*crossing.state)
+
+    def body(i: int) -> list[Interval]:
+        idx = (*layout.body_position(i), *layout.body_velocity(i))
+        return [Interval(float(lo[c]), float(hi[c])) for c in idx]
+
     for i in range(half):
         j = half - i - 1
-        residuals.append((f"position x{i} - x{j}", q[i][0] - q[j][0]))
-        residuals.append((f"position y{i} + y{j}", q[i][1] + q[j][1]))
-        residuals.append((f"velocity vx{i} + vx{j}", v[i][0] + v[j][0]))
-        residuals.append((f"velocity vy{i} - vy{j}", v[i][1] - v[j][1]))
+        si, sj = body(i), body(j)
+        for c, name in enumerate(_COMPONENTS):
+            sign = float(_MIRROR[c])
+            kind = "position" if c < 2 else "velocity"
+            op = "-" if sign > 0 else "+"
+            residuals.append((f"{kind} {name}{i} {op} {name}{j}",
+                              si[c] - sj[c] * sign))
     for name, r in residuals:
         if not r.contains_zero():
             raise GluingMismatch(f"junction residual {name} = {r} excludes 0")
@@ -190,19 +196,16 @@ def _unfold_chain(problem: ChoreographyProblem,
     t_half = crossing.t_cross.mid()
     t_bar = 2.0 * t_half
 
-    def s_x(p):
-        return np.array([p[0], -p[1]])
-
     samples: list[tuple[float, np.ndarray]] = []
     for i in range(n):
         for t, p in zip(times, tracks[i]):
             samples.append((i * t_bar + t, p))
     for i in range(1, half + 1):
         for t, p in zip(times, tracks[half - i]):
-            samples.append((i * t_bar - t, s_x(p)))
+            samples.append((i * t_bar - t, p * _MIRROR[:2]))
     for i in range(half + 1, n + 1):
         for t, p in zip(times, tracks[3 * half - i]):
-            samples.append((i * t_bar - t, s_x(p)))
+            samples.append((i * t_bar - t, p * _MIRROR[:2]))
     period = Interval.point(float(2 * n)) * crossing.t_cross
 
     note = ""

@@ -418,7 +418,9 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
 
     transition = projected = None
     if start.has_transition:
-        transition = _transition_at_cross(steps, zone, t_enc)
+        # Not None: _locate_crossing has checked that a zone step meets t_enc.
+        transition = _hull_over(steps, _windows_initial(steps, zone), t_enc,
+                                EnclosureStep.transition_at)
         projected = _project_transition(field, section, state, gdot, transition)
 
     return SectionCrossing(
@@ -430,16 +432,14 @@ def _windows_initial(steps, zone) -> list[tuple[int, float, float]]:
     return [(k, 0.0, steps[k].h) for k in zone]
 
 
+def step_start(h: float, k: int) -> Interval:
+    """Enclosure of k h, the start time of step k (0-based) of a run with
+    the one step size h that `flow_to_section` takes."""
+    return Interval.point(h) * Interval.point(float(k))
+
+
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    # Step k spans [t_prev, t_prev + h] with exact float step sizes; rebuild
-    # the accumulated time rigorously from the recorded step lengths.
-    if k > 0 and all(steps[j].h == steps[0].h for j in range(k)):
-        t0 = Interval.point(steps[0].h) * Interval.point(float(k))
-    else:
-        t0 = Interval(0.0)
-        for j in range(k):
-            t0 = t0 + Interval.point(steps[j].h)
-    return t0 + Interval(a, b)
+    return step_start(steps[k].h, k) + Interval(a, b)
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:
@@ -553,17 +553,6 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
 
     kn.assert_valid(*state, "crossing state")
     return t_enc, state
-
-
-def _transition_at_cross(steps, zone, t_enc: Interval) -> Pair:
-    out = _hull_over(steps, _windows_initial(steps, zone), t_enc,
-                     EnclosureStep.transition_at)
-    if out is None:
-        # Conservative fallback: the whole zone span.
-        for k in zone:
-            vt = steps[k].transition_at(Interval(0.0, steps[k].h))
-            out = vt if out is None else kn.hull(*out, *vt)
-    return out
 
 
 def _project_transition(field, section: SectionSpec, state: Pair,

@@ -113,13 +113,6 @@ class Interval:
         return cls(x, x)
 
     @classmethod
-    def symmetric(cls, center: float, radius: float) -> Interval:
-        """center +- radius with outward rounding."""
-        r = abs(float(radius))
-        c = float(center)
-        return cls(_sum_down(c, -r), _sum_up(c, r))
-
-    @classmethod
     def from_string(cls, text: str) -> Interval:
         """Enclosure of a decimal literal.
 
@@ -163,9 +156,6 @@ class Interval:
         """Upper bound on hi - lo."""
         d = self.hi - self.lo
         return d if (self.hi - d == self.lo) else _up(d)
-
-    def rad(self) -> float:
-        return _up(0.5 * self.diam())
 
     def mag(self) -> float:
         """max |x| over the interval."""

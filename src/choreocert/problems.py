@@ -8,8 +8,15 @@ R(P(E(x))) = 0 certifies one choreography:
 * eight    - the three-body figure Eight in the rotated frame (first body on
              the positive x axis, third at the origin); reduced space is the
              first body's velocity.
-* chain(N) - doubly symmetric chains for even N (full phase space),
-             N = 4k or 4k + 2, with size parameter a; key "chainN".
+* chain(N) - doubly symmetric chains for even N = 2H (full phase space),
+             with size parameter a; key "chainN".  Two rules fix the state
+             at t = 0 from body 0 = (0, a, vx0, 0) and the free bodies
+             0 < 2i < H: the mirror rule, body H - i is the x-axis mirror
+             image under time reversal of body i, (x, y, vx, vy) ->
+             (x, -y, -vx, vy), so a body with 2i = H is (x_i, 0, 0, vy_i);
+             and the antipode rule, body i + H = -(body i).  At the section
+             the mirror rule pairs body i with body H - 1 - i instead, and
+             its residuals are the defects.
 * gerver   - the four-body SuperEight: chain(4) with its reduced
              coordinates reordered to (x1, vx0, vy1), as in the results
              tables.
@@ -156,6 +163,18 @@ class ChoreographyProblem:
     def embed_derivative(self) -> np.ndarray:
         return self.embed_map.matrix.copy()
 
+    def embed_slab(self, X: IntervalVector,
+                   carry_transition: bool = True) -> LohnerSet:
+        """E(X) as the slab E(mid) + DE (X - mid), with X - mid rounded
+        outward: the correlations the embedding creates are kept, and the
+        monodromy columns, when carried, start at DE so the chain rule
+        DR . DP . DE needs no extra factors."""
+        mid = X.mid()
+        coords = kn.sub(X.lo, X.hi, mid, mid)
+        return LohnerSet.from_slab(self.embed_point(mid),
+                                   self.embed_derivative(), coords,
+                                   carry_transition=carry_transition)
+
     # -- R --
 
     def reduce(self, sl, sh) -> IntervalVector:
@@ -261,6 +280,12 @@ def eight_problem() -> ChoreographyProblem:
 
 # --- chains --------------------------------------------------------------------
 
+# A chain body's phase block, and its image under the x-axis mirror combined
+# with time reversal.
+_COMPONENTS = ("x", "y", "vx", "vy")
+_MIRROR = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _coordinate_section(index: int, dim: int, other: int | None = None,
                         sign: str = "+-") -> SectionSpec:
     """g = s[index] - s[other] (or s[index] when other is None)."""
@@ -281,144 +306,65 @@ def _coordinate_section(index: int, dim: int, other: int | None = None,
     return SectionSpec(g=g, dg=dg, crossing_sign=sign)
 
 
-def _chain_embedding(n_bodies: int, body_specs, reduced_dim: int,
-                     a: float) -> LinearEmbedding:
-    """body_specs: per body, 4 entries, each ("0"), ("a", sign) or
-    (coord_index, sign)."""
-    dim = 4 * n_bodies
-    offset = np.zeros(dim)
-    mat = np.zeros((dim, reduced_dim))
-    for b, spec in enumerate(body_specs):
-        for c, entry in enumerate(spec):
-            i = 4 * b + c
-            if entry == "0":
-                continue
-            kind, sign = entry
-            if kind == "a":
-                offset[i] = sign * a
-            else:
-                mat[i, kind] = sign
-    return LinearEmbedding(offset, mat)
-
-
-def _chain_reduction(n_bodies: int, rows) -> LinearReduction:
-    """rows: list of ((body, comp, sign), ...) summed per defect row."""
-    mat = np.zeros((len(rows), 4 * n_bodies))
-    for r, terms in enumerate(rows):
-        for body, comp, sign in terms:
-            mat[r, 4 * body + comp] = sign
-    return LinearReduction(mat)
-
-
 def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
-    """Generic doubly symmetric chain for even N in the full phase space.
+    """Generic doubly symmetric chain for even N in the full phase space,
+    built from the mirror and antipode rules (module docstring).
 
-    Reduced coordinates: vx0, then (x_i, y_i, vx_i, vy_i) for the free
-    bodies, closing with (x_k, vy_k) when N = 4k.
+    Reduced coordinates, in body order: vx0, the free bodies'
+    (x_i, y_i, vx_i, vy_i), then (x_k, vy_k) when N = 4k.
     """
     if n_bodies < 4 or n_bodies % 2 != 0:
         raise ValueError("chains need an even number of bodies, at least 4")
     a = float(a_text)
-    N = n_bodies
-    k = N // 4 if N % 4 == 0 else (N - 2) // 4
+    N, H = n_bodies, n_bodies // 2
 
-    if N % 4 == 0:
-        names = ["vx0"]
-        coord = {}
-        for i in range(1, k):
-            for nm in ("x", "y", "vx", "vy"):
-                coord[(nm, i)] = len(names)
-                names.append(f"{nm}{i}")
-        coord[("x", k)] = len(names)
-        names.append(f"x{k}")
-        coord[("vy", k)] = len(names)
-        names.append(f"vy{k}")
+    offset = np.zeros((N, 4))
+    mat = np.zeros((N, 4, N - 1))
+    offset[0, 1] = a
+    mat[0, 2, 0] = 1.0
+    names = ["vx0"]
+    for i in range(1, H):
+        if 2 * i > H:
+            offset[i] = _MIRROR * offset[H - i]
+            mat[i] = _MIRROR[:, None] * mat[H - i]
+            continue
+        for c in (range(4) if 2 * i < H else (0, 3)):
+            mat[i, c, len(names)] = 1.0
+            names.append(f"{_COMPONENTS[c]}{i}")
+    offset[H:] = -offset[:H]
+    mat[H:] = -mat[:H]
+    # + 0.0 turns negated zeros into +0, so E and DE put no -0 into the flow.
+    embed = LinearEmbedding(offset.reshape(-1) + 0.0,
+                            mat.reshape(4 * N, N - 1) + 0.0)
 
-        def body(i):
-            if i == 0:
-                return ["0", ("a", 1.0), (0, 1.0), "0"]
-            if 1 <= i <= k - 1:
-                return [(coord[("x", i)], 1.0), (coord[("y", i)], 1.0),
-                        (coord[("vx", i)], 1.0), (coord[("vy", i)], 1.0)]
-            if i == k:
-                return [(coord[("x", k)], 1.0), "0", "0", (coord[("vy", k)], 1.0)]
-            if k + 1 <= i <= 2 * k - 1:
-                j = 2 * k - i
-                return [(coord[("x", j)], 1.0), (coord[("y", j)], -1.0),
-                        (coord[("vx", j)], -1.0), (coord[("vy", j)], 1.0)]
-            if i == 2 * k:
-                return ["0", ("a", -1.0), (0, -1.0), "0"]
-            if 2 * k + 1 <= i <= 3 * k - 1:
-                j = i - 2 * k
-                return [(coord[("x", j)], -1.0), (coord[("y", j)], -1.0),
-                        (coord[("vx", j)], -1.0), (coord[("vy", j)], -1.0)]
-            if i == 3 * k:
-                return [(coord[("x", k)], -1.0), "0", "0", (coord[("vy", k)], -1.0)]
-            j = 4 * k - i
-            return [(coord[("x", j)], -1.0), (coord[("y", j)], 1.0),
-                    (coord[("vx", j)], 1.0), (coord[("vy", j)], -1.0)]
+    def pair(i: int) -> np.ndarray:
+        """Rows s_i - _MIRROR s_j with j = H - 1 - i: zero when body j is
+        the mirror image of body i."""
+        rows = np.zeros((4, N, 4))
+        rows[:, i] = np.eye(4)
+        rows[:, H - 1 - i] -= np.diag(_MIRROR)
+        return rows.reshape(4, 4 * N)
 
-        rows = [
-            ((k, 1, 1.0), (k - 1, 1, 1.0)),
-            ((k, 2, 1.0), (k - 1, 2, 1.0)),
-            ((k, 3, 1.0), (k - 1, 3, -1.0)),
-        ]
-        for i in range(0, k - 1):
-            j = 2 * k - i - 1
-            rows += [
-                ((i, 0, 1.0), (j, 0, -1.0)),
-                ((i, 1, 1.0), (j, 1, 1.0)),
-                ((i, 2, 1.0), (j, 2, 1.0)),
-                ((i, 3, 1.0), (j, 3, -1.0)),
-            ]
-        section = _coordinate_section(4 * k, 4 * N, other=4 * (k - 1), sign="either")
-    else:
-        names = ["vx0"]
-        coord = {}
-        for i in range(1, k + 1):
-            for nm in ("x", "y", "vx", "vy"):
-                coord[(nm, i)] = len(names)
-                names.append(f"{nm}{i}")
-
-        def body(i):
-            if i == 0:
-                return ["0", ("a", 1.0), (0, 1.0), "0"]
-            if 1 <= i <= k:
-                return [(coord[("x", i)], 1.0), (coord[("y", i)], 1.0),
-                        (coord[("vx", i)], 1.0), (coord[("vy", i)], 1.0)]
-            if k + 1 <= i <= 2 * k:
-                j = 2 * k + 1 - i
-                return [(coord[("x", j)], 1.0), (coord[("y", j)], -1.0),
-                        (coord[("vx", j)], -1.0), (coord[("vy", j)], 1.0)]
-            if i == 2 * k + 1:
-                return ["0", ("a", -1.0), (0, -1.0), "0"]
-            if 2 * k + 2 <= i <= 3 * k + 1:
-                j = i - (2 * k + 1)
-                return [(coord[("x", j)], -1.0), (coord[("y", j)], -1.0),
-                        (coord[("vx", j)], -1.0), (coord[("vy", j)], -1.0)]
-            j = 4 * k + 2 - i
-            return [(coord[("x", j)], -1.0), (coord[("y", j)], 1.0),
-                    (coord[("vx", j)], 1.0), (coord[("vy", j)], -1.0)]
-
-        rows = [((k, 2, 1.0),)]
-        for i in range(0, k):
-            j = 2 * k - i
-            rows += [
-                ((i, 0, 1.0), (j, 0, -1.0)),
-                ((i, 1, 1.0), (j, 1, 1.0)),
-                ((i, 2, 1.0), (j, 2, 1.0)),
-                ((i, 3, 1.0), (j, 3, -1.0)),
-            ]
+    # The middle pair comes first, without the row that is the section.
+    k = H // 2
+    if H % 2:
+        # N = 4k + 2: body k pairs with itself, so its x and vy rows vanish;
+        # y_k is the section, so only vx_k is left.
+        middle = np.zeros((1, 4 * N))
+        middle[0, 4 * k + 2] = 1.0
         section = _coordinate_section(4 * k + 1, 4 * N, sign="either")
-
-    embed = _chain_embedding(N, [body(i) for i in range(N)], N - 1, a)
-    reduce_ = _chain_reduction(N, rows)
+    else:
+        # N = 4k: the pair (k, k - 1); x_k - x_{k-1} is the section.
+        middle = pair(k)[1:]
+        section = _coordinate_section(4 * k, 4 * N, other=4 * (k - 1),
+                                      sign="either")
+    rows = [middle] + [pair(i) for i in range((H - 1) // 2)]
     return ChoreographyProblem(
         key=f"chain{N}",
         field=nbody_field(N, kind="blocks"),
         section=section,
         embed_map=embed,
-        reduce_map=reduce_,
+        reduce_map=LinearReduction(np.vstack(rows)),
         size_parameter=a,
         period_multiplier=2 * N,
         reduced_names=tuple(names),
@@ -524,19 +470,10 @@ def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
 
 def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector, h: float,
                  order: int, max_steps: int | None = None) -> MapEvaluation:
-    """Rigorous defect map and derivative enclosure over a reduced box.
-
-    The embedded set is carried as a slab anchor + DE (X - mid), keeping the
-    correlations the embedding creates, and the monodromy columns start at
-    DE so the chain rule DR . DP . DE needs no extra factors.
-    """
-    mid = X.mid()
-    anchor = problem.embed_point(mid)
-    de = problem.embed_derivative()
-    coords = kn.sub(X.lo, X.hi, mid, mid)
-    start = LohnerSet.from_slab(anchor, de, coords)
-    cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         max_steps)
+    """Rigorous defect map and derivative enclosure over a reduced box,
+    flowing the embedded slab (`ChoreographyProblem.embed_slab`)."""
+    cr = flow_to_section(problem.field, problem.embed_slab(X),
+                         problem.section, h, order, max_steps)
     drl, drh = problem.reduce_derivative(*cr.state)
     jl, jh = kn.matmul(drl, drh, *cr.projected)
     return MapEvaluation(value=problem.reduce(*cr.state),

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.certificates import (
@@ -124,4 +125,27 @@ class TestReverify:
         body = parse_document(cert.to_document())
         body["verdict"] = "UniqueZero"
         report = reverify_document(json.dumps(body))
+        assert not report.ok
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("edit", [
+        lambda body: body.pop("trace"),
+        lambda body: body.pop("refined_box"),
+        lambda body: body.update(trace=5),
+        lambda body: body.update(box=[["0xzz", "0x1.8p+0"]]),
+        lambda body: body["parameters"].update(order="seven"),
+    ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
+            "order-not-an-int"])
+    def test_edited_document_fails(self, edit):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        edit(body)
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert any(m.startswith("FAIL") for m in report.messages)
+
+    @pytest.mark.parametrize("text", ["", "not json", "[1, 2]", '{"kind": 3}'])
+    def test_unreadable_text_fails(self, text):
+        report = reverify_document(text)
         assert not report.ok

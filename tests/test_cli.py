@@ -170,6 +170,44 @@ class TestConvexityCommand:
         assert not out.exists()
 
 
+class TestMalformedDocuments:
+    # every command that reads a certificate reports DISAGREES, exit 1
+    def test_convexity_document_without_checks(self, eight_convexity_cert,
+                                               tmp_path, capsys):
+        def drop(body):
+            del body["checks"]
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             drop) == EXIT_VERIFY_DISAGREE
+        assert "verify: DISAGREES" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["trace", "refined_box", "problem"])
+    def test_existence_document_without_a_field(self, eight_cert, tmp_path,
+                                                field):
+        body = parse_document(eight_cert.read_text())
+        del body[field]
+        bad = tmp_path / "edited.cert"
+        bad.write_text(json.dumps(body))
+        for args in (["verify", "--cert", str(bad), "--quiet"],
+                     ["convexity", "--cert", str(bad),
+                      "--out", str(tmp_path / "conv.cert")],
+                     ["emit-curve", "--cert", str(bad),
+                      "--out", str(tmp_path / "curve.txt")]):
+            assert main(args) == EXIT_VERIFY_DISAGREE, args
+
+    def test_truncated_file(self, eight_cert, tmp_path, capsys):
+        text = eight_cert.read_text()
+        bad = tmp_path / "truncated.cert"
+        bad.write_text(text[:len(text) // 2])
+        assert main(["verify", "--cert", str(bad)]) == EXIT_VERIFY_DISAGREE
+        assert "FAIL malformed document" in capsys.readouterr().out
+        assert main(["convexity", "--cert", str(bad), "--out",
+                     str(tmp_path / "conv.cert")]) == EXIT_VERIFY_DISAGREE
+        assert main(["emit-curve", "--cert", str(bad), "--out",
+                     str(tmp_path / "curve.txt")]) == EXIT_VERIFY_DISAGREE
+        assert not (tmp_path / "conv.cert").exists()
+        assert not (tmp_path / "curve.txt").exists()
+
+
 class TestConvexityVerify:
     # the honest document AGREES: TestConvexityCommand.test_from_certificate
     def test_truncated_rows(self, eight_convexity_cert, tmp_path):

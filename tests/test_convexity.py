@@ -1,9 +1,18 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from choreocert.convexity import graph_derivatives, resolve_condition
+from choreocert import convexity, problems
+from choreocert.boxes import IntervalVector
+from choreocert.convexity import (
+    graph_derivatives,
+    resolve_condition,
+    verify_convexity,
+)
 from choreocert.errors import NotAGraph, StepTooCoarse
+from choreocert.integrator import LohnerSet
 from choreocert.interval import Interval
 
 
@@ -95,3 +104,42 @@ class TestConditionLogic:
               thin(0.0), Interval(-1.0, 1.0))
         with pytest.raises(StepTooCoarse):
             resolve_condition(ds, inflection_step=True)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_start_set_contains_the_box(monkeypatch):
+    # Both callers flow the slab E(mid) + DE [X - mid]; its coordinates
+    # must contain X - mid exactly, also where round-to-nearest rounds
+    # inward, as it does for both components of this box.
+    X = IntervalVector(np.array([-0.1, -0.9]), np.array([0.8, 0.1]))
+    mid = X.mid()
+    exact = [(Fraction(X.lo[i]) - Fraction(mid[i]),
+              Fraction(X.hi[i]) - Fraction(mid[i])) for i in range(2)]
+    assert Fraction(X.lo[0] - mid[0]) > exact[0][0]
+    assert Fraction(X.hi[1] - mid[1]) < exact[1][1]
+
+    seen = []
+    from_slab = LohnerSet.from_slab.__func__
+
+    def spy(cls, anchor, directions, coords, carry_transition=True):
+        seen.append(coords)
+        return from_slab(cls, anchor, directions, coords, carry_transition)
+
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    monkeypatch.setattr(LohnerSet, "from_slab", classmethod(spy))
+    monkeypatch.setattr(convexity, "flow_to_section", stop)
+    monkeypatch.setattr(problems, "flow_to_section", stop)
+    prob = problems.eight_problem()
+    with pytest.raises(_Stop):
+        verify_convexity(prob, X, 0.01, 7)
+    with pytest.raises(_Stop):
+        problems.phi_jacobian(prob, X, 0.01, 7)
+    assert len(seen) == 2
+    for lo, hi in seen:
+        for i, (elo, ehi) in enumerate(exact):
+            assert Fraction(lo[i]) <= elo and Fraction(hi[i]) >= ehi, i

@@ -5,6 +5,7 @@ from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
 from choreocert.errors import DimensionMismatch
 from choreocert.problems import (
+    _MIRROR,
     LinearEmbedding,
     chain6_problem,
     chain_problem,
@@ -110,11 +111,27 @@ class TestEmbeddings:
         assert set(np.unique(dg)) == {-1.0, 0.0, 1.0}
 
     def test_chain_counts(self):
-        for n in (4, 6, 8):
+        rng = np.random.default_rng(4)
+        for n in range(4, 18, 2):
             prob = chain_problem(n, "0.25")
+            h = n // 2
             assert prob.reduced_dim == n - 1
             assert prob.embed_map.matrix.shape == (4 * n, n - 1)
             assert prob.reduce_map.matrix.shape == (n - 1, 4 * n)
+            # antipode rule: body i + H is exactly -(body i)
+            s = prob.embed_point(rng.standard_normal(n - 1)).reshape(n, 4)
+            assert np.array_equal(s[h:], -s[:h]), n
+            # pairs (i, H - 1 - i) of exact mirror images leave no defect
+            s = rng.standard_normal((n, 4))
+            for i in range(h):
+                j = h - 1 - i
+                if i < j:
+                    s[j] = _MIRROR * s[i]
+                elif i == j:
+                    s[i, 1:3] = 0.0
+            val = prob.reduce(s.ravel(), s.ravel())
+            assert len(val) == prob.reduced_dim
+            assert np.all(val.lo == 0.0) and np.all(val.hi == 0.0), n
 
     def test_gerver_equals_chain4_up_to_coordinate_order(self):
         g = gerver_problem()
