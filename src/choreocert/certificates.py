@@ -8,7 +8,11 @@ backend reproduces the document bit for bit except the wall-clock field.
 The verifier re-derives each iteration's operator image from the serialized
 ingredients alone (candidate, box, defect enclosure, derivative enclosure,
 preconditioner) and re-checks the inclusion logic, so a stored verdict can
-be audited without any integration.
+be audited without any integration.  The top-level copies must restate the
+first iteration and `box` must be box(candidate, delta).  Informative, not
+checked: `step_counts`, the crossing times, `crossing_notes`, `cause`,
+`wall_clock_seconds`, `environment` and the problem's body and coordinate
+counts and names.
 """
 
 from __future__ import annotations
@@ -208,14 +212,32 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     # The fields that commands read from a document once it verifies.
     pb, params = body["problem"], body["parameters"]
     a_hex = pb["size_parameter"]
-    rep.add(isinstance(pb["id"], str) and isinstance(params["order"], int)
-            and math.isfinite(float.fromhex(params["h_set"]))
+    steps = [float.fromhex(params[k]) for k in ("h_point", "h_set")]
+    rep.add(isinstance(pb["id"], str)
+            and type(params["order"]) is int and params["order"] >= 1
+            and all(math.isfinite(h) and h > 0.0 for h in steps)
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
-            "problem and parameters are readable")
+            "problem and parameters are readable, steps > 0, order >= 1")
 
     method = body["method"]
     verdict = body["verdict"]
     trace = body["trace"]
+
+    # The top-level copies restate the first iteration, checked below.
+    first = trace[0] if trace else {"x": body["candidate"]}
+    box = IntervalVector.box(_unhex_vec(body["candidate"]),
+                             float.fromhex(params["delta"]))
+    rep.add(body["box"] == box.to_hex(), "box is box(candidate, delta)")
+    for name, key in (("candidate", "x"), ("phi_at_candidate", "f_x"),
+                      ("dphi_on_box", "df_X"), ("preconditioner", "C")):
+        rep.add(body[name] == first.get(key)
+                or (name == "preconditioner" and body[name] is None),
+                f"{name} is the first iteration's {key}")
+    # certify counts the iteration whose derivative enclosure was singular;
+    # only that stop leaves no operator image before the iteration limit.
+    singular = body["operator_image"] is None and len(trace) < params["max_iter"]
+    rep.add(body["iterations"] == len(trace) + singular,
+            f"iteration count {body['iterations']!r} matches the trace")
     if not trace:
         rep.add(verdict == "Inconclusive",
                 "no iterations recorded; only Inconclusive is acceptable")

@@ -420,7 +420,8 @@ def _cmd_emit_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = reverify_document(open(args.cert, encoding="utf-8").read())
+    with open(args.cert, encoding="utf-8") as fh:
+        report = reverify_document(fh.read())
     if not args.quiet:
         for line in report.messages:
             print(line)
@@ -441,7 +442,7 @@ def main(argv=None) -> int:
             return _cmd_emit_curve(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ChoreoCertError as exc:

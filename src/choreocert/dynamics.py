@@ -13,12 +13,19 @@ Series bookkeeping per term, all in interval arithmetic (kernels module):
     s = u * p   (= |z|^-3),  acceleration coefficients from conv(z, s),
     gravity-gradient blocks from  s I - 3 (z x z) * p.
 
+The xx and yy series of z x z are the halves of u from the state pass; the
+variational pass adds xy and forms all of s I - 3 (z x z) * p in one stacked
+pass.  Each `GravityField` builds its term scatter once (the blocks of G each
+term touches, with exact factors +-1 or +-2); the layers G[k] and the float
+Jacobian of `pointflow` both read it and sum each block in term order.
+
 Layer k of any series encloses the k-th Taylor coefficient (derivative / k!)
 of that quantity along every trajectory starting in the input box.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +61,22 @@ class PhaseLayout:
     @property
     def qsel(self) -> np.ndarray:
         """Indices of (x0, y0, x1, y1, ...) in the flat vector."""
-        n = self.n_bodies
         if self.kind == "split":
-            return np.arange(2 * n)
-        return np.concatenate([np.array([4 * i, 4 * i + 1]) for i in range(n)])
+            return np.arange(2 * self.n_bodies)
+        return (4 * np.arange(self.n_bodies)[:, None] + [0, 1]).ravel()
 
     @property
     def vsel(self) -> np.ndarray:
         """Indices of (vx0, vy0, vx1, vy1, ...) in the flat vector."""
-        n = self.n_bodies
-        if self.kind == "split":
-            return np.arange(2 * n, 4 * n)
-        return np.concatenate([np.array([4 * i + 2, 4 * i + 3])
-                               for i in range(n)])
+        return self.qsel + (2 * self.n_bodies if self.kind == "split" else 2)
+
+    def field_jacobian(self, G: np.ndarray) -> np.ndarray:
+        """[[0, I], [G, 0]] placed per the layout: q' = v, v' = G q."""
+        n = self.dim
+        J = np.zeros((n, n))
+        J[self.qsel[:, None], self.vsel[None, :]] = np.eye(n // 2)
+        J[self.vsel[:, None], self.qsel[None, :]] = G
+        return J
 
     def body_position(self, i: int) -> tuple[int, int]:
         q = self.qsel
@@ -147,16 +157,18 @@ class GravitySeries:
         self.state_hi[0] = sh
         self._run()
 
-    # Series arrays, all shaped (order+1, T): z components, u = |z|^2,
-    # p = u^(-5/2), s = u * p, weighted rows a*u[a] / a*p[a] for the power
-    # closure, acceleration building blocks.
+    # Series arrays: z = (zx, zy) as (order+1, 2, T); z (x) z = (xx, xy, yy)
+    # as (order+1, 3, T), where this pass fills xx and yy (the halves of u)
+    # and the variational pass xy; then (order+1, T) each for u = |z|^2,
+    # p = u^(-5/2), s = u * p, and the weighted rows a*u[a] / a*p[a] of the
+    # power closure.
     def _run(self) -> None:
         fld = self.field
         R = self.order
-        T = len(fld.terms)
+        T = fld.n_terms
         shape = (R + 1, T)
-        zxl = np.zeros(shape); zxh = np.zeros(shape)
-        zyl = np.zeros(shape); zyh = np.zeros(shape)
+        zl = np.zeros((R + 1, 2, T)); zh = np.zeros((R + 1, 2, T))
+        zzl = np.zeros((R + 1, 3, T)); zzh = np.zeros((R + 1, 3, T))
         ul = np.zeros(shape); uh = np.zeros(shape)
         pl = np.zeros(shape); ph = np.zeros(shape)
         sl_ = np.zeros(shape); sh_ = np.zeros(shape)
@@ -164,25 +176,19 @@ class GravitySeries:
         wpl = np.zeros(shape); wph = np.zeros(shape)   # a * p[a]
 
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
-        Cx, Cy = fld._Cx, fld._Cy
 
         def z_layer(m: int) -> None:
-            q_lo = self.state_lo[m][qsel]
-            q_hi = self.state_hi[m][qsel]
-            zxl[m], zxh[m] = kn.matvec_thin_left(Cx, q_lo, q_hi)
-            zyl[m], zyh[m] = kn.matvec_thin_left(Cy, q_lo, q_hi)
+            lo, hi = kn.matvec_thin_left(fld._C, self.state_lo[m][qsel],
+                                         self.state_hi[m][qsel])
+            zl[m], zh[m] = lo.reshape(2, T), hi.reshape(2, T)
 
         def u_layer(m: int) -> None:
             if m == 0:
-                x2 = kn.sqr(zxl[0], zxh[0])
-                y2 = kn.sqr(zyl[0], zyh[0])
-                ul[0], uh[0] = kn.add(*x2, *y2)
+                zzl[0, ::2], zzh[0, ::2] = kn.sqr(zl[0], zh[0])
             else:
-                a = kn.dot(zxl[:m + 1], zxh[:m + 1],
-                           zxl[m::-1], zxh[m::-1], axis=0)
-                b = kn.dot(zyl[:m + 1], zyh[:m + 1],
-                           zyl[m::-1], zyh[m::-1], axis=0)
-                ul[m], uh[m] = kn.add(*a, *b)
+                zzl[m, ::2], zzh[m, ::2] = kn.dot(zl[:m + 1], zh[:m + 1],
+                                                  zl[m::-1], zh[m::-1], axis=0)
+            ul[m], uh[m] = kn.add(zzl[m, 0], zzh[m, 0], zzl[m, 2], zzh[m, 2])
             wul[m], wuh[m] = kn.scale(ul[m], uh[m], float(m))
 
         z_layer(0)
@@ -219,31 +225,24 @@ class GravitySeries:
                                     pl[m::-1], ph[m::-1], axis=0)
 
         def acc_layer(m: int) -> Pair:
-            txl, txh = kn.dot(zxl[:m + 1], zxh[:m + 1],
-                              sl_[m::-1], sh_[m::-1], axis=0)
-            tyl, tyh = kn.dot(zyl[:m + 1], zyh[:m + 1],
-                              sl_[m::-1], sh_[m::-1], axis=0)
-            tl = np.stack([txl, tyl], axis=1).reshape(-1)
-            th = np.stack([txh, tyh], axis=1).reshape(-1)
-            return kn.matvec_thin_left(fld._S, tl, th)
+            # conv(z, s) per term, interleaved (x_t, y_t) for the receivers S
+            tl, th = kn.dot(zl[:m + 1], zh[:m + 1],
+                            sl_[m::-1, None], sh_[m::-1, None], axis=0)
+            return kn.matvec_thin_left(fld._S, tl.T.reshape(-1),
+                                       th.T.reshape(-1))
 
         for m in range(R):
-            acc = acc_layer(m)
-            nxt_l = np.empty(fld.layout.dim)
-            nxt_h = np.empty(fld.layout.dim)
-            ql, qh = _div_int(self.state_lo[m][vsel],
-                              self.state_hi[m][vsel], m + 1)
-            al, ah = _div_int(*acc, m + 1)
-            nxt_l[qsel], nxt_h[qsel] = ql, qh
-            nxt_l[vsel], nxt_h[vsel] = al, ah
-            self.state_lo[m + 1] = nxt_l
-            self.state_hi[m + 1] = nxt_h
+            self.state_lo[m + 1, qsel], self.state_hi[m + 1, qsel] = _div_int(
+                self.state_lo[m, vsel], self.state_hi[m, vsel], m + 1)
+            self.state_lo[m + 1, vsel], self.state_hi[m + 1, vsel] = _div_int(
+                *acc_layer(m), m + 1)
             z_layer(m + 1)
             u_layer(m + 1)
             p_layer(m + 1)
             s_layer(m + 1)
 
-        self._z = (zxl, zxh, zyl, zyh)
+        self._z = (zl, zh)
+        self._zz = (zzl, zzh)
         self._p = (pl, ph)
         self._s = (sl_, sh_)
         if self.variational:
@@ -253,56 +252,40 @@ class GravitySeries:
         """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks)."""
         fld = self.field
         R = self.order
-        T = len(fld.terms)
-        zxl, zxh, zyl, zyh = self._z
+        nb = fld.layout.n_bodies
+        zl, zh = self._z
+        zzl, zzh = self._zz
         pl, ph = self._p
         sl_, sh_ = self._s
 
-        def conv_pair(aL, aH, bL, bH, m):
-            return kn.dot(aL[:m + 1], aH[:m + 1], bL[m::-1], bH[m::-1], axis=0)
+        # the xy component of z (x) z; xx and yy came with u.
+        zzl[0, 1], zzh[0, 1] = kn.mul(zl[0, 0], zh[0, 0], zl[0, 1], zh[0, 1])
+        for m in range(1, R + 1):
+            zzl[m, 1], zzh[m, 1] = kn.dot(zl[:m + 1, 0], zh[:m + 1, 0],
+                                          zl[m::-1, 1], zh[m::-1, 1], axis=0)
 
-        # w2 = z (x) z component series, then e = w2 * p series.
-        w2 = {}
-        for name, (c1l, c1h, c2l, c2h) in {
-                "xx": (zxl, zxh, zxl, zxh),
-                "xy": (zxl, zxh, zyl, zyh),
-                "yy": (zyl, zyh, zyl, zyh)}.items():
-            wl = np.zeros((R + 1, T)); wh = np.zeros((R + 1, T))
-            if name in ("xx", "yy"):
-                wl[0], wh[0] = kn.sqr(c1l[0], c1h[0])
-            else:
-                wl[0], wh[0] = kn.mul(c1l[0], c1h[0], c2l[0], c2h[0])
-            for m in range(1, R + 1):
-                wl[m], wh[m] = conv_pair(c1l, c1h, c2l, c2h, m)
-            w2[name] = (wl, wh)
+        # dT = s I - 3 (z (x) z) * p, all three components in one pass.
+        el = np.empty_like(zzl); eh = np.empty_like(zzh)
+        for m in range(R + 1):
+            el[m], eh[m] = kn.dot(zzl[:m + 1], zzh[:m + 1],
+                                  pl[m::-1, None], ph[m::-1, None], axis=0)
+        el, eh = kn.scale(el, eh, -3.0)
+        el[:, ::2], eh[:, ::2] = kn.add(sl_[:, None], sh_[:, None],
+                                        el[:, ::2], eh[:, ::2])
 
-        dT = {}
-        for name, (wl, wh) in w2.items():
-            el = np.zeros((R + 1, T)); eh = np.zeros((R + 1, T))
-            for m in range(R + 1):
-                el[m], eh[m] = conv_pair(wl, wh, pl, ph, m)
-            el, eh = kn.scale(el, eh, -3.0)
-            if name in ("xx", "yy"):
-                el, eh = kn.add(sl_, sh_, el, eh)
-            dT[name] = (el, eh)
-
-        nb = fld.layout.n_bodies
+        # per-term 2x2 blocks [[xx, xy], [xy, yy]], shaped (R+1, T, 2, 2)
+        sym = [[0, 1], [1, 2]]
+        dl = el[:, sym].transpose(0, 3, 1, 2)
+        dh = eh[:, sym].transpose(0, 3, 1, 2)
         Gl = np.zeros((R + 1, 2 * nb, 2 * nb))
         Gh = np.zeros((R + 1, 2 * nb, 2 * nb))
-        for t, term in enumerate(fld.terms):
-            blk_l = np.stack([np.stack([dT["xx"][0][:, t], dT["xy"][0][:, t]], -1),
-                              np.stack([dT["xy"][0][:, t], dT["yy"][0][:, t]], -1)], 1)
-            blk_h = np.stack([np.stack([dT["xx"][1][:, t], dT["xy"][1][:, t]], -1),
-                              np.stack([dT["xy"][1][:, t], dT["yy"][1][:, t]], -1)], 1)
-            for b, sgn in term.receivers:
-                for c, coef in term.coeffs:
-                    f = sgn * coef
-                    cl, ch = kn.scale(blk_l, blk_h, f)
-                    view_l = Gl[:, 2 * b:2 * b + 2, 2 * c:2 * c + 2]
-                    view_h = Gh[:, 2 * b:2 * b + 2, 2 * c:2 * c + 2]
-                    nl, nh = kn.add(view_l, view_h, cl, ch)
-                    Gl[:, 2 * b:2 * b + 2, 2 * c:2 * c + 2] = nl
-                    Gh[:, 2 * b:2 * b + 2, 2 * c:2 * c + 2] = nh
+        for t, rows, cols, f in fld.scatter:
+            # f is +-1 or +-2, so f * endpoint is exact
+            bl, bh = dl[:, t], dh[:, t]
+            cl = np.where(f > 0, f * bl, f * bh)
+            ch = np.where(f > 0, f * bh, f * bl)
+            Gl[:, rows, cols], Gh[:, rows, cols] = kn.add(
+                Gl[:, rows, cols], Gh[:, rows, cols], cl, ch)
         self.grad_lo, self.grad_hi = Gl, Gh
 
     # -- public views --
@@ -311,26 +294,13 @@ class GravitySeries:
         """(order+1, dim) Taylor coefficient enclosures of the trajectory."""
         return self.state_lo, self.state_hi
 
-    def derivative(self) -> Pair:
-        """Field value enclosure f(box) (equals 1 * layer 1)."""
-        return self.state_lo[1].copy(), self.state_hi[1].copy()
-
     def jacobian(self) -> Pair:
         """Field Jacobian enclosure over the input box: [[0, I], [G0, 0]]
         arranged per the layout."""
         if not self.variational:
             raise ValueError("series was built without variational data")
-        fld = self.field
-        n = fld.layout.dim
-        qsel, vsel = fld.layout.qsel, fld.layout.vsel
-        jl = np.zeros((n, n))
-        jh = np.zeros((n, n))
-        eye = np.eye(n // 2)
-        jl[qsel[:, None], vsel[None, :]] = eye
-        jh[qsel[:, None], vsel[None, :]] = eye
-        jl[vsel[:, None], qsel[None, :]] = self.grad_lo[0]
-        jh[vsel[:, None], qsel[None, :]] = self.grad_hi[0]
-        return jl, jh
+        place = self.field.layout.field_jacobian
+        return place(self.grad_lo[0]), place(self.grad_hi[0])
 
     def transition_layers(self, order: int | None = None) -> Pair:
         """Taylor layers of the transition matrix M(t), M(0) = identity.
@@ -348,43 +318,58 @@ class GravitySeries:
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
         Ml = np.zeros((R + 1, n, n))
         Mh = np.zeros((R + 1, n, n))
-        Ml[0] = np.eye(n)
-        Mh[0] = np.eye(n)
+        Ml[0] = Mh[0] = np.eye(n)
         Gl, Gh = self.grad_lo, self.grad_hi
         for m in range(R):
             # velocity rows: sum_k G[k] . Mq[m-k], batched over k.
-            gl = Gl[:m + 1, :, :, None]
-            gh = Gh[:m + 1, :, :, None]
-            mq_l = Ml[m::-1][:, qsel, :][:, None, :, :]
-            mq_h = Mh[m::-1][:, qsel, :][:, None, :, :]
-            accl, acch = kn.dot(gl, gh, mq_l, mq_h, axis=(0, 2))
-            nl = np.empty((n, n)); nh = np.empty((n, n))
-            nl[qsel], nh[qsel] = _div_int(Ml[m][vsel], Mh[m][vsel], m + 1)
-            nl[vsel], nh[vsel] = _div_int(accl, acch, m + 1)
-            Ml[m + 1] = nl
-            Mh[m + 1] = nh
+            mq_l = Ml[m::-1][:, None, qsel]
+            mq_h = Mh[m::-1][:, None, qsel]
+            accl, acch = kn.dot(Gl[:m + 1, :, :, None], Gh[:m + 1, :, :, None],
+                                mq_l, mq_h, axis=(0, 2))
+            Ml[m + 1, qsel], Mh[m + 1, qsel] = _div_int(
+                Ml[m, vsel], Mh[m, vsel], m + 1)
+            Ml[m + 1, vsel], Mh[m + 1, vsel] = _div_int(accl, acch, m + 1)
         return Ml, Mh
 
 
 class GravityField:
-    """Planar gravitational field over a fixed layout and term set."""
+    """Planar gravitational field over a fixed layout and term set.
+
+    `scatter` holds rounds (terms, rows, cols, factors) with one entry per
+    term, receiver and coefficient: rows (K, 2, 1) and cols (K, 1, 2) index
+    a 2x2 block of G, the factor is sign * coefficient.  Round r holds the
+    r-th term of each block it touches, so no block repeats in a round.
+    """
 
     def __init__(self, layout: PhaseLayout, terms: tuple[AttractionTerm, ...]):
         self.layout = layout
         self.terms = terms
         nb = layout.n_bodies
-        T = len(terms)
-        Cx = np.zeros((T, 2 * nb))
-        Cy = np.zeros((T, 2 * nb))
+        T = self.n_terms = len(terms)
+        C = np.zeros((2 * T, 2 * nb))     # z_x rows, then z_y rows
         S = np.zeros((2 * nb, 2 * T))
+        seen: Counter = Counter()
+        rounds: dict[int, list] = {}
         for t, term in enumerate(terms):
             for b, coef in term.coeffs:
-                Cx[t, 2 * b] = coef
-                Cy[t, 2 * b + 1] = coef
+                C[t, 2 * b] = coef
+                C[T + t, 2 * b + 1] = coef
             for b, sgn in term.receivers:
                 S[2 * b, 2 * t] = sgn
                 S[2 * b + 1, 2 * t + 1] = sgn
-        self._Cx, self._Cy, self._S = Cx, Cy, S
+                for c, coef in term.coeffs:
+                    if abs(sgn * coef) not in (1.0, 2.0):
+                        raise ValueError(
+                            f"term {t}: gradient factor {sgn * coef} is not "
+                            "+-1 or +-2, so scaling its block is not exact")
+                    rounds.setdefault(seen[b, c], []).append(
+                        (t, 2 * b, 2 * c, sgn * coef))
+                    seen[b, c] += 1
+        self._C, self._S = C, S
+        self.scatter = tuple(
+            (np.array(t), np.array(r)[:, None, None] + [[0], [1]],
+             np.array(c)[:, None, None] + [[0, 1]], np.array(f)[:, None, None])
+            for t, r, c, f in (zip(*rounds[k]) for k in range(len(rounds))))
 
     @property
     def dim(self) -> int:
@@ -395,7 +380,9 @@ class GravityField:
         return GravitySeries(self, sl, sh, order, variational)
 
     def eval(self, sl: np.ndarray, sh: np.ndarray) -> Pair:
-        return self.series(sl, sh, 1).derivative()
+        """Field value enclosure f(box): layer 1 of an order-1 series."""
+        ser = self.series(sl, sh, 1)
+        return ser.state_lo[1].copy(), ser.state_hi[1].copy()
 
 
 def nbody_field(n_bodies: int, kind: str = "blocks") -> GravityField:
@@ -426,9 +413,6 @@ class LinearField:
 
         def layers(self) -> Pair:
             return self.state_lo, self.state_hi
-
-        def derivative(self) -> Pair:
-            return self.state_lo[1].copy(), self.state_hi[1].copy()
 
         def jacobian(self) -> Pair:
             return self._A, self._A
@@ -494,25 +478,21 @@ def angular_momentum(layout: PhaseLayout, state_lo, state_hi) -> Interval:
     return out
 
 
-def linear_momentum(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
+def _body_sums(layout: PhaseLayout, state_lo, state_hi,
+               where) -> tuple[Interval, Interval]:
     sl = np.asarray(state_lo, float)
     sh = np.asarray(state_hi, float)
-    px = Interval(0.0)
-    py = Interval(0.0)
+    sx = sy = Interval(0.0)
     for i in range(layout.n_bodies):
-        vx, vy = layout.body_velocity(i)
-        px = px + Interval(sl[vx], sh[vx])
-        py = py + Interval(sl[vy], sh[vy])
-    return px, py
+        x, y = where(i)
+        sx = sx + Interval(sl[x], sh[x])
+        sy = sy + Interval(sl[y], sh[y])
+    return sx, sy
+
+
+def linear_momentum(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
+    return _body_sums(layout, state_lo, state_hi, layout.body_velocity)
 
 
 def center_of_mass(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
-    sl = np.asarray(state_lo, float)
-    sh = np.asarray(state_hi, float)
-    cx = Interval(0.0)
-    cy = Interval(0.0)
-    for i in range(layout.n_bodies):
-        x, y = layout.body_position(i)
-        cx = cx + Interval(sl[x], sh[x])
-        cy = cy + Interval(sl[y], sh[y])
-    return cx, cy
+    return _body_sums(layout, state_lo, state_hi, layout.body_position)

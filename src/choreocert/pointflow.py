@@ -19,9 +19,9 @@ from .problems import ChoreographyProblem
 def _float_rhs(problem: ChoreographyProblem):
     field = problem.field
     layout = field.layout
-    qsel = layout.qsel
-    vsel = layout.vsel
-    Cx, Cy, S = field._Cx, field._Cy, field._S
+    qsel, vsel = layout.qsel, layout.vsel
+    T, C, S = field.n_terms, field._C, field._S
+    Cx, Cy = C[:T], C[T:]
 
     def rhs(s: np.ndarray) -> np.ndarray:
         q = s[qsel]
@@ -43,27 +43,21 @@ def _float_rhs(problem: ChoreographyProblem):
 def _float_jacobian(problem: ChoreographyProblem):
     field = problem.field
     layout = field.layout
-    qsel, vsel = layout.qsel, layout.vsel
-    n = layout.dim
-    nb = layout.n_bodies
+    T, C = field.n_terms, field._C
 
     def jac(s: np.ndarray) -> np.ndarray:
-        G = np.zeros((2 * nb, 2 * nb))
-        q = s[qsel]
-        for term in field.terms:
-            zx = sum(c * q[2 * b] for b, c in term.coeffs)
-            zy = sum(c * q[2 * b + 1] for b, c in term.coeffs)
-            u = zx * zx + zy * zy
-            s3 = u ** -1.5
-            s5 = u ** -2.5
-            dt = s3 * np.eye(2) - 3.0 * s5 * np.outer((zx, zy), (zx, zy))
-            for b, sgn in term.receivers:
-                for c, coef in term.coeffs:
-                    G[2 * b:2 * b + 2, 2 * c:2 * c + 2] += sgn * coef * dt
-        J = np.zeros((n, n))
-        J[qsel[:, None], vsel[None, :]] = np.eye(2 * nb)
-        J[vsel[:, None], qsel[None, :]] = G
-        return J
+        zx, zy = (C * s[layout.qsel]).sum(axis=1).reshape(2, T)
+        u = zx * zx + zy * zy
+        # scalar pow per term: numpy's vectorised pow can differ in the last
+        # bit, which would move the preconditioners that certificates store
+        s3 = np.array([v ** -1.5 for v in u])[:, None, None]
+        s5 = np.array([v ** -2.5 for v in u])[:, None, None]
+        z = np.stack([zx, zy], axis=1)
+        dt = s3 * np.eye(2) - 3.0 * s5 * (z[:, :, None] * z[:, None, :])
+        G = np.zeros((2 * layout.n_bodies,) * 2)
+        for t, rows, cols, f in field.scatter:
+            G[rows, cols] += f * dt[t]
+        return layout.field_jacobian(G)
 
     return jac
 
@@ -144,10 +138,7 @@ def refine_candidate(problem: ChoreographyProblem, guess, iters: int = 12,
     """Plain Newton on the float defect map until |Phi| < tol."""
     x = np.asarray(guess, float).copy()
     for _ in range(iters):
-        try:
-            value, _, dphi = point_phi(problem, x, with_jacobian=True)
-        except Diverged:
-            raise
+        value, _, dphi = point_phi(problem, x, with_jacobian=True)
         if not np.all(np.isfinite(value)):
             raise Diverged("defect map returned non-finite values")
         if np.max(np.abs(value)) < tol:

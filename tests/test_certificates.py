@@ -34,7 +34,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
     return ProofCertificate(
         problem_id="quadratic", n_bodies=0, reduced_dim=1,
         reduced_names=("x",), size_parameter=None, method=method,
-        h_point=0.0, h_set=0.0, order=0, delta=delta, max_iter=job.max_iter,
+        h_point=0.01, h_set=0.01, order=7, delta=delta, max_iter=job.max_iter,
         candidate=np.array([x0]), box=job.X,
         phi_at_candidate=first.f_x if first else None,
         dphi_on_box=first.df_X if first else None,
@@ -126,6 +126,76 @@ class TestReverify:
         body["verdict"] = "UniqueZero"
         report = reverify_document(json.dumps(body))
         assert not report.ok
+
+
+def bump(value: str) -> str:
+    """The next float above a hex string, as a hex string."""
+    return float(np.nextafter(float.fromhex(value), np.inf)).hex()
+
+
+def set_in(body, path, value):
+    *outer, last = path
+    for key in outer:
+        body = body[key]
+    body[last] = value
+
+
+def get_in(body, path):
+    for key in path:
+        body = body[key]
+    return body
+
+
+class TestBoundToTrace:
+    # the top-level copies restate the first iteration; a 1-ulp change to
+    # any of them, or a wrong iteration count, must not verify
+    @pytest.mark.parametrize("method, path", [
+        ("newton", ("candidate", 0)),
+        ("newton", ("phi_at_candidate", 0, 1)),
+        ("newton", ("dphi_on_box", 0, 0, 0)),
+        ("newton", ("box", 0, 0)),
+        ("newton", ("parameters", "delta")),
+        ("krawczyk", ("preconditioner", 0, 0)),
+    ], ids=["candidate", "phi_at_candidate", "dphi_on_box", "box", "delta",
+            "preconditioner"])
+    def test_one_ulp_change_fails(self, method, path):
+        cert, _ = small_certificate(method=method)
+        body = parse_document(cert.to_document())
+        assert reverify_document(json.dumps(body)).ok
+        set_in(body, path, bump(get_in(body, path)))
+        report = reverify_document(json.dumps(body))
+        assert not report.ok, report.messages
+
+    @pytest.mark.parametrize("count", [0, 2, 7])
+    def test_wrong_iteration_count_fails(self, count):
+        cert, out = small_certificate()
+        assert out.iterations == 1
+        body = parse_document(cert.to_document())
+        body["iterations"] = count
+        assert not reverify_document(json.dumps(body)).ok
+
+    def test_singular_derivative_stop_counts_one_more(self):
+        # 2X contains 0 on [-0.5, 0.5]: the first iteration stops singular
+        cert, out = small_certificate(x0=0.0, delta=0.5)
+        assert out.trace == [] and out.iterations == 1
+        body = parse_document(cert.to_document())
+        assert reverify_document(json.dumps(body)).ok
+        for count in (0, 2):
+            body["iterations"] = count
+            assert not reverify_document(json.dumps(body)).ok
+
+    @pytest.mark.parametrize("key, value", [
+        ("h_point", "0x0.0p+0"), ("h_set", "0x0.0p+0"), ("h_set", "-0x1.0p-7"),
+        ("h_set", "inf"), ("h_point", "nan"), ("order", 0),
+    ])
+    def test_unusable_parameters_fail(self, key, value):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["parameters"][key] = value
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert any(m.startswith("FAIL problem and parameters")
+                   for m in report.messages)
 
 
 class TestMalformed:

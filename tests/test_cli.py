@@ -131,6 +131,41 @@ class TestEmitCurve:
         assert not (tmp_path / "curve.txt").exists()
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.update(h_set="0x0p+0"),
+        lambda params: params.update(order=0),
+    ], ids=["zero-h-set", "order-zero"])
+    def test_unusable_parameters_are_not_unfolded(self, eight_cert, tmp_path,
+                                                  capsys, edit):
+        body = parse_document(eight_cert.read_text())
+        edit(body["parameters"])
+        bad = tmp_path / "edited.cert"
+        bad.write_text(json.dumps(body))
+        assert main(["verify", "--cert", str(bad),
+                     "--quiet"]) == EXIT_VERIFY_DISAGREE
+        assert "verify: DISAGREES" in capsys.readouterr().out
+        code = main(["emit-curve", "--cert", str(bad),
+                     "--out", str(tmp_path / "curve.txt")])
+        assert code == EXIT_VERIFY_DISAGREE
+        err = capsys.readouterr().err
+        assert "FAIL problem and parameters" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "curve.txt").exists()
+
+
+class TestUnreadableCertPath:
+    @pytest.mark.parametrize("command", ["verify", "convexity", "emit-curve"])
+    def test_missing_path_is_a_usage_error(self, command, tmp_path, capsys):
+        args = [command, "--cert", str(tmp_path / "missing.cert")]
+        if command != "verify":
+            args += ["--out", str(tmp_path / "out.txt")]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{command}: [Errno 2] No such file")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRefine:
     def test_refine_eight(self, capsys):
         code = main(["refine", "--system", "eight", "--guess", "0.35,0.53"])

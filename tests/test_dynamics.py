@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from choreocert import kernels as kn
+from choreocert.cli import DEFAULTS
 from choreocert.dynamics import (
+    AttractionTerm,
+    GravityField,
     LinearField,
     PhaseLayout,
     angular_momentum,
@@ -15,6 +18,7 @@ from choreocert.dynamics import (
     total_energy,
 )
 from choreocert.errors import CollisionEnclosure
+from choreocert.problems import make_problem
 
 EIGHT_X0 = (0.347116768716, 0.532724944657)
 
@@ -126,7 +130,58 @@ class TestTaylorSeries:
                           <= np.minimum(fh6[:12], hh))
 
 
+def loop_gradient(f, ser):
+    """G[k] by per-component series and per-term, per-block loops: the
+    reference that the stacked pass and the term scatter reproduce bit for
+    bit, since every block still sums its terms in term order."""
+    R, T = ser.order, f.n_terms
+    (zl, zh), (pl, ph), (sl, sh) = ser._z, ser._p, ser._s
+    dT = {}
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        wl, wh = np.zeros((R + 1, T)), np.zeros((R + 1, T))
+        wl[0], wh[0] = (kn.sqr(zl[0, a], zh[0, a]) if a == b else
+                        kn.mul(zl[0, a], zh[0, a], zl[0, b], zh[0, b]))
+        for m in range(1, R + 1):
+            wl[m], wh[m] = kn.dot(zl[:m + 1, a], zh[:m + 1, a],
+                                  zl[m::-1, b], zh[m::-1, b], axis=0)
+        el, eh = np.zeros((R + 1, T)), np.zeros((R + 1, T))
+        for m in range(R + 1):
+            el[m], eh[m] = kn.dot(wl[:m + 1], wh[:m + 1],
+                                  pl[m::-1], ph[m::-1], axis=0)
+        el, eh = kn.scale(el, eh, -3.0)
+        dT[a, b] = dT[b, a] = kn.add(sl, sh, el, eh) if a == b else (el, eh)
+    n2 = 2 * f.layout.n_bodies
+    Gl, Gh = np.zeros((R + 1, n2, n2)), np.zeros((R + 1, n2, n2))
+    for t, term in enumerate(f.terms):
+        for b, sgn in term.receivers:
+            for c, coef in term.coeffs:
+                for i in range(2):
+                    for j in range(2):
+                        cl, ch = kn.scale(dT[i, j][0][:, t], dT[i, j][1][:, t],
+                                          sgn * coef)
+                        r, q = 2 * b + i, 2 * c + j
+                        Gl[:, r, q], Gh[:, r, q] = kn.add(
+                            Gl[:, r, q], Gh[:, r, q], cl, ch)
+    return Gl, Gh
+
+
 class TestVariational:
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_gradient_layers_equal_the_loop_reference(self, system):
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        f, R = problem.field, d["order"]
+        s0 = problem.embed_point(np.array(d["candidate"]))
+        rng = np.random.default_rng(17)
+        for i in range(12):
+            c = s0 + rng.normal(0.0, 1e-2, s0.size)
+            w = rng.uniform(0.0, 1e-3, s0.size) * (i % 4 != 0)
+            for order in (R, R + 1):
+                ser = f.series(c - w, c + w, order, variational=True)
+                gl, gh = loop_gradient(f, ser)
+                assert np.array_equal(ser.grad_lo, gl)
+                assert np.array_equal(ser.grad_hi, gh)
+
     def test_jacobian_matches_finite_differences(self):
         f = nbody_field(3, kind="split")
         s = eight_state()
@@ -175,6 +230,43 @@ class TestVariational:
         V2[:, 3] *= 2.0
         ql, qh = kn.matmul(jl, jh, V2, V2)
         assert np.allclose(ql[:, 3], 2 * pl[:, 3], atol=1e-12)
+
+    # the Eight's split layout, chain(4) as the N-body field in blocks, and
+    # the reduced six-body field with its -2 self-antipode coefficient
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_transition_layers_match_central_differences(self, system):
+        # M[k] is the derivative of state layer k with respect to the start
+        # state; the plain series computes layer k without any gradient
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        f, R = problem.field, d["order"]
+        if system == "chain6":
+            assert any(np.any(fac == -2.0) for *_, fac in f.scatter)
+        s = problem.embed_point(np.array(d["candidate"]))
+        ml, mh = f.series(s, s, R, variational=True).transition_layers()
+
+        def layers(state):
+            lo, hi = f.series(state, state, R).layers()
+            return 0.5 * (lo + hi)
+
+        eps = 1e-5
+        fd = np.empty_like(ml)
+        for j in range(f.dim):
+            e = np.zeros(f.dim)
+            e[j] = eps
+            fd[:, :, j] = (layers(s + e) - layers(s - e)) / (2 * eps)
+        for k in range(R + 1):
+            # float differences lose digits in proportion to the layer
+            # (~1e10 at chain6's top layer); truncation is ~1e-8 of it
+            scale = max(1.0, np.max(np.abs(ml[k])), np.max(np.abs(mh[k])))
+            err = np.max(np.abs(fd[k] - 0.5 * (ml[k] + mh[k])))
+            assert err <= 1e-6 * scale, (k, err, scale)
+
+    def test_gradient_factor_must_be_exact(self):
+        term = AttractionTerm(coeffs=((1, 0.5), (0, -0.5)),
+                              receivers=((0, 1.0), (1, -1.0)))
+        with pytest.raises(ValueError, match="not \\+-1 or \\+-2"):
+            GravityField(PhaseLayout(2), (term,))
 
     def test_linear_field_transition_layers(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+from choreocert.cli import DEFAULTS
 from choreocert.errors import Diverged
 from choreocert.pointflow import (
+    _float_jacobian,
     monodromy_preconditioner,
     point_phi,
     refine_candidate,
 )
-from choreocert.problems import chain6_problem, eight_problem, gerver_problem
+from choreocert.problems import (
+    chain6_problem,
+    eight_problem,
+    gerver_problem,
+    make_problem,
+)
 
 EIGHT_X0 = np.array([0.347116768716, 0.532724944657])
 GERVER_X = np.array([1.382857, 1.87193510824, 0.584872579881])
@@ -60,3 +67,49 @@ class TestPreconditioner:
             [0.939059, -0.10027, 0.158399]])
         # reference entries are printed with 5-6 significant decimals
         assert np.max(np.abs(C - reference)) < 1e-5
+
+
+def loop_float_jacobian(problem, s):
+    """The Jacobian by a walk over the terms: the reference the scatter
+    reproduces bit for bit."""
+    layout = problem.field.layout
+    G = np.zeros((2 * layout.n_bodies,) * 2)
+    q = s[layout.qsel]
+    for term in problem.field.terms:
+        zx = sum(c * q[2 * b] for b, c in term.coeffs)
+        zy = sum(c * q[2 * b + 1] for b, c in term.coeffs)
+        u = zx * zx + zy * zy
+        dt = u ** -1.5 * np.eye(2) - 3.0 * u ** -2.5 * np.outer((zx, zy), (zx, zy))
+        for b, sgn in term.receivers:
+            for c, coef in term.coeffs:
+                G[2 * b:2 * b + 2, 2 * c:2 * c + 2] += sgn * coef * dt
+    return layout.field_jacobian(G)
+
+
+class TestFloatJacobian:
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_equals_the_term_walk(self, system):
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        jac = _float_jacobian(problem)
+        s0 = problem.embed_point(np.array(d["candidate"]))
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            s = s0 + rng.normal(0.0, 0.3, s0.size)
+            assert np.array_equal(jac(s), loop_float_jacobian(problem, s))
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_inside_the_interval_jacobian(self, system):
+        # the float and interval Jacobians share the field's term scatter;
+        # at a thin state the float one lies in the enclosure up to rounding
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        jac = _float_jacobian(problem)
+        s0 = problem.embed_point(np.array(d["candidate"]))
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            s = s0 + rng.normal(0.0, 1e-2, s0.size)
+            jl, jh = problem.field.series(s, s, 1, variational=True).jacobian()
+            J = jac(s)
+            slack = 1e-13 * max(1.0, np.max(np.abs(J)))
+            assert np.all(jl - slack <= J) and np.all(J <= jh + slack)
