@@ -3,16 +3,18 @@
 A certificate is one text document: a JSON body in which every float is a
 lossless hexadecimal string, followed by an informative block of comment
 lines with decimal renderings.  Re-running with identical flags and rounding
-backend reproduces the document bit for bit except the wall-clock field.
+backend on the same machine reproduces the document bit for bit except the
+wall-clock field; float QR and inverses go through BLAS/LAPACK, so another
+CPU or BLAS build can change stored bits.
 
 The verifier re-derives each iteration's operator image from the serialized
 ingredients alone (candidate, box, defect enclosure, derivative enclosure,
 preconditioner) and re-checks the inclusion logic, so a stored verdict can
 be audited without any integration.  The top-level copies must restate the
-first iteration and `box` must be box(candidate, delta).  Informative, not
-checked: `step_counts`, the crossing times, `crossing_notes`, `cause`,
-`wall_clock_seconds`, `environment` and the problem's body and coordinate
-counts and names.
+first iteration and `box` must be box(candidate, delta).  The problem block
+must be the one `make_problem` rebuilds from its id and size parameter.
+Informative, not checked: `step_counts`, the crossing times,
+`crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .boxes import IntervalMatrix, IntervalVector
 from .convexity import ConvexityCertificate, starts_before_crossing
 from .errors import ChoreoCertError
 from .interval import Interval, rounding_backend
+from .problems import ChoreographyProblem, make_problem
 from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
 
 SCHEMA_VERSION = 1
@@ -43,6 +47,21 @@ def _unhex_vec(data) -> np.ndarray:
 
 def _hex_float(x: float | None):
     return None if x is None else float(x).hex()
+
+
+def _problem_block(problem_id: str, n_bodies: int, reduced_dim: int,
+                   reduced_names, size_parameter: float | None) -> dict:
+    return {"id": problem_id, "n_bodies": n_bodies, "reduced_dim": reduced_dim,
+            "reduced_names": list(reduced_names),
+            "size_parameter": _hex_float(size_parameter)}
+
+
+@lru_cache(maxsize=16)
+def rebuild_problem(problem_id: str, a_hex: str | None) -> ChoreographyProblem:
+    """The problem a document's id and hex size parameter name, built once
+    per process; raises ValueError for an unknown id."""
+    a_text = None if a_hex is None else repr(float.fromhex(a_hex))
+    return make_problem(problem_id, a_text=a_text)
 
 
 @dataclass
@@ -83,13 +102,9 @@ class ProofCertificate:
         body = {
             "schema_version": SCHEMA_VERSION,
             "kind": "existence",
-            "problem": {
-                "id": self.problem_id,
-                "n_bodies": self.n_bodies,
-                "reduced_dim": self.reduced_dim,
-                "reduced_names": list(self.reduced_names),
-                "size_parameter": _hex_float(self.size_parameter),
-            },
+            "problem": _problem_block(self.problem_id, self.n_bodies,
+                                      self.reduced_dim, self.reduced_names,
+                                      self.size_parameter),
             "method": self.method,
             "parameters": {
                 "h_point": _hex_float(self.h_point),
@@ -218,6 +233,19 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
             and all(math.isfinite(h) and h > 0.0 for h in steps)
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
             "problem and parameters are readable, steps > 0, order >= 1")
+    try:
+        problem = rebuild_problem(pb["id"], a_hex)
+    except ValueError as exc:
+        rep.add(False, f"problem {pb['id']!r} with size parameter {a_hex!r} "
+                       f"cannot be rebuilt: {exc}")
+    else:
+        rep.add(pb == _problem_block(pb["id"], problem.orbit_bodies,
+                                     problem.reduced_dim,
+                                     problem.reduced_names,
+                                     problem.size_parameter),
+                "problem block is the one make_problem rebuilds")
+        rep.add(len(body["candidate"]) == problem.reduced_dim,
+                "candidate has the problem's reduced dimension")
 
     method = body["method"]
     verdict = body["verdict"]

@@ -31,6 +31,7 @@ from .certificates import (
     ProofCertificate,
     convexity_to_document,
     parse_document,
+    rebuild_problem,
     reverify_document,
     trace_to_json,
 )
@@ -393,10 +394,8 @@ def _cmd_emit_curve(args) -> int:
         print("emit-curve: need a UniqueZero existence certificate",
               file=sys.stderr)
         return EXIT_USAGE
-    pb = body["problem"]
-    a_hex = pb.get("size_parameter")
-    a_text = repr(float.fromhex(a_hex)) if a_hex else None
-    problem = _problem(pb["id"], None, a_text)
+    problem = rebuild_problem(body["problem"]["id"],
+                              body["problem"]["size_parameter"])
     box = IntervalVector.from_hex(body["refined_box"])
     params = body["parameters"]
     h = args.h or float.fromhex(params["h_set"])

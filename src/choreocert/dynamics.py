@@ -21,12 +21,24 @@ Jacobian of `pointflow` both read it and sum each block in term order.
 
 Layer k of any series encloses the k-th Taylor coefficient (derivative / k!)
 of that quantity along every trajectory starting in the input box.
+
+A series takes one box (dim,) or a stack of B boxes (B, dim) and runs one
+recurrence pass for all of them: every array carries the batch axis right
+after the layer axis, and a single box is the batch of one.  Each
+convolution still sums over the layer axis and each matrix row over the
+contiguous last axis, so a member's layers are bit for bit those of its own
+series.  The Lohner step stacks the box center, the box and its rough
+enclosure into one pass at order R+1: layer m depends only on the layers
+below it, so layers 0..R are those of an order-R series.  A series without
+variational data stops at the state layers; the z, u, p and s layers at the
+top order feed only the gradient layers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,24 +70,30 @@ class PhaseLayout:
     def dim(self) -> int:
         return 4 * self.n_bodies
 
-    @property
+    @cached_property
     def qsel(self) -> np.ndarray:
         """Indices of (x0, y0, x1, y1, ...) in the flat vector."""
         if self.kind == "split":
-            return np.arange(2 * self.n_bodies)
-        return (4 * np.arange(self.n_bodies)[:, None] + [0, 1]).ravel()
+            q = np.arange(2 * self.n_bodies)
+        else:
+            q = (4 * np.arange(self.n_bodies)[:, None] + [0, 1]).ravel()
+        q.flags.writeable = False
+        return q
 
-    @property
+    @cached_property
     def vsel(self) -> np.ndarray:
         """Indices of (vx0, vy0, vx1, vy1, ...) in the flat vector."""
-        return self.qsel + (2 * self.n_bodies if self.kind == "split" else 2)
+        v = self.qsel + (2 * self.n_bodies if self.kind == "split" else 2)
+        v.flags.writeable = False
+        return v
 
     def field_jacobian(self, G: np.ndarray) -> np.ndarray:
-        """[[0, I], [G, 0]] placed per the layout: q' = v, v' = G q."""
+        """[[0, I], [G, 0]] placed per the layout: q' = v, v' = G q; G may
+        be a stack (..., 2N, 2N)."""
         n = self.dim
-        J = np.zeros((n, n))
-        J[self.qsel[:, None], self.vsel[None, :]] = np.eye(n // 2)
-        J[self.vsel[:, None], self.qsel[None, :]] = G
+        J = np.zeros(G.shape[:-2] + (n, n))
+        J[..., self.qsel[:, None], self.vsel[None, :]] = np.eye(n // 2)
+        J[..., self.vsel[:, None], self.qsel[None, :]] = G
         return J
 
     def body_position(self, i: int) -> tuple[int, int]:
@@ -134,41 +152,64 @@ def reduced6_terms() -> tuple[AttractionTerm, ...]:
 # --- series container --------------------------------------------------------
 
 def _div_int(al: np.ndarray, ah: np.ndarray, k: int) -> Pair:
+    """[al, ah] / k, outward rounded.  Division by a power of two is exact
+    unless the quotient loses bits below the normal range (gerver's layers
+    have such entries every step); multiplying back, exact for a power of
+    two, finds them, and only they are rounded outward."""
     c = float(k)
     lo, hi = al / c, ah / c
-    if k & (k - 1) == 0:  # power of two: exact
-        return lo, hi
-    return kn.down(lo), kn.up(hi)
+    if k & (k - 1):
+        return kn.down(lo), kn.up(hi)
+    return (np.where(lo * c != al, kn.down(lo), lo),
+            np.where(hi * c != ah, kn.up(hi), hi))
 
 
 class GravitySeries:
     """Taylor layers of the flow (and optionally of its first variation)
-    started from one state box, for one `GravityField`."""
+    started from one state box, or from a stack of B boxes, for one
+    `GravityField`.
+
+    Every array carries a batch axis right after the layer axis; a 1-D box
+    is the batch of one, and the public views drop that axis again."""
 
     def __init__(self, field: GravityField, sl: np.ndarray, sh: np.ndarray,
                  order: int, variational: bool):
         self.field = field
         self.order = order
         self.variational = variational
-        n = field.layout.dim
-        self.state_lo = np.zeros((order + 1, n))
-        self.state_hi = np.zeros((order + 1, n))
-        self.state_lo[0] = sl
-        self.state_hi[0] = sh
+        sl = np.asarray(sl, float)
+        self._single = sl.ndim == 1
+        sl, sh = sl.reshape(-1, field.dim), np.reshape(sh, (-1, field.dim))
+        self._lo = np.zeros((order + 1,) + sl.shape)
+        self._hi = np.zeros((order + 1,) + sl.shape)
+        self._lo[0] = sl
+        self._hi[0] = sh
         self._run()
+        self.state_lo, self.state_hi = self._view(self._lo), self._view(self._hi)
+        if variational:
+            self._build_gradient_layers()
+            self.grad_lo = self._view(self._gl)
+            self.grad_hi = self._view(self._gh)
 
-    # Series arrays: z = (zx, zy) as (order+1, 2, T); z (x) z = (xx, xy, yy)
-    # as (order+1, 3, T), where this pass fills xx and yy (the halves of u)
-    # and the variational pass xy; then (order+1, T) each for u = |z|^2,
-    # p = u^(-5/2), s = u * p, and the weighted rows a*u[a] / a*p[a] of the
-    # power closure.
+    def _view(self, a: np.ndarray) -> np.ndarray:
+        """Drops the batch axis (axis 1) of a series built from a 1-D box."""
+        return a[:, 0] if self._single else a
+
+    # Series arrays, all with the batch axis B second: z = (zx, zy) as
+    # (order+1, B, 2, T); z (x) z = (xx, xy, yy) as (order+1, B, 3, T), where
+    # this pass fills xx and yy (the halves of u) and the variational pass
+    # xy; then (order+1, B, T) each for u = |z|^2, p = u^(-5/2), s = u * p,
+    # and the weighted rows a*u[a] / a*p[a] of the power closure.  Every
+    # convolution sums over the layer axis 0 and every matrix row over the
+    # contiguous last axis, as for a single box, so batching moves no bit.
     def _run(self) -> None:
         fld = self.field
         R = self.order
+        B = self._lo.shape[1]
         T = fld.n_terms
-        shape = (R + 1, T)
-        zl = np.zeros((R + 1, 2, T)); zh = np.zeros((R + 1, 2, T))
-        zzl = np.zeros((R + 1, 3, T)); zzh = np.zeros((R + 1, 3, T))
+        shape = (R + 1, B, T)
+        zl = np.zeros((R + 1, B, 2, T)); zh = np.zeros((R + 1, B, 2, T))
+        zzl = np.zeros((R + 1, B, 3, T)); zzh = np.zeros((R + 1, B, 3, T))
         ul = np.zeros(shape); uh = np.zeros(shape)
         pl = np.zeros(shape); ph = np.zeros(shape)
         sl_ = np.zeros(shape); sh_ = np.zeros(shape)
@@ -176,19 +217,21 @@ class GravitySeries:
         wpl = np.zeros(shape); wph = np.zeros(shape)   # a * p[a]
 
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
+        state_lo, state_hi = self._lo, self._hi
 
         def z_layer(m: int) -> None:
-            lo, hi = kn.matvec_thin_left(fld._C, self.state_lo[m][qsel],
-                                         self.state_hi[m][qsel])
-            zl[m], zh[m] = lo.reshape(2, T), hi.reshape(2, T)
+            lo, hi = kn.matvec_thin_left(fld._C, state_lo[m][:, qsel],
+                                         state_hi[m][:, qsel])
+            zl[m], zh[m] = lo.reshape(B, 2, T), hi.reshape(B, 2, T)
 
         def u_layer(m: int) -> None:
             if m == 0:
-                zzl[0, ::2], zzh[0, ::2] = kn.sqr(zl[0], zh[0])
+                zzl[0, :, ::2], zzh[0, :, ::2] = kn.sqr(zl[0], zh[0])
             else:
-                zzl[m, ::2], zzh[m, ::2] = kn.dot(zl[:m + 1], zh[:m + 1],
-                                                  zl[m::-1], zh[m::-1], axis=0)
-            ul[m], uh[m] = kn.add(zzl[m, 0], zzh[m, 0], zzl[m, 2], zzh[m, 2])
+                zzl[m, :, ::2], zzh[m, :, ::2] = kn.dot(
+                    zl[:m + 1], zh[:m + 1], zl[m::-1], zh[m::-1], axis=0)
+            ul[m], uh[m] = kn.add(zzl[m, :, 0], zzh[m, :, 0],
+                                  zzl[m, :, 2], zzh[m, :, 2])
             wul[m], wuh[m] = kn.scale(ul[m], uh[m], float(m))
 
         z_layer(0)
@@ -202,7 +245,8 @@ class GravitySeries:
         rt = kn.sqrt(ul[0], uh[0])
         e = kn.mul(ul[0], uh[0], *rt)
         denom = kn.mul(ul[0], uh[0], *e)
-        pl[0], ph[0] = kn.div(np.ones(T), np.ones(T), *denom)
+        one = np.ones((B, T))
+        pl[0], ph[0] = kn.div(one, one, *denom)
         inv_u0 = kn.mul(pl[0], ph[0], *e)
         sl_[0], sh_[0] = kn.mul(pl[0], ph[0], ul[0], uh[0])
 
@@ -227,31 +271,35 @@ class GravitySeries:
         def acc_layer(m: int) -> Pair:
             # conv(z, s) per term, interleaved (x_t, y_t) for the receivers S
             tl, th = kn.dot(zl[:m + 1], zh[:m + 1],
-                            sl_[m::-1, None], sh_[m::-1, None], axis=0)
-            return kn.matvec_thin_left(fld._S, tl.T.reshape(-1),
-                                       th.T.reshape(-1))
+                            sl_[m::-1, :, None], sh_[m::-1, :, None], axis=0)
+            return kn.matvec_thin_left(fld._S,
+                                       tl.swapaxes(1, 2).reshape(B, -1),
+                                       th.swapaxes(1, 2).reshape(B, -1))
 
+        # Only the gradient layers read z, u, p and s at the top layer.
+        top = R + 1 if self.variational else R
         for m in range(R):
-            self.state_lo[m + 1, qsel], self.state_hi[m + 1, qsel] = _div_int(
-                self.state_lo[m, vsel], self.state_hi[m, vsel], m + 1)
-            self.state_lo[m + 1, vsel], self.state_hi[m + 1, vsel] = _div_int(
+            state_lo[m + 1][:, qsel], state_hi[m + 1][:, qsel] = _div_int(
+                state_lo[m][:, vsel], state_hi[m][:, vsel], m + 1)
+            state_lo[m + 1][:, vsel], state_hi[m + 1][:, vsel] = _div_int(
                 *acc_layer(m), m + 1)
-            z_layer(m + 1)
-            u_layer(m + 1)
-            p_layer(m + 1)
-            s_layer(m + 1)
+            if m + 1 < top:
+                z_layer(m + 1)
+                u_layer(m + 1)
+                p_layer(m + 1)
+                s_layer(m + 1)
 
         self._z = (zl, zh)
         self._zz = (zzl, zzh)
         self._p = (pl, ph)
         self._s = (sl_, sh_)
-        if self.variational:
-            self._build_gradient_layers()
 
     def _build_gradient_layers(self) -> None:
-        """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks)."""
+        """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks),
+        shaped (order+1, B, 2N, 2N)."""
         fld = self.field
         R = self.order
+        B = self._lo.shape[1]
         nb = fld.layout.n_bodies
         zl, zh = self._z
         zzl, zzh = self._zz
@@ -259,51 +307,58 @@ class GravitySeries:
         sl_, sh_ = self._s
 
         # the xy component of z (x) z; xx and yy came with u.
-        zzl[0, 1], zzh[0, 1] = kn.mul(zl[0, 0], zh[0, 0], zl[0, 1], zh[0, 1])
+        zzl[0, :, 1], zzh[0, :, 1] = kn.mul(zl[0, :, 0], zh[0, :, 0],
+                                            zl[0, :, 1], zh[0, :, 1])
         for m in range(1, R + 1):
-            zzl[m, 1], zzh[m, 1] = kn.dot(zl[:m + 1, 0], zh[:m + 1, 0],
-                                          zl[m::-1, 1], zh[m::-1, 1], axis=0)
+            zzl[m, :, 1], zzh[m, :, 1] = kn.dot(
+                zl[:m + 1, :, 0], zh[:m + 1, :, 0],
+                zl[m::-1, :, 1], zh[m::-1, :, 1], axis=0)
 
         # dT = s I - 3 (z (x) z) * p, all three components in one pass.
         el = np.empty_like(zzl); eh = np.empty_like(zzh)
         for m in range(R + 1):
             el[m], eh[m] = kn.dot(zzl[:m + 1], zzh[:m + 1],
-                                  pl[m::-1, None], ph[m::-1, None], axis=0)
+                                  pl[m::-1, :, None], ph[m::-1, :, None],
+                                  axis=0)
         el, eh = kn.scale(el, eh, -3.0)
-        el[:, ::2], eh[:, ::2] = kn.add(sl_[:, None], sh_[:, None],
-                                        el[:, ::2], eh[:, ::2])
+        el[:, :, ::2], eh[:, :, ::2] = kn.add(sl_[:, :, None], sh_[:, :, None],
+                                              el[:, :, ::2], eh[:, :, ::2])
 
-        # per-term 2x2 blocks [[xx, xy], [xy, yy]], shaped (R+1, T, 2, 2)
+        # per-term 2x2 blocks [[xx, xy], [xy, yy]], shaped (R+1, B, T, 2, 2)
         sym = [[0, 1], [1, 2]]
-        dl = el[:, sym].transpose(0, 3, 1, 2)
-        dh = eh[:, sym].transpose(0, 3, 1, 2)
-        Gl = np.zeros((R + 1, 2 * nb, 2 * nb))
-        Gh = np.zeros((R + 1, 2 * nb, 2 * nb))
+        dl = el[:, :, sym].transpose(0, 1, 4, 2, 3)
+        dh = eh[:, :, sym].transpose(0, 1, 4, 2, 3)
+        Gl = np.zeros((R + 1, B, 2 * nb, 2 * nb))
+        Gh = np.zeros((R + 1, B, 2 * nb, 2 * nb))
         for t, rows, cols, f in fld.scatter:
             # f is +-1 or +-2, so f * endpoint is exact
-            bl, bh = dl[:, t], dh[:, t]
+            bl, bh = dl[:, :, t], dh[:, :, t]
             cl = np.where(f > 0, f * bl, f * bh)
             ch = np.where(f > 0, f * bh, f * bl)
-            Gl[:, rows, cols], Gh[:, rows, cols] = kn.add(
-                Gl[:, rows, cols], Gh[:, rows, cols], cl, ch)
-        self.grad_lo, self.grad_hi = Gl, Gh
+            Gl[:, :, rows, cols], Gh[:, :, rows, cols] = kn.add(
+                Gl[:, :, rows, cols], Gh[:, :, rows, cols], cl, ch)
+        self._gl, self._gh = Gl, Gh
 
     # -- public views --
 
     def layers(self) -> Pair:
-        """(order+1, dim) Taylor coefficient enclosures of the trajectory."""
+        """(order+1, dim) Taylor coefficient enclosures of the trajectory,
+        (order+1, B, dim) for a batch."""
         return self.state_lo, self.state_hi
 
     def jacobian(self) -> Pair:
         """Field Jacobian enclosure over the input box: [[0, I], [G0, 0]]
-        arranged per the layout."""
+        arranged per the layout; (B, dim, dim) for a batch."""
         if not self.variational:
             raise ValueError("series was built without variational data")
         place = self.field.layout.field_jacobian
         return place(self.grad_lo[0]), place(self.grad_hi[0])
 
-    def transition_layers(self, order: int | None = None) -> Pair:
-        """Taylor layers of the transition matrix M(t), M(0) = identity.
+    def transition_layers(self, order: int | None = None,
+                          members: slice | None = None) -> Pair:
+        """Taylor layers of the transition matrix M(t), M(0) = identity:
+        (order+1, dim, dim), or (order+1, B', dim, dim) for the batch
+        members selected by `members` (default all).
 
         Needs gradient layers up to order-1, i.e. `variational=True` and
         `order <= self.order + 1`.
@@ -316,20 +371,28 @@ class GravitySeries:
         fld = self.field
         n = fld.layout.dim
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
-        Ml = np.zeros((R + 1, n, n))
-        Mh = np.zeros((R + 1, n, n))
-        Ml[0] = Mh[0] = np.eye(n)
-        Gl, Gh = self.grad_lo, self.grad_hi
+        # M is kept as (layer, row, member, column) and G[k] as (column j,
+        # row i, member): each velocity-row contraction sums over its two
+        # leading axes (k, j), in the same order as any other layout, but
+        # over long contiguous rows.
+        pick = slice(None) if members is None else members
+        Gl, Gh = (np.ascontiguousarray(g[:, pick].transpose(0, 3, 2, 1))[..., None]
+                  for g in (self._gl, self._gh))
+        B = Gl.shape[3]
+        Ml = np.zeros((R + 1, n, B, n))
+        Mh = np.zeros((R + 1, n, B, n))
+        Ml[0] = Mh[0] = np.eye(n)[:, None]
         for m in range(R):
             # velocity rows: sum_k G[k] . Mq[m-k], batched over k.
-            mq_l = Ml[m::-1][:, None, qsel]
-            mq_h = Mh[m::-1][:, None, qsel]
-            accl, acch = kn.dot(Gl[:m + 1, :, :, None], Gh[:m + 1, :, :, None],
-                                mq_l, mq_h, axis=(0, 2))
-            Ml[m + 1, qsel], Mh[m + 1, qsel] = _div_int(
-                Ml[m, vsel], Mh[m, vsel], m + 1)
-            Ml[m + 1, vsel], Mh[m + 1, vsel] = _div_int(accl, acch, m + 1)
-        return Ml, Mh
+            mq_l = Ml[m::-1][:, qsel, None]
+            mq_h = Mh[m::-1][:, qsel, None]
+            accl, acch = kn.dot(Gl[:m + 1], Gh[:m + 1], mq_l, mq_h,
+                                axis=(0, 1))
+            Ml[m + 1][qsel], Mh[m + 1][qsel] = _div_int(
+                Ml[m][vsel], Mh[m][vsel], m + 1)
+            Ml[m + 1][vsel], Mh[m + 1][vsel] = _div_int(accl, acch, m + 1)
+        return (self._view(Ml.transpose(0, 2, 1, 3)),
+                self._view(Mh.transpose(0, 2, 1, 3)))
 
 
 class GravityField:
@@ -395,14 +458,15 @@ def reduced6_field(kind: str = "blocks") -> GravityField:
 
 class LinearField:
     """x' = A x with constant float A; test stand-in for the gravity fields
-    (harmonic oscillator, rotations) with the same series protocol."""
+    (harmonic oscillator, rotations) with the same series protocol,
+    batches included."""
 
     class Series:
         def __init__(self, A: np.ndarray, sl, sh, order: int):
-            n = A.shape[0]
+            sl = np.asarray(sl, float)
             self.order = order
-            self.state_lo = np.zeros((order + 1, n))
-            self.state_hi = np.zeros((order + 1, n))
+            self.state_lo = np.zeros((order + 1,) + sl.shape)
+            self.state_hi = np.zeros((order + 1,) + sl.shape)
             self.state_lo[0], self.state_hi[0] = sl, sh
             for m in range(order):
                 nl, nh = kn.matvec_thin_left(A, self.state_lo[m],
@@ -410,14 +474,23 @@ class LinearField:
                 self.state_lo[m + 1], self.state_hi[m + 1] = \
                     _div_int(nl, nh, m + 1)
             self._A = A
+            self._batch = sl.shape[:-1]
+
+        def _stacked(self, M: np.ndarray, lead: tuple) -> np.ndarray:
+            n = self._A.shape[0]
+            return np.broadcast_to(M.reshape(lead + (1,) * len(self._batch)
+                                             + (n, n)),
+                                   lead + self._batch + (n, n))
 
         def layers(self) -> Pair:
             return self.state_lo, self.state_hi
 
         def jacobian(self) -> Pair:
-            return self._A, self._A
+            J = self._stacked(self._A, ())
+            return J, J
 
-        def transition_layers(self, order: int | None = None) -> Pair:
+        def transition_layers(self, order: int | None = None,
+                              members: slice | None = None) -> Pair:
             R = self.order if order is None else order
             n = self._A.shape[0]
             Ml = np.zeros((R + 1, n, n))
@@ -426,7 +499,10 @@ class LinearField:
             for m in range(R):
                 nl, nh = kn.matmul_thin_left(self._A, Ml[m], Mh[m])
                 Ml[m + 1], Mh[m + 1] = _div_int(nl, nh, m + 1)
-            return Ml, Mh
+            Ml, Mh = self._stacked(Ml, (R + 1,)), self._stacked(Mh, (R + 1,))
+            if members is None:
+                return Ml, Mh
+            return Ml[:, members], Mh[:, members]
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=np.float64)

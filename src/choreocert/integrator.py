@@ -255,28 +255,30 @@ def step(field, cur: LohnerSet, h: float, order: int,
     wl, wh = _rough((xl, xh), field.eval, h, kn.hull(xl, xh, wl, wh),
                     "enclosure")
 
+    # One series pass at order R+1 over the stack (center, box, rough box).
+    # Layer m depends only on the layers below it, so layers 0..R of the
+    # center and of the box are those of their own order-R series.
     center = cur.state.m[:, 0]
-    ser_m = field.series(center, center, order)
-    ser_x = field.series(xl, xh, order, variational=True)
-    ser_w = field.series(wl, wh, order + 1, variational=True)
-
-    layers_m = ser_m.layers()
-    layers_x = ser_x.layers()
-    layers_w = ser_w.layers()
-    rem = (layers_w[0][order + 1].copy(), layers_w[1][order + 1].copy())
+    ser = field.series(np.stack([center, xl, wl]), np.stack([center, xh, wh]),
+                       order + 1, variational=True)
+    R = order
+    sl, sh = ser.layers()
+    layers_m = sl[:R + 1, 0], sh[:R + 1, 0]
+    layers_x = sl[:R + 1, 1].copy(), sh[:R + 1, 1].copy()
+    rem = sl[R + 1, 2].copy(), sh[R + 1, 2].copy()
 
     h_iv = Interval.point(h)
     pt = poly_eval(layers_m, rem, h_iv)
 
     # The transition's Picard iteration on V' = J V, V(0) = I, with J over
     # the rough enclosure, starts from I.
-    mx = ser_x.transition_layers(order)
-    mw = ser_w.transition_layers(order + 1)
-    jac = ser_w.jacobian()
+    ml, mh = ser.transition_layers(R + 1, members=slice(1, None))
+    mx = ml[:R + 1, 0].copy(), mh[:R + 1, 0].copy()
+    jl, jh = ser.jacobian()
     eye = np.eye(n)
-    vw = _rough((eye, eye), lambda cl, ch: kn.matmul(*jac, cl, ch), h,
+    vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[2], jh[2], cl, ch), h,
                 (eye, eye), "transition enclosure")
-    trans_rem = kn.matmul(mw[0][order + 1], mw[1][order + 1], *vw)
+    trans_rem = kn.matmul(ml[R + 1, 1], mh[R + 1, 1], *vw)
     A = poly_eval(mx, trans_rem, h_iv)
 
     # Whole-step enclosure: the in-step polynomial sharpens the rough box.

@@ -11,7 +11,8 @@ and reduction maps rely on that.
 The ``CHOREO_ROUNDING`` environment variable selects the backend by name.
 Only ``nudge`` is implemented; requesting ``hardware`` falls back to nudging
 with a warning (per-thread FPU mode switching is not dependable from
-CPython, and nudged results are bit-reproducible across platforms).
+CPython).  Nudged scalar operations are plain IEEE-754 operations, so they
+give the same bits on every platform.
 """
 
 from __future__ import annotations

@@ -133,43 +133,48 @@ def sqrt(al, ah) -> Pair:
 
 # --- contractions -----------------------------------------------------------
 
-def _contract(pmin, pmax, axis) -> Pair:
+def _contract(lo, hi, scratch, axis) -> Pair:
     # Error budget for summing K rounded products in arbitrary order:
     #   each product:  |fl(xy) - xy| <= u|fl(xy)| + eta        (u = 2^-53)
     #   the sum:       |fl(S) - S|  <= gamma_{K-1} sum|terms|,  gamma ~ Ku
     #   so |true - fl| <= ~1.04 K u A + K eta with A = sum of term magnitudes,
     # and A itself, computed in floats, underestimates by < 2%.  err below is
     # 2KuA + 2Keta computed with two roundings, which dominates the need for
-    # every K up to ~1e13.
-    slo = np.sum(pmin, axis=axis)
-    shi = np.sum(pmax, axis=axis)
-    amax = np.sum(np.maximum(np.abs(pmin), np.abs(pmax)), axis=axis)
-    if isinstance(axis, tuple):
-        k = 1
-        for ax in axis:
-            k *= pmin.shape[ax]
-    else:
-        k = pmin.shape[axis]
+    # every K up to ~1e13.  err > 0, so the sign of a zero sum never shows.
+    reduce = np.add.reduce
+    slo = reduce(lo, axis)
+    shi = reduce(hi, axis)
+    # the term magnitudes max(|lo|, |hi|) are max(-lo, hi), as lo <= hi
+    amax = reduce(np.maximum(np.negative(lo, scratch), hi, out=scratch),
+                  axis)
+    k = lo.size // max(slo.size, 1)
     err = amax * (k * 2.0 ** -52) + (2 * k) * _ETA
     return down(slo - err), up(shi + err)
 
 
+# The products are formed in place, so a contraction over a large slab holds
+# three temporaries: allocating and releasing large blocks costs more than
+# the arithmetic on them.
+
 def dot(al, ah, bl, bh, axis) -> Pair:
     """Enclosure of sum_k a_k * b_k contracted along `axis` (post-broadcast)."""
-    p1 = al * bl
-    p2 = al * bh
-    p3 = ah * bl
-    p4 = ah * bh
-    pmin = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    pmax = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _contract(pmin, pmax, axis)
+    p = al * bl
+    q = al * bh
+    lo = np.minimum(p, q)
+    hi = np.maximum(p, q, out=p)
+    for b in (bl, bh):
+        np.multiply(ah, b, out=q)
+        np.minimum(lo, q, out=lo)
+        np.maximum(hi, q, out=hi)
+    return _contract(lo, hi, q, axis)
 
 
 def dot_thin(al, ah, b, axis) -> Pair:
     """`dot` with a thin (point) right factor."""
-    p1 = al * b
-    p2 = ah * b
-    return _contract(np.minimum(p1, p2), np.maximum(p1, p2), axis)
+    p = al * b
+    q = ah * b
+    lo = np.minimum(p, q)
+    return _contract(lo, np.maximum(p, q, out=p), q, axis)
 
 
 def matmul(Al, Ah, Bl, Bh) -> Pair:
@@ -200,7 +205,9 @@ def matvec_thin_right(Al, Ah, b) -> Pair:
 
 
 def matvec_thin_left(A, bl, bh) -> Pair:
-    return dot_thin(bl[None, :], bh[None, :], A, axis=1)
+    """A b for a float A and an interval vector b, or a stack (..., k) of
+    them: each row sum runs over the contiguous last axis."""
+    return dot_thin(bl[..., None, :], bh[..., None, :], A, axis=-1)
 
 
 def vecdot(al, ah, bl, bh) -> Pair:

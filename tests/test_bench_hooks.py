@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
+from choreocert import dynamics, integrator  # noqa: E402
+from choreocert.boxes import IntervalVector  # noqa: E402
 from choreocert.cli import DEFAULTS  # noqa: E402
 from choreocert.problems import make_problem  # noqa: E402
 from perfbench.tracing import SPANS  # noqa: E402
@@ -25,6 +28,38 @@ def test_span_targets_resolve(owner, attr, span):
 def test_replay_problems_build(system):
     problem = make_problem(system, a_text=DEFAULTS[system]["a"])
     assert problem.reduced_dim == len(DEFAULTS[system]["candidate"])
+
+
+@pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+@pytest.mark.parametrize("carry_transition", [True, False], ids=["C1", "C0"])
+def test_one_series_pass_per_step(system, carry_transition, monkeypatch):
+    # `dynamics.series_per_step` counts the series built outside `eval`:
+    # the center, the box and the rough box share one batched pass
+    outside_eval = []
+    depth = [0]
+    series, evaluate = dynamics.GravityField.series, dynamics.GravityField.eval
+
+    def counted_series(self, *args, **kwargs):
+        if depth[0] == 0:
+            outside_eval.append(args)
+        return series(self, *args, **kwargs)
+
+    def nested_eval(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return evaluate(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dynamics.GravityField, "series", counted_series)
+    monkeypatch.setattr(dynamics.GravityField, "eval", nested_eval)
+    d = DEFAULTS[system]
+    problem = make_problem(system, a_text=d["a"])
+    box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
+    start = problem.embed_slab(box, carry_transition)
+    integrator.step(problem.field, start, d.get("h_set", d.get("h")),
+                    d["order"])
+    assert len(outside_eval) == 1
 
 
 @pytest.mark.slow

@@ -15,27 +15,33 @@ from choreocert.rootfind import CertifiableMap, CertificationJob, certify
 
 
 def quadratic_map():
+    # two copies of x^2 - 2, so a certificate has the Eight's two coordinates
     def eval_point(x):
-        iv = Interval.point(float(x[0]))
-        return IntervalVector.from_intervals([iv.sqr() - Interval.point(2.0)])
+        return IntervalVector.from_intervals(
+            [Interval.point(float(v)).sqr() - Interval.point(2.0) for v in x])
 
     def eval_jacobian(X):
-        return IntervalMatrix.from_intervals([[Interval.point(2.0) * X[0]]])
+        two = Interval.point(2.0)
+        return IntervalMatrix.from_intervals([[two * X[0], Interval(0.0)],
+                                              [Interval(0.0), two * X[1]]])
 
-    return CertifiableMap(1, eval_point, eval_jacobian)
+    return CertifiableMap(2, eval_point, eval_jacobian)
 
 
 def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
-    job = CertificationJob(map=quadratic_map(), x0=np.array([x0]),
-                           X=IntervalVector.box([x0], delta), method=method,
+    # the verifier rebuilds the problem from its id, so the toy map's
+    # certificate carries the Eight's problem block
+    x = np.array([x0, x0])
+    job = CertificationJob(map=quadratic_map(), x0=x,
+                           X=IntervalVector.box(x, delta), method=method,
                            max_iter=max_iter)
     out = certify(job)
     first = out.trace[0] if out.trace else None
     return ProofCertificate(
-        problem_id="quadratic", n_bodies=0, reduced_dim=1,
-        reduced_names=("x",), size_parameter=None, method=method,
+        problem_id="eight", n_bodies=3, reduced_dim=2,
+        reduced_names=("v", "u"), size_parameter=None, method=method,
         h_point=0.01, h_set=0.01, order=7, delta=delta, max_iter=job.max_iter,
-        candidate=np.array([x0]), box=job.X,
+        candidate=x, box=job.X,
         phi_at_candidate=first.f_x if first else None,
         dphi_on_box=first.df_X if first else None,
         preconditioner=first.C if first else None,
@@ -196,6 +202,44 @@ class TestBoundToTrace:
         assert not report.ok
         assert any(m.startswith("FAIL problem and parameters")
                    for m in report.messages)
+
+
+class TestProblemBlock:
+    @pytest.mark.parametrize("edit", [
+        {"n_bodies": 7, "reduced_dim": 9, "reduced_names": ["q"]},
+        {"n_bodies": 7},
+        {"reduced_names": ["u", "v"]},
+        {"size_parameter": "0x1.0p-3"},
+    ], ids=["all-three", "n_bodies", "names", "size"])
+    def test_edited_shape_fails(self, edit):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["problem"].update(edit)
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert "FAIL problem block is the one make_problem rebuilds" \
+            in report.messages
+
+    def test_unknown_id_is_a_fail_line(self):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["problem"]["id"] = "quadratic"
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert any(m.startswith("FAIL problem 'quadratic' with size "
+                                "parameter None cannot be rebuilt")
+                   for m in report.messages)
+
+    def test_candidate_dimension_is_the_problems(self):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["problem"] = {"id": "gerver", "n_bodies": 4, "reduced_dim": 3,
+                           "reduced_names": ["x1", "vx0", "vy1"],
+                           "size_parameter": float("0.157029944461").hex()}
+        messages = reverify_document(json.dumps(body)).messages
+        assert "ok   problem block is the one make_problem rebuilds" \
+            in messages
+        assert "FAIL candidate has the problem's reduced dimension" in messages
 
 
 class TestMalformed:

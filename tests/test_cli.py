@@ -100,6 +100,13 @@ class TestVerify:
         assert main(["verify", "--cert", str(bad),
                      "--quiet"]) == EXIT_VERIFY_DISAGREE
 
+    def test_verify_checks_the_problem_shape(self, eight_cert, tmp_path):
+        def reshape(body):
+            body["problem"].update(n_bodies=7, reduced_dim=9,
+                                   reduced_names=["q"])
+        assert verify_edited(eight_cert, tmp_path,
+                             reshape) == EXIT_VERIFY_DISAGREE
+
 
 class TestEmitCurve:
     def test_eight_curve(self, eight_cert, tmp_path):

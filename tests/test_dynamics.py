@@ -10,6 +10,7 @@ from choreocert.dynamics import (
     GravityField,
     LinearField,
     PhaseLayout,
+    _div_int,
     angular_momentum,
     center_of_mass,
     linear_momentum,
@@ -130,12 +131,15 @@ class TestTaylorSeries:
                           <= np.minimum(fh6[:12], hh))
 
 
-def loop_gradient(f, ser):
-    """G[k] by per-component series and per-term, per-block loops: the
-    reference that the stacked pass and the term scatter reproduce bit for
-    bit, since every block still sums its terms in term order."""
+def loop_gradient(f, ser, b=0):
+    """G[k] of batch member b by per-component series and per-term,
+    per-block loops: the reference that the stacked pass and the term
+    scatter reproduce bit for bit, since every block still sums its terms in
+    term order."""
     R, T = ser.order, f.n_terms
-    (zl, zh), (pl, ph), (sl, sh) = ser._z, ser._p, ser._s
+    zl, zh = (a[:, b] for a in ser._z)
+    pl, ph = (a[:, b] for a in ser._p)
+    sl, sh = (a[:, b] for a in ser._s)
     dT = {}
     for a, b in ((0, 0), (0, 1), (1, 1)):
         wl, wh = np.zeros((R + 1, T)), np.zeros((R + 1, T))
@@ -277,6 +281,119 @@ class TestVariational:
             exact = np.linalg.matrix_power(A, k) / math.factorial(k)
             assert np.all(ml[k] - 1e-14 <= exact)
             assert np.all(exact <= mh[k] + 1e-14)
+
+
+def replay_field(system):
+    """(field, order, a start state) of a replay system, or of the plain
+    five-body field."""
+    if system == "nbody5":
+        angles = 2 * np.pi * np.arange(5) / 5
+        pos = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        vel = 0.4 * np.stack([-pos[:, 1], pos[:, 0]], axis=1)
+        return nbody_field(5), 6, np.concatenate([pos, vel], axis=1).ravel()
+    d = DEFAULTS[system]
+    problem = make_problem(system, a_text=d["a"])
+    return (problem.field, d["order"],
+            problem.embed_point(np.array(d["candidate"])))
+
+
+def random_boxes(s0, rng, count):
+    """Boxes around s0, thin (a point) and thick in turn."""
+    lo, hi = [], []
+    for i in range(count):
+        c = s0 + rng.normal(0.0, 1e-2, s0.size)
+        w = rng.uniform(0.0, 1e-4, s0.size) * (i % 2)
+        lo.append(c - w)
+        hi.append(c + w)
+    return np.array(lo), np.array(hi)
+
+
+def same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestBatch:
+    # numpy sums a contiguous axis of >= 8 terms pairwise, so a batch axis in
+    # the wrong place would move bits; gerver's 8 positions and chain6's 18
+    # interleaved acceleration terms exercise that path
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
+    def test_batch_equals_single_boxes(self, system):
+        f, R, s0 = replay_field(system)
+        rng = np.random.default_rng(23)
+        for _ in range(2):
+            lo, hi = random_boxes(s0, rng, 3)
+            for order in (R, R + 1):
+                batch = f.series(lo, hi, order, variational=True)
+                bl, bh = batch.layers()
+                jl, jh = batch.jacobian()
+                for top in (order, order + 1):
+                    ml, mh = batch.transition_layers(top)
+                    tail = batch.transition_layers(top, members=slice(1, None))
+                    assert same(tail, (ml[:, 1:], mh[:, 1:]))
+                    for b in range(3):
+                        one = f.series(lo[b], hi[b], order, variational=True)
+                        assert same(one.transition_layers(top),
+                                    (ml[:, b], mh[:, b]))
+                for b in range(3):
+                    one = f.series(lo[b], hi[b], order, variational=True)
+                    assert same(one.layers(), (bl[:, b], bh[:, b]))
+                    assert same((one.grad_lo, one.grad_hi),
+                                (batch.grad_lo[:, b], batch.grad_hi[:, b]))
+                    assert same(one.jacobian(), (jl[b], jh[b]))
+                    # the plain series has the same state layers
+                    assert same(f.series(lo[b], hi[b], order).layers(),
+                                (bl[:, b], bh[:, b]))
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
+    def test_lower_layers_do_not_depend_on_the_order(self, system):
+        # integrator.step reads order-R data from one order-(R+1) pass
+        f, R, s0 = replay_field(system)
+        lo, hi = random_boxes(s0, np.random.default_rng(4), 2)
+        top = f.series(lo, hi, R + 1, variational=True)
+        low = f.series(lo, hi, R, variational=True)
+        assert same(low.layers(), (a[:R + 1] for a in top.layers()))
+        assert same(low.transition_layers(R),
+                    (a[:R + 1] for a in top.transition_layers(R + 1)))
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
+    def test_eval_is_layer_one_of_a_full_series(self, system):
+        f, R, s0 = replay_field(system)
+        lo, hi = random_boxes(s0, np.random.default_rng(9), 2)
+        for b in range(2):
+            full = f.series(lo[b], hi[b], R).layers()
+            assert same(f.eval(lo[b], hi[b]), (full[0][1], full[1][1]))
+
+    def test_linear_field_batch(self):
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        lo = np.array([[1.0, 0.0], [0.5, 0.25]])
+        ser = LinearField(A).series(lo, lo + 1e-3, 4)
+        ml, mh = ser.transition_layers(members=slice(1, None))
+        one = LinearField(A).series(lo[1], lo[1] + 1e-3, 4)
+        assert same(one.layers(), (a[:, 1] for a in ser.layers()))
+        assert same(one.transition_layers(), (ml[:, 0], mh[:, 0]))
+        assert ser.jacobian()[0].shape == (2, 2, 2)
+
+
+class TestDivInt:
+    def test_subnormal_quotient_is_rounded_outward(self):
+        lo, hi = _div_int(np.array([-5e-324]), np.array([5e-324]), 2)
+        assert lo[0] <= -5e-324 and 5e-324 <= hi[0]
+
+    def test_only_inexact_entries_move(self):
+        lo, hi = _div_int(np.array([-5e-324, 1.0]), np.array([5e-324, 3.0]), 2)
+        assert np.array_equal(lo, [-5e-324, 0.5])
+        assert np.array_equal(hi, [5e-324, 1.5])
+
+    def test_power_of_two_stays_exact(self):
+        lo, hi = _div_int(np.array([1.0, 0.0, -0.0, 4e-323]),
+                          np.array([3.0, 0.0, 0.0, 4e-323]), 4)
+        assert np.array_equal(lo, [0.25, 0.0, 0.0, 1e-323])
+        assert np.array_equal(hi, [0.75, 0.0, 0.0, 1e-323])
+
+    def test_other_divisors_round_outward(self):
+        lo, hi = _div_int(np.array([1.0]), np.array([1.0]), 3)
+        assert lo[0] < hi[0]
+        assert lo[0] == np.nextafter(1.0 / 3.0, -1.0)
 
 
 class TestConservedQuantities:
