@@ -13,6 +13,9 @@ preconditioner) and re-checks the inclusion logic, so a stored verdict can
 be audited without any integration.  The top-level copies must restate the
 first iteration and `box` must be box(candidate, delta).  The problem block
 must be the one `make_problem` rebuilds from its id and size parameter.
+The schema version, the method, the trace indices 1..n, `max_iter` and
+`delta` must be values the prover writes, and a Newton document carries no
+preconditioner.
 Informative, not checked: `step_counts`, the crossing times,
 `crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
 """
@@ -212,6 +215,9 @@ def reverify_document(text: str) -> VerificationReport:
     try:
         body = parse_document(text)
         kind = body.get("kind")
+        version = body.get("schema_version")
+        rep.add(type(version) is int and version == SCHEMA_VERSION,
+                f"schema version {version!r} is {SCHEMA_VERSION}")
         if kind == "existence":
             _reverify_existence(body, rep)
         elif kind == "convexity":
@@ -227,12 +233,13 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     # The fields that commands read from a document once it verifies.
     pb, params = body["problem"], body["parameters"]
     a_hex = pb["size_parameter"]
-    steps = [float.fromhex(params[k]) for k in ("h_point", "h_set")]
+    positive = [float.fromhex(params[k]) for k in ("h_point", "h_set", "delta")]
     rep.add(isinstance(pb["id"], str)
             and type(params["order"]) is int and params["order"] >= 1
-            and all(math.isfinite(h) and h > 0.0 for h in steps)
+            and all(math.isfinite(v) and v > 0.0 for v in positive)
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
-            "problem and parameters are readable, steps > 0, order >= 1")
+            "problem and parameters are readable, steps and delta > 0, "
+            "order >= 1")
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
@@ -250,6 +257,16 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     method = body["method"]
     verdict = body["verdict"]
     trace = body["trace"]
+    max_iter = params["max_iter"]
+    rep.add(method in ("newton", "krawczyk"),
+            f"method {method!r} is newton or krawczyk")
+    rep.add(method != "newton" or (body["preconditioner"] is None
+                                   and all(rec["C"] is None for rec in trace)),
+            "a Newton document carries no preconditioner")
+    rep.add(all(type(rec["index"]) is int and rec["index"] == i
+                for i, rec in enumerate(trace, 1)), "trace indices run 1..n")
+    rep.add(type(max_iter) is int and max_iter >= max(1, len(trace)),
+            f"max_iter {max_iter!r} is an int >= max(1, trace length)")
 
     # The top-level copies restate the first iteration, checked below.
     first = trace[0] if trace else {"x": body["candidate"]}
@@ -263,7 +280,7 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
                 f"{name} is the first iteration's {key}")
     # certify counts the iteration whose derivative enclosure was singular;
     # only that stop leaves no operator image before the iteration limit.
-    singular = body["operator_image"] is None and len(trace) < params["max_iter"]
+    singular = body["operator_image"] is None and len(trace) < max_iter
     rep.add(body["iterations"] == len(trace) + singular,
             f"iteration count {body['iterations']!r} matches the trace")
     if not trace:

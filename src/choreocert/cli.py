@@ -19,6 +19,7 @@ refinement failure, 1 verifier disagreement, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -93,11 +94,36 @@ def _problem(system: str, bodies, a_text):
         raise _UsageError(str(exc)) from exc
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _check_numbers(args) -> None:
+    """Reject step sizes, widths, orders and counts no run can use."""
+    for name in ("h", "h_point", "h_set", "delta"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite "
+                              f"and > 0, not {value}")
+    # convexity reads the flow's third derivative from the Taylor layers
+    least_order = 4 if args.command == "convexity" else 1
+    for name, least in (("order", least_order), ("max_iter", 1),
+                        ("max_steps", 1), ("iters", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= "
+                              f"{least}, not {value}")
+
+
+def _first_given(*values):
+    """The first value that is not None: an explicit option beats a default."""
+    return next((v for v in values if v is not None), None)
+
+
+def _parse_vector(text: str, dim: int) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip()])
+        v = np.array([float(p) for p in text.split(",") if p.strip()])
     except ValueError as exc:
         raise _UsageError(f"not a comma-separated float list: {text!r}") from exc
+    if v.size != dim:
+        raise _UsageError(f"{text!r} has {v.size} coordinates, not {dim}")
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,14 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_prove_params(args, system: str) -> dict:
     d = DEFAULTS.get(system, {})
-    h_point = args.h_point or args.h or d.get("h_point") or d.get("h")
-    h_set = args.h_set or args.h or d.get("h_set") or d.get("h")
-    method = args.method or d.get("method")
-    order = args.order or d.get("order")
-    delta = args.delta or d.get("delta")
-    a_text = args.a or d.get("a")
+    h_point = _first_given(args.h_point, args.h, d.get("h_point"), d.get("h"))
+    h_set = _first_given(args.h_set, args.h, d.get("h_set"), d.get("h"))
+    method = _first_given(args.method, d.get("method"))
+    order = _first_given(args.order, d.get("order"))
+    delta = _first_given(args.delta, d.get("delta"))
+    a_text = _first_given(args.a, d.get("a"))
+    problem = _problem(system, args.bodies, a_text)
     if args.candidate:
-        candidate = _parse_vector(args.candidate)
+        candidate = _parse_vector(args.candidate, problem.reduced_dim)
     elif "candidate" in d:
         candidate = np.array(d["candidate"])
     else:
@@ -174,7 +201,6 @@ def _resolve_prove_params(args, system: str) -> dict:
     if missing:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
-    _problem(system, args.bodies, a_text)  # a bad system fails here, as usage
     return dict(system=system, bodies=args.bodies, a_text=a_text,
                 method=method, h_point=float(h_point), h_set=float(h_set),
                 order=int(order), delta=float(delta), candidate=candidate,
@@ -345,7 +371,8 @@ def _cmd_convexity(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     else:
-        candidate = (_parse_vector(args.candidate) if args.candidate
+        candidate = (_parse_vector(args.candidate, problem.reduced_dim)
+                     if args.candidate
                      else np.array(DEFAULTS["eight"]["candidate"]))
         cert0, outcome = run_certification(
             "eight", None, None, "newton", args.h, args.h, args.order,
@@ -374,7 +401,7 @@ def _cmd_convexity(args) -> int:
 
 def _cmd_refine(args) -> int:
     problem = _problem(args.system, args.bodies, args.a)
-    guess = _parse_vector(args.guess)
+    guess = _parse_vector(args.guess, problem.reduced_dim)
     try:
         refined = refine_candidate(problem, guess, iters=args.iters)
     except Diverged as exc:
@@ -398,8 +425,8 @@ def _cmd_emit_curve(args) -> int:
                               body["problem"]["size_parameter"])
     box = IntervalVector.from_hex(body["refined_box"])
     params = body["parameters"]
-    h = args.h or float.fromhex(params["h_set"])
-    order = args.order or int(params["order"])
+    h = _first_given(args.h, float.fromhex(params["h_set"]))
+    order = _first_given(args.order, params["order"])
     try:
         ev = phi_jacobian(problem, box, h, order)
         result = unfold(problem, ev.crossing)
@@ -431,6 +458,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         if args.command == "prove":
             return _cmd_prove(args)
         if args.command == "convexity":

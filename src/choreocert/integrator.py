@@ -19,9 +19,9 @@ representation change never loses soundness.  The rough enclosure of the
 state and the a-priori enclosure of the transition come from one Picard
 validation loop.
 
-Section crossings are located in three rigorous stages: straddle detection on
-whole-step enclosures with a transversality sign check, bisection of the
-in-step Taylor polynomial, and one interval Newton step in time.
+Section crossings are located in two rigorous stages: straddle detection on
+whole-step enclosures with a transversality sign check, then an interval
+Newton iteration in time over the straddling steps' Taylor polynomials.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 from . import kernels as kn
 from .errors import (
+    EmptyIntersection,
     NoCrossing,
     NonTransversal,
     RoughEnclosureFailure,
@@ -44,7 +45,6 @@ Pair = tuple[np.ndarray, np.ndarray]
 
 _ROUGH_INFLATE = 1.5
 _ROUGH_TRIES = 20
-_BISECT_BUDGET = 40
 
 
 # --- small helpers -----------------------------------------------------------
@@ -73,7 +73,7 @@ def _inverse_enclosure(Q: np.ndarray) -> Pair:
     """
     n = Q.shape[0]
     qt = np.ascontiguousarray(Q.T)
-    pl, ph = kn.matmul_float(qt, Q)
+    pl, ph = kn.matmul_thin_right(qt, qt, Q)
     el, eh = kn.sub(pl, ph, np.eye(n), np.eye(n))
     rowsum = np.sum(kn.mag(el, eh), axis=1)
     e = float(np.max(rowsum)) * (1.0 + n * 2.0 ** -50) + 1e-300
@@ -420,18 +420,12 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
 
     transition = projected = None
     if start.has_transition:
-        # Not None: _locate_crossing has checked that a zone step meets t_enc.
-        transition = _hull_over(steps, _windows_initial(steps, zone), t_enc,
-                                EnclosureStep.transition_at)
+        transition = _hull_over(steps, zone, t_enc, EnclosureStep.transition_at)
         projected = _project_transition(field, section, state, gdot, transition)
 
     return SectionCrossing(
         state=state, t_cross=t_enc, gdot=gdot, transition=transition,
         projected=projected, steps=steps)
-
-
-def _windows_initial(steps, zone) -> list[tuple[int, float, float]]:
-    return [(k, 0.0, steps[k].h) for k in zone]
 
 
 def step_start(h: float, k: int) -> Interval:
@@ -454,74 +448,30 @@ def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | N
     return lo, hi
 
 
-def _hull_over(steps, windows, t_enc: Interval,
-               at: Callable[[EnclosureStep, Interval], Pair]) -> Pair | None:
-    """Hull of at(step, tau) over every window (k, a, b) clipped to the
-    in-step times that t_enc covers; None when no window meets t_enc."""
+def _hull_over(steps, zone, t_enc: Interval,
+               at: Callable[[EnclosureStep, Interval], Pair]) -> Pair:
+    """Hull of at(step, tau) over the zone steps, each at the in-step times
+    that t_enc covers."""
     out = None
-    for k, a, b in windows:
+    for k in zone:
         rng = _step_tau_overlap(steps, k, t_enc)
-        if rng is None:
-            continue
-        lo, hi = max(a, rng[0]), min(b, rng[1])
-        if lo > hi:
-            continue
-        enc = at(steps[k], Interval(lo, hi))
-        out = enc if out is None else kn.hull(*out, *enc)
-    return out
-
-
-def _span_state(steps, zone, t_enc: Interval) -> Pair:
-    """Hull of the flow over every time in t_enc (no sign pruning): the valid
-    domain for mean-value slopes."""
-    state = _hull_over(steps, _windows_initial(steps, zone), t_enc,
-                       EnclosureStep.state_at)
-    if state is None:
+        if rng is not None:
+            enc = at(steps[k], Interval(*rng))
+            out = enc if out is None else kn.hull(*out, *enc)
+    if out is None:
         raise NonTransversal("crossing time enclosure left the crossing zone")
-    return state
+    return out
 
 
 def _locate_crossing(steps, zone, section: SectionSpec, field
                      ) -> tuple[Interval, Pair]:
-    windows = _windows_initial(steps, zone)
-
-    def keep(win) -> bool:
-        k, a, b = win
-        return section.g(*steps[k].state_at(Interval(a, b))).contains_zero()
-
-    windows = [w for w in windows if keep(w)]
-    if not windows:
-        raise NonTransversal("crossing zone vanished during refinement")
-
-    # Stage 1: bisection.  Every window is split each round and halves that
-    # cannot contain a crossing (g strictly one-signed) are dropped.
-    splits = 0
-    while splits < _BISECT_BUDGET and len(windows) <= 16:
-        progressed = False
-        nxt: list[tuple[int, float, float]] = []
-        for k, a, b in windows:
-            m = a + 0.5 * (b - a)
-            if splits >= _BISECT_BUDGET or m <= a or m >= b:
-                nxt.append((k, a, b))
-                continue
-            splits += 1
-            progressed = True
-            nxt.extend(w for w in ((k, a, m), (k, m, b)) if keep(w))
-        if not nxt:
-            raise NonTransversal("crossing zone vanished during refinement")
-        windows = nxt
-        if not progressed:
-            break
-
-    t_enc = None
-    for k, a, b in windows:
-        ti = _global_time(steps, k, a, b)
-        t_enc = ti if t_enc is None else t_enc.hull(ti)
-
-    # Stage 2: interval Newton in time, t* = c - g(phi(c)) / (dg.f)(span),
-    # iterated while it still contracts.  The slope domain must cover every
-    # mean-value point between the chosen center and any crossing time, so
-    # it is the flow over the hull of t_enc and the center, pruned or not.
+    """Interval Newton in time, t* = c - g(phi(c)) / (dg.f)(span), from the
+    time range of the zone steps and iterated while it still contracts.  The
+    slope domain must cover every mean-value point between the chosen center
+    and any crossing time, so it is the flow over the hull of t_enc and the
+    center."""
+    t_enc = _global_time(steps, zone[0], 0.0, steps[zone[0]].h).hull(
+        _global_time(steps, zone[-1], 0.0, steps[zone[-1]].h))
     for _ in range(12):
         c = t_enc.mid()
         k_c = None
@@ -536,23 +486,22 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
         if k_c is None:
             break
         t_c = _global_time(steps, k_c, tau_c, tau_c)
-        span = _span_state(steps, zone, t_enc.hull(t_c))
+        span = _hull_over(steps, zone, t_enc.hull(t_c), EnclosureStep.state_at)
         gd = section.gdot(*span, field)
         if gd.contains_zero():
             break
-        centered = steps[k_c].state_at(Interval.point(tau_c))
-        g_c = section.g(*centered)
-        t_new = (t_c - g_c / gd).intersect(t_enc)
+        g_c = section.g(*steps[k_c].state_at(Interval.point(tau_c)))
+        try:
+            t_new = (t_c - g_c / gd).intersect(t_enc)
+        except EmptyIntersection:
+            raise NonTransversal(
+                "crossing zone vanished during refinement") from None
         if t_new.diam() > 0.9 * t_enc.diam():
             t_enc = t_new
             break
         t_enc = t_new
 
-    # Final crossing state: kept windows clipped to the refined time range.
-    state = _hull_over(steps, windows, t_enc, EnclosureStep.state_at)
-    if state is None:
-        state = _span_state(steps, zone, t_enc)
-
+    state = _hull_over(steps, zone, t_enc, EnclosureStep.state_at)
     kn.assert_valid(*state, "crossing state")
     return t_enc, state
 

@@ -187,11 +187,6 @@ def matmul_thin_right(Al, Ah, B) -> Pair:
     return dot_thin(Al[:, :, None], Ah[:, :, None], B[None, :, :], axis=1)
 
 
-def matmul_float(A, B) -> Pair:
-    """Enclosure of the product of two float (thin) matrices."""
-    return dot_thin(A[:, :, None], A[:, :, None], B[None, :, :], axis=1)
-
-
 def matmul_thin_left(A, Bl, Bh) -> Pair:
     return dot_thin(Bl[None, :, :], Bh[None, :, :], A[:, :, None], axis=1)
 

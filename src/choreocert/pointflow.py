@@ -10,7 +10,6 @@ points and preconditioners, which are stored verbatim in certificates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import Diverged
 from .problems import ChoreographyProblem
@@ -68,7 +67,12 @@ def _section_value(problem: ChoreographyProblem, s: np.ndarray) -> float:
 
 def point_phi(problem: ChoreographyProblem, x, with_jacobian: bool = False,
               t_max: float = 20.0, rtol: float = 1e-12, atol: float = 1e-13):
-    """Float defect map (and monodromy) via an adaptive high-order solver."""
+    """Float defect map (and monodromy) via an adaptive high-order solver.
+
+    scipy is imported here, not at module level, so the commands that never
+    integrate in floats (verify, convexity, emit-curve) do not load it."""
+    from scipy.integrate import solve_ivp
+
     x = np.asarray(x, float)
     rhs = _float_rhs(problem)
     n = problem.layout.dim

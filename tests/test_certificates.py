@@ -242,17 +242,35 @@ class TestProblemBlock:
         assert "FAIL candidate has the problem's reduced dimension" in messages
 
 
+def newton_with_preconditioner(body):
+    C = [["0x1.0p+0", "0x0.0p+0"], ["0x0.0p+0", "0x1.0p+0"]]
+    body["trace"][0]["C"] = C
+    body["preconditioner"] = C
+
+
 class TestMalformed:
-    @pytest.mark.parametrize("edit", [
-        lambda body: body.pop("trace"),
-        lambda body: body.pop("refined_box"),
-        lambda body: body.update(trace=5),
-        lambda body: body.update(box=[["0xzz", "0x1.8p+0"]]),
-        lambda body: body["parameters"].update(order="seven"),
+    # from "unknown-method" on, every operator image still reproduces: only
+    # the rules on what the prover can write reject these documents
+    @pytest.mark.parametrize("method, edit", [
+        ("newton", lambda body: body.pop("trace")),
+        ("newton", lambda body: body.pop("refined_box")),
+        ("newton", lambda body: body.update(trace=5)),
+        ("newton", lambda body: body.update(box=[["0xzz", "0x1.8p+0"]])),
+        ("newton", lambda body: body["parameters"].update(order="seven")),
+        ("krawczyk", lambda body: body.update(method="bogus")),
+        ("newton", lambda body: body.update(schema_version=99)),
+        ("newton", newton_with_preconditioner),
+        ("newton", lambda body: body["trace"][0].update(index=7)),
+        ("newton", lambda body: body["parameters"].update(max_iter=0)),
+        ("newton", lambda body: body["parameters"].update(max_iter="x")),
+        ("newton", lambda body: body["parameters"].update(
+            delta=(-0.5).hex())),
     ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
-            "order-not-an-int"])
-    def test_edited_document_fails(self, edit):
-        cert, _ = small_certificate()
+            "order-not-an-int", "unknown-method", "schema-version",
+            "newton-with-preconditioner", "trace-index", "max-iter-zero",
+            "max-iter-not-an-int", "negative-delta"])
+    def test_edited_document_fails(self, method, edit):
+        cert, _ = small_certificate(method=method)
         body = parse_document(cert.to_document())
         edit(body)
         report = reverify_document(json.dumps(body))

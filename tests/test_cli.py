@@ -173,6 +173,61 @@ class TestUnreadableCertPath:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnusableNumbers:
+    # exit 64 before any work: an explicit value is never swapped for a
+    # default, and no unusable one reaches the integrator
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--system", "eight", "--delta", "0"],
+        ["prove", "--system", "eight", "--h", "-0.01"],
+        ["prove", "--system", "eight", "--h-point", "nan"],
+        ["prove", "--system", "eight", "--h-set", "inf"],
+        ["prove", "--system", "eight", "--order", "-1"],
+        ["prove", "--system", "eight", "--max-iter", "-1"],
+        ["prove", "--system", "eight", "--max-steps", "0"],
+        ["convexity", "--h", "0"],
+        ["convexity", "--order", "3"],
+    ], ids=["delta-zero", "h-negative", "h-point-nan", "h-set-inf",
+            "order-negative", "max-iter-negative", "max-steps-zero",
+            "convexity-h-zero", "convexity-order-three"])
+    def test_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.cert"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        option = argv[-2]
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: {option} must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["convexity", "--order", "3"],
+        ["emit-curve", "--order", "0"],
+        ["emit-curve", "--h", "0"],
+    ], ids=["convexity-order-three", "emit-curve-order-zero",
+            "emit-curve-h-zero"])
+    def test_usage_error_with_a_certificate(self, argv, eight_cert, tmp_path,
+                                            capsys):
+        out = tmp_path / "out.txt"
+        code = main(argv + ["--cert", str(eight_cert), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: {argv[1]} must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--system", "eight", "--candidate", "0.35"],
+        ["convexity", "--candidate", "0.35,0.53,0.1"],
+        ["refine", "--system", "eight", "--guess", "0.35"],
+    ], ids=["prove", "convexity", "refine"])
+    def test_candidate_of_the_wrong_length(self, argv, tmp_path, capsys):
+        if argv[0] != "refine":
+            argv = argv + ["--out", str(tmp_path / "out.cert")]
+        assert main(argv) == EXIT_USAGE
+        assert "coordinates, not 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refine_iterations(self, capsys):
+        assert main(["refine", "--system", "eight", "--guess", "0.35,0.53",
+                     "--iters", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("refine: --iters must")
+
+
 class TestRefine:
     def test_refine_eight(self, capsys):
         code = main(["refine", "--system", "eight", "--guess", "0.35,0.53"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,3 +91,38 @@ class TestHarmonicCrossing:
         lo = np.minimum(img_lo, img_hi)
         hi = np.maximum(img_lo, img_hi)
         assert np.all(lo <= 1e-8) and np.all(hi >= -1e-8)
+
+
+class TestLocator:
+    def test_crossing_on_a_step_boundary(self):
+        # 157 h = pi/2 in floating point: the steps on both sides of the
+        # boundary straddle the section, and Newton in time still pins the
+        # crossing down to rounding level
+        sec = coordinate_section(0, 2, "+-")
+        h = (math.pi / 2) / 157
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
+                             sec, h, 7)
+        zone = [s.index for s in cr.steps if sec.g(*s.whole).contains_zero()]
+        assert zone == [156, 157]
+        assert cr.t_cross.contains(math.pi / 2)
+        assert cr.t_cross.diam() < 1e-10
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.05])
+    def test_thick_box_encloses_every_member(self, delta):
+        # from (x0, y0) = r (cos a, sin a) the rotation reaches x = 0 at
+        # t = a + pi/2 in (0, -r); the section-to-section derivative is
+        # d(0, -r)/d(x0, y0) = [[0, 0], [-x0/r, -y0/r]]
+        sec = coordinate_section(0, 2, "+-")
+        lo = np.array([1.0 - delta, -delta])
+        hi = np.array([1.0 + delta, delta])
+        cr = flow_to_section(HARMONIC, LohnerSet.from_box(lo, hi, 2),
+                             sec, 0.01, 7)
+        corners = [np.array(c) for c in itertools.product(*zip(lo, hi))]
+        for x0, y0 in corners + [0.5 * (lo + hi)]:
+            r = math.hypot(x0, y0)
+            assert cr.t_cross.contains(math.atan2(y0, x0) + math.pi / 2)
+            state = np.array([0.0, -r])
+            assert np.all((cr.state[0] <= state) & (state <= cr.state[1]))
+            proj = np.array([[0.0, 0.0], [-x0 / r, -y0 / r]])
+            pl, ph = cr.projected
+            assert np.all((pl <= proj) & (proj <= ph))

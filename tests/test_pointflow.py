@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import choreocert
 from choreocert.cli import DEFAULTS
 from choreocert.errors import Diverged
 from choreocert.pointflow import (
@@ -113,3 +119,15 @@ class TestFloatJacobian:
             J = jac(s)
             slack = 1e-13 * max(1.0, np.max(np.abs(J)))
             assert np.all(jl - slack <= J) and np.all(J <= jh + slack)
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # verify, convexity and emit-curve never integrate in floats, so only
+    # point_phi imports the solver
+    src = str(Path(choreocert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, choreocert.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
