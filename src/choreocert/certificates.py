@@ -2,10 +2,11 @@
 
 A certificate is one text document: a JSON body in which every float is a
 lossless hexadecimal string, followed by an informative block of comment
-lines with decimal renderings.  Re-running with identical flags and rounding
-backend on the same machine reproduces the document bit for bit except the
-wall-clock field; float QR and inverses go through BLAS/LAPACK, so another
-CPU or BLAS build can change stored bits.
+lines with decimal renderings.  Re-running with identical flags on the same
+machine reproduces the document bit for bit except the wall-clock field;
+float QR and inverses go through BLAS/LAPACK, so another CPU or BLAS build
+can change stored bits.  `environment.rounding_backend` names the one
+rounding scheme, the nudging of `kernels`.
 
 The verifier re-derives each iteration's operator image from the serialized
 ingredients alone (candidate, box, defect enclosure, derivative enclosure,
@@ -15,7 +16,9 @@ first iteration and `box` must be box(candidate, delta).  The problem block
 must be the one `make_problem` rebuilds from its id and size parameter.
 The schema version, the method, the trace indices 1..n, `max_iter` and
 `delta` must be values the prover writes, and a Newton document carries no
-preconditioner.
+preconditioner.  A convexity document must be one `verify_convexity`
+writes: the Eight, rows in step and body order that all passed, and a
+verdict that fails exactly when it states a failure.
 Informative, not checked: `step_counts`, the crossing times,
 `crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
 """
@@ -99,7 +102,6 @@ class ProofCertificate:
     steps_set: int = 0
     crossing_notes: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
-    rounding: str = ""
 
     def to_document(self) -> str:
         body = {
@@ -140,7 +142,7 @@ class ProofCertificate:
                                for k, v in sorted(self.crossing_notes.items())},
             "step_counts": {"point": self.steps_point, "set": self.steps_set},
             "wall_clock_seconds": self.wall_clock_seconds,
-            "environment": {"rounding_backend": self.rounding or rounding_backend()},
+            "environment": {"rounding_backend": rounding_backend()},
         }
         text = json.dumps(body, sort_keys=True, indent=1)
         lines = [text, _COMMENT_HEADER]
@@ -380,35 +382,47 @@ def convexity_to_document(cert: ConvexityCertificate,
 
 
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
-    """Re-check every stored condition and, for a passing document, that the
-    rows cover what `verify_convexity` must check: each of the Eight's three
-    bodies on every step that starts before the crossing time, with the
-    inflection condition on step 1 body 3 only, and the origin in the first
-    step."""
+    """Re-check every stored condition and that the document is one
+    `verify_convexity` writes: the Eight at an order >= 4, rows for each of
+    its three bodies step by step, with the inflection condition on step 1
+    body 3 only, every row passing, and a verdict that fails exactly when a
+    failure is stated.  A passing document must cover every step that starts
+    before the crossing time and have the origin in the first step."""
+    order = body["parameters"]["order"]
+    rep.add(body["problem"] == "eight"
+            and type(order) is int and order >= 4,
+            f"problem {body['problem']!r} is eight, order {order!r} >= 4")
     for c in body["checks"]:
         second = Interval.from_hex(*c["second"])
         third = Interval.from_hex(*c["third"])
         rate = Interval.from_hex(*c["rate"])
         where = f"step {c['step']} body {c['body']}"
+        rep.add(c["axis"] in ("y_of_x", "x_of_y") and c["passed"] is True,
+                f"{where}: axis {c['axis']!r} is y_of_x or x_of_y, "
+                "and the row passed")
         rep.add(not rate.contains_zero(), f"{where}: graph axis is valid")
         if c["condition"] == "inflection":
             rep.add(second.contains_zero() and not third.contains_zero(),
                     f"{where}: unique-inflection condition re-checked")
         else:
-            rep.add(not second.contains_zero(),
+            rep.add(c["condition"] == "curvature"
+                    and not second.contains_zero(),
                     f"{where}: nonvanishing-curvature condition re-checked")
-    rep.add(bool(body["passed"]) == all(c["passed"] for c in body["checks"]),
-            "stored verdict consistent with stored checks")
-    if not body["passed"]:
-        return
+    passed = body["passed"]
+    rep.add(type(passed) is bool and isinstance(body["failure"], str)
+            and passed == (body["failure"] == ""),
+            "stored verdict passes exactly when no failure is stated")
 
     n = body["steps_checked"]
     rows = [(c["step"], c["body"], c["condition"]) for c in body["checks"]]
-    rep.add(len(rows) == 3 * n
-            and rows == [(k, b, "inflection" if (k, b) == (1, 3) else "curvature")
-                         for k in range(1, n + 1) for b in (1, 2, 3)],
-            f"one row per step 1..{n} and body 1..3, the inflection "
-            "condition on step 1 body 3 only")
+    expected = [(k, b, "inflection" if (k, b) == (1, 3) else "curvature")
+                for k in range(1, n + 1) for b in (1, 2, 3)]
+    rep.add(rows == expected[:len(rows)]
+            and (passed is not True or len(rows) == len(expected)),
+            f"rows run step by step over bodies 1..3 up to step {n}, the "
+            "inflection condition on step 1 body 3 only")
+    if passed is not True:
+        return
     rep.add(body["origin_in_first_step"] is True,
             "origin lies in the first step enclosure")
     if body["crossing_time"] is None:

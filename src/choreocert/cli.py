@@ -47,7 +47,6 @@ from .errors import (
     NonTransversal,
     RoughEnclosureFailure,
 )
-from .interval import rounding_backend
 from .pointflow import monodromy_preconditioner, refine_candidate
 from .problems import make_problem, phi_jacobian, phi_point
 from .rootfind import CertifiableMap, CertificationJob, certify
@@ -270,7 +269,6 @@ def run_certification(system: str, bodies, a_text, method, h_point, h_set,
         steps_set=len(record["set"].steps) if "set" in record else 0,
         crossing_notes=record.get("notes", {}),
         wall_clock_seconds=time.perf_counter() - started,
-        rounding=rounding_backend(),
     )
     return cert, outcome
 

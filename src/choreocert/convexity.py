@@ -15,11 +15,15 @@ uses, evaluated over each step's whole-step enclosure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
+import numpy as np
+
+from . import kernels as kn
 from .boxes import IntervalVector
 from .errors import NotAGraph, StepTooCoarse
-from .integrator import EnclosureStep, flow_to_section, step_start
+from .integrator import EnclosureStep, flow_to_section, poly_eval, step_start
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -76,42 +80,32 @@ class BodyStepCheck:
     note: str = ""
 
 
-def _derivative_over_step(rec: EnclosureStep, comp: int, m: int) -> Interval:
-    """Enclosure of the m-th time derivative of one state component over the
-    whole step, from the step's stored Taylor layers.
+def _time_derivatives(rec: EnclosureStep) -> kn.Pair:
+    """Enclosures over the whole step of the first three time derivatives of
+    every state component, as (3, n) arrays, from the step's stored Taylor
+    layers.
 
     The m-th derivative has Taylor coefficients (j+m)!/j! c_{j+m}; the top
     coefficient comes from the stored Lagrange layer over the rough
-    enclosure, so the truncated series is again a rigorous Taylor form.
+    enclosure, so the truncated series is again a rigorous Taylor form.  The
+    three series share one Horner pass: the shorter ones get leading zero
+    coefficients, which the pass carries through exactly.
     """
     lo, hi = rec.layers
     order = lo.shape[0] - 1
-    tau = Interval(0.0, rec.h)
-    fac = 1.0
-    for j in range(order + 2 - m, order + 2):
-        fac *= j
-    acc = Interval(float(rec.rem[0][comp]), float(rec.rem[1][comp])) \
-        * Interval.point(fac)
-    for j in range(order - m, -1, -1):
-        fac = 1.0
-        for i in range(j + 1, j + m + 1):
-            fac *= i
-        c = Interval(float(lo[j + m][comp]), float(hi[j + m][comp])) \
-            * Interval.point(fac)
-        acc = acc * tau + c
-    return acc
-
-
-def _time_derivatives(problem: ChoreographyProblem, rec: EnclosureStep,
-                      body: int) -> tuple[Interval, ...]:
-    """(dx/dt, dy/dt, d2x/dt2, ..., d3y/dt3) for one body over the step."""
-    ix, iy = problem.layout.body_position(body)
-    out = []
+    cl = np.vstack([lo, rec.rem[0]])
+    ch = np.vstack([hi, rec.rem[1]])
+    dl = np.zeros((order + 1, 3, lo.shape[1]))
+    dh = np.zeros_like(dl)
     for m in (1, 2, 3):
-        out.append(_derivative_over_step(rec, ix, m))
-        out.append(_derivative_over_step(rec, iy, m))
-    dx1, dy1, dx2, dy2, dx3, dy3 = out
-    return dx1, dy1, dx2, dy2, dx3, dy3
+        for j in range(order + 2 - m):
+            fac = float(math.perm(j + m, m))
+            # thin factors 1 and 2 scale exactly, as in `Interval`
+            dl[j, m - 1], dh[j, m - 1] = (
+                kn.scale(cl[j + m], ch[j + m], fac) if fac <= 2.0
+                else kn.mul(cl[j + m], ch[j + m], fac, fac))
+    return poly_eval((dl[:order], dh[:order]), (dl[order], dh[order]),
+                     Interval(0.0, rec.h))
 
 
 def resolve_condition(ds: tuple[Interval, ...],
@@ -142,10 +136,15 @@ def resolve_condition(ds: tuple[Interval, ...],
         f"no {wanted} condition resolved on either axis ({last_err})")
 
 
-def check_step(problem: ChoreographyProblem, rec: EnclosureStep, body: int,
+def check_step(problem: ChoreographyProblem, rec: EnclosureStep,
+               derivs: kn.Pair, body: int,
                first_step_origin_body: bool = False) -> BodyStepCheck:
-    """Convexity condition for one body over one step."""
-    ds = _time_derivatives(problem, rec, body)
+    """Convexity condition for one body over one step, from the step's
+    `_time_derivatives`."""
+    ix, iy = problem.layout.body_position(body)
+    dl, dh = derivs
+    ds = tuple(Interval(float(dl[m, i]), float(dh[m, i]))
+               for m in range(3) for i in (ix, iy))
     try:
         gd, condition = resolve_condition(ds, first_step_origin_body)
     except StepTooCoarse as exc:
@@ -208,10 +207,11 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
         return cert
 
     for rec in crossing.steps[:cert.steps_checked]:
+        derivs = _time_derivatives(rec)
         for body in range(problem.n_bodies):
             special = (rec.index == 0 and body == 2)
             try:
-                cert.checks.append(check_step(problem, rec, body,
+                cert.checks.append(check_step(problem, rec, derivs, body,
                                               first_step_origin_body=special))
             except StepTooCoarse as exc:
                 cert.passed = False

@@ -151,19 +151,6 @@ def reduced6_terms() -> tuple[AttractionTerm, ...]:
 
 # --- series container --------------------------------------------------------
 
-def _div_int(al: np.ndarray, ah: np.ndarray, k: int) -> Pair:
-    """[al, ah] / k, outward rounded.  Division by a power of two is exact
-    unless the quotient loses bits below the normal range (gerver's layers
-    have such entries every step); multiplying back, exact for a power of
-    two, finds them, and only they are rounded outward."""
-    c = float(k)
-    lo, hi = al / c, ah / c
-    if k & (k - 1):
-        return kn.down(lo), kn.up(hi)
-    return (np.where(lo * c != al, kn.down(lo), lo),
-            np.where(hi * c != ah, kn.up(hi), hi))
-
-
 class GravitySeries:
     """Taylor layers of the flow (and optionally of its first variation)
     started from one state box, or from a stack of B boxes, for one
@@ -261,7 +248,7 @@ class GravitySeries:
                             ul[m - 1:0:-1], uh[m - 1:0:-1], axis=0)
                 t1 = kn.sub(*t1, *t2)
             t1 = kn.mul(*t1, *inv_u0)
-            pl[m], ph[m] = _div_int(*t1, m)
+            pl[m], ph[m] = kn.div_int(*t1, m)
             wpl[m], wph[m] = kn.scale(pl[m], ph[m], float(m))
 
         def s_layer(m: int) -> None:
@@ -279,9 +266,9 @@ class GravitySeries:
         # Only the gradient layers read z, u, p and s at the top layer.
         top = R + 1 if self.variational else R
         for m in range(R):
-            state_lo[m + 1][:, qsel], state_hi[m + 1][:, qsel] = _div_int(
+            state_lo[m + 1][:, qsel], state_hi[m + 1][:, qsel] = kn.div_int(
                 state_lo[m][:, vsel], state_hi[m][:, vsel], m + 1)
-            state_lo[m + 1][:, vsel], state_hi[m + 1][:, vsel] = _div_int(
+            state_lo[m + 1][:, vsel], state_hi[m + 1][:, vsel] = kn.div_int(
                 *acc_layer(m), m + 1)
             if m + 1 < top:
                 z_layer(m + 1)
@@ -388,9 +375,9 @@ class GravitySeries:
             mq_h = Mh[m::-1][:, qsel, None]
             accl, acch = kn.dot(Gl[:m + 1], Gh[:m + 1], mq_l, mq_h,
                                 axis=(0, 1))
-            Ml[m + 1][qsel], Mh[m + 1][qsel] = _div_int(
+            Ml[m + 1][qsel], Mh[m + 1][qsel] = kn.div_int(
                 Ml[m][vsel], Mh[m][vsel], m + 1)
-            Ml[m + 1][vsel], Mh[m + 1][vsel] = _div_int(accl, acch, m + 1)
+            Ml[m + 1][vsel], Mh[m + 1][vsel] = kn.div_int(accl, acch, m + 1)
         return (self._view(Ml.transpose(0, 2, 1, 3)),
                 self._view(Mh.transpose(0, 2, 1, 3)))
 
@@ -472,7 +459,7 @@ class LinearField:
                 nl, nh = kn.matvec_thin_left(A, self.state_lo[m],
                                              self.state_hi[m])
                 self.state_lo[m + 1], self.state_hi[m + 1] = \
-                    _div_int(nl, nh, m + 1)
+                    kn.div_int(nl, nh, m + 1)
             self._A = A
             self._batch = sl.shape[:-1]
 
@@ -498,7 +485,7 @@ class LinearField:
             Ml[0] = Mh[0] = np.eye(n)
             for m in range(R):
                 nl, nh = kn.matmul_thin_left(self._A, Ml[m], Mh[m])
-                Ml[m + 1], Mh[m + 1] = _div_int(nl, nh, m + 1)
+                Ml[m + 1], Mh[m + 1] = kn.div_int(nl, nh, m + 1)
             Ml, Mh = self._stacked(Ml, (R + 1,)), self._stacked(Mh, (R + 1,))
             if members is None:
                 return Ml, Mh

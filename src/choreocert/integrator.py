@@ -94,10 +94,9 @@ def _sorted_qr(Bmid: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _zero_hold(h: float, fl: np.ndarray, fh: np.ndarray) -> Pair:
-    """Enclosure of [0, h] * [f]."""
-    lo = np.minimum(0.0, kn.down(h * fl))
-    hi = np.maximum(0.0, kn.up(h * fh))
-    return lo, hi
+    """Enclosure of [0, h] * [f] for h > 0."""
+    lo, hi = kn.scale(fl, fh, h)
+    return np.minimum(0.0, lo), np.maximum(0.0, hi)
 
 
 # --- set representation ------------------------------------------------------

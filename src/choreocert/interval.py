@@ -1,70 +1,32 @@
 """Outward-rounded scalar intervals over IEEE-754 binary64.
 
-Every arithmetic result encloses the exact real result.  Directed rounding is
-emulated by next-representable nudging of computed endpoints ("nudge"
-backend): after an operation in round-to-nearest, moving one ulp outward is
-always enough to cover the rounding error.  Additions and subtractions use
-the two-sum error term to nudge only when the float result is actually
-inexact, which makes sums of exactly cancelling values exact — the embedding
-and reduction maps rely on that.
+Every arithmetic result encloses the exact real result.  `Interval` is the
+value type only: each operator hands its endpoints to the matching array
+kernel of `kernels`, the one place that rounds (see there for how).  Three
+shortcuts for thin operands (lo = hi) keep exact results exact:
 
-The ``CHOREO_ROUNDING`` environment variable selects the backend by name.
-Only ``nudge`` is implemented; requesting ``hardware`` falls back to nudging
-with a warning (per-thread FPU mode switching is not dependable from
-CPython).  Nudged scalar operations are plain IEEE-754 operations, so they
-give the same bits on every platform.
+* a thin factor 0, +-1 or +-2 goes through `kernels.scale`;
+* a thin divisor +-1 or +-2 goes through `kernels.div_int`;
+* a thin value whose square is representable squares exactly.
+
+The kernels are plain IEEE-754 operations plus next-representable nudges,
+so a scalar result has the same bits on every platform.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from decimal import Decimal
-from fractions import Fraction
 
-from .errors import DivisionByZeroInterval, EmptyIntersection
+from . import kernels as kn
+from .errors import EmptyIntersection
 
-_INF = math.inf
-
-_BACKENDS = ("nudge", "hardware")
+# Thin factors and divisors by which multiplying or dividing is exact.
+_EXACT_FACTORS = (0.0, 1.0, -1.0, 2.0, -2.0)
 
 
 def rounding_backend() -> str:
-    """Name of the active outward-rounding backend (always ``nudge``)."""
-    requested = os.environ.get("CHOREO_ROUNDING", "nudge").strip().lower()
-    if requested not in _BACKENDS:
-        raise ValueError(
-            f"CHOREO_ROUNDING must be one of {_BACKENDS}, got {requested!r}")
-    if requested == "hardware":
-        warnings.warn(
-            "CHOREO_ROUNDING=hardware is not supported on this platform; "
-            "using the nudge backend", RuntimeWarning, stacklevel=2)
+    """Name of the outward-rounding scheme: next-representable nudging."""
     return "nudge"
-
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
-
-
-def _sum_down(a: float, b: float) -> float:
-    # Two-sum: err is the exact rounding error of s = fl(a+b); nudge only
-    # when the true sum lies strictly below s.
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return _down(s) if err < 0.0 else s
-
-
-def _sum_up(a: float, b: float) -> float:
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return _up(s) if err > 0.0 else s
 
 
 def _square_is_exact(x: float) -> bool:
@@ -114,23 +76,6 @@ class Interval:
         return cls(x, x)
 
     @classmethod
-    def from_string(cls, text: str) -> Interval:
-        """Enclosure of a decimal literal.
-
-        Exactly representable literals give a thin interval; anything else is
-        widened outward by one ulp on the inexact side(s).
-        """
-        x = float(text)
-        if not math.isfinite(x):
-            raise ValueError(f"not a finite decimal literal: {text!r}")
-        exact_value = Fraction(Decimal(text))
-        if Fraction(x) == exact_value:
-            return cls(x, x)
-        if Fraction(x) < exact_value:
-            return cls(x, _up(x))
-        return cls(_down(x), x)
-
-    @classmethod
     def from_hex(cls, lo_hex: str, hi_hex: str) -> Interval:
         return cls(float.fromhex(lo_hex), float.fromhex(hi_hex))
 
@@ -149,14 +94,11 @@ class Interval:
     # -- set queries --------------------------------------------------------
 
     def mid(self) -> float:
-        m = self.lo + 0.5 * (self.hi - self.lo)
-        # Rounding can push m outside a thin interval; clamp to stay inside.
-        return min(max(m, self.lo), self.hi)
+        return float(kn.mid(self.lo, self.hi))
 
     def diam(self) -> float:
         """Upper bound on hi - lo."""
-        d = self.hi - self.lo
-        return d if (self.hi - d == self.lo) else _up(d)
+        return float(kn.diam(self.lo, self.hi))
 
     def mag(self) -> float:
         """max |x| over the interval."""
@@ -228,7 +170,7 @@ class Interval:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Interval(_sum_down(self.lo, o.lo), _sum_up(self.hi, o.hi))
+        return Interval(*kn.add(self.lo, self.hi, o.lo, o.hi))
 
     __radd__ = __add__
 
@@ -236,7 +178,7 @@ class Interval:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Interval(_sum_down(self.lo, -o.hi), _sum_up(self.hi, -o.lo))
+        return Interval(*kn.sub(self.lo, self.hi, o.lo, o.hi))
 
     def __rsub__(self, other) -> Interval:
         o = self._coerce(other)
@@ -250,23 +192,9 @@ class Interval:
             return NotImplemented
         # Exact scalings (copies, negations, doubling) introduce no rounding.
         for a, b in ((self, o), (o, self)):
-            if a.lo == a.hi:
-                c = a.lo
-                if c == 0.0:
-                    return Interval(0.0, 0.0)
-                if c == 1.0:
-                    return b
-                if c == -1.0:
-                    return -b
-                if c == 2.0:
-                    return Interval(2.0 * b.lo, 2.0 * b.hi)
-                if c == -2.0:
-                    return Interval(-2.0 * b.hi, -2.0 * b.lo)
-        p1 = self.lo * o.lo
-        p2 = self.lo * o.hi
-        p3 = self.hi * o.lo
-        p4 = self.hi * o.hi
-        return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+            if a.lo == a.hi and a.lo in _EXACT_FACTORS:
+                return Interval(*kn.scale(b.lo, b.hi, a.lo))
+        return Interval(*kn.mul(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
@@ -274,18 +202,11 @@ class Interval:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
-            raise DivisionByZeroInterval(f"divisor {o} contains zero")
-        if o.lo == o.hi and abs(o.lo) in (1.0, 2.0):
-            # Exact in binary64 away from the subnormal range.
-            c = o.lo
-            lo, hi = self.lo / c, self.hi / c
-            return Interval(min(lo, hi), max(lo, hi))
-        q1 = self.lo / o.lo
-        q2 = self.lo / o.hi
-        q3 = self.hi / o.lo
-        q4 = self.hi / o.hi
-        return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
+        # A thin divisor +-1 or +-2 goes through the exact integer division.
+        if o.lo == o.hi and o.lo in _EXACT_FACTORS[1:]:
+            q = Interval(*kn.div_int(self.lo, self.hi, int(abs(o.lo))))
+            return q if o.lo > 0.0 else -q
+        return Interval(*kn.div(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other) -> Interval:
         o = self._coerce(other)
@@ -299,9 +220,7 @@ class Interval:
         if self.lo == self.hi and _square_is_exact(self.lo):
             p = self.lo * self.lo
             return Interval(p, p)
-        m = self.mag()
-        g = self.mig()
-        return Interval(_down(g * g) if g > 0.0 else 0.0, _up(m * m))
+        return Interval(*kn.sqr(self.lo, self.hi))
 
     def __pow__(self, n: int) -> Interval:
         # Repeated interval multiplication; libm pow rounding is not trusted.
@@ -316,6 +235,4 @@ class Interval:
         return self * (self ** (n - 1))
 
     def sqrt(self) -> Interval:
-        if self.lo < 0.0:
-            raise ValueError(f"sqrt of interval {self} with negative part")
-        return Interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
+        return Interval(*kn.sqrt(self.lo, self.hi))

@@ -1,10 +1,11 @@
 """Vectorized interval arithmetic on (lo, hi) float64 ndarray pairs.
 
-These kernels are the hot path of the validated integrator.  Like the scalar
-`Interval` class, every result encloses the exact real result, but not bit
-for bit like it: `Interval` keeps products with a thin 0, +-1 or +-2 and
-representable squares of thin values exact, while `mul`, `div`, `sqr` and
-`sqrt` here keep only exact zeros exact (`scale` keeps 0, +-1 and +-2 exact).
+These kernels are the hot path of the validated integrator and the only
+code that rounds: the scalar `Interval` operators call them on their
+endpoints.  Every result encloses the exact real result.  `Interval` keeps
+three exact shortcuts for thin operands on top of them: a thin factor 0,
++-1 or +-2 goes through `scale`, a thin divisor +-1 or +-2 through
+`div_int`, and a thin value with a representable square squares exactly.
 
 Rounding strategy per kernel:
 
@@ -12,7 +13,9 @@ Rounding strategy per kernel:
   float result is inexact in the needed direction, which is equivalent to
   true directed rounding (and keeps exact cancellations exact).
 * mul/div/sqr/sqrt compute in round-to-nearest and nudge one ulp outward,
-  which always covers a half-ulp rounding error.
+  which always covers a half-ulp rounding error; exact zeros stay exact.
+* `div_int` divides by a positive integer and, for a power of two, nudges
+  only the quotients that lost bits below the normal range.
 * `dot` contracts a whole axis at once and covers all product and summation
   errors with a single a-priori bound (see the derivation inside), which is
   far cheaper than nudging every partial sum.
@@ -94,6 +97,19 @@ def div(al, ah, bl, bh) -> Pair:
     hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
     zero = (al == 0.0) & (ah == 0.0)
     return (np.where(zero, 0.0, down(lo)), np.where(zero, 0.0, up(hi)))
+
+
+def div_int(al, ah, k: int) -> Pair:
+    """[al, ah] / k for a positive integer k.  Division by a power of two is
+    exact unless the quotient loses bits below the normal range (gerver's
+    Taylor layers have such entries every step); multiplying back, exact for
+    a power of two, finds them, and only they are rounded outward."""
+    c = float(k)
+    lo, hi = al / c, ah / c
+    if k & (k - 1):
+        return down(lo), up(hi)
+    return (np.where(lo * c != al, down(lo), lo),
+            np.where(hi * c != ah, up(hi), hi))
 
 
 def scale(al, ah, c: float) -> Pair:

@@ -47,8 +47,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
         preconditioner=first.C if first else None,
         operator_image=out.operator_image, refined_box=out.refined_box,
         verdict=out.verdict, cause=out.cause, iterations=out.iterations,
-        trace=trace_to_json(out), wall_clock_seconds=1.234,
-        rounding="nudge"), out
+        trace=trace_to_json(out), wall_clock_seconds=1.234), out
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import pytest
 
 from choreocert.certificates import parse_document
 from choreocert.cli import (
+    EXIT_INCONCLUSIVE,
     EXIT_INTEGRATOR,
     EXIT_NO_ZERO,
     EXIT_OK,
@@ -305,6 +306,29 @@ class TestMalformedDocuments:
         assert not (tmp_path / "curve.txt").exists()
 
 
+@pytest.fixture(scope="module")
+def failing_convexity_cert(eight_cert, tmp_path_factory):
+    """The Eight convexity document when step 5, body 2 is too coarse."""
+    from choreocert import convexity
+    from choreocert.errors import StepTooCoarse
+
+    real = convexity.resolve_condition
+    calls = []
+
+    def coarse_on_14th_row(ds, inflection_step):
+        calls.append(1)
+        if len(calls) == 14:
+            raise StepTooCoarse("forced")
+        return real(ds, inflection_step)
+
+    path = tmp_path_factory.mktemp("certs") / "failing.cert"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "resolve_condition", coarse_on_14th_row)
+        assert main(["convexity", "--cert", str(eight_cert),
+                     "--out", str(path)]) == EXIT_INCONCLUSIVE
+    return path
+
+
 class TestConvexityVerify:
     # the honest document AGREES: TestConvexityCommand.test_from_certificate
     def test_truncated_rows(self, eight_convexity_cert, tmp_path):
@@ -333,3 +357,42 @@ class TestConvexityVerify:
             body["checks"] = body["checks"][:-3]
         assert verify_edited(eight_convexity_cert, tmp_path,
                              cut) == EXIT_VERIFY_DISAGREE
+
+    # Edits the prover cannot write; each got AGREES under the old
+    # `passed == all(rows)` rule.
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.update(problem="gerver"),
+        lambda b: b.update(problem=7),
+        lambda b: b["parameters"].update(order=2),
+        lambda b: b["parameters"].update(order="x"),
+        lambda b: b.update(failure="step 5, body 2: too coarse"),
+        lambda b: b["checks"][4].update(axis="sideways"),
+        lambda b: b["checks"][4].update(condition="sideways"),
+        lambda b: b.update(passed=1),
+        lambda b: b["checks"][4].update(passed="yes"),
+    ], ids=["problem-gerver", "problem-int", "order-2", "order-str",
+            "failure-while-passed", "axis", "condition", "passed-int",
+            "row-passed-str"])
+    def test_edit_the_prover_cannot_write(self, eight_convexity_cert,
+                                          tmp_path, edit):
+        assert verify_edited(eight_convexity_cert, tmp_path,
+                             edit) == EXIT_VERIFY_DISAGREE
+
+    def test_honest_failing_document_agrees(self, failing_convexity_cert):
+        body = parse_document(failing_convexity_cert.read_text())
+        assert body["passed"] is False
+        assert body["failure"].startswith("step 5, body 2: ")
+        assert len(body["checks"]) == 13
+        assert main(["verify", "--cert", str(failing_convexity_cert),
+                     "--quiet"]) == EXIT_OK
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.update(failure=""),
+        lambda b: b.update(passed=True),
+        lambda b: b["checks"][12].update(passed=False),
+        lambda b: b["checks"].pop(5),
+    ], ids=["no-failure", "passed", "row-failed", "row-dropped"])
+    def test_edited_failing_document(self, failing_convexity_cert, tmp_path,
+                                     edit):
+        assert verify_edited(failing_convexity_cert, tmp_path,
+                             edit) == EXIT_VERIFY_DISAGREE

@@ -79,17 +79,6 @@ class TestParallelJobs:
 
 
 class TestRoundingEnv:
-    def test_hardware_falls_back_with_warning(self, monkeypatch):
-        from choreocert.interval import rounding_backend
-        monkeypatch.setenv("CHOREO_ROUNDING", "hardware")
-        with pytest.warns(RuntimeWarning):
-            assert rounding_backend() == "nudge"
-        monkeypatch.setenv("CHOREO_ROUNDING", "nudge")
-        assert rounding_backend() == "nudge"
-        monkeypatch.setenv("CHOREO_ROUNDING", "bogus")
-        with pytest.raises(ValueError):
-            rounding_backend()
-
     def test_certificates_record_the_backend(self, tmp_path):
         out = tmp_path / "e.cert"
         assert main(["prove", "--system", "eight", "--out", str(out)]) == EXIT_OK

@@ -11,8 +11,9 @@ from choreocert.convexity import (
     resolve_condition,
     verify_convexity,
 )
+from choreocert.dynamics import LinearField
 from choreocert.errors import NotAGraph, StepTooCoarse
-from choreocert.integrator import LohnerSet
+from choreocert.integrator import LohnerSet, step
 from choreocert.interval import Interval
 
 
@@ -143,3 +144,28 @@ def test_start_set_contains_the_box(monkeypatch):
     for lo, hi in seen:
         for i, (elo, ehi) in enumerate(exact):
             assert Fraction(lo[i]) <= elo and Fraction(hi[i]) >= ehi, i
+
+
+class TestTimeDerivativeOracle:
+    """The whole-step derivative enclosures of one harmonic-oscillator step
+    (x = cos t, v = -sin t) against 40-digit values of mpmath."""
+
+    def test_contains_mpmath_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        h, order = 0.125, 7
+        field = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        start = LohnerSet.from_box(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        _, rec = step(field, start, h, order)
+        lo, hi = convexity._time_derivatives(rec)
+        assert lo.shape == hi.shape == (3, 2)
+        with mpmath.workdps(40):
+            for tau in (0.0, h / 2, h):
+                s, c = mpmath.sin(tau), mpmath.cos(tau)
+                # rows m = 1, 2, 3; columns x = cos t and v = -sin t
+                exact = ((-s, -c), (-c, s), (s, c))
+                for m in range(3):
+                    for comp in range(2):
+                        assert (mpmath.mpf(lo[m, comp]) <= exact[m][comp]
+                                <= mpmath.mpf(hi[m, comp])), (tau, m, comp)
+        # one step of width h: the enclosures are not trivially wide
+        assert np.all(hi - lo < 2 * h)

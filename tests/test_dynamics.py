@@ -10,7 +10,6 @@ from choreocert.dynamics import (
     GravityField,
     LinearField,
     PhaseLayout,
-    _div_int,
     angular_momentum,
     center_of_mass,
     linear_momentum,
@@ -376,22 +375,22 @@ class TestBatch:
 
 class TestDivInt:
     def test_subnormal_quotient_is_rounded_outward(self):
-        lo, hi = _div_int(np.array([-5e-324]), np.array([5e-324]), 2)
+        lo, hi = kn.div_int(np.array([-5e-324]), np.array([5e-324]), 2)
         assert lo[0] <= -5e-324 and 5e-324 <= hi[0]
 
     def test_only_inexact_entries_move(self):
-        lo, hi = _div_int(np.array([-5e-324, 1.0]), np.array([5e-324, 3.0]), 2)
+        lo, hi = kn.div_int(np.array([-5e-324, 1.0]), np.array([5e-324, 3.0]), 2)
         assert np.array_equal(lo, [-5e-324, 0.5])
         assert np.array_equal(hi, [5e-324, 1.5])
 
     def test_power_of_two_stays_exact(self):
-        lo, hi = _div_int(np.array([1.0, 0.0, -0.0, 4e-323]),
+        lo, hi = kn.div_int(np.array([1.0, 0.0, -0.0, 4e-323]),
                           np.array([3.0, 0.0, 0.0, 4e-323]), 4)
         assert np.array_equal(lo, [0.25, 0.0, 0.0, 1e-323])
         assert np.array_equal(hi, [0.75, 0.0, 0.0, 1e-323])
 
     def test_other_divisors_round_outward(self):
-        lo, hi = _div_int(np.array([1.0]), np.array([1.0]), 3)
+        lo, hi = kn.div_int(np.array([1.0]), np.array([1.0]), 3)
         assert lo[0] < hi[0]
         assert lo[0] == np.nextafter(1.0 / 3.0, -1.0)
 
