@@ -16,10 +16,8 @@ from .errors import (
     GluingMismatch,
     NoCrossing,
     NonTransversal,
-    NotAGraph,
     RoughEnclosureFailure,
     SingularEnclosure,
-    StepTooCoarse,
 )
 from .interval import Interval, rounding_backend
 from .problems import make_problem
@@ -54,8 +52,6 @@ __all__ = [
     "NoCrossing",
     "NonTransversal",
     "DimensionMismatch",
-    "NotAGraph",
-    "StepTooCoarse",
     "GluingMismatch",
     "Diverged",
     "__version__",

@@ -14,10 +14,12 @@ preconditioner) and re-checks the inclusion logic, so a stored verdict can
 be audited without any integration.  The top-level copies must restate the
 first iteration and `box` must be box(candidate, delta).  The problem block
 must be the one `make_problem` rebuilds from its id and size parameter.
-The schema version, the method, the trace indices 1..n, `max_iter` and
-`delta` must be values the prover writes, and a Newton document carries no
+The schema version, the method, the trace indices 1..n, `max_iter`, the
+iteration count and `delta` must be values the prover writes (an int field
+holds an int, never a bool), and a Newton document carries no
 preconditioner.  A convexity document must be one `verify_convexity`
-writes: the Eight, rows in step and body order that all passed, and a
+writes: the Eight, rows in step and body order that all passed, each
+meeting its condition under the prover's own rule `condition_holds`, and a
 verdict that fails exactly when it states a failure.
 Informative, not checked: `step_counts`, the crossing times,
 `crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
@@ -33,7 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .boxes import IntervalMatrix, IntervalVector
-from .convexity import ConvexityCertificate, starts_before_crossing
+from .convexity import (AXES, ConvexityCertificate, condition,
+                        condition_holds, starts_before_crossing)
 from .errors import ChoreoCertError
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
@@ -283,7 +286,8 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     # certify counts the iteration whose derivative enclosure was singular;
     # only that stop leaves no operator image before the iteration limit.
     singular = body["operator_image"] is None and len(trace) < max_iter
-    rep.add(body["iterations"] == len(trace) + singular,
+    rep.add(type(body["iterations"]) is int
+            and body["iterations"] == len(trace) + singular,
             f"iteration count {body['iterations']!r} matches the trace")
     if not trace:
         rep.add(verdict == "Inconclusive",
@@ -348,7 +352,7 @@ def convexity_to_document(cert: ConvexityCertificate,
             "slope": [c.derivs.slope.lo.hex(), c.derivs.slope.hi.hex()],
             "second": [c.derivs.second.lo.hex(), c.derivs.second.hi.hex()],
             "third": [c.derivs.third.lo.hex(), c.derivs.third.hi.hex()],
-            "passed": c.passed,
+            "passed": True,
         })
     body = {
         "schema_version": SCHEMA_VERSION,
@@ -382,45 +386,47 @@ def convexity_to_document(cert: ConvexityCertificate,
 
 
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
-    """Re-check every stored condition and that the document is one
-    `verify_convexity` writes: the Eight at an order >= 4, rows for each of
-    its three bodies step by step, with the inflection condition on step 1
-    body 3 only, every row passing, and a verdict that fails exactly when a
-    failure is stated.  A passing document must cover every step that starts
-    before the crossing time and have the origin in the first step."""
+    """Re-check every stored row with the prover's own rule,
+    `condition_holds`, and that the document is one `verify_convexity`
+    writes: the Eight at an order >= 4, rows for each of its three bodies
+    step by step, each naming the condition of its piece and marked passed,
+    and a verdict that fails exactly when a failure is stated.  A passing
+    document must cover every step that starts before the crossing time and
+    have the origin in the first step."""
     order = body["parameters"]["order"]
     rep.add(body["problem"] == "eight"
             and type(order) is int and order >= 4,
             f"problem {body['problem']!r} is eight, order {order!r} >= 4")
-    for c in body["checks"]:
-        second = Interval.from_hex(*c["second"])
-        third = Interval.from_hex(*c["third"])
-        rate = Interval.from_hex(*c["rate"])
-        where = f"step {c['step']} body {c['body']}"
-        rep.add(c["axis"] in ("y_of_x", "x_of_y") and c["passed"] is True,
-                f"{where}: axis {c['axis']!r} is y_of_x or x_of_y, "
-                "and the row passed")
-        rep.add(not rate.contains_zero(), f"{where}: graph axis is valid")
-        if c["condition"] == "inflection":
-            rep.add(second.contains_zero() and not third.contains_zero(),
-                    f"{where}: unique-inflection condition re-checked")
-        else:
-            rep.add(c["condition"] == "curvature"
-                    and not second.contains_zero(),
-                    f"{where}: nonvanishing-curvature condition re-checked")
+    rows = body["checks"]
+    n = body["steps_checked"]
+    if not all(type(v) is int for c in rows for v in (c["step"], c["body"])):
+        rep.add(False, "every row's step and body are ints")
+        return
+
+    def lanes(key):
+        ends = [(float.fromhex(lo), float.fromhex(hi))
+                for lo, hi in (c[key] for c in rows)]
+        return tuple(np.array(ends).reshape(-1, 2).T)
+
+    holds = condition_holds(np.array([c["step"] for c in rows], int),
+                            np.array([c["body"] for c in rows], int),
+                            lanes("rate"), lanes("second"), lanes("third"))
+    for c, ok in zip(rows, holds):
+        rep.add(bool(ok) and c["axis"] in AXES and c["passed"] is True,
+                f"step {c['step']} body {c['body']}: axis {c['axis']!r} is "
+                "y_of_x or x_of_y, the row passed and its condition holds")
     passed = body["passed"]
     rep.add(type(passed) is bool and isinstance(body["failure"], str)
             and passed == (body["failure"] == ""),
             "stored verdict passes exactly when no failure is stated")
 
-    n = body["steps_checked"]
-    rows = [(c["step"], c["body"], c["condition"]) for c in body["checks"]]
-    expected = [(k, b, "inflection" if (k, b) == (1, 3) else "curvature")
+    got = [(c["step"], c["body"], c["condition"]) for c in rows]
+    expected = [(k, b, condition(k, b))
                 for k in range(1, n + 1) for b in (1, 2, 3)]
-    rep.add(rows == expected[:len(rows)]
-            and (passed is not True or len(rows) == len(expected)),
-            f"rows run step by step over bodies 1..3 up to step {n}, the "
-            "inflection condition on step 1 body 3 only")
+    rep.add(type(n) is int and got == expected[:len(got)]
+            and (passed is not True or len(got) == len(expected)),
+            f"rows run step by step over bodies 1..3 up to step {n!r}, each "
+            "naming its piece's condition")
     if passed is not True:
         return
     rep.add(body["origin_in_first_step"] is True,

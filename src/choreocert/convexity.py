@@ -10,7 +10,11 @@ derivative excludes it, so the derivative is monotone and the origin is its
 only zero.
 
 All time derivatives come from the same Taylor recurrences the integrator
-uses, evaluated over each step's whole-step enclosure.
+uses, evaluated over each step's whole-step enclosure, for all checked
+steps in one pass.  The graph derivatives of both axes are then evaluated
+on (step, body, axis) lanes of `kernels` arrays, and `condition_holds`, the
+one rule that the verifier applies to stored rows too, marks the lanes
+where a piece's condition holds; each piece keeps its first such axis.
 """
 
 from __future__ import annotations
@@ -22,10 +26,15 @@ import numpy as np
 
 from . import kernels as kn
 from .boxes import IntervalVector
-from .errors import NotAGraph, StepTooCoarse
-from .integrator import EnclosureStep, flow_to_section, poly_eval, step_start
+from .integrator import EnclosureStep, flow_to_section, poly_eval
 from .interval import Interval
 from .problems import ChoreographyProblem
+
+# Lane axis 0 writes y over x, lane axis 1 x over y.
+AXES = ("y_of_x", "x_of_y")
+# The third body starts at the origin, the Eight's inflection point, so its
+# first step is the one piece whose curvature changes sign.
+INFLECTION_PIECE = (1, 3)  # (step, body), both 1-based
 
 
 @dataclass(frozen=True)
@@ -40,50 +49,72 @@ class GraphDerivatives:
     third: Interval
 
 
-def graph_derivatives(dx1: Interval, dy1: Interval,
-                      dx2: Interval, dy2: Interval,
-                      dx3: Interval, dy3: Interval,
-                      axis: str = "y_of_x") -> GraphDerivatives:
-    """Graph derivatives from time derivatives of one body's coordinates.
-
-    For the mirror axis the roles of x and y are exchanged.
-    Requires the independent coordinate's time derivative to exclude zero.
-    """
-    if axis == "x_of_y":
-        dx1, dy1 = dy1, dx1
-        dx2, dy2 = dy2, dx2
-        dx3, dy3 = dy3, dx3
-    elif axis != "y_of_x":
-        raise ValueError(f"unknown axis {axis!r}")
-    if dx1.contains_zero():
-        raise NotAGraph(f"independent rate {dx1} contains zero")
-
-    inv1 = 1.0 / dx1
-    inv2 = 1.0 / dx1.sqr()
-    slope = dy1 * inv1
-    second = (dy2 - dx2 * slope) * inv2
-    third = ((dy3 * dx1 - dx3 * dy1
-              + Interval.point(2.0) * dx2.sqr() * slope
-              - Interval.point(2.0) * dx2 * dy2) * (inv2 * inv2)
-             - dx2 * second * inv2)
-    return GraphDerivatives(axis=axis, independent_rate=dx1, slope=slope,
-                            second=second, third=third)
-
-
 @dataclass(frozen=True)
 class BodyStepCheck:
     step: int                 # 1-based, matching the results tables
     body: int                 # 1-based
     condition: str            # "curvature" or "inflection"
     derivs: GraphDerivatives
-    passed: bool
-    note: str = ""
 
 
-def _time_derivatives(rec: EnclosureStep) -> kn.Pair:
-    """Enclosures over the whole step of the first three time derivatives of
-    every state component, as (3, n) arrays, from the step's stored Taylor
-    layers.
+def condition(step: int, body: int) -> str:
+    """The condition the piece of `body` over `step` must meet."""
+    return "inflection" if (step, body) == INFLECTION_PIECE else "curvature"
+
+
+def condition_holds(step, body, rate: kn.Pair, second: kn.Pair,
+                    third: kn.Pair) -> np.ndarray:
+    """Lanes where the piece of `body` over `step` (1-based, broadcast
+    against the lanes) meets its condition on the lane's graph axis.
+
+    The axis is a graph where the square of the independent rate, by which
+    the graph formulas divide, excludes zero.  Normal pieces need a second
+    graph derivative excluding zero; the inflection piece needs the second
+    to contain zero with a third that excludes it, so the second derivative
+    is monotone and has one zero.  A lane holds only where all three are
+    intervals: finite endpoints in order.
+    """
+    valid = np.logical_and.reduce([np.isfinite(lo) & np.isfinite(hi)
+                                   & (lo <= hi) for lo, hi in
+                                   (rate, second, third)])
+    curved = (second[0] > 0.0) | (second[1] < 0.0)
+    monotone = (third[0] > 0.0) | (third[1] < 0.0)
+    inflection = (step == INFLECTION_PIECE[0]) & (body == INFLECTION_PIECE[1])
+    return (valid & (kn.sqr(*rate)[0] > 0.0)
+            & np.where(inflection, ~curved & monotone, curved))
+
+
+def graph_lanes(ind: tuple[kn.Pair, kn.Pair, kn.Pair],
+                dep: tuple[kn.Pair, kn.Pair, kn.Pair]):
+    """Rate, slope, second and third graph derivatives of the dependent
+    coordinate over the independent one, on lanes of any shape, from the
+    first three time derivatives of each.  The kernel calls follow the
+    scalar formulas operation by operation, so a lane of thick intervals
+    gets the bits `Interval` arithmetic gives.
+
+    A lane whose rate squared contains zero is no graph: it divides by 1
+    instead, so nothing raises, and `condition_holds` masks it out.
+    """
+    (x1, x2, x3), (y1, y2, y3) = ind, dep
+    r2 = kn.sqr(*x1)
+    graph = r2[0] > 0.0
+    one = np.ones_like(r2[0])
+    inv1 = kn.div(one, one, *(np.where(graph, v, 1.0) for v in x1))
+    inv2 = kn.div(one, one, *(np.where(graph, v, 1.0) for v in r2))
+    slope = kn.mul(*y1, *inv1)
+    second = kn.mul(*kn.sub(*y2, *kn.mul(*x2, *slope)), *inv2)
+    num = kn.sub(*kn.add(*kn.sub(*kn.mul(*y3, *x1), *kn.mul(*x3, *y1)),
+                         *kn.mul(*kn.scale(*kn.sqr(*x2), 2.0), *slope)),
+                 *kn.mul(*kn.scale(*x2, 2.0), *y2))
+    third = kn.sub(*kn.mul(*num, *kn.mul(*inv2, *inv2)),
+                   *kn.mul(*kn.mul(*x2, *second), *inv2))
+    return x1, slope, second, third
+
+
+def _time_derivatives(steps: list[EnclosureStep]) -> kn.Pair:
+    """Enclosures over each whole step of the first three time derivatives
+    of every state component, as (steps, 3, n) arrays, from the steps'
+    stored Taylor layers in one pass; the steps share one size h.
 
     The m-th derivative has Taylor coefficients (j+m)!/j! c_{j+m}; the top
     coefficient comes from the stored Lagrange layer over the rough
@@ -91,76 +122,33 @@ def _time_derivatives(rec: EnclosureStep) -> kn.Pair:
     three series share one Horner pass: the shorter ones get leading zero
     coefficients, which the pass carries through exactly.
     """
-    lo, hi = rec.layers
-    order = lo.shape[0] - 1
-    cl = np.vstack([lo, rec.rem[0]])
-    ch = np.vstack([hi, rec.rem[1]])
-    dl = np.zeros((order + 1, 3, lo.shape[1]))
+    h = steps[0].h
+    if any(rec.h != h for rec in steps):
+        raise ValueError("one derivative pass needs steps of one size h")
+    # (R+2, steps, n): the state layers, then the Lagrange layer
+    cl, ch = (np.concatenate([np.stack([rec.layers[e] for rec in steps], 1),
+                              np.stack([rec.rem[e] for rec in steps])[None]])
+              for e in (0, 1))
+    order = cl.shape[0] - 2
+    dl = np.zeros((order + 1, len(steps), 3, cl.shape[2]))
     dh = np.zeros_like(dl)
     for m in (1, 2, 3):
         for j in range(order + 2 - m):
             fac = float(math.perm(j + m, m))
             # thin factors 1 and 2 scale exactly, as in `Interval`
-            dl[j, m - 1], dh[j, m - 1] = (
+            dl[j, :, m - 1], dh[j, :, m - 1] = (
                 kn.scale(cl[j + m], ch[j + m], fac) if fac <= 2.0
                 else kn.mul(cl[j + m], ch[j + m], fac, fac))
     return poly_eval((dl[:order], dh[:order]), (dl[order], dh[order]),
-                     Interval(0.0, rec.h))
+                     Interval(0.0, h))
 
 
-def resolve_condition(ds: tuple[Interval, ...],
-                      inflection_step: bool) -> tuple[GraphDerivatives, str]:
-    """Decide the convexity condition from six time-derivative enclosures.
-
-    Tries the y-over-x graph first and falls back to the mirror axis.
-    Normal pieces need a second graph derivative excluding zero; the flagged
-    inflection piece needs the second to contain zero with a third that
-    excludes it (so the second derivative is monotone and has one zero).
-    Raises StepTooCoarse when no axis resolves a condition.
-    """
-    last_err: Exception | None = None
-    for axis in ("y_of_x", "x_of_y"):
-        try:
-            gd = graph_derivatives(*ds, axis=axis)
-        except NotAGraph as exc:
-            last_err = exc
-            continue
-        if inflection_step:
-            if gd.second.contains_zero() and not gd.third.contains_zero():
-                return gd, "inflection"
-        else:
-            if not gd.second.contains_zero():
-                return gd, "curvature"
-    wanted = "inflection" if inflection_step else "curvature"
-    raise StepTooCoarse(
-        f"no {wanted} condition resolved on either axis ({last_err})")
-
-
-def check_step(problem: ChoreographyProblem, rec: EnclosureStep,
-               derivs: kn.Pair, body: int,
-               first_step_origin_body: bool = False) -> BodyStepCheck:
-    """Convexity condition for one body over one step, from the step's
-    `_time_derivatives`."""
-    ix, iy = problem.layout.body_position(body)
-    dl, dh = derivs
-    ds = tuple(Interval(float(dl[m, i]), float(dh[m, i]))
-               for m in range(3) for i in (ix, iy))
-    try:
-        gd, condition = resolve_condition(ds, first_step_origin_body)
-    except StepTooCoarse as exc:
-        raise StepTooCoarse(
-            f"step {rec.index + 1}, body {body + 1}: {exc}") from exc
-    note = ("monotone second derivative; unique zero at origin"
-            if condition == "inflection" else "")
-    return BodyStepCheck(step=rec.index + 1, body=body + 1,
-                         condition=condition, derivs=gd, passed=True,
-                         note=note)
-
-
-def starts_before_crossing(h: float, k: int, t_cross: Interval) -> bool:
-    """Whether step k (0-based, size h) can begin before the crossing time;
-    checking every such step covers the whole segment [0, crossing time]."""
-    return step_start(h, k).lo < t_cross.hi
+def starts_before_crossing(h: float, k, t_cross: Interval):
+    """Whether step k (0-based, size h; an int or an int array) can begin
+    before the crossing time: the lower bound of k h lies below its upper
+    end.  Checking every such step covers the whole segment [0, crossing
+    time]."""
+    return kn.mul(h, h, k, k)[0] < t_cross.hi
 
 
 @dataclass
@@ -194,10 +182,10 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     origin_ok = (first.whole[0][ox] <= 0.0 <= first.whole[1][ox]
                  and first.whole[0][oy] <= 0.0 <= first.whole[1][oy])
 
-    n = 1
-    while (n < len(crossing.steps)
-           and starts_before_crossing(h, n, crossing.t_cross)):
-        n += 1
+    # The step starts grow with k, so the checked steps are a prefix.
+    k = np.arange(len(crossing.steps))
+    n = max(1, int(np.count_nonzero(
+        starts_before_crossing(h, k, crossing.t_cross))))
     cert = ConvexityCertificate(
         problem=problem.key, h=h, order=order, passed=True, steps_checked=n,
         origin_in_first_step=bool(origin_ok), crossing_time=crossing.t_cross)
@@ -206,15 +194,32 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
         cert.failure = "origin not contained in the first step enclosure"
         return cert
 
-    for rec in crossing.steps[:cert.steps_checked]:
-        derivs = _time_derivatives(rec)
-        for body in range(problem.n_bodies):
-            special = (rec.index == 0 and body == 2)
-            try:
-                cert.checks.append(check_step(problem, rec, derivs, body,
-                                              first_step_origin_body=special))
-            except StepTooCoarse as exc:
-                cert.passed = False
-                cert.failure = str(exc)
-                return cert
+    dl, dh = _time_derivatives(crossing.steps[:n])
+    # (bodies, 2): the position components, x then y
+    pos = np.array([problem.layout.body_position(b)
+                    for b in range(problem.n_bodies)])
+
+    def lanes(cols):
+        return tuple((dl[:, m][:, cols], dh[:, m][:, cols]) for m in range(3))
+
+    derivs = graph_lanes(lanes(pos), lanes(pos[:, ::-1]))
+    holds = condition_holds(np.arange(1, n + 1)[:, None, None],
+                            np.arange(1, problem.n_bodies + 1)[None, :, None],
+                            derivs[0], derivs[2], derivs[3])
+    for s, b in np.ndindex(holds.shape[:2]):
+        step, body = s + 1, b + 1
+        axes = np.flatnonzero(holds[s, b])
+        if not axes.size:
+            cert.passed = False
+            cert.failure = (f"step {step}, body {body}: no "
+                            f"{condition(step, body)} condition resolved "
+                            "on either axis")
+            return cert
+        at = (s, b, axes[0])
+        rate, slope, second, third = (Interval(float(lo[at]), float(hi[at]))
+                                      for lo, hi in derivs)
+        cert.checks.append(BodyStepCheck(
+            step=step, body=body, condition=condition(step, body),
+            derivs=GraphDerivatives(AXES[axes[0]], rate, slope, second,
+                                    third)))
     return cert

@@ -44,15 +44,6 @@ class DimensionMismatch(ChoreoCertError):
     """Operand shapes are incompatible."""
 
 
-class NotAGraph(ChoreoCertError):
-    """Neither coordinate is monotone in time over the step, so the curve
-    piece cannot be written as a graph on either axis."""
-
-
-class StepTooCoarse(ChoreoCertError):
-    """No convexity condition could be resolved at the current step size."""
-
-
 class GluingMismatch(ChoreoCertError):
     """A symmetry-unfolded junction residual excludes zero (implementation
     bug, not a mathematical failure)."""

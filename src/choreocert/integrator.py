@@ -427,14 +427,10 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         projected=projected, steps=steps)
 
 
-def step_start(h: float, k: int) -> Interval:
-    """Enclosure of k h, the start time of step k (0-based) of a run with
-    the one step size h that `flow_to_section` takes."""
-    return Interval.point(h) * Interval.point(float(k))
-
-
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    return step_start(steps[k].h, k) + Interval(a, b)
+    """Enclosure of k h + [a, b]: step k (0-based) of a run with the one
+    step size h that `flow_to_section` takes starts at k h."""
+    return Interval.point(steps[k].h) * Interval.point(float(k)) + Interval(a, b)
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:

@@ -11,11 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from choreocert import dynamics, integrator  # noqa: E402
+from choreocert import convexity, dynamics, integrator, kernels  # noqa: E402
 from choreocert.boxes import IntervalVector  # noqa: E402
 from choreocert.cli import DEFAULTS  # noqa: E402
 from choreocert.problems import make_problem  # noqa: E402
-from perfbench.tracing import SPANS  # noqa: E402
+from perfbench.tracing import KERNELS, SPANS  # noqa: E402
 
 
 @pytest.mark.parametrize("owner, attr, span", SPANS,
@@ -60,6 +60,42 @@ def test_one_series_pass_per_step(system, carry_transition, monkeypatch):
     integrator.step(problem.field, start, d.get("h_set", d.get("h")),
                     d["order"])
     assert len(outside_eval) == 1
+
+
+def test_convexity_checks_in_one_kernel_pass(monkeypatch):
+    # `convexity.check_step_us` divides the checking time by the rows: the
+    # derivatives and graph lanes of all checked steps take one array pass,
+    # so the kernel calls outside the flow do not grow with the step count
+    calls, in_flow = [0], [0]
+    flow = convexity.flow_to_section
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += not in_flow[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def uncounted_flow(*args, **kwargs):
+        in_flow[0] += 1
+        try:
+            return flow(*args, **kwargs)
+        finally:
+            in_flow[0] -= 1
+
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    monkeypatch.setattr(convexity, "flow_to_section", uncounted_flow)
+    d = DEFAULTS["eight"]
+    problem = make_problem("eight")
+    box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
+    counts = {}
+    for h in (0.01, 0.005):
+        calls[0] = 0
+        cert = convexity.verify_convexity(problem, box, h, d["order"])
+        assert cert.passed, cert.failure
+        counts[cert.steps_checked] = calls[0]
+    assert list(counts) == [53, 106]
+    assert counts[53] == counts[106] > 0
 
 
 @pytest.mark.slow

@@ -264,10 +264,11 @@ class TestMalformed:
         ("newton", lambda body: body["parameters"].update(max_iter="x")),
         ("newton", lambda body: body["parameters"].update(
             delta=(-0.5).hex())),
+        ("newton", lambda body: body.update(iterations=True)),
     ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
             "order-not-an-int", "unknown-method", "schema-version",
             "newton-with-preconditioner", "trace-index", "max-iter-zero",
-            "max-iter-not-an-int", "negative-delta"])
+            "max-iter-not-an-int", "negative-delta", "iterations-true"])
     def test_edited_document_fails(self, method, edit):
         cert, _ = small_certificate(method=method)
         body = parse_document(cert.to_document())

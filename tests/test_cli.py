@@ -310,20 +310,15 @@ class TestMalformedDocuments:
 def failing_convexity_cert(eight_cert, tmp_path_factory):
     """The Eight convexity document when step 5, body 2 is too coarse."""
     from choreocert import convexity
-    from choreocert.errors import StepTooCoarse
 
-    real = convexity.resolve_condition
-    calls = []
+    real = convexity.condition_holds
 
-    def coarse_on_14th_row(ds, inflection_step):
-        calls.append(1)
-        if len(calls) == 14:
-            raise StepTooCoarse("forced")
-        return real(ds, inflection_step)
+    def coarse_at_step_5_body_2(step, body, *derivs):
+        return real(step, body, *derivs) & ~((step == 5) & (body == 2))
 
     path = tmp_path_factory.mktemp("certs") / "failing.cert"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexity, "resolve_condition", coarse_on_14th_row)
+        mp.setattr(convexity, "condition_holds", coarse_at_step_5_body_2)
         assert main(["convexity", "--cert", str(eight_cert),
                      "--out", str(path)]) == EXIT_INCONCLUSIVE
     return path
@@ -370,9 +365,11 @@ class TestConvexityVerify:
         lambda b: b["checks"][4].update(condition="sideways"),
         lambda b: b.update(passed=1),
         lambda b: b["checks"][4].update(passed="yes"),
+        lambda b: b["checks"][0].update(step=True, body=True),
+        lambda b: b["checks"][4].update(second=b["checks"][4]["second"][::-1]),
     ], ids=["problem-gerver", "problem-int", "order-2", "order-str",
             "failure-while-passed", "axis", "condition", "passed-int",
-            "row-passed-str"])
+            "row-passed-str", "row-step-body-true", "row-second-reversed"])
     def test_edit_the_prover_cannot_write(self, eight_convexity_cert,
                                           tmp_path, edit):
         assert verify_edited(eight_convexity_cert, tmp_path,
