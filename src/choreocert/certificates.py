@@ -388,15 +388,19 @@ def convexity_to_document(cert: ConvexityCertificate,
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored row with the prover's own rule,
     `condition_holds`, and that the document is one `verify_convexity`
-    writes: the Eight at an order >= 4, rows for each of its three bodies
-    step by step, each naming the condition of its piece and marked passed,
+    writes: the Eight at an order >= 4 and a finite h > 0, rows of finite
+    ordered intervals for each of its three bodies step by step, each naming
+    the condition of its piece and marked passed,
     and a verdict that fails exactly when a failure is stated.  A passing
     document must cover every step that starts before the crossing time and
     have the origin in the first step."""
     order = body["parameters"]["order"]
+    h = float.fromhex(body["parameters"]["h"])
     rep.add(body["problem"] == "eight"
-            and type(order) is int and order >= 4,
-            f"problem {body['problem']!r} is eight, order {order!r} >= 4")
+            and type(order) is int and order >= 4
+            and math.isfinite(h) and h > 0.0,
+            f"problem {body['problem']!r} is eight, order {order!r} >= 4, "
+            f"h {h!r} finite and > 0")
     rows = body["checks"]
     n = body["steps_checked"]
     if not all(type(v) is int for c in rows for v in (c["step"], c["body"])):
@@ -406,8 +410,12 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     def lanes(key):
         ends = [(float.fromhex(lo), float.fromhex(hi))
                 for lo, hi in (c[key] for c in rows)]
-        return tuple(np.array(ends).reshape(-1, 2).T)
+        lo, hi = np.array(ends).reshape(-1, 2).T
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+            raise ValueError(f"a row's {key} is not a finite ordered interval")
+        return lo, hi
 
+    lanes("slope")      # no rule reads it, but it must be an interval too
     holds = condition_holds(np.array([c["step"] for c in rows], int),
                             np.array([c["body"] for c in rows], int),
                             lanes("rate"), lanes("second"), lanes("third"))
@@ -434,7 +442,6 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     if body["crossing_time"] is None:
         rep.add(False, "a passing document records its crossing time")
         return
-    h = float.fromhex(body["parameters"]["h"])
     t_cross = Interval.from_hex(*body["crossing_time"])
     rep.add(n >= 1 and starts_before_crossing(h, n - 1, t_cross)
             and not starts_before_crossing(h, n, t_cross),

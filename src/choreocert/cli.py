@@ -103,7 +103,7 @@ def _check_numbers(args) -> None:
     # convexity reads the flow's third derivative from the Taylor layers
     least_order = 4 if args.command == "convexity" else 1
     for name, least in (("order", least_order), ("max_iter", 1),
-                        ("max_steps", 1), ("iters", 1)):
+                        ("max_steps", 1), ("iters", 1), ("jobs", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= "
@@ -330,10 +330,11 @@ def _cmd_prove(args) -> int:
             os.makedirs(base, exist_ok=True)
             out = os.path.join(base, f"{system}.cert")
         jobs.append((params, out, args.expect_no_zero))
-    if len(jobs) == 1 or args.jobs <= 1:
+    if len(jobs) == 1 or args.jobs == 1:
         codes = [_prove_one(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at once: one per system at most
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             futures = [pool.submit(_prove_one, *job) for job in jobs]
             codes = [f.result() for f in futures]
     return max(codes)

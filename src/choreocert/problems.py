@@ -28,7 +28,9 @@ R(P(E(x))) = 0 certifies one choreography:
 Embeddings are exact: components are copies, negations or doublings of the
 reduced coordinates, or the size parameter alone, which is pinned to one
 binary64 value, so E introduces no rounding at all.  LinearEmbedding checks
-this shape when it is built.
+this shape when it is built.  R, the sections and the crossing guards are
+exact product forms (ProductForm): signed sums of +-1 linear forms in the
+state, their products and their squares; DR and dg are their product rule.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .interval import Interval
 Pair = tuple[np.ndarray, np.ndarray]
 
 
-# --- linear embeddings / reductions -------------------------------------------
+# --- exact embeddings and product forms ---------------------------------------
 
 @dataclass(frozen=True)
 class LinearEmbedding:
@@ -87,28 +89,89 @@ class LinearEmbedding:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class LinearReduction:
-    """Reduced defect = matrix * full state, entries in {0, +-1}.
+def _signed_sum(parts) -> Interval:
+    """0 +- p1 +- p2 ..., left to right, so opposite identical values cancel
+    exactly.  0 +- p1 is exact, so plain floats give the kernel's bits (and
+    turn -0 into +0 as it does)."""
+    acc = None
+    for sign, p in parts:
+        if acc is None:
+            acc = (Interval(0.0 + p.lo, 0.0 + p.hi) if sign > 0
+                   else Interval(0.0 - p.hi, 0.0 - p.lo))
+        else:
+            acc = acc + p if sign > 0 else acc - p
+    return Interval(0.0) if acc is None else acc
 
-    Rows are evaluated as scalar signed sums so that exact cancellations
-    (sums of identical values with opposite signs) stay exactly zero.
+
+def _linear(form: tuple, sl: np.ndarray, sh: np.ndarray) -> Interval:
+    return _signed_sum((c, Interval(float(sl[j]), float(sh[j])))
+                       for j, c in form)
+
+
+@dataclass(frozen=True)
+class ProductForm:
+    """Rows that are signed sums of terms in the state s, each term an exact
+    +-1 linear form L, a product L M of two, or a square L^2.  A form is a
+    tuple of (index, +-1) pairs, a term (+-1, factors) with one or two
+    forms, and a term whose two factors are the same form is its square.
+
+    `values` evaluates the rows in scalar `Interval` arithmetic, left to
+    right from 0, squares with the tight `Interval.sqr`, reading only the
+    components the forms name.  `derivative` is the product rule in the same
+    arithmetic, d(L M)/ds_j = L_j M + M_j L and d(L^2)/ds_j = 2 L_j L with
+    L_j in {0, +-1}, and has one column per state component.
     """
 
-    matrix: np.ndarray
+    rows: tuple[tuple[tuple[int, tuple], ...], ...]
 
-    def apply(self, sl: np.ndarray, sh: np.ndarray) -> IntervalVector:
-        out = []
-        for row in self.matrix:
-            acc = Interval(0.0)
-            for j in np.nonzero(row)[0]:
-                term = Interval(float(sl[j]), float(sh[j]))
-                acc = acc + term if row[j] > 0 else acc - term
-            out.append(acc)
-        return IntervalVector.from_intervals(out)
+    def __post_init__(self):
+        for sign, factors in (term for row in self.rows for term in row):
+            if sign not in (1, -1) or len(factors) not in (1, 2) or not all(
+                    form and len({j for j, _ in form}) == len(form)
+                    and all(j >= 0 and c in (1, -1) for j, c in form)
+                    for form in factors):
+                raise ValueError("a term is +-1 times one or two +-1 sums "
+                                 "of distinct state components")
+
+    def values(self, sl: np.ndarray, sh: np.ndarray) -> list[Interval]:
+        def term(first, *rest) -> Interval:
+            a = _linear(first, sl, sh)
+            return (a if not rest else a.sqr() if rest[0] == first
+                    else a * _linear(rest[0], sl, sh))
+
+        return [_signed_sum((sign, term(*factors)) for sign, factors in row)
+                for row in self.rows]
 
     def derivative(self, sl: np.ndarray, sh: np.ndarray) -> Pair:
-        return self.matrix, self.matrix
+        lo, hi = np.zeros((2, len(self.rows), len(sl)))
+        for r, row in enumerate(self.rows):
+            parts: dict[int, list[tuple[int, Interval]]] = {}
+            for sign, factors in row:
+                first, last = factors[0], factors[-1]
+                # (form, k, v): add k c v to d/ds_j for each (j, c) of form
+                if len(factors) == 1:
+                    rules = [(first, sign, Interval(1.0))]
+                elif last == first:
+                    rules = [(first, 2 * sign, _linear(first, sl, sh))]
+                else:
+                    rules = [(first, sign, _linear(last, sl, sh)),
+                             (last, sign, _linear(first, sl, sh))]
+                for form, k, v in rules:
+                    for j, c in form:
+                        parts.setdefault(j, []).append((1, v * float(k * c)))
+            for j, p in parts.items():
+                d = _signed_sum(p)
+                lo[r, j], hi[r, j] = d.lo, d.hi
+        return lo, hi
+
+    def section(self, crossing_sign: str) -> SectionSpec:
+        """The section g = 0 of a one-row form, with dg its gradient."""
+        if len(self.rows) != 1:
+            raise ValueError("a section is a one-row form")
+        return SectionSpec(
+            g=lambda sl, sh: self.values(sl, sh)[0],
+            dg=lambda sl, sh: tuple(m[0] for m in self.derivative(sl, sh)),
+            crossing_sign=crossing_sign)
 
 
 # --- problem container ---------------------------------------------------------
@@ -119,11 +182,14 @@ class ChoreographyProblem:
     field: GravityField
     section: SectionSpec
     embed_map: LinearEmbedding
-    reduce_map: LinearReduction | EightReduction
+    defects: ProductForm                        # R
     size_parameter: float | None                # exact binary64, or None
     period_multiplier: int                      # T = multiplier * t_cross
     reduced_names: tuple[str, ...]
     antipodal: bool = False                     # state is the first half
+    # (name, one-row form) pairs that must exclude zero at the crossing for
+    # the defects to characterize the symmetry there
+    guards: tuple[tuple[str, ProductForm], ...] = ()
 
     @property
     def layout(self) -> PhaseLayout:
@@ -182,10 +248,10 @@ class ChoreographyProblem:
         sh = np.asarray(sh, float)
         if sl.size != self.layout.dim:
             raise DimensionMismatch(f"{self.key}: bad full-state size")
-        return self.reduce_map.apply(sl, sh)
+        return IntervalVector.from_intervals(self.defects.values(sl, sh))
 
     def reduce_derivative(self, sl, sh) -> Pair:
-        return self.reduce_map.derivative(sl, sh)
+        return self.defects.derivative(sl, sh)
 
     # -- full 4N-dim view (identity unless antipodally reduced) --
 
@@ -201,64 +267,19 @@ class ChoreographyProblem:
 
 # --- the Eight -----------------------------------------------------------------
 
-class EightReduction:
-    """The Eight's defects: the velocity cross product (v2 - v3) y1 -
-    (u2 - u3) x1, then the distance difference |q2-q1|^2 - |q3-q1|^2."""
-
-    def apply(self, sl: np.ndarray, sh: np.ndarray) -> IntervalVector:
-        s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
-        cross = (s[8] - s[10]) * s[1] - (s[9] - s[11]) * s[0]
-        dist = ((s[2] - s[0]).sqr() + (s[3] - s[1]).sqr()
-                - (s[4] - s[0]).sqr() - (s[5] - s[1]).sqr())
-        return IntervalVector.from_intervals([cross, dist])
-
-    def derivative(self, sl: np.ndarray, sh: np.ndarray) -> Pair:
-        s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
-        two = Interval.point(2.0)
-        rows: list[list[Interval]] = [[Interval(0.0)] * 12 for _ in range(2)]
-        # d/ds of (v2 - v3) y1 - (u2 - u3) x1
-        rows[0][0] = -(s[9] - s[11])
-        rows[0][1] = s[8] - s[10]
-        rows[0][8] = s[1]
-        rows[0][10] = -s[1]
-        rows[0][9] = -s[0]
-        rows[0][11] = s[0]
-        # d/ds of |q2-q1|^2 - |q3-q1|^2
-        d21 = (s[2] - s[0], s[3] - s[1])
-        d31 = (s[4] - s[0], s[5] - s[1])
-        rows[1][0] = two * (d31[0] - d21[0])
-        rows[1][1] = two * (d31[1] - d21[1])
-        rows[1][2] = two * d21[0]
-        rows[1][3] = two * d21[1]
-        rows[1][4] = -(two * d31[0])
-        rows[1][5] = -(two * d31[1])
-        m = IntervalMatrix.from_intervals(rows)
-        return m.lo, m.hi
-
-
-def _eight_section() -> SectionSpec:
-    def g(sl, sh):
-        x1 = Interval(float(sl[0]), float(sh[0]))
-        y1 = Interval(float(sl[1]), float(sh[1]))
-        v1 = Interval(float(sl[6]), float(sh[6]))
-        u1 = Interval(float(sl[7]), float(sh[7]))
-        return x1 * v1 + y1 * u1
-
-    def dg(sl, sh):
-        lo = np.zeros(12)
-        hi = np.zeros(12)
-        lo[0:2], hi[0:2] = sl[6:8], sh[6:8]
-        lo[6:8], hi[6:8] = sl[0:2], sh[0:2]
-        return lo, hi
-
-    return SectionSpec(g=g, dg=dg, crossing_sign="+-")
-
-
 def eight_problem() -> ChoreographyProblem:
     """The rotated Eight: q1 = (1,0), q2 = (-1,0), q3 = 0, parameterized by
     the first body's velocity (v, u); section: q1 . dq1 = 0 (first body's
     position orthogonal to its velocity); defects in the order the results
-    tables use (velocity cross product first)."""
+    tables use (velocity cross product first), which characterize the
+    symmetry only with the first body off the origin: the guard x1^2 + y1^2."""
+    x1, y1, v1, u1 = (((j, 1),) for j in (0, 1, 6, 7))
+    dx2, dy2, dx3, dy3, dv, du = (((i, 1), (j, -1)) for i, j in (
+        (2, 0), (3, 1), (4, 0), (5, 1), (8, 10), (9, 11)))
+    # (v2 - v3) y1 - (u2 - u3) x1, then |q2 - q1|^2 - |q3 - q1|^2
+    cross = ((1, (dv, y1)), (-1, (du, x1)))
+    dist = ((1, (dx2, dx2)), (1, (dy2, dy2)),
+            (-1, (dx3, dx3)), (-1, (dy3, dy3)))
     offset = np.zeros(12)
     offset[0], offset[2] = 1.0, -1.0
     mat = np.zeros((12, 2))
@@ -269,12 +290,14 @@ def eight_problem() -> ChoreographyProblem:
     return ChoreographyProblem(
         key="eight",
         field=nbody_field(3, kind="split"),
-        section=_eight_section(),
+        section=ProductForm((((1, (x1, v1)), (1, (y1, u1))),)).section("+-"),
         embed_map=LinearEmbedding(offset, mat),
-        reduce_map=EightReduction(),
+        defects=ProductForm((cross, dist)),
         size_parameter=None,
         period_multiplier=12,
         reduced_names=("v", "u"),
+        guards=(("first_body_distance_squared",
+                 ProductForm((((1, (x1, x1)), (1, (y1, y1))),))),),
     )
 
 
@@ -284,26 +307,6 @@ def eight_problem() -> ChoreographyProblem:
 # with time reversal.
 _COMPONENTS = ("x", "y", "vx", "vy")
 _MIRROR = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def _coordinate_section(index: int, dim: int, other: int | None = None,
-                        sign: str = "+-") -> SectionSpec:
-    """g = s[index] - s[other] (or s[index] when other is None)."""
-
-    def g(sl, sh):
-        a = Interval(float(sl[index]), float(sh[index]))
-        if other is None:
-            return a
-        return a - Interval(float(sl[other]), float(sh[other]))
-
-    def dg(sl, sh):
-        v = np.zeros(dim)
-        v[index] = 1.0
-        if other is not None:
-            v[other] = -1.0
-        return v, v
-
-    return SectionSpec(g=g, dg=dg, crossing_sign=sign)
 
 
 def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
@@ -337,34 +340,34 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
     embed = LinearEmbedding(offset.reshape(-1) + 0.0,
                             mat.reshape(4 * N, N - 1) + 0.0)
 
-    def pair(i: int) -> np.ndarray:
+    def row(*parts) -> tuple:
+        """One linear term, the signed sum of (index, sign) parts."""
+        return ((1, (tuple(sorted((j, int(c)) for j, c in parts)),)),)
+
+    def pair(i: int) -> list:
         """Rows s_i - _MIRROR s_j with j = H - 1 - i: zero when body j is
         the mirror image of body i."""
-        rows = np.zeros((4, N, 4))
-        rows[:, i] = np.eye(4)
-        rows[:, H - 1 - i] -= np.diag(_MIRROR)
-        return rows.reshape(4, 4 * N)
+        return [row((4 * i + c, 1), (4 * (H - 1 - i) + c, -_MIRROR[c]))
+                for c in range(4)]
 
     # The middle pair comes first, without the row that is the section.
     k = H // 2
     if H % 2:
         # N = 4k + 2: body k pairs with itself, so its x and vy rows vanish;
         # y_k is the section, so only vx_k is left.
-        middle = np.zeros((1, 4 * N))
-        middle[0, 4 * k + 2] = 1.0
-        section = _coordinate_section(4 * k + 1, 4 * N, sign="either")
+        middle = [row((4 * k + 2, 1))]
+        section = row((4 * k + 1, 1))
     else:
         # N = 4k: the pair (k, k - 1); x_k - x_{k-1} is the section.
         middle = pair(k)[1:]
-        section = _coordinate_section(4 * k, 4 * N, other=4 * (k - 1),
-                                      sign="either")
-    rows = [middle] + [pair(i) for i in range((H - 1) // 2)]
+        section = row((4 * k, 1), (4 * (k - 1), -1))
+    rows = middle + [r for i in range((H - 1) // 2) for r in pair(i)]
     return ChoreographyProblem(
         key=f"chain{N}",
         field=nbody_field(N, kind="blocks"),
-        section=section,
+        section=ProductForm((section,)).section("either"),
         embed_map=embed,
-        reduce_map=LinearReduction(np.vstack(rows)),
+        defects=ProductForm(tuple(rows)),
         size_parameter=a,
         period_multiplier=2 * N,
         reduced_names=tuple(names),
@@ -392,16 +395,12 @@ def chain6_problem(a_text: str = "1.887041548253914") -> ChoreographyProblem:
     bodies under the reduced six-body field, section y1 = 0."""
     chain = chain_problem(6, a_text)
     dim = 12
-    reduction = chain.reduce_map.matrix
-    if np.any(reduction[:, dim:]):
-        raise ValueError("chain(6) defects read the antipodal bodies")
     return replace(
         chain,
         field=reduced6_field(kind="blocks"),
-        section=_coordinate_section(5, dim, sign="+-"),
+        section=replace(chain.section, crossing_sign="+-"),
         embed_map=LinearEmbedding(chain.embed_map.offset[:dim],
                                   chain.embed_map.matrix[:dim]),
-        reduce_map=LinearReduction(reduction[:, :dim]),
         antipodal=True,
     )
 
@@ -438,23 +437,16 @@ class MapEvaluation:
 
 def _crossing_notes(problem: ChoreographyProblem,
                     cr: SectionCrossing) -> dict:
-    """Extra validity facts recorded with a crossing.
-
-    The Eight's reduction characterizes the target symmetry only when the
-    first body is away from the origin on the section, so that distance is
-    checked and recorded.
-    """
-    if problem.key != "eight":
-        return {}
-    ix, iy = problem.layout.body_position(0)
-    x1 = Interval(float(cr.state[0][ix]), float(cr.state[1][ix]))
-    y1 = Interval(float(cr.state[0][iy]), float(cr.state[1][iy]))
-    dist2 = x1.sqr() + y1.sqr()
-    if dist2.contains_zero():
-        raise NonTransversal(
-            "first body's crossing position cannot be separated from the "
-            "origin; the reduction does not characterize the symmetry there")
-    return {"first_body_distance_squared": dist2}
+    """Each guard's value at a crossing, checked to exclude zero."""
+    notes = {}
+    for name, guard in problem.guards:
+        value = guard.values(*cr.state)[0]
+        if value.contains_zero():
+            raise NonTransversal(
+                f"{name} {value} does not exclude zero at the crossing; the "
+                "defects do not characterize the symmetry there")
+        notes[name] = value
+    return notes
 
 
 def phi_point(problem: ChoreographyProblem, x, h: float, order: int,

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from choreocert import cli
 from choreocert.certificates import parse_document
 from choreocert.cli import (
     EXIT_INCONCLUSIVE,
@@ -85,6 +87,33 @@ class TestProve:
                 "--out", str(tmp_path / "off.cert")]
         assert main(args) == EXIT_NO_ZERO
         assert main(args + ["--expect-no-zero"]) == EXIT_OK
+
+    def test_jobs_ask_for_no_more_workers_than_systems(self, monkeypatch,
+                                                       tmp_path):
+        # with the fork start method a pool starts all its workers at once;
+        # this stand-in runs the calls inline, so no process starts
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_prove_one", lambda *job: EXIT_OK)
+        assert main(["prove", "--system", "eight,gerver", "--jobs", "64",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert asked == [2]
 
 
 class TestVerify:
@@ -185,11 +214,12 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--order", "-1"],
         ["prove", "--system", "eight", "--max-iter", "-1"],
         ["prove", "--system", "eight", "--max-steps", "0"],
+        ["prove", "--system", "eight", "--jobs", "0"],
         ["convexity", "--h", "0"],
         ["convexity", "--order", "3"],
     ], ids=["delta-zero", "h-negative", "h-point-nan", "h-set-inf",
             "order-negative", "max-iter-negative", "max-steps-zero",
-            "convexity-h-zero", "convexity-order-three"])
+            "jobs-zero", "convexity-h-zero", "convexity-order-three"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -367,9 +397,13 @@ class TestConvexityVerify:
         lambda b: b["checks"][4].update(passed="yes"),
         lambda b: b["checks"][0].update(step=True, body=True),
         lambda b: b["checks"][4].update(second=b["checks"][4]["second"][::-1]),
+        lambda b: (b["parameters"].update(h=float("inf").hex()),
+                   b.update(steps_checked=1, checks=b["checks"][:3])),
+        lambda b: b["checks"][4].update(slope=["zz", "qq"]),
     ], ids=["problem-gerver", "problem-int", "order-2", "order-str",
             "failure-while-passed", "axis", "condition", "passed-int",
-            "row-passed-str", "row-step-body-true", "row-second-reversed"])
+            "row-passed-str", "row-step-body-true", "row-second-reversed",
+            "h-inf-one-step", "row-slope-unreadable"])
     def test_edit_the_prover_cannot_write(self, eight_convexity_cert,
                                           tmp_path, edit):
         assert verify_edited(eight_convexity_cert, tmp_path,

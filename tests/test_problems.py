@@ -1,12 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
 from choreocert.errors import DimensionMismatch
+from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
     LinearEmbedding,
+    ProductForm,
     chain6_problem,
     chain_problem,
     eight_problem,
@@ -117,7 +122,9 @@ class TestEmbeddings:
             h = n // 2
             assert prob.reduced_dim == n - 1
             assert prob.embed_map.matrix.shape == (4 * n, n - 1)
-            assert prob.reduce_map.matrix.shape == (n - 1, 4 * n)
+            assert len(prob.defects.rows) == n - 1
+            z = np.zeros(4 * n)
+            assert prob.reduce_derivative(z, z)[0].shape == (n - 1, 4 * n)
             # antipode rule: body i + H is exactly -(body i)
             s = prob.embed_point(rng.standard_normal(n - 1)).reshape(n, 4)
             assert np.array_equal(s[h:], -s[:h]), n
@@ -176,15 +183,181 @@ class TestReductions:
         # (vx1, x0 - x2, y0 + y2, vx0 + vx2, vy0 - vy2)
         assert np.array_equal(val.lo, [6.0, 0 - 8, 1 + 9, 2 + 10, 3 - 11])
 
-    def test_eight_reduce_derivative_sparsity(self):
+    def test_forms_reject_inexact_terms(self):
+        x0 = ((0, 1),)
+        for rows in ([[(3, (x0,))]], [[(1, (x0, x0, x0))]],
+                     [[(1, (((0, 2),),))]], [[(1, (((0, 1), (0, -1)),))]],
+                     [[(1, ((),))]]):
+            with pytest.raises(ValueError):
+                ProductForm(rows)
+        with pytest.raises(ValueError):
+            ProductForm((((1, (x0,)),), ((1, (x0,)),))).section("+-")
+
+
+# The Eight's reduction, its Jacobian, its section with gradient and its
+# crossing guard as they were written by hand before they became product
+# forms; the forms must match them endpoint for endpoint.
+
+def reference_eight(sl, sh):
+    s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
+    cross = (s[8] - s[10]) * s[1] - (s[9] - s[11]) * s[0]
+    dist = ((s[2] - s[0]).sqr() + (s[3] - s[1]).sqr()
+            - (s[4] - s[0]).sqr() - (s[5] - s[1]).sqr())
+    two = Interval.point(2.0)
+    rows = [[Interval(0.0)] * 12 for _ in range(2)]
+    rows[0][0] = -(s[9] - s[11])
+    rows[0][1] = s[8] - s[10]
+    rows[0][8] = s[1]
+    rows[0][10] = -s[1]
+    rows[0][9] = -s[0]
+    rows[0][11] = s[0]
+    d21 = (s[2] - s[0], s[3] - s[1])
+    d31 = (s[4] - s[0], s[5] - s[1])
+    rows[1][0] = two * (d31[0] - d21[0])
+    rows[1][1] = two * (d31[1] - d21[1])
+    rows[1][2] = two * d21[0]
+    rows[1][3] = two * d21[1]
+    rows[1][4] = -(two * d31[0])
+    rows[1][5] = -(two * d31[1])
+    g = s[0] * s[6] + s[1] * s[7]
+    dgl, dgh = np.zeros(12), np.zeros(12)
+    dgl[0:2], dgh[0:2] = sl[6:8], sh[6:8]
+    dgl[6:8], dgh[6:8] = sl[0:2], sh[0:2]
+    guard = s[0].sqr() + s[1].sqr()
+    return [cross, dist], rows, g, (dgl, dgh), guard
+
+
+def _ends(ivs):
+    return [iv.lo for iv in ivs], [iv.hi for iv in ivs]
+
+
+_ENDPOINT = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0]),
+                      st.floats(-4.0, 4.0))
+_COMPONENT = st.one_of(_ENDPOINT.map(lambda x: (x, x)),
+                       st.tuples(_ENDPOINT, _ENDPOINT).map(sorted))
+
+
+@st.composite
+def eight_states(draw, thin=False):
+    comps = draw(st.lists(_ENDPOINT.map(lambda x: (x, x)) if thin
+                          else _COMPONENT, min_size=12, max_size=12))
+    return np.array([c[0] for c in comps]), np.array([c[1] for c in comps])
+
+
+def _guard(prob):
+    (name, form), = prob.guards
+    assert name == "first_body_distance_squared"
+    return form
+
+
+class TestEightForms:
+    # np.array_equal counts -0 and +0 as equal
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(eight_states(), eight_states(thin=True)))
+    def test_matches_the_hand_written_reference(self, state):
+        sl, sh = state
         prob = eight_problem()
-        s = prob.embed_point(EIGHT_X0)
-        dl, dh = prob.reduce_derivative(s, s)
-        mid = 0.5 * (dl + dh)
-        # velocity cross-product row touches x1, y1 and the four velocities
-        assert set(np.nonzero(mid[0])[0]) <= {0, 1, 8, 9, 10, 11}
-        # distance row touches positions only
-        assert set(np.nonzero(mid[1])[0]) <= {0, 1, 2, 3, 4, 5}
+        values, rows, g, dg, guard = reference_eight(sl, sh)
+        val = prob.reduce(sl, sh)
+        assert np.array_equal(val.lo, _ends(values)[0])
+        assert np.array_equal(val.hi, _ends(values)[1])
+        dl, dh = prob.reduce_derivative(sl, sh)
+        assert np.array_equal(dl, [_ends(r)[0] for r in rows])
+        assert np.array_equal(dh, [_ends(r)[1] for r in rows])
+        assert prob.section.g(sl, sh) == g
+        for got, want in zip(prob.section.dg(sl, sh), dg):
+            assert np.array_equal(got, want)
+        assert _guard(prob).values(sl, sh)[0] == guard
+
+
+# Independent oracle: the paper's formulas in exact rational arithmetic.
+# Every function here is a polynomial of degree <= 2, so the central
+# difference with step 1 is its exact gradient.
+
+def _cross(s):
+    x1, y1, v2, u2, v3, u3 = s[0], s[1], s[8], s[9], s[10], s[11]
+    return (v2 - v3) * y1 - (u2 - u3) * x1
+
+
+def _dist(s):
+    (x1, y1), (x2, y2), (x3, y3) = s[0:2], s[2:4], s[4:6]
+    return (x2 - x1) ** 2 + (y2 - y1) ** 2 - (x3 - x1) ** 2 - (y3 - y1) ** 2
+
+
+def _eight_section(s):
+    return s[0] * s[6] + s[1] * s[7]
+
+
+def _eight_guard(s):
+    return s[0] ** 2 + s[1] ** 2
+
+
+# chain(8): the mirror rule pairs body 0 with body 3 at the section, so
+# y0 + y3 vanishes on the orbit; it is defect row 4
+_CHAIN8_ROW = 4
+
+
+def _chain8_y0_y3(s):
+    return s[1] + s[4 * 3 + 1]
+
+
+def _exact_gradient(f, s):
+    grad = []
+    for j in range(len(s)):
+        up, down = list(s), list(s)
+        up[j] += 1
+        down[j] -= 1
+        grad.append((f(up) - f(down)) / 2)
+    return grad
+
+
+def _inside(x, lo, hi):
+    return Fraction(float(lo)) <= x <= Fraction(float(hi))
+
+
+def _check_enclosures(prob, sl, sh, points):
+    """Exact values and gradients at `points` (in the box [sl, sh]) lie in
+    the enclosures over the box."""
+    val = prob.reduce(sl, sh)
+    dl, dh = prob.reduce_derivative(sl, sh)
+    if prob.key == "eight":
+        g = prob.section.g(sl, sh)
+        gl, gh = prob.section.dg(sl, sh)
+        guard = _guard(prob).values(sl, sh)[0]
+        checks = [(_cross, val.lo[0], val.hi[0], dl[0], dh[0]),
+                  (_dist, val.lo[1], val.hi[1], dl[1], dh[1]),
+                  (_eight_section, g.lo, g.hi, gl, gh),
+                  (_eight_guard, guard.lo, guard.hi, None, None)]
+    else:
+        r = _CHAIN8_ROW
+        checks = [(_chain8_y0_y3, val.lo[r], val.hi[r], dl[r], dh[r])]
+    for p in points:
+        s = [Fraction(float(v)) for v in p]
+        for f, lo, hi, glo, ghi in checks:
+            assert _inside(f(s), lo, hi)
+            if glo is not None:
+                for d, a, b in zip(_exact_gradient(f, s), glo, ghi):
+                    assert _inside(d, a, b)
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("key", ["eight", "chain8"])
+    def test_thin_points(self, key):
+        prob = make_problem(key, a_text="0.3")
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            s = rng.uniform(-2.0, 2.0, prob.layout.dim)
+            _check_enclosures(prob, s, s, [s])
+
+    @pytest.mark.parametrize("key", ["eight", "chain8"])
+    def test_points_inside_thick_boxes(self, key):
+        prob = make_problem(key, a_text="0.3")
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sl = rng.uniform(-2.0, 2.0, prob.layout.dim)
+            sh = sl + rng.uniform(0.0, 0.5, sl.size)
+            points = [sl, sh] + [rng.uniform(sl, sh) for _ in range(5)]
+            _check_enclosures(prob, sl, sh, points)
 
 
 class TestPhi:
