@@ -177,12 +177,6 @@ class IntervalMatrix:
         raise AttributeError("IntervalMatrix is immutable")
 
     @classmethod
-    def from_intervals(cls, rows: Iterable[Iterable[Interval]]) -> IntervalMatrix:
-        rows = [list(r) for r in rows]
-        return cls(np.array([[iv.lo for iv in r] for r in rows]),
-                   np.array([[iv.hi for iv in r] for r in rows]))
-
-    @classmethod
     def point(cls, values) -> IntervalMatrix:
         v = np.asarray(values, dtype=np.float64)
         return cls(v, v.copy())

@@ -23,6 +23,9 @@ meeting its condition under the prover's own rule `condition_holds`, and a
 verdict that fails exactly when it states a failure.
 Informative, not checked: `step_counts`, the crossing times,
 `crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
+`step_counts.point` counts only the point steps integrated in full: a point
+that rides the set flow's recorded Lohner maps (`problems.phi_point`) takes
+no step of its own before the section zone.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .errors import (
     GluingMismatch,
     NoCrossing,
     NonTransversal,
+    OutsideRecordedSet,
     RoughEnclosureFailure,
 )
 from .pointflow import monodromy_preconditioner, refine_candidate
@@ -215,7 +216,13 @@ def run_certification(system: str, bodies, a_text, method, h_point, h_set,
     record: dict = {}
 
     def eval_point(x):
-        ev = phi_point(problem, x, h_point, order, max_steps)
+        # certify has just flowed the box: at the same step size the point
+        # rides that flow, and is integrated alone if it leaves the set
+        along = record["set"] if h_point == h_set else None
+        try:
+            ev = phi_point(problem, x, h_point, order, max_steps, along=along)
+        except OutsideRecordedSet:
+            ev = phi_point(problem, x, h_point, order, max_steps)
         record["point"] = ev.crossing
         if ev.notes:
             record.setdefault("notes", {}).update(ev.notes)

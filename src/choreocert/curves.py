@@ -40,10 +40,6 @@ class UnfoldResult:
     residuals: list[tuple[str, Interval]]
     note: str = ""
 
-    def max_residual_magnitude(self) -> float:
-        return max((max(abs(r.lo), abs(r.hi)) for _, r in self.residuals),
-                   default=0.0)
-
 
 def _segment_midpoints(problem: ChoreographyProblem,
                        crossing: SectionCrossing) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,16 @@ validation loop.
 Section crossings are located in two rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, then an interval
 Newton iteration in time over the straddling steps' Taylor polynomials.
+Every step time is read from the step's own index, so a flow may start at
+any step of a run (`flow_to_section(..., first_step=k)`).
+
+Each step records its Lohner map: the frame center m, an enclosure of
+phi_h(m) and the transition layers that give an enclosure A of Dphi_h over
+the step's input box.  `ride` pushes a thin point through those maps
+instead of integrating it again: a point frame with the same center
+advances by the same update, which the mean-value theorem makes valid
+while the point's box lies inside the set's box, and that inclusion is
+checked at every step.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .errors import (
     EmptyIntersection,
     NoCrossing,
     NonTransversal,
+    OutsideRecordedSet,
     RoughEnclosureFailure,
     SingularEnclosure,
 )
@@ -199,9 +210,15 @@ class EnclosureStep:
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
+    center: np.ndarray                # frame center m at t_prev
+    pt: Pair                          # enclosure of phi_h(m)
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
+
+    def start_box(self) -> Pair:
+        """The input box: layer 0 of the box's Taylor series."""
+        return self.layers[0][0], self.layers[1][0]
 
     def state_at(self, tau: Interval) -> Pair:
         """Enclosure of the flow at step-local time tau in [0, h]."""
@@ -210,6 +227,11 @@ class EnclosureStep:
     def transition_at(self, tau: Interval) -> Pair:
         mt = poly_eval(self.trans_layers, self.trans_rem, tau)
         return kn.matmul(*mt, *self.v_start)
+
+    def lohner_map(self) -> Pair:
+        """A, the enclosure of Dphi_h over the input box that the step's
+        Lohner update used (C1 only)."""
+        return poly_eval(self.trans_layers, self.trans_rem, Interval.point(self.h))
 
 
 # --- rough enclosures --------------------------------------------------------
@@ -298,7 +320,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
 
     rec = EnclosureStep(
         index=index, t_prev=t_prev, t_k=t_prev + h, h=h, tight=tight,
-        whole=whole, layers=layers_x, rem=rem)
+        whole=whole, layers=layers_x, rem=rem, center=center, pt=pt)
 
     if cur.has_transition:
         rec.v_start = cur.transition_box()
@@ -327,6 +349,33 @@ def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
         t = rec.t_k
         k += 1
     return cur, steps
+
+
+def ride(point: np.ndarray, steps: list[EnclosureStep], to: int) -> LohnerSet:
+    """The thin point, given at the start of steps[0] of a recorded C1 flow,
+    at the start of steps[to], by the steps' own Lohner maps instead of new
+    steps.
+
+    The point starts in an identity frame at the flow's first center, so it
+    shares each step's center m and advances as `Frame.advance(A, pt)`:
+    phi_h(m + Q r) lies in phi_h(m) + A Q r when the segment from m to the
+    point lies in the box A covers.  The set's box is convex and holds m,
+    so it is enough that the point's box lies inside it; that is checked at
+    every step start up to `to`.  Raises OutsideRecordedSet when it fails.
+    """
+    m = steps[0].center
+    frame = Frame(m[:, None], np.eye(m.size), _column(kn.sub(point, point, m, m)))
+    for k, rec in enumerate(steps[:to + 1]):
+        bl, bh = frame.box()
+        box = rec.start_box()
+        if not (np.array_equal(frame.m[:, 0], rec.center)
+                and kn.contains_point(*box, rec.center)
+                and kn.subset(bl[:, 0], bh[:, 0], *box)):
+            raise OutsideRecordedSet(
+                f"the point left the recorded set's box at step {rec.index}")
+        if k < to:
+            frame, _ = frame.advance(rec.lohner_map(), _column(rec.pt))
+    return LohnerSet(frame)
 
 
 # --- sections and crossings --------------------------------------------------
@@ -358,6 +407,7 @@ class SectionCrossing:
     transition: Pair | None          # monodromy columns at the crossing
     projected: Pair | None           # after removing the flow direction
     steps: list[EnclosureStep]
+    zone: list[int]                  # positions in steps of the straddling steps
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
@@ -375,9 +425,13 @@ def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
 
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
-                    h: float, order: int,
-                    max_steps: int | None = None) -> SectionCrossing:
-    """Integrate to the first transversal crossing of the section."""
+                    h: float, order: int, max_steps: int | None = None,
+                    first_step: int = 0) -> SectionCrossing:
+    """Integrate to the first transversal crossing of the section.
+
+    `start` is the set at step `first_step` of a run from time 0 with step
+    h (the time t_prev is summed as that run sums it), and the step budget
+    counts from step 0.  A run resumed there must not cross before it."""
     budget = max_steps if max_steps is not None else int(np.ceil(10.0 / h))
     want = _crossing_sign(section, section.g(*start.box()))
 
@@ -385,7 +439,9 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     cur = start
     zone: list[int] = []
     t = 0.0
-    for k in range(budget):
+    for _ in range(first_step):
+        t += h
+    for k in range(first_step, budget):
         cur, rec = step(field, cur, h, order, index=k, t_prev=t)
         steps.append(rec)
         t = rec.t_k
@@ -406,7 +462,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
             raise NonTransversal(
                 f"dg.f = {gd} does not exclude zero with the required sign "
                 f"on step {k}")
-        zone.append(k)
+        zone.append(len(steps) - 1)
     else:
         raise NoCrossing(f"no section crossing within {budget} steps")
     if not zone:
@@ -424,13 +480,15 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
 
     return SectionCrossing(
         state=state, t_cross=t_enc, gdot=gdot, transition=transition,
-        projected=projected, steps=steps)
+        projected=projected, steps=steps, zone=zone)
 
 
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    """Enclosure of k h + [a, b]: step k (0-based) of a run with the one
-    step size h that `flow_to_section` takes starts at k h."""
-    return Interval.point(steps[k].h) * Interval.point(float(k)) + Interval(a, b)
+    """Enclosure of i h + [a, b] for steps[k], step i (its index, 0-based)
+    of a run with the one step size h that `flow_to_section` takes: it
+    starts at i h."""
+    return (Interval.point(steps[k].h) * Interval.point(float(steps[k].index))
+            + Interval(a, b))
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:

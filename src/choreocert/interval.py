@@ -104,15 +104,6 @@ class Interval:
         """max |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    def mig(self) -> float:
-        """min |x| over the interval."""
-        if self.lo <= 0.0 <= self.hi:
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
-
-    def is_thin(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 

@@ -122,8 +122,8 @@ def point_phi(problem: ChoreographyProblem, x, with_jacobian: bool = False,
 
     V = y_end[n:].reshape(n, d)
     fs = rhs(s_end)
-    dg = 0.5 * (problem.section.dg(s_end, s_end)[0]
-                + problem.section.dg(s_end, s_end)[1])
+    dgl, dgh = problem.section.dg(s_end, s_end)
+    dg = 0.5 * (dgl + dgh)
     gdot = float(dg @ fs)
     proj = V - np.outer(fs, dg @ V) / gdot
     drl, drh = problem.reduce_derivative(s_end, s_end)

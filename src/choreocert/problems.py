@@ -31,6 +31,11 @@ binary64 value, so E introduces no rounding at all.  LinearEmbedding checks
 this shape when it is built.  R, the sections and the crossing guards are
 exact product forms (ProductForm): signed sums of +-1 linear forms in the
 state, their products and their squares; DR and dg are their product rule.
+
+phi_jacobian flows the embedded box and phi_point the thin point.  Given
+the box's crossing at the same step size, phi_point lets the point ride the
+box flow's recorded Lohner maps up to the step before the section zone, and
+integrates only the steps from there on.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from . import kernels as kn
 from .boxes import IntervalMatrix, IntervalVector
 from .dynamics import GravityField, PhaseLayout, nbody_field, reduced6_field
 from .errors import DimensionMismatch, NonTransversal
-from .integrator import LohnerSet, SectionCrossing, SectionSpec, flow_to_section
+from .integrator import (LohnerSet, SectionCrossing, SectionSpec,
+                         flow_to_section, ride)
 from .interval import Interval
 
 Pair = tuple[np.ndarray, np.ndarray]
@@ -450,12 +456,26 @@ def _crossing_notes(problem: ChoreographyProblem,
 
 
 def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
-              max_steps: int | None = None) -> MapEvaluation:
-    """Rigorous enclosure of the defect map at a point (thin run)."""
+              max_steps: int | None = None,
+              along: SectionCrossing | None = None) -> MapEvaluation:
+    """Rigorous enclosure of the defect map at a point (thin run).
+
+    With `along`, a set flow's crossing at the same step size h, the point
+    rides that flow (`integrator.ride`) up to the step before its first zone
+    step, and only the steps from there on are integrated.  Those steps
+    still start on the start side: the point's box there lies in the set's
+    box, inside the whole-step enclosure of a step before the zone.  Raises
+    OutsideRecordedSet when the point leaves the set's box on the way."""
     s0 = problem.embed_point(x)
-    start = LohnerSet.from_box(s0, s0)
+    if along is None:
+        start, first = LohnerSet.from_box(s0, s0), 0
+    else:
+        if along.steps[0].index != 0 or along.steps[0].h != h:
+            raise ValueError("phi_point rides a flow from step 0 at its own h")
+        k0 = max(along.zone[0] - 1, 0)
+        start, first = ride(s0, along.steps, k0), k0
     cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         max_steps)
+                         max_steps, first_step=first)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
                          crossing=cr, notes=_crossing_notes(problem, cr))
 
@@ -494,8 +514,7 @@ def conservation_containment(problem: ChoreographyProblem, steps) -> dict:
             "center_x": cx, "center_y": cy,
         }
 
-    first = steps[0]
-    initial = quantities(first.layers[0][0], first.layers[1][0])
+    initial = quantities(*steps[0].start_box())
     report = {name: True for name in initial}
     worst = {name: 0.0 for name in initial}
     for rec in steps:

@@ -1,8 +1,11 @@
 """Interval Newton and Krawczyk certification of zeros of C1 maps.
 
 The map is supplied as two callbacks: a rigorous value enclosure at a point
-and a rigorous derivative enclosure over a box.  The certification loop
-computes the chosen operator image T(x, [X]) and decides:
+and a rigorous derivative enclosure over a box.  Each iteration evaluates
+the derivative over [X] first, then the value at x, so a map can reuse the
+box's work for the point (the prover's point rides the box flow).  The
+certification loop computes the chosen operator image T(x, [X]) and
+decides:
 
 * T strictly inside [X]     -> exactly one zero in [X]      (UniqueZero)
 * T disjoint from [X]       -> no zero in [X]               (NoZero)
@@ -130,8 +133,8 @@ def certify(job: CertificationJob) -> CertificationOutcome:
     trace: list[IterationRecord] = []
 
     for it in range(1, job.max_iter + 1):
-        f_x = job.map.eval_point(x)
         df_X = job.map.eval_jacobian(X)
+        f_x = job.map.eval_point(x)
 
         C = None
         try:

@@ -14,6 +14,12 @@ from choreocert.interval import Interval
 from choreocert.rootfind import CertifiableMap, CertificationJob, certify
 
 
+def _matrix(rows) -> IntervalMatrix:
+    """An interval matrix from rows of scalar intervals."""
+    return IntervalMatrix(np.array([[iv.lo for iv in r] for r in rows]),
+                          np.array([[iv.hi for iv in r] for r in rows]))
+
+
 def quadratic_map():
     # two copies of x^2 - 2, so a certificate has the Eight's two coordinates
     def eval_point(x):
@@ -22,7 +28,7 @@ def quadratic_map():
 
     def eval_jacobian(X):
         two = Interval.point(2.0)
-        return IntervalMatrix.from_intervals([[two * X[0], Interval(0.0)],
+        return _matrix([[two * X[0], Interval(0.0)],
                                               [Interval(0.0), two * X[1]]])
 
     return CertifiableMap(2, eval_point, eval_jacobian)

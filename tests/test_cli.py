@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from choreocert import cli
+from choreocert import cli, integrator
 from choreocert.certificates import parse_document
 from choreocert.cli import (
     EXIT_INCONCLUSIVE,
@@ -15,6 +15,7 @@ from choreocert.cli import (
     EXIT_VERIFY_DISAGREE,
     main,
 )
+from choreocert.problems import make_problem, phi_point
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,30 @@ class TestProve:
         note = body["crossing_notes"]["first_body_distance_squared"]
         dist2 = Interval.from_hex(*note)
         assert dist2.lo > 1.0  # crossing happens near radius 1.08
+
+    def test_point_rides_the_set_flow_at_equal_steps(self, eight_cert):
+        body = parse_document(eight_cert.read_text())
+        counts = body["step_counts"]
+        assert 0 < counts["point"] < counts["set"]
+
+    def test_point_outside_the_set_is_integrated_alone(self, monkeypatch):
+        # a failed inclusion check falls back to the standalone point flow,
+        # whose value the certificate then carries bit for bit
+        candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
+        args = ("eight", None, None, "newton", 0.01, 0.01, 7, 1e-6, candidate)
+        riding, _ = cli.run_certification(*args)
+        monkeypatch.setattr(
+            integrator.EnclosureStep, "start_box",
+            lambda rec: (rec.center + 1.0, rec.center + 1.0))
+        cert, _ = cli.run_certification(*args)
+        alone = phi_point(make_problem("eight"), candidate, 0.01, 7)
+        for got, want in ((cert.phi_at_candidate.lo, alone.value.lo),
+                          (cert.phi_at_candidate.hi, alone.value.hi)):
+            assert np.array_equal(got, want)
+        assert cert.steps_point == cert.steps_set == len(alone.crossing.steps)
+        assert riding.steps_point < cert.steps_point
+        assert np.array_equal(cert.dphi_on_box.lo, riding.dphi_on_box.lo)
+        assert np.array_equal(cert.dphi_on_box.hi, riding.dphi_on_box.hi)
 
     def test_unknown_system_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

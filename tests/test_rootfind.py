@@ -12,6 +12,12 @@ from choreocert.rootfind import (
 )
 
 
+def _matrix(rows) -> IntervalMatrix:
+    """An interval matrix from rows of scalar intervals."""
+    return IntervalMatrix(np.array([[iv.lo for iv in r] for r in rows]),
+                          np.array([[iv.hi for iv in r] for r in rows]))
+
+
 def quadratic_map():
     """F(x) = x^2 - 2 with exact interval evaluations."""
 
@@ -21,7 +27,7 @@ def quadratic_map():
 
     def eval_jacobian(X):
         two_x = Interval.point(2.0) * X[0]
-        return IntervalMatrix.from_intervals([[two_x]])
+        return _matrix([[two_x]])
 
     return CertifiableMap(1, eval_point, eval_jacobian)
 
@@ -40,7 +46,7 @@ def cross_system_map():
     def eval_jacobian(X):
         two = Interval.point(2.0)
         m1 = Interval.point(-1.0)
-        return IntervalMatrix.from_intervals([
+        return _matrix([
             [two * X[0], m1], [m1, two * X[1]]])
 
     return CertifiableMap(2, eval_point, eval_jacobian)
@@ -50,7 +56,7 @@ class TestOperators:
     def test_newton_scalar_example(self):
         # F(x) = x^2 - 2 on [1, 2] at 1.5: N = 1.5 - 0.25 / [2, 4]
         f_x = IntervalVector.from_intervals([Interval.point(0.25)])
-        df = IntervalMatrix.from_intervals([[Interval(2.0, 4.0)]])
+        df = _matrix([[Interval(2.0, 4.0)]])
         n = newton_operator(np.array([1.5]), f_x, df)
         assert n[0].lo == pytest.approx(1.375, abs=1e-12)
         assert n[0].hi == pytest.approx(1.4375, abs=1e-12)
@@ -60,7 +66,7 @@ class TestOperators:
         # F(x) = x^2 - 2 on [10, 11] at 10.5: the image lands near [5.1, 5.6],
         # disjoint from the box, so there is no zero in it
         f_x = IntervalVector.from_intervals([Interval.point(10.5 ** 2 - 2.0)])
-        df = IntervalMatrix.from_intervals([[Interval(20.0, 22.0)]])
+        df = _matrix([[Interval(20.0, 22.0)]])
         n = newton_operator(np.array([10.5]), f_x, df)
         box = IntervalVector(np.array([10.0]), np.array([11.0]))
         assert 5.0 < n[0].lo and n[0].hi < 5.7
@@ -70,7 +76,7 @@ class TestOperators:
         # K = 1.5 - 0.25/3 + (1 - [2,4]/3) [-0.5, 0.5] = [1.25, 1.5833...]
         X = IntervalVector(np.array([1.0]), np.array([2.0]))
         f_x = IntervalVector.from_intervals([Interval.point(0.25)])
-        df = IntervalMatrix.from_intervals([[Interval(2.0, 4.0)]])
+        df = _matrix([[Interval(2.0, 4.0)]])
         k = krawczyk_operator(np.array([1.5]), X, f_x, df,
                               np.array([[1.0 / 3.0]]))
         assert k[0].lo == pytest.approx(1.25, abs=1e-12)
@@ -147,7 +153,7 @@ class TestCertify:
                 [Interval(-1e-3, 1e-3)])  # hopelessly wide defect
 
         def eval_jacobian(X):
-            return IntervalMatrix.from_intervals([[Interval(0.9, 1.1)]])
+            return _matrix([[Interval(0.9, 1.1)]])
 
         m = CertifiableMap(1, eval_point, eval_jacobian)
         job = CertificationJob(map=m, x0=np.array([0.0]),
@@ -162,13 +168,26 @@ class TestCertify:
             return IntervalVector.from_intervals([Interval.point(0.0)])
 
         def eval_jacobian(X):
-            return IntervalMatrix.from_intervals([[Interval(0.5, 2.0)]])
+            return _matrix([[Interval(0.5, 2.0)]])
 
         m = CertifiableMap(1, eval_point, eval_jacobian)
         job = CertificationJob(map=m, x0=np.array([1.0]),
                                X=IntervalVector.box([1.0], 0.5), max_iter=5)
         out = certify(job)
         assert out.iterations <= 5
+
+    def test_derivative_over_the_box_comes_before_the_point_value(self):
+        # the prover's point rides the flow of the box, so each iteration
+        # must flow the box first
+        calls = []
+        inner = quadratic_map()
+        m = CertifiableMap(
+            1,
+            lambda x: calls.append("point") or inner.eval_point(x),
+            lambda X: calls.append("jacobian") or inner.eval_jacobian(X))
+        out = certify(CertificationJob(map=m, x0=np.array([1.5]),
+                                       X=IntervalVector.box([1.5], 0.5)))
+        assert calls == ["jacobian", "point"] * out.iterations
 
     def test_x0_outside_box_rejected(self):
         with pytest.raises(ValueError):
