@@ -14,10 +14,12 @@ preconditioner) and re-checks the inclusion logic, so a stored verdict can
 be audited without any integration.  The top-level copies must restate the
 first iteration and `box` must be box(candidate, delta).  The problem block
 must be the one `make_problem` rebuilds from its id and size parameter.
-The schema version, the method, the trace indices 1..n, `max_iter`, the
-iteration count and `delta` must be values the prover writes (an int field
-holds an int, never a bool), and a Newton document carries no
-preconditioner.  A convexity document must be one `verify_convexity`
+The schema version (2, for both kinds), the method, the trace indices 1..n,
+`max_iter`, the iteration count and `delta` must be values the prover
+writes (an int field holds an int, never a bool), and a Newton document
+carries no preconditioner.  An existence document's `parameters` are
+exactly the one step size `h` of its point and set flows, `order`, `delta`
+and `max_iter`.  A convexity document must be one `verify_convexity`
 writes: the Eight, rows in step and body order that all passed, each
 meeting its condition under the prover's own rule `condition_holds`, and a
 verdict that fails exactly when it states a failure.
@@ -45,7 +47,8 @@ from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
 from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter"})
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
 
 
@@ -86,8 +89,7 @@ class ProofCertificate:
     reduced_names: tuple[str, ...]
     size_parameter: float | None
     method: str
-    h_point: float
-    h_set: float
+    h: float
     order: int
     delta: float
     max_iter: int
@@ -118,8 +120,7 @@ class ProofCertificate:
                                       self.size_parameter),
             "method": self.method,
             "parameters": {
-                "h_point": _hex_float(self.h_point),
-                "h_set": _hex_float(self.h_set),
+                "h": _hex_float(self.h),
                 "order": self.order,
                 "delta": _hex_float(self.delta),
                 "max_iter": self.max_iter,
@@ -240,13 +241,17 @@ def reverify_document(text: str) -> VerificationReport:
 def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     # The fields that commands read from a document once it verifies.
     pb, params = body["problem"], body["parameters"]
+    if set(params) != _EXISTENCE_PARAMETERS:
+        rep.add(False, f"parameters {sorted(params)} are exactly "
+                       f"{sorted(_EXISTENCE_PARAMETERS)}")
+        return
     a_hex = pb["size_parameter"]
-    positive = [float.fromhex(params[k]) for k in ("h_point", "h_set", "delta")]
+    positive = [float.fromhex(params[k]) for k in ("h", "delta")]
     rep.add(isinstance(pb["id"], str)
             and type(params["order"]) is int and params["order"] >= 1
             and all(math.isfinite(v) and v > 0.0 for v in positive)
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
-            "problem and parameters are readable, steps and delta > 0, "
+            "problem and parameters are readable, h and delta > 0, "
             "order >= 1")
     try:
         problem = rebuild_problem(pb["id"], a_hex)

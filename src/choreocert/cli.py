@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* prove       run a certification (Newton or Krawczyk) and write a
-              machine-checkable certificate
+* prove       run a certification (Newton or Krawczyk) at one step size h,
+              the box flowed and the candidate riding its Lohner maps, and
+              write a machine-checkable certificate
 * convexity   verify lobe convexity of the Eight (inline existence proof or
               from an existing certificate, re-verified first)
 * refine      nonrigorous Newton refinement of a candidate point
@@ -74,8 +75,8 @@ DEFAULTS = {
     "chain6": {
         "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864),
-        "method": "krawczyk", "h_point": 0.0025, "h_set": 0.001, "order": 9,
-        "delta": 1e-9, "a": "1.887041548253914",
+        "method": "krawczyk", "h": 0.001, "order": 9, "delta": 1e-9,
+        "a": "1.887041548253914",
     },
 }
 
@@ -96,11 +97,10 @@ def _problem(system: str, bodies, a_text):
 
 def _check_numbers(args) -> None:
     """Reject step sizes, widths, orders and counts no run can use."""
-    for name in ("h", "h_point", "h_set", "delta"):
+    for name in ("h", "delta"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise _UsageError(f"--{name.replace('_', '-')} must be finite "
-                              f"and > 0, not {value}")
+            raise _UsageError(f"--{name} must be finite and > 0, not {value}")
     # convexity reads the flow's third derivative from the Taylor layers
     least_order = 4 if args.command == "convexity" else 1
     for name, least in (("order", least_order), ("max_iter", 1),
@@ -136,9 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="eight, gerver, chain6, chain (or a comma list)")
     pr.add_argument("--bodies", type=int, help="body count for --system chain")
     pr.add_argument("--method", choices=("newton", "krawczyk"))
-    pr.add_argument("--h", type=float, help="time step for point and set runs")
-    pr.add_argument("--h-point", type=float, help="time step for the point run")
-    pr.add_argument("--h-set", type=float, help="time step for the set run")
+    pr.add_argument("--h", type=float, help="time step of the flow")
     pr.add_argument("--order", type=int)
     pr.add_argument("--delta", type=float, help="initial box half-width")
     pr.add_argument("--a", help="orbit size parameter (decimal literal)")
@@ -181,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_prove_params(args, system: str) -> dict:
     d = DEFAULTS.get(system, {})
-    h_point = _first_given(args.h_point, args.h, d.get("h_point"), d.get("h"))
-    h_set = _first_given(args.h_set, args.h, d.get("h_set"), d.get("h"))
+    h = _first_given(args.h, d.get("h"))
     method = _first_given(args.method, d.get("method"))
     order = _first_given(args.order, d.get("order"))
     delta = _first_given(args.delta, d.get("delta"))
@@ -196,19 +193,18 @@ def _resolve_prove_params(args, system: str) -> dict:
         raise _UsageError(f"--candidate is required for system {system!r} "
                           "(run 'refine' first)")
     missing = [k for k, v in (("--method", method), ("--order", order),
-                              ("--delta", delta), ("--h", h_point),
-                              ("--h(-set)", h_set)) if v is None]
+                              ("--delta", delta), ("--h", h)) if v is None]
     if missing:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
     return dict(system=system, bodies=args.bodies, a_text=a_text,
-                method=method, h_point=float(h_point), h_set=float(h_set),
-                order=int(order), delta=float(delta), candidate=candidate,
+                method=method, h=float(h), order=int(order),
+                delta=float(delta), candidate=candidate,
                 max_iter=args.max_iter, max_steps=args.max_steps)
 
 
-def run_certification(system: str, bodies, a_text, method, h_point, h_set,
-                      order, delta, candidate, max_iter=64, max_steps=None):
+def run_certification(system: str, bodies, a_text, method, h, order, delta,
+                      candidate, max_iter=64, max_steps=None):
     """One certification run; returns (certificate, outcome)."""
     problem = make_problem(system, n_bodies=bodies, a_text=a_text)
     started = time.perf_counter()
@@ -216,20 +212,19 @@ def run_certification(system: str, bodies, a_text, method, h_point, h_set,
     record: dict = {}
 
     def eval_point(x):
-        # certify has just flowed the box: at the same step size the point
-        # rides that flow, and is integrated alone if it leaves the set
-        along = record["set"] if h_point == h_set else None
+        # certify has just flowed the box: the point rides that flow, and is
+        # integrated alone if it leaves the set
         try:
-            ev = phi_point(problem, x, h_point, order, max_steps, along=along)
+            ev = phi_point(problem, x, h, order, max_steps, along=record["set"])
         except OutsideRecordedSet:
-            ev = phi_point(problem, x, h_point, order, max_steps)
+            ev = phi_point(problem, x, h, order, max_steps)
         record["point"] = ev.crossing
         if ev.notes:
             record.setdefault("notes", {}).update(ev.notes)
         return ev.value
 
     def eval_jacobian(box):
-        ev = phi_jacobian(problem, box, h_set, order, max_steps)
+        ev = phi_jacobian(problem, box, h, order, max_steps)
         record["set"] = ev.crossing
         if ev.notes:
             record.setdefault("notes", {}).update(
@@ -257,7 +252,7 @@ def run_certification(system: str, bodies, a_text, method, h_point, h_set,
         reduced_names=problem.reduced_names,
         size_parameter=problem.size_parameter,
         method=method,
-        h_point=h_point, h_set=h_set, order=order, delta=delta,
+        h=h, order=order, delta=delta,
         max_iter=max_iter,
         candidate=np.asarray(candidate, float),
         box=X,
@@ -284,18 +279,16 @@ def _prove_one(args_dict: dict, out_path: str | None,
                expect_no_zero: bool) -> int:
     params = dict(args_dict)
     system = params.pop("system")
-    h_point = params.pop("h_point")
-    h_set = params.pop("h_set")
+    h = params.pop("h")
     for attempt in range(_RETRY_HALVINGS + 1):
         try:
             cert, outcome = run_certification(
                 system, params["bodies"], params["a_text"], params["method"],
-                h_point, h_set, params["order"], params["delta"],
+                h, params["order"], params["delta"],
                 params["candidate"], params["max_iter"], params["max_steps"])
         except (RoughEnclosureFailure,) as exc:
             print(f"{system}: {exc}; halving the step size", file=sys.stderr)
-            h_point *= 0.5
-            h_set *= 0.5
+            h *= 0.5
             continue
         except (CollisionEnclosure, NoCrossing, NonTransversal) as exc:
             print(f"{system}: integration failed: {exc}", file=sys.stderr)
@@ -303,8 +296,7 @@ def _prove_one(args_dict: dict, out_path: str | None,
         if outcome.verdict == "Inconclusive" and attempt < _RETRY_HALVINGS:
             print(f"{system}: inconclusive ({outcome.cause}); halving the "
                   "step size", file=sys.stderr)
-            h_point *= 0.5
-            h_set *= 0.5
+            h *= 0.5
             continue
         break
     else:
@@ -381,8 +373,8 @@ def _cmd_convexity(args) -> int:
                      if args.candidate
                      else np.array(DEFAULTS["eight"]["candidate"]))
         cert0, outcome = run_certification(
-            "eight", None, None, "newton", args.h, args.h, args.order,
-            args.delta, candidate)
+            "eight", None, None, "newton", args.h, args.order, args.delta,
+            candidate)
         if outcome.verdict != "UniqueZero":
             print(f"convexity: inline existence proof gave {outcome.verdict}",
                   file=sys.stderr)
@@ -431,7 +423,7 @@ def _cmd_emit_curve(args) -> int:
                               body["problem"]["size_parameter"])
     box = IntervalVector.from_hex(body["refined_box"])
     params = body["parameters"]
-    h = _first_given(args.h, float.fromhex(params["h_set"]))
+    h = _first_given(args.h, float.fromhex(params["h"]))
     order = _first_given(args.order, params["order"])
     try:
         ev = phi_jacobian(problem, box, h, order)

@@ -32,10 +32,10 @@ this shape when it is built.  R, the sections and the crossing guards are
 exact product forms (ProductForm): signed sums of +-1 linear forms in the
 state, their products and their squares; DR and dg are their product rule.
 
-phi_jacobian flows the embedded box and phi_point the thin point.  Given
-the box's crossing at the same step size, phi_point lets the point ride the
-box flow's recorded Lohner maps up to the step before the section zone, and
-integrates only the steps from there on.
+phi_jacobian flows the embedded box and phi_point the thin point, both at
+a proof's one step size h.  Given the box's crossing, phi_point lets the
+point ride the box flow's recorded Lohner maps up to the step before the
+section zone, and integrates only the steps from there on.
 """
 
 from __future__ import annotations

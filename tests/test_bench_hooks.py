@@ -57,8 +57,7 @@ def test_one_series_pass_per_step(system, carry_transition, monkeypatch):
     problem = make_problem(system, a_text=d["a"])
     box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
     start = problem.embed_slab(box, carry_transition)
-    integrator.step(problem.field, start, d.get("h_set", d.get("h")),
-                    d["order"])
+    integrator.step(problem.field, start, d["h"], d["order"])
     assert len(outside_eval) == 1
 
 

@@ -34,7 +34,8 @@ def quadratic_map():
     return CertifiableMap(2, eval_point, eval_jacobian)
 
 
-def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
+def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
+                      h=0.01):
     # the verifier rebuilds the problem from its id, so the toy map's
     # certificate carries the Eight's problem block
     x = np.array([x0, x0])
@@ -46,7 +47,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64):
     return ProofCertificate(
         problem_id="eight", n_bodies=3, reduced_dim=2,
         reduced_names=("v", "u"), size_parameter=None, method=method,
-        h_point=0.01, h_set=0.01, order=7, delta=delta, max_iter=job.max_iter,
+        h=h, order=7, delta=delta, max_iter=job.max_iter,
         candidate=x, box=job.X,
         phi_at_candidate=first.f_x if first else None,
         dphi_on_box=first.df_X if first else None,
@@ -195,18 +196,29 @@ class TestBoundToTrace:
             body["iterations"] = count
             assert not reverify_document(json.dumps(body)).ok
 
-    @pytest.mark.parametrize("key, value", [
-        ("h_point", "0x0.0p+0"), ("h_set", "0x0.0p+0"), ("h_set", "-0x1.0p-7"),
-        ("h_set", "inf"), ("h_point", "nan"), ("order", 0),
-    ])
-    def test_unusable_parameters_fail(self, key, value):
+    @pytest.mark.parametrize("key, value, failing", [
+        ("h", "0x0.0p+0", "problem and parameters"),
+        ("h", "-0x1.0p-7", "problem and parameters"),
+        ("h", "inf", "problem and parameters"),
+        ("h", "nan", "problem and parameters"),
+        ("order", 0, "problem and parameters"),
+        # the retired split step sizes: a document of the old form, h
+        # replaced by h_point and h_set, fails on its key set
+        ("h_point", "0x0.0p+0", "parameters "),
+        ("h_set", "0x0.0p+0", "parameters "),
+    ], ids=["zero-h", "h-negative", "h-inf", "h-nan", "order-0",
+            "h_point-0x0.0p+0", "h_set-0x0.0p+0"])
+    def test_unusable_parameters_fail(self, key, value, failing):
         cert, _ = small_certificate()
         body = parse_document(cert.to_document())
-        body["parameters"][key] = value
+        params = body["parameters"]
+        if key in ("h_point", "h_set"):
+            h = params.pop("h")
+            params.update(h_point=h, h_set=h)
+        params[key] = value
         report = reverify_document(json.dumps(body))
         assert not report.ok
-        assert any(m.startswith("FAIL problem and parameters")
-                   for m in report.messages)
+        assert any(m.startswith("FAIL " + failing) for m in report.messages)
 
 
 class TestProblemBlock:
@@ -282,6 +294,21 @@ class TestMalformed:
         report = reverify_document(json.dumps(body))
         assert not report.ok
         assert any(m.startswith("FAIL") for m in report.messages)
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.update(foo="0x1.0p+0"),
+        lambda params: params.update(h_point=params["h"]),
+        lambda params: params.pop("h"),
+    ], ids=["extra-key", "leftover-h-point", "no-h"])
+    def test_parameters_are_a_closed_key_set(self, edit):
+        # a FAIL line of its own, not a KeyError caught as malformed
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        edit(body["parameters"])
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert any(m.startswith("FAIL parameters ") for m in report.messages)
+        assert not any("malformed" in m for m in report.messages)
 
     @pytest.mark.parametrize("text", ["", "not json", "[1, 2]", '{"kind": 3}'])
     def test_unreadable_text_fails(self, text):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from choreocert import cli, integrator
+from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document
 from choreocert.cli import (
     EXIT_INCONCLUSIVE,
@@ -60,6 +61,11 @@ class TestProve:
     def test_eight_replay_flags(self, eight_cert):
         text = eight_cert.read_text()
         assert '"verdict": "UniqueZero"' in text
+        # tightness ratchet: a change that widens the image says so
+        (rec,) = parse_document(text)["trace"]
+        ratio = np.max(IntervalVector.from_hex(rec["image"]).diam()
+                       / IntervalVector.from_hex(rec["X"]).diam())
+        assert ratio <= 0.000767754
 
     def test_eight_records_crossing_validity_note(self, eight_cert):
         from choreocert.certificates import parse_document
@@ -80,7 +86,7 @@ class TestProve:
         # a failed inclusion check falls back to the standalone point flow,
         # whose value the certificate then carries bit for bit
         candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
-        args = ("eight", None, None, "newton", 0.01, 0.01, 7, 1e-6, candidate)
+        args = ("eight", None, None, "newton", 0.01, 7, 1e-6, candidate)
         riding, _ = cli.run_certification(*args)
         monkeypatch.setattr(
             integrator.EnclosureStep, "start_box",
@@ -194,9 +200,9 @@ class TestEmitCurve:
 
 
     @pytest.mark.parametrize("edit", [
-        lambda params: params.update(h_set="0x0p+0"),
+        lambda params: params.update(h="0x0p+0"),
         lambda params: params.update(order=0),
-    ], ids=["zero-h-set", "order-zero"])
+    ], ids=["zero-h", "order-zero"])
     def test_unusable_parameters_are_not_unfolded(self, eight_cert, tmp_path,
                                                   capsys, edit):
         body = parse_document(eight_cert.read_text())
@@ -234,15 +240,15 @@ class TestUnusableNumbers:
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--delta", "0"],
         ["prove", "--system", "eight", "--h", "-0.01"],
-        ["prove", "--system", "eight", "--h-point", "nan"],
-        ["prove", "--system", "eight", "--h-set", "inf"],
+        ["prove", "--system", "eight", "--h", "nan"],
+        ["prove", "--system", "eight", "--h", "inf"],
         ["prove", "--system", "eight", "--order", "-1"],
         ["prove", "--system", "eight", "--max-iter", "-1"],
         ["prove", "--system", "eight", "--max-steps", "0"],
         ["prove", "--system", "eight", "--jobs", "0"],
         ["convexity", "--h", "0"],
         ["convexity", "--order", "3"],
-    ], ids=["delta-zero", "h-negative", "h-point-nan", "h-set-inf",
+    ], ids=["delta-zero", "h-negative", "h-nan", "h-inf",
             "order-negative", "max-iter-negative", "max-steps-zero",
             "jobs-zero", "convexity-h-zero", "convexity-order-three"])
     def test_usage_error(self, argv, tmp_path, capsys):
@@ -250,6 +256,16 @@ class TestUnusableNumbers:
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         option = argv[-2]
         assert capsys.readouterr().err.startswith(f"{argv[0]}: {option} must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--h-point", "--h-set"])
+    def test_one_step_size_option(self, option, tmp_path, capsys):
+        # a proof has one step size: argparse knows no point or set step
+        out = tmp_path / "out.cert"
+        with pytest.raises(SystemExit):
+            main(["prove", "--system", "eight", option, "0.0025",
+                  "--out", str(out)])
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

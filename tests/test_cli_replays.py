@@ -3,10 +3,19 @@ certificate documents, and the parallel-jobs path."""
 
 import json
 
+import numpy as np
 import pytest
 
+from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document
 from choreocert.cli import EXIT_OK, main
+
+
+def max_image_box_ratio(body) -> float:
+    """The largest width ratio of an operator image to its box."""
+    return max(float(np.max(IntervalVector.from_hex(rec["image"]).diam()
+                            / IntervalVector.from_hex(rec["X"]).diam()))
+               for rec in body["trace"])
 
 
 @pytest.mark.slow
@@ -20,18 +29,21 @@ class TestVerbatimInvocations:
         body = parse_document(out.read_text())
         assert body["verdict"] == "UniqueZero"
         assert body["method"] == "krawczyk"
+        # tightness ratchet: a change that widens the image says so
+        assert max_image_box_ratio(body) <= 0.152054504
         assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
 
-    def test_chain6_split_step_flags(self, tmp_path):
+    def test_chain6_flags(self, tmp_path):
         out = tmp_path / "chain6.cert"
         code = main(["prove", "--system", "chain6", "--method", "krawczyk",
-                     "--h-point", "0.0025", "--h-set", "0.001",
-                     "--order", "9", "--out", str(out)])
+                     "--h", "0.001", "--order", "9", "--out", str(out)])
         assert code == EXIT_OK
         body = parse_document(out.read_text())
         assert body["verdict"] == "UniqueZero"
-        assert float.fromhex(body["parameters"]["h_point"]) == 0.0025
-        assert float.fromhex(body["parameters"]["h_set"]) == 0.001
+        assert float.fromhex(body["parameters"]["h"]) == 0.001
+        assert "h_point" not in body["parameters"]
+        assert "h_set" not in body["parameters"]
+        assert max_image_box_ratio(body) <= 0.0350636
         assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
 
     def test_generic_chain_four_bodies(self, tmp_path):
