@@ -8,26 +8,31 @@ float QR and inverses go through BLAS/LAPACK, so another CPU or BLAS build
 can change stored bits.  `environment.rounding_backend` names the one
 rounding scheme, the nudging of `kernels`.
 
-The verifier re-derives each iteration's operator image from the serialized
-ingredients alone (candidate, box, defect enclosure, derivative enclosure,
-preconditioner) and re-checks the inclusion logic, so a stored verdict can
-be audited without any integration.  The top-level copies must restate the
-first iteration and `box` must be box(candidate, delta).  The problem block
-must be the one `make_problem` rebuilds from its id and size parameter.
-The schema version (2, for both kinds), the method, the trace indices 1..n,
-`max_iter`, the iteration count and `delta` must be values the prover
-writes (an int field holds an int, never a bool), and a Newton document
-carries no preconditioner.  An existence document's `parameters` are
-exactly the one step size `h` of its point and set flows, `order`, `delta`
-and `max_iter`.  A convexity document must be one `verify_convexity`
-writes: the Eight, rows in step and body order that all passed, each
-meeting its condition under the prover's own rule `condition_holds`, and a
-verdict that fails exactly when it states a failure.
-Informative, not checked: `step_counts`, the crossing times,
-`crossing_notes`, `cause`, `wall_clock_seconds` and `environment`.
+`existence_certificate` is the one writer of an existence document.  Its
+inputs are the problem, the certification job (candidate, box(candidate,
+delta), method, preconditioner, `max_iter`), the outcome `certify`
+returned, and the step size `h`, `order` and `delta`.  Every other field
+derives from them: the box, the top-level copies of the first iteration,
+the trace, the operator image, the refined box, the verdict and the
+iteration count.  Informative, not checked: `cause`, the crossing times,
+`crossing_notes`, `step_counts`, `wall_clock_seconds` and `environment`.
 `step_counts.point` counts only the point steps integrated in full: a point
 that rides the set flow's recorded Lohner maps (`problems.phi_point`) takes
 no step of its own before the section zone.
+
+The verifier audits a stored verdict without any integration.  It checks
+the inputs: the schema version (2, for both kinds), the parameters (exactly
+`h`, `order`, `delta` and `max_iter`, with an int never a bool), the
+problem block `make_problem` rebuilds and the candidate's dimension.  Then
+it replays `certify` itself on the stored enclosures, iteration k getting
+record k's `f_x` and `df_X`, and passes the replayed run to the writer.
+The stored document must have the writer's key set and equal it in every
+field that is not informative, also as canonical JSON (`true` is not `1`).
+A convexity document must be one `verify_convexity` writes: closed key sets
+at the top level, in `parameters` and in every row, the Eight, rows in step
+and body order that all passed, each meeting its condition under the
+prover's own rule `condition_holds`, and a verdict that fails exactly when
+it states a failure.
 """
 
 from __future__ import annotations
@@ -45,10 +50,15 @@ from .convexity import (AXES, ConvexityCertificate, condition,
 from .errors import ChoreoCertError
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
-from .rootfind import CertificationOutcome, judge, krawczyk_operator, newton_operator
+from .rootfind import (CertifiableMap, CertificationJob, CertificationOutcome,
+                       certify)
 
 SCHEMA_VERSION = 2
 _EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter"})
+# Existence fields that describe how the run went, not what it proved.
+_INFORMATIVE = frozenset({"cause", "crossing_time_point", "crossing_time_set",
+                          "crossing_notes", "step_counts",
+                          "wall_clock_seconds", "environment"})
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
 
 
@@ -111,8 +121,9 @@ class ProofCertificate:
     crossing_notes: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
-    def to_document(self) -> str:
-        body = {
+    def body(self) -> dict:
+        """The document's JSON body."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": "existence",
             "problem": _problem_block(self.problem_id, self.n_bodies,
@@ -151,7 +162,9 @@ class ProofCertificate:
             "wall_clock_seconds": self.wall_clock_seconds,
             "environment": {"rounding_backend": rounding_backend()},
         }
-        text = json.dumps(body, sort_keys=True, indent=1)
+
+    def to_document(self) -> str:
+        text = json.dumps(self.body(), sort_keys=True, indent=1)
         lines = [text, _COMMENT_HEADER]
         lines.append(f"# system: {self.problem_id}  method: {self.method}  "
                      f"verdict: {self.verdict}")
@@ -167,6 +180,28 @@ class ProofCertificate:
             for i, iv in enumerate(self.operator_image):
                 lines.append(f"# image[{i}] = [{iv.lo:.17g}, {iv.hi:.17g}]")
         return "\n".join(lines) + "\n"
+
+
+def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
+                          outcome: CertificationOutcome, h: float, order: int,
+                          delta: float, **informative) -> ProofCertificate:
+    """The certificate of one `certify` run; `informative` sets the fields
+    that only describe the run (crossing times, step counts, notes, wall
+    clock)."""
+    first = outcome.trace[0] if outcome.trace else None
+    return ProofCertificate(
+        problem_id=problem.key, n_bodies=problem.orbit_bodies,
+        reduced_dim=problem.reduced_dim, reduced_names=problem.reduced_names,
+        size_parameter=problem.size_parameter, method=job.method,
+        h=h, order=order, delta=delta, max_iter=job.max_iter,
+        candidate=job.x0, box=job.X,
+        phi_at_candidate=first.f_x if first else None,
+        dphi_on_box=first.df_X if first else None,
+        preconditioner=job.C if job.method == "krawczyk" else None,
+        operator_image=outcome.operator_image,
+        refined_box=outcome.refined_box, verdict=outcome.verdict,
+        cause=outcome.cause, iterations=outcome.iterations,
+        trace=trace_to_json(outcome), **informative)
 
 
 def trace_to_json(outcome: CertificationOutcome) -> list[dict]:
@@ -213,12 +248,12 @@ class VerificationReport:
 def reverify_document(text: str) -> VerificationReport:
     """Re-check a stored verdict from serialized intervals only.
 
-    Recomputes every iteration's operator image from the stored defect and
-    derivative enclosures (bit-identical arithmetic, no integration), then
-    re-derives each relation, each next box, the verdict, the operator
-    image and the refined box with the prover's own rule.  A document that
-    cannot be read (a missing field, a wrong type, a bad hex string, text
-    that is not JSON) gets a FAIL line, like any other disagreement.
+    An existence document is replayed through `certify` on its stored
+    defect and derivative enclosures (bit-identical arithmetic, no
+    integration) and must be the document the writer makes of that run.  A
+    document that cannot be read (a missing field, a wrong type, a bad hex
+    string, text that is not JSON) gets a FAIL line, like any other
+    disagreement.
     """
     rep = VerificationReport(ok=True)
     try:
@@ -239,112 +274,76 @@ def reverify_document(text: str) -> VerificationReport:
 
 
 def _reverify_existence(body: dict, rep: VerificationReport) -> None:
-    # The fields that commands read from a document once it verifies.
     pb, params = body["problem"], body["parameters"]
     if set(params) != _EXISTENCE_PARAMETERS:
         rep.add(False, f"parameters {sorted(params)} are exactly "
                        f"{sorted(_EXISTENCE_PARAMETERS)}")
         return
     a_hex = pb["size_parameter"]
-    positive = [float.fromhex(params[k]) for k in ("h", "delta")]
+    h, delta = (float.fromhex(params[k]) for k in ("h", "delta"))
+    order, max_iter = params["order"], params["max_iter"]
     rep.add(isinstance(pb["id"], str)
-            and type(params["order"]) is int and params["order"] >= 1
-            and all(math.isfinite(v) and v > 0.0 for v in positive)
+            and all(type(v) is int and v >= 1 for v in (order, max_iter))
+            and all(math.isfinite(v) and v > 0.0 for v in (h, delta))
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
             "problem and parameters are readable, h and delta > 0, "
-            "order >= 1")
+            "order and max_iter >= 1")
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
         rep.add(False, f"problem {pb['id']!r} with size parameter {a_hex!r} "
                        f"cannot be rebuilt: {exc}")
-    else:
-        rep.add(pb == _problem_block(pb["id"], problem.orbit_bodies,
-                                     problem.reduced_dim,
-                                     problem.reduced_names,
-                                     problem.size_parameter),
-                "problem block is the one make_problem rebuilds")
-        rep.add(len(body["candidate"]) == problem.reduced_dim,
-                "candidate has the problem's reduced dimension")
-
-    method = body["method"]
-    verdict = body["verdict"]
-    trace = body["trace"]
-    max_iter = params["max_iter"]
-    rep.add(method in ("newton", "krawczyk"),
-            f"method {method!r} is newton or krawczyk")
-    rep.add(method != "newton" or (body["preconditioner"] is None
-                                   and all(rec["C"] is None for rec in trace)),
-            "a Newton document carries no preconditioner")
-    rep.add(all(type(rec["index"]) is int and rec["index"] == i
-                for i, rec in enumerate(trace, 1)), "trace indices run 1..n")
-    rep.add(type(max_iter) is int and max_iter >= max(1, len(trace)),
-            f"max_iter {max_iter!r} is an int >= max(1, trace length)")
-
-    # The top-level copies restate the first iteration, checked below.
-    first = trace[0] if trace else {"x": body["candidate"]}
-    box = IntervalVector.box(_unhex_vec(body["candidate"]),
-                             float.fromhex(params["delta"]))
-    rep.add(body["box"] == box.to_hex(), "box is box(candidate, delta)")
-    for name, key in (("candidate", "x"), ("phi_at_candidate", "f_x"),
-                      ("dphi_on_box", "df_X"), ("preconditioner", "C")):
-        rep.add(body[name] == first.get(key)
-                or (name == "preconditioner" and body[name] is None),
-                f"{name} is the first iteration's {key}")
-    # certify counts the iteration whose derivative enclosure was singular;
-    # only that stop leaves no operator image before the iteration limit.
-    singular = body["operator_image"] is None and len(trace) < max_iter
-    rep.add(type(body["iterations"]) is int
-            and body["iterations"] == len(trace) + singular,
-            f"iteration count {body['iterations']!r} matches the trace")
-    if not trace:
-        rep.add(verdict == "Inconclusive",
-                "no iterations recorded; only Inconclusive is acceptable")
+        return
+    rep.add(pb == _problem_block(pb["id"], problem.orbit_bodies,
+                                 problem.reduced_dim, problem.reduced_names,
+                                 problem.size_parameter),
+            "problem block is the one make_problem rebuilds")
+    n = problem.reduced_dim
+    rep.add(len(body["candidate"]) == n,
+            "candidate has the problem's reduced dimension")
+    if not rep.ok:
         return
 
-    next_X = IntervalVector.from_hex(body["box"])
-    for rec in trace:
-        idx = rec["index"]
-        x = _unhex_vec(rec["x"])
-        X = IntervalVector.from_hex(rec["X"])
-        f_x = IntervalVector.from_hex(rec["f_x"])
-        df_X = IntervalMatrix.from_hex(rec["df_X"])
-        image = IntervalVector.from_hex(rec["image"])
-
-        rep.add(next_X is not None and X == next_X,
-                f"iter {idx}: box is the previous box cut by its image")
-        rep.add(X.contains_point(x), f"iter {idx}: candidate lies in the box")
-
-        if method == "newton":
-            recomputed = newton_operator(x, f_x, df_X)
-        else:
-            C = np.array([_unhex_vec(r) for r in rec["C"]])
-            recomputed = krawczyk_operator(x, X, f_x, df_X, C)
-        rep.add(recomputed == image,
-                f"iter {idx}: operator image reproduces bit-for-bit")
-
-        relation, settled, next_X = judge(X, image)
-        rep.add(relation == rec["relation"],
-                f"iter {idx}: relation {rec['relation']!r} re-derived")
-        if settled is not None and rec is not trace[-1]:
-            rep.add(False, f"iter {idx}: the run stops here with {settled}")
-
-    # Without a settled verdict the run stopped at the iteration limit or
-    # at a singular derivative enclosure in the iteration after the trace;
-    # only the latter leaves no operator image.
-    expected = settled or "Inconclusive"
-    rep.add(verdict == expected,
-            f"final verdict {verdict!r} follows from the last relation "
-            f"{relation!r}")
-    rep.add(body["operator_image"] == rec["image"]
-            or (settled is None and body["operator_image"] is None),
-            "operator image is the last iteration's image")
-    refined = next_X.to_hex() if next_X is not None else None
-    rep.add(body["refined_box"] == refined,
-            "refined box is the last box cut by the last image")
+    # Replay the prover's loop on the stored enclosures.  Past the trace
+    # comes the zero derivative.  Newton stops on it as singular, the
+    # prover's one early stop; a Krawczyk run records one iteration more
+    # than the trace, or cannot invert it, and so disagrees.
+    f_x = iter([IntervalVector.from_hex(r["f_x"]) for r in body["trace"]])
+    df_X = iter([IntervalMatrix.from_hex(r["df_X"]) for r in body["trace"]])
+    zero_f = IntervalVector.point(np.zeros(n))
+    zero_df = IntervalMatrix.point(np.zeros((n, n)))
+    C = body["preconditioner"]
+    candidate = _unhex_vec(body["candidate"])
+    job = CertificationJob(
+        map=CertifiableMap(n, lambda x: next(f_x, zero_f),
+                           lambda X: next(df_X, zero_df)),
+        x0=candidate, X=IntervalVector.box(candidate, delta),
+        method=body["method"], max_iter=max_iter,
+        C=None if C is None else np.array([_unhex_vec(row) for row in C]))
+    rebuilt = existence_certificate(problem, job, certify(job), h, order,
+                                    delta).body()
+    rep.add(set(body) == set(rebuilt),
+            "top-level keys are exactly the ones the prover writes")
+    fields = sorted(set(rebuilt) - _INFORMATIVE)
+    for key in fields:
+        rep.add(body.get(key) == rebuilt[key],
+                f"{key.replace('_', ' ')} is the one the replay writes")
+    # == takes true for 1; canonical JSON does not
+    canonical = json.JSONEncoder(sort_keys=True).encode
+    rep.add(canonical([body.get(k) for k in fields])
+            == canonical([rebuilt[k] for k in fields]),
+            "every field has the JSON type the prover writes")
 
 
 # --- convexity certificates ------------------------------------------------
+
+_CONVEXITY_KEYS = frozenset({
+    "schema_version", "kind", "problem", "parameters", "passed", "failure",
+    "steps_checked", "origin_in_first_step", "crossing_time", "checks",
+    "wall_clock_seconds", "environment"})
+_CONVEXITY_ROW = frozenset({"step", "body", "axis", "condition", "rate",
+                            "slope", "second", "third", "passed"})
+
 
 def convexity_to_document(cert: ConvexityCertificate,
                           wall_clock_seconds: float = 0.0) -> str:
@@ -396,12 +395,18 @@ def convexity_to_document(cert: ConvexityCertificate,
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored row with the prover's own rule,
     `condition_holds`, and that the document is one `verify_convexity`
-    writes: the Eight at an order >= 4 and a finite h > 0, rows of finite
-    ordered intervals for each of its three bodies step by step, each naming
-    the condition of its piece and marked passed,
-    and a verdict that fails exactly when a failure is stated.  A passing
+    writes: closed key sets, the Eight at an order >= 4 and a finite h > 0,
+    rows of finite ordered intervals for each of its three bodies step by
+    step, each naming the condition of its piece and marked passed, and a
+    verdict that fails exactly when a failure is stated.  A passing
     document must cover every step that starts before the crossing time and
     have the origin in the first step."""
+    rep.add(set(body) == _CONVEXITY_KEYS,
+            "top-level keys are exactly the ones the prover writes")
+    rep.add(set(body["parameters"]) == {"h", "order"},
+            "parameters are exactly h and order")
+    rep.add(all(set(c) == _CONVEXITY_ROW for c in body["checks"]),
+            "every row's keys are exactly the ones the prover writes")
     order = body["parameters"]["order"]
     h = float.fromhex(body["parameters"]["h"])
     rep.add(body["problem"] == "eight"

@@ -30,12 +30,11 @@ import numpy as np
 
 from .boxes import IntervalVector
 from .certificates import (
-    ProofCertificate,
     convexity_to_document,
+    existence_certificate,
     parse_document,
     rebuild_problem,
     reverify_document,
-    trace_to_json,
 )
 from .convexity import verify_convexity
 from .curves import unfold, write_curve_file, write_segment_file
@@ -148,9 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--jobs", type=int, default=1)
 
     cv = sub.add_parser("convexity", help="verify lobe convexity of the Eight")
-    cv.add_argument("--h", type=float, default=0.01)
-    cv.add_argument("--order", type=int, default=7)
-    cv.add_argument("--delta", type=float, default=1e-6)
+    eight = DEFAULTS["eight"]
+    cv.add_argument("--h", type=float, default=eight["h"])
+    cv.add_argument("--order", type=int, default=eight["order"])
+    cv.add_argument("--delta", type=float, default=eight["delta"])
     cv.add_argument("--candidate")
     cv.add_argument("--cert", help="existing Eight existence certificate")
     cv.add_argument("--no-inline", action="store_true",
@@ -244,27 +244,8 @@ def run_certification(system: str, bodies, a_text, method, h, order, delta,
                            C=C, max_iter=max_iter)
     outcome = certify(job)
 
-    first = outcome.trace[0] if outcome.trace else None
-    cert = ProofCertificate(
-        problem_id=problem.key,
-        n_bodies=problem.orbit_bodies,
-        reduced_dim=problem.reduced_dim,
-        reduced_names=problem.reduced_names,
-        size_parameter=problem.size_parameter,
-        method=method,
-        h=h, order=order, delta=delta,
-        max_iter=max_iter,
-        candidate=np.asarray(candidate, float),
-        box=X,
-        phi_at_candidate=first.f_x if first else None,
-        dphi_on_box=first.df_X if first else None,
-        preconditioner=C if method == "krawczyk" else None,
-        operator_image=outcome.operator_image,
-        refined_box=outcome.refined_box,
-        verdict=outcome.verdict,
-        cause=outcome.cause,
-        iterations=outcome.iterations,
-        trace=trace_to_json(outcome),
+    cert = existence_certificate(
+        problem, job, outcome, h, order, delta,
         crossing_time_point=record["point"].t_cross if "point" in record else None,
         crossing_time_set=record["set"].t_cross if "set" in record else None,
         steps_point=len(record["point"].steps) if "point" in record else 0,

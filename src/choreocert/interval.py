@@ -213,17 +213,5 @@ class Interval:
             return Interval(p, p)
         return Interval(*kn.sqr(self.lo, self.hi))
 
-    def __pow__(self, n: int) -> Interval:
-        # Repeated interval multiplication; libm pow rounding is not trusted.
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n == 1:
-            return self
-        if n % 2 == 0:
-            return self.sqr() ** (n // 2)
-        return self * (self ** (n - 1))
-
     def sqrt(self) -> Interval:
         return Interval(*kn.sqrt(self.lo, self.hi))

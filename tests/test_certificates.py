@@ -5,13 +5,21 @@ import pytest
 
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.certificates import (
-    ProofCertificate,
+    existence_certificate,
     parse_document,
     reverify_document,
-    trace_to_json,
 )
+from choreocert.cli import DEFAULTS, run_certification
 from choreocert.interval import Interval
-from choreocert.rootfind import CertifiableMap, CertificationJob, certify
+from choreocert.problems import make_problem
+from choreocert.rootfind import (
+    CertifiableMap,
+    CertificationJob,
+    certify,
+    default_preconditioner,
+    judge,
+    krawczyk_operator,
+)
 
 
 def _matrix(rows) -> IntervalMatrix:
@@ -37,24 +45,17 @@ def quadratic_map():
 def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
                       h=0.01):
     # the verifier rebuilds the problem from its id, so the toy map's
-    # certificate carries the Eight's problem block
+    # certificate carries the Eight's problem block; a Krawczyk run has one
+    # preconditioner, the midpoint inverse over the first box
     x = np.array([x0, x0])
-    job = CertificationJob(map=quadratic_map(), x0=x,
-                           X=IntervalVector.box(x, delta), method=method,
-                           max_iter=max_iter)
+    X = IntervalVector.box(x, delta)
+    C = (default_preconditioner(quadratic_map().eval_jacobian(X))
+         if method == "krawczyk" else None)
+    job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
+                           C=C, max_iter=max_iter)
     out = certify(job)
-    first = out.trace[0] if out.trace else None
-    return ProofCertificate(
-        problem_id="eight", n_bodies=3, reduced_dim=2,
-        reduced_names=("v", "u"), size_parameter=None, method=method,
-        h=h, order=7, delta=delta, max_iter=job.max_iter,
-        candidate=x, box=job.X,
-        phi_at_candidate=first.f_x if first else None,
-        dphi_on_box=first.df_X if first else None,
-        preconditioner=first.C if first else None,
-        operator_image=out.operator_image, refined_box=out.refined_box,
-        verdict=out.verdict, cause=out.cause, iterations=out.iterations,
-        trace=trace_to_json(out), wall_clock_seconds=1.234), out
+    return existence_certificate(make_problem("eight"), job, out, h, 7, delta,
+                                 wall_clock_seconds=1.234), out
 
 
 class TestSerialization:
@@ -314,3 +315,80 @@ class TestMalformed:
     def test_unreadable_text_fails(self, text):
         report = reverify_document(text)
         assert not report.ok
+
+
+@pytest.fixture(scope="session")
+def eight_krawczyk_5():
+    """A real multi-iteration document: the Eight by Krawczyk from a box of
+    half-width 1e-3 around the candidate moved by +5e-4, which overlaps its
+    image four times before the image lands inside."""
+    candidate = np.array(DEFAULTS["eight"]["candidate"]) + 5e-4
+    cert, out = run_certification("eight", None, None, "krawczyk", 0.01, 7,
+                                  1e-3, candidate)
+    assert [r.relation for r in out.trace] == ["overlap"] * 4 + ["interior"]
+    return cert.to_document()
+
+
+def with_last_record(body, x=None, C=None):
+    """The document with the last record's x or C replaced and its image,
+    relation, verdict, operator image and refined box recomputed to match."""
+    rec = body["trace"][-1]
+    x = np.array([float.fromhex(v) for v in rec["x"]]) if x is None else x
+    C = np.array([[float.fromhex(v) for v in row] for row in rec["C"]]) \
+        if C is None else C
+    X = IntervalVector.from_hex(rec["X"])
+    image = krawczyk_operator(x, X, IntervalVector.from_hex(rec["f_x"]),
+                              IntervalMatrix.from_hex(rec["df_X"]), C)
+    relation, verdict, refined = judge(X, image)
+    rec.update(x=[float(v).hex() for v in x],
+               C=[[float(v).hex() for v in row] for row in C],
+               image=image.to_hex(), relation=relation)
+    body.update(operator_image=image.to_hex(), refined_box=refined.to_hex(),
+                verdict=verdict)
+    return body
+
+
+class TestReplay:
+    # every forgery below keeps each stored operator step consistent with
+    # itself; only a replay of the prover's loop and writer tells it from a
+    # document the prover writes
+    def test_multi_iteration_document_agrees(self, eight_krawczyk_5):
+        body = parse_document(eight_krawczyk_5)
+        assert body["iterations"] == 5 and body["verdict"] == "UniqueZero"
+        report = reverify_document(eight_krawczyk_5)
+        assert report.ok, report.messages
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda b: with_last_record(b, x=np.nextafter(
+            IntervalVector.from_hex(b["trace"][-1]["X"]).mid(), np.inf)),
+         "trace is the one the replay writes"),
+        (lambda b: with_last_record(b, C=(1 + 1e-6) * np.array(
+            [[float.fromhex(v) for v in row] for row in b["trace"][-1]["C"]])),
+         "trace is the one the replay writes"),
+        (lambda b: b["trace"][2].update(note="x"),
+         "trace is the one the replay writes"),
+        (lambda b: b.update(note="x"),
+         "top-level keys are exactly the ones the prover writes"),
+    ], ids=["x-off-the-midpoint", "C-of-its-own", "record-key",
+            "top-level-key"])
+    def test_forgery_disagrees(self, eight_krawczyk_5, edit, line):
+        body = parse_document(eight_krawczyk_5)
+        edit(body)
+        assert body["verdict"] == "UniqueZero"
+        assert "FAIL " + line in reverify_document(json.dumps(body)).messages
+
+    def test_one_home_for_the_loop(self):
+        # the verifier replays `certify`; it applies no operator or
+        # verdict rule of its own
+        import ast
+        import pathlib
+
+        import choreocert
+        path = pathlib.Path(choreocert.__file__).parent / "certificates.py"
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & {"judge", "newton_operator", "krawczyk_operator"}

@@ -6,7 +6,7 @@ import pytest
 
 from choreocert import cli, integrator
 from choreocert.boxes import IntervalVector
-from choreocert.certificates import parse_document
+from choreocert.certificates import parse_document, reverify_document
 from choreocert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRATOR,
@@ -449,6 +449,19 @@ class TestConvexityVerify:
                                           tmp_path, edit):
         assert verify_edited(eight_convexity_cert, tmp_path,
                              edit) == EXIT_VERIFY_DISAGREE
+
+    @pytest.mark.parametrize("level, line", [
+        (lambda b: b, "top-level keys are exactly the ones the prover writes"),
+        (lambda b: b["parameters"], "parameters are exactly h and order"),
+        (lambda b: b["checks"][4],
+         "every row's keys are exactly the ones the prover writes"),
+    ], ids=["top-level", "parameters", "row"])
+    def test_closed_key_sets(self, eight_convexity_cert, level, line):
+        # an extra key is a FAIL line of its own at every level
+        body = parse_document(eight_convexity_cert.read_text())
+        level(body)["note"] = "x"
+        messages = reverify_document(json.dumps(body)).messages
+        assert [m for m in messages if m.startswith("FAIL")] == ["FAIL " + line]
 
     def test_honest_failing_document_agrees(self, failing_convexity_cert):
         body = parse_document(failing_convexity_cert.read_text())

@@ -75,11 +75,6 @@ class TestArithmeticExamples:
         assert got.lo == 0.0
         assert 4.0 <= got.hi <= math.nextafter(4.0, math.inf)
 
-    def test_pow_matches_repeated_multiplication(self):
-        iv = Interval(-1.5, 0.5)
-        assert (iv ** 3).subset((iv * iv * iv))
-        assert (iv ** 2).lo >= 0.0
-
     def test_sqrt(self):
         iv = Interval(4.0, 9.0).sqrt()
         assert iv.contains(2.0) and iv.contains(3.0)
