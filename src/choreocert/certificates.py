@@ -16,8 +16,8 @@ derives from them: the box, the top-level copies of the first iteration,
 the trace, the operator image, the refined box, the verdict and the
 iteration count.  Informative, not checked: `cause`, the crossing times,
 `crossing_notes`, `step_counts`, `wall_clock_seconds` and `environment`.
-`step_counts.point` counts only the point steps integrated in full: a point
-that rides the set flow's recorded Lohner maps (`problems.phi_point`) takes
+`step_counts.point` counts only the point steps integrated on their own: a
+point that rides inside the set flow's steps (`problems.phi_point`) takes
 no step of its own before the section zone.
 
 The verifier audits a stored verdict without any integration.  It checks
@@ -308,15 +308,14 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     # comes the zero derivative.  Newton stops on it as singular, the
     # prover's one early stop; a Krawczyk run records one iteration more
     # than the trace, or cannot invert it, and so disagrees.
-    f_x = iter([IntervalVector.from_hex(r["f_x"]) for r in body["trace"]])
-    df_X = iter([IntervalMatrix.from_hex(r["df_X"]) for r in body["trace"]])
-    zero_f = IntervalVector.point(np.zeros(n))
-    zero_df = IntervalMatrix.point(np.zeros((n, n)))
+    records = iter([(IntervalVector.from_hex(r["f_x"]),
+                     IntervalMatrix.from_hex(r["df_X"])) for r in body["trace"]])
+    zero = (IntervalVector.point(np.zeros(n)),
+            IntervalMatrix.point(np.zeros((n, n))))
     C = body["preconditioner"]
     candidate = _unhex_vec(body["candidate"])
     job = CertificationJob(
-        map=CertifiableMap(n, lambda x: next(f_x, zero_f),
-                           lambda X: next(df_X, zero_df)),
+        map=CertifiableMap(n, lambda x, X: next(records, zero)),
         x0=candidate, X=IntervalVector.box(candidate, delta),
         method=body["method"], max_iter=max_iter,
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))

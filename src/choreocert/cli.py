@@ -3,8 +3,8 @@
 Subcommands:
 
 * prove       run a certification (Newton or Krawczyk) at one step size h,
-              the box flowed and the candidate riding its Lohner maps, and
-              write a machine-checkable certificate
+              the box flowed with the candidate riding inside its Lohner
+              steps, and write a machine-checkable certificate
 * convexity   verify lobe convexity of the Eight (inline existence proof or
               from an existing certificate, re-verified first)
 * refine      nonrigorous Newton refinement of a candidate point
@@ -45,7 +45,6 @@ from .errors import (
     GluingMismatch,
     NoCrossing,
     NonTransversal,
-    OutsideRecordedSet,
     RoughEnclosureFailure,
 )
 from .pointflow import monodromy_preconditioner, refine_candidate
@@ -209,30 +208,18 @@ def run_certification(system: str, bodies, a_text, method, h, order, delta,
     problem = make_problem(system, n_bodies=bodies, a_text=a_text)
     started = time.perf_counter()
 
-    record: dict = {}
+    record: dict = {"notes": {}}
 
-    def eval_point(x):
-        # certify has just flowed the box: the point rides that flow, and is
-        # integrated alone if it leaves the set
-        try:
-            ev = phi_point(problem, x, h, order, max_steps, along=record["set"])
-        except OutsideRecordedSet:
-            ev = phi_point(problem, x, h, order, max_steps)
-        record["point"] = ev.crossing
-        if ev.notes:
-            record.setdefault("notes", {}).update(ev.notes)
-        return ev.value
+    def enclose(x, box):
+        # the point rides inside the box flow up to the section zone
+        ev_set = phi_jacobian(problem, box, h, order, max_steps, point=x)
+        ev = phi_point(problem, x, h, order, max_steps, along=ev_set.crossing)
+        record.update(set=ev_set.crossing, point=ev.crossing)
+        record["notes"].update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
+        record["notes"].update(ev.notes)
+        return ev.value, ev_set.jacobian
 
-    def eval_jacobian(box):
-        ev = phi_jacobian(problem, box, h, order, max_steps)
-        record["set"] = ev.crossing
-        if ev.notes:
-            record.setdefault("notes", {}).update(
-                {f"{k}_on_box": v for k, v in ev.notes.items()})
-        return ev.jacobian
-
-    cmap = CertifiableMap(dimension=problem.reduced_dim,
-                          eval_point=eval_point, eval_jacobian=eval_jacobian)
+    cmap = CertifiableMap(dimension=problem.reduced_dim, enclose=enclose)
     X = IntervalVector.box(candidate, delta)
     C = None
     if method == "krawczyk":
@@ -250,7 +237,7 @@ def run_certification(system: str, bodies, a_text, method, h, order, delta,
         crossing_time_set=record["set"].t_cross if "set" in record else None,
         steps_point=len(record["point"].steps) if "point" in record else 0,
         steps_set=len(record["set"].steps) if "set" in record else 0,
-        crossing_notes=record.get("notes", {}),
+        crossing_notes=record["notes"],
         wall_clock_seconds=time.perf_counter() - started,
     )
     return cert, outcome
@@ -300,6 +287,9 @@ def _prove_one(args_dict: dict, out_path: str | None,
 
 def _cmd_prove(args) -> int:
     systems = [s.strip() for s in args.system.split(",") if s.strip()]
+    if len(set(systems)) < len(systems):
+        # one output file per system name
+        raise _UsageError(f"--system names a system twice: {args.system}")
     jobs = []
     for system in systems:
         params = _resolve_prove_params(args, system)
@@ -451,7 +441,7 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ChoreoCertError as exc:
+    except (ChoreoCertError, FloatingPointError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     return EXIT_USAGE

@@ -40,11 +40,6 @@ class NonTransversal(ChoreoCertError):
     """The transversality product dg.f contains zero on the crossing step."""
 
 
-class OutsideRecordedSet(ChoreoCertError):
-    """A point pushed through a set flow's recorded Lohner maps left the
-    set's box, so the maps need not hold for it; integrate it instead."""
-
-
 class DimensionMismatch(ChoreoCertError):
     """Operand shapes are incompatible."""
 

@@ -25,18 +25,17 @@ Newton iteration in time over the straddling steps' Taylor polynomials.
 Every step time is read from the step's own index, so a flow may start at
 any step of a run (`flow_to_section(..., first_step=k)`).
 
-Each step records its Lohner map: the frame center m, an enclosure of
-phi_h(m) and the transition layers that give an enclosure A of Dphi_h over
-the step's input box.  `ride` pushes a thin point through those maps
-instead of integrating it again: a point frame with the same center
-advances by the same update, which the mean-value theorem makes valid
-while the point's box lies inside the set's box, and that inclusion is
-checked at every step.
+A set may carry a thin point along (`LohnerSet.carrying`).  The point
+sits in its own frame around the set's center m, so each step advances it
+by the set's own update, phi_h(m) + A Q r with A the enclosure of Dphi_h
+over the step's input box: the mean-value theorem makes that valid while
+the point's box lies inside the set's box.  Each step checks that
+inclusion and drops the point when it fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,7 +45,6 @@ from .errors import (
     EmptyIntersection,
     NoCrossing,
     NonTransversal,
-    OutsideRecordedSet,
     RoughEnclosureFailure,
     SingularEnclosure,
 )
@@ -151,10 +149,12 @@ def _exact_slab(columns: np.ndarray) -> Frame:
 @dataclass
 class LohnerSet:
     """Current enclosure: the state frame, optionally with a monodromy slab
-    frame (n x d columns of the flow derivative)."""
+    frame (n x d columns of the flow derivative) and a thin point's frame
+    around the same center."""
 
     state: Frame
     slab: Frame | None = None
+    point: Frame | None = None
 
     @classmethod
     def from_box(cls, lo, hi, transition_dim: int | None = None) -> LohnerSet:
@@ -185,6 +185,13 @@ class LohnerSet:
         return cls(Frame(anchor[:, None], q, r),
                    _exact_slab(D) if carry_transition else None)
 
+    def carrying(self, p: np.ndarray) -> LohnerSet:
+        """This set with the thin point p in an identity frame at its
+        center, for `step` to advance by the set's own update."""
+        m = self.state.m
+        p = np.asarray(p, float)[:, None]
+        return replace(self, point=Frame(m, np.eye(m.size), kn.sub(p, p, m, m)))
+
     def box(self) -> Pair:
         lo, hi = self.state.box()
         return lo[:, 0], hi[:, 0]
@@ -210,8 +217,7 @@ class EnclosureStep:
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
-    center: np.ndarray                # frame center m at t_prev
-    pt: Pair                          # enclosure of phi_h(m)
+    point: Frame | None = None        # the carried point's frame at t_prev
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
@@ -227,11 +233,6 @@ class EnclosureStep:
     def transition_at(self, tau: Interval) -> Pair:
         mt = poly_eval(self.trans_layers, self.trans_rem, tau)
         return kn.matmul(*mt, *self.v_start)
-
-    def lohner_map(self) -> Pair:
-        """A, the enclosure of Dphi_h over the input box that the step's
-        Lohner update used (C1 only)."""
-        return poly_eval(self.trans_layers, self.trans_rem, Interval.point(self.h))
 
 
 # --- rough enclosures --------------------------------------------------------
@@ -320,7 +321,17 @@ def step(field, cur: LohnerSet, h: float, order: int,
 
     rec = EnclosureStep(
         index=index, t_prev=t_prev, t_k=t_prev + h, h=h, tight=tight,
-        whole=whole, layers=layers_x, rem=rem, center=center, pt=pt)
+        whole=whole, layers=layers_x, rem=rem)
+
+    # The point shares the center, so A covers it while its box lies in the
+    # set's (convex) box, which holds the center.
+    p = cur.point
+    if p is not None:
+        pl, ph = p.box()
+        if (np.array_equal(p.m, cur.state.m) and kn.contains_point(xl, xh, center)
+                and kn.subset(pl[:, 0], ph[:, 0], xl, xh)):
+            rec.point = p
+            nxt.point, _ = p.advance(A, _column(pt))
 
     if cur.has_transition:
         rec.v_start = cur.transition_box()
@@ -349,33 +360,6 @@ def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
         t = rec.t_k
         k += 1
     return cur, steps
-
-
-def ride(point: np.ndarray, steps: list[EnclosureStep], to: int) -> LohnerSet:
-    """The thin point, given at the start of steps[0] of a recorded C1 flow,
-    at the start of steps[to], by the steps' own Lohner maps instead of new
-    steps.
-
-    The point starts in an identity frame at the flow's first center, so it
-    shares each step's center m and advances as `Frame.advance(A, pt)`:
-    phi_h(m + Q r) lies in phi_h(m) + A Q r when the segment from m to the
-    point lies in the box A covers.  The set's box is convex and holds m,
-    so it is enough that the point's box lies inside it; that is checked at
-    every step start up to `to`.  Raises OutsideRecordedSet when it fails.
-    """
-    m = steps[0].center
-    frame = Frame(m[:, None], np.eye(m.size), _column(kn.sub(point, point, m, m)))
-    for k, rec in enumerate(steps[:to + 1]):
-        bl, bh = frame.box()
-        box = rec.start_box()
-        if not (np.array_equal(frame.m[:, 0], rec.center)
-                and kn.contains_point(*box, rec.center)
-                and kn.subset(bl[:, 0], bh[:, 0], *box)):
-            raise OutsideRecordedSet(
-                f"the point left the recorded set's box at step {rec.index}")
-        if k < to:
-            frame, _ = frame.advance(rec.lohner_map(), _column(rec.pt))
-    return LohnerSet(frame)
 
 
 # --- sections and crossings --------------------------------------------------
@@ -433,7 +417,13 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     h (the time t_prev is summed as that run sums it), and the step budget
     counts from step 0.  A run resumed there must not cross before it."""
     budget = max_steps if max_steps is not None else int(np.ceil(10.0 / h))
-    want = _crossing_sign(section, section.g(*start.box()))
+    box = start.box()
+    kn.assert_valid(*box, "start set")
+    try:
+        g0 = section.g(*box)
+    except ValueError as exc:  # a finite box whose section value overflows
+        raise FloatingPointError(f"section at the start set: {exc}") from None
+    want = _crossing_sign(section, g0)
 
     steps: list[EnclosureStep] = []
     cur = start

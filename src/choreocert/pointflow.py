@@ -105,9 +105,17 @@ def point_phi(problem: ChoreographyProblem, x, with_jacobian: bool = False,
     event.terminal = True
     event.direction = -sign
 
+    def finite(t, y):
+        # an overflowed field would have the solver shrink its step forever
+        dy = f(t, y)
+        if not np.all(np.isfinite(dy)):
+            raise FloatingPointError(f"the float field is not finite at t = {t}")
+        return dy
+
     try:
-        sol = solve_ivp(f, (0.0, t_max), y0, method="DOP853",
-                        rtol=rtol, atol=atol, events=event, dense_output=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(finite, (0.0, t_max), y0, method="DOP853", rtol=rtol,
+                            atol=atol, events=event, dense_output=False)
     except (FloatingPointError, ValueError) as exc:
         raise Diverged(f"integration failed: {exc}") from exc
     if not sol.success or sol.t_events[0].size == 0:

@@ -33,9 +33,11 @@ exact product forms (ProductForm): signed sums of +-1 linear forms in the
 state, their products and their squares; DR and dg are their product rule.
 
 phi_jacobian flows the embedded box and phi_point the thin point, both at
-a proof's one step size h.  Given the box's crossing, phi_point lets the
-point ride the box flow's recorded Lohner maps up to the step before the
-section zone, and integrates only the steps from there on.
+a proof's one step size h.  The point can ride inside the box flow
+(`phi_jacobian(..., point=x)`): each box step advances it by the box's own
+Lohner update.  Given that crossing, phi_point starts from the point's
+frame at the step before the section zone and integrates only the steps
+from there on.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .boxes import IntervalMatrix, IntervalVector
 from .dynamics import GravityField, PhaseLayout, nbody_field, reduced6_field
 from .errors import DimensionMismatch, NonTransversal
 from .integrator import (LohnerSet, SectionCrossing, SectionSpec,
-                         flow_to_section, ride)
+                         flow_to_section)
 from .interval import Interval
 
 Pair = tuple[np.ndarray, np.ndarray]
@@ -460,20 +462,23 @@ def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
               along: SectionCrossing | None = None) -> MapEvaluation:
     """Rigorous enclosure of the defect map at a point (thin run).
 
-    With `along`, a set flow's crossing at the same step size h, the point
-    rides that flow (`integrator.ride`) up to the step before its first zone
-    step, and only the steps from there on are integrated.  Those steps
-    still start on the start side: the point's box there lies in the set's
-    box, inside the whole-step enclosure of a step before the zone.  Raises
-    OutsideRecordedSet when the point leaves the set's box on the way."""
+    `along` is the crossing of `phi_jacobian(..., point=x)` at the same
+    step size h.  The point then starts from its ridden frame at the step
+    before the set's first zone step, and only the steps from there on are
+    integrated.  Those steps still start on the start side: the point's box
+    there lies in the set's box, inside the whole-step enclosure of a step
+    before the zone.  Without a ridden frame there (the point left the
+    set's box on the way) the point is integrated alone from step 0."""
     s0 = problem.embed_point(x)
-    if along is None:
-        start, first = LohnerSet.from_box(s0, s0), 0
-    else:
+    start, first = LohnerSet.from_box(s0, s0), 0
+    if along is not None:
         if along.steps[0].index != 0 or along.steps[0].h != h:
             raise ValueError("phi_point rides a flow from step 0 at its own h")
         k0 = max(along.zone[0] - 1, 0)
-        start, first = ride(s0, along.steps, k0), k0
+        if along.steps[k0].point is not None:
+            if not kn.contains_point(*LohnerSet(along.steps[0].point).box(), s0):
+                raise ValueError("the flow carried another point")
+            start, first = LohnerSet(along.steps[k0].point), k0
     cr = flow_to_section(problem.field, start, problem.section, h, order,
                          max_steps, first_step=first)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
@@ -481,11 +486,16 @@ def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
 
 
 def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector, h: float,
-                 order: int, max_steps: int | None = None) -> MapEvaluation:
+                 order: int, max_steps: int | None = None,
+                 point=None) -> MapEvaluation:
     """Rigorous defect map and derivative enclosure over a reduced box,
-    flowing the embedded slab (`ChoreographyProblem.embed_slab`)."""
-    cr = flow_to_section(problem.field, problem.embed_slab(X),
-                         problem.section, h, order, max_steps)
+    flowing the embedded slab (`ChoreographyProblem.embed_slab`), with the
+    reduced point `point`, when given, riding along (`LohnerSet.carrying`)."""
+    start = problem.embed_slab(X)
+    if point is not None:
+        start = start.carrying(problem.embed_point(point))
+    cr = flow_to_section(problem.field, start, problem.section, h, order,
+                         max_steps)
     drl, drh = problem.reduce_derivative(*cr.state)
     jl, jh = kn.matmul(drl, drh, *cr.projected)
     return MapEvaluation(value=problem.reduce(*cr.state),

@@ -1,11 +1,10 @@
 """Interval Newton and Krawczyk certification of zeros of C1 maps.
 
-The map is supplied as two callbacks: a rigorous value enclosure at a point
-and a rigorous derivative enclosure over a box.  Each iteration evaluates
-the derivative over [X] first, then the value at x, so a map can reuse the
-box's work for the point (the prover's point rides the box flow).  The
-certification loop computes the chosen operator image T(x, [X]) and
-decides:
+The map is supplied as one callback, `enclose(x, X)`, that returns a
+rigorous value enclosure at the point x and a rigorous derivative enclosure
+over the box [X] together, so one flow can serve both (the prover's point
+rides inside the box flow).  The certification loop computes the chosen
+operator image T(x, [X]) and decides:
 
 * T strictly inside [X]     -> exactly one zero in [X]      (UniqueZero)
 * T disjoint from [X]       -> no zero in [X]               (NoZero)
@@ -37,11 +36,12 @@ Verdict = Literal["UniqueZero", "NoZero", "Inconclusive"]
 
 @dataclass(frozen=True)
 class CertifiableMap:
-    """Value-plus-Jacobian-enclosure view of a C1 map F: R^n -> R^n."""
+    """Value-plus-Jacobian-enclosure view of a C1 map F: R^n -> R^n:
+    enclose(x, [X]) returns (F(x), DF([X]))."""
 
     dimension: int
-    eval_point: Callable[[np.ndarray], IntervalVector]
-    eval_jacobian: Callable[[IntervalVector], IntervalMatrix]
+    enclose: Callable[[np.ndarray, IntervalVector],
+                      tuple[IntervalVector, IntervalMatrix]]
 
 
 @dataclass
@@ -133,8 +133,7 @@ def certify(job: CertificationJob) -> CertificationOutcome:
     trace: list[IterationRecord] = []
 
     for it in range(1, job.max_iter + 1):
-        df_X = job.map.eval_jacobian(X)
-        f_x = job.map.eval_point(x)
+        f_x, df_X = job.map.enclose(x, X)
 
         C = None
         try:

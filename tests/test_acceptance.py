@@ -121,17 +121,14 @@ def _run_proof(problem, candidate, delta, h_point, h_set, order, method):
     point_eval = phi_point(problem, candidate, h_point, order)
     jac_eval = phi_jacobian(problem, box, h_set, order)
 
-    def eval_point(x):
-        if np.array_equal(x, candidate):
-            return point_eval.value
-        return phi_point(problem, x, h_point, order).value
+    def enclose(x, x_box):
+        f_x = (point_eval.value if np.array_equal(x, candidate)
+               else phi_point(problem, x, h_point, order).value)
+        df_X = (jac_eval.jacobian if x_box == box
+                else phi_jacobian(problem, x_box, h_set, order).jacobian)
+        return f_x, df_X
 
-    def eval_jacobian(x_box):
-        if x_box == box:
-            return jac_eval.jacobian
-        return phi_jacobian(problem, x_box, h_set, order).jacobian
-
-    cmap = CertifiableMap(problem.reduced_dim, eval_point, eval_jacobian)
+    cmap = CertifiableMap(problem.reduced_dim, enclose)
     C = monodromy_preconditioner(problem, candidate) \
         if method == "krawczyk" else None
     job = CertificationJob(map=cmap, x0=candidate, X=box, method=method, C=C)

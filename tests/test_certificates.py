@@ -30,16 +30,14 @@ def _matrix(rows) -> IntervalMatrix:
 
 def quadratic_map():
     # two copies of x^2 - 2, so a certificate has the Eight's two coordinates
-    def eval_point(x):
-        return IntervalVector.from_intervals(
-            [Interval.point(float(v)).sqr() - Interval.point(2.0) for v in x])
-
-    def eval_jacobian(X):
+    def enclose(x, X):
         two = Interval.point(2.0)
-        return _matrix([[two * X[0], Interval(0.0)],
-                                              [Interval(0.0), two * X[1]]])
+        return (IntervalVector.from_intervals(
+                    [Interval.point(float(v)).sqr() - two for v in x]),
+                _matrix([[two * X[0], Interval(0.0)],
+                         [Interval(0.0), two * X[1]]]))
 
-    return CertifiableMap(2, eval_point, eval_jacobian)
+    return CertifiableMap(2, enclose)
 
 
 def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
@@ -49,7 +47,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
     # preconditioner, the midpoint inverse over the first box
     x = np.array([x0, x0])
     X = IntervalVector.box(x, delta)
-    C = (default_preconditioner(quadratic_map().eval_jacobian(X))
+    C = (default_preconditioner(quadratic_map().enclose(x, X)[1])
          if method == "krawczyk" else None)
     job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
                            C=C, max_iter=max_iter)

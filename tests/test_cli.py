@@ -83,14 +83,15 @@ class TestProve:
         assert 0 < counts["point"] < counts["set"]
 
     def test_point_outside_the_set_is_integrated_alone(self, monkeypatch):
-        # a failed inclusion check falls back to the standalone point flow,
-        # whose value the certificate then carries bit for bit
+        # a point whose box leaves the set's box is dropped by the step, and
+        # the standalone point flow's value goes into the certificate bit
+        # for bit
         candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
         args = ("eight", None, None, "newton", 0.01, 7, 1e-6, candidate)
         riding, _ = cli.run_certification(*args)
-        monkeypatch.setattr(
-            integrator.EnclosureStep, "start_box",
-            lambda rec: (rec.center + 1.0, rec.center + 1.0))
+        carrying = integrator.LohnerSet.carrying
+        monkeypatch.setattr(integrator.LohnerSet, "carrying",
+                            lambda self, p: carrying(self, p + 1.0))
         cert, _ = cli.run_certification(*args)
         alone = phi_point(make_problem("eight"), candidate, 0.01, 7)
         for got, want in ((cert.phi_at_candidate.lo, alone.value.lo),
@@ -100,6 +101,26 @@ class TestProve:
         assert riding.steps_point < cert.steps_point
         assert np.array_equal(cert.dphi_on_box.lo, riding.dphi_on_box.lo)
         assert np.array_equal(cert.dphi_on_box.hi, riding.dphi_on_box.hi)
+
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--system", "eight", "--delta", "1e200"],
+        ["convexity", "--delta", "1e200"],
+    ], ids=["prove", "convexity"])
+    def test_overflowing_box_is_an_integration_failure(self, argv, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out.cert"
+        assert main(argv + ["--out", str(out)]) == EXIT_INTEGRATOR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
+        assert not out.exists()
+
+    def test_repeated_system_is_usage_error(self, tmp_path, capsys):
+        # two workers would write one file
+        assert main(["prove", "--system", "eight,eight", "--jobs", "2",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "prove: --system names a system twice: eight,eight\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_system_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -310,6 +331,15 @@ class TestRefine:
     def test_refine_garbage_diverges(self):
         assert main(["refine", "--system", "eight",
                      "--guess", "10,10"]) == EXIT_INTEGRATOR
+
+    def test_overflowing_field_diverges(self, capsys):
+        # the float field overflows at once; the solver must not keep
+        # shrinking its step on it
+        guess = ",".join(map(repr, cli.DEFAULTS["gerver"]["candidate"]))
+        assert main(["refine", "--system", "gerver", "--a", "1e300",
+                     "--guess", guess]) == EXIT_INTEGRATOR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("refine: diverged")
 
 
 class TestConvexityCommand:

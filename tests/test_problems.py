@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
-from choreocert.errors import DimensionMismatch, OutsideRecordedSet
-from choreocert.integrator import ride
+from choreocert.errors import DimensionMismatch
+from choreocert.integrator import step
 from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
@@ -402,7 +402,7 @@ class TestPhi:
 @pytest.fixture(scope="module")
 def eight_set_flow():
     return phi_jacobian(eight_problem(), IntervalVector.box(EIGHT_X0, 1e-6),
-                        0.01, 7)
+                        0.01, 7, point=EIGHT_X0)
 
 
 class TestRideTheSetFlow:
@@ -412,22 +412,42 @@ class TestRideTheSetFlow:
         ridden = phi_point(prob, EIGHT_X0, 0.01, 7, along=eight_set_flow.crossing)
         # only the steps from the one before the set's zone are integrated
         zone0 = eight_set_flow.crossing.zone[0]
+        assert eight_set_flow.crossing.steps[zone0 - 1].point is not None
         assert ridden.crossing.steps[0].index == zone0 - 1
         assert len(ridden.crossing.steps) < len(alone.crossing.steps)
         assert not ridden.value.disjoint(alone.value)
         assert not ridden.crossing.t_cross.disjoint(alone.crossing.t_cross)
         assert np.all(ridden.value.diam() <= 1.001 * alone.value.diam())
 
-    def test_a_point_outside_the_set_is_refused(self, eight_set_flow):
+    def test_a_step_drops_a_point_outside_the_set(self):
         prob = eight_problem()
-        far = prob.embed_point(EIGHT_X0 + 1e-4)
-        with pytest.raises(OutsideRecordedSet):
-            ride(far, eight_set_flow.crossing.steps, 3)
-        with pytest.raises(OutsideRecordedSet):
-            phi_point(prob, EIGHT_X0 + 1e-4, 0.01, 7,
-                      along=eight_set_flow.crossing)
+        X = IntervalVector.box(EIGHT_X0, 1e-6)
+        for p, kept in ((EIGHT_X0, True), (EIGHT_X0 + 1e-4, False)):
+            cur = prob.embed_slab(X).carrying(prob.embed_point(p))
+            nxt, rec = step(prob.field, cur, 0.01, 7)
+            assert (rec.point is cur.point) is kept
+            assert (nxt.point is not None) is kept
+            assert (rec.point is None) is not kept
+
+    def test_without_a_point_frame_the_point_flows_alone(self):
+        prob = eight_problem()
+        x = EIGHT_X0 + 1e-4
+        crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
+                                0.01, 7, point=x).crossing
+        assert all(rec.point is None for rec in crossing.steps)
+        alone = phi_point(prob, x, 0.01, 7)
+        ridden = phi_point(prob, x, 0.01, 7, along=crossing)
+        assert np.array_equal(ridden.value.lo, alone.value.lo)
+        assert np.array_equal(ridden.value.hi, alone.value.hi)
+        assert ridden.crossing.t_cross == alone.crossing.t_cross
+        assert len(ridden.crossing.steps) == len(alone.crossing.steps)
 
     def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
         with pytest.raises(ValueError):
             phi_point(eight_problem(), EIGHT_X0, 0.005, 7,
+                      along=eight_set_flow.crossing)
+
+    def test_only_the_point_the_flow_carried(self, eight_set_flow):
+        with pytest.raises(ValueError, match="another point"):
+            phi_point(eight_problem(), EIGHT_X0 + 1e-7, 0.01, 7,
                       along=eight_set_flow.crossing)

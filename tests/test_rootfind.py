@@ -21,35 +21,29 @@ def _matrix(rows) -> IntervalMatrix:
 def quadratic_map():
     """F(x) = x^2 - 2 with exact interval evaluations."""
 
-    def eval_point(x):
+    def enclose(x, X):
         iv = Interval.point(float(x[0]))
-        return IntervalVector.from_intervals([iv.sqr() - Interval.point(2.0)])
+        return (IntervalVector.from_intervals([iv.sqr() - Interval.point(2.0)]),
+                _matrix([[Interval.point(2.0) * X[0]]]))
 
-    def eval_jacobian(X):
-        two_x = Interval.point(2.0) * X[0]
-        return _matrix([[two_x]])
-
-    return CertifiableMap(1, eval_point, eval_jacobian)
+    return CertifiableMap(1, enclose)
 
 
 def cross_system_map():
     """F(x, y) = (x^2 - y - 1, y^2 - x - 1); a zero at the golden ratio
     point (g, g) with g = (1 + sqrt(5)) / 2."""
 
-    def eval_point(p):
+    def enclose(p, X):
         x = Interval.point(float(p[0]))
         y = Interval.point(float(p[1]))
-        return IntervalVector.from_intervals([
-            x.sqr() - y - Interval.point(1.0),
-            y.sqr() - x - Interval.point(1.0)])
-
-    def eval_jacobian(X):
         two = Interval.point(2.0)
         m1 = Interval.point(-1.0)
-        return _matrix([
-            [two * X[0], m1], [m1, two * X[1]]])
+        return (IntervalVector.from_intervals([
+                    x.sqr() - y - Interval.point(1.0),
+                    y.sqr() - x - Interval.point(1.0)]),
+                _matrix([[two * X[0], m1], [m1, two * X[1]]]))
 
-    return CertifiableMap(2, eval_point, eval_jacobian)
+    return CertifiableMap(2, enclose)
 
 
 class TestOperators:
@@ -148,14 +142,12 @@ class TestCertify:
                 assert not has_root
 
     def test_inflating_box_is_inconclusive(self):
-        def eval_point(x):
-            return IntervalVector.from_intervals(
-                [Interval(-1e-3, 1e-3)])  # hopelessly wide defect
+        def enclose(x, X):
+            return (IntervalVector.from_intervals(
+                        [Interval(-1e-3, 1e-3)]),  # hopelessly wide defect
+                    _matrix([[Interval(0.9, 1.1)]]))
 
-        def eval_jacobian(X):
-            return _matrix([[Interval(0.9, 1.1)]])
-
-        m = CertifiableMap(1, eval_point, eval_jacobian)
+        m = CertifiableMap(1, enclose)
         job = CertificationJob(map=m, x0=np.array([0.0]),
                                X=IntervalVector.box([0.0], 1e-6))
         out = certify(job)
@@ -164,30 +156,34 @@ class TestCertify:
 
     def test_iteration_limit(self):
         # an image that always overlaps but never contracts inside
-        def eval_point(x):
-            return IntervalVector.from_intervals([Interval.point(0.0)])
+        def enclose(x, X):
+            return (IntervalVector.from_intervals([Interval.point(0.0)]),
+                    _matrix([[Interval(0.5, 2.0)]]))
 
-        def eval_jacobian(X):
-            return _matrix([[Interval(0.5, 2.0)]])
-
-        m = CertifiableMap(1, eval_point, eval_jacobian)
+        m = CertifiableMap(1, enclose)
         job = CertificationJob(map=m, x0=np.array([1.0]),
                                X=IntervalVector.box([1.0], 0.5), max_iter=5)
         out = certify(job)
         assert out.iterations <= 5
 
-    def test_derivative_over_the_box_comes_before_the_point_value(self):
-        # the prover's point rides the flow of the box, so each iteration
-        # must flow the box first
+    def test_one_enclosure_per_iteration_at_the_point_and_box(self):
+        # the prover flows the box with the point riding along, so each
+        # iteration asks for F(x) and DF([X]) in one call
         calls = []
         inner = quadratic_map()
-        m = CertifiableMap(
-            1,
-            lambda x: calls.append("point") or inner.eval_point(x),
-            lambda X: calls.append("jacobian") or inner.eval_jacobian(X))
-        out = certify(CertificationJob(map=m, x0=np.array([1.5]),
-                                       X=IntervalVector.box([1.5], 0.5)))
-        assert calls == ["jacobian", "point"] * out.iterations
+
+        def enclose(x, X):
+            calls.append((x.copy(), X))
+            return inner.enclose(x, X)
+
+        out = certify(CertificationJob(map=CertifiableMap(1, enclose),
+                                       x0=np.array([2.0]),
+                                       X=IntervalVector.box([2.0], 0.7)))
+        assert out.iterations > 1
+        assert len(calls) == out.iterations
+        for (x, X), rec in zip(calls, out.trace):
+            assert np.array_equal(x, rec.x) and X == rec.X
+            assert X.contains_point(x)
 
     def test_x0_outside_box_rejected(self):
         with pytest.raises(ValueError):
