@@ -9,7 +9,7 @@ Subcommands:
               from an existing certificate, re-verified first)
 * refine      nonrigorous Newton refinement of a candidate point
 * emit-curve  unfold a certified segment (re-verified first) into the full
-              closed curve
+              closed curve, flowed at the certificate's h and order
 * verify      re-check a certificate from its serialized intervals only
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
@@ -20,11 +20,11 @@ refinement failure, 1 verifier disagreement, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def _check_numbers(args) -> None:
     # convexity reads the flow's third derivative from the Taylor layers
     least_order = 4 if args.command == "convexity" else 1
     for name, least in (("order", least_order), ("max_iter", 1),
-                        ("max_steps", 1), ("iters", 1), ("jobs", 1)):
+                        ("max_steps", 1), ("iters", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= "
@@ -127,7 +127,10 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="choreocert", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+    # full spellings only: emit-curve --h must not mean --help
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=functools.partial(
+                               argparse.ArgumentParser, allow_abbrev=False))
 
     pr = sub.add_parser("prove", help="run a certification and emit a certificate")
     pr.add_argument("--system", required=True,
@@ -143,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--candidate", help="comma-separated reduced coordinates")
     pr.add_argument("--out", help="certificate file (directory for multiple systems)")
     pr.add_argument("--expect-no-zero", action="store_true")
-    pr.add_argument("--jobs", type=int, default=1)
 
     cv = sub.add_parser("convexity", help="verify lobe convexity of the Eight")
     eight = DEFAULTS["eight"]
@@ -151,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--order", type=int, default=eight["order"])
     cv.add_argument("--delta", type=float, default=eight["delta"])
     cv.add_argument("--candidate")
-    cv.add_argument("--cert", help="existing Eight existence certificate")
-    cv.add_argument("--no-inline", action="store_true",
-                    help="fail instead of proving existence inline")
+    cv.add_argument("--cert", help="existing Eight existence certificate "
+                    "(without it, existence is proved inline)")
     cv.add_argument("--out")
 
     rf = sub.add_parser("refine", help="nonrigorous candidate refinement")
@@ -167,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--cert", required=True)
     em.add_argument("--out", required=True)
     em.add_argument("--segment-out")
-    em.add_argument("--h", type=float)
-    em.add_argument("--order", type=int)
 
     vf = sub.add_parser("verify", help="re-check a certificate without integration")
     vf.add_argument("--cert", required=True)
@@ -177,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_prove_params(args, system: str) -> dict:
+    """run_certification's arguments for one system, its problem built once."""
     d = DEFAULTS.get(system, {})
     h = _first_given(args.h, d.get("h"))
     method = _first_given(args.method, d.get("method"))
@@ -196,16 +196,14 @@ def _resolve_prove_params(args, system: str) -> dict:
     if missing:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
-    return dict(system=system, bodies=args.bodies, a_text=a_text,
-                method=method, h=float(h), order=int(order),
+    return dict(problem=problem, method=method, h=float(h), order=int(order),
                 delta=float(delta), candidate=candidate,
                 max_iter=args.max_iter, max_steps=args.max_steps)
 
 
-def run_certification(system: str, bodies, a_text, method, h, order, delta,
-                      candidate, max_iter=64, max_steps=None):
+def run_certification(problem, method, h, order, delta, candidate,
+                      max_iter=64, max_steps=None):
     """One certification run; returns (certificate, outcome)."""
-    problem = make_problem(system, n_bodies=bodies, a_text=a_text)
     started = time.perf_counter()
 
     record: dict = {"notes": {}}
@@ -243,17 +241,12 @@ def run_certification(system: str, bodies, a_text, method, h, order, delta,
     return cert, outcome
 
 
-def _prove_one(args_dict: dict, out_path: str | None,
+def _prove_one(system: str, params: dict, out_path: str | None,
                expect_no_zero: bool) -> int:
-    params = dict(args_dict)
-    system = params.pop("system")
-    h = params.pop("h")
+    h = params["h"]
     for attempt in range(_RETRY_HALVINGS + 1):
         try:
-            cert, outcome = run_certification(
-                system, params["bodies"], params["a_text"], params["method"],
-                h, params["order"], params["delta"],
-                params["candidate"], params["max_iter"], params["max_steps"])
+            cert, outcome = run_certification(**dict(params, h=h))
         except (RoughEnclosureFailure,) as exc:
             print(f"{system}: {exc}; halving the step size", file=sys.stderr)
             h *= 0.5
@@ -290,24 +283,15 @@ def _cmd_prove(args) -> int:
     if len(set(systems)) < len(systems):
         # one output file per system name
         raise _UsageError(f"--system names a system twice: {args.system}")
-    jobs = []
-    for system in systems:
-        params = _resolve_prove_params(args, system)
-        if len(systems) == 1:
-            out = args.out
-        else:
-            base = args.out or "."
-            os.makedirs(base, exist_ok=True)
-            out = os.path.join(base, f"{system}.cert")
-        jobs.append((params, out, args.expect_no_zero))
-    if len(jobs) == 1 or args.jobs == 1:
-        codes = [_prove_one(*job) for job in jobs]
-    else:
-        # a forked pool starts all its workers at once: one per system at most
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            futures = [pool.submit(_prove_one, *job) for job in jobs]
-            codes = [f.result() for f in futures]
-    return max(codes)
+    # every system's options are checked before the first proof starts
+    params = [_resolve_prove_params(args, system) for system in systems]
+    if len(systems) == 1:
+        return _prove_one(systems[0], params[0], args.out, args.expect_no_zero)
+    base = args.out or "."
+    os.makedirs(base, exist_ok=True)
+    return max([_prove_one(system, p, os.path.join(base, f"{system}.cert"),
+                           args.expect_no_zero)
+                for system, p in zip(systems, params)])
 
 
 def _read_verified(command: str, path: str) -> dict | None:
@@ -335,17 +319,12 @@ def _cmd_convexity(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         box = IntervalVector.from_hex(body["refined_box"])
-    elif args.no_inline:
-        print("convexity: no certificate given and --no-inline set",
-              file=sys.stderr)
-        return EXIT_USAGE
     else:
         candidate = (_parse_vector(args.candidate, problem.reduced_dim)
                      if args.candidate
                      else np.array(DEFAULTS["eight"]["candidate"]))
-        cert0, outcome = run_certification(
-            "eight", None, None, "newton", args.h, args.order, args.delta,
-            candidate)
+        _, outcome = run_certification(problem, "newton", args.h, args.order,
+                                       args.delta, candidate)
         if outcome.verdict != "UniqueZero":
             print(f"convexity: inline existence proof gave {outcome.verdict}",
                   file=sys.stderr)
@@ -394,10 +373,9 @@ def _cmd_emit_curve(args) -> int:
                               body["problem"]["size_parameter"])
     box = IntervalVector.from_hex(body["refined_box"])
     params = body["parameters"]
-    h = _first_given(args.h, float.fromhex(params["h"]))
-    order = _first_given(args.order, params["order"])
     try:
-        ev = phi_jacobian(problem, box, h, order)
+        ev = phi_jacobian(problem, box, float.fromhex(params["h"]),
+                          params["order"])
         result = unfold(problem, ev.crossing)
     except GluingMismatch as exc:
         print(f"emit-curve: {exc}", file=sys.stderr)

@@ -30,7 +30,8 @@ sits in its own frame around the set's center m, so each step advances it
 by the set's own update, phi_h(m) + A Q r with A the enclosure of Dphi_h
 over the step's input box: the mean-value theorem makes that valid while
 the point's box lies inside the set's box.  Each step checks that
-inclusion and drops the point when it fails.
+inclusion and drops the point when it fails.  `flow_to_section` stops it
+at the zone (`PointHandoff`); only zone steps keep their transition data.
 """
 
 from __future__ import annotations
@@ -217,7 +218,6 @@ class EnclosureStep:
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
-    point: Frame | None = None        # the carried point's frame at t_prev
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
@@ -330,7 +330,6 @@ def step(field, cur: LohnerSet, h: float, order: int,
         pl, ph = p.box()
         if (np.array_equal(p.m, cur.state.m) and kn.contains_point(xl, xh, center)
                 and kn.subset(pl[:, 0], ph[:, 0], xl, xh)):
-            rec.point = p
             nxt.point, _ = p.advance(A, _column(pt))
 
     if cur.has_transition:
@@ -383,6 +382,16 @@ class SectionSpec:
         return Interval(float(lo), float(hi))
 
 
+@dataclass(frozen=True)
+class PointHandoff:
+    """A carried point's frames at the flow's start (`origin`) and at step
+    `index`, the one before the section zone (or 0), still inside the set."""
+
+    index: int
+    frame: Frame
+    origin: Frame
+
+
 @dataclass
 class SectionCrossing:
     state: Pair
@@ -392,6 +401,7 @@ class SectionCrossing:
     projected: Pair | None           # after removing the flow direction
     steps: list[EnclosureStep]
     zone: list[int]                  # positions in steps of the straddling steps
+    handoff: PointHandoff | None = None  # where the carried point resumes
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
@@ -423,20 +433,27 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         g0 = section.g(*box)
     except ValueError as exc:  # a finite box whose section value overflows
         raise FloatingPointError(f"section at the start set: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not per step
+        kn.assert_valid(*field.eval(*box), "field over the start set")
     want = _crossing_sign(section, g0)
 
     steps: list[EnclosureStep] = []
     cur = start
     zone: list[int] = []
+    handoff = before = None
     t = 0.0
     for _ in range(first_step):
         t += h
     for k in range(first_step, budget):
+        carried = cur.point
         cur, rec = step(field, cur, h, order, index=k, t_prev=t)
         steps.append(rec)
         t = rec.t_k
+        here = PointHandoff(k, carried, start.point) if cur.point else None
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
+            # only the zone's transitions are read, for the crossing's hull
+            rec.trans_layers = rec.trans_rem = rec.v_start = None
             on_start_side = (g_whole.lo > 0.0) if want == 1 else (g_whole.hi < 0.0)
             if zone:
                 if on_start_side:
@@ -446,12 +463,16 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
             if not on_start_side:
                 raise NonTransversal(
                     "sign flip without a straddled step; enclosures inconsistent")
+            before = here
             continue
         gd = section.gdot(*rec.whole, field)
         if (want == 1 and not gd.hi < 0.0) or (want == -1 and not gd.lo > 0.0):
             raise NonTransversal(
                 f"dg.f = {gd} does not exclude zero with the required sign "
                 f"on step {k}")
+        if not zone:  # the point stops riding, to resume a step before
+            handoff = before if len(steps) > 1 else here
+            cur = replace(cur, point=None)
         zone.append(len(steps) - 1)
     else:
         raise NoCrossing(f"no section crossing within {budget} steps")
@@ -470,7 +491,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
 
     return SectionCrossing(
         state=state, t_cross=t_enc, gdot=gdot, transition=transition,
-        projected=projected, steps=steps, zone=zone)
+        projected=projected, steps=steps, zone=zone, handoff=handoff)
 
 
 def _global_time(steps, k: int, a: float, b: float) -> Interval:

@@ -34,10 +34,10 @@ state, their products and their squares; DR and dg are their product rule.
 
 phi_jacobian flows the embedded box and phi_point the thin point, both at
 a proof's one step size h.  The point can ride inside the box flow
-(`phi_jacobian(..., point=x)`): each box step advances it by the box's own
-Lohner update.  Given that crossing, phi_point starts from the point's
-frame at the step before the section zone and integrates only the steps
-from there on.
+(`phi_jacobian(..., point=x)`): each box step up to the section zone
+advances it by the box's own Lohner update.  Given that crossing, phi_point
+starts from the frame the flow hands over (`SectionCrossing.handoff`, at
+the step before the zone) and integrates only the steps from there on.
 """
 
 from __future__ import annotations
@@ -463,22 +463,22 @@ def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
     """Rigorous enclosure of the defect map at a point (thin run).
 
     `along` is the crossing of `phi_jacobian(..., point=x)` at the same
-    step size h.  The point then starts from its ridden frame at the step
-    before the set's first zone step, and only the steps from there on are
-    integrated.  Those steps still start on the start side: the point's box
-    there lies in the set's box, inside the whole-step enclosure of a step
-    before the zone.  Without a ridden frame there (the point left the
-    set's box on the way) the point is integrated alone from step 0."""
+    step size h.  The point then starts from the frame that crossing hands
+    over (`SectionCrossing.handoff`) and only the steps from there on are
+    integrated.  Those steps start on the start side: the point's box there
+    lies in the set's box, inside the whole-step enclosure of a step before
+    the zone.  Without a hand-off (the point left the set's box on the way)
+    the point is integrated alone from step 0."""
     s0 = problem.embed_point(x)
     start, first = LohnerSet.from_box(s0, s0), 0
     if along is not None:
         if along.steps[0].index != 0 or along.steps[0].h != h:
             raise ValueError("phi_point rides a flow from step 0 at its own h")
-        k0 = max(along.zone[0] - 1, 0)
-        if along.steps[k0].point is not None:
-            if not kn.contains_point(*LohnerSet(along.steps[0].point).box(), s0):
+        handoff = along.handoff
+        if handoff is not None:
+            if not kn.contains_point(*LohnerSet(handoff.origin).box(), s0):
                 raise ValueError("the flow carried another point")
-            start, first = LohnerSet(along.steps[k0].point), k0
+            start, first = LohnerSet(handoff.frame), handoff.index
     cr = flow_to_section(problem.field, start, problem.section, h, order,
                          max_steps, first_step=first)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,

@@ -321,7 +321,7 @@ def eight_krawczyk_5():
     half-width 1e-3 around the candidate moved by +5e-4, which overlaps its
     image four times before the image lands inside."""
     candidate = np.array(DEFAULTS["eight"]["candidate"]) + 5e-4
-    cert, out = run_certification("eight", None, None, "krawczyk", 0.01, 7,
+    cert, out = run_certification(make_problem("eight"), "krawczyk", 0.01, 7,
                                   1e-3, candidate)
     assert [r.relation for r in out.trace] == ["overlap"] * 4 + ["interior"]
     return cert.to_document()

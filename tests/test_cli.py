@@ -1,5 +1,5 @@
 import json
-from concurrent.futures import Future
+import warnings
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ class TestProve:
         # the standalone point flow's value goes into the certificate bit
         # for bit
         candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
-        args = ("eight", None, None, "newton", 0.01, 7, 1e-6, candidate)
+        args = (make_problem("eight"), "newton", 0.01, 7, 1e-6, candidate)
         riding, _ = cli.run_certification(*args)
         carrying = integrator.LohnerSet.carrying
         monkeypatch.setattr(integrator.LohnerSet, "carrying",
@@ -115,8 +115,8 @@ class TestProve:
         assert not out.exists()
 
     def test_repeated_system_is_usage_error(self, tmp_path, capsys):
-        # two workers would write one file
-        assert main(["prove", "--system", "eight,eight", "--jobs", "2",
+        # both proofs would write one file
+        assert main(["prove", "--system", "eight,eight",
                      "--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "prove: --system names a system twice: eight,eight\n")
@@ -140,32 +140,19 @@ class TestProve:
         assert main(args) == EXIT_NO_ZERO
         assert main(args + ["--expect-no-zero"]) == EXIT_OK
 
-    def test_jobs_ask_for_no_more_workers_than_systems(self, monkeypatch,
-                                                       tmp_path):
-        # with the fork start method a pool starts all its workers at once;
-        # this stand-in runs the calls inline, so no process starts
-        asked = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cli, "_prove_one", lambda *job: EXIT_OK)
-        assert main(["prove", "--system", "eight,gerver", "--jobs", "64",
-                     "--out", str(tmp_path)]) == EXIT_OK
-        assert asked == [2]
+    def test_non_finite_start_field_is_refused_once(self, tmp_path, capsys):
+        # the field overflows at the start set: one refusal before any step,
+        # no numpy warning and no step-size retry
+        out = tmp_path / "out.cert"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["prove", "--system", "gerver", "--a", "1e300",
+                         "--out", str(out)])
+        assert code == EXIT_INTEGRATOR
+        err = capsys.readouterr().err
+        assert err == ("prove: invalid field over the start set: "
+                       "endpoints not finite/ordered\n")
+        assert not out.exists()
 
 
 class TestVerify:
@@ -266,12 +253,11 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--order", "-1"],
         ["prove", "--system", "eight", "--max-iter", "-1"],
         ["prove", "--system", "eight", "--max-steps", "0"],
-        ["prove", "--system", "eight", "--jobs", "0"],
         ["convexity", "--h", "0"],
         ["convexity", "--order", "3"],
     ], ids=["delta-zero", "h-negative", "h-nan", "h-inf",
             "order-negative", "max-iter-negative", "max-steps-zero",
-            "jobs-zero", "convexity-h-zero", "convexity-order-three"])
+            "convexity-h-zero", "convexity-order-three"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -290,11 +276,24 @@ class TestUnusableNumbers:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["prove", "--system", "eight", "--jobs", "2"],
+        ["convexity", "--no-inline"],
+        ["emit-curve", "--cert", "eight.cert", "--h", "0.01"],
+        ["emit-curve", "--cert", "eight.cert", "--order", "7"],
+    ], ids=["prove-jobs", "convexity-no-inline", "emit-curve-h",
+            "emit-curve-order"])
+    def test_removed_option(self, argv, tmp_path, capsys):
+        # systems are proved in turn, leaving out --cert proves inline, and
+        # a curve flows at its certificate's h and order
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit):
+            main(argv + ["--out", str(out)])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["convexity", "--order", "3"],
-        ["emit-curve", "--order", "0"],
-        ["emit-curve", "--h", "0"],
-    ], ids=["convexity-order-three", "emit-curve-order-zero",
-            "emit-curve-h-zero"])
+    ], ids=["convexity-order-three"])
     def test_usage_error_with_a_certificate(self, argv, eight_cert, tmp_path,
                                             capsys):
         out = tmp_path / "out.txt"
@@ -349,9 +348,6 @@ class TestConvexityCommand:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
-
-    def test_no_inline_requires_cert(self):
-        assert main(["convexity", "--no-inline"]) == EXIT_USAGE
 
     def test_wrong_certificate_kind(self, tmp_path, eight_cert):
         conv = tmp_path / "c.cert"

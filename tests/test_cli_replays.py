@@ -1,5 +1,5 @@
 """Command-line replays with the documented flag spellings, determinism of
-certificate documents, and the parallel-jobs path."""
+certificate documents, and a comma list of systems proved in turn."""
 
 import json
 
@@ -80,9 +80,9 @@ class TestDeterminism:
 
 
 @pytest.mark.slow
-class TestParallelJobs:
-    def test_two_systems_in_parallel(self, tmp_path):
-        code = main(["prove", "--system", "eight,gerver", "--jobs", "2",
+class TestCommaList:
+    def test_two_systems_in_turn(self, tmp_path):
+        code = main(["prove", "--system", "eight,gerver",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         for name in ("eight.cert", "gerver.cert"):

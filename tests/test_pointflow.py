@@ -121,13 +121,26 @@ class TestFloatJacobian:
             assert np.all(jl - slack <= J) and np.all(J <= jh + slack)
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # verify, convexity and emit-curve never integrate in floats, so only
-    # point_phi imports the solver
+def loaded_by_cli_import(*names: str) -> list[str]:
+    """Those of the named modules that a fresh `import choreocert.cli`
+    loads."""
     src = str(Path(choreocert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, choreocert.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, choreocert.cli; "
+            f"print(' '.join(m for m in {names!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # verify, convexity and emit-curve never integrate in floats, so only
+    # point_phi imports the solver
+    assert loaded_by_cli_import("scipy.integrate") == []
+
+
+def test_cli_import_does_not_load_a_process_pool():
+    # prove runs the systems of a comma list in turn, in this process
+    assert loaded_by_cli_import("multiprocessing",
+                                "concurrent.futures.process") == []

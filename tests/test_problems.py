@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import center_of_mass, linear_momentum
 from choreocert.errors import DimensionMismatch
-from choreocert.integrator import step
+from choreocert.integrator import Frame, step
 from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
@@ -412,7 +412,7 @@ class TestRideTheSetFlow:
         ridden = phi_point(prob, EIGHT_X0, 0.01, 7, along=eight_set_flow.crossing)
         # only the steps from the one before the set's zone are integrated
         zone0 = eight_set_flow.crossing.zone[0]
-        assert eight_set_flow.crossing.steps[zone0 - 1].point is not None
+        assert eight_set_flow.crossing.handoff.index == zone0 - 1
         assert ridden.crossing.steps[0].index == zone0 - 1
         assert len(ridden.crossing.steps) < len(alone.crossing.steps)
         assert not ridden.value.disjoint(alone.value)
@@ -424,23 +424,33 @@ class TestRideTheSetFlow:
         X = IntervalVector.box(EIGHT_X0, 1e-6)
         for p, kept in ((EIGHT_X0, True), (EIGHT_X0 + 1e-4, False)):
             cur = prob.embed_slab(X).carrying(prob.embed_point(p))
-            nxt, rec = step(prob.field, cur, 0.01, 7)
-            assert (rec.point is cur.point) is kept
+            nxt, _ = step(prob.field, cur, 0.01, 7)
             assert (nxt.point is not None) is kept
-            assert (rec.point is None) is not kept
+            if kept:  # advanced by the set's own update, around its center
+                assert np.array_equal(nxt.point.m, nxt.state.m)
 
     def test_without_a_point_frame_the_point_flows_alone(self):
         prob = eight_problem()
         x = EIGHT_X0 + 1e-4
         crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
                                 0.01, 7, point=x).crossing
-        assert all(rec.point is None for rec in crossing.steps)
+        assert crossing.handoff is None
         alone = phi_point(prob, x, 0.01, 7)
         ridden = phi_point(prob, x, 0.01, 7, along=crossing)
         assert np.array_equal(ridden.value.lo, alone.value.lo)
         assert np.array_equal(ridden.value.hi, alone.value.hi)
         assert ridden.crossing.t_cross == alone.crossing.t_cross
         assert len(ridden.crossing.steps) == len(alone.crossing.steps)
+
+    def test_a_flow_keeps_what_its_readers_read(self, eight_set_flow):
+        # the crossing's hull reads only the zone's transitions, and the
+        # point run reads only the hand-off frame
+        crossing = eight_set_flow.crossing
+        for k, rec in enumerate(crossing.steps):
+            held = [rec.trans_layers, rec.trans_rem, rec.v_start]
+            assert all((v is not None) is (k in crossing.zone) for v in held)
+            assert not any(isinstance(v, Frame) for v in vars(rec).values())
+        assert isinstance(crossing.handoff.frame, Frame)
 
     def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
         with pytest.raises(ValueError):
