@@ -5,16 +5,22 @@ Subcommands:
 * prove       run a certification (Newton or Krawczyk) at one step size h,
               the box flowed with the candidate riding inside its Lohner
               steps, and write a machine-checkable certificate
-* convexity   verify lobe convexity of the Eight (inline existence proof or
-              from an existing certificate, re-verified first)
+* convexity   verify lobe convexity of the Eight on the refined box of an
+              existence certificate, re-verified first
 * refine      nonrigorous Newton refinement of a candidate point
 * emit-curve  unfold a certified segment (re-verified first) into the full
               closed curve, flowed at the certificate's h and order
 * verify      re-check a certificate from its serialized intervals only
 
+convexity and emit-curve read their certificate through one reader: the
+no-integration verifier must agree with it, and it must be a UniqueZero
+existence certificate (of the Eight, for convexity).
+
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
-refinement failure, 1 verifier disagreement, 64 usage errors.
+refinement failure, 1 verifier disagreement, 64 usage errors: every
+command line argparse rejects, and every number or option a run cannot use
+or does not read.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .errors import (
     ChoreoCertError,
     CollisionEnclosure,
     Diverged,
-    GluingMismatch,
     NoCrossing,
     NonTransversal,
     RoughEnclosureFailure,
@@ -85,12 +90,32 @@ class _UsageError(Exception):
     pass
 
 
+class _Disagreement(Exception):
+    """The no-integration verifier disagrees with a certificate read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with a rejected command line exiting EXIT_USAGE, not 2,
+    which means inconclusive here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _problem(system: str, bodies, a_text):
-    """make_problem, with a bad system description as a usage error."""
+    """make_problem, with a bad system description, or a --bodies or --a
+    the system does not read, as a usage error."""
+    if bodies is not None and system != "chain":
+        raise _UsageError(f"--bodies is read by --system chain only, "
+                          f"not by {system!r}")
     try:
-        return make_problem(system, n_bodies=bodies, a_text=a_text)
+        problem = make_problem(system, n_bodies=bodies, a_text=a_text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    if a_text is not None and problem.size_parameter is None:
+        raise _UsageError(f"{system!r} has no size parameter to read --a into")
+    return problem
 
 
 def _check_numbers(args) -> None:
@@ -121,16 +146,18 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
         raise _UsageError(f"not a comma-separated float list: {text!r}") from exc
     if v.size != dim:
         raise _UsageError(f"{text!r} has {v.size} coordinates, not {dim}")
+    if not np.all(np.isfinite(v)):
+        raise _UsageError(f"{text!r} has a coordinate that is not finite")
     return v
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="choreocert", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="choreocert", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     # full spellings only: emit-curve --h must not mean --help
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=functools.partial(
-                               argparse.ArgumentParser, allow_abbrev=False))
+                               _Parser, allow_abbrev=False))
 
     pr = sub.add_parser("prove", help="run a certification and emit a certificate")
     pr.add_argument("--system", required=True,
@@ -148,13 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--expect-no-zero", action="store_true")
 
     cv = sub.add_parser("convexity", help="verify lobe convexity of the Eight")
-    eight = DEFAULTS["eight"]
-    cv.add_argument("--h", type=float, default=eight["h"])
-    cv.add_argument("--order", type=int, default=eight["order"])
-    cv.add_argument("--delta", type=float, default=eight["delta"])
-    cv.add_argument("--candidate")
-    cv.add_argument("--cert", help="existing Eight existence certificate "
-                    "(without it, existence is proved inline)")
+    # the published row table is indexed by step, at h 0.01 and order 7
+    cv.add_argument("--h", type=float, default=0.01)
+    cv.add_argument("--order", type=int, default=7)
+    cv.add_argument("--cert", required=True,
+                    help="Eight existence certificate (re-verified first)")
     cv.add_argument("--out")
 
     rf = sub.add_parser("refine", help="nonrigorous candidate refinement")
@@ -294,50 +319,31 @@ def _cmd_prove(args) -> int:
                 for system, p in zip(systems, params)])
 
 
-def _read_verified(command: str, path: str) -> dict | None:
-    """Body of the certificate at `path`, or None (after printing the first
-    failed check) when the no-integration verifier disagrees with it."""
+def _read_certificate(path: str, system: str | None = None):
+    """(problem, refined box, parameters) of the UniqueZero existence
+    certificate at `path`, of `system` when one is named, once the
+    no-integration verifier agrees with it."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     report = reverify_document(text)
     if not report.ok:
         first = next(m for m in report.messages if m.startswith("FAIL"))
-        print(f"{command}: {path} does not verify: {first}", file=sys.stderr)
-        return None
-    return parse_document(text)
+        raise _Disagreement(f"{path} does not verify: {first}")
+    body = parse_document(text)
+    if body["kind"] != "existence" or body["verdict"] != "UniqueZero" \
+            or system not in (None, body["problem"]["id"]):
+        raise _UsageError(f"--cert must be a UniqueZero existence "
+                          f"certificate{f' of {system}' if system else ''}")
+    problem = rebuild_problem(body["problem"]["id"],
+                              body["problem"]["size_parameter"])
+    return (problem, IntervalVector.from_hex(body["refined_box"]),
+            body["parameters"])
 
 
 def _cmd_convexity(args) -> int:
-    problem = make_problem("eight")
-    if args.cert:
-        body = _read_verified("convexity", args.cert)
-        if body is None:
-            return EXIT_VERIFY_DISAGREE
-        if body.get("kind") != "existence" or body["problem"]["id"] != "eight" \
-                or body["verdict"] != "UniqueZero":
-            print("convexity: --cert must be an Eight UniqueZero certificate",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        box = IntervalVector.from_hex(body["refined_box"])
-    else:
-        candidate = (_parse_vector(args.candidate, problem.reduced_dim)
-                     if args.candidate
-                     else np.array(DEFAULTS["eight"]["candidate"]))
-        _, outcome = run_certification(problem, "newton", args.h, args.order,
-                                       args.delta, candidate)
-        if outcome.verdict != "UniqueZero":
-            print(f"convexity: inline existence proof gave {outcome.verdict}",
-                  file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        box = outcome.refined_box
-
+    problem, box, _ = _read_certificate(args.cert, "eight")
     started = time.perf_counter()
-    try:
-        cert = verify_convexity(problem, box, args.h, args.order)
-    except (RoughEnclosureFailure, CollisionEnclosure, NoCrossing,
-            NonTransversal) as exc:
-        print(f"convexity: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    cert = verify_convexity(problem, box, args.h, args.order)
     doc = convexity_to_document(cert, time.perf_counter() - started)
     path = args.out or "eight-convexity.cert"
     with open(path, "w", encoding="utf-8") as fh:
@@ -362,28 +368,9 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_emit_curve(args) -> int:
-    body = _read_verified("emit-curve", args.cert)
-    if body is None:
-        return EXIT_VERIFY_DISAGREE
-    if body.get("kind") != "existence" or body["verdict"] != "UniqueZero":
-        print("emit-curve: need a UniqueZero existence certificate",
-              file=sys.stderr)
-        return EXIT_USAGE
-    problem = rebuild_problem(body["problem"]["id"],
-                              body["problem"]["size_parameter"])
-    box = IntervalVector.from_hex(body["refined_box"])
-    params = body["parameters"]
-    try:
-        ev = phi_jacobian(problem, box, float.fromhex(params["h"]),
-                          params["order"])
-        result = unfold(problem, ev.crossing)
-    except GluingMismatch as exc:
-        print(f"emit-curve: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
-    except (RoughEnclosureFailure, CollisionEnclosure, NoCrossing,
-            NonTransversal) as exc:
-        print(f"emit-curve: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    problem, box, params = _read_certificate(args.cert)
+    ev = phi_jacobian(problem, box, float.fromhex(params["h"]), params["order"])
+    result = unfold(problem, ev.crossing)
     write_curve_file(args.out, problem, result)
     if args.segment_out:
         write_segment_file(args.segment_out, problem, result)
@@ -419,6 +406,9 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Disagreement as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_DISAGREE
     except (ChoreoCertError, FloatingPointError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR

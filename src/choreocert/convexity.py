@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels as kn
 from .boxes import IntervalVector
-from .integrator import EnclosureStep, flow_to_section, poly_eval
+from .integrator import EnclosureStep, flow_to_section, poly_eval, step_start
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -145,10 +145,10 @@ def _time_derivatives(steps: list[EnclosureStep]) -> kn.Pair:
 
 def starts_before_crossing(h: float, k, t_cross: Interval):
     """Whether step k (0-based, size h; an int or an int array) can begin
-    before the crossing time: the lower bound of k h lies below its upper
-    end.  Checking every such step covers the whole segment [0, crossing
-    time]."""
-    return kn.mul(h, h, k, k)[0] < t_cross.hi
+    before the crossing time: the lower end of the integrator's start of
+    step k lies below its upper end.  Checking every such step covers the
+    whole segment [0, crossing time]."""
+    return step_start(h, k)[0] < t_cross.hi
 
 
 @dataclass

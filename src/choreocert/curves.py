@@ -98,8 +98,8 @@ def _rot_interval(c: Interval, s: Interval, px: Interval, py: Interval
     return (c * px + s * py, -(s * px) + c * py)
 
 
-def _unfold_eight(problem: ChoreographyProblem,
-                  crossing: SectionCrossing) -> UnfoldResult:
+def _unfold_eight(problem: ChoreographyProblem, crossing: SectionCrossing,
+                  period: Interval) -> UnfoldResult:
     c_iv, s_iv = _eight_rotation(crossing)
     residuals: list[tuple[str, Interval]] = []
 
@@ -153,15 +153,14 @@ def _unfold_eight(problem: ChoreographyProblem,
         samples.append((6 * t_tilde - t, tau(p)))
         samples.append((6 * t_tilde + t, sig(p)))
         samples.append((12 * t_tilde - t, sig(tau(p))))
-    period = Interval.point(12.0) * crossing.t_cross
     return _finish(problem, crossing, times, tracks, samples, period, residuals,
                    note="rotated so the first body crosses on the x axis")
 
 
 # --- chains --------------------------------------------------------------------
 
-def _unfold_chain(problem: ChoreographyProblem,
-                  crossing: SectionCrossing) -> UnfoldResult:
+def _unfold_chain(problem: ChoreographyProblem, crossing: SectionCrossing,
+                  period: Interval) -> UnfoldResult:
     n = problem.orbit_bodies
     half = n // 2
     residuals: list[tuple[str, Interval]] = []
@@ -202,7 +201,6 @@ def _unfold_chain(problem: ChoreographyProblem,
     for i in range(half + 1, n + 1):
         for t, p in zip(times, tracks[3 * half - i]):
             samples.append((i * t_bar - t, p * _MIRROR[:2]))
-    period = Interval.point(float(2 * n)) * crossing.t_cross
 
     note = ""
     if problem.key == "chain6":
@@ -237,9 +235,10 @@ def _finish(problem, crossing, times, tracks, samples, period, residuals,
 def unfold(problem: ChoreographyProblem,
            crossing: SectionCrossing) -> UnfoldResult:
     """Closed-curve samples plus verified junction residuals."""
+    period = Interval.point(float(problem.period_multiplier)) * crossing.t_cross
     if problem.key == "eight":
-        return _unfold_eight(problem, crossing)
-    return _unfold_chain(problem, crossing)
+        return _unfold_eight(problem, crossing, period)
+    return _unfold_chain(problem, crossing, period)
 
 
 def write_curve_file(path: str, problem: ChoreographyProblem,

@@ -494,12 +494,20 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         projected=projected, steps=steps, zone=zone, handoff=handoff)
 
 
+def step_start(h: float, i) -> Pair:
+    """Outward-rounded enclosure of i h, where step i (0-based; an int or an
+    int array) of a run with the one step size h that `flow_to_section`
+    takes begins: exact for i <= 2 (zero, a copy, a doubling), as in
+    `Interval`, else one ulp outward."""
+    t = i * h
+    exact = np.asarray(i) <= 2
+    return np.where(exact, t, kn.down(t)), np.where(exact, t, kn.up(t))
+
+
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    """Enclosure of i h + [a, b] for steps[k], step i (its index, 0-based)
-    of a run with the one step size h that `flow_to_section` takes: it
-    starts at i h."""
-    return (Interval.point(steps[k].h) * Interval.point(float(steps[k].index))
-            + Interval(a, b))
+    """Enclosure of i h + [a, b] for steps[k], step i (its index) of its
+    run."""
+    return Interval(*step_start(steps[k].h, steps[k].index)) + Interval(a, b)
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -16,6 +17,7 @@ from choreocert.cli import (
     EXIT_VERIFY_DISAGREE,
     main,
 )
+from choreocert.errors import GluingMismatch
 from choreocert.problems import make_problem, phi_point
 
 
@@ -104,10 +106,12 @@ class TestProve:
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--delta", "1e200"],
-        ["convexity", "--delta", "1e200"],
+        # too coarse a step for the certified box: the flow fails
+        ["convexity", "--cert", "{eight_cert}", "--h", "0.1"],
     ], ids=["prove", "convexity"])
-    def test_overflowing_box_is_an_integration_failure(self, argv, tmp_path,
-                                                       capsys):
+    def test_overflowing_box_is_an_integration_failure(self, argv, eight_cert,
+                                                       tmp_path, capsys):
+        argv = [a.format(eight_cert=eight_cert) for a in argv]
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_INTEGRATOR
         err = capsys.readouterr().err
@@ -123,8 +127,9 @@ class TestProve:
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_system_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["prove"])  # --system required
+        assert exc.value.code == EXIT_USAGE
         assert main(["prove", "--system", "chain"]) == EXIT_USAGE
         assert main(["refine", "--system", "nonsense",
                      "--guess", "1,2"]) == EXIT_USAGE
@@ -206,6 +211,18 @@ class TestEmitCurve:
         assert "FAIL refined box" in capsys.readouterr().err
         assert not (tmp_path / "curve.txt").exists()
 
+    def test_unfolding_failure_is_an_integration_failure(
+            self, eight_cert, tmp_path, monkeypatch, capsys):
+        def mismatch(problem, crossing):
+            raise GluingMismatch("junction residual y1 excludes 0")
+
+        monkeypatch.setattr(cli, "unfold", mismatch)
+        out = tmp_path / "curve.txt"
+        assert main(["emit-curve", "--cert", str(eight_cert),
+                     "--out", str(out)]) == EXIT_INTEGRATOR
+        assert capsys.readouterr().err == (
+            "emit-curve: junction residual y1 excludes 0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda params: params.update(h="0x0p+0"),
@@ -253,11 +270,8 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--order", "-1"],
         ["prove", "--system", "eight", "--max-iter", "-1"],
         ["prove", "--system", "eight", "--max-steps", "0"],
-        ["convexity", "--h", "0"],
-        ["convexity", "--order", "3"],
     ], ids=["delta-zero", "h-negative", "h-nan", "h-inf",
-            "order-negative", "max-iter-negative", "max-steps-zero",
-            "convexity-h-zero", "convexity-order-three"])
+            "order-negative", "max-iter-negative", "max-steps-zero"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -269,31 +283,79 @@ class TestUnusableNumbers:
     def test_one_step_size_option(self, option, tmp_path, capsys):
         # a proof has one step size: argparse knows no point or set step
         out = tmp_path / "out.cert"
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["prove", "--system", "eight", option, "0.0025",
                   "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--jobs", "2"],
-        ["convexity", "--no-inline"],
+        ["convexity", "--cert", "eight.cert", "--no-inline"],
+        ["convexity", "--cert", "eight.cert", "--delta", "1e-6"],
+        ["convexity", "--cert", "eight.cert", "--candidate", "0.35,0.53"],
         ["emit-curve", "--cert", "eight.cert", "--h", "0.01"],
         ["emit-curve", "--cert", "eight.cert", "--order", "7"],
-    ], ids=["prove-jobs", "convexity-no-inline", "emit-curve-h",
-            "emit-curve-order"])
+    ], ids=["prove-jobs", "convexity-no-inline", "convexity-delta",
+            "convexity-candidate", "emit-curve-h", "emit-curve-order"])
     def test_removed_option(self, argv, tmp_path, capsys):
-        # systems are proved in turn, leaving out --cert proves inline, and
-        # a curve flows at its certificate's h and order
+        # systems are proved in turn, convexity reads the box of a
+        # certificate, and a curve flows at its certificate's h and order
         out = tmp_path / "out.txt"
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
+        ["prove", "--system", "eight", "--h", "x"],
+        ["convexity", "--out", "conv.cert"],
+        ["verify"],
+    ], ids=["h-not-a-number", "convexity-without-cert", "verify-without-cert"])
+    def test_rejected_command_line(self, argv, tmp_path, monkeypatch, capsys):
+        # argparse's own exit code 2 would read as inconclusive
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_is_no_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convexity", "--help"])
+        assert exc.value.code == 0
+        assert "--cert" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--system", "eight", "--guess", "nan,nan"],
+        ["prove", "--system", "eight", "--candidate", "inf,0.5"],
+        ["prove", "--system", "eight", "--a", "0.3"],
+        ["refine", "--system", "eight", "--a", "0.3", "--guess", "0.35,0.53"],
+        ["prove", "--system", "chain6", "--bodies", "8"],
+        ["refine", "--system", "gerver", "--bodies", "4",
+         "--guess", "1.38,1.87,0.58"],
+    ], ids=["refine-nan-guess", "prove-inf-candidate", "prove-eight-a",
+            "refine-eight-a", "prove-chain6-bodies", "refine-gerver-bodies"])
+    def test_input_the_run_cannot_use_or_does_not_read(self, argv, tmp_path,
+                                                       monkeypatch, capsys):
+        # a non-finite coordinate would reach the solver; an --a or
+        # --bodies that make_problem ignores would prove another system
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["convexity", "--h", "0"],
         ["convexity", "--order", "3"],
-    ], ids=["convexity-order-three"])
+    ], ids=["convexity-h-zero", "convexity-order-three"])
     def test_usage_error_with_a_certificate(self, argv, eight_cert, tmp_path,
                                             capsys):
         out = tmp_path / "out.txt"
@@ -304,9 +366,8 @@ class TestUnusableNumbers:
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--candidate", "0.35"],
-        ["convexity", "--candidate", "0.35,0.53,0.1"],
         ["refine", "--system", "eight", "--guess", "0.35"],
-    ], ids=["prove", "convexity", "refine"])
+    ], ids=["prove", "refine"])
     def test_candidate_of_the_wrong_length(self, argv, tmp_path, capsys):
         if argv[0] != "refine":
             argv = argv + ["--out", str(tmp_path / "out.cert")]
@@ -318,6 +379,27 @@ class TestUnusableNumbers:
         assert main(["refine", "--system", "eight", "--guess", "0.35,0.53",
                      "--iters", "0"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("refine: --iters must")
+
+
+class TestOptions:
+    def test_option_inventory(self):
+        # every knob is counted: a new one takes an edit here
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        options = {name: [a.option_strings[0] for a in p._actions
+                          if not isinstance(a, argparse._HelpAction)]
+                   for name, p in sub.choices.items()}
+        assert options == {
+            "prove": ["--system", "--bodies", "--method", "--h", "--order",
+                      "--delta", "--a", "--max-iter", "--max-steps",
+                      "--candidate", "--out", "--expect-no-zero"],
+            "convexity": ["--h", "--order", "--cert", "--out"],
+            "refine": ["--system", "--bodies", "--a", "--guess", "--iters"],
+            "emit-curve": ["--cert", "--out", "--segment-out"],
+            "verify": ["--cert", "--quiet"],
+        }
+        assert sum(map(len, options.values())) == 26
 
 
 class TestRefine:

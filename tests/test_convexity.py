@@ -12,6 +12,7 @@ from choreocert.convexity import (
     condition,
     condition_holds,
     graph_lanes,
+    starts_before_crossing,
     verify_convexity,
 )
 from choreocert.dynamics import LinearField
@@ -218,6 +219,15 @@ class TestConditionLogic:
             for i in range(3):
                 edited = lanes[:i] + [bad] + lanes[i + 1:]
                 assert not condition_holds(*piece, *edited).any()
+
+
+class TestStepStart:
+    @pytest.mark.parametrize("h", [0.01, 0.005, 0.002, 0.001])
+    def test_crossing_at_h_is_not_after_step_one(self, h):
+        # the integrator starts step 1 at exactly h, so a segment that ends
+        # at [h, h] has one step to check, not two
+        assert starts_before_crossing(h, 0, Interval(h, h))
+        assert not starts_before_crossing(h, 1, Interval(h, h))
 
 
 class _Stop(Exception):

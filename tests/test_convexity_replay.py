@@ -106,9 +106,12 @@ class TestCurvatureSoundness:
 class TestConvexityCLIHalvedStep:
     @pytest.mark.slow
     def test_h_005_passes_with_about_106_steps(self, tmp_path):
+        cert = tmp_path / "eight.cert"
+        assert main(["prove", "--system", "eight",
+                     "--out", str(cert)]) == EXIT_OK
         out = tmp_path / "conv.cert"
-        code = main(["convexity", "--h", "0.005", "--order", "7",
-                     "--out", str(out)])
+        code = main(["convexity", "--cert", str(cert), "--h", "0.005",
+                     "--order", "7", "--out", str(out)])
         assert code == EXIT_OK
         from choreocert.certificates import parse_document
         body = parse_document(out.read_text())
