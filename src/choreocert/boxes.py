@@ -103,9 +103,6 @@ class IntervalVector:
     def diam(self) -> np.ndarray:
         return kn.diam(self.lo, self.hi)
 
-    def mag(self) -> np.ndarray:
-        return kn.mag(self.lo, self.hi)
-
     def hull(self, other: IntervalVector) -> IntervalVector:
         bl, bh = self._coerce(other)
         return IntervalVector(*kn.hull(self.lo, self.hi, bl, bh))

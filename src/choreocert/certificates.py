@@ -1,8 +1,8 @@
 """Machine-checkable proof certificates.
 
 A certificate is one text document: a JSON body in which every float is a
-lossless hexadecimal string, followed by an informative block of comment
-lines with decimal renderings.  Re-running with identical flags on the same
+lossless hexadecimal string, followed by a block of comment lines with
+decimal renderings of the body.  Re-running with identical flags on the same
 machine reproduces the document bit for bit except the wall-clock field;
 float QR and inverses go through BLAS/LAPACK, so another CPU or BLAS build
 can change stored bits.  `environment.rounding_backend` names the one
@@ -32,7 +32,10 @@ A convexity document must be one `verify_convexity` writes: closed key sets
 at the top level, in `parameters` and in every row, the Eight, rows in step
 and body order that all passed, each meeting its condition under the
 prover's own rule `condition_holds`, and a verdict that fails exactly when
-it states a failure.
+it states a failure.  Once the body agrees, the text after it must be empty
+or exactly the writer's decimal rendering of it: of the replayed
+certificate for an existence document, of the stored rows for a convexity
+document.  So the comment block cannot state another verdict.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def _unhex_vec(data) -> np.ndarray:
 
 def _hex_float(x: float | None):
     return None if x is None else float(x).hex()
+
+
+def _comment_block(lines: list[str]) -> str:
+    """The text after a document's JSON body: the header, then `lines`."""
+    return "\n" + "\n".join([_COMMENT_HEADER, *lines]) + "\n"
 
 
 def _problem_block(problem_id: str, n_bodies: int, reduced_dim: int,
@@ -164,10 +172,12 @@ class ProofCertificate:
         }
 
     def to_document(self) -> str:
-        text = json.dumps(self.body(), sort_keys=True, indent=1)
-        lines = [text, _COMMENT_HEADER]
-        lines.append(f"# system: {self.problem_id}  method: {self.method}  "
-                     f"verdict: {self.verdict}")
+        return json.dumps(self.body(), sort_keys=True, indent=1) + self.comment()
+
+    def comment(self) -> str:
+        """The decimal rendering that follows the JSON body."""
+        lines = [f"# system: {self.problem_id}  method: {self.method}  "
+                 f"verdict: {self.verdict}"]
         lines.append("# candidate: ("
                      + ", ".join(f"{x:.17g}" for x in self.candidate) + ")")
         if self.size_parameter is not None:
@@ -179,7 +189,7 @@ class ProofCertificate:
         if self.operator_image is not None:
             for i, iv in enumerate(self.operator_image):
                 lines.append(f"# image[{i}] = [{iv.lo:.17g}, {iv.hi:.17g}]")
-        return "\n".join(lines) + "\n"
+        return _comment_block(lines)
 
 
 def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
@@ -223,8 +233,7 @@ def trace_to_json(outcome: CertificationOutcome) -> list[dict]:
 
 def parse_document(text: str) -> dict:
     """JSON body of a certificate document (comments ignored)."""
-    body, _ = json.JSONDecoder().raw_decode(text)
-    return body
+    return json.JSONDecoder().raw_decode(text)[0]
 
 
 # What reading an untrusted document can raise: a missing field, a wrong
@@ -257,23 +266,35 @@ def reverify_document(text: str) -> VerificationReport:
     """
     rep = VerificationReport(ok=True)
     try:
-        body = parse_document(text)
+        body, end = json.JSONDecoder().raw_decode(text)
         kind = body.get("kind")
         version = body.get("schema_version")
         rep.add(type(version) is int and version == SCHEMA_VERSION,
                 f"schema version {version!r} is {SCHEMA_VERSION}")
+        replayed = None
         if kind == "existence":
-            _reverify_existence(body, rep)
+            replayed = _reverify_existence(body, rep)
         elif kind == "convexity":
             _reverify_convexity(body, rep)
         else:
             rep.add(False, f"unknown certificate kind {kind!r}")
+        if rep.ok:
+            # the body agrees, so its writer's rendering is the only block
+            rendering = (replayed.comment() if replayed is not None
+                         else _convexity_comment(body))
+            comment = text[end:]
+            rep.add(not comment.strip() or comment == rendering,
+                    "the decimal rendering is absent or the one the writer "
+                    "makes of the body")
     except _MALFORMED as exc:
         rep.add(False, f"malformed document: {type(exc).__name__}: {exc}")
     return rep
 
 
-def _reverify_existence(body: dict, rep: VerificationReport) -> None:
+def _reverify_existence(body: dict,
+                        rep: VerificationReport) -> ProofCertificate | None:
+    """Check an existence document by replay; returns the replayed
+    certificate, or None when the replay could not run."""
     pb, params = body["problem"], body["parameters"]
     if set(params) != _EXISTENCE_PARAMETERS:
         rep.add(False, f"parameters {sorted(params)} are exactly "
@@ -319,8 +340,9 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
         x0=candidate, X=IntervalVector.box(candidate, delta),
         method=body["method"], max_iter=max_iter,
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
-    rebuilt = existence_certificate(problem, job, certify(job), h, order,
-                                    delta).body()
+    replayed = existence_certificate(problem, job, certify(job), h, order,
+                                     delta)
+    rebuilt = replayed.body()
     rep.add(set(body) == set(rebuilt),
             "top-level keys are exactly the ones the prover writes")
     fields = sorted(set(rebuilt) - _INFORMATIVE)
@@ -332,6 +354,7 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     rep.add(canonical([body.get(k) for k in fields])
             == canonical([rebuilt[k] for k in fields]),
             "every field has the JSON type the prover writes")
+    return replayed
 
 
 # --- convexity certificates ------------------------------------------------
@@ -376,19 +399,29 @@ def convexity_to_document(cert: ConvexityCertificate,
         "wall_clock_seconds": wall_clock_seconds,
         "environment": {"rounding_backend": rounding_backend()},
     }
-    lines = [json.dumps(body, sort_keys=True, indent=1), _COMMENT_HEADER]
-    lines.append(f"# convexity of {cert.problem}: "
-                 f"{'PASS' if cert.passed else 'FAIL'} over "
-                 f"{cert.steps_checked} steps at h={cert.h}, order={cert.order}")
-    for c in cert.checks:
-        if c.step in (1, 2, 37):
-            gd = c.derivs
+    return json.dumps(body, sort_keys=True, indent=1) + _convexity_comment(body)
+
+
+def _convexity_comment(body: dict) -> str:
+    """The decimal rendering that follows a convexity document's JSON body,
+    read from the body alone: the verdict line and the rows of steps 1, 2
+    and 37."""
+    params = body["parameters"]
+    lines = [f"# convexity of {body['problem']}: "
+             f"{'PASS' if body['passed'] else 'FAIL'} over "
+             f"{body['steps_checked']} steps at "
+             f"h={float.fromhex(params['h'])}, order={params['order']}"]
+    for c in body["checks"]:
+        if c["step"] in (1, 2, 37):
+            rate, second, third = ([float.fromhex(e) for e in c[k]]
+                                   for k in ("rate", "second", "third"))
             lines.append(
-                f"# step {c.step} body {c.body} [{gd.axis}, {c.condition}]: "
-                f"rate [{gd.independent_rate.lo:.6g},{gd.independent_rate.hi:.6g}] "
-                f"second [{gd.second.lo:.6g},{gd.second.hi:.6g}] "
-                f"third [{gd.third.lo:.6g},{gd.third.hi:.6g}]")
-    return "\n".join(lines) + "\n"
+                f"# step {c['step']} body {c['body']} "
+                f"[{c['axis']}, {c['condition']}]: "
+                f"rate [{rate[0]:.6g},{rate[1]:.6g}] "
+                f"second [{second[0]:.6g},{second[1]:.6g}] "
+                f"third [{third[0]:.6g},{third[1]:.6g}]")
+    return _comment_block(lines)
 
 
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:

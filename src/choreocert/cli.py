@@ -104,34 +104,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _problem(system: str, bodies, a_text):
-    """make_problem, with a bad system description, or a --bodies or --a
-    the system does not read, as a usage error."""
-    if bodies is not None and system != "chain":
-        raise _UsageError(f"--bodies is read by --system chain only, "
-                          f"not by {system!r}")
+    """make_problem, with its refusal of a bad system description, or of a
+    --bodies or --a the system does not read, as a usage error."""
     try:
-        problem = make_problem(system, n_bodies=bodies, a_text=a_text)
+        return make_problem(system, n_bodies=bodies, a_text=a_text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if a_text is not None and problem.size_parameter is None:
-        raise _UsageError(f"{system!r} has no size parameter to read --a into")
-    return problem
 
 
 def _check_numbers(args) -> None:
-    """Reject step sizes, widths, orders and counts no run can use."""
+    """Reject step sizes, widths and orders no run can use."""
     for name in ("h", "delta"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise _UsageError(f"--{name} must be finite and > 0, not {value}")
     # convexity reads the flow's third derivative from the Taylor layers
-    least_order = 4 if args.command == "convexity" else 1
-    for name, least in (("order", least_order), ("max_iter", 1),
-                        ("max_steps", 1), ("iters", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= "
-                              f"{least}, not {value}")
+    least = 4 if args.command == "convexity" else 1
+    order = getattr(args, "order", None)
+    if order is not None and order < least:
+        raise _UsageError(f"--order must be >= {least}, not {order}")
 
 
 def _first_given(*values):
@@ -168,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--order", type=int)
     pr.add_argument("--delta", type=float, help="initial box half-width")
     pr.add_argument("--a", help="orbit size parameter (decimal literal)")
-    pr.add_argument("--max-iter", type=int, default=64)
-    pr.add_argument("--max-steps", type=int)
     pr.add_argument("--candidate", help="comma-separated reduced coordinates")
     pr.add_argument("--out", help="certificate file (directory for multiple systems)")
     pr.add_argument("--expect-no-zero", action="store_true")
@@ -187,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     rf.add_argument("--bodies", type=int)
     rf.add_argument("--a")
     rf.add_argument("--guess", required=True)
-    rf.add_argument("--iters", type=int, default=12)
 
     em = sub.add_parser("emit-curve", help="unfold a certificate to curve samples")
     em.add_argument("--cert", required=True)
@@ -222,12 +210,10 @@ def _resolve_prove_params(args, system: str) -> dict:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
     return dict(problem=problem, method=method, h=float(h), order=int(order),
-                delta=float(delta), candidate=candidate,
-                max_iter=args.max_iter, max_steps=args.max_steps)
+                delta=float(delta), candidate=candidate)
 
 
-def run_certification(problem, method, h, order, delta, candidate,
-                      max_iter=64, max_steps=None):
+def run_certification(problem, method, h, order, delta, candidate):
     """One certification run; returns (certificate, outcome)."""
     started = time.perf_counter()
 
@@ -235,8 +221,8 @@ def run_certification(problem, method, h, order, delta, candidate,
 
     def enclose(x, box):
         # the point rides inside the box flow up to the section zone
-        ev_set = phi_jacobian(problem, box, h, order, max_steps, point=x)
-        ev = phi_point(problem, x, h, order, max_steps, along=ev_set.crossing)
+        ev_set = phi_jacobian(problem, box, h, order, point=x)
+        ev = phi_point(problem, x, h, order, along=ev_set.crossing)
         record.update(set=ev_set.crossing, point=ev.crossing)
         record["notes"].update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
         record["notes"].update(ev.notes)
@@ -250,8 +236,7 @@ def run_certification(problem, method, h, order, delta, candidate,
             C = monodromy_preconditioner(problem, candidate)
         except (Diverged, np.linalg.LinAlgError):
             C = None  # certify falls back to the midpoint Jacobian inverse
-    job = CertificationJob(map=cmap, x0=candidate, X=X, method=method,
-                           C=C, max_iter=max_iter)
+    job = CertificationJob(map=cmap, x0=candidate, X=X, method=method, C=C)
     outcome = certify(job)
 
     cert = existence_certificate(
@@ -305,6 +290,8 @@ def _prove_one(system: str, params: dict, out_path: str | None,
 
 def _cmd_prove(args) -> int:
     systems = [s.strip() for s in args.system.split(",") if s.strip()]
+    if not systems:
+        raise _UsageError(f"--system names no system: {args.system!r}")
     if len(set(systems)) < len(systems):
         # one output file per system name
         raise _UsageError(f"--system names a system twice: {args.system}")
@@ -357,7 +344,7 @@ def _cmd_refine(args) -> int:
     problem = _problem(args.system, args.bodies, args.a)
     guess = _parse_vector(args.guess, problem.reduced_dim)
     try:
-        refined = refine_candidate(problem, guess, iters=args.iters)
+        refined = refine_candidate(problem, guess)
     except Diverged as exc:
         print(f"refine: diverged: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR

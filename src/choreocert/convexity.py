@@ -165,15 +165,14 @@ class ConvexityCertificate:
 
 
 def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector,
-                     h: float, order: int,
-                     max_steps: int | None = None) -> ConvexityCertificate:
+                     h: float, order: int) -> ConvexityCertificate:
     """Follow the embedded certified box to the section and check every step
     and body.  Success means each lobe of the orbit is convex."""
     if order < 4:
         raise ValueError("third time derivatives need order >= 4")
     start = problem.embed_slab(certified_box, carry_transition=False)
     crossing = flow_to_section(problem.field, start, problem.section, h,
-                               order, max_steps)
+                               order)
 
     # Origin membership for the inflection argument: the third body starts
     # at the origin exactly, so the first whole-step box contains it.

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import kernels as kn
 from .errors import CollisionEnclosure
-from .interval import Interval
 
 Pair = tuple[np.ndarray, np.ndarray]
 
@@ -442,120 +441,3 @@ def nbody_field(n_bodies: int, kind: str = "blocks") -> GravityField:
 def reduced6_field(kind: str = "blocks") -> GravityField:
     return GravityField(PhaseLayout(3, kind), reduced6_terms())
 
-
-class LinearField:
-    """x' = A x with constant float A; test stand-in for the gravity fields
-    (harmonic oscillator, rotations) with the same series protocol,
-    batches included."""
-
-    class Series:
-        def __init__(self, A: np.ndarray, sl, sh, order: int):
-            sl = np.asarray(sl, float)
-            self.order = order
-            self.state_lo = np.zeros((order + 1,) + sl.shape)
-            self.state_hi = np.zeros((order + 1,) + sl.shape)
-            self.state_lo[0], self.state_hi[0] = sl, sh
-            for m in range(order):
-                nl, nh = kn.matvec_thin_left(A, self.state_lo[m],
-                                             self.state_hi[m])
-                self.state_lo[m + 1], self.state_hi[m + 1] = \
-                    kn.div_int(nl, nh, m + 1)
-            self._A = A
-            self._batch = sl.shape[:-1]
-
-        def _stacked(self, M: np.ndarray, lead: tuple) -> np.ndarray:
-            n = self._A.shape[0]
-            return np.broadcast_to(M.reshape(lead + (1,) * len(self._batch)
-                                             + (n, n)),
-                                   lead + self._batch + (n, n))
-
-        def layers(self) -> Pair:
-            return self.state_lo, self.state_hi
-
-        def jacobian(self) -> Pair:
-            J = self._stacked(self._A, ())
-            return J, J
-
-        def transition_layers(self, order: int | None = None,
-                              members: slice | None = None) -> Pair:
-            R = self.order if order is None else order
-            n = self._A.shape[0]
-            Ml = np.zeros((R + 1, n, n))
-            Mh = np.zeros((R + 1, n, n))
-            Ml[0] = Mh[0] = np.eye(n)
-            for m in range(R):
-                nl, nh = kn.matmul_thin_left(self._A, Ml[m], Mh[m])
-                Ml[m + 1], Mh[m + 1] = kn.div_int(nl, nh, m + 1)
-            Ml, Mh = self._stacked(Ml, (R + 1,)), self._stacked(Mh, (R + 1,))
-            if members is None:
-                return Ml, Mh
-            return Ml[:, members], Mh[:, members]
-
-    def __init__(self, A):
-        self.A = np.asarray(A, dtype=np.float64)
-        self.dim = self.A.shape[0]
-
-    def series(self, sl, sh, order: int, variational: bool = False):
-        return LinearField.Series(self.A, sl, sh, order)
-
-    def eval(self, sl, sh) -> Pair:
-        return kn.matvec_thin_left(self.A, sl, sh)
-
-
-# --- conserved quantities ------------------------------------------------------
-
-def _pair_separations(layout: PhaseLayout, sl, sh):
-    for i in range(layout.n_bodies):
-        for j in range(i + 1, layout.n_bodies):
-            xi, yi = layout.body_position(i)
-            xj, yj = layout.body_position(j)
-            dx = Interval(sl[xj], sh[xj]) - Interval(sl[xi], sh[xi])
-            dy = Interval(sl[yj], sh[yj]) - Interval(sl[yi], sh[yi])
-            yield dx.sqr() + dy.sqr()
-
-
-def total_energy(layout: PhaseLayout, state_lo, state_hi) -> Interval:
-    """Kinetic + potential energy enclosure of a full (unreduced) state."""
-    sl = np.asarray(state_lo, float)
-    sh = np.asarray(state_hi, float)
-    kin = Interval(0.0)
-    for i in range(layout.n_bodies):
-        vx, vy = layout.body_velocity(i)
-        kin = kin + Interval(sl[vx], sh[vx]).sqr() + Interval(sl[vy], sh[vy]).sqr()
-    total = kin / 2.0
-    for r2 in _pair_separations(layout, sl, sh):
-        total = total - 1.0 / r2.sqrt()
-    return total
-
-
-def angular_momentum(layout: PhaseLayout, state_lo, state_hi) -> Interval:
-    sl = np.asarray(state_lo, float)
-    sh = np.asarray(state_hi, float)
-    out = Interval(0.0)
-    for i in range(layout.n_bodies):
-        x, y = layout.body_position(i)
-        vx, vy = layout.body_velocity(i)
-        out = (out
-               + Interval(sl[x], sh[x]) * Interval(sl[vy], sh[vy])
-               - Interval(sl[y], sh[y]) * Interval(sl[vx], sh[vx]))
-    return out
-
-
-def _body_sums(layout: PhaseLayout, state_lo, state_hi,
-               where) -> tuple[Interval, Interval]:
-    sl = np.asarray(state_lo, float)
-    sh = np.asarray(state_hi, float)
-    sx = sy = Interval(0.0)
-    for i in range(layout.n_bodies):
-        x, y = where(i)
-        sx = sx + Interval(sl[x], sh[x])
-        sy = sy + Interval(sl[y], sh[y])
-    return sx, sy
-
-
-def linear_momentum(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
-    return _body_sums(layout, state_lo, state_hi, layout.body_velocity)
-
-
-def center_of_mass(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
-    return _body_sums(layout, state_lo, state_hi, layout.body_position)

@@ -222,10 +222,6 @@ class EnclosureStep:
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
 
-    def start_box(self) -> Pair:
-        """The input box: layer 0 of the box's Taylor series."""
-        return self.layers[0][0], self.layers[1][0]
-
     def state_at(self, tau: Interval) -> Pair:
         """Enclosure of the flow at step-local time tau in [0, h]."""
         return poly_eval(self.layers, self.rem, tau)
@@ -340,25 +336,6 @@ def step(field, cur: LohnerSet, h: float, order: int,
             A, kn.matmul_thin_right(*A, cur.slab.m))
 
     return nxt, rec
-
-
-def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
-         max_steps: int | None = None) -> tuple[LohnerSet, list[EnclosureStep]]:
-    """Chain steps to time t_final; the last step is shortened to land on it."""
-    steps: list[EnclosureStep] = []
-    cur = start
-    t = 0.0
-    k = 0
-    budget = max_steps if max_steps is not None else int(np.ceil(t_final / h)) + 2
-    while t < t_final and k < budget:
-        hk = min(h, t_final - t)
-        if hk <= 0:
-            break
-        cur, rec = step(field, cur, hk, order, index=k, t_prev=t)
-        steps.append(rec)
-        t = rec.t_k
-        k += 1
-    return cur, steps
 
 
 # --- sections and crossings --------------------------------------------------

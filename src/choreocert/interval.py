@@ -100,13 +100,6 @@ class Interval:
         """Upper bound on hi - lo."""
         return float(kn.diam(self.lo, self.hi))
 
-    def mag(self) -> float:
-        """max |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 

@@ -264,7 +264,7 @@ class ChoreographyProblem:
     # -- full 4N-dim view (identity unless antipodally reduced) --
 
     def expand_state(self, sl, sh) -> tuple[PhaseLayout, np.ndarray, np.ndarray]:
-        """Full unreduced state for conserved-quantity evaluation."""
+        """Full unreduced state, for unfolding a curve."""
         if not self.antipodal:
             return self.layout, np.asarray(sl, float), np.asarray(sh, float)
         full = PhaseLayout(self.orbit_bodies, "blocks")
@@ -416,13 +416,21 @@ def chain6_problem(a_text: str = "1.887041548253914") -> ChoreographyProblem:
 def make_problem(key: str, n_bodies: int | None = None,
                  a_text: str | None = None) -> ChoreographyProblem:
     """The problem for a system name ("chain" with n_bodies), or for the key
-    a certificate records ("eight", "gerver", "chain6", "chainN")."""
+    a certificate records ("eight", "gerver", "chain6", "chainN").  Raises
+    ValueError for an unknown system, and for a body count or a size
+    parameter the system does not read: ignored, it would stand for
+    another system."""
+    if n_bodies is not None and key != "chain":
+        raise ValueError(f"a body count is read by 'chain' only, not by {key!r}")
     if key == "eight":
+        if a_text is not None:
+            raise ValueError(f"{key!r} has no size parameter to read "
+                             f"{a_text!r} into")
         return eight_problem()
     if key == "gerver":
-        return gerver_problem(a_text) if a_text else gerver_problem()
+        return gerver_problem() if a_text is None else gerver_problem(a_text)
     if key == "chain6":
-        return chain6_problem(a_text) if a_text else chain6_problem()
+        return chain6_problem() if a_text is None else chain6_problem(a_text)
     if key.startswith("chain") and key[5:].isdigit():
         n_bodies = int(key[5:])
         key = "chain"
@@ -458,7 +466,6 @@ def _crossing_notes(problem: ChoreographyProblem,
 
 
 def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
-              max_steps: int | None = None,
               along: SectionCrossing | None = None) -> MapEvaluation:
     """Rigorous enclosure of the defect map at a point (thin run).
 
@@ -480,59 +487,23 @@ def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
                 raise ValueError("the flow carried another point")
             start, first = LohnerSet(handoff.frame), handoff.index
     cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         max_steps, first_step=first)
+                         first_step=first)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
                          crossing=cr, notes=_crossing_notes(problem, cr))
 
 
 def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector, h: float,
-                 order: int, max_steps: int | None = None,
-                 point=None) -> MapEvaluation:
+                 order: int, point=None) -> MapEvaluation:
     """Rigorous defect map and derivative enclosure over a reduced box,
     flowing the embedded slab (`ChoreographyProblem.embed_slab`), with the
     reduced point `point`, when given, riding along (`LohnerSet.carrying`)."""
     start = problem.embed_slab(X)
     if point is not None:
         start = start.carrying(problem.embed_point(point))
-    cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         max_steps)
+    cr = flow_to_section(problem.field, start, problem.section, h, order)
     drl, drh = problem.reduce_derivative(*cr.state)
     jl, jh = kn.matmul(drl, drh, *cr.projected)
     return MapEvaluation(value=problem.reduce(*cr.state),
                          jacobian=IntervalMatrix(jl, jh), crossing=cr,
                          notes=_crossing_notes(problem, cr))
 
-
-def conservation_containment(problem: ChoreographyProblem, steps) -> dict:
-    """Check that energy, angular momentum, linear momentum, and center of
-    mass enclosures at every step overlap their initial enclosures.
-
-    Interval evaluations along a rigorous trajectory must all contain the
-    conserved true values, so every step's enclosure intersects the first.
-    """
-    from .dynamics import (angular_momentum, center_of_mass, linear_momentum,
-                           total_energy)
-
-    def quantities(sl, sh):
-        layout, el, eh = problem.expand_state(sl, sh)
-        px, py = linear_momentum(layout, el, eh)
-        cx, cy = center_of_mass(layout, el, eh)
-        return {
-            "energy": total_energy(layout, el, eh),
-            "angular_momentum": angular_momentum(layout, el, eh),
-            "momentum_x": px, "momentum_y": py,
-            "center_x": cx, "center_y": cy,
-        }
-
-    initial = quantities(*steps[0].start_box())
-    report = {name: True for name in initial}
-    worst = {name: 0.0 for name in initial}
-    for rec in steps:
-        vals = quantities(*rec.tight)
-        for name, iv in vals.items():
-            if iv.disjoint(initial[name]):
-                report[name] = False
-            gap = max(initial[name].lo - iv.hi, iv.lo - initial[name].hi, 0.0)
-            worst[name] = max(worst[name], gap)
-    return {"contained": report, "worst_gap": worst,
-            "initial": {k: (v.lo, v.hi) for k, v in initial.items()}}

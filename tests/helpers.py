@@ -1,0 +1,192 @@
+"""Test oracles that no command runs: a constant linear field, a flow to a
+fixed time, and the conserved quantities of the N-body problem.
+
+Tests import this module by name (`from helpers import ...`): `tests/` has
+no `__init__.py`, so pytest puts it on `sys.path`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from choreocert import kernels as kn
+from choreocert.dynamics import PhaseLayout
+from choreocert.integrator import EnclosureStep, LohnerSet, step
+from choreocert.interval import Interval
+
+Pair = tuple[np.ndarray, np.ndarray]
+
+
+# --- a linear field ------------------------------------------------------------
+
+class LinearField:
+    """x' = A x with constant float A; test stand-in for the gravity fields
+    (harmonic oscillator, rotations) with the same series protocol,
+    batches included."""
+
+    class Series:
+        def __init__(self, A: np.ndarray, sl, sh, order: int):
+            sl = np.asarray(sl, float)
+            self.order = order
+            self.state_lo = np.zeros((order + 1,) + sl.shape)
+            self.state_hi = np.zeros((order + 1,) + sl.shape)
+            self.state_lo[0], self.state_hi[0] = sl, sh
+            for m in range(order):
+                nl, nh = kn.matvec_thin_left(A, self.state_lo[m],
+                                             self.state_hi[m])
+                self.state_lo[m + 1], self.state_hi[m + 1] = \
+                    kn.div_int(nl, nh, m + 1)
+            self._A = A
+            self._batch = sl.shape[:-1]
+
+        def _stacked(self, M: np.ndarray, lead: tuple) -> np.ndarray:
+            n = self._A.shape[0]
+            return np.broadcast_to(M.reshape(lead + (1,) * len(self._batch)
+                                             + (n, n)),
+                                   lead + self._batch + (n, n))
+
+        def layers(self) -> Pair:
+            return self.state_lo, self.state_hi
+
+        def jacobian(self) -> Pair:
+            J = self._stacked(self._A, ())
+            return J, J
+
+        def transition_layers(self, order: int | None = None,
+                              members: slice | None = None) -> Pair:
+            R = self.order if order is None else order
+            n = self._A.shape[0]
+            Ml = np.zeros((R + 1, n, n))
+            Mh = np.zeros((R + 1, n, n))
+            Ml[0] = Mh[0] = np.eye(n)
+            for m in range(R):
+                nl, nh = kn.matmul_thin_left(self._A, Ml[m], Mh[m])
+                Ml[m + 1], Mh[m + 1] = kn.div_int(nl, nh, m + 1)
+            Ml, Mh = self._stacked(Ml, (R + 1,)), self._stacked(Mh, (R + 1,))
+            if members is None:
+                return Ml, Mh
+            return Ml[:, members], Mh[:, members]
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=np.float64)
+        self.dim = self.A.shape[0]
+
+    def series(self, sl, sh, order: int, variational: bool = False):
+        return LinearField.Series(self.A, sl, sh, order)
+
+    def eval(self, sl, sh) -> Pair:
+        return kn.matvec_thin_left(self.A, sl, sh)
+
+
+# --- a flow to a fixed time ----------------------------------------------------
+
+def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
+         max_steps: int | None = None) -> tuple[LohnerSet, list[EnclosureStep]]:
+    """Chain steps to time t_final; the last step is shortened to land on it."""
+    steps: list[EnclosureStep] = []
+    cur = start
+    t = 0.0
+    k = 0
+    budget = max_steps if max_steps is not None else int(np.ceil(t_final / h)) + 2
+    while t < t_final and k < budget:
+        hk = min(h, t_final - t)
+        if hk <= 0:
+            break
+        cur, rec = step(field, cur, hk, order, index=k, t_prev=t)
+        steps.append(rec)
+        t = rec.t_k
+        k += 1
+    return cur, steps
+
+
+# --- conserved quantities ------------------------------------------------------
+
+def _pair_separations(layout: PhaseLayout, sl, sh):
+    for i in range(layout.n_bodies):
+        for j in range(i + 1, layout.n_bodies):
+            xi, yi = layout.body_position(i)
+            xj, yj = layout.body_position(j)
+            dx = Interval(sl[xj], sh[xj]) - Interval(sl[xi], sh[xi])
+            dy = Interval(sl[yj], sh[yj]) - Interval(sl[yi], sh[yi])
+            yield dx.sqr() + dy.sqr()
+
+
+def total_energy(layout: PhaseLayout, state_lo, state_hi) -> Interval:
+    """Kinetic + potential energy enclosure of a full (unreduced) state."""
+    sl = np.asarray(state_lo, float)
+    sh = np.asarray(state_hi, float)
+    kin = Interval(0.0)
+    for i in range(layout.n_bodies):
+        vx, vy = layout.body_velocity(i)
+        kin = kin + Interval(sl[vx], sh[vx]).sqr() + Interval(sl[vy], sh[vy]).sqr()
+    total = kin / 2.0
+    for r2 in _pair_separations(layout, sl, sh):
+        total = total - 1.0 / r2.sqrt()
+    return total
+
+
+def angular_momentum(layout: PhaseLayout, state_lo, state_hi) -> Interval:
+    sl = np.asarray(state_lo, float)
+    sh = np.asarray(state_hi, float)
+    out = Interval(0.0)
+    for i in range(layout.n_bodies):
+        x, y = layout.body_position(i)
+        vx, vy = layout.body_velocity(i)
+        out = (out
+               + Interval(sl[x], sh[x]) * Interval(sl[vy], sh[vy])
+               - Interval(sl[y], sh[y]) * Interval(sl[vx], sh[vx]))
+    return out
+
+
+def _body_sums(layout: PhaseLayout, state_lo, state_hi,
+               where) -> tuple[Interval, Interval]:
+    sl = np.asarray(state_lo, float)
+    sh = np.asarray(state_hi, float)
+    sx = sy = Interval(0.0)
+    for i in range(layout.n_bodies):
+        x, y = where(i)
+        sx = sx + Interval(sl[x], sh[x])
+        sy = sy + Interval(sl[y], sh[y])
+    return sx, sy
+
+
+def linear_momentum(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
+    return _body_sums(layout, state_lo, state_hi, layout.body_velocity)
+
+
+def center_of_mass(layout: PhaseLayout, state_lo, state_hi) -> tuple[Interval, Interval]:
+    return _body_sums(layout, state_lo, state_hi, layout.body_position)
+
+
+def conservation_containment(problem, steps) -> dict:
+    """Check that energy, angular momentum, linear momentum, and center of
+    mass enclosures at every step overlap their initial enclosures.
+
+    Interval evaluations along a rigorous trajectory must all contain the
+    conserved true values, so every step's enclosure intersects the first.
+    The first step's input box is layer 0 of its Taylor series.
+    """
+    def quantities(sl, sh):
+        layout, el, eh = problem.expand_state(sl, sh)
+        px, py = linear_momentum(layout, el, eh)
+        cx, cy = center_of_mass(layout, el, eh)
+        return {
+            "energy": total_energy(layout, el, eh),
+            "angular_momentum": angular_momentum(layout, el, eh),
+            "momentum_x": px, "momentum_y": py,
+            "center_x": cx, "center_y": cy,
+        }
+
+    layers = steps[0].layers
+    initial = quantities(layers[0][0], layers[1][0])
+    report = {name: True for name in initial}
+    worst = {name: 0.0 for name in initial}
+    for rec in steps:
+        vals = quantities(*rec.tight)
+        for name, iv in vals.items():
+            if iv.disjoint(initial[name]):
+                report[name] = False
+            gap = max(initial[name].lo - iv.hi, iv.lo - initial[name].hi, 0.0)
+            worst[name] = max(worst[name], gap)
+    return {"contained": report, "worst_gap": worst,
+            "initial": {k: (v.lo, v.hi) for k, v in initial.items()}}

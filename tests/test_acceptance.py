@@ -22,19 +22,19 @@ import pytest
 from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.convexity import verify_convexity
-from choreocert.dynamics import LinearField, nbody_field
-from choreocert.integrator import LohnerSet, flow
+from choreocert.dynamics import nbody_field
+from choreocert.integrator import LohnerSet
 from choreocert.interval import Interval
 from choreocert.pointflow import monodromy_preconditioner
 from choreocert.problems import (
     chain6_problem,
-    conservation_containment,
     eight_problem,
     gerver_problem,
     phi_jacobian,
     phi_point,
 )
 from choreocert.rootfind import CertifiableMap, CertificationJob, certify
+from helpers import LinearField, conservation_containment, flow
 
 pytestmark = pytest.mark.acceptance
 

@@ -126,6 +126,18 @@ class TestProve:
             "prove: --system names a system twice: eight,eight\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("systems", [",", "", " "],
+                             ids=["comma", "empty", "blank"])
+    def test_empty_system_list_is_usage_error(self, systems, tmp_path,
+                                              capsys):
+        # refused before the output directory is made
+        out = tmp_path / "d"
+        assert main(["prove", "--system", systems,
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"prove: --system names no system: {systems!r}\n"
+        assert not out.exists()
+
     def test_unknown_system_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["prove"])  # --system required
@@ -180,6 +192,55 @@ class TestVerify:
                                    reduced_names=["q"])
         assert verify_edited(eight_cert, tmp_path,
                              reshape) == EXIT_VERIFY_DISAGREE
+
+
+class TestDecimalRendering:
+    # the comment block is the writer's rendering of the verified body, or
+    # absent: it cannot state what the body does not
+    @pytest.fixture(scope="class")
+    def no_zero_cert(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("certs") / "off.cert"
+        shifted = [v + 0.01 for v in cli.DEFAULTS["eight"]["candidate"]]
+        assert main(["prove", "--system", "eight",
+                     "--candidate", ",".join(map(repr, shifted)),
+                     "--expect-no-zero", "--out", str(path)]) == EXIT_OK
+        return path
+
+    @staticmethod
+    def verify_text(text, tmp_path) -> int:
+        path = tmp_path / "edited.cert"
+        path.write_text(text)
+        return main(["verify", "--cert", str(path), "--quiet"])
+
+    def test_honest_documents_agree(self, no_zero_cert, eight_cert,
+                                    eight_convexity_cert, tmp_path):
+        for path in (no_zero_cert, eight_cert, eight_convexity_cert):
+            text = path.read_text()
+            assert "# --- decimal rendering" in text
+            assert self.verify_text(text, tmp_path) == EXIT_OK
+            body_only = json.dumps(parse_document(text))
+            assert self.verify_text(body_only + "\n", tmp_path) == EXIT_OK
+
+    def test_relabelled_verdict(self, no_zero_cert, tmp_path):
+        text = no_zero_cert.read_text()
+        assert text.count("verdict: NoZero\n") == 1
+        forged = text.replace("verdict: NoZero\n", "verdict: UniqueZero\n")
+        assert self.verify_text(forged, tmp_path) == EXIT_VERIFY_DISAGREE
+
+    def test_changed_step_count_on_the_pass_line(self, eight_convexity_cert,
+                                                 tmp_path):
+        text = eight_convexity_cert.read_text()
+        assert text.count(": PASS over 53 steps at h=0.01") == 1
+        forged = text.replace(": PASS over 53 steps", ": PASS over 52 steps")
+        assert self.verify_text(forged, tmp_path) == EXIT_VERIFY_DISAGREE
+
+    @pytest.mark.parametrize("fixture", ["no_zero_cert",
+                                         "eight_convexity_cert"])
+    def test_dropped_comment_line(self, fixture, request, tmp_path):
+        lines = request.getfixturevalue(fixture).read_text().splitlines(True)
+        assert lines[-1].startswith("# ")
+        forged = "".join(lines[:-1])
+        assert self.verify_text(forged, tmp_path) == EXIT_VERIFY_DISAGREE
 
 
 class TestEmitCurve:
@@ -268,10 +329,7 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--h", "nan"],
         ["prove", "--system", "eight", "--h", "inf"],
         ["prove", "--system", "eight", "--order", "-1"],
-        ["prove", "--system", "eight", "--max-iter", "-1"],
-        ["prove", "--system", "eight", "--max-steps", "0"],
-    ], ids=["delta-zero", "h-negative", "h-nan", "h-inf",
-            "order-negative", "max-iter-negative", "max-steps-zero"])
+    ], ids=["delta-zero", "h-negative", "h-nan", "h-inf", "order-negative"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -297,11 +355,17 @@ class TestUnusableNumbers:
         ["convexity", "--cert", "eight.cert", "--candidate", "0.35,0.53"],
         ["emit-curve", "--cert", "eight.cert", "--h", "0.01"],
         ["emit-curve", "--cert", "eight.cert", "--order", "7"],
+        ["prove", "--system", "eight", "--max-iter", "-1"],
+        ["prove", "--system", "eight", "--max-steps", "0"],
+        ["refine", "--system", "eight", "--guess", "0.35,0.53",
+         "--iters", "0"],
     ], ids=["prove-jobs", "convexity-no-inline", "convexity-delta",
-            "convexity-candidate", "emit-curve-h", "emit-curve-order"])
+            "convexity-candidate", "emit-curve-h", "emit-curve-order",
+            "prove-max-iter", "prove-max-steps", "refine-iters"])
     def test_removed_option(self, argv, tmp_path, capsys):
         # systems are proved in turn, convexity reads the box of a
-        # certificate, and a curve flows at its certificate's h and order
+        # certificate, a curve flows at its certificate's h and order, and
+        # no run sets an iteration cap, a step budget or a refinement count
         out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -338,8 +402,10 @@ class TestUnusableNumbers:
         ["prove", "--system", "chain6", "--bodies", "8"],
         ["refine", "--system", "gerver", "--bodies", "4",
          "--guess", "1.38,1.87,0.58"],
+        ["prove", "--system", "gerver", "--a", ""],
     ], ids=["refine-nan-guess", "prove-inf-candidate", "prove-eight-a",
-            "refine-eight-a", "prove-chain6-bodies", "refine-gerver-bodies"])
+            "refine-eight-a", "prove-chain6-bodies", "refine-gerver-bodies",
+            "prove-gerver-empty-a"])
     def test_input_the_run_cannot_use_or_does_not_read(self, argv, tmp_path,
                                                        monkeypatch, capsys):
         # a non-finite coordinate would reach the solver; an --a or
@@ -375,11 +441,6 @@ class TestUnusableNumbers:
         assert "coordinates, not 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_refine_iterations(self, capsys):
-        assert main(["refine", "--system", "eight", "--guess", "0.35,0.53",
-                     "--iters", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("refine: --iters must")
-
 
 class TestOptions:
     def test_option_inventory(self):
@@ -392,14 +453,14 @@ class TestOptions:
                    for name, p in sub.choices.items()}
         assert options == {
             "prove": ["--system", "--bodies", "--method", "--h", "--order",
-                      "--delta", "--a", "--max-iter", "--max-steps",
-                      "--candidate", "--out", "--expect-no-zero"],
+                      "--delta", "--a", "--candidate", "--out",
+                      "--expect-no-zero"],
             "convexity": ["--h", "--order", "--cert", "--out"],
-            "refine": ["--system", "--bodies", "--a", "--guess", "--iters"],
+            "refine": ["--system", "--bodies", "--a", "--guess"],
             "emit-curve": ["--cert", "--out", "--segment-out"],
             "verify": ["--cert", "--quiet"],
         }
-        assert sum(map(len, options.values())) == 26
+        assert sum(map(len, options.values())) == 23
 
 
 class TestRefine:

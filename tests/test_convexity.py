@@ -15,9 +15,9 @@ from choreocert.convexity import (
     starts_before_crossing,
     verify_convexity,
 )
-from choreocert.dynamics import LinearField
 from choreocert.integrator import LohnerSet, step
 from choreocert.interval import Interval
+from helpers import LinearField
 
 
 def thin(x):
@@ -78,7 +78,7 @@ class TestGraphDerivatives:
         t = math.pi / 2 + 0.1
         _, _, second, _ = graph(circle_derivatives(t))
         y = math.sin(t)
-        assert second.contains(-1.0 / y ** 3) or \
+        assert second.lo <= -1.0 / y ** 3 <= second.hi or \
             abs(second.mid() + 1.0 / y ** 3) < 1e-12
 
     def test_straight_line(self):
@@ -86,7 +86,7 @@ class TestGraphDerivatives:
         # thin shortcuts, so 1/1 is nudged and the slope only contains 2
         ds = (thin(1.0), thin(2.0), thin(0.0), thin(0.0), thin(0.0), thin(0.0))
         _, slope, second, third = graph(ds)
-        assert slope.contains(2.0) and slope.diam() < 4e-15
+        assert slope.lo <= 2.0 <= slope.hi and slope.diam() < 4e-15
         assert second == Interval.point(0.0)
         assert third == Interval.point(0.0)
 

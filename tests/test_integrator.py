@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from choreocert import kernels as kn
-from choreocert.dynamics import LinearField, nbody_field
+from choreocert.dynamics import nbody_field
 from choreocert.errors import RoughEnclosureFailure
-from choreocert.integrator import LohnerSet, flow, step
+from choreocert.integrator import LohnerSet, step
+from helpers import LinearField, flow
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
-from choreocert.dynamics import center_of_mass, linear_momentum
 from choreocert.errors import DimensionMismatch
 from choreocert.integrator import Frame, step
 from choreocert.interval import Interval
@@ -21,6 +20,7 @@ from choreocert.problems import (
     phi_jacobian,
     phi_point,
 )
+from helpers import center_of_mass, linear_momentum
 
 EIGHT_X0 = np.array([0.347116768716, 0.532724944657])
 GERVER_X = np.array([1.382857, 1.87193510824, 0.584872579881])
@@ -71,14 +71,14 @@ class TestEmbeddings:
             cx, cy = center_of_mass(prob.layout, s, s)
             px, py = linear_momentum(prob.layout, s, s)
             for q in (cx, cy, px, py):
-                assert q.contains(0.0)
+                assert q.lo <= 0.0 <= q.hi
                 assert q.diam() < 1e-14
         # antipodal chain6: expand first
         prob = chain6_problem()
         s = prob.embed_point(CHAIN6_X)
         layout, el, eh = prob.expand_state(s, s)
         cx, cy = center_of_mass(layout, el, eh)
-        assert cx.contains(0.0) and cy.contains(0.0)
+        assert cx.lo <= 0.0 <= cx.hi and cy.lo <= 0.0 <= cy.hi
 
     def test_embedding_rejects_inexact_rows(self):
         offset = np.array([0.0, 0.5, 0.0])
@@ -341,10 +341,14 @@ def _check_enclosures(prob, sl, sh, points):
                     assert _inside(d, a, b)
 
 
+# the size parameter of each system the oracle checks (the Eight has none)
+ORACLE_A = {"eight": None, "chain8": "0.3"}
+
+
 class TestExactOracle:
     @pytest.mark.parametrize("key", ["eight", "chain8"])
     def test_thin_points(self, key):
-        prob = make_problem(key, a_text="0.3")
+        prob = make_problem(key, a_text=ORACLE_A[key])
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = rng.uniform(-2.0, 2.0, prob.layout.dim)
@@ -352,7 +356,7 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("key", ["eight", "chain8"])
     def test_points_inside_thick_boxes(self, key):
-        prob = make_problem(key, a_text="0.3")
+        prob = make_problem(key, a_text=ORACLE_A[key])
         rng = np.random.default_rng(12)
         for _ in range(20):
             sl = rng.uniform(-2.0, 2.0, prob.layout.dim)
@@ -373,6 +377,20 @@ class TestPhi:
             make_problem("chain8")
         with pytest.raises(ValueError):
             make_problem("nonsense")
+
+    @pytest.mark.parametrize("key, kwargs", [
+        ("eight", {"a_text": "0.3"}),
+        ("eight", {"n_bodies": 3}),
+        ("gerver", {"n_bodies": 4}),
+        ("chain6", {"n_bodies": 8}),
+        ("chain8", {"n_bodies": 8, "a_text": "0.3"}),
+    ], ids=["eight-a", "eight-bodies", "gerver-bodies", "chain6-bodies",
+            "chain8-bodies"])
+    def test_make_problem_refuses_what_the_system_does_not_read(self, key,
+                                                               kwargs):
+        # an ignored size parameter or body count would name another system
+        with pytest.raises(ValueError, match="size parameter|body count"):
+            make_problem(key, **kwargs)
 
     def test_eight_phi_value_is_small_at_candidate(self):
         ev = phi_point(eight_problem(), EIGHT_X0, 0.01, 7)
