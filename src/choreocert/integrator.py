@@ -3,7 +3,8 @@
 One step of the validated integrator produces, for the whole input box:
 
 * a tight enclosure of the time-h image (Taylor polynomial at the box center
-  plus a Lagrange remainder over a first-order rough enclosure),
+  plus a Lagrange remainder over a first-order rough enclosure, also in
+  mean-value form about the center),
 * a whole-step enclosure valid for every intermediate time,
 * an enclosure of the one-step transition matrix (variational Taylor layers
   with their own remainder, which needs an a-priori enclosure of the
@@ -283,15 +284,25 @@ def step(field, cur: LohnerSet, h: float, order: int,
     sl, sh = ser.layers()
     layers_m = sl[:R + 1, 0], sh[:R + 1, 0]
     layers_x = sl[:R + 1, 1].copy(), sh[:R + 1, 1].copy()
-    rem = sl[R + 1, 2].copy(), sh[R + 1, 2].copy()
+    ml, mh = ser.transition_layers(R + 1, members=slice(1, None))
+    mx = ml[:R + 1, 0].copy(), mh[:R + 1, 0].copy()
+
+    # The Lagrange coefficient c_{R+1} over the rough box W, intersected
+    # with its mean-value form c_{R+1}(m) + M_{R+1}(W) (W - m): layer R+1
+    # of the transition is the gradient of c_{R+1}, and the form holds
+    # because W is convex and holds m.
+    if not kn.contains_point(wl, wh, center):
+        raise ValueError("the set's center left its rough enclosure")
+    dl, dh = kn.matvec(ml[R + 1, 1], mh[R + 1, 1],
+                       *kn.sub(wl, wh, center, center))
+    rem = kn.intersect(sl[R + 1, 2], sh[R + 1, 2],
+                       *kn.add(sl[R + 1, 0], sh[R + 1, 0], dl, dh))
 
     h_iv = Interval.point(h)
     pt = poly_eval(layers_m, rem, h_iv)
 
     # The transition's Picard iteration on V' = J V, V(0) = I, with J over
     # the rough enclosure, starts from I.
-    ml, mh = ser.transition_layers(R + 1, members=slice(1, None))
-    mx = ml[:R + 1, 0].copy(), mh[:R + 1, 0].copy()
     jl, jh = ser.jacobian()
     eye = np.eye(n)
     vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[2], jh[2], cl, ch), h,

@@ -67,7 +67,7 @@ class TestProve:
         (rec,) = parse_document(text)["trace"]
         ratio = np.max(IntervalVector.from_hex(rec["image"]).diam()
                        / IntervalVector.from_hex(rec["X"]).diam())
-        assert ratio <= 0.000767754
+        assert ratio <= 0.000256
 
     def test_eight_records_crossing_validity_note(self, eight_cert):
         from choreocert.certificates import parse_document

@@ -8,7 +8,13 @@ import pytest
 
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document
-from choreocert.cli import EXIT_OK, main
+from choreocert.cli import DEFAULTS, EXIT_OK, main
+
+# Tightness ratchet at the replay defaults, also for the candidates moved by
+# +-delta/4: chain6's point value is bound by rounding and wrapping, so its
+# ratio moves with the candidate's bits (0.0331-0.0342 over the default
+# candidate and the two corners).
+DEFAULT_RATIO = {"gerver": 0.00470, "chain6": 0.0345}
 
 
 def max_image_box_ratio(body) -> float:
@@ -18,33 +24,41 @@ def max_image_box_ratio(body) -> float:
                for rec in body["trace"])
 
 
+def prove_unique(system, path, *flags):
+    """The body of a UniqueZero document that `verify` agrees with."""
+    assert main(["prove", "--system", system, *flags,
+                 "--out", str(path)]) == EXIT_OK
+    assert main(["verify", "--cert", str(path), "--quiet"]) == EXIT_OK
+    body = parse_document(path.read_text())
+    assert body["verdict"] == "UniqueZero"
+    return body
+
+
 @pytest.mark.slow
 class TestVerbatimInvocations:
     def test_gerver_flags(self, tmp_path):
-        out = tmp_path / "gerver.cert"
-        code = main(["prove", "--system", "gerver", "--method", "krawczyk",
-                     "--h", "0.002", "--order", "6", "--delta", "1e-7",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        body = parse_document(out.read_text())
-        assert body["verdict"] == "UniqueZero"
+        body = prove_unique("gerver", tmp_path / "gerver.cert",
+                            "--method", "krawczyk", "--h", "0.002",
+                            "--order", "6", "--delta", "1e-7")
         assert body["method"] == "krawczyk"
         # tightness ratchet: a change that widens the image says so
-        assert max_image_box_ratio(body) <= 0.152054504
-        assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
+        assert max_image_box_ratio(body) <= 0.0200
 
     def test_chain6_flags(self, tmp_path):
-        out = tmp_path / "chain6.cert"
-        code = main(["prove", "--system", "chain6", "--method", "krawczyk",
-                     "--h", "0.001", "--order", "9", "--out", str(out)])
-        assert code == EXIT_OK
-        body = parse_document(out.read_text())
-        assert body["verdict"] == "UniqueZero"
+        body = prove_unique("chain6", tmp_path / "chain6.cert",
+                            "--method", "krawczyk", "--h", "0.001",
+                            "--order", "9")
         assert float.fromhex(body["parameters"]["h"]) == 0.001
         assert "h_point" not in body["parameters"]
         assert "h_set" not in body["parameters"]
-        assert max_image_box_ratio(body) <= 0.0350636
-        assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
+        assert max_image_box_ratio(body) <= 0.0350513
+
+    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    def test_defaults(self, system, tmp_path):
+        body = prove_unique(system, tmp_path / f"{system}.cert")
+        assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
+        assert float.fromhex(body["parameters"]["h"]) == DEFAULTS[system]["h"]
+        assert body["parameters"]["order"] == DEFAULTS[system]["order"]
 
     def test_generic_chain_four_bodies(self, tmp_path):
         # the four-body chain in generic coordinates (vx0, x1, vy1)
@@ -60,6 +74,20 @@ class TestVerbatimInvocations:
         # the certificate's problem id "chain4" rebuilds the problem
         assert main(["emit-curve", "--cert", str(out),
                      "--out", str(tmp_path / "chain4.curve")]) == EXIT_OK
+
+
+@pytest.mark.slow
+class TestJitteredDefaults:
+    # the benchmark moves each candidate coordinate within +-delta/4
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    def test_corner_candidates(self, system, sign, tmp_path):
+        d = DEFAULTS[system]
+        corner = ",".join(repr(c + sign * d["delta"] / 4)
+                          for c in d["candidate"])
+        body = prove_unique(system, tmp_path / f"{system}.cert",
+                            f"--candidate={corner}")
+        assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
 
 
 class TestDeterminism:

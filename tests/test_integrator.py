@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from choreocert import integrator
 from choreocert import kernels as kn
 from choreocert.dynamics import nbody_field
 from choreocert.errors import RoughEnclosureFailure
@@ -190,3 +191,36 @@ class TestEightRegression:
         _, rec_small = step(f, thin(eight_state()), 0.005, 7)
         assert (np.max(kn.diam(*rec_small.tight))
                 < np.max(kn.diam(*rec_big.tight)))
+
+
+class TestLagrangeRemainder:
+    def test_coefficient_holds_the_series_over_the_whole_step(self):
+        # Layer R+1 of the series at any state the step can pass through
+        # lies in the step's Lagrange coefficient; the corners of the
+        # whole-step enclosure lie in the rough box, the coefficient's domain
+        f = nbody_field(3, kind="split")
+        s0 = eight_state()
+        R = 7
+        _, rec = step(f, LohnerSet.from_box(s0 - 1e-6, s0 + 1e-6), 0.01, R)
+        wl, wh = rec.whole
+        rng = np.random.default_rng(3)
+        for pick in rng.integers(0, 2, (16, s0.size)):
+            y = np.where(pick == 1, wh, wl)
+            cl, ch = f.series(y, y, R + 1).layers()
+            assert np.all(cl[R + 1] <= rec.rem[1])
+            assert np.all(rec.rem[0] <= ch[R + 1])
+
+    def test_center_outside_the_rough_box_raises(self, monkeypatch):
+        # the mean-value form needs the center in the rough box, which it is
+        # by construction; a step that finds otherwise does not fall back
+        rough = integrator._rough
+
+        def shifted(x, rhs, h, start, what):
+            lo, hi = rough(x, rhs, h, start, what)
+            return (lo + 1.0, hi + 1.0) if what == "enclosure" else (lo, hi)
+
+        monkeypatch.setattr(integrator, "_rough", shifted)
+        s0 = eight_state()
+        with pytest.raises(ValueError, match="center"):
+            step(nbody_field(3), LohnerSet.from_box(s0 - 1e-6, s0 + 1e-6),
+                 0.01, 7)
