@@ -11,23 +11,29 @@ rounding scheme, the nudging of `kernels`.
 `existence_certificate` is the one writer of an existence document.  Its
 inputs are the problem, the certification job (candidate, box(candidate,
 delta), method, preconditioner, `max_iter`), the outcome `certify`
-returned, and the step size `h`, `order` and `delta`.  Every other field
-derives from them: the box, the top-level copies of the first iteration,
-the trace, the operator image, the refined box, the verdict and the
-iteration count.  Informative, not checked: `cause`, the crossing times,
-`crossing_notes`, `step_counts`, `wall_clock_seconds` and `environment`.
-`step_counts.point` counts only the point steps integrated on their own: a
-point that rides inside the set flow's steps (`problems.phi_point`) takes
-no step of its own before the section zone.
+returned, and the first step size `h`, `order`, `delta` and the step-size
+`tolerance` (null for a run at the one size h).  Every other field derives
+from them: the box, the top-level copies of the first iteration, the
+trace, the operator image, the refined box, the verdict and the iteration
+count.  Informative, not checked: `cause`, the crossing times,
+`crossing_notes`, `step_counts`, `step_sizes`, `wall_clock_seconds` and
+`environment`.  `step_counts.point` counts only the point steps integrated
+on their own: a point that rides inside the set flow's steps
+(`problems.phi_point`) takes no step of its own before the section zone.
+`step_sizes` lists the set flow's sizes in hex, so a replay can re-run
+them without choosing them again.
 
 The verifier audits a stored verdict without any integration.  It checks
-the inputs: the schema version (2, for both kinds), the parameters (exactly
-`h`, `order`, `delta` and `max_iter`, with an int never a bool), the
-problem block `make_problem` rebuilds and the candidate's dimension.  Then
-it replays `certify` itself on the stored enclosures, iteration k getting
-record k's `f_x` and `df_X`, and passes the replayed run to the writer.
-The stored document must have the writer's key set and equal it in every
-field that is not informative, also as canonical JSON (`true` is not `1`).
+the inputs: the schema version (3, for both kinds), the parameters (exactly
+`h`, `order`, `delta`, `max_iter` and `tolerance`, with an int never a
+bool), the problem block `make_problem` rebuilds and the candidate's
+dimension.  It checks the shape of `step_sizes`, though not the values: one
+finite size > 0 per set step, the first h, and every one h without a
+tolerance.  Then it replays `certify` itself on the stored enclosures,
+iteration k getting record k's `f_x` and `df_X`, and passes the replayed
+run to the writer.  The stored document must have the writer's key set and
+equal it in every field that is not informative, also as canonical JSON
+(`true` is not `1`).
 A convexity document must be one `verify_convexity` writes: closed key sets
 at the top level, in `parameters` and in every row, the Eight, rows in step
 and body order that all passed, each meeting its condition under the
@@ -51,16 +57,18 @@ from .boxes import IntervalMatrix, IntervalVector
 from .convexity import (AXES, ConvexityCertificate, condition,
                         condition_holds, starts_before_crossing)
 from .errors import ChoreoCertError
+from .integrator import step_start
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
 from .rootfind import (CertifiableMap, CertificationJob, CertificationOutcome,
                        certify)
 
-SCHEMA_VERSION = 2
-_EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter"})
+SCHEMA_VERSION = 3
+_EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter",
+                                   "tolerance"})
 # Existence fields that describe how the run went, not what it proved.
 _INFORMATIVE = frozenset({"cause", "crossing_time_point", "crossing_time_set",
-                          "crossing_notes", "step_counts",
+                          "crossing_notes", "step_counts", "step_sizes",
                           "wall_clock_seconds", "environment"})
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
 
@@ -126,6 +134,8 @@ class ProofCertificate:
     crossing_time_set: Interval | None = None
     steps_point: int = 0
     steps_set: int = 0
+    tolerance: float | None = None
+    step_sizes: list[float] = field(default_factory=list)
     crossing_notes: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
@@ -143,6 +153,7 @@ class ProofCertificate:
                 "order": self.order,
                 "delta": _hex_float(self.delta),
                 "max_iter": self.max_iter,
+                "tolerance": _hex_float(self.tolerance),
             },
             "candidate": _hex_vec(self.candidate),
             "box": self.box.to_hex(),
@@ -167,6 +178,7 @@ class ProofCertificate:
             "crossing_notes": {k: list(v.to_hex())
                                for k, v in sorted(self.crossing_notes.items())},
             "step_counts": {"point": self.steps_point, "set": self.steps_set},
+            "step_sizes": _hex_vec(self.step_sizes),
             "wall_clock_seconds": self.wall_clock_seconds,
             "environment": {"rounding_backend": rounding_backend()},
         }
@@ -194,16 +206,18 @@ class ProofCertificate:
 
 def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
                           outcome: CertificationOutcome, h: float, order: int,
-                          delta: float, **informative) -> ProofCertificate:
+                          delta: float, tolerance: float | None = None,
+                          **informative) -> ProofCertificate:
     """The certificate of one `certify` run; `informative` sets the fields
-    that only describe the run (crossing times, step counts, notes, wall
-    clock)."""
+    that only describe the run (crossing times, step counts and sizes,
+    notes, wall clock)."""
     first = outcome.trace[0] if outcome.trace else None
     return ProofCertificate(
         problem_id=problem.key, n_bodies=problem.orbit_bodies,
         reduced_dim=problem.reduced_dim, reduced_names=problem.reduced_names,
         size_parameter=problem.size_parameter, method=job.method,
-        h=h, order=order, delta=delta, max_iter=job.max_iter,
+        h=h, order=order, delta=delta, tolerance=tolerance,
+        max_iter=job.max_iter,
         candidate=job.x0, box=job.X,
         phi_at_candidate=first.f_x if first else None,
         dphi_on_box=first.df_X if first else None,
@@ -300,15 +314,25 @@ def _reverify_existence(body: dict,
         rep.add(False, f"parameters {sorted(params)} are exactly "
                        f"{sorted(_EXISTENCE_PARAMETERS)}")
         return
-    a_hex = pb["size_parameter"]
+    a_hex, tol_hex = pb["size_parameter"], params["tolerance"]
     h, delta = (float.fromhex(params[k]) for k in ("h", "delta"))
+    tol = None if tol_hex is None else float.fromhex(tol_hex)
     order, max_iter = params["order"], params["max_iter"]
     rep.add(isinstance(pb["id"], str)
             and all(type(v) is int and v >= 1 for v in (order, max_iter))
             and all(math.isfinite(v) and v > 0.0 for v in (h, delta))
+            and (tol is None or math.isfinite(tol) and tol > 0.0)
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
             "problem and parameters are readable, h and delta > 0, "
-            "order and max_iter >= 1")
+            "order and max_iter >= 1, tolerance null or finite and > 0")
+    sizes = [float.fromhex(v) for v in body["step_sizes"]]
+    rep.add(type(body["step_counts"]["set"]) is int
+            and len(sizes) == body["step_counts"]["set"]
+            and all(math.isfinite(v) and v > 0.0 for v in sizes)
+            and (not sizes or sizes[0] == h)
+            and (tol is not None or all(v == h for v in sizes)),
+            "step sizes are finite and > 0, one per set step, the first h, "
+            "and all h without a tolerance")
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
@@ -341,7 +365,7 @@ def _reverify_existence(body: dict,
         method=body["method"], max_iter=max_iter,
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
     replayed = existence_certificate(problem, job, certify(job), h, order,
-                                     delta)
+                                     delta, tol)
     rebuilt = replayed.body()
     rep.add(set(body) == set(rebuilt),
             "top-level keys are exactly the ones the prover writes")
@@ -488,6 +512,6 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(False, "a passing document records its crossing time")
         return
     t_cross = Interval.from_hex(*body["crossing_time"])
-    rep.add(n >= 1 and starts_before_crossing(h, n - 1, t_cross)
-            and not starts_before_crossing(h, n, t_cross),
+    rep.add(n >= 1 and starts_before_crossing(step_start(h, n - 1), t_cross)
+            and not starts_before_crossing(step_start(h, n), t_cross),
             f"step {n} is the last step that begins before the crossing time")

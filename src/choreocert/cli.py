@@ -2,14 +2,17 @@
 
 Subcommands:
 
-* prove       run a certification (Newton or Krawczyk) at one step size h,
-              the box flowed with the candidate riding inside its Lohner
-              steps, and write a machine-checkable certificate
+* prove       run a certification (Newton or Krawczyk), the box flowed
+              with the candidate riding inside its Lohner steps, and write
+              a machine-checkable certificate; gerver and chain6 choose
+              their step sizes under a tolerance from a first step h, and
+              an explicit --h gives every step that one size
 * convexity   verify lobe convexity of the Eight on the refined box of an
               existence certificate, re-verified first
 * refine      nonrigorous Newton refinement of a candidate point
 * emit-curve  unfold a certified segment (re-verified first) into the full
-              closed curve, flowed at the certificate's h and order
+              closed curve, flowed at the certificate's h, tolerance and
+              order
 * verify      re-check a certificate from its serialized intervals only
 
 convexity and emit-curve read their certificate through one reader: the
@@ -65,22 +68,27 @@ EXIT_USAGE = 64
 
 # Replay defaults: candidate points, methods and step sizes for the three
 # reference orbits.  gerver and chain6 take fewer, higher-order steps than
-# the published 0.002 / 6 and 0.001 / 9, at smaller image/box ratios.
+# the published 0.002 / 6 and 0.001 / 9, at smaller image/box ratios: h is
+# their first step, and "tol" the Lagrange width each later step is sized
+# for (`integrator.next_size`).  The Eight keeps the one size h: at its
+# ratio control saves 2 of its 55 steps, and its certificate feeds the
+# convexity check's fixed grid.  Any run with an explicit --h does too.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
         "method": "newton", "h": 0.01, "order": 7, "delta": 1e-6, "a": None,
+        "tol": None,
     },
     "gerver": {
         "candidate": (1.382857, 1.87193510824, 0.584872579881),
         "method": "krawczyk", "h": 0.0075, "order": 14, "delta": 1e-7,
-        "a": "0.157029944461",
+        "a": "0.157029944461", "tol": 1e-14,
     },
     "chain6": {
         "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864),
         "method": "krawczyk", "h": 0.004, "order": 14, "delta": 1e-9,
-        "a": "1.887041548253914",
+        "a": "1.887041548253914", "tol": 2e-16,
     },
 }
 
@@ -197,6 +205,7 @@ def _resolve_prove_params(args, system: str) -> dict:
     order = _first_given(args.order, d.get("order"))
     delta = _first_given(args.delta, d.get("delta"))
     a_text = _first_given(args.a, d.get("a"))
+    tol = d.get("tol") if args.h is None else None
     problem = _problem(system, args.bodies, a_text)
     if args.candidate:
         candidate = _parse_vector(args.candidate, problem.reduced_dim)
@@ -211,19 +220,20 @@ def _resolve_prove_params(args, system: str) -> dict:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
     return dict(problem=problem, method=method, h=float(h), order=int(order),
-                delta=float(delta), candidate=candidate)
+                delta=float(delta), candidate=candidate, tol=tol)
 
 
-def run_certification(problem, method, h, order, delta, candidate):
-    """One certification run; returns (certificate, outcome)."""
+def run_certification(problem, method, h, order, delta, candidate, tol=None):
+    """One certification run, from a first step h and, with `tol`, step
+    sizes chosen under that tolerance; returns (certificate, outcome)."""
     started = time.perf_counter()
 
     record: dict = {"notes": {}}
 
     def enclose(x, box):
         # the point rides inside the box flow up to the section zone
-        ev_set = phi_jacobian(problem, box, h, order, point=x)
-        ev = phi_point(problem, x, h, order, along=ev_set.crossing)
+        ev_set = phi_jacobian(problem, box, h, order, point=x, tol=tol)
+        ev = phi_point(problem, x, h, order, along=ev_set.crossing, tol=tol)
         record.update(set=ev_set.crossing, point=ev.crossing)
         record["notes"].update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
         record["notes"].update(ev.notes)
@@ -241,26 +251,35 @@ def run_certification(problem, method, h, order, delta, candidate):
     outcome = certify(job)
 
     cert = existence_certificate(
-        problem, job, outcome, h, order, delta,
+        problem, job, outcome, h, order, delta, tol,
         crossing_time_point=record["point"].t_cross if "point" in record else None,
         crossing_time_set=record["set"].t_cross if "set" in record else None,
         steps_point=len(record["point"].steps) if "point" in record else 0,
         steps_set=len(record["set"].steps) if "set" in record else 0,
+        step_sizes=[rec.h for rec in record["set"].steps]
+        if "set" in record else [],
         crossing_notes=record["notes"],
         wall_clock_seconds=time.perf_counter() - started,
     )
     return cert, outcome
 
 
+def _halved(params: dict) -> dict:
+    """The run at half the step size: h halves, and so does every step a
+    tolerance sizes, for which it shrinks by 2^(R+1)."""
+    tol = params["tol"]
+    return dict(params, h=params["h"] * 0.5,
+                tol=None if tol is None else tol / 2.0 ** (params["order"] + 1))
+
+
 def _prove_one(system: str, params: dict, out_path: str | None,
                expect_no_zero: bool) -> int:
-    h = params["h"]
     for attempt in range(_RETRY_HALVINGS + 1):
         try:
-            cert, outcome = run_certification(**dict(params, h=h))
+            cert, outcome = run_certification(**params)
         except (RoughEnclosureFailure,) as exc:
             print(f"{system}: {exc}; halving the step size", file=sys.stderr)
-            h *= 0.5
+            params = _halved(params)
             continue
         except (CollisionEnclosure, NoCrossing, NonTransversal) as exc:
             print(f"{system}: integration failed: {exc}", file=sys.stderr)
@@ -268,7 +287,7 @@ def _prove_one(system: str, params: dict, out_path: str | None,
         if outcome.verdict == "Inconclusive" and attempt < _RETRY_HALVINGS:
             print(f"{system}: inconclusive ({outcome.cause}); halving the "
                   "step size", file=sys.stderr)
-            h *= 0.5
+            params = _halved(params)
             continue
         break
     else:
@@ -357,7 +376,9 @@ def _cmd_refine(args) -> int:
 
 def _cmd_emit_curve(args) -> int:
     problem, box, params = _read_certificate(args.cert)
-    ev = phi_jacobian(problem, box, float.fromhex(params["h"]), params["order"])
+    tol = params["tolerance"]
+    ev = phi_jacobian(problem, box, float.fromhex(params["h"]), params["order"],
+                      tol=None if tol is None else float.fromhex(tol))
     result = unfold(problem, ev.crossing)
     write_curve_file(args.out, problem, result)
     if args.segment_out:

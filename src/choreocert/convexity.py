@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels as kn
 from .boxes import IntervalVector
-from .integrator import EnclosureStep, flow_to_section, poly_eval, step_start
+from .integrator import EnclosureStep, flow_to_section, poly_eval
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -143,12 +143,12 @@ def _time_derivatives(steps: list[EnclosureStep]) -> kn.Pair:
                      Interval(0.0, h))
 
 
-def starts_before_crossing(h: float, k, t_cross: Interval):
-    """Whether step k (0-based, size h; an int or an int array) can begin
-    before the crossing time: the lower end of the integrator's start of
-    step k lies below its upper end.  Checking every such step covers the
-    whole segment [0, crossing time]."""
-    return step_start(h, k)[0] < t_cross.hi
+def starts_before_crossing(start: Interval, t_cross: Interval) -> bool:
+    """Whether a step whose start time `start` encloses can begin before
+    the crossing time: the lower end of its start lies below the crossing's
+    upper end.  Checking every such step covers the whole segment
+    [0, crossing time]."""
+    return start.lo < t_cross.hi
 
 
 @dataclass
@@ -182,9 +182,8 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
                  and first.whole[0][oy] <= 0.0 <= first.whole[1][oy])
 
     # The step starts grow with k, so the checked steps are a prefix.
-    k = np.arange(len(crossing.steps))
-    n = max(1, int(np.count_nonzero(
-        starts_before_crossing(h, k, crossing.t_cross))))
+    n = max(1, sum(starts_before_crossing(rec.t_start, crossing.t_cross)
+                   for rec in crossing.steps))
     cert = ConvexityCertificate(
         problem=problem.key, h=h, order=order, passed=True, steps_checked=n,
         origin_in_first_step=bool(origin_ok), crossing_time=crossing.t_cross)

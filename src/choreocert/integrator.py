@@ -23,8 +23,16 @@ validation loop.
 Section crossings are located in two rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, then an interval
 Newton iteration in time over the straddling steps' Taylor polynomials.
-Every step time is read from the step's own index, so a flow may start at
-any step of a run (`flow_to_section(..., first_step=k)`).
+Every step carries an outward enclosure of its start time, the correctly
+rounded sum of the sizes before it (`run_time`), and all time code reads
+it, so a flow may start at any step of a run (`flow_to_section(...,
+first_step=k)`) and its steps may differ in size.
+
+A flow either keeps one step size h or, given a tolerance, chooses each
+size from the step before it (`next_size`): the widest component of that
+step's Lagrange term h^(R+1) [rem] is held near the tolerance, so easy
+stretches take long steps and one hard step no longer sets the size of
+all of them.
 
 A set may carry a thin point along (`LohnerSet.carrying`).  The point
 sits in its own frame around the set's center m, so each step advances it
@@ -37,6 +45,7 @@ at the zone (`PointHandoff`); only zone steps keep their transition data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -128,7 +137,7 @@ class Frame:
     def advance(self, A: Pair, image: Pair) -> tuple[Frame, Pair]:
         """Frame of A [self] around `image`, an enclosure of A m, in a fresh
         orthogonal frame; also returns B = A Q."""
-        bl, bh = kn.matmul(*A, self.Q, self.Q)
+        bl, bh = kn.matmul_thin_right(*A, self.Q)
         m = kn.mid(*image)
         zl, zh = kn.sub(*image, m, m)
         q = _sorted_qr(kn.mid(bl, bh), 0.5 * np.max(kn.diam(*self.r), axis=1))
@@ -182,7 +191,7 @@ class LohnerSet:
         D = np.asarray(directions, float)
         q, _ = np.linalg.qr(D, mode="complete")
         qinv = _inverse_enclosure(q)
-        cl, ch = kn.matmul(*qinv, D, D)           # Q^-1 D, almost [R; 0]
+        cl, ch = kn.matmul_thin_right(*qinv, D)   # Q^-1 D, almost [R; 0]
         r = _column(kn.matvec(cl, ch, coords[0], coords[1]))
         return cls(Frame(anchor[:, None], q, r),
                    _exact_slab(D) if carry_transition else None)
@@ -212,7 +221,7 @@ class EnclosureStep:
     per-step Taylor data needed to re-evaluate the flow inside the step."""
 
     index: int
-    t_prev: float
+    t_prev: float                     # float start time, to pick centers
     t_k: float
     h: float
     tight: Pair
@@ -222,6 +231,7 @@ class EnclosureStep:
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
+    t_start: Interval | None = None   # outward start time in its run
 
     def state_at(self, tau: Interval) -> Pair:
         """Enclosure of the flow at step-local time tau in [0, h]."""
@@ -408,13 +418,22 @@ def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
                     h: float, order: int, max_steps: int | None = None,
-                    first_step: int = 0) -> SectionCrossing:
+                    first_step: int = 0, tol: float | None = None,
+                    sizes=()) -> SectionCrossing:
     """Integrate to the first transversal crossing of the section.
 
-    `start` is the set at step `first_step` of a run from time 0 with step
-    h (the time t_prev is summed as that run sums it), and the step budget
-    counts from step 0.  A run resumed there must not cross before it."""
+    `start` is the set at step `first_step` of a run from time 0 whose
+    first step has size h; the step budget counts from step 0.  `sizes` are
+    the sizes of the run's first steps, taken as given: those before
+    `first_step` time the start (h each where none is given), the rest are
+    this flow's first steps.  Past them each step keeps the size of the one
+    before it or, with a tolerance `tol`, takes `next_size` of it.  A run
+    resumed at `first_step` must not cross before it."""
     budget = max_steps if max_steps is not None else int(np.ceil(10.0 / h))
+    if tol is not None and len(sizes) < first_step:
+        raise ValueError("a controlled run resumes after steps of given sizes")
+    done = [*sizes[:first_step], *[h] * (first_step - len(sizes))]
+    size = done[-1] if done else h
     box = start.box()
     kn.assert_valid(*box, "start set")
     try:
@@ -430,13 +449,19 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     zone: list[int] = []
     handoff = before = None
     t = 0.0
-    for _ in range(first_step):
-        t += h
+    for hk in done:
+        t += hk
     for k in range(first_step, budget):
+        if k < len(sizes):
+            size = sizes[k]
         carried = cur.point
-        cur, rec = step(field, cur, h, order, index=k, t_prev=t)
+        cur, rec = step(field, cur, size, order, index=k, t_prev=t)
+        rec.t_start = run_time(done)
         steps.append(rec)
+        done.append(size)
         t = rec.t_k
+        if tol is not None:
+            size = next_size(rec, tol, order)
         here = PointHandoff(k, carried, start.point) if cur.point else None
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
@@ -482,25 +507,44 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         projected=projected, steps=steps, zone=zone, handoff=handoff)
 
 
-def step_start(h: float, i) -> Pair:
-    """Outward-rounded enclosure of i h, where step i (0-based; an int or an
-    int array) of a run with the one step size h that `flow_to_section`
-    takes begins: exact for i <= 2 (zero, a copy, a doubling), as in
-    `Interval`, else one ulp outward."""
+def step_start(h: float, i: int) -> Interval:
+    """Outward-rounded enclosure of i h, where step i (0-based) of a run
+    with the one step size h begins: exact for i <= 2 (zero, a copy, a
+    doubling), as in `Interval`, else one ulp outward."""
     t = i * h
-    exact = np.asarray(i) <= 2
-    return np.where(exact, t, kn.down(t)), np.where(exact, t, kn.up(t))
+    return Interval(t) if i <= 2 else Interval(float(kn.down(t)),
+                                               float(kn.up(t)))
+
+
+def run_time(sizes) -> Interval:
+    """Outward-rounded enclosure of the sum of step sizes, where the step
+    after them begins.  `math.fsum` rounds the sum correctly, so for one size
+    h repeated i times this is `step_start(h, i)` bit for bit: exact for no
+    step, one step and two equal steps, else one ulp outward."""
+    t = math.fsum(sizes)
+    if len(sizes) <= 1 or (len(sizes) == 2 and sizes[0] == sizes[1]):
+        return Interval(t)
+    return Interval(float(kn.down(t)), float(kn.up(t)))
+
+
+def next_size(rec: EnclosureStep, tol: float, order: int) -> float:
+    """The size of the step after `rec`: h times 0.9 (tol / w)^(1/(R+1)),
+    kept within [h/2, 2h], with w the widest component of the step's
+    Lagrange term h^(R+1) [rem] (the standard step control of Taylor
+    integrators).  A float choice: any size gives a sound step."""
+    w = rec.h ** (order + 1) * float(np.max(rec.rem[1] - rec.rem[0]))
+    factor = 0.9 * (tol / w) ** (1.0 / (order + 1)) if w > 0.0 else 2.0
+    return rec.h * min(2.0, max(0.5, factor))
 
 
 def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    """Enclosure of i h + [a, b] for steps[k], step i (its index) of its
-    run."""
-    return Interval(*step_start(steps[k].h, steps[k].index)) + Interval(a, b)
+    """Enclosure of the start of steps[k] in its run plus [a, b]."""
+    return steps[k].t_start + Interval(a, b)
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:
     """Rigorous in-step time range covering t_enc within step k, or None."""
-    t0 = _global_time(steps, k, 0.0, 0.0)
+    t0 = steps[k].t_start
     lo = max(0.0, (Interval.point(t_enc.lo) - t0).lo)
     hi = min(steps[k].h, (Interval.point(t_enc.hi) - t0).hi)
     if lo > hi:

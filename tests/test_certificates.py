@@ -267,6 +267,21 @@ def newton_with_preconditioner(body):
     body["preconditioner"] = C
 
 
+TOL = (2.0 ** -50).hex()
+
+
+def with_step_sizes(*sizes, tolerance=None):
+    """An edit that stores these set step sizes (multiples of h, or a hex
+    string as it stands) and the tolerance."""
+    def edit(body):
+        h = float.fromhex(body["parameters"]["h"])
+        body["parameters"]["tolerance"] = tolerance
+        body["step_counts"]["set"] = len(sizes)
+        body["step_sizes"] = [v if isinstance(v, str) else (v * h).hex()
+                              for v in sizes]
+    return edit
+
+
 class TestMalformed:
     # from "unknown-method" on, every operator image still reproduces: only
     # the rules on what the prover can write reject these documents
@@ -285,10 +300,20 @@ class TestMalformed:
         ("newton", lambda body: body["parameters"].update(
             delta=(-0.5).hex())),
         ("newton", lambda body: body.update(iterations=True)),
+        ("newton", lambda body: body["parameters"].update(
+            tolerance=(-1e-15).hex())),
+        ("newton", lambda body: body["parameters"].update(tolerance="inf")),
+        ("newton", lambda body: body["step_sizes"].append("0x1p-7")),
+        ("newton", with_step_sizes(1.0, "inf", tolerance=TOL)),
+        ("newton", with_step_sizes(2.0, 1.0, tolerance=TOL)),
+        ("newton", with_step_sizes(1.0, 2.0)),
     ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
             "order-not-an-int", "unknown-method", "schema-version",
             "newton-with-preconditioner", "trace-index", "max-iter-zero",
-            "max-iter-not-an-int", "negative-delta", "iterations-true"])
+            "max-iter-not-an-int", "negative-delta", "iterations-true",
+            "tolerance-negative", "tolerance-inf",
+            "more-sizes-than-steps", "step-size-inf", "first-size-not-h",
+            "size-not-h-without-tolerance"])
     def test_edited_document_fails(self, method, edit):
         cert, _ = small_certificate(method=method)
         body = parse_document(cert.to_document())
@@ -296,6 +321,18 @@ class TestMalformed:
         report = reverify_document(json.dumps(body))
         assert not report.ok
         assert any(m.startswith("FAIL") for m in report.messages)
+
+    @pytest.mark.parametrize("edit", [
+        with_step_sizes(),
+        with_step_sizes(1.0, 1.0, 1.0),
+        with_step_sizes(1.0, 2.0, 0.5, tolerance=TOL),
+    ], ids=["no-set-steps", "one-size", "controlled"])
+    def test_step_sizes_of_the_written_shape_agree(self, edit):
+        # the verifier binds the sizes' shape, not their values
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        edit(body)
+        assert reverify_document(json.dumps(body)).ok
 
     @pytest.mark.parametrize("edit", [
         lambda params: params.update(foo="0x1.0p+0"),

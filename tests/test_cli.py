@@ -17,7 +17,7 @@ from choreocert.cli import (
     EXIT_VERIFY_DISAGREE,
     main,
 )
-from choreocert.errors import GluingMismatch
+from choreocert.errors import GluingMismatch, RoughEnclosureFailure
 from choreocert.problems import make_problem, phi_point
 
 
@@ -103,6 +103,23 @@ class TestProve:
         assert riding.steps_point < cert.steps_point
         assert np.array_equal(cert.dphi_on_box.lo, riding.dphi_on_box.lo)
         assert np.array_equal(cert.dphi_on_box.hi, riding.dphi_on_box.hi)
+
+    def test_retry_halves_every_controlled_step(self, monkeypatch, tmp_path,
+                                                capsys):
+        # h halves, and the tolerance by 2^(R+1), so each chosen size halves
+        seen = []
+
+        def failing(**params):
+            seen.append((params["h"], params["tol"]))
+            raise RoughEnclosureFailure("no validated enclosure")
+
+        monkeypatch.setattr(cli, "run_certification", failing)
+        assert main(["prove", "--system", "gerver",
+                     "--out", str(tmp_path / "g.cert")]) == EXIT_INTEGRATOR
+        d = cli.DEFAULTS["gerver"]
+        assert seen == [(d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i))
+                        for i in range(4)]
+        assert "retries exhausted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--delta", "1e200"],

@@ -2,6 +2,7 @@
 certificate documents, and a comma list of systems proved in turn."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ import pytest
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document
 from choreocert.cli import DEFAULTS, EXIT_OK, main
+from choreocert.interval import Interval
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6's point value is bound by rounding and wrapping, so its
-# ratio moves with the candidate's bits (0.0331-0.0342 over the default
+# ratio moves with the candidate's bits (0.0328-0.0331 over the default
 # candidate and the two corners).
-DEFAULT_RATIO = {"gerver": 0.00470, "chain6": 0.0345}
+DEFAULT_RATIO = {"gerver": 0.00386, "chain6": 0.0345}
 
 
 def max_image_box_ratio(body) -> float:
@@ -41,6 +43,9 @@ class TestVerbatimInvocations:
                             "--method", "krawczyk", "--h", "0.002",
                             "--order", "6", "--delta", "1e-7")
         assert body["method"] == "krawczyk"
+        # an explicit --h gives every step that one size
+        assert body["parameters"]["tolerance"] is None
+        assert set(body["step_sizes"]) == {body["parameters"]["h"]}
         # tightness ratchet: a change that widens the image says so
         assert max_image_box_ratio(body) <= 0.0200
 
@@ -59,6 +64,15 @@ class TestVerbatimInvocations:
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS[system]["h"]
         assert body["parameters"]["order"] == DEFAULTS[system]["order"]
+        # the first step is h, and the tolerance sizes the others
+        assert body["parameters"]["tolerance"] == DEFAULTS[system]["tol"].hex()
+        assert body["step_sizes"][0] == body["parameters"]["h"]
+        assert len(set(body["step_sizes"])) > 1
+        # the point resumes at the set flow's sizes, so it crosses when the
+        # set does
+        point, set_ = (Interval.from_hex(*body[f"crossing_time_{k}"])
+                       for k in ("point", "set"))
+        assert not point.disjoint(set_) and point.diam() < set_.diam()
 
     def test_generic_chain_four_bodies(self, tmp_path):
         # the four-body chain in generic coordinates (vx0, x1, vy1)
@@ -88,6 +102,19 @@ class TestJitteredDefaults:
         body = prove_unique(system, tmp_path / f"{system}.cert",
                             f"--candidate={corner}")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    def test_seeded_interior_candidates(self, system, seed, tmp_path):
+        # chain6's ratio follows the candidate's low bits (up to 0.039 over
+        # seeds 1-10), so only the verdict and the verifier are asserted
+        d = DEFAULTS[system]
+        rng = random.Random(seed)
+        q = d["delta"] / 4
+        jittered = ",".join(repr(c + rng.uniform(-q, q))
+                            for c in d["candidate"])
+        prove_unique(system, tmp_path / f"{system}.cert",
+                     f"--candidate={jittered}")
 
 
 class TestDeterminism:

@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from choreocert.errors import NoCrossing, NonTransversal
-from choreocert.integrator import LohnerSet, SectionSpec, flow_to_section
+from choreocert.integrator import (LohnerSet, SectionSpec, flow_to_section,
+                                  run_time, step_start)
 from choreocert.interval import Interval
 from helpers import LinearField, flow
 
@@ -155,3 +157,76 @@ class TestResumedFlow:
         assert resumed.t_cross == full.t_cross
         assert [s.t_prev for s in resumed.steps] == [
             s.t_prev for s in full.steps[k0:]]
+
+
+class TestStartTimes:
+    @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
+    def test_one_size_reproduces_step_start(self, h):
+        # a fixed-h flow times its steps as the one-size grid does, bit for
+        # bit: exact for i <= 2, one ulp outward beyond
+        sec = coordinate_section(0, 2, "+-")
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, h, 7)
+        for rec in cr.steps:
+            i, t = rec.index, rec.t_start
+            assert (t.lo, t.hi) == (step_start(h, i).lo, step_start(h, i).hi)
+            if i <= 2:
+                assert t.lo == t.hi == i * h
+            else:
+                assert (t.lo, t.hi) == (math.nextafter(i * h, -math.inf),
+                                        math.nextafter(i * h, math.inf))
+
+    def test_unequal_sizes_enclose_their_exact_sum(self):
+        sizes = [0.01, 0.013, 0.0071, 0.02, 0.0199]
+        for i in range(len(sizes) + 1):
+            t = run_time(sizes[:i])
+            exact = sum(map(Fraction, sizes[:i]), Fraction(0))
+            assert Fraction(t.lo) <= exact <= Fraction(t.hi)
+        # two unequal sizes do not sum exactly here, so the start widens
+        assert run_time(sizes[:2]).diam() > 0.0
+
+
+class TestControlledFlow:
+    # the harmonic oscillator from a box around (1, 0), its center riding
+    TOL = 1e-13
+
+    def controlled(self):
+        sec = coordinate_section(0, 2, "+-")
+        box = LohnerSet.from_box([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6], 2)
+        cr = flow_to_section(HARMONIC, box.carrying(np.array([1.0, 0.0])),
+                             sec, 0.01, 7, tol=self.TOL)
+        return sec, cr
+
+    def test_sizes_vary_and_the_crossing_holds(self):
+        sec, cr = self.controlled()
+        sizes = [rec.h for rec in cr.steps]
+        assert sizes[0] == 0.01 and len(set(sizes)) > 1
+        assert len(cr.steps) < 40       # at the one size 0.01, over 157
+        for a, b in zip(cr.steps, cr.steps[1:]):
+            assert 0.5 * a.h <= b.h <= 2.0 * a.h
+            assert b.t_start.lo <= a.t_start.hi + a.h
+        # the box's members cross within its 2e-6 spread in angle
+        assert contains(cr.t_cross, math.pi / 2)
+        assert cr.t_cross.diam() < 3e-6
+        assert cr.state[0][1] <= -1.0 <= cr.state[1][1]
+
+    def test_point_resumes_from_the_handoff_at_the_set_sizes(self):
+        sec, cr = self.controlled()
+        handoff = cr.handoff
+        assert handoff is not None and handoff.index > 0
+        sizes = [rec.h for rec in cr.steps]
+        point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
+                                0.01, 7, first_step=handoff.index,
+                                tol=self.TOL, sizes=sizes)
+        assert point.steps[0].index == handoff.index
+        taken = [rec.h for rec in point.steps]
+        assert taken == sizes[handoff.index:handoff.index + len(taken)]
+        first = cr.steps[handoff.index]
+        assert point.steps[0].t_start == first.t_start
+        assert contains(point.t_cross, math.pi / 2)
+        assert point.t_cross.diam() < cr.t_cross.diam()
+
+    def test_resuming_needs_the_earlier_sizes(self):
+        sec = coordinate_section(0, 2, "+-")
+        with pytest.raises(ValueError):
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7,
+                            first_step=3, tol=self.TOL, sizes=[0.01])
