@@ -57,7 +57,7 @@ from .boxes import IntervalMatrix, IntervalVector
 from .convexity import (AXES, ConvexityCertificate, condition,
                         condition_holds, starts_before_crossing)
 from .errors import ChoreoCertError
-from .integrator import step_start
+from .integrator import run_time
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
 from .rootfind import (CertifiableMap, CertificationJob, CertificationOutcome,
@@ -512,6 +512,7 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(False, "a passing document records its crossing time")
         return
     t_cross = Interval.from_hex(*body["crossing_time"])
-    rep.add(n >= 1 and starts_before_crossing(step_start(h, n - 1), t_cross)
-            and not starts_before_crossing(step_start(h, n), t_cross),
+    rep.add(n >= 1
+            and starts_before_crossing(run_time([h] * (n - 1)), t_cross)
+            and not starts_before_crossing(run_time([h] * n), t_cross),
             f"step {n} is the last step that begins before the crossing time")

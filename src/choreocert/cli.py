@@ -6,7 +6,7 @@ Subcommands:
               with the candidate riding inside its Lohner steps, and write
               a machine-checkable certificate; gerver and chain6 choose
               their step sizes under a tolerance from a first step h, and
-              an explicit --h gives every step that one size
+              an explicit --h or --order gives every step one size
 * convexity   verify lobe convexity of the Eight on the refined box of an
               existence certificate, re-verified first
 * refine      nonrigorous Newton refinement of a candidate point
@@ -72,7 +72,8 @@ EXIT_USAGE = 64
 # their first step, and "tol" the Lagrange width each later step is sized
 # for (`integrator.next_size`).  The Eight keeps the one size h: at its
 # ratio control saves 2 of its 55 steps, and its certificate feeds the
-# convexity check's fixed grid.  Any run with an explicit --h does too.
+# convexity check's fixed grid.  Any run with an explicit --h or --order
+# does too: the tolerance was set for the default pair.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
@@ -205,7 +206,7 @@ def _resolve_prove_params(args, system: str) -> dict:
     order = _first_given(args.order, d.get("order"))
     delta = _first_given(args.delta, d.get("delta"))
     a_text = _first_given(args.a, d.get("a"))
-    tol = d.get("tol") if args.h is None else None
+    tol = d.get("tol") if args.h is None and args.order is None else None
     problem = _problem(system, args.bodies, a_text)
     if args.candidate:
         candidate = _parse_vector(args.candidate, problem.reduced_dim)

@@ -507,20 +507,11 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         projected=projected, steps=steps, zone=zone, handoff=handoff)
 
 
-def step_start(h: float, i: int) -> Interval:
-    """Outward-rounded enclosure of i h, where step i (0-based) of a run
-    with the one step size h begins: exact for i <= 2 (zero, a copy, a
-    doubling), as in `Interval`, else one ulp outward."""
-    t = i * h
-    return Interval(t) if i <= 2 else Interval(float(kn.down(t)),
-                                               float(kn.up(t)))
-
-
 def run_time(sizes) -> Interval:
     """Outward-rounded enclosure of the sum of step sizes, where the step
     after them begins.  `math.fsum` rounds the sum correctly, so for one size
-    h repeated i times this is `step_start(h, i)` bit for bit: exact for no
-    step, one step and two equal steps, else one ulp outward."""
+    h repeated i times this is the float product i h: exact for no step, one
+    step and two equal steps, else one ulp outward."""
     t = math.fsum(sizes)
     if len(sizes) <= 1 or (len(sizes) == 2 and sizes[0] == sizes[1]):
         return Interval(t)

@@ -17,7 +17,8 @@ from choreocert.cli import (
     EXIT_VERIFY_DISAGREE,
     main,
 )
-from choreocert.errors import GluingMismatch, RoughEnclosureFailure
+from choreocert.errors import (GluingMismatch, NoCrossing,
+                               RoughEnclosureFailure)
 from choreocert.problems import make_problem, phi_point
 
 
@@ -120,6 +121,25 @@ class TestProve:
         assert seen == [(d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i))
                         for i in range(4)]
         assert "retries exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, controlled", [
+        ([], True), (["--h", "0.005"], False), (["--order", "8"], False),
+        (["--h", "0.005", "--order", "8"], False),
+    ], ids=["defaults", "h", "order", "both"])
+    def test_tolerance_only_at_the_default_h_and_order(
+            self, flags, controlled, monkeypatch, tmp_path):
+        # the tolerance was set for the default pair, so either option
+        # given makes a one-size run
+        seen = []
+
+        def failing(**params):
+            seen.append(params["tol"])
+            raise NoCrossing("stop")
+
+        monkeypatch.setattr(cli, "run_certification", failing)
+        assert main(["prove", "--system", "gerver", *flags,
+                     "--out", str(tmp_path / "g.cert")]) == EXIT_INTEGRATOR
+        assert seen == [cli.DEFAULTS["gerver"]["tol"] if controlled else None]
 
     @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--delta", "1e200"],

@@ -15,7 +15,7 @@ from choreocert.convexity import (
     starts_before_crossing,
     verify_convexity,
 )
-from choreocert.integrator import LohnerSet, step, step_start
+from choreocert.integrator import LohnerSet, run_time, step
 from choreocert.interval import Interval
 from helpers import LinearField
 
@@ -226,8 +226,8 @@ class TestStepStart:
     def test_crossing_at_h_is_not_after_step_one(self, h):
         # the integrator starts step 1 at exactly h, so a segment that ends
         # at [h, h] has one step to check, not two
-        assert starts_before_crossing(step_start(h, 0), Interval(h, h))
-        assert not starts_before_crossing(step_start(h, 1), Interval(h, h))
+        assert starts_before_crossing(run_time([]), Interval(h, h))
+        assert not starts_before_crossing(run_time([h]), Interval(h, h))
 
 
 class _Stop(Exception):

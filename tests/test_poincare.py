@@ -7,7 +7,7 @@ import pytest
 
 from choreocert.errors import NoCrossing, NonTransversal
 from choreocert.integrator import (LohnerSet, SectionSpec, flow_to_section,
-                                  run_time, step_start)
+                                  run_time)
 from choreocert.interval import Interval
 from helpers import LinearField, flow
 
@@ -161,14 +161,14 @@ class TestResumedFlow:
 
 class TestStartTimes:
     @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
-    def test_one_size_reproduces_step_start(self, h):
-        # a fixed-h flow times its steps as the one-size grid does, bit for
-        # bit: exact for i <= 2, one ulp outward beyond
+    def test_one_size_starts_on_the_product_grid(self, h):
+        # a fixed-h flow starts step i at the float product i h: exact for
+        # i <= 2, one ulp outward beyond
         sec = coordinate_section(0, 2, "+-")
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, h, 7)
         for rec in cr.steps:
             i, t = rec.index, rec.t_start
-            assert (t.lo, t.hi) == (step_start(h, i).lo, step_start(h, i).hi)
+            assert (t.lo, t.hi) == (run_time([h] * i).lo, run_time([h] * i).hi)
             if i <= 2:
                 assert t.lo == t.hi == i * h
             else:
