@@ -11,14 +11,14 @@ rounding scheme, the nudging of `kernels`.
 `existence_certificate` is the one writer of an existence document.  Its
 inputs are the problem, the certification job (candidate, box(candidate,
 delta), method, preconditioner, `max_iter`), the outcome `certify`
-returned, and the first step size `h`, `order`, `delta` and the step-size
-`tolerance` (null for a run at the one size h).  Every other field derives
-from them: the box, the top-level copies of the first iteration, the
-trace, the operator image, the refined box, the verdict and the iteration
-count.  Informative, not checked: `cause`, the crossing times,
-`crossing_notes`, `step_counts`, `step_sizes`, `wall_clock_seconds` and
-`environment`.  `step_counts.point` counts only the point steps integrated
-on their own: a point that rides inside the set flow's steps
+returned, `delta` and the step policy, written as `h`, `order` and
+`tolerance` (null for one size h); `read_step_policy` reads it back.  Every
+other field derives from them: the box, the top-level copies of the first
+iteration, the trace, the operator image, the refined box, the verdict and
+the iteration count.  Informative, not checked: `cause`, the crossing
+times, `crossing_notes`, `step_counts`, `step_sizes`, `wall_clock_seconds`
+and `environment`.  `step_counts.point` counts only the point steps
+integrated on their own: a point that rides inside the set flow's steps
 (`problems.phi_point`) takes no step of its own before the section zone.
 `step_sizes` lists the set flow's sizes in hex, so a replay can re-run
 them without choosing them again.
@@ -28,12 +28,11 @@ the inputs: the schema version (3, for both kinds), the parameters (exactly
 `h`, `order`, `delta`, `max_iter` and `tolerance`, with an int never a
 bool), the problem block `make_problem` rebuilds and the candidate's
 dimension.  It checks the shape of `step_sizes`, though not the values: one
-finite size > 0 per set step, the first h, and every one h without a
-tolerance.  Then it replays `certify` itself on the stored enclosures,
-iteration k getting record k's `f_x` and `df_X`, and passes the replayed
-run to the writer.  The stored document must have the writer's key set and
-equal it in every field that is not informative, also as canonical JSON
-(`true` is not `1`).
+per set step, which the step policy must take as given.  Then it replays
+`certify` itself on the stored enclosures, iteration k getting record k's
+`f_x` and `df_X`, and passes the replayed run to the writer.  The stored
+document must have the writer's key set and equal it in every field that
+is not informative, also as canonical JSON (`true` is not `1`).
 A convexity document must be one `verify_convexity` writes: closed key sets
 at the top level, in `parameters` and in every row, the Eight, rows in step
 and body order that all passed, each meeting its condition under the
@@ -57,7 +56,7 @@ from .boxes import IntervalMatrix, IntervalVector
 from .convexity import (AXES, ConvexityCertificate, condition,
                         condition_holds, starts_before_crossing)
 from .errors import ChoreoCertError
-from .integrator import run_time
+from .integrator import StepPolicy, run_time
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
 from .rootfind import (CertifiableMap, CertificationJob, CertificationOutcome,
@@ -90,11 +89,11 @@ def _comment_block(lines: list[str]) -> str:
     return "\n" + "\n".join([_COMMENT_HEADER, *lines]) + "\n"
 
 
-def _problem_block(problem_id: str, n_bodies: int, reduced_dim: int,
-                   reduced_names, size_parameter: float | None) -> dict:
-    return {"id": problem_id, "n_bodies": n_bodies, "reduced_dim": reduced_dim,
-            "reduced_names": list(reduced_names),
-            "size_parameter": _hex_float(size_parameter)}
+def _problem_block(problem: ChoreographyProblem) -> dict:
+    return {"id": problem.key, "n_bodies": problem.orbit_bodies,
+            "reduced_dim": problem.reduced_dim,
+            "reduced_names": list(problem.reduced_names),
+            "size_parameter": _hex_float(problem.size_parameter)}
 
 
 @lru_cache(maxsize=16)
@@ -109,14 +108,9 @@ def rebuild_problem(problem_id: str, a_hex: str | None) -> ChoreographyProblem:
 class ProofCertificate:
     """Existence-proof record for one certification run."""
 
-    problem_id: str
-    n_bodies: int
-    reduced_dim: int
-    reduced_names: tuple[str, ...]
-    size_parameter: float | None
+    problem: ChoreographyProblem
     method: str
-    h: float
-    order: int
+    policy: StepPolicy
     delta: float
     max_iter: int
     candidate: np.ndarray
@@ -134,7 +128,6 @@ class ProofCertificate:
     crossing_time_set: Interval | None = None
     steps_point: int = 0
     steps_set: int = 0
-    tolerance: float | None = None
     step_sizes: list[float] = field(default_factory=list)
     crossing_notes: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
@@ -144,16 +137,14 @@ class ProofCertificate:
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "existence",
-            "problem": _problem_block(self.problem_id, self.n_bodies,
-                                      self.reduced_dim, self.reduced_names,
-                                      self.size_parameter),
+            "problem": _problem_block(self.problem),
             "method": self.method,
             "parameters": {
-                "h": _hex_float(self.h),
-                "order": self.order,
+                "h": _hex_float(self.policy.h),
+                "order": self.policy.order,
                 "delta": _hex_float(self.delta),
                 "max_iter": self.max_iter,
-                "tolerance": _hex_float(self.tolerance),
+                "tolerance": _hex_float(self.policy.tol),
             },
             "candidate": _hex_vec(self.candidate),
             "box": self.box.to_hex(),
@@ -188,12 +179,13 @@ class ProofCertificate:
 
     def comment(self) -> str:
         """The decimal rendering that follows the JSON body."""
-        lines = [f"# system: {self.problem_id}  method: {self.method}  "
+        a = self.problem.size_parameter
+        lines = [f"# system: {self.problem.key}  method: {self.method}  "
                  f"verdict: {self.verdict}"]
         lines.append("# candidate: ("
                      + ", ".join(f"{x:.17g}" for x in self.candidate) + ")")
-        if self.size_parameter is not None:
-            lines.append(f"# size parameter a = {self.size_parameter:.17g}")
+        if a is not None:
+            lines.append(f"# size parameter a = {a:.17g}")
         if self.phi_at_candidate is not None:
             for i, iv in enumerate(self.phi_at_candidate):
                 lines.append(f"# defect[{i}] = [{iv.lo:.8e}, {iv.hi:.8e}]  "
@@ -205,18 +197,14 @@ class ProofCertificate:
 
 
 def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
-                          outcome: CertificationOutcome, h: float, order: int,
-                          delta: float, tolerance: float | None = None,
-                          **informative) -> ProofCertificate:
+                          outcome: CertificationOutcome, policy: StepPolicy,
+                          delta: float, **informative) -> ProofCertificate:
     """The certificate of one `certify` run; `informative` sets the fields
     that only describe the run (crossing times, step counts and sizes,
     notes, wall clock)."""
     first = outcome.trace[0] if outcome.trace else None
     return ProofCertificate(
-        problem_id=problem.key, n_bodies=problem.orbit_bodies,
-        reduced_dim=problem.reduced_dim, reduced_names=problem.reduced_names,
-        size_parameter=problem.size_parameter, method=job.method,
-        h=h, order=order, delta=delta, tolerance=tolerance,
+        problem=problem, method=job.method, policy=policy, delta=delta,
         max_iter=job.max_iter,
         candidate=job.x0, box=job.X,
         phi_at_candidate=first.f_x if first else None,
@@ -248,6 +236,15 @@ def trace_to_json(outcome: CertificationOutcome) -> list[dict]:
 def parse_document(text: str) -> dict:
     """JSON body of a certificate document (comments ignored)."""
     return json.JSONDecoder().raw_decode(text)[0]
+
+
+def read_step_policy(parameters: dict, step_sizes=()) -> StepPolicy:
+    """The step policy of a document's `parameters` and hex `step_sizes`;
+    raises ValueError where the policy refuses them."""
+    tol = parameters.get("tolerance")
+    return StepPolicy(float.fromhex(parameters["h"]), parameters["order"],
+                      None if tol is None else float.fromhex(tol),
+                      tuple(float.fromhex(v) for v in step_sizes))
 
 
 # What reading an untrusted document can raise: a missing field, a wrong
@@ -314,34 +311,29 @@ def _reverify_existence(body: dict,
         rep.add(False, f"parameters {sorted(params)} are exactly "
                        f"{sorted(_EXISTENCE_PARAMETERS)}")
         return
-    a_hex, tol_hex = pb["size_parameter"], params["tolerance"]
-    h, delta = (float.fromhex(params[k]) for k in ("h", "delta"))
-    tol = None if tol_hex is None else float.fromhex(tol_hex)
-    order, max_iter = params["order"], params["max_iter"]
-    rep.add(isinstance(pb["id"], str)
-            and all(type(v) is int and v >= 1 for v in (order, max_iter))
-            and all(math.isfinite(v) and v > 0.0 for v in (h, delta))
-            and (tol is None or math.isfinite(tol) and tol > 0.0)
+    a_hex, max_iter = pb["size_parameter"], params["max_iter"]
+    delta = float.fromhex(params["delta"])
+    try:
+        policy, refusal = read_step_policy(params, body["step_sizes"]), ""
+    except ValueError as exc:
+        policy, refusal = None, f" ({exc})"
+    rep.add(isinstance(pb["id"], str) and policy is not None
+            and type(max_iter) is int and max_iter >= 1
+            and math.isfinite(delta) and delta > 0.0
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
-            "problem and parameters are readable, h and delta > 0, "
-            "order and max_iter >= 1, tolerance null or finite and > 0")
-    sizes = [float.fromhex(v) for v in body["step_sizes"]]
+            "problem and parameters are readable, delta > 0, max_iter >= 1, "
+            "and h, order, tolerance and step sizes make a step policy"
+            + refusal)
     rep.add(type(body["step_counts"]["set"]) is int
-            and len(sizes) == body["step_counts"]["set"]
-            and all(math.isfinite(v) and v > 0.0 for v in sizes)
-            and (not sizes or sizes[0] == h)
-            and (tol is not None or all(v == h for v in sizes)),
-            "step sizes are finite and > 0, one per set step, the first h, "
-            "and all h without a tolerance")
+            and len(body["step_sizes"]) == body["step_counts"]["set"],
+            "one step size per set step")
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
         rep.add(False, f"problem {pb['id']!r} with size parameter {a_hex!r} "
                        f"cannot be rebuilt: {exc}")
         return
-    rep.add(pb == _problem_block(pb["id"], problem.orbit_bodies,
-                                 problem.reduced_dim, problem.reduced_names,
-                                 problem.size_parameter),
+    rep.add(pb == _problem_block(problem),
             "problem block is the one make_problem rebuilds")
     n = problem.reduced_dim
     rep.add(len(body["candidate"]) == n,
@@ -364,8 +356,8 @@ def _reverify_existence(body: dict,
         x0=candidate, X=IntervalVector.box(candidate, delta),
         method=body["method"], max_iter=max_iter,
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
-    replayed = existence_certificate(problem, job, certify(job), h, order,
-                                     delta, tol)
+    replayed = existence_certificate(problem, job, certify(job), policy,
+                                     delta)
     rebuilt = replayed.body()
     rep.add(set(body) == set(rebuilt),
             "top-level keys are exactly the ones the prover writes")
@@ -411,7 +403,7 @@ def convexity_to_document(cert: ConvexityCertificate,
         "schema_version": SCHEMA_VERSION,
         "kind": "convexity",
         "problem": cert.problem,
-        "parameters": {"h": _hex_float(cert.h), "order": cert.order},
+        "parameters": {"h": _hex_float(cert.policy.h), "order": cert.policy.order},
         "passed": cert.passed,
         "failure": cert.failure,
         "steps_checked": cert.steps_checked,
@@ -451,7 +443,7 @@ def _convexity_comment(body: dict) -> str:
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored row with the prover's own rule,
     `condition_holds`, and that the document is one `verify_convexity`
-    writes: closed key sets, the Eight at an order >= 4 and a finite h > 0,
+    writes: closed key sets, the Eight at a step policy of order >= 4,
     rows of finite ordered intervals for each of its three bodies step by
     step, each naming the condition of its piece and marked passed, and a
     verdict that fails exactly when a failure is stated.  A passing
@@ -463,13 +455,14 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
             "parameters are exactly h and order")
     rep.add(all(set(c) == _CONVEXITY_ROW for c in body["checks"]),
             "every row's keys are exactly the ones the prover writes")
-    order = body["parameters"]["order"]
-    h = float.fromhex(body["parameters"]["h"])
+    try:
+        policy, refusal = read_step_policy(body["parameters"]), ""
+    except ValueError as exc:
+        policy, refusal = None, f" ({exc})"
     rep.add(body["problem"] == "eight"
-            and type(order) is int and order >= 4
-            and math.isfinite(h) and h > 0.0,
-            f"problem {body['problem']!r} is eight, order {order!r} >= 4, "
-            f"h {h!r} finite and > 0")
+            and policy is not None and policy.order >= 4,
+            f"problem {body['problem']!r} is eight, and h and order make a "
+            f"step policy of order >= 4{refusal}")
     rows = body["checks"]
     n = body["steps_checked"]
     if not all(type(v) is int for c in rows for v in (c["step"], c["body"])):
@@ -497,11 +490,13 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
             and passed == (body["failure"] == ""),
             "stored verdict passes exactly when no failure is stated")
 
-    got = [(c["step"], c["body"], c["condition"]) for c in rows]
-    expected = [(k, b, condition(k, b))
-                for k in range(1, n + 1) for b in (1, 2, 3)]
-    rep.add(type(n) is int and got == expected[:len(got)]
-            and (passed is not True or len(got) == len(expected)),
+    # as many expected rows as stored ones: the count is not trusted yet
+    complete = type(n) is int and len(rows) == 3 * n
+    expected = [(k // 3 + 1, k % 3 + 1) for k in range(len(rows))]
+    rep.add(type(n) is int and len(rows) <= 3 * n
+            and [(c["step"], c["body"], c["condition"]) for c in rows]
+            == [(k, b, condition(k, b)) for k, b in expected]
+            and (passed is not True or complete),
             f"rows run step by step over bodies 1..3 up to step {n!r}, each "
             "naming its piece's condition")
     if passed is not True:
@@ -512,7 +507,9 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(False, "a passing document records its crossing time")
         return
     t_cross = Interval.from_hex(*body["crossing_time"])
-    rep.add(n >= 1
-            and starts_before_crossing(run_time([h] * (n - 1)), t_cross)
-            and not starts_before_crossing(run_time([h] * n), t_cross),
+    rep.add(complete and n >= 1 and policy is not None
+            and starts_before_crossing(run_time(policy.sizes_before(n - 1)),
+                                       t_cross)
+            and not starts_before_crossing(run_time(policy.sizes_before(n)),
+                                           t_cross),
             f"step {n} is the last step that begins before the crossing time")

@@ -11,8 +11,8 @@ Subcommands:
               existence certificate, re-verified first
 * refine      nonrigorous Newton refinement of a candidate point
 * emit-curve  unfold a certified segment (re-verified first) into the full
-              closed curve, flowed at the certificate's h, tolerance and
-              order
+              closed curve, flowed under the certificate's step policy (its
+              h, tolerance and order)
 * verify      re-check a certificate from its serialized intervals only
 
 convexity and emit-curve read their certificate through one reader: the
@@ -23,7 +23,7 @@ Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
 refinement failure, 1 verifier disagreement, 64 usage errors: every
 command line argparse rejects, and every number or option a run cannot use
-or does not read.
+or does not read, among them an --h or --order the step policy refuses.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .certificates import (
     convexity_to_document,
     existence_certificate,
     parse_document,
+    read_step_policy,
     rebuild_problem,
     reverify_document,
 )
@@ -55,6 +56,7 @@ from .errors import (
     NonTransversal,
     RoughEnclosureFailure,
 )
+from .integrator import StepPolicy
 from .pointflow import monodromy_preconditioner, refine_candidate
 from .problems import make_problem, phi_jacobian, phi_point
 from .rootfind import CertifiableMap, CertificationJob, certify
@@ -70,10 +72,9 @@ EXIT_USAGE = 64
 # reference orbits.  gerver and chain6 take fewer, higher-order steps than
 # the published 0.002 / 6 and 0.001 / 9, at smaller image/box ratios: h is
 # their first step, and "tol" the Lagrange width each later step is sized
-# for (`integrator.next_size`).  The Eight keeps the one size h: at its
-# ratio control saves 2 of its 55 steps, and its certificate feeds the
-# convexity check's fixed grid.  Any run with an explicit --h or --order
-# does too: the tolerance was set for the default pair.
+# for (`integrator.StepPolicy`).  The Eight keeps the one size h: at its
+# ratio control saves only 2 of its 55 steps.  Any run with an explicit --h
+# or --order does too: the tolerance was set for the default pair.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
@@ -122,17 +123,12 @@ def _problem(system: str, bodies, a_text):
         raise _UsageError(str(exc)) from exc
 
 
-def _check_numbers(args) -> None:
-    """Reject step sizes, widths and orders no run can use."""
-    for name in ("h", "delta"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise _UsageError(f"--{name} must be finite and > 0, not {value}")
-    # convexity reads the flow's third derivative from the Taylor layers
-    least = 4 if args.command == "convexity" else 1
-    order = getattr(args, "order", None)
-    if order is not None and order < least:
-        raise _UsageError(f"--order must be >= {least}, not {order}")
+def _step_policy(h, order, tol=None) -> StepPolicy:
+    """StepPolicy(h, order, tol), a refusal a usage error on --h or --order."""
+    try:
+        return StepPolicy(h, order, tol)
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
 
 
 def _first_given(*values):
@@ -206,7 +202,6 @@ def _resolve_prove_params(args, system: str) -> dict:
     order = _first_given(args.order, d.get("order"))
     delta = _first_given(args.delta, d.get("delta"))
     a_text = _first_given(args.a, d.get("a"))
-    tol = d.get("tol") if args.h is None and args.order is None else None
     problem = _problem(system, args.bodies, a_text)
     if args.candidate:
         candidate = _parse_vector(args.candidate, problem.reduced_dim)
@@ -220,24 +215,26 @@ def _resolve_prove_params(args, system: str) -> dict:
     if missing:
         raise _UsageError(
             f"missing {', '.join(missing)} for system {system!r}")
-    return dict(problem=problem, method=method, h=float(h), order=int(order),
-                delta=float(delta), candidate=candidate, tol=tol)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise _UsageError(f"--delta must be finite and > 0, not {delta}")
+    tol = d.get("tol") if args.h is None and args.order is None else None
+    return dict(problem=problem, method=method,
+                policy=_step_policy(h, order, tol), delta=float(delta),
+                candidate=candidate)
 
 
-def run_certification(problem, method, h, order, delta, candidate, tol=None):
-    """One certification run, from a first step h and, with `tol`, step
-    sizes chosen under that tolerance; returns (certificate, outcome)."""
+def run_certification(problem, method, policy, delta, candidate):
+    """One certification run under `policy`; returns (certificate, outcome)."""
     started = time.perf_counter()
-
-    record: dict = {"notes": {}}
+    notes, last = {}, {}   # certify encloses at least once
 
     def enclose(x, box):
         # the point rides inside the box flow up to the section zone
-        ev_set = phi_jacobian(problem, box, h, order, point=x, tol=tol)
-        ev = phi_point(problem, x, h, order, along=ev_set.crossing, tol=tol)
-        record.update(set=ev_set.crossing, point=ev.crossing)
-        record["notes"].update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
-        record["notes"].update(ev.notes)
+        ev_set = phi_jacobian(problem, box, policy, point=x)
+        ev = phi_point(problem, x, policy, along=ev_set.crossing)
+        last.update(set=ev_set.crossing, point=ev.crossing)
+        notes.update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
+        notes.update(ev.notes)
         return ev.value, ev_set.jacobian
 
     cmap = CertifiableMap(dimension=problem.reduced_dim, enclose=enclose)
@@ -251,26 +248,14 @@ def run_certification(problem, method, h, order, delta, candidate, tol=None):
     job = CertificationJob(map=cmap, x0=candidate, X=X, method=method, C=C)
     outcome = certify(job)
 
+    point, box_flow = last["point"], last["set"]
     cert = existence_certificate(
-        problem, job, outcome, h, order, delta, tol,
-        crossing_time_point=record["point"].t_cross if "point" in record else None,
-        crossing_time_set=record["set"].t_cross if "set" in record else None,
-        steps_point=len(record["point"].steps) if "point" in record else 0,
-        steps_set=len(record["set"].steps) if "set" in record else 0,
-        step_sizes=[rec.h for rec in record["set"].steps]
-        if "set" in record else [],
-        crossing_notes=record["notes"],
-        wall_clock_seconds=time.perf_counter() - started,
-    )
+        problem, job, outcome, policy, delta,
+        crossing_time_point=point.t_cross, crossing_time_set=box_flow.t_cross,
+        steps_point=len(point.steps), steps_set=len(box_flow.steps),
+        step_sizes=[rec.h for rec in box_flow.steps], crossing_notes=notes,
+        wall_clock_seconds=time.perf_counter() - started)
     return cert, outcome
-
-
-def _halved(params: dict) -> dict:
-    """The run at half the step size: h halves, and so does every step a
-    tolerance sizes, for which it shrinks by 2^(R+1)."""
-    tol = params["tol"]
-    return dict(params, h=params["h"] * 0.5,
-                tol=None if tol is None else tol / 2.0 ** (params["order"] + 1))
 
 
 def _prove_one(system: str, params: dict, out_path: str | None,
@@ -279,18 +264,16 @@ def _prove_one(system: str, params: dict, out_path: str | None,
         try:
             cert, outcome = run_certification(**params)
         except (RoughEnclosureFailure,) as exc:
-            print(f"{system}: {exc}; halving the step size", file=sys.stderr)
-            params = _halved(params)
-            continue
+            failure = str(exc)
         except (CollisionEnclosure, NoCrossing, NonTransversal) as exc:
             print(f"{system}: integration failed: {exc}", file=sys.stderr)
             return EXIT_INTEGRATOR
-        if outcome.verdict == "Inconclusive" and attempt < _RETRY_HALVINGS:
-            print(f"{system}: inconclusive ({outcome.cause}); halving the "
-                  "step size", file=sys.stderr)
-            params = _halved(params)
-            continue
-        break
+        else:
+            if outcome.verdict != "Inconclusive" or attempt == _RETRY_HALVINGS:
+                break
+            failure = f"inconclusive ({outcome.cause})"
+        print(f"{system}: {failure}; halving the step size", file=sys.stderr)
+        params = dict(params, policy=params["policy"].halved())
     else:
         print(f"{system}: step-size retries exhausted", file=sys.stderr)
         return EXIT_INTEGRATOR
@@ -349,6 +332,9 @@ def _read_certificate(path: str, system: str | None = None):
 
 
 def _cmd_convexity(args) -> int:
+    _step_policy(args.h, args.order)
+    if args.order < 4:  # it reads the flow's third time derivative
+        raise _UsageError(f"--order must be >= 4, not {args.order}")
     problem, box, _ = _read_certificate(args.cert, "eight")
     started = time.perf_counter()
     cert = verify_convexity(problem, box, args.h, args.order)
@@ -377,9 +363,7 @@ def _cmd_refine(args) -> int:
 
 def _cmd_emit_curve(args) -> int:
     problem, box, params = _read_certificate(args.cert)
-    tol = params["tolerance"]
-    ev = phi_jacobian(problem, box, float.fromhex(params["h"]), params["order"],
-                      tol=None if tol is None else float.fromhex(tol))
+    ev = phi_jacobian(problem, box, read_step_policy(params))
     result = unfold(problem, ev.crossing)
     write_curve_file(args.out, problem, result)
     if args.segment_out:
@@ -402,7 +386,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_numbers(args)
         if args.command == "prove":
             return _cmd_prove(args)
         if args.command == "convexity":

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels as kn
 from .boxes import IntervalVector
-from .integrator import EnclosureStep, flow_to_section, poly_eval
+from .integrator import EnclosureStep, StepPolicy, flow_to_section, poly_eval
 from .interval import Interval
 from .problems import ChoreographyProblem
 
@@ -154,8 +154,7 @@ def starts_before_crossing(start: Interval, t_cross: Interval) -> bool:
 @dataclass
 class ConvexityCertificate:
     problem: str
-    h: float
-    order: int
+    policy: StepPolicy
     passed: bool
     steps_checked: int
     origin_in_first_step: bool
@@ -171,8 +170,8 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     if order < 4:
         raise ValueError("third time derivatives need order >= 4")
     start = problem.embed_slab(certified_box, carry_transition=False)
-    crossing = flow_to_section(problem.field, start, problem.section, h,
-                               order)
+    policy = StepPolicy(h, order)
+    crossing = flow_to_section(problem.field, start, problem.section, policy)
 
     # Origin membership for the inflection argument: the third body starts
     # at the origin exactly, so the first whole-step box contains it.
@@ -185,7 +184,7 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     n = max(1, sum(starts_before_crossing(rec.t_start, crossing.t_cross)
                    for rec in crossing.steps))
     cert = ConvexityCertificate(
-        problem=problem.key, h=h, order=order, passed=True, steps_checked=n,
+        problem=problem.key, policy=policy, passed=True, steps_checked=n,
         origin_in_first_step=bool(origin_ok), crossing_time=crossing.t_cross)
     if not origin_ok:
         cert.passed = False

@@ -26,13 +26,7 @@ Newton iteration in time over the straddling steps' Taylor polynomials.
 Every step carries an outward enclosure of its start time, the correctly
 rounded sum of the sizes before it (`run_time`), and all time code reads
 it, so a flow may start at any step of a run (`flow_to_section(...,
-first_step=k)`) and its steps may differ in size.
-
-A flow either keeps one step size h or, given a tolerance, chooses each
-size from the step before it (`next_size`): the widest component of that
-step's Lagrange term h^(R+1) [rem] is held near the tolerance, so easy
-stretches take long steps and one hard step no longer sets the size of
-all of them.
+first_step=k)`) and its steps, which one `StepPolicy` sizes, may differ.
 
 A set may carry a thin point along (`LohnerSet.carrying`).  The point
 sits in its own frame around the set's center m, so each step advances it
@@ -417,23 +411,15 @@ def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
 
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
-                    h: float, order: int, max_steps: int | None = None,
-                    first_step: int = 0, tol: float | None = None,
-                    sizes=()) -> SectionCrossing:
+                    policy: StepPolicy, max_steps: int | None = None,
+                    first_step: int = 0) -> SectionCrossing:
     """Integrate to the first transversal crossing of the section.
 
-    `start` is the set at step `first_step` of a run from time 0 whose
-    first step has size h; the step budget counts from step 0.  `sizes` are
-    the sizes of the run's first steps, taken as given: those before
-    `first_step` time the start (h each where none is given), the rest are
-    this flow's first steps.  Past them each step keeps the size of the one
-    before it or, with a tolerance `tol`, takes `next_size` of it.  A run
-    resumed at `first_step` must not cross before it."""
-    budget = max_steps if max_steps is not None else int(np.ceil(10.0 / h))
-    if tol is not None and len(sizes) < first_step:
-        raise ValueError("a controlled run resumes after steps of given sizes")
-    done = [*sizes[:first_step], *[h] * (first_step - len(sizes))]
-    size = done[-1] if done else h
+    `start` is the set at step `first_step` of a run from time 0 under
+    `policy`; the step budget, 10/h steps unless `max_steps` is given,
+    counts from step 0.  A run resumed there must not cross before it."""
+    budget = math.ceil(10.0 / policy.h) if max_steps is None else max_steps
+    earlier = policy.sizes_before(first_step)
     box = start.box()
     kn.assert_valid(*box, "start set")
     try:
@@ -447,21 +433,17 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     steps: list[EnclosureStep] = []
     cur = start
     zone: list[int] = []
-    handoff = before = None
+    handoff = before = rec = None
     t = 0.0
-    for hk in done:
+    for hk in earlier:
         t += hk
     for k in range(first_step, budget):
-        if k < len(sizes):
-            size = sizes[k]
         carried = cur.point
-        cur, rec = step(field, cur, size, order, index=k, t_prev=t)
-        rec.t_start = run_time(done)
+        cur, rec = step(field, cur, policy.size(k, rec), policy.order,
+                        index=k, t_prev=t)
+        rec.t_start = run_time([*earlier, *(r.h for r in steps)])
         steps.append(rec)
-        done.append(size)
         t = rec.t_k
-        if tol is not None:
-            size = next_size(rec, tol, order)
         here = PointHandoff(k, carried, start.point) if cur.point else None
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
@@ -518,19 +500,66 @@ def run_time(sizes) -> Interval:
     return Interval(float(kn.down(t)), float(kn.up(t)))
 
 
-def next_size(rec: EnclosureStep, tol: float, order: int) -> float:
-    """The size of the step after `rec`: h times 0.9 (tol / w)^(1/(R+1)),
-    kept within [h/2, 2h], with w the widest component of the step's
-    Lagrange term h^(R+1) [rem] (the standard step control of Taylor
-    integrators).  A float choice: any size gives a sound step."""
-    w = rec.h ** (order + 1) * float(np.max(rec.rem[1] - rec.rem[0]))
-    factor = 0.9 * (tol / w) ** (1.0 / (order + 1)) if w > 0.0 else 2.0
-    return rec.h * min(2.0, max(0.5, factor))
+@dataclass(frozen=True)
+class StepPolicy:
+    """How a run sizes its steps.  Step k takes `given[k]` while there is
+    one; past them step 0 takes h and step k the size of step k-1 or, under
+    a tolerance, that size times 0.9 (tol / w)^(1/(R+1)) kept in [1/2, 2],
+    w the widest component of step k-1's Lagrange term h^(R+1) [rem] (any
+    size gives a sound step).  It refuses, naming the field, an h not finite
+    and > 0 or whose 10/h step budget overflows, an order not an int >= 1,
+    a tol not None or finite and > 0, and given sizes off the rule the
+    control keeps exactly: the first h, all h without a tolerance, else each
+    in [1/2, 2] times the one before."""
 
+    h: float
+    order: int
+    tol: float | None = None
+    given: tuple[float, ...] = ()
 
-def _global_time(steps, k: int, a: float, b: float) -> Interval:
-    """Enclosure of the start of steps[k] in its run plus [a, b]."""
-    return steps[k].t_start + Interval(a, b)
+    def __post_init__(self):
+        h, order, tol = self.h, self.order, self.tol
+        if not (math.isfinite(h) and h > 0.0 and math.isfinite(10.0 / h)):
+            raise ValueError(f"h must be finite and > 0 with 10/h finite, "
+                             f"not {h!r}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an int >= 1, not {order!r}")
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be None or finite and > 0, not {tol!r}")
+        for k, size in enumerate(self.given):
+            lo, hi = ((h, h) if k == 0 or tol is None
+                      else (0.5 * self.given[k - 1], 2.0 * self.given[k - 1]))
+            if not (lo <= size <= hi and math.isfinite(size)):
+                raise ValueError(f"given size {size!r} of step {k} is not "
+                                 f"in [{lo!r}, {hi!r}]")
+
+    def sizes_before(self, k: int) -> list[float]:
+        """Steps 0..k-1's sizes: the given ones, padded with h if no tol."""
+        if self.tol is not None and len(self.given) < k:
+            raise ValueError("a controlled run resumes after given sizes")
+        return [*self.given[:k], *[self.h] * (k - len(self.given))]
+
+    def size(self, k: int, before: EnclosureStep | None = None) -> float:
+        """The size of step k, with `before` step k-1 when the flow took it."""
+        if k < len(self.given):
+            return self.given[k]
+        if before is None:  # a flow's first step
+            return self.sizes_before(k)[-1] if k else self.h
+        if self.tol is None:
+            return before.h
+        R = self.order
+        w = before.h ** (R + 1) * float(np.max(before.rem[1] - before.rem[0]))
+        factor = 0.9 * (self.tol / w) ** (1.0 / (R + 1)) if w > 0.0 else 2.0
+        return before.h * min(2.0, max(0.5, factor))
+
+    def halved(self) -> StepPolicy:
+        """The retry at half the step: h halves, and tol by 2^(R+1)."""
+        tol = None if self.tol is None else self.tol / 2.0 ** (self.order + 1)
+        return StepPolicy(self.h * 0.5, self.order, tol)
+
+    def following(self, sizes) -> StepPolicy:
+        """This policy with a run's first step sizes given."""
+        return replace(self, given=tuple(sizes))
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:
@@ -565,8 +594,9 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
     slope domain must cover every mean-value point between the chosen center
     and any crossing time, so it is the flow over the hull of t_enc and the
     center."""
-    t_enc = _global_time(steps, zone[0], 0.0, steps[zone[0]].h).hull(
-        _global_time(steps, zone[-1], 0.0, steps[zone[-1]].h))
+    first, last = steps[zone[0]], steps[zone[-1]]
+    t_enc = (first.t_start + Interval(0.0, first.h)).hull(
+        last.t_start + Interval(0.0, last.h))
     for _ in range(12):
         c = t_enc.mid()
         k_c = None
@@ -580,7 +610,7 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
                 break
         if k_c is None:
             break
-        t_c = _global_time(steps, k_c, tau_c, tau_c)
+        t_c = steps[k_c].t_start + Interval(tau_c, tau_c)
         span = _hull_over(steps, zone, t_enc.hull(t_c), EnclosureStep.state_at)
         gd = section.gdot(*span, field)
         if gd.contains_zero():

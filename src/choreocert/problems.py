@@ -33,13 +33,10 @@ exact product forms (ProductForm): signed sums of +-1 linear forms in the
 state, their products and their squares; DR and dg are their product rule.
 
 phi_jacobian flows the embedded box and phi_point the thin point, both
-from a proof's first step size h, at that one size or at sizes chosen under
-a tolerance.  The point can ride inside the box flow
-(`phi_jacobian(..., point=x)`): each box step up to the section zone
-advances it by the box's own Lohner update.  Given that crossing, phi_point
-starts from the frame the flow hands over (`SectionCrossing.handoff`, at
-the step before the zone) and integrates only the steps from there on, at
-the box flow's sizes.
+under one step policy (`integrator.StepPolicy`).  The point can ride inside
+the box flow (`phi_jacobian(..., point=x)`), advanced by each box step's
+own Lohner update up to the step before the section zone, where phi_point
+takes it over at the box flow's sizes.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from . import kernels as kn
 from .boxes import IntervalMatrix, IntervalVector
 from .dynamics import GravityField, PhaseLayout, nbody_field, reduced6_field
 from .errors import DimensionMismatch, NonTransversal
-from .integrator import (LohnerSet, SectionCrossing, SectionSpec,
+from .integrator import (LohnerSet, SectionCrossing, SectionSpec, StepPolicy,
                          flow_to_section)
 from .interval import Interval
 
@@ -467,50 +464,43 @@ def _crossing_notes(problem: ChoreographyProblem,
     return notes
 
 
-def phi_point(problem: ChoreographyProblem, x, h: float, order: int,
-              along: SectionCrossing | None = None,
-              tol: float | None = None) -> MapEvaluation:
+def phi_point(problem: ChoreographyProblem, x, policy: StepPolicy,
+              along: SectionCrossing | None = None) -> MapEvaluation:
     """Rigorous enclosure of the defect map at a point (thin run).
 
-    `along` is the crossing of `phi_jacobian(..., point=x)` from the same
-    first step size h, whose step sizes the point then takes.  The point
-    starts from the frame that crossing hands over
-    (`SectionCrossing.handoff`) and only the steps from there on are
-    integrated.  Those steps start on the start side: the point's box there
-    lies in the set's box, inside the whole-step enclosure of a step before
-    the zone.  Without a hand-off (the point left the set's box on the way)
-    the point is integrated alone from step 0.  Past the set's steps, or
-    without `along`, the sizes follow `tol` as in `flow_to_section`."""
+    `along` is the crossing of `phi_jacobian(..., point=x)` under the same
+    policy, whose sizes the point then takes as given.  The point starts
+    from the frame that crossing hands over (`SectionCrossing.handoff`), on
+    the start side inside the set's box, and only the steps from there on
+    are integrated; without a hand-off (the point left the set's box on the
+    way) it is integrated alone from step 0."""
     s0 = problem.embed_point(x)
-    start, first, sizes = LohnerSet.from_box(s0, s0), 0, ()
+    start, first = LohnerSet.from_box(s0, s0), 0
     if along is not None:
-        if along.steps[0].index != 0 or along.steps[0].h != h:
-            raise ValueError("phi_point rides a flow from step 0 at its own h")
-        sizes = [rec.h for rec in along.steps]
+        if along.steps[0].index != 0:
+            raise ValueError("phi_point rides a flow from step 0")
+        # refused unless the flow's first size is the policy's h
+        policy = policy.following(rec.h for rec in along.steps)
         handoff = along.handoff
         if handoff is not None:
             if not kn.contains_point(*LohnerSet(handoff.origin).box(), s0):
                 raise ValueError("the flow carried another point")
             start, first = LohnerSet(handoff.frame), handoff.index
-    cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         first_step=first, tol=tol, sizes=sizes)
+    cr = flow_to_section(problem.field, start, problem.section, policy,
+                         first_step=first)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
                          crossing=cr, notes=_crossing_notes(problem, cr))
 
 
-def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector, h: float,
-                 order: int, point=None,
-                 tol: float | None = None) -> MapEvaluation:
+def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector,
+                 policy: StepPolicy, point=None) -> MapEvaluation:
     """Rigorous defect map and derivative enclosure over a reduced box,
-    flowing the embedded slab (`ChoreographyProblem.embed_slab`) from a
-    first step of size h, each later size chosen under `tol` when given,
-    with the reduced point `point`, when given, riding along
-    (`LohnerSet.carrying`)."""
+    flowing the embedded slab (`ChoreographyProblem.embed_slab`) under
+    `policy`, the reduced point `point`, if given, riding along."""
     start = problem.embed_slab(X)
     if point is not None:
         start = start.carrying(problem.embed_point(point))
-    cr = flow_to_section(problem.field, start, problem.section, h, order,
-                         tol=tol)
+    cr = flow_to_section(problem.field, start, problem.section, policy)
     drl, drh = problem.reduce_derivative(*cr.state)
     jl, jh = kn.matmul(drl, drh, *cr.projected)
     return MapEvaluation(value=problem.reduce(*cr.state),

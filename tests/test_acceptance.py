@@ -23,7 +23,7 @@ from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.convexity import verify_convexity
 from choreocert.dynamics import nbody_field
-from choreocert.integrator import LohnerSet
+from choreocert.integrator import LohnerSet, StepPolicy
 from choreocert.interval import Interval
 from choreocert.pointflow import monodromy_preconditioner
 from choreocert.problems import (
@@ -118,14 +118,16 @@ class ProofRun:
 def _run_proof(problem, candidate, delta, h_point, h_set, order, method):
     t0 = time.perf_counter()
     box = IntervalVector.box(candidate, delta)
-    point_eval = phi_point(problem, candidate, h_point, order)
-    jac_eval = phi_jacobian(problem, box, h_set, order)
+    point_policy = StepPolicy(h_point, order)
+    set_policy = StepPolicy(h_set, order)
+    point_eval = phi_point(problem, candidate, point_policy)
+    jac_eval = phi_jacobian(problem, box, set_policy)
 
     def enclose(x, x_box):
         f_x = (point_eval.value if np.array_equal(x, candidate)
-               else phi_point(problem, x, h_point, order).value)
+               else phi_point(problem, x, point_policy).value)
         df_X = (jac_eval.jacobian if x_box == box
-                else phi_jacobian(problem, x_box, h_set, order).jacobian)
+                else phi_jacobian(problem, x_box, set_policy).jacobian)
         return f_x, df_X
 
     cmap = CertifiableMap(problem.reduced_dim, enclose)

@@ -10,6 +10,7 @@ from choreocert.certificates import (
     reverify_document,
 )
 from choreocert.cli import DEFAULTS, run_certification
+from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
 from choreocert.rootfind import (
@@ -52,7 +53,8 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
     job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
                            C=C, max_iter=max_iter)
     out = certify(job)
-    return existence_certificate(make_problem("eight"), job, out, h, 7, delta,
+    return existence_certificate(make_problem("eight"), job, out,
+                                 StepPolicy(h, 7), delta,
                                  wall_clock_seconds=1.234), out
 
 
@@ -307,13 +309,18 @@ class TestMalformed:
         ("newton", with_step_sizes(1.0, "inf", tolerance=TOL)),
         ("newton", with_step_sizes(2.0, 1.0, tolerance=TOL)),
         ("newton", with_step_sizes(1.0, 2.0)),
+        ("newton", with_step_sizes(1.0, 2.0, 0.5, tolerance=TOL)),
+        ("newton", lambda body: body["parameters"].update(
+            h=(1e-320).hex())),
+        ("newton", lambda body: body["parameters"].update(order=True)),
     ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
             "order-not-an-int", "unknown-method", "schema-version",
             "newton-with-preconditioner", "trace-index", "max-iter-zero",
             "max-iter-not-an-int", "negative-delta", "iterations-true",
             "tolerance-negative", "tolerance-inf",
             "more-sizes-than-steps", "step-size-inf", "first-size-not-h",
-            "size-not-h-without-tolerance"])
+            "size-not-h-without-tolerance", "size-outside-the-clamp",
+            "h-tiny", "order-true"])
     def test_edited_document_fails(self, method, edit):
         cert, _ = small_certificate(method=method)
         body = parse_document(cert.to_document())
@@ -325,10 +332,11 @@ class TestMalformed:
     @pytest.mark.parametrize("edit", [
         with_step_sizes(),
         with_step_sizes(1.0, 1.0, 1.0),
-        with_step_sizes(1.0, 2.0, 0.5, tolerance=TOL),
+        with_step_sizes(1.0, 2.0, 1.0, tolerance=TOL),
     ], ids=["no-set-steps", "one-size", "controlled"])
     def test_step_sizes_of_the_written_shape_agree(self, edit):
-        # the verifier binds the sizes' shape, not their values
+        # the verifier binds the sizes' shape, not their values: under a
+        # tolerance each within [1/2, 2] times the one before
         cert, _ = small_certificate()
         body = parse_document(cert.to_document())
         edit(body)
@@ -361,8 +369,8 @@ def eight_krawczyk_5():
     half-width 1e-3 around the candidate moved by +5e-4, which overlaps its
     image four times before the image lands inside."""
     candidate = np.array(DEFAULTS["eight"]["candidate"]) + 5e-4
-    cert, out = run_certification(make_problem("eight"), "krawczyk", 0.01, 7,
-                                  1e-3, candidate)
+    cert, out = run_certification(make_problem("eight"), "krawczyk",
+                                  StepPolicy(0.01, 7), 1e-3, candidate)
     assert [r.relation for r in out.trace] == ["overlap"] * 4 + ["interior"]
     return cert.to_document()
 

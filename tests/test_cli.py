@@ -19,6 +19,7 @@ from choreocert.cli import (
 )
 from choreocert.errors import (GluingMismatch, NoCrossing,
                                RoughEnclosureFailure)
+from choreocert.integrator import StepPolicy
 from choreocert.problems import make_problem, phi_point
 
 
@@ -90,13 +91,15 @@ class TestProve:
         # the standalone point flow's value goes into the certificate bit
         # for bit
         candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
-        args = (make_problem("eight"), "newton", 0.01, 7, 1e-6, candidate)
+        args = (make_problem("eight"), "newton", StepPolicy(0.01, 7), 1e-6,
+                candidate)
         riding, _ = cli.run_certification(*args)
         carrying = integrator.LohnerSet.carrying
         monkeypatch.setattr(integrator.LohnerSet, "carrying",
                             lambda self, p: carrying(self, p + 1.0))
         cert, _ = cli.run_certification(*args)
-        alone = phi_point(make_problem("eight"), candidate, 0.01, 7)
+        alone = phi_point(make_problem("eight"), candidate,
+                          StepPolicy(0.01, 7))
         for got, want in ((cert.phi_at_candidate.lo, alone.value.lo),
                           (cert.phi_at_candidate.hi, alone.value.hi)):
             assert np.array_equal(got, want)
@@ -111,15 +114,15 @@ class TestProve:
         seen = []
 
         def failing(**params):
-            seen.append((params["h"], params["tol"]))
+            seen.append(params["policy"])
             raise RoughEnclosureFailure("no validated enclosure")
 
         monkeypatch.setattr(cli, "run_certification", failing)
         assert main(["prove", "--system", "gerver",
                      "--out", str(tmp_path / "g.cert")]) == EXIT_INTEGRATOR
         d = cli.DEFAULTS["gerver"]
-        assert seen == [(d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i))
-                        for i in range(4)]
+        assert [(p.h, p.tol) for p in seen] == [
+            (d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i)) for i in range(4)]
         assert "retries exhausted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, controlled", [
@@ -133,7 +136,7 @@ class TestProve:
         seen = []
 
         def failing(**params):
-            seen.append(params["tol"])
+            seen.append(params["policy"].tol)
             raise NoCrossing("stop")
 
         monkeypatch.setattr(cli, "run_certification", failing)
@@ -343,6 +346,26 @@ class TestEmitCurve:
         assert "Traceback" not in err
         assert not (tmp_path / "curve.txt").exists()
 
+    def test_tiny_step_size_is_not_unfolded(self, eight_cert, tmp_path,
+                                            capsys):
+        # h and every step size 1e-320: a budget of 10/h steps overflows,
+        # so the step policy refuses the document before any flow
+        body = parse_document(eight_cert.read_text())
+        tiny = (1e-320).hex()
+        body["parameters"]["h"] = tiny
+        body["step_sizes"] = [tiny] * len(body["step_sizes"])
+        bad = tmp_path / "tiny.cert"
+        bad.write_text(json.dumps(body))
+        assert main(["verify", "--cert", str(bad)]) == EXIT_VERIFY_DISAGREE
+        out = capsys.readouterr().out
+        assert "FAIL problem and parameters" in out and "10/h" in out
+        assert main(["emit-curve", "--cert", str(bad),
+                     "--out", str(tmp_path / "curve.txt")]) \
+            == EXIT_VERIFY_DISAGREE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "curve.txt").exists()
+
 
 class TestUnreadableCertPath:
     @pytest.mark.parametrize("command", ["verify", "convexity", "emit-curve"])
@@ -366,12 +389,17 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--h", "nan"],
         ["prove", "--system", "eight", "--h", "inf"],
         ["prove", "--system", "eight", "--order", "-1"],
-    ], ids=["delta-zero", "h-negative", "h-nan", "h-inf", "order-negative"])
+        # 10/h overflows: no step budget
+        ["prove", "--system", "eight", "--h", "1e-320"],
+    ], ids=["delta-zero", "h-negative", "h-nan", "h-inf", "order-negative",
+            "h-tiny"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         option = argv[-2]
-        assert capsys.readouterr().err.startswith(f"{argv[0]}: {option} must")
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {option} must")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--h-point", "--h-set"])
@@ -458,13 +486,18 @@ class TestUnusableNumbers:
     @pytest.mark.parametrize("argv", [
         ["convexity", "--h", "0"],
         ["convexity", "--order", "3"],
-    ], ids=["convexity-h-zero", "convexity-order-three"])
+        ["convexity", "--h", "1e-320"],
+        ["convexity", "--order", "0"],
+    ], ids=["convexity-h-zero", "convexity-order-three", "convexity-h-tiny",
+            "convexity-order-zero"])
     def test_usage_error_with_a_certificate(self, argv, eight_cert, tmp_path,
                                             capsys):
         out = tmp_path / "out.txt"
         code = main(argv + ["--cert", str(eight_cert), "--out", str(out)])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"{argv[0]}: {argv[1]} must")
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {argv[1]} must")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -668,6 +701,25 @@ class TestConvexityVerify:
         level(body)["note"] = "x"
         messages = reverify_document(json.dumps(body)).messages
         assert [m for m in messages if m.startswith("FAIL")] == ["FAIL " + line]
+
+    def test_an_untrusted_step_count_costs_no_memory(self,
+                                                     eight_convexity_cert):
+        # the rows are compared with as many expected rows as there are,
+        # and the start times are reached only for a complete document
+        import tracemalloc
+        body = parse_document(eight_convexity_cert.read_text())
+        body["steps_checked"] = 10 ** 6
+        text = json.dumps(body)
+        tracemalloc.start()
+        try:
+            report = reverify_document(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.ok
+        assert "FAIL rows run step by step over bodies 1..3 up to step " \
+            "1000000, each naming its piece's condition" in report.messages
+        assert peak < 4 * 2 ** 20
 
     def test_honest_failing_document_agrees(self, failing_convexity_cert):
         body = parse_document(failing_convexity_cert.read_text())

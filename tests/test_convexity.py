@@ -15,7 +15,7 @@ from choreocert.convexity import (
     starts_before_crossing,
     verify_convexity,
 )
-from choreocert.integrator import LohnerSet, run_time, step
+from choreocert.integrator import LohnerSet, StepPolicy, run_time, step
 from choreocert.interval import Interval
 from helpers import LinearField
 
@@ -262,7 +262,7 @@ def test_start_set_contains_the_box(monkeypatch):
     with pytest.raises(_Stop):
         verify_convexity(prob, X, 0.01, 7)
     with pytest.raises(_Stop):
-        problems.phi_jacobian(prob, X, 0.01, 7)
+        problems.phi_jacobian(prob, X, StepPolicy(0.01, 7))
     assert len(seen) == 2
     for lo, hi in seen:
         for i, (elo, ehi) in enumerate(exact):

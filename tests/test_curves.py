@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from choreocert.boxes import IntervalVector
+from choreocert.integrator import StepPolicy
 from choreocert.curves import unfold
 from choreocert.problems import (
     chain6_problem,
@@ -16,7 +17,7 @@ EIGHT_X0 = np.array([0.347116768716, 0.532724944657])
 @pytest.fixture(scope="module")
 def eight_unfold():
     prob = eight_problem()
-    ev = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6), 0.01, 7)
+    ev = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6), StepPolicy(0.01, 7))
     return prob, unfold(prob, ev.crossing)
 
 
@@ -55,7 +56,7 @@ class TestChainUnfolds:
         prob = gerver_problem()
         ev = phi_jacobian(prob, IntervalVector.box(
             np.array([1.382857, 1.87193510824, 0.584872579881]), 1e-7),
-            0.002, 6)
+            StepPolicy(0.002, 6))
         result = unfold(prob, ev.crossing)
         for name, r in result.residuals:
             assert r.contains_zero(), name
@@ -85,7 +86,7 @@ class TestChainUnfolds:
         ev = phi_jacobian(prob, IntervalVector.box(
             np.array([-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864]), 1e-9),
-            0.001, 9)
+            StepPolicy(0.001, 9))
         result = unfold(prob, ev.crossing)
         for name, r in result.residuals:
             assert r.contains_zero(), name

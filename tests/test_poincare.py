@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from choreocert.errors import NoCrossing, NonTransversal
-from choreocert.integrator import (LohnerSet, SectionSpec, flow_to_section,
-                                  run_time)
+from choreocert.integrator import (LohnerSet, SectionSpec, StepPolicy,
+                                  flow_to_section, run_time)
 from choreocert.interval import Interval
 from helpers import LinearField, flow
 
@@ -39,7 +39,7 @@ class TestHarmonicCrossing:
     def test_crossing_state_and_time(self):
         sec = coordinate_section(0, 2, "+-")
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                             sec, 0.01, 7)
+                             sec, StepPolicy(0.01, 7))
         assert contains(cr.t_cross, math.pi / 2)
         assert cr.t_cross.diam() < 1e-10
         assert cr.state[0][1] <= -1.0 <= cr.state[1][1]
@@ -49,7 +49,7 @@ class TestHarmonicCrossing:
     def test_first_crossing_not_a_later_one(self):
         # from (1, 0) the first x = 0 crossing is at pi/2, not 3 pi/2
         sec = coordinate_section(0, 2, "+-")
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7,
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
                              max_steps=700)
         assert cr.t_cross.hi < math.pi
 
@@ -58,14 +58,14 @@ class TestHarmonicCrossing:
         sec = coordinate_section(0, 2, "-+")
         with pytest.raises(NonTransversal):
             # the start state is on the wrong side for a -+ crossing
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7)
-        cr = flow_to_section(HARMONIC, thin([-1.0, 0.0]), sec, 0.01, 7)
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7))
+        cr = flow_to_section(HARMONIC, thin([-1.0, 0.0]), sec, StepPolicy(0.01, 7))
         assert contains(cr.t_cross, math.pi / 2)
 
     def test_no_crossing_budget(self):
         sec = coordinate_section(0, 2, "+-")
         with pytest.raises(NoCrossing):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7,
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
                             max_steps=20)
 
     def test_tangential_crossing_rejected(self):
@@ -80,7 +80,7 @@ class TestHarmonicCrossing:
 
         sec = SectionSpec(g=g, dg=dg, crossing_sign="either")
         with pytest.raises((NonTransversal, NoCrossing)):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7,
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
                             max_steps=700)
 
     def test_projected_transition_kills_flow_direction(self):
@@ -89,7 +89,7 @@ class TestHarmonicCrossing:
         # (numerically) the zero vector
         sec = coordinate_section(0, 2, "+-")
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                             sec, 0.01, 7)
+                             sec, StepPolicy(0.01, 7))
         pl, ph = cr.projected
         f0 = np.array([0.0, -1.0])  # field at (1,0)
         img_lo = pl @ f0
@@ -107,7 +107,7 @@ class TestLocator:
         sec = coordinate_section(0, 2, "+-")
         h = (math.pi / 2) / 157
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                             sec, h, 7)
+                             sec, StepPolicy(h, 7))
         zone = [s.index for s in cr.steps if sec.g(*s.whole).contains_zero()]
         assert zone == [156, 157]
         assert contains(cr.t_cross, math.pi / 2)
@@ -122,7 +122,7 @@ class TestLocator:
         lo = np.array([1.0 - delta, -delta])
         hi = np.array([1.0 + delta, delta])
         cr = flow_to_section(HARMONIC, LohnerSet.from_box(lo, hi, 2),
-                             sec, 0.01, 7)
+                             sec, StepPolicy(0.01, 7))
         corners = [np.array(c) for c in itertools.product(*zip(lo, hi))]
         for x0, y0 in corners + [0.5 * (lo + hi)]:
             r = math.hypot(x0, y0)
@@ -142,11 +142,11 @@ class TestResumedFlow:
         # crossing, including a zone on a step boundary (second h)
         sec = coordinate_section(0, 2, "+-")
         full = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                               sec, h, 7)
+                               sec, StepPolicy(h, 7))
         k0 = full.steps[full.zone[0]].index - 1
         at_k0, _ = flow(HARMONIC, thin([1.0, 0.0], transition=2), 10.0, h, 7,
                         max_steps=k0)
-        resumed = flow_to_section(HARMONIC, at_k0, sec, h, 7, first_step=k0)
+        resumed = flow_to_section(HARMONIC, at_k0, sec, StepPolicy(h, 7), first_step=k0)
         assert resumed.steps[0].index == k0
         assert not resumed.t_cross.disjoint(full.t_cross)
         assert contains(resumed.t_cross, math.pi / 2)
@@ -165,7 +165,7 @@ class TestStartTimes:
         # a fixed-h flow starts step i at the float product i h: exact for
         # i <= 2, one ulp outward beyond
         sec = coordinate_section(0, 2, "+-")
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, h, 7)
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(h, 7))
         for rec in cr.steps:
             i, t = rec.index, rec.t_start
             assert (t.lo, t.hi) == (run_time([h] * i).lo, run_time([h] * i).hi)
@@ -193,7 +193,7 @@ class TestControlledFlow:
         sec = coordinate_section(0, 2, "+-")
         box = LohnerSet.from_box([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6], 2)
         cr = flow_to_section(HARMONIC, box.carrying(np.array([1.0, 0.0])),
-                             sec, 0.01, 7, tol=self.TOL)
+                             sec, StepPolicy(0.01, 7, self.TOL))
         return sec, cr
 
     def test_sizes_vary_and_the_crossing_holds(self):
@@ -214,9 +214,9 @@ class TestControlledFlow:
         handoff = cr.handoff
         assert handoff is not None and handoff.index > 0
         sizes = [rec.h for rec in cr.steps]
+        policy = StepPolicy(0.01, 7, self.TOL).following(sizes)
         point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
-                                0.01, 7, first_step=handoff.index,
-                                tol=self.TOL, sizes=sizes)
+                                policy, first_step=handoff.index)
         assert point.steps[0].index == handoff.index
         taken = [rec.h for rec in point.steps]
         assert taken == sizes[handoff.index:handoff.index + len(taken)]
@@ -228,5 +228,55 @@ class TestControlledFlow:
     def test_resuming_needs_the_earlier_sizes(self):
         sec = coordinate_section(0, 2, "+-")
         with pytest.raises(ValueError):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, 0.01, 7,
-                            first_step=3, tol=self.TOL, sizes=[0.01])
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec,
+                            StepPolicy(0.01, 7, self.TOL).following([0.01]),
+                            first_step=3)
+
+
+class TestStepPolicy:
+    TOL = TestControlledFlow.TOL
+
+    def test_halved_halves_h_and_every_chosen_size(self):
+        # the control's factor is (tol / w)^(1/(R+1)) and w scales with
+        # h^(R+1), so dividing tol by 2^(R+1) halves each chosen size
+        policy = StepPolicy(0.01, 7, self.TOL).halved()
+        assert (policy.h, policy.order, policy.tol) == (0.005, 7,
+                                                        self.TOL / 2 ** 8)
+        assert StepPolicy(0.01, 7).halved() == StepPolicy(0.005, 7)
+        # a retry runs from step 0 and chooses its own sizes
+        given = StepPolicy(0.01, 7, self.TOL, (0.01, 0.02)).halved()
+        assert given == StepPolicy(0.005, 7, self.TOL / 2 ** 8)
+
+    def test_following_takes_the_given_sizes_then_the_control(self):
+        # sizes the control would not choose, then the control's own
+        sec = coordinate_section(0, 2, "+-")
+        given = [0.01, 0.02, 0.04]
+        policy = StepPolicy(0.01, 7, self.TOL).following(given)
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, policy)
+        taken = [rec.h for rec in cr.steps]
+        assert taken[:3] == given
+        assert taken[3] == policy.size(3, cr.steps[2]) != 0.04
+        for a, b in zip(cr.steps[3:], cr.steps[4:]):
+            assert b.h == policy.size(b.index, a)
+        assert contains(cr.t_cross, math.pi / 2)
+
+    def test_given_sizes_follow_the_rule(self):
+        StepPolicy(0.01, 7, self.TOL, (0.01, 0.02, 0.01, 0.005))
+        StepPolicy(0.01, 7, None, (0.01, 0.01))
+        for tol, given in ((self.TOL, (0.02,)), (self.TOL, (0.01, 0.021)),
+                           (self.TOL, (0.01, 0.0049)), (None, (0.01, 0.02)),
+                           (self.TOL, (0.01, math.inf)),
+                           (self.TOL, (0.01, math.nan))):
+            with pytest.raises(ValueError, match="given size"):
+                StepPolicy(0.01, 7, tol, given)
+
+    @pytest.mark.parametrize("fields, name", [
+        ((0.0, 7), "h"), ((math.inf, 7), "h"), ((1e-320, 7), "h"),
+        ((math.nan, 7), "h"), ((-0.01, 7), "h"),
+        ((0.01, 0), "order"), ((0.01, True), "order"), ((0.01, 7.0), "order"),
+        ((0.01, 7, -1e-15), "tol"), ((0.01, 7, math.inf), "tol"),
+    ], ids=["h-zero", "h-inf", "h-tiny", "h-nan", "h-negative", "order-zero",
+            "order-true", "order-float", "tol-negative", "tol-inf"])
+    def test_refuses_what_no_run_can_use(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            StepPolicy(*fields)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.errors import DimensionMismatch
-from choreocert.integrator import Frame, step
+from choreocert.integrator import Frame, StepPolicy, step
 from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
@@ -393,14 +393,14 @@ class TestPhi:
             make_problem(key, **kwargs)
 
     def test_eight_phi_value_is_small_at_candidate(self):
-        ev = phi_point(eight_problem(), EIGHT_X0, 0.01, 7)
+        ev = phi_point(eight_problem(), EIGHT_X0, StepPolicy(0.01, 7))
         assert np.max(np.abs(ev.value.mid())) < 1e-5
         assert np.max(ev.value.diam()) < 1e-8
 
     def test_eight_phi_on_certified_box_contains_zero(self):
         prob = eight_problem()
         X = IntervalVector.box(EIGHT_X0, 1e-6)
-        ev = phi_jacobian(prob, X, 0.01, 7)
+        ev = phi_jacobian(prob, X, StepPolicy(0.01, 7))
         # the defect over the certified box must enclose zero in every
         # component (the box contains the true zero)
         val = prob.reduce(*ev.crossing.state)
@@ -420,14 +420,14 @@ class TestPhi:
 @pytest.fixture(scope="module")
 def eight_set_flow():
     return phi_jacobian(eight_problem(), IntervalVector.box(EIGHT_X0, 1e-6),
-                        0.01, 7, point=EIGHT_X0)
+                        StepPolicy(0.01, 7), point=EIGHT_X0)
 
 
 class TestRideTheSetFlow:
     def test_ridden_point_matches_the_integrated_point(self, eight_set_flow):
         prob = eight_problem()
-        alone = phi_point(prob, EIGHT_X0, 0.01, 7)
-        ridden = phi_point(prob, EIGHT_X0, 0.01, 7, along=eight_set_flow.crossing)
+        alone = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7))
+        ridden = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7), along=eight_set_flow.crossing)
         # only the steps from the one before the set's zone are integrated
         zone0 = eight_set_flow.crossing.zone[0]
         assert eight_set_flow.crossing.handoff.index == zone0 - 1
@@ -451,10 +451,10 @@ class TestRideTheSetFlow:
         prob = eight_problem()
         x = EIGHT_X0 + 1e-4
         crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
-                                0.01, 7, point=x).crossing
+                                StepPolicy(0.01, 7), point=x).crossing
         assert crossing.handoff is None
-        alone = phi_point(prob, x, 0.01, 7)
-        ridden = phi_point(prob, x, 0.01, 7, along=crossing)
+        alone = phi_point(prob, x, StepPolicy(0.01, 7))
+        ridden = phi_point(prob, x, StepPolicy(0.01, 7), along=crossing)
         assert np.array_equal(ridden.value.lo, alone.value.lo)
         assert np.array_equal(ridden.value.hi, alone.value.hi)
         assert ridden.crossing.t_cross == alone.crossing.t_cross
@@ -472,10 +472,10 @@ class TestRideTheSetFlow:
 
     def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
         with pytest.raises(ValueError):
-            phi_point(eight_problem(), EIGHT_X0, 0.005, 7,
+            phi_point(eight_problem(), EIGHT_X0, StepPolicy(0.005, 7),
                       along=eight_set_flow.crossing)
 
     def test_only_the_point_the_flow_carried(self, eight_set_flow):
         with pytest.raises(ValueError, match="another point"):
-            phi_point(eight_problem(), EIGHT_X0 + 1e-7, 0.01, 7,
+            phi_point(eight_problem(), EIGHT_X0 + 1e-7, StepPolicy(0.01, 7),
                       along=eight_set_flow.crossing)
