@@ -10,18 +10,18 @@ rounding scheme, the nudging of `kernels`.
 
 `existence_certificate` is the one writer of an existence document.  Its
 inputs are the problem, the certification job (candidate, box(candidate,
-delta), method, preconditioner, `max_iter`), the outcome `certify`
-returned, `delta` and the step policy, written as `h`, `order` and
-`tolerance` (null for one size h); `read_step_policy` reads it back.  Every
-other field derives from them: the box, the top-level copies of the first
-iteration, the trace, the operator image, the refined box, the verdict and
-the iteration count.  Informative, not checked: `cause`, the crossing
-times, `crossing_notes`, `step_counts`, `step_sizes`, `wall_clock_seconds`
-and `environment`.  `step_counts.point` counts only the point steps
-integrated on their own: a point that rides inside the set flow's steps
-(`problems.phi_point`) takes no step of its own before the section zone.
-`step_sizes` lists the set flow's sizes in hex, so a replay can re-run
-them without choosing them again.
+delta), method, preconditioner), the outcome `certify` returned, `delta`
+and the step policy, written as `h`, `order` and `tolerance` (null for one
+size h); `read_step_policy` reads it back.  `max_iter` is the cap
+`rootfind.MAX_ITER`.  Every other field derives from them: the box, the
+top-level copies of the first iteration, the trace, the operator image, the
+refined box, the verdict and the iteration count.  Informative, not
+checked: `cause`, the crossing times, `crossing_notes`, `step_counts`,
+`step_sizes`, `wall_clock_seconds` and `environment`.  `step_counts.point`
+counts only the point steps integrated on their own: a point that rides
+inside the set flow's steps (`problems.phi_point`) takes no step of its own
+before the section zone.  `step_sizes` lists the set flow's sizes in hex,
+so a replay can re-run them without choosing them again.
 
 The verifier audits a stored verdict without any integration.  It checks
 the inputs: the schema version (3, for both kinds), the parameters (exactly
@@ -30,17 +30,19 @@ bool), the problem block `make_problem` rebuilds and the candidate's
 dimension.  It checks the shape of `step_sizes`, though not the values: one
 per set step, which the step policy must take as given.  Then it replays
 `certify` itself on the stored enclosures, iteration k getting record k's
-`f_x` and `df_X`, and passes the replayed run to the writer.  The stored
-document must have the writer's key set and equal it in every field that
-is not informative, also as canonical JSON (`true` is not `1`).
-A convexity document must be one `verify_convexity` writes: closed key sets
-at the top level, in `parameters` and in every row, the Eight, rows in step
-and body order that all passed, each meeting its condition under the
-prover's own rule `condition_holds`, and a verdict that fails exactly when
-it states a failure.  Once the body agrees, the text after it must be empty
-or exactly the writer's decimal rendering of it: of the replayed
-certificate for an existence document, of the stored rows for a convexity
-document.  So the comment block cannot state another verdict.
+`f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and passes the replayed
+run to the writer.  The stored document must have the writer's key set and
+equal it in every field that is not informative, also as canonical JSON
+(`true` is not `1`), so no other `max_iter` agrees.  A convexity document
+must be one `verify_convexity` writes: closed key sets at the top level and
+in every row, the writer's `problem` and `parameters` as canonical JSON
+(the Eight at `convexity.POLICY`, h 0.01 and order 7), rows in step and
+body order that all passed, each meeting its condition under the prover's
+own rule `condition_holds`, and a verdict that fails exactly when it states
+a failure.  Once the body agrees, the text after it must be empty or
+exactly the writer's decimal rendering of it: of the replayed certificate
+for an existence document, of the stored rows for a convexity document.  So
+the comment block cannot state another verdict.
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ from functools import lru_cache
 import numpy as np
 
 from .boxes import IntervalMatrix, IntervalVector
-from .convexity import (AXES, ConvexityCertificate, condition,
+from .convexity import (AXES, POLICY, ConvexityCertificate, condition,
                         condition_holds, starts_before_crossing)
 from .errors import ChoreoCertError
 from .integrator import StepPolicy, run_time
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, make_problem
-from .rootfind import (CertifiableMap, CertificationJob, CertificationOutcome,
-                       certify)
+from .rootfind import (MAX_ITER, CertifiableMap, CertificationJob,
+                       CertificationOutcome, certify)
 
 SCHEMA_VERSION = 3
 _EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter",
@@ -70,6 +72,8 @@ _INFORMATIVE = frozenset({"cause", "crossing_time_point", "crossing_time_set",
                           "crossing_notes", "step_counts", "step_sizes",
                           "wall_clock_seconds", "environment"})
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
+# == takes true for 1 and 7.0 for 7; canonical JSON does not
+_canonical = json.JSONEncoder(sort_keys=True).encode
 
 
 def _hex_vec(v: np.ndarray) -> list[str]:
@@ -112,7 +116,6 @@ class ProofCertificate:
     method: str
     policy: StepPolicy
     delta: float
-    max_iter: int
     candidate: np.ndarray
     box: IntervalVector
     phi_at_candidate: IntervalVector | None
@@ -143,7 +146,7 @@ class ProofCertificate:
                 "h": _hex_float(self.policy.h),
                 "order": self.policy.order,
                 "delta": _hex_float(self.delta),
-                "max_iter": self.max_iter,
+                "max_iter": MAX_ITER,
                 "tolerance": _hex_float(self.policy.tol),
             },
             "candidate": _hex_vec(self.candidate),
@@ -205,7 +208,6 @@ def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
     first = outcome.trace[0] if outcome.trace else None
     return ProofCertificate(
         problem=problem, method=job.method, policy=policy, delta=delta,
-        max_iter=job.max_iter,
         candidate=job.x0, box=job.X,
         phi_at_candidate=first.f_x if first else None,
         dphi_on_box=first.df_X if first else None,
@@ -311,19 +313,17 @@ def _reverify_existence(body: dict,
         rep.add(False, f"parameters {sorted(params)} are exactly "
                        f"{sorted(_EXISTENCE_PARAMETERS)}")
         return
-    a_hex, max_iter = pb["size_parameter"], params["max_iter"]
+    a_hex = pb["size_parameter"]
     delta = float.fromhex(params["delta"])
     try:
         policy, refusal = read_step_policy(params, body["step_sizes"]), ""
     except ValueError as exc:
         policy, refusal = None, f" ({exc})"
     rep.add(isinstance(pb["id"], str) and policy is not None
-            and type(max_iter) is int and max_iter >= 1
             and math.isfinite(delta) and delta > 0.0
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
-            "problem and parameters are readable, delta > 0, max_iter >= 1, "
-            "and h, order, tolerance and step sizes make a step policy"
-            + refusal)
+            "problem and parameters are readable, delta > 0, and h, order, "
+            "tolerance and step sizes make a step policy" + refusal)
     rep.add(type(body["step_counts"]["set"]) is int
             and len(body["step_sizes"]) == body["step_counts"]["set"],
             "one step size per set step")
@@ -354,7 +354,7 @@ def _reverify_existence(body: dict,
     job = CertificationJob(
         map=CertifiableMap(n, lambda x, X: next(records, zero)),
         x0=candidate, X=IntervalVector.box(candidate, delta),
-        method=body["method"], max_iter=max_iter,
+        method=body["method"],
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
     replayed = existence_certificate(problem, job, certify(job), policy,
                                      delta)
@@ -365,10 +365,8 @@ def _reverify_existence(body: dict,
     for key in fields:
         rep.add(body.get(key) == rebuilt[key],
                 f"{key.replace('_', ' ')} is the one the replay writes")
-    # == takes true for 1; canonical JSON does not
-    canonical = json.JSONEncoder(sort_keys=True).encode
-    rep.add(canonical([body.get(k) for k in fields])
-            == canonical([rebuilt[k] for k in fields]),
+    rep.add(_canonical([body.get(k) for k in fields])
+            == _canonical([rebuilt[k] for k in fields]),
             "every field has the JSON type the prover writes")
     return replayed
 
@@ -381,6 +379,10 @@ _CONVEXITY_KEYS = frozenset({
     "wall_clock_seconds", "environment"})
 _CONVEXITY_ROW = frozenset({"step", "body", "axis", "condition", "rate",
                             "slope", "second", "third", "passed"})
+# Every convexity document's problem and parameters: `verify_convexity`
+# flows the Eight under `POLICY`.
+_CONVEXITY_SETTING = {"problem": "eight", "parameters": {
+    "h": _hex_float(POLICY.h), "order": POLICY.order}}
 
 
 def convexity_to_document(cert: ConvexityCertificate,
@@ -402,8 +404,7 @@ def convexity_to_document(cert: ConvexityCertificate,
     body = {
         "schema_version": SCHEMA_VERSION,
         "kind": "convexity",
-        "problem": cert.problem,
-        "parameters": {"h": _hex_float(cert.policy.h), "order": cert.policy.order},
+        **_CONVEXITY_SETTING,
         "passed": cert.passed,
         "failure": cert.failure,
         "steps_checked": cert.steps_checked,
@@ -443,26 +444,20 @@ def _convexity_comment(body: dict) -> str:
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored row with the prover's own rule,
     `condition_holds`, and that the document is one `verify_convexity`
-    writes: closed key sets, the Eight at a step policy of order >= 4,
-    rows of finite ordered intervals for each of its three bodies step by
+    writes: closed key sets, the writer's problem and parameters, rows of
+    finite ordered intervals for each of its three bodies step by
     step, each naming the condition of its piece and marked passed, and a
     verdict that fails exactly when a failure is stated.  A passing
     document must cover every step that starts before the crossing time and
     have the origin in the first step."""
     rep.add(set(body) == _CONVEXITY_KEYS,
             "top-level keys are exactly the ones the prover writes")
-    rep.add(set(body["parameters"]) == {"h", "order"},
-            "parameters are exactly h and order")
+    rep.add(_canonical({k: body[k] for k in _CONVEXITY_SETTING})
+            == _canonical(_CONVEXITY_SETTING),
+            f"problem and parameters are the prover's: eight at h "
+            f"{POLICY.h!r} and order {POLICY.order}")
     rep.add(all(set(c) == _CONVEXITY_ROW for c in body["checks"]),
             "every row's keys are exactly the ones the prover writes")
-    try:
-        policy, refusal = read_step_policy(body["parameters"]), ""
-    except ValueError as exc:
-        policy, refusal = None, f" ({exc})"
-    rep.add(body["problem"] == "eight"
-            and policy is not None and policy.order >= 4,
-            f"problem {body['problem']!r} is eight, and h and order make a "
-            f"step policy of order >= 4{refusal}")
     rows = body["checks"]
     n = body["steps_checked"]
     if not all(type(v) is int for c in rows for v in (c["step"], c["body"])):
@@ -507,9 +502,9 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(False, "a passing document records its crossing time")
         return
     t_cross = Interval.from_hex(*body["crossing_time"])
-    rep.add(complete and n >= 1 and policy is not None
-            and starts_before_crossing(run_time(policy.sizes_before(n - 1)),
+    rep.add(complete and n >= 1
+            and starts_before_crossing(run_time(POLICY.sizes_before(n - 1)),
                                        t_cross)
-            and not starts_before_crossing(run_time(policy.sizes_before(n)),
+            and not starts_before_crossing(run_time(POLICY.sizes_before(n)),
                                            t_cross),
             f"step {n} is the last step that begins before the crossing time")

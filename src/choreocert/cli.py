@@ -8,7 +8,8 @@ Subcommands:
               their step sizes under a tolerance from a first step h, and
               an explicit --h or --order gives every step one size
 * convexity   verify lobe convexity of the Eight on the refined box of an
-              existence certificate, re-verified first
+              existence certificate, re-verified first, at the published
+              h 0.01 and order 7 (`convexity.POLICY`)
 * refine      nonrigorous Newton refinement of a candidate point
 * emit-curve  unfold a certified segment (re-verified first) into the full
               closed curve, flowed under the certificate's step policy (its
@@ -17,7 +18,9 @@ Subcommands:
 
 convexity and emit-curve read their certificate through one reader: the
 no-integration verifier must agree with it, and it must be a UniqueZero
-existence certificate (of the Eight, for convexity).
+existence certificate (of the Eight, for convexity).  verify binds what no
+option sets: `max_iter` to `rootfind.MAX_ITER`, and a convexity document's
+problem and parameters to the Eight at `convexity.POLICY`.
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
@@ -123,14 +126,6 @@ def _problem(system: str, bodies, a_text):
         raise _UsageError(str(exc)) from exc
 
 
-def _step_policy(h, order, tol=None) -> StepPolicy:
-    """StepPolicy(h, order, tol), a refusal a usage error on --h or --order."""
-    try:
-        return StepPolicy(h, order, tol)
-    except ValueError as exc:
-        raise _UsageError(f"--{exc}") from None
-
-
 def _first_given(*values):
     """The first value that is not None: an explicit option beats a default."""
     return next((v for v in values if v is not None), None)
@@ -170,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--expect-no-zero", action="store_true")
 
     cv = sub.add_parser("convexity", help="verify lobe convexity of the Eight")
-    # the published row table is indexed by step, at h 0.01 and order 7
-    cv.add_argument("--h", type=float, default=0.01)
-    cv.add_argument("--order", type=int, default=7)
     cv.add_argument("--cert", required=True,
                     help="Eight existence certificate (re-verified first)")
     cv.add_argument("--out")
@@ -218,9 +210,12 @@ def _resolve_prove_params(args, system: str) -> dict:
     if not (math.isfinite(delta) and delta > 0.0):
         raise _UsageError(f"--delta must be finite and > 0, not {delta}")
     tol = d.get("tol") if args.h is None and args.order is None else None
-    return dict(problem=problem, method=method,
-                policy=_step_policy(h, order, tol), delta=float(delta),
-                candidate=candidate)
+    try:
+        policy = StepPolicy(h, order, tol)
+    except ValueError as exc:  # a usage error on --h or --order
+        raise _UsageError(f"--{exc}") from None
+    return dict(problem=problem, method=method, policy=policy,
+                delta=float(delta), candidate=candidate)
 
 
 def run_certification(problem, method, policy, delta, candidate):
@@ -263,7 +258,7 @@ def _prove_one(system: str, params: dict, out_path: str | None,
     for attempt in range(_RETRY_HALVINGS + 1):
         try:
             cert, outcome = run_certification(**params)
-        except (RoughEnclosureFailure,) as exc:
+        except RoughEnclosureFailure as exc:
             failure = str(exc)
         except (CollisionEnclosure, NoCrossing, NonTransversal) as exc:
             print(f"{system}: integration failed: {exc}", file=sys.stderr)
@@ -272,10 +267,17 @@ def _prove_one(system: str, params: dict, out_path: str | None,
             if outcome.verdict != "Inconclusive" or attempt == _RETRY_HALVINGS:
                 break
             failure = f"inconclusive ({outcome.cause})"
-        print(f"{system}: {failure}; halving the step size", file=sys.stderr)
-        params = dict(params, policy=params["policy"].halved())
-    else:
-        print(f"{system}: step-size retries exhausted", file=sys.stderr)
+        if attempt < _RETRY_HALVINGS:
+            try:
+                params = dict(params, policy=params["policy"].halved())
+            except ValueError:  # the step policy refuses a step that small
+                pass
+            else:
+                print(f"{system}: {failure}; halving the step size",
+                      file=sys.stderr)
+                continue
+        print(f"{system}: {failure}; step-size retries exhausted",
+              file=sys.stderr)
         return EXIT_INTEGRATOR
 
     path = out_path or f"{system}.cert"
@@ -332,12 +334,9 @@ def _read_certificate(path: str, system: str | None = None):
 
 
 def _cmd_convexity(args) -> int:
-    _step_policy(args.h, args.order)
-    if args.order < 4:  # it reads the flow's third time derivative
-        raise _UsageError(f"--order must be >= 4, not {args.order}")
-    problem, box, _ = _read_certificate(args.cert, "eight")
+    _, box, _ = _read_certificate(args.cert, "eight")
     started = time.perf_counter()
-    cert = verify_convexity(problem, box, args.h, args.order)
+    cert = verify_convexity(box)
     doc = convexity_to_document(cert, time.perf_counter() - started)
     path = args.out or "eight-convexity.cert"
     with open(path, "w", encoding="utf-8") as fh:

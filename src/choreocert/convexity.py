@@ -15,6 +15,8 @@ steps in one pass.  The graph derivatives of both axes are then evaluated
 on (step, body, axis) lanes of `kernels` arrays, and `condition_holds`, the
 one rule that the verifier applies to stored rows too, marks the lanes
 where a piece's condition holds; each piece keeps its first such axis.
+The check is one fixed computation, the Eight flowed under `POLICY`, so
+`verify` binds a document's problem and parameters to the writer's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from . import kernels as kn
 from .boxes import IntervalVector
 from .integrator import EnclosureStep, StepPolicy, flow_to_section, poly_eval
 from .interval import Interval
-from .problems import ChoreographyProblem
+from .problems import eight_problem
+
+# The published row table is indexed by step at this h and order, and the
+# checks read the flow's third time derivative, which needs order >= 4.
+POLICY = StepPolicy(0.01, 7)
 
 # Lane axis 0 writes y over x, lane axis 1 x over y.
 AXES = ("y_of_x", "x_of_y")
@@ -153,8 +159,6 @@ def starts_before_crossing(start: Interval, t_cross: Interval) -> bool:
 
 @dataclass
 class ConvexityCertificate:
-    problem: str
-    policy: StepPolicy
     passed: bool
     steps_checked: int
     origin_in_first_step: bool
@@ -163,15 +167,13 @@ class ConvexityCertificate:
     failure: str = ""
 
 
-def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector,
-                     h: float, order: int) -> ConvexityCertificate:
-    """Follow the embedded certified box to the section and check every step
-    and body.  Success means each lobe of the orbit is convex."""
-    if order < 4:
-        raise ValueError("third time derivatives need order >= 4")
+def verify_convexity(certified_box: IntervalVector) -> ConvexityCertificate:
+    """Follow the Eight's embedded certified box to the section under
+    `POLICY` and check every step and body.  Success means each lobe of the
+    orbit is convex."""
+    problem = eight_problem()
     start = problem.embed_slab(certified_box, carry_transition=False)
-    policy = StepPolicy(h, order)
-    crossing = flow_to_section(problem.field, start, problem.section, policy)
+    crossing = flow_to_section(problem.field, start, problem.section, POLICY)
 
     # Origin membership for the inflection argument: the third body starts
     # at the origin exactly, so the first whole-step box contains it.
@@ -184,8 +186,8 @@ def verify_convexity(problem: ChoreographyProblem, certified_box: IntervalVector
     n = max(1, sum(starts_before_crossing(rec.t_start, crossing.t_cross)
                    for rec in crossing.steps))
     cert = ConvexityCertificate(
-        problem=problem.key, policy=policy, passed=True, steps_checked=n,
-        origin_in_first_step=bool(origin_ok), crossing_time=crossing.t_cross)
+        passed=True, steps_checked=n, origin_in_first_step=bool(origin_ok),
+        crossing_time=crossing.t_cross)
     if not origin_ok:
         cert.passed = False
         cert.failure = "origin not contained in the first step enclosure"

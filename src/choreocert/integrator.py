@@ -411,14 +411,12 @@ def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
 
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
-                    policy: StepPolicy, max_steps: int | None = None,
-                    first_step: int = 0) -> SectionCrossing:
+                    policy: StepPolicy, first_step: int = 0) -> SectionCrossing:
     """Integrate to the first transversal crossing of the section.
 
     `start` is the set at step `first_step` of a run from time 0 under
-    `policy`; the step budget, 10/h steps unless `max_steps` is given,
-    counts from step 0.  A run resumed there must not cross before it."""
-    budget = math.ceil(10.0 / policy.h) if max_steps is None else max_steps
+    `policy`; the policy's step budget counts from step 0.  A run resumed
+    there must not cross before it."""
     earlier = policy.sizes_before(first_step)
     box = start.box()
     kn.assert_valid(*box, "start set")
@@ -437,7 +435,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     t = 0.0
     for hk in earlier:
         t += hk
-    for k in range(first_step, budget):
+    for k in range(first_step, policy.budget):
         carried = cur.point
         cur, rec = step(field, cur, policy.size(k, rec), policy.order,
                         index=k, t_prev=t)
@@ -470,9 +468,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
             cur = replace(cur, point=None)
         zone.append(len(steps) - 1)
     else:
-        raise NoCrossing(f"no section crossing within {budget} steps")
-    if not zone:
-        raise NoCrossing("monitoring loop ended without a crossing zone")
+        raise NoCrossing(f"no section crossing within {policy.budget} steps")
 
     t_enc, state = _locate_crossing(steps, zone, section, field)
     gdot = section.gdot(*state, field)
@@ -506,11 +502,12 @@ class StepPolicy:
     one; past them step 0 takes h and step k the size of step k-1 or, under
     a tolerance, that size times 0.9 (tol / w)^(1/(R+1)) kept in [1/2, 2],
     w the widest component of step k-1's Lagrange term h^(R+1) [rem] (any
-    size gives a sound step).  It refuses, naming the field, an h not finite
-    and > 0 or whose 10/h step budget overflows, an order not an int >= 1,
-    a tol not None or finite and > 0, and given sizes off the rule the
-    control keeps exactly: the first h, all h without a tolerance, else each
-    in [1/2, 2] times the one before."""
+    size gives a sound step), a flow at most its `budget` of 10/h steps.  It
+    refuses, naming the field, an h not finite and > 0 or whose budget
+    exceeds 10^6 steps (h below 1e-5), an order not an int >= 1, a tol not
+    None or finite and > 0, and given sizes off the rule the control keeps
+    exactly: the first h, all h without a tolerance, else each in [1/2, 2]
+    times the one before."""
 
     h: float
     order: int
@@ -519,9 +516,9 @@ class StepPolicy:
 
     def __post_init__(self):
         h, order, tol = self.h, self.order, self.tol
-        if not (math.isfinite(h) and h > 0.0 and math.isfinite(10.0 / h)):
-            raise ValueError(f"h must be finite and > 0 with 10/h finite, "
-                             f"not {h!r}")
+        if not (math.isfinite(h) and h > 0.0 and 10.0 / h <= 1e6):
+            raise ValueError(f"h must be finite and > 0 with a budget of 10/h "
+                             f"<= 10^6 steps, not {h!r}")
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an int >= 1, not {order!r}")
         if tol is not None and not (math.isfinite(tol) and tol > 0.0):
@@ -532,6 +529,11 @@ class StepPolicy:
             if not (lo <= size <= hi and math.isfinite(size)):
                 raise ValueError(f"given size {size!r} of step {k} is not "
                                  f"in [{lo!r}, {hi!r}]")
+
+    @property
+    def budget(self) -> int:
+        """The most steps a flow from time 0 takes."""
+        return math.ceil(10.0 / self.h)
 
     def sizes_before(self, k: int) -> list[float]:
         """Steps 0..k-1's sizes: the given ones, padded with h if no tol."""

@@ -33,6 +33,8 @@ from .errors import EmptyIntersection, SingularEnclosure
 
 Verdict = Literal["UniqueZero", "NoZero", "Inconclusive"]
 
+MAX_ITER = 64  # every certification's cap; the reference proofs take one
+
 
 @dataclass(frozen=True)
 class CertifiableMap:
@@ -51,7 +53,6 @@ class CertificationJob:
     X: IntervalVector
     method: Literal["newton", "krawczyk"] = "newton"
     C: np.ndarray | None = None
-    max_iter: int = 64
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, float)
@@ -127,12 +128,12 @@ def judge(X: IntervalVector, image: IntervalVector
 
 
 def certify(job: CertificationJob) -> CertificationOutcome:
-    """Run the certification loop until a verdict or the iteration limit."""
+    """Run the certification loop until a verdict or `MAX_ITER`."""
     x = np.asarray(job.x0, float)
     X = job.X
     trace: list[IterationRecord] = []
 
-    for it in range(1, job.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         f_x, df_X = job.map.enclose(x, X)
 
         C = None
@@ -169,5 +170,5 @@ def certify(job: CertificationJob) -> CertificationOutcome:
 
     return CertificationOutcome(
         verdict="Inconclusive", operator_image=trace[-1].image if trace else None,
-        refined_box=X, iterations=job.max_iter, trace=trace,
+        refined_box=X, iterations=MAX_ITER, trace=trace,
         cause="iteration limit reached")

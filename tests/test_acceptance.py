@@ -159,7 +159,7 @@ def chain6_proof():
 @pytest.fixture(scope="module")
 def eight_convexity(eight_proof):
     t0 = time.perf_counter()
-    cert = verify_convexity(eight_proof.problem, eight_proof.box, 0.01, 7)
+    cert = verify_convexity(eight_proof.box)
     return cert, time.perf_counter() - t0
 
 

@@ -85,12 +85,13 @@ def test_convexity_checks_in_one_kernel_pass(monkeypatch):
         monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
     monkeypatch.setattr(convexity, "flow_to_section", uncounted_flow)
     d = DEFAULTS["eight"]
-    problem = make_problem("eight")
     box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
     counts = {}
     for h in (0.01, 0.005):
         calls[0] = 0
-        cert = convexity.verify_convexity(problem, box, h, d["order"])
+        monkeypatch.setattr(convexity, "POLICY",
+                            integrator.StepPolicy(h, d["order"]))
+        cert = convexity.verify_convexity(box)
         assert cert.passed, cert.failure
         counts[cert.steps_checked] = calls[0]
     assert list(counts) == [53, 106]

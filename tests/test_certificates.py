@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from choreocert import rootfind
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.certificates import (
     existence_certificate,
@@ -41,8 +42,7 @@ def quadratic_map():
     return CertifiableMap(2, enclose)
 
 
-def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
-                      h=0.01):
+def small_certificate(method="newton", x0=1.5, delta=0.5, h=0.01):
     # the verifier rebuilds the problem from its id, so the toy map's
     # certificate carries the Eight's problem block; a Krawczyk run has one
     # preconditioner, the midpoint inverse over the first box
@@ -51,7 +51,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, max_iter=64,
     C = (default_preconditioner(quadratic_map().enclose(x, X)[1])
          if method == "krawczyk" else None)
     job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
-                           C=C, max_iter=max_iter)
+                           C=C)
     out = certify(job)
     return existence_certificate(make_problem("eight"), job, out,
                                  StepPolicy(h, 7), delta,
@@ -98,10 +98,11 @@ class TestReverify:
         report = reverify_document(cert.to_document())
         assert report.ok, report.messages
 
-    def test_agrees_on_shrinking_and_iteration_limit(self):
+    def test_agrees_on_shrinking_and_iteration_limit(self, monkeypatch):
         # [0.9, 1.5] overlaps its first image, so the box shrinks once
         for max_iter, verdict in ((64, "UniqueZero"), (1, "Inconclusive")):
-            cert, out = small_certificate(x0=1.2, delta=0.3, max_iter=max_iter)
+            monkeypatch.setattr(rootfind, "MAX_ITER", max_iter)
+            cert, out = small_certificate(x0=1.2, delta=0.3)
             assert out.trace[0].relation == "overlap"
             assert out.verdict == verdict
             report = reverify_document(cert.to_document())
@@ -313,6 +314,11 @@ class TestMalformed:
         ("newton", lambda body: body["parameters"].update(
             h=(1e-320).hex())),
         ("newton", lambda body: body["parameters"].update(order=True)),
+        # the replay runs at the one cap, rootfind.MAX_ITER
+        ("newton", lambda body: body["parameters"].update(max_iter=65)),
+        ("newton", lambda body: body["parameters"].update(max_iter=2)),
+        ("krawczyk", lambda body: body["parameters"].update(max_iter=65)),
+        ("krawczyk", lambda body: body["parameters"].update(max_iter=2)),
     ], ids=["no-trace", "no-refined-box", "trace-not-a-list", "bad-hex",
             "order-not-an-int", "unknown-method", "schema-version",
             "newton-with-preconditioner", "trace-index", "max-iter-zero",
@@ -320,7 +326,8 @@ class TestMalformed:
             "tolerance-negative", "tolerance-inf",
             "more-sizes-than-steps", "step-size-inf", "first-size-not-h",
             "size-not-h-without-tolerance", "size-outside-the-clamp",
-            "h-tiny", "order-true"])
+            "h-tiny", "order-true", "max-iter-65", "max-iter-2",
+            "krawczyk-max-iter-65", "krawczyk-max-iter-2"])
     def test_edited_document_fails(self, method, edit):
         cert, _ = small_certificate(method=method)
         body = parse_document(cert.to_document())

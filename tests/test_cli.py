@@ -1,11 +1,13 @@
 import argparse
+import inspect
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from choreocert import cli, integrator
+from choreocert import cli, convexity, integrator
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document, reverify_document
 from choreocert.cli import (
@@ -19,8 +21,9 @@ from choreocert.cli import (
 )
 from choreocert.errors import (GluingMismatch, NoCrossing,
                                RoughEnclosureFailure)
-from choreocert.integrator import StepPolicy
+from choreocert.integrator import StepPolicy, flow_to_section
 from choreocert.problems import make_problem, phi_point
+from choreocert.rootfind import CertificationJob
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,24 @@ class TestProve:
             (d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i)) for i in range(4)]
         assert "retries exhausted" in capsys.readouterr().err
 
+    def test_retries_end_at_the_step_budget(self, monkeypatch, tmp_path,
+                                            capsys):
+        # half of 1.5e-5 is below the 1e-5 the policy's budget allows
+        seen = []
+
+        def failing(**params):
+            seen.append(params["policy"].h)
+            raise RoughEnclosureFailure("no validated enclosure")
+
+        monkeypatch.setattr(cli, "run_certification", failing)
+        out = tmp_path / "e.cert"
+        assert main(["prove", "--system", "eight", "--h", "1.5e-5",
+                     "--out", str(out)]) == EXIT_INTEGRATOR
+        assert seen == [1.5e-5]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "retries exhausted" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, controlled", [
         ([], True), (["--h", "0.005"], False), (["--order", "8"], False),
         (["--h", "0.005", "--order", "8"], False),
@@ -144,14 +165,17 @@ class TestProve:
                      "--out", str(tmp_path / "g.cert")]) == EXIT_INTEGRATOR
         assert seen == [cli.DEFAULTS["gerver"]["tol"] if controlled else None]
 
-    @pytest.mark.parametrize("argv", [
-        ["prove", "--system", "eight", "--delta", "1e200"],
+    @pytest.mark.parametrize("argv, policy", [
+        (["prove", "--system", "eight", "--delta", "1e200"], None),
         # too coarse a step for the certified box: the flow fails
-        ["convexity", "--cert", "{eight_cert}", "--h", "0.1"],
+        (["convexity", "--cert", "{eight_cert}"], StepPolicy(0.1, 7)),
     ], ids=["prove", "convexity"])
-    def test_overflowing_box_is_an_integration_failure(self, argv, eight_cert,
-                                                       tmp_path, capsys):
+    def test_overflowing_box_is_an_integration_failure(self, argv, policy,
+                                                       eight_cert, tmp_path,
+                                                       capsys, monkeypatch):
         argv = [a.format(eight_cert=eight_cert) for a in argv]
+        if policy is not None:
+            monkeypatch.setattr(convexity, "POLICY", policy)
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_INTEGRATOR
         err = capsys.readouterr().err
@@ -348,23 +372,25 @@ class TestEmitCurve:
 
     def test_tiny_step_size_is_not_unfolded(self, eight_cert, tmp_path,
                                             capsys):
-        # h and every step size 1e-320: a budget of 10/h steps overflows,
-        # so the step policy refuses the document before any flow
-        body = parse_document(eight_cert.read_text())
-        tiny = (1e-320).hex()
-        body["parameters"]["h"] = tiny
-        body["step_sizes"] = [tiny] * len(body["step_sizes"])
-        bad = tmp_path / "tiny.cert"
-        bad.write_text(json.dumps(body))
-        assert main(["verify", "--cert", str(bad)]) == EXIT_VERIFY_DISAGREE
-        out = capsys.readouterr().out
-        assert "FAIL problem and parameters" in out and "10/h" in out
-        assert main(["emit-curve", "--cert", str(bad),
-                     "--out", str(tmp_path / "curve.txt")]) \
-            == EXIT_VERIFY_DISAGREE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "curve.txt").exists()
+        # h and every step size 1e-320 (10/h overflows) or 1e-300 (a flow
+        # of 1e301 steps): past the budget of 10^6 steps the step policy
+        # refuses the document before any flow
+        for h in (1e-320, 1e-300):
+            body = parse_document(eight_cert.read_text())
+            tiny = h.hex()
+            body["parameters"]["h"] = tiny
+            body["step_sizes"] = [tiny] * len(body["step_sizes"])
+            bad = tmp_path / "tiny.cert"
+            bad.write_text(json.dumps(body))
+            assert main(["verify", "--cert", str(bad)]) == EXIT_VERIFY_DISAGREE
+            out = capsys.readouterr().out
+            assert "FAIL problem and parameters" in out and "10/h" in out
+            assert main(["emit-curve", "--cert", str(bad),
+                         "--out", str(tmp_path / "curve.txt")]) \
+                == EXIT_VERIFY_DISAGREE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "curve.txt").exists()
 
 
 class TestUnreadableCertPath:
@@ -391,8 +417,10 @@ class TestUnusableNumbers:
         ["prove", "--system", "eight", "--order", "-1"],
         # 10/h overflows: no step budget
         ["prove", "--system", "eight", "--h", "1e-320"],
+        # a budget of 1e301 steps, past the 10^6 a flow may take
+        ["prove", "--system", "eight", "--h", "1e-300"],
     ], ids=["delta-zero", "h-negative", "h-nan", "h-inf", "order-negative",
-            "h-tiny"])
+            "h-tiny", "h-past-the-budget"])
     def test_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out.cert"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -418,6 +446,8 @@ class TestUnusableNumbers:
         ["convexity", "--cert", "eight.cert", "--no-inline"],
         ["convexity", "--cert", "eight.cert", "--delta", "1e-6"],
         ["convexity", "--cert", "eight.cert", "--candidate", "0.35,0.53"],
+        ["convexity", "--cert", "eight.cert", "--h", "0.005"],
+        ["convexity", "--cert", "eight.cert", "--order", "7"],
         ["emit-curve", "--cert", "eight.cert", "--h", "0.01"],
         ["emit-curve", "--cert", "eight.cert", "--order", "7"],
         ["prove", "--system", "eight", "--max-iter", "-1"],
@@ -425,12 +455,14 @@ class TestUnusableNumbers:
         ["refine", "--system", "eight", "--guess", "0.35,0.53",
          "--iters", "0"],
     ], ids=["prove-jobs", "convexity-no-inline", "convexity-delta",
-            "convexity-candidate", "emit-curve-h", "emit-curve-order",
-            "prove-max-iter", "prove-max-steps", "refine-iters"])
+            "convexity-candidate", "convexity-h", "convexity-order",
+            "emit-curve-h", "emit-curve-order", "prove-max-iter",
+            "prove-max-steps", "refine-iters"])
     def test_removed_option(self, argv, tmp_path, capsys):
         # systems are proved in turn, convexity reads the box of a
-        # certificate, a curve flows at its certificate's h and order, and
-        # no run sets an iteration cap, a step budget or a refinement count
+        # certificate and runs at the published h and order, a curve flows
+        # at its certificate's h and order, and no run sets an iteration
+        # cap, a step budget or a refinement count
         out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -484,23 +516,6 @@ class TestUnusableNumbers:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
-        ["convexity", "--h", "0"],
-        ["convexity", "--order", "3"],
-        ["convexity", "--h", "1e-320"],
-        ["convexity", "--order", "0"],
-    ], ids=["convexity-h-zero", "convexity-order-three", "convexity-h-tiny",
-            "convexity-order-zero"])
-    def test_usage_error_with_a_certificate(self, argv, eight_cert, tmp_path,
-                                            capsys):
-        out = tmp_path / "out.txt"
-        code = main(argv + ["--cert", str(eight_cert), "--out", str(out)])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith(f"{argv[0]}: {argv[1]} must")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
         ["prove", "--system", "eight", "--candidate", "0.35"],
         ["refine", "--system", "eight", "--guess", "0.35"],
     ], ids=["prove", "refine"])
@@ -525,12 +540,26 @@ class TestOptions:
             "prove": ["--system", "--bodies", "--method", "--h", "--order",
                       "--delta", "--a", "--candidate", "--out",
                       "--expect-no-zero"],
-            "convexity": ["--h", "--order", "--cert", "--out"],
+            "convexity": ["--cert", "--out"],
             "refine": ["--system", "--bodies", "--a", "--guess"],
             "emit-curve": ["--cert", "--out", "--segment-out"],
             "verify": ["--cert", "--quiet"],
         }
-        assert sum(map(len, options.values())) == 23
+        assert sum(map(len, options.values())) == 21
+        # and so is every value a library caller can set
+        knobs = {name: list(inspect.signature(fn).parameters)
+                 for name, fn in (("StepPolicy", StepPolicy),
+                                  ("CertificationJob", CertificationJob),
+                                  ("flow_to_section", flow_to_section),
+                                  ("verify_convexity",
+                                   convexity.verify_convexity))}
+        assert knobs == {
+            "StepPolicy": ["h", "order", "tol", "given"],
+            "CertificationJob": ["map", "x0", "X", "method", "C"],
+            "flow_to_section": ["field", "start", "section", "policy",
+                                "first_step"],
+            "verify_convexity": ["certified_box"],
+        }
 
 
 class TestRefine:
@@ -680,10 +709,19 @@ class TestConvexityVerify:
         lambda b: (b["parameters"].update(h=float("inf").hex()),
                    b.update(steps_checked=1, checks=b["checks"][:3])),
         lambda b: b["checks"][4].update(slope=["zz", "qq"]),
+        # the published h and order are the only ones the prover writes
+        lambda b: b["parameters"].update(h=math.nextafter(
+            float.fromhex(b["parameters"]["h"]), math.inf).hex()),
+        lambda b: b["parameters"].update(h=math.nextafter(
+            float.fromhex(b["parameters"]["h"]), 0.0).hex()),
+        lambda b: b["parameters"].update(order=8),
+        lambda b: b["parameters"].update(order=12),
+        lambda b: b["parameters"].update(order=7.0),
     ], ids=["problem-gerver", "problem-int", "order-2", "order-str",
             "failure-while-passed", "axis", "condition", "passed-int",
             "row-passed-str", "row-step-body-true", "row-second-reversed",
-            "h-inf-one-step", "row-slope-unreadable"])
+            "h-inf-one-step", "row-slope-unreadable", "h-ulp-up",
+            "h-ulp-down", "order-8", "order-12", "order-float"])
     def test_edit_the_prover_cannot_write(self, eight_convexity_cert,
                                           tmp_path, edit):
         assert verify_edited(eight_convexity_cert, tmp_path,
@@ -691,7 +729,8 @@ class TestConvexityVerify:
 
     @pytest.mark.parametrize("level, line", [
         (lambda b: b, "top-level keys are exactly the ones the prover writes"),
-        (lambda b: b["parameters"], "parameters are exactly h and order"),
+        (lambda b: b["parameters"], "problem and parameters are the "
+         "prover's: eight at h 0.01 and order 7"),
         (lambda b: b["checks"][4],
          "every row's keys are exactly the ones the prover writes"),
     ], ids=["top-level", "parameters", "row"])

@@ -260,7 +260,7 @@ def test_start_set_contains_the_box(monkeypatch):
     monkeypatch.setattr(problems, "flow_to_section", stop)
     prob = problems.eight_problem()
     with pytest.raises(_Stop):
-        verify_convexity(prob, X, 0.01, 7)
+        verify_convexity(X)
     with pytest.raises(_Stop):
         problems.phi_jacobian(prob, X, StepPolicy(0.01, 7))
     assert len(seen) == 2

@@ -1,14 +1,14 @@
 """Whole-trajectory convexity properties of the certified Eight: refinement
-under step halving, agreement with a nonrigorous curvature sweep, and the
-halved-step command-line run."""
+under step halving, and agreement with a nonrigorous curvature sweep."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from choreocert import convexity
 from choreocert.boxes import IntervalVector
-from choreocert.cli import EXIT_OK, main
 from choreocert.convexity import verify_convexity
+from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import eight_problem
 
@@ -27,12 +27,14 @@ def certified_box():
 
 @pytest.fixture(scope="module")
 def cert_h(certified_box):
-    return verify_convexity(eight_problem(), certified_box, 0.01, 7)
+    return verify_convexity(certified_box)
 
 
 @pytest.fixture(scope="module")
 def cert_h_half(certified_box):
-    return verify_convexity(eight_problem(), certified_box, 0.005, 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "POLICY", StepPolicy(0.005, 7))
+        return verify_convexity(certified_box)
 
 
 @pytest.mark.slow
@@ -107,18 +109,3 @@ class TestCurvatureSoundness:
             worst = min(worst, np.min(np.abs(kappa[away])))
         assert worst > 0.1
 
-
-class TestConvexityCLIHalvedStep:
-    @pytest.mark.slow
-    def test_h_005_passes_with_about_106_steps(self, tmp_path):
-        cert = tmp_path / "eight.cert"
-        assert main(["prove", "--system", "eight",
-                     "--out", str(cert)]) == EXIT_OK
-        out = tmp_path / "conv.cert"
-        code = main(["convexity", "--cert", str(cert), "--h", "0.005",
-                     "--order", "7", "--out", str(out)])
-        assert code == EXIT_OK
-        from choreocert.certificates import parse_document
-        body = parse_document(out.read_text())
-        assert body["passed"]
-        assert 95 <= body["steps_checked"] <= 115

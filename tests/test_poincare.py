@@ -49,8 +49,7 @@ class TestHarmonicCrossing:
     def test_first_crossing_not_a_later_one(self):
         # from (1, 0) the first x = 0 crossing is at pi/2, not 3 pi/2
         sec = coordinate_section(0, 2, "+-")
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
-                             max_steps=700)
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7))
         assert cr.t_cross.hi < math.pi
 
     def test_requested_opposite_sign_crossing(self):
@@ -63,10 +62,19 @@ class TestHarmonicCrossing:
         assert contains(cr.t_cross, math.pi / 2)
 
     def test_no_crossing_budget(self):
-        sec = coordinate_section(0, 2, "+-")
-        with pytest.raises(NoCrossing):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
-                            max_steps=20)
+        # the circle never reaches x = 2: the flow ends after the policy's
+        # budget of 10/h steps
+        def g(sl, sh):
+            return Interval(float(sl[0]) - 2.0, float(sh[0]) - 2.0)
+
+        def dg(sl, sh):
+            return np.array([1.0, 0.0]), np.array([1.0, 0.0])
+
+        sec = SectionSpec(g=g, dg=dg, crossing_sign="-+")
+        policy = StepPolicy(0.5, 7)
+        assert policy.budget == 20
+        with pytest.raises(NoCrossing, match="within 20 steps"):
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, policy)
 
     def test_tangential_crossing_rejected(self):
         # section x = 1 is tangent to the circle orbit at the start point:
@@ -80,8 +88,7 @@ class TestHarmonicCrossing:
 
         sec = SectionSpec(g=g, dg=dg, crossing_sign="either")
         with pytest.raises((NonTransversal, NoCrossing)):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7),
-                            max_steps=700)
+            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7))
 
     def test_projected_transition_kills_flow_direction(self):
         # (Id - f dg/(dg.f)) V applied to the flow direction vanishes:
@@ -270,12 +277,18 @@ class TestStepPolicy:
             with pytest.raises(ValueError, match="given size"):
                 StepPolicy(0.01, 7, tol, given)
 
+    def test_budget_is_ten_over_h(self):
+        assert StepPolicy(0.01, 7).budget == 1000
+        assert StepPolicy(1e-5, 7).budget == 10 ** 6
+
     @pytest.mark.parametrize("fields, name", [
         ((0.0, 7), "h"), ((math.inf, 7), "h"), ((1e-320, 7), "h"),
+        ((1e-300, 7), "h"), ((9.99e-6, 7), "h"),
         ((math.nan, 7), "h"), ((-0.01, 7), "h"),
         ((0.01, 0), "order"), ((0.01, True), "order"), ((0.01, 7.0), "order"),
         ((0.01, 7, -1e-15), "tol"), ((0.01, 7, math.inf), "tol"),
-    ], ids=["h-zero", "h-inf", "h-tiny", "h-nan", "h-negative", "order-zero",
+    ], ids=["h-zero", "h-inf", "h-tiny", "h-past-the-budget",
+            "h-below-1e-5", "h-nan", "h-negative", "order-zero",
             "order-true", "order-float", "tol-negative", "tol-inf"])
     def test_refuses_what_no_run_can_use(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} must"):

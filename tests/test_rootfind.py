@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from choreocert import rootfind
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.interval import Interval
 from choreocert.rootfind import (
@@ -154,15 +155,16 @@ class TestCertify:
         assert out.verdict == "Inconclusive"
         assert "inflat" in out.cause
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         # an image that always overlaps but never contracts inside
         def enclose(x, X):
             return (IntervalVector.from_intervals([Interval.point(0.0)]),
                     _matrix([[Interval(0.5, 2.0)]]))
 
+        monkeypatch.setattr(rootfind, "MAX_ITER", 5)
         m = CertifiableMap(1, enclose)
         job = CertificationJob(map=m, x0=np.array([1.0]),
-                               X=IntervalVector.box([1.0], 0.5), max_iter=5)
+                               X=IntervalVector.box([1.0], 0.5))
         out = certify(job)
         assert out.iterations <= 5
 
