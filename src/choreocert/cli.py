@@ -72,17 +72,18 @@ EXIT_INTEGRATOR = 4
 EXIT_USAGE = 64
 
 # Replay defaults: candidate points, methods and step sizes for the three
-# reference orbits.  gerver and chain6 take fewer, higher-order steps than
-# the published 0.002 / 6 and 0.001 / 9, at smaller image/box ratios: h is
-# their first step, and "tol" the Lagrange width each later step is sized
-# for (`integrator.StepPolicy`).  The Eight keeps the one size h: at its
-# ratio control saves only 2 of its 55 steps.  Any run with an explicit --h
-# or --order does too: the tolerance was set for the default pair.
+# reference orbits.  All three take fewer, higher-order steps than the
+# published 0.01 / 7, 0.002 / 6 and 0.001 / 9, at smaller image/box ratios.
+# The Eight takes the one size h, 23 steps where 0.01 / 7 takes 55.  For
+# gerver and chain6 h is the first step, and "tol" the Lagrange width each
+# later step is sized for (`integrator.StepPolicy`); gerver stays at order
+# 14, where order 16 widens its image.  Any run with an explicit --h or
+# --order takes the one size h: the tolerance was set for the default pair.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
-        "method": "newton", "h": 0.01, "order": 7, "delta": 1e-6, "a": None,
-        "tol": None,
+        "method": "newton", "h": 0.025, "order": 14, "delta": 1e-6,
+        "a": None, "tol": None,
     },
     "gerver": {
         "candidate": (1.382857, 1.87193510824, 0.584872579881),
@@ -92,7 +93,7 @@ DEFAULTS = {
     "chain6": {
         "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864),
-        "method": "krawczyk", "h": 0.004, "order": 14, "delta": 1e-9,
+        "method": "krawczyk", "h": 0.004, "order": 16, "delta": 1e-9,
         "a": "1.887041548253914", "tol": 2e-16,
     },
 }

@@ -13,11 +13,14 @@ Series bookkeeping per term, all in interval arithmetic (kernels module):
     s = u * p   (= |z|^-3),  acceleration coefficients from conv(z, s),
     gravity-gradient blocks from  s I - 3 (z x z) * p.
 
-The xx and yy series of z x z are the halves of u from the state pass; the
-variational pass adds xy and forms all of s I - 3 (z x z) * p in one stacked
-pass.  Each `GravityField` builds its term scatter once (the blocks of G each
-term touches, with exact factors +-1 or +-2); the layers G[k] and the float
-Jacobian of `pointflow` both read it and sum each block in term order.
+The xx and yy series of z x z are the halves of u from the state pass.  The
+state pass is a recurrence, one layer after the other; the variational pass
+reads finished series, so it forms every layer of xy and of (z x z) * p in
+one Cauchy-product contraction each (`kernels.cauchy`), and all of
+s I - 3 (z x z) * p in one stacked pass.  Each `GravityField` builds its
+term scatter once (the blocks of G each term touches, with exact factors
++-1 or +-2); the layers G[k] and the float Jacobian of `pointflow` both
+read it and sum each block in term order.
 
 Layer k of any series encloses the k-th Taylor coefficient (derivative / k!)
 of that quantity along every trajectory starting in the input box.
@@ -292,20 +295,15 @@ class GravitySeries:
         pl, ph = self._p
         sl_, sh_ = self._s
 
-        # the xy component of z (x) z; xx and yy came with u.
+        # the xy component of z (x) z, layer 0 as one product like xx and
+        # yy, which came with u.
+        xyl, xyh = kn.cauchy(zl[:, :, 0], zh[:, :, 0], zl[:, :, 1], zh[:, :, 1])
+        zzl[1:, :, 1], zzh[1:, :, 1] = xyl[1:], xyh[1:]
         zzl[0, :, 1], zzh[0, :, 1] = kn.mul(zl[0, :, 0], zh[0, :, 0],
                                             zl[0, :, 1], zh[0, :, 1])
-        for m in range(1, R + 1):
-            zzl[m, :, 1], zzh[m, :, 1] = kn.dot(
-                zl[:m + 1, :, 0], zh[:m + 1, :, 0],
-                zl[m::-1, :, 1], zh[m::-1, :, 1], axis=0)
 
-        # dT = s I - 3 (z (x) z) * p, all three components in one pass.
-        el = np.empty_like(zzl); eh = np.empty_like(zzh)
-        for m in range(R + 1):
-            el[m], eh[m] = kn.dot(zzl[:m + 1], zzh[:m + 1],
-                                  pl[m::-1, :, None], ph[m::-1, :, None],
-                                  axis=0)
+        # dT = s I - 3 (z (x) z) * p, every layer and component at once.
+        el, eh = kn.cauchy(zzl, zzh, pl[:, :, None], ph[:, :, None])
         el, eh = kn.scale(el, eh, -3.0)
         el[:, :, ::2], eh[:, :, ::2] = kn.add(sl_[:, :, None], sh_[:, :, None],
                                               el[:, :, ::2], eh[:, :, ::2])

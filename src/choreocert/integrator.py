@@ -79,6 +79,18 @@ def poly_eval(layers: Pair, rem: Pair, tau: Interval) -> Pair:
     return acc_l, acc_h
 
 
+def poly_at_step(layers: Pair, rem: Pair, h: float) -> Pair:
+    """sum_i c_i h^i + h^(R+1) rem at a thin h > 0 as one contraction
+    against enclosures of h^0..h^(R+1).  The contraction charges u times
+    the sum of the terms' magnitudes where Horner charges about an ulp of
+    the value, so this is for a sum whose width comes from its
+    coefficients, as the transition's does from the box."""
+    cl, ch = (np.concatenate([c, r[None]]) for c, r in zip(layers, rem))
+    wl, wh = (w.reshape((-1,) + (1,) * (cl.ndim - 1))
+              for w in kn.powers(h, cl.shape[0] - 1))
+    return kn.dot(cl, ch, wl, wh, axis=0)
+
+
 def _inverse_enclosure(Q: np.ndarray) -> Pair:
     """Rigorous enclosure of Q^-1 for a nearly orthogonal float matrix.
 
@@ -302,6 +314,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
     rem = kn.intersect(sl[R + 1, 2], sh[R + 1, 2],
                        *kn.add(sl[R + 1, 0], sh[R + 1, 0], dl, dh))
 
+    # The center's image is thin, so it keeps Horner's ulp-sized rounding.
     h_iv = Interval.point(h)
     pt = poly_eval(layers_m, rem, h_iv)
 
@@ -312,7 +325,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
     vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[2], jh[2], cl, ch), h,
                 (eye, eye), "transition enclosure")
     trans_rem = kn.matmul(ml[R + 1, 1], mh[R + 1, 1], *vw)
-    A = poly_eval(mx, trans_rem, h_iv)
+    A = poly_at_step(mx, trans_rem, h)
 
     # Whole-step enclosure: the in-step polynomial sharpens the rough box.
     span = Interval(0.0, h)

@@ -18,7 +18,12 @@ Rounding strategy per kernel:
   only the quotients that lost bits below the normal range.
 * `dot` contracts a whole axis at once and covers all product and summation
   errors with a single a-priori bound (see the derivation inside), which is
-  far cheaper than nudging every partial sum.
+  far cheaper than nudging every partial sum.  The bound charges each output
+  its count of terms; `cauchy` contracts every layer of a Cauchy product in
+  one pass over zero-padded rows, and charges layer m its m+1 true terms, as
+  the padding adds exact zeros to the sum and to the magnitudes.
+* `powers` encloses h^0..h^n from the running float products, each widened
+  by a bound on its own count of roundings.
 
 NaN and inf propagate harmlessly: all decision predicates built on these
 arrays (subset, sign exclusion, pivot tests) fail conservatively on NaN, and
@@ -149,7 +154,7 @@ def sqrt(al, ah) -> Pair:
 
 # --- contractions -----------------------------------------------------------
 
-def _contract(lo, hi, scratch, axis) -> Pair:
+def _contract(lo, hi, scratch, axis, terms=None) -> Pair:
     # Error budget for summing K rounded products in arbitrary order:
     #   each product:  |fl(xy) - xy| <= u|fl(xy)| + eta        (u = 2^-53)
     #   the sum:       |fl(S) - S|  <= gamma_{K-1} sum|terms|,  gamma ~ Ku
@@ -157,13 +162,15 @@ def _contract(lo, hi, scratch, axis) -> Pair:
     # and A itself, computed in floats, underestimates by < 2%.  err below is
     # 2KuA + 2Keta computed with two roundings, which dominates the need for
     # every K up to ~1e13.  err > 0, so the sign of a zero sum never shows.
+    # `terms`, broadcast against the sums, is K per output when some of the
+    # contracted products are padding: exact zeros add nothing to S or A.
     reduce = np.add.reduce
     slo = reduce(lo, axis)
     shi = reduce(hi, axis)
     # the term magnitudes max(|lo|, |hi|) are max(-lo, hi), as lo <= hi
     amax = reduce(np.maximum(np.negative(lo, scratch), hi, out=scratch),
                   axis)
-    k = lo.size // max(slo.size, 1)
+    k = lo.size // max(slo.size, 1) if terms is None else terms
     err = amax * (k * 2.0 ** -52) + (2 * k) * _ETA
     return down(slo - err), up(shi + err)
 
@@ -172,8 +179,8 @@ def _contract(lo, hi, scratch, axis) -> Pair:
 # three temporaries: allocating and releasing large blocks costs more than
 # the arithmetic on them.
 
-def dot(al, ah, bl, bh, axis) -> Pair:
-    """Enclosure of sum_k a_k * b_k contracted along `axis` (post-broadcast)."""
+def _products(al, ah, bl, bh):
+    """Elementwise products a * b, unrounded: (lo, hi, a scratch array)."""
     p = al * bl
     q = al * bh
     lo = np.minimum(p, q)
@@ -182,7 +189,41 @@ def dot(al, ah, bl, bh, axis) -> Pair:
         np.multiply(ah, b, out=q)
         np.minimum(lo, q, out=lo)
         np.maximum(hi, q, out=hi)
-    return _contract(lo, hi, q, axis)
+    return lo, hi, q
+
+
+def dot(al, ah, bl, bh, axis) -> Pair:
+    """Enclosure of sum_k a_k * b_k contracted along `axis` (post-broadcast)."""
+    return _contract(*_products(al, ah, bl, bh), axis)
+
+
+def cauchy(al, ah, bl, bh) -> Pair:
+    """Every layer c_m = sum_{k<=m} a_k b_(m-k) of the Cauchy product of two
+    series along axis 0 (n layers each, as many axes each, the others
+    broadcast), in one contraction: row m pairs a with b reversed up to m
+    and zero past it.  Charged its m+1 true terms, row m is `dot` over
+    those terms bit for bit wherever the contracted axis is not the
+    innermost one."""
+    n = al.shape[0]
+    zero = np.zeros((n - 1,) + bl.shape[1:])
+    rev = (np.arange(n)[:, None] - np.arange(n)) % (2 * n - 1)
+    terms = np.arange(1, n + 1).reshape((n,) + (1,) * (al.ndim - 1))
+    bl, bh = (np.concatenate([b, zero])[rev] for b in (bl, bh))
+    return _contract(*_products(al[None], ah[None], bl, bh), 1, terms)
+
+
+def powers(x: float, n: int) -> Pair:
+    """Enclosures of x^0, ..., x^n for a float x > 0.  The running product
+    fl(x^i) rounds i-1 times, so it is off by at most about (i-1) u x^i
+    (u = 2^-53) plus (i-1) eta/2 below the normal range; the radius
+    (i-1) 2^-51 fl(x^i) + 2 (i-1) eta covers that four and three times over,
+    its own rounding included.  x^0 = 1 and x^1 = x stay exact."""
+    k = np.maximum(np.arange(n + 1) - 1, 0)
+    p = np.cumprod(np.concatenate([[1.0], np.full(n, float(x))]))
+    rad = p * (k * 2.0 ** -51) + (2 * k) * _ETA
+    exact = k == 0
+    return (np.where(exact, p, down(p - rad)),
+            np.where(exact, p, up(p + rad)))
 
 
 def dot_thin(al, ah, b, axis) -> Pair:

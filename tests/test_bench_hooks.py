@@ -87,15 +87,56 @@ def test_convexity_checks_in_one_kernel_pass(monkeypatch):
     d = DEFAULTS["eight"]
     box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
     counts = {}
+    order = convexity.POLICY.order
     for h in (0.01, 0.005):
         calls[0] = 0
         monkeypatch.setattr(convexity, "POLICY",
-                            integrator.StepPolicy(h, d["order"]))
+                            integrator.StepPolicy(h, order))
         cert = convexity.verify_convexity(box)
         assert cert.passed, cert.failure
         counts[cert.steps_checked] = calls[0]
     assert list(counts) == [53, 106]
     assert counts[53] == counts[106] > 0
+
+
+@pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+def test_gradient_pass_kernel_calls_do_not_grow_with_the_order(system,
+                                                               monkeypatch):
+    # `kernels.dot_calls_per_step`: the xy series and (z (x) z) * p take one
+    # Cauchy contraction each over all layers, so the gradient pass makes
+    # the same kernel calls at every order; a per-layer loop would add two
+    # contractions a layer
+    calls, contractions, inside = [0], [0], [0]
+    build = dynamics.GravitySeries._build_gradient_layers
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += inside[0]
+            contractions[0] += inside[0] and name in ("dot", "cauchy")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_build(self):
+        inside[0] += 1
+        try:
+            return build(self)
+        finally:
+            inside[0] -= 1
+
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    monkeypatch.setattr(dynamics.GravitySeries, "_build_gradient_layers",
+                        counted_build)
+    d = DEFAULTS[system]
+    problem = make_problem(system, a_text=d["a"])
+    s = problem.embed_point(np.array(d["candidate"]))
+    counts = {}
+    for order in (7, 14, 18):
+        calls[0] = contractions[0] = 0
+        problem.field.series(s, s, order, variational=True)
+        counts[order] = (calls[0], contractions[0])
+    assert counts[7] == counts[14] == counts[18]
+    assert counts[7][1] == 2
 
 
 @pytest.mark.slow

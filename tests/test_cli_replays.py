@@ -14,9 +14,11 @@ from choreocert.interval import Interval
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6's point value is bound by rounding and wrapping, so its
-# ratio moves with the candidate's bits (0.0328-0.0331 over the default
-# candidate and the two corners).
-DEFAULT_RATIO = {"gerver": 0.00386, "chain6": 0.0345}
+# ratio moves with the candidate's bits (0.0330-0.0338 over the default
+# candidate and the two corners); the Eight's Newton image grows with the
+# candidate's distance from the zero (0.00017 at the default candidate,
+# 0.00041 and 0.00076 at the corners).
+DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00386, "chain6": 0.0345}
 
 
 def max_image_box_ratio(body) -> float:
@@ -58,6 +60,15 @@ class TestVerbatimInvocations:
         assert "h_set" not in body["parameters"]
         assert max_image_box_ratio(body) <= 0.0350513
 
+    def test_eight_defaults(self, tmp_path):
+        body = prove_unique("eight", tmp_path / "eight.cert")
+        assert max_image_box_ratio(body) <= DEFAULT_RATIO["eight"]
+        assert float.fromhex(body["parameters"]["h"]) == DEFAULTS["eight"]["h"]
+        assert body["parameters"]["order"] == DEFAULTS["eight"]["order"]
+        # no tolerance: every step takes the one size h
+        assert body["parameters"]["tolerance"] is None
+        assert set(body["step_sizes"]) == {body["parameters"]["h"]}
+
     @pytest.mark.parametrize("system", ["gerver", "chain6"])
     def test_defaults(self, system, tmp_path):
         body = prove_unique(system, tmp_path / f"{system}.cert")
@@ -94,7 +105,7 @@ class TestVerbatimInvocations:
 class TestJitteredDefaults:
     # the benchmark moves each candidate coordinate within +-delta/4
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_corner_candidates(self, system, sign, tmp_path):
         d = DEFAULTS[system]
         corner = ",".join(repr(c + sign * d["delta"] / 4)
@@ -104,7 +115,7 @@ class TestJitteredDefaults:
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_seeded_interior_candidates(self, system, seed, tmp_path):
         # chain6's ratio follows the candidate's low bits (up to 0.039 over
         # seeds 1-10), so only the verdict and the verifier are asserted
