@@ -17,8 +17,10 @@ from .interval import Interval
 
 
 def _as_pair(lo, hi, ndim: int, what: str):
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    # copies; + 0.0 at round-to-nearest stores a -0 endpoint as +0, as
+    # `Interval` does
+    lo = np.asarray(lo, dtype=np.float64) + 0.0
+    hi = np.asarray(hi, dtype=np.float64) + 0.0
     if lo.ndim != ndim or hi.shape != lo.shape:
         raise DimensionMismatch(f"{what}: bad shapes {lo.shape} / {hi.shape}")
     kn.assert_valid(lo, hi, what)

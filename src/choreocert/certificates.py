@@ -6,7 +6,11 @@ decimal renderings of the body.  Re-running with identical flags on the same
 machine reproduces the document bit for bit except the wall-clock field;
 float QR and inverses go through BLAS/LAPACK, so another CPU or BLAS build
 can change stored bits.  `environment.rounding_backend` names the one
-rounding scheme, the nudging of `kernels`.
+rounding rule, "directed": every enclosure comes from the kernels computing
+under the FPU's round-down mode (`kernels`).  A replay reproduces stored
+images only under that rule, so a document of another rule fails on its
+schema version, the first thing the verifier checks: schema 3 stored the
+images of the earlier round-to-nearest kernels with nudged endpoints.
 
 `existence_certificate` is the one writer of an existence document.  Its
 inputs are the problem, the certification job (candidate, box(candidate,
@@ -24,7 +28,7 @@ before the section zone.  `step_sizes` lists the set flow's sizes in hex,
 so a replay can re-run them without choosing them again.
 
 The verifier audits a stored verdict without any integration.  It checks
-the inputs: the schema version (3, for both kinds), the parameters (exactly
+the inputs: the schema version (4, for both kinds), the parameters (exactly
 `h`, `order`, `delta`, `max_iter` and `tolerance`, with an int never a
 bool), the problem block `make_problem` rebuilds and the candidate's
 dimension.  It checks the shape of `step_sizes`, though not the values: one
@@ -64,7 +68,7 @@ from .problems import ChoreographyProblem, make_problem
 from .rootfind import (MAX_ITER, CertifiableMap, CertificationJob,
                        CertificationOutcome, certify)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter",
                                    "tolerance"})
 # Existence fields that describe how the run went, not what it proved.

@@ -24,9 +24,11 @@ problem and parameters to the Eight at `convexity.POLICY`.
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
-refinement failure, 1 verifier disagreement, 64 usage errors: every
-command line argparse rejects, and every number or option a run cannot use
-or does not read, among them an --h or --order the step policy refuses.
+refinement failure, or kernels that cannot round down (every command runs
+`kernels.check_rounding` first), 1 verifier disagreement, 64 usage errors:
+every command line argparse rejects, and every number or option a run
+cannot use or does not read, among them an --h or --order the step policy
+refuses.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import time
 
 import numpy as np
 
+from . import kernels as kn
 from .boxes import IntervalVector
 from .certificates import (
     convexity_to_document,
@@ -58,6 +61,7 @@ from .errors import (
     NoCrossing,
     NonTransversal,
     RoughEnclosureFailure,
+    RoundingModeError,
 )
 from .integrator import StepPolicy
 from .pointflow import monodromy_preconditioner, refine_candidate
@@ -386,6 +390,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        kn.check_rounding()
         if args.command == "prove":
             return _cmd_prove(args)
         if args.command == "convexity":
@@ -402,7 +407,7 @@ def main(argv=None) -> int:
     except _Disagreement as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_DISAGREE
-    except (ChoreoCertError, FloatingPointError) as exc:
+    except (ChoreoCertError, FloatingPointError, RoundingModeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     return EXIT_USAGE

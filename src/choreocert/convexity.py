@@ -95,8 +95,8 @@ def graph_lanes(ind: tuple[kn.Pair, kn.Pair, kn.Pair],
     """Rate, slope, second and third graph derivatives of the dependent
     coordinate over the independent one, on lanes of any shape, from the
     first three time derivatives of each.  The kernel calls follow the
-    scalar formulas operation by operation, so a lane of thick intervals
-    gets the bits `Interval` arithmetic gives.
+    scalar formulas operation by operation, so every lane gets the bits
+    `Interval` arithmetic gives.
 
     A lane whose rate squared contains zero is no graph: it divides by 1
     instead, so nothing raises, and `condition_holds` masks it out.
@@ -140,11 +140,8 @@ def _time_derivatives(steps: list[EnclosureStep]) -> kn.Pair:
     dh = np.zeros_like(dl)
     for m in (1, 2, 3):
         for j in range(order + 2 - m):
-            fac = float(math.perm(j + m, m))
-            # thin factors 1 and 2 scale exactly, as in `Interval`
-            dl[j, :, m - 1], dh[j, :, m - 1] = (
-                kn.scale(cl[j + m], ch[j + m], fac) if fac <= 2.0
-                else kn.mul(cl[j + m], ch[j + m], fac, fac))
+            dl[j, :, m - 1], dh[j, :, m - 1] = kn.scale(
+                cl[j + m], ch[j + m], float(math.perm(j + m, m)))
     return poly_eval((dl[:order], dh[:order]), (dl[order], dh[order]),
                      Interval(0.0, h))
 

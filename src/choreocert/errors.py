@@ -51,3 +51,9 @@ class GluingMismatch(ChoreoCertError):
 
 class Diverged(ChoreoCertError):
     """Nonrigorous candidate refinement failed to converge."""
+
+
+class RoundingModeError(Exception):
+    """The FPU refused round-down, or arithmetic ignores it, so no enclosure
+    can be trusted.  Not a ChoreoCertError: no handler that turns those into
+    a verdict or a FAIL line may catch it."""

@@ -81,10 +81,8 @@ def poly_eval(layers: Pair, rem: Pair, tau: Interval) -> Pair:
 
 def poly_at_step(layers: Pair, rem: Pair, h: float) -> Pair:
     """sum_i c_i h^i + h^(R+1) rem at a thin h > 0 as one contraction
-    against enclosures of h^0..h^(R+1).  The contraction charges u times
-    the sum of the terms' magnitudes where Horner charges about an ulp of
-    the value, so this is for a sum whose width comes from its
-    coefficients, as the transition's does from the box."""
+    against enclosures of h^0..h^(R+1): one kernel call where Horner makes
+    two per layer."""
     cl, ch = (np.concatenate([c, r[None]]) for c, r in zip(layers, rem))
     wl, wh = (w.reshape((-1,) + (1,) * (cl.ndim - 1))
               for w in kn.powers(h, cl.shape[0] - 1))
@@ -383,7 +381,7 @@ class SectionSpec:
     def gdot(self, sl: np.ndarray, sh: np.ndarray, field) -> Interval:
         gl, gh = self.dg(sl, sh)
         fl, fh = field.eval(sl, sh)
-        lo, hi = kn.vecdot(gl, gh, fl, fh)
+        lo, hi = kn.dot(gl, gh, fl, fh, axis=0)
         return Interval(float(lo), float(hi))
 
 

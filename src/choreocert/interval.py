@@ -2,15 +2,12 @@
 
 Every arithmetic result encloses the exact real result.  `Interval` is the
 value type only: each operator hands its endpoints to the matching array
-kernel of `kernels`, the one place that rounds (see there for how).  Three
-shortcuts for thin operands (lo = hi) keep exact results exact:
-
-* a thin factor 0, +-1 or +-2 goes through `kernels.scale`;
-* a thin divisor +-1 or +-2 goes through `kernels.div_int`;
-* a thin value whose square is representable squares exactly.
-
-The kernels are plain IEEE-754 operations plus next-representable nudges,
-so a scalar result has the same bits on every platform.
+kernel of `kernels`, the one place that rounds, under the one rule there:
+round-down, and upper ends as negated lower ends of negated operands.  So
+thin and thick operands take the same path, exact results stay exact with
+no shortcut for them, and a scalar result has the bits of the array kernel
+on every machine that runs the kernels.  An endpoint that is zero is stored
+as +0: round-down makes an exact cancellation -0.
 """
 
 from __future__ import annotations
@@ -20,26 +17,10 @@ import math
 from . import kernels as kn
 from .errors import EmptyIntersection
 
-# Thin factors and divisors by which multiplying or dividing is exact.
-_EXACT_FACTORS = (0.0, 1.0, -1.0, 2.0, -2.0)
-
 
 def rounding_backend() -> str:
-    """Name of the outward-rounding scheme: next-representable nudging."""
-    return "nudge"
-
-
-def _square_is_exact(x: float) -> bool:
-    # x = odd * 2^k exactly; x^2 is representable iff odd^2 fits a mantissa
-    # and the exponent stays comfortably inside the normal range.
-    if x == 0.0:
-        return True
-    if not 2.0 ** -500 < abs(x) < 2.0 ** 500:
-        return False
-    mantissa, _ = math.frexp(x)
-    m = int(mantissa * 2.0 ** 53)
-    odd = m >> (m & -m).bit_length() - 1
-    return (odd * odd).bit_length() <= 53
+    """Name of the outward-rounding scheme: the round-down mode of `kernels`."""
+    return "directed"
 
 
 class Interval:
@@ -56,8 +37,9 @@ class Interval:
     def __init__(self, lo: float, hi: float | None = None):
         if hi is None:
             hi = lo
-        lo = float(lo)
-        hi = float(hi)
+        # + 0.0 at round-to-nearest turns -0 into +0 and keeps every other value
+        lo = float(lo) + 0.0
+        hi = float(hi) + 0.0
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval endpoints must be finite: [{lo}, {hi}]")
         if lo > hi:
@@ -174,10 +156,6 @@ class Interval:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # Exact scalings (copies, negations, doubling) introduce no rounding.
-        for a, b in ((self, o), (o, self)):
-            if a.lo == a.hi and a.lo in _EXACT_FACTORS:
-                return Interval(*kn.scale(b.lo, b.hi, a.lo))
         return Interval(*kn.mul(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
@@ -186,10 +164,6 @@ class Interval:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # A thin divisor +-1 or +-2 goes through the exact integer division.
-        if o.lo == o.hi and o.lo in _EXACT_FACTORS[1:]:
-            q = Interval(*kn.div_int(self.lo, self.hi, int(abs(o.lo))))
-            return q if o.lo > 0.0 else -q
         return Interval(*kn.div(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other) -> Interval:
@@ -199,11 +173,7 @@ class Interval:
         return o / self
 
     def sqr(self) -> Interval:
-        """Tight square: never negative even when the interval straddles 0,
-        and exact for thin inputs whose square is representable."""
-        if self.lo == self.hi and _square_is_exact(self.lo):
-            p = self.lo * self.lo
-            return Interval(p, p)
+        """Tight square: never negative even when the interval straddles 0."""
         return Interval(*kn.sqr(self.lo, self.hi))
 
     def sqrt(self) -> Interval:

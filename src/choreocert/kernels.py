@@ -2,28 +2,25 @@
 
 These kernels are the hot path of the validated integrator and the only
 code that rounds: the scalar `Interval` operators call them on their
-endpoints.  Every result encloses the exact real result.  `Interval` keeps
-three exact shortcuts for thin operands on top of them: a thin factor 0,
-+-1 or +-2 goes through `scale`, a thin divisor +-1 or +-2 through
-`div_int`, and a thin value with a representable square squares exactly.
+endpoints.  Every result encloses the exact real result.
 
-Rounding strategy per kernel:
+One rounding rule, as in INTLAB and CAPD: each public arithmetic kernel
+runs its float operations with the FPU rounding toward -inf, and resets it
+to round-to-nearest on exit, also when it raises.  Rounding is monotone,
+so a lower end is the float result itself, however many operations made it
+and in whatever order `np.add.reduce` sums them; an upper end is the
+negated lower end of the negated operands, hi(a + b) = -lo(-a - b), and a
+contraction needs no error term.  A square root's upper end is the float
+above the rounded-down root unless that root is exact.  Exact results stay
+exact.  Round-down makes an exact cancellation x - x into -0; `Interval`,
+`IntervalVector` and `IntervalMatrix` store it as +0.
 
-* add/sub use the two-sum error term and nudge an endpoint only when the
-  float result is inexact in the needed direction, which is equivalent to
-  true directed rounding (and keeps exact cancellations exact).
-* mul/div/sqr/sqrt compute in round-to-nearest and nudge one ulp outward,
-  which always covers a half-ulp rounding error; exact zeros stay exact.
-* `div_int` divides by a positive integer and, for a power of two, nudges
-  only the quotients that lost bits below the normal range.
-* `dot` contracts a whole axis at once and covers all product and summation
-  errors with a single a-priori bound (see the derivation inside), which is
-  far cheaper than nudging every partial sum.  The bound charges each output
-  its count of terms; `cauchy` contracts every layer of a Cauchy product in
-  one pass over zero-padded rows, and charges layer m its m+1 true terms, as
-  the padding adds exact zeros to the sum and to the magnitudes.
-* `powers` encloses h^0..h^n from the running float products, each widened
-  by a bound on its own count of roundings.
+Float choices stay at round-to-nearest outside the kernels: `mid`, the QR
+frames, step sizes, parsing and printing; `down` and `up` step such a float
+one ulp outward.  The mode constants are known for x86-64 only: elsewhere,
+or where the C library refuses the mode, every kernel raises
+`RoundingModeError`, and `check_rounding`, run before every command, also
+catches arithmetic that ignores the mode.
 
 NaN and inf propagate harmlessly: all decision predicates built on these
 arrays (subset, sign exclusion, pivot tests) fail conservatively on NaN, and
@@ -32,24 +29,44 @@ step-level validation rejects non-finite enclosures with a clear error.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import operator
+import platform
+
 import numpy as np
 
-from .errors import DivisionByZeroInterval, EmptyIntersection
+from .errors import DivisionByZeroInterval, EmptyIntersection, RoundingModeError
 
-_NINF = np.float64(-np.inf)
-_PINF = np.float64(np.inf)
-# One subnormal step; used by the dot error bound.
-_ETA = 5e-324
+# FE_DOWNWARD and FE_TONEAREST of <fenv.h> where they were tested, else the
+# mode -1, which fesetround refuses.  Its argtypes stay unset: ctypes passes a
+# Python int as a C int, and declaring them doubles the cost of a switch.
+_DOWN, _NEAREST = {"x86_64": (0x400, 0)}.get(platform.machine(), (-1, 0))
+_fesetround = ctypes.CDLL(None).fesetround
 
 Pair = tuple[np.ndarray, np.ndarray]
 
 
+def _round_down(body):
+    """The kernel that runs `body` under round-down, round-to-nearest after."""
+    @functools.wraps(body)
+    def kernel(*args, **kwargs):
+        if _fesetround(_DOWN):   # the mode is left as it was
+            raise RoundingModeError(
+                f"the FPU refused round-down on {platform.machine()!r}")
+        try:
+            return body(*args, **kwargs)
+        finally:
+            _fesetround(_NEAREST)
+    return kernel
+
+
 def down(a: np.ndarray) -> np.ndarray:
-    return np.nextafter(a, _NINF)
+    return np.nextafter(a, -np.inf)
 
 
 def up(a: np.ndarray) -> np.ndarray:
-    return np.nextafter(a, _PINF)
+    return np.nextafter(a, np.inf)
 
 
 def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> None:
@@ -61,210 +78,192 @@ def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> Non
 
 # --- elementwise arithmetic -------------------------------------------------
 
+@_round_down
 def add(al, ah, bl, bh) -> Pair:
-    sl = al + bl
-    t = sl - al
-    el = (al - (sl - t)) + (bl - t)
-    sh = ah + bh
-    t = sh - ah
-    eh = (ah - (sh - t)) + (bh - t)
-    return np.where(el < 0.0, down(sl), sl), np.where(eh > 0.0, up(sh), sh)
+    return al + bl, -((-ah) - bh)
 
 
+@_round_down
 def sub(al, ah, bl, bh) -> Pair:
-    return add(al, ah, -bh, -bl)
+    return al - bh, -(bl - ah)
 
 
 def neg(al, ah) -> Pair:
     return -ah, -al
 
 
+def _least(op, al, ah, bl, bh):
+    """The least of op's four endpoint results, each rounded down."""
+    return np.minimum(np.minimum(op(al, bl), op(al, bh)),
+                      np.minimum(op(ah, bl), op(ah, bh)))
+
+
+@_round_down
 def mul(al, ah, bl, bh) -> Pair:
-    p1 = al * bl
-    p2 = al * bh
-    p3 = ah * bl
-    p4 = ah * bh
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    # Zero times anything finite is exactly zero; do not smear it by an ulp.
-    zero = ((al == 0.0) & (ah == 0.0)) | ((bl == 0.0) & (bh == 0.0))
-    return (np.where(zero, 0.0, down(lo)), np.where(zero, 0.0, up(hi)))
+    return (_least(operator.mul, al, ah, bl, bh),
+            -_least(operator.mul, -ah, -al, bl, bh))
 
 
+@_round_down
 def div(al, ah, bl, bh) -> Pair:
     if np.any((bl <= 0.0) & (0.0 <= bh)):
         raise DivisionByZeroInterval("divisor interval contains zero")
-    q1 = al / bl
-    q2 = al / bh
-    q3 = ah / bl
-    q4 = ah / bh
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    zero = (al == 0.0) & (ah == 0.0)
-    return (np.where(zero, 0.0, down(lo)), np.where(zero, 0.0, up(hi)))
+    return (_least(operator.truediv, al, ah, bl, bh),
+            -_least(operator.truediv, -ah, -al, bl, bh))
 
 
+@_round_down
 def div_int(al, ah, k: int) -> Pair:
-    """[al, ah] / k for a positive integer k.  Division by a power of two is
-    exact unless the quotient loses bits below the normal range (gerver's
-    Taylor layers have such entries every step); multiplying back, exact for
-    a power of two, finds them, and only they are rounded outward."""
-    c = float(k)
-    lo, hi = al / c, ah / c
-    if k & (k - 1):
-        return down(lo), up(hi)
-    return (np.where(lo * c != al, down(lo), lo),
-            np.where(hi * c != ah, up(hi), hi))
+    """[al, ah] / k for a positive integer k."""
+    return al / k, -((-ah) / k)
 
 
+@_round_down
 def scale(al, ah, c: float) -> Pair:
-    """Multiply by a thin float scalar; exact for 0, +-1, +-2."""
-    if c == 0.0:
-        z = np.zeros_like(al)
-        return z, z.copy()
-    if c == 1.0:
-        return al, ah
-    if c == -1.0:
-        return -ah, -al
-    if c == 2.0:
-        return 2.0 * al, 2.0 * ah
-    if c == -2.0:
-        return -2.0 * ah, -2.0 * al
-    p1 = c * al
-    p2 = c * ah
-    if c > 0.0:
-        return down(p1), up(p2)
-    return down(p2), up(p1)
+    """Multiply by a thin float scalar."""
+    if c < 0.0:
+        al, ah, c = -ah, -al, -c
+    return al * c, -((-ah) * c)
 
 
+@_round_down
 def sqr(al, ah) -> Pair:
     m = np.maximum(np.abs(al), np.abs(ah))
     g = np.where((al <= 0.0) & (0.0 <= ah), 0.0,
                  np.minimum(np.abs(al), np.abs(ah)))
-    lo = np.where(g == 0.0, 0.0, down(g * g))
-    hi = np.where(m == 0.0, 0.0, up(m * m))
-    return lo, hi
+    return g * g, -((-m) * m)
 
 
+@_round_down
 def sqrt(al, ah) -> Pair:
     if np.any(al < 0.0):
         raise ValueError("sqrt of an interval with a negative part")
-    return (np.where(al == 0.0, 0.0, down(np.sqrt(al))), up(np.sqrt(ah)))
+    r = np.sqrt(ah)
+    # an inexact root r rounded down has r * r < ah; -(-r - 5e-324) is the
+    # float above it
+    return np.sqrt(al), np.where(r * r < ah, -(-r - 5e-324), r)
 
 
 # --- contractions -----------------------------------------------------------
 
-def _contract(lo, hi, scratch, axis, terms=None) -> Pair:
-    # Error budget for summing K rounded products in arbitrary order:
-    #   each product:  |fl(xy) - xy| <= u|fl(xy)| + eta        (u = 2^-53)
-    #   the sum:       |fl(S) - S|  <= gamma_{K-1} sum|terms|,  gamma ~ Ku
-    #   so |true - fl| <= ~1.04 K u A + K eta with A = sum of term magnitudes,
-    # and A itself, computed in floats, underestimates by < 2%.  err below is
-    # 2KuA + 2Keta computed with two roundings, which dominates the need for
-    # every K up to ~1e13.  err > 0, so the sign of a zero sum never shows.
-    # `terms`, broadcast against the sums, is K per output when some of the
-    # contracted products are padding: exact zeros add nothing to S or A.
-    reduce = np.add.reduce
-    slo = reduce(lo, axis)
-    shi = reduce(hi, axis)
-    # the term magnitudes max(|lo|, |hi|) are max(-lo, hi), as lo <= hi
-    amax = reduce(np.maximum(np.negative(lo, scratch), hi, out=scratch),
-                  axis)
-    k = lo.size // max(slo.size, 1) if terms is None else terms
-    err = amax * (k * 2.0 ** -52) + (2 * k) * _ETA
-    return down(slo - err), up(shi + err)
+# Products are formed in place, and lower ends summed before upper ends are
+# formed: allocating large blocks costs more than the arithmetic on them.
 
-
-# The products are formed in place, so a contraction over a large slab holds
-# three temporaries: allocating and releasing large blocks costs more than
-# the arithmetic on them.
-
-def _products(al, ah, bl, bh):
-    """Elementwise products a * b, unrounded: (lo, hi, a scratch array)."""
-    p = al * bl
+def _summed_least_products(al, ah, bl, bh, axis):
+    """sum_k of the least of a_k * b_k's four endpoint products."""
+    lo = al * bl
     q = al * bh
-    lo = np.minimum(p, q)
-    hi = np.maximum(p, q, out=p)
+    np.minimum(lo, q, out=lo)
     for b in (bl, bh):
         np.multiply(ah, b, out=q)
         np.minimum(lo, q, out=lo)
-        np.maximum(hi, q, out=hi)
-    return lo, hi, q
+    return np.add.reduce(lo, axis)
 
 
+def _dot(al, ah, bl, bh, axis) -> Pair:
+    return (_summed_least_products(al, ah, bl, bh, axis),
+            -_summed_least_products(-ah, -al, bl, bh, axis))
+
+
+@_round_down
 def dot(al, ah, bl, bh, axis) -> Pair:
     """Enclosure of sum_k a_k * b_k contracted along `axis` (post-broadcast)."""
-    return _contract(*_products(al, ah, bl, bh), axis)
+    return _dot(al, ah, bl, bh, axis)
 
 
+@_round_down
 def cauchy(al, ah, bl, bh) -> Pair:
     """Every layer c_m = sum_{k<=m} a_k b_(m-k) of the Cauchy product of two
     series along axis 0 (n layers each, as many axes each, the others
     broadcast), in one contraction: row m pairs a with b reversed up to m
-    and zero past it.  Charged its m+1 true terms, row m is `dot` over
-    those terms bit for bit wherever the contracted axis is not the
-    innermost one."""
+    and zero past it.  The padding adds exact zeros, so row m is `dot` over
+    its own terms bit for bit, up to the sign of a zero, wherever the
+    contracted axis is not the innermost one."""
     n = al.shape[0]
     zero = np.zeros((n - 1,) + bl.shape[1:])
     rev = (np.arange(n)[:, None] - np.arange(n)) % (2 * n - 1)
-    terms = np.arange(1, n + 1).reshape((n,) + (1,) * (al.ndim - 1))
     bl, bh = (np.concatenate([b, zero])[rev] for b in (bl, bh))
-    return _contract(*_products(al[None], ah[None], bl, bh), 1, terms)
+    return _dot(al[None], ah[None], bl, bh, 1)
 
 
+@_round_down
 def powers(x: float, n: int) -> Pair:
-    """Enclosures of x^0, ..., x^n for a float x > 0.  The running product
-    fl(x^i) rounds i-1 times, so it is off by at most about (i-1) u x^i
-    (u = 2^-53) plus (i-1) eta/2 below the normal range; the radius
-    (i-1) 2^-51 fl(x^i) + 2 (i-1) eta covers that four and three times over,
-    its own rounding included.  x^0 = 1 and x^1 = x stay exact."""
-    k = np.maximum(np.arange(n + 1) - 1, 0)
-    p = np.cumprod(np.concatenate([[1.0], np.full(n, float(x))]))
-    rad = p * (k * 2.0 ** -51) + (2 * k) * _ETA
-    exact = k == 0
-    return (np.where(exact, p, down(p - rad)),
-            np.where(exact, p, up(p + rad)))
+    """Enclosures of x^0, ..., x^n for a float x > 0: the running products
+    of x from 1 and from -1, each product rounded down, are lower ends and
+    negated upper ends.  x^0 = 1 and x^1 = x stay exact."""
+    f = np.full(n + 1, float(x))
+    f[0] = 1.0
+    lo = np.cumprod(f)
+    f[0] = -1.0
+    return lo, -np.cumprod(f)
 
 
-def dot_thin(al, ah, b, axis) -> Pair:
-    """`dot` with a thin (point) right factor."""
-    p = al * b
-    q = ah * b
-    lo = np.minimum(p, q)
-    return _contract(lo, np.maximum(p, q, out=p), q, axis)
+def _dot_thin(al, ah, b, axis) -> Pair:
+    """`_dot` with a thin (point) right factor."""
+    reduce = np.add.reduce
+    return (reduce(np.minimum(al * b, ah * b), axis),
+            -reduce(np.minimum((-al) * b, (-ah) * b), axis))
 
 
+@_round_down
 def matmul(Al, Ah, Bl, Bh) -> Pair:
     """(n, k) interval times (k, m) interval."""
-    return dot(Al[:, :, None], Ah[:, :, None],
-               Bl[None, :, :], Bh[None, :, :], axis=1)
+    return _dot(Al[:, :, None], Ah[:, :, None],
+                Bl[None, :, :], Bh[None, :, :], axis=1)
 
 
+@_round_down
 def matmul_thin_right(Al, Ah, B) -> Pair:
-    return dot_thin(Al[:, :, None], Ah[:, :, None], B[None, :, :], axis=1)
+    return _dot_thin(Al[:, :, None], Ah[:, :, None], B[None, :, :], axis=1)
 
 
+@_round_down
 def matmul_thin_left(A, Bl, Bh) -> Pair:
-    return dot_thin(Bl[None, :, :], Bh[None, :, :], A[:, :, None], axis=1)
+    return _dot_thin(Bl[None, :, :], Bh[None, :, :], A[:, :, None], axis=1)
 
 
+@_round_down
 def matvec(Al, Ah, bl, bh) -> Pair:
-    return dot(Al, Ah, bl[None, :], bh[None, :], axis=1)
+    return _dot(Al, Ah, bl[None, :], bh[None, :], axis=1)
 
 
+@_round_down
 def matvec_thin_right(Al, Ah, b) -> Pair:
-    return dot_thin(Al, Ah, b[None, :], axis=1)
+    return _dot_thin(Al, Ah, b[None, :], axis=1)
 
 
+@_round_down
 def matvec_thin_left(A, bl, bh) -> Pair:
     """A b for a float A and an interval vector b, or a stack (..., k) of
     them: each row sum runs over the contiguous last axis."""
-    return dot_thin(bl[..., None, :], bh[..., None, :], A, axis=-1)
+    return _dot_thin(bl[..., None, :], bh[..., None, :], A, axis=-1)
 
 
-def vecdot(al, ah, bl, bh) -> Pair:
-    """Scalar enclosure of an interval dot product of two 1-d arrays."""
-    return dot(al, ah, bl, bh, axis=0)
+# --- the probe --------------------------------------------------------------
+
+def check_rounding() -> None:
+    """Raise RoundingModeError unless + - x / sqrt, and a sum by
+    `np.add.reduce`, round down inside the kernels' window, on 64 lanes:
+    each exact result lies strictly between two floats, and
+    round-to-nearest would give the upper one."""
+    t, u, one = 2.0 ** -60, 2.0 ** -52, np.ones(64)
+    terms = np.zeros((64, 16))
+    terms[:, :2] = -1.0, -t        # one inexact addition in any order
+    got = _rounded_down(one, t, (1.0 + u) * one, terms)
+    want = (-1.0 - u, 1.0 - u / 2, -1.0 - 3 * u, -0.33333333333333337,
+            1.4142135623730949, -1.0 - u)
+    ok = (np.array(got) == np.array(want)[:, None]).all(axis=1)
+    if not ok.all():
+        name = ("+", "-", "x", "/", "sqrt", "np.add.reduce")[np.argmin(ok)]
+        raise RoundingModeError(
+            f"{name} ignores round-down on {platform.machine()!r}, so no "
+            "enclosure can be trusted")
+
+
+@_round_down
+def _rounded_down(one, t, v, terms):
+    return (-one - t, one - t, -v * v, -one / 3, np.sqrt(2 * one),
+            np.add.reduce(terms, -1))
 
 
 # --- set operations ---------------------------------------------------------
@@ -302,9 +301,9 @@ def mid(al, ah) -> np.ndarray:
     return np.minimum(np.maximum(m, al), ah)
 
 
+@_round_down
 def diam(al, ah) -> np.ndarray:
-    d = ah - al
-    return np.where(ah - d == al, d, up(d))
+    return -(al - ah)
 
 
 def mag(al, ah) -> np.ndarray:

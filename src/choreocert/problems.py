@@ -97,16 +97,14 @@ class LinearEmbedding:
 
 
 def _signed_sum(parts) -> Interval:
-    """0 +- p1 +- p2 ..., left to right, so opposite identical values cancel
-    exactly.  0 +- p1 is exact, so plain floats give the kernel's bits (and
-    turn -0 into +0 as it does)."""
+    """+-p1 +- p2 ..., left to right from the first term as it is, so
+    opposite identical values cancel exactly.  Their zero, -0 under the
+    kernels' round-down, is stored by `Interval` as +0; the empty sum is
+    0."""
     acc = None
     for sign, p in parts:
-        if acc is None:
-            acc = (Interval(0.0 + p.lo, 0.0 + p.hi) if sign > 0
-                   else Interval(0.0 - p.hi, 0.0 - p.lo))
-        else:
-            acc = acc + p if sign > 0 else acc - p
+        p = p if sign > 0 else -p
+        acc = p if acc is None else acc + p
     return Interval(0.0) if acc is None else acc
 
 

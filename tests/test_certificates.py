@@ -411,6 +411,17 @@ class TestReplay:
         report = reverify_document(eight_krawczyk_5)
         assert report.ok, report.messages
 
+    def test_schema_3_fails_on_its_version(self, eight_krawczyk_5):
+        # schema 3 stored the images of round-to-nearest kernels with nudged
+        # endpoints, which the round-down replay need not reproduce: the
+        # version line rejects such a document before any replay runs
+        body = parse_document(eight_krawczyk_5)
+        body["schema_version"] = 3
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert [m for m in report.messages if m.startswith("FAIL")] == [
+            "FAIL schema version 3 is 4"]
+
     @pytest.mark.parametrize("edit, line", [
         (lambda b: with_last_record(b, x=np.nextafter(
             IntervalVector.from_hex(b["trace"][-1]["X"]).mid(), np.inf)),

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from choreocert import cli, convexity, integrator
+from choreocert import cli, convexity, integrator, kernels
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import parse_document, reverify_document
 from choreocert.cli import (
@@ -256,6 +256,27 @@ class TestVerify:
                                    reduced_names=["q"])
         assert verify_edited(eight_cert, tmp_path,
                              reshape) == EXIT_VERIFY_DISAGREE
+
+
+class TestRoundingProbe:
+    # a mode setter that changes nothing leaves the kernels at
+    # round-to-nearest, and one that fails is fesetround refusing the mode:
+    # either way no command runs
+    @pytest.mark.parametrize("setter", [lambda mode: 0, lambda mode: -1],
+                             ids=["no-effect", "refused"])
+    @pytest.mark.parametrize("command", ["prove", "verify"])
+    def test_every_command_exits_4(self, command, setter, eight_cert,
+                                   tmp_path, monkeypatch, capsys):
+        argv = (["prove", "--system", "eight", "--out",
+                 str(tmp_path / "e.cert")] if command == "prove"
+                else ["verify", "--cert", str(eight_cert)])
+        monkeypatch.setattr(kernels, "_fesetround", setter)
+        assert main(argv) == EXIT_INTEGRATOR
+        out, err = capsys.readouterr()
+        assert "AGREES" not in out
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{command}: ") and "round-down" in err
+        assert not (tmp_path / "e.cert").exists()
 
 
 class TestDecimalRendering:

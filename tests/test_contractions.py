@@ -44,9 +44,8 @@ class TestCauchy:
                                         ((16, 3, 3, 9), (16, 3, 1, 9))],
                                   ids=["plain", "broadcast"])
     def test_each_layer_is_dot_over_its_own_terms(self, shapes):
-        # the padding adds exact zeros, and layer m is charged m+1 terms, so
-        # it is the per-layer contraction bit for bit: charging all n terms
-        # would widen every layer below the top
+        # the padding adds exact zeros, so layer m is the per-layer
+        # contraction bit for bit (array_equal takes -0 for +0)
         rng = np.random.default_rng(3)
         (al, ah), (bl, bh) = thick(rng, shapes[0]), thick(rng, shapes[1])
         cl, ch = kn.cauchy(al, ah, bl, bh)

@@ -82,11 +82,11 @@ class TestGraphDerivatives:
             abs(second.mid() + 1.0 / y ** 3) < 1e-12
 
     def test_straight_line(self):
-        # x = t, y = 2t: slope 2, higher derivatives zero; the lanes have no
-        # thin shortcuts, so 1/1 is nudged and the slope only contains 2
+        # x = t, y = 2t: slope 2, higher derivatives zero; 1/1 and 2 * 1 are
+        # exact, and exact results stay exact under round-down
         ds = (thin(1.0), thin(2.0), thin(0.0), thin(0.0), thin(0.0), thin(0.0))
         _, slope, second, third = graph(ds)
-        assert slope.lo <= 2.0 <= slope.hi and slope.diam() < 4e-15
+        assert slope == Interval.point(2.0)
         assert second == Interval.point(0.0)
         assert third == Interval.point(0.0)
 
@@ -163,13 +163,13 @@ class TestLanesAgainstScalarReference:
     @given(st.lists(thin_rows, min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_thin_lanes_contain_the_reference(self, lanes):
-        # the scalar operators keep thin results exact where the lanes
-        # round outward
+        # the scalar operators have no thin shortcuts: thin lanes are
+        # bit-equal to them too
         x, y = lane_pairs(lanes)
         got = graph_lanes(x, y)
         for i, ds in enumerate(lanes):
             for (lo, hi), r in zip(got, scalar_graph_derivatives(*ds)):
-                assert lo[i] <= r.lo and r.hi <= hi[i]
+                assert (lo[i], hi[i]) == (r.lo, r.hi)
 
 
 class TestConditionLogic:

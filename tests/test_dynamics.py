@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,8 +394,9 @@ class TestDivInt:
 
     def test_other_divisors_round_outward(self):
         lo, hi = kn.div_int(np.array([1.0]), np.array([1.0]), 3)
-        assert lo[0] < hi[0]
-        assert lo[0] == np.nextafter(1.0 / 3.0, -1.0)
+        # both ends bracket the exact 1/3, at most one ulp apart
+        assert Fraction(lo[0]) < Fraction(1, 3) < Fraction(hi[0])
+        assert hi[0] == np.nextafter(lo[0], np.inf)
 
 
 class TestConservedQuantities:

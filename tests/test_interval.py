@@ -1,9 +1,12 @@
+import ctypes
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choreocert import kernels as kn
 from choreocert.errors import DivisionByZeroInterval, EmptyIntersection
 from choreocert.interval import Interval
 
@@ -228,20 +231,106 @@ class TestScalarDivisionAndSquares:
         assert got.hi >= 0.0 and Fraction(got.hi) ** 2 >= Fraction(x)
 
 
+def _modules_naming(name: str) -> set[str]:
+    """The package modules that name `name` as a name, an attribute, an
+    imported name or a string."""
+    import ast
+    import pathlib
+
+    import choreocert
+    users = set()
+    for path in pathlib.Path(choreocert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom)
+                     else [node.value] if isinstance(node, ast.Constant)
+                     else [])
+            if name in names:
+                users.add(path.name)
+    return users
+
+
+FE_TONEAREST = 0
+
+
+def fegetround() -> int:
+    return ctypes.CDLL(None).fegetround()
+
+
+def thin(*values):
+    return [np.array([v]) for v in values]
+
+
+# every public kernel that rounds, with operands it accepts
+KERNEL_CALLS = [
+    ("add", thin(1.0, 2.0, 0.1, 0.3)),
+    ("sub", thin(1.0, 2.0, 0.1, 0.3)),
+    ("mul", thin(-1.0, 2.0, 0.1, 0.3)),
+    ("div", thin(-1.0, 2.0, 0.1, 0.3)),
+    ("div_int", thin(1.0, 2.0) + [3]),
+    ("scale", thin(1.0, 2.0) + [-0.1]),
+    ("sqr", thin(-1.0, 0.3)),
+    ("sqrt", thin(0.1, 0.3)),
+    ("dot", thin(0.1, 0.3, 0.7, 0.9) + [0]),
+    ("cauchy", [np.full((3, 2), v) for v in (0.1, 0.3, 0.7, 0.9)]),
+    ("powers", [0.1, 5]),
+    ("matmul", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7, 0.9)]),
+    ("matmul_thin_right", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7)]),
+    ("matmul_thin_left", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7)]),
+    ("matvec", [np.full((2, 2), 0.1), np.full((2, 2), 0.3),
+                np.full(2, 0.7), np.full(2, 0.9)]),
+    ("matvec_thin_right", [np.full((2, 2), 0.1), np.full((2, 2), 0.3),
+                           np.full(2, 0.7)]),
+    ("matvec_thin_left", [np.full((2, 2), 0.1), np.full(2, 0.3),
+                          np.full(2, 0.7)]),
+    ("diam", thin(0.1, 0.3)),
+]
+
+
 class TestOneRounding:
     def test_nextafter_only_in_kernels(self):
         # every outward rounding goes through `kernels`
-        import ast
-        import pathlib
+        assert _modules_naming("nextafter") == {"kernels.py"}
 
-        import choreocert
-        users = set()
-        for path in pathlib.Path(choreocert.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = ([node.id] if isinstance(node, ast.Name)
-                         else [node.attr] if isinstance(node, ast.Attribute)
-                         else [a.name for a in node.names]
-                         if isinstance(node, ast.ImportFrom) else [])
-                if "nextafter" in names:
-                    users.add(path.name)
-        assert users == {"kernels.py"}
+    def test_mode_switch_only_in_kernels(self):
+        # the rounding mode is set nowhere else
+        assert _modules_naming("fesetround") == {"kernels.py"}
+        assert _modules_naming("fegetround") == set()
+
+    @pytest.mark.parametrize("name, args", KERNEL_CALLS,
+                             ids=[n for n, _ in KERNEL_CALLS])
+    def test_kernels_return_at_round_to_nearest(self, name, args):
+        getattr(kn, name)(*args)
+        assert fegetround() == FE_TONEAREST
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: kn.div(*thin(1.0, 2.0, -1.0, 1.0)), DivisionByZeroInterval),
+        (lambda: kn.sqrt(*thin(-1.0, 1.0)), ValueError),
+    ], ids=["div-by-zero-straddle", "sqrt-of-negative"])
+    def test_kernels_that_raise_restore_round_to_nearest(self, call, error):
+        with pytest.raises(error):
+            call()
+        assert fegetround() == FE_TONEAREST
+
+    def test_no_kernel_body_calls_a_public_kernel(self):
+        # a public kernel called inside a window would reset round-to-nearest
+        # before the calling body ends: composite kernels call private bodies
+        import ast
+        import inspect
+        public = {n for n, _ in KERNEL_CALLS}
+        for node in ast.parse(inspect.getsource(kn)).body:
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name in public or node.name.startswith("_")):
+                called = {c.func.id for c in ast.walk(node)
+                          if isinstance(c, ast.Call)
+                          and isinstance(c.func, ast.Name)}
+                assert not called & public, node.name
+
+    def test_every_rounding_kernel_is_covered(self):
+        # a kernel is wrapped in the round-down window iff it is listed
+        wrapped = {name for name, fn in vars(kn).items()
+                   if callable(fn) and hasattr(fn, "__wrapped__")
+                   and not name.startswith("_")}
+        assert wrapped == {n for n, _ in KERNEL_CALLS}
