@@ -60,9 +60,7 @@ class IntervalVector:
         """center +- radius, componentwise, outward rounded."""
         c = np.asarray(center, dtype=np.float64)
         r = np.abs(np.asarray(radius, dtype=np.float64))
-        lo, _ = kn.add(c, c, -r, -r)
-        _, hi = kn.add(c, c, r, r)
-        return cls(lo, hi)
+        return cls(*kn.add(c, c, -r, r))
 
     # -- basics --
 

@@ -23,10 +23,10 @@ validation loop.
 Section crossings are located in two rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, then an interval
 Newton iteration in time over the straddling steps' Taylor polynomials.
-Every step carries an outward enclosure of its start time, the correctly
-rounded sum of the sizes before it (`run_time`), and all time code reads
-it, so a flow may start at any step of a run (`flow_to_section(...,
-first_step=k)`) and its steps, which one `StepPolicy` sizes, may differ.
+Every step has one clock, set when it is made: its start time `run_time`,
+the kernels' sum of the sizes before it.  All time code reads it, so a
+flow may start at any step of a run (`flow_to_section(..., first_step=k)`)
+and its steps, which one `StepPolicy` sizes, may differ.
 
 A set may carry a thin point along (`LohnerSet.carrying`).  The point
 sits in its own frame around the set's center m, so each step advances it
@@ -92,15 +92,15 @@ def poly_at_step(layers: Pair, rem: Pair, h: float) -> Pair:
 def _inverse_enclosure(Q: np.ndarray) -> Pair:
     """Rigorous enclosure of Q^-1 for a nearly orthogonal float matrix.
 
-    Q^-1 = (Q^T Q)^-1 Q^T and Q^T Q = I + E with ||E|| tiny, so
-    (I + E)^-1 = I + D with |D_ij| <= ||E|| / (1 - ||E||).
+    Q^-1 = (Q^T Q)^-1 Q^T and Q^T Q = I + E with ||E||, the largest upper
+    row sum of |E|, tiny, so (I + E)^-1 = I + D, |D_ij| <= ||E||/(1 - ||E||).
     """
     n = Q.shape[0]
     qt = np.ascontiguousarray(Q.T)
     pl, ph = kn.matmul_thin_right(qt, qt, Q)
     el, eh = kn.sub(pl, ph, np.eye(n), np.eye(n))
-    rowsum = np.sum(kn.mag(el, eh), axis=1)
-    e = float(np.max(rowsum)) * (1.0 + n * 2.0 ** -50) + 1e-300
+    a = kn.mag(el, eh)
+    e = float(np.max(kn.matvec_thin_right(a, a, np.ones(n))[1]))
     if not e < 0.5:
         raise SingularEnclosure("frame matrix is far from orthogonal")
     rho = (Interval.point(e) / (Interval(1.0) - Interval.point(e))).hi
@@ -225,8 +225,7 @@ class EnclosureStep:
     per-step Taylor data needed to re-evaluate the flow inside the step."""
 
     index: int
-    t_prev: float                     # float start time, to pick centers
-    t_k: float
+    t_start: Interval                 # start time in its run (`run_time`)
     h: float
     tight: Pair
     whole: Pair
@@ -234,8 +233,11 @@ class EnclosureStep:
     rem: Pair                         # order-(R+1) state Lagrange coefficient
     trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
     trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
-    v_start: Pair | None = None       # accumulated slab box at t_prev (C1)
-    t_start: Interval | None = None   # outward start time in its run
+    v_start: Pair | None = None       # accumulated slab box at the start (C1)
+
+    @property
+    def t_k(self) -> float:  # the float end time, for samples
+        return self.t_start.mid() + self.h
 
     def state_at(self, tau: Interval) -> Pair:
         """Enclosure of the flow at step-local time tau in [0, h]."""
@@ -251,15 +253,15 @@ class EnclosureStep:
 def _inflate(wl: np.ndarray, wh: np.ndarray) -> Pair:
     c = kn.mid(wl, wh)
     pad = 1e-14 * (1.0 + kn.mag(wl, wh))
-    return (kn.down(c + _ROUGH_INFLATE * (wl - c) - pad),
-            kn.up(c + _ROUGH_INFLATE * (wh - c) + pad))
+    return (c + _ROUGH_INFLATE * (wl - c) - pad,
+            c + _ROUGH_INFLATE * (wh - c) + pad)
 
 
 def _rough(x: Pair, rhs: Callable[[np.ndarray, np.ndarray], Pair], h: float,
            start: Pair, what: str) -> Pair:
     """A-priori enclosure over one step of y' = rhs(y), y(0) in x: a box c
     with x + [0, h] rhs(c) inside c, found by Picard iteration from the
-    candidate `start`."""
+    float guess `start`, grown each try; the image is what it returns."""
     wl, wh = start
     for _ in range(_ROUGH_TRIES):
         # Validate an inflated candidate; on failure re-anchor to the latest
@@ -277,7 +279,8 @@ def _rough(x: Pair, rhs: Callable[[np.ndarray, np.ndarray], Pair], h: float,
 # --- the Lohner step ---------------------------------------------------------
 
 def step(field, cur: LohnerSet, h: float, order: int,
-         index: int = 0, t_prev: float = 0.0) -> tuple[LohnerSet, EnclosureStep]:
+         index: int = 0, t_start: Interval = Interval(0.0)
+         ) -> tuple[LohnerSet, EnclosureStep]:
     """Advance the set by one step of size h at the given Taylor order."""
     n = field.dim
     xl, xh = cur.box()
@@ -342,7 +345,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
     kn.assert_valid(*tight, "step output")
 
     rec = EnclosureStep(
-        index=index, t_prev=t_prev, t_k=t_prev + h, h=h, tight=tight,
+        index=index, t_start=t_start, h=h, tight=tight,
         whole=whole, layers=layers_x, rem=rem)
 
     # The point shares the center, so A covers it while its box lies in the
@@ -443,16 +446,11 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     cur = start
     zone: list[int] = []
     handoff = before = rec = None
-    t = 0.0
-    for hk in earlier:
-        t += hk
     for k in range(first_step, policy.budget):
         carried = cur.point
-        cur, rec = step(field, cur, policy.size(k, rec), policy.order,
-                        index=k, t_prev=t)
-        rec.t_start = run_time([*earlier, *(r.h for r in steps)])
+        cur, rec = step(field, cur, policy.size(k, rec), policy.order, index=k,
+                        t_start=run_time([*earlier, *(r.h for r in steps)]))
         steps.append(rec)
-        t = rec.t_k
         here = PointHandoff(k, carried, start.point) if cur.point else None
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
@@ -497,14 +495,13 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
 
 
 def run_time(sizes) -> Interval:
-    """Outward-rounded enclosure of the sum of step sizes, where the step
-    after them begins.  `math.fsum` rounds the sum correctly, so for one size
-    h repeated i times this is the float product i h: exact for no step, one
-    step and two equal steps, else one ulp outward."""
-    t = math.fsum(sizes)
-    if len(sizes) <= 1 or (len(sizes) == 2 and sizes[0] == sizes[1]):
-        return Interval(t)
-    return Interval(float(kn.down(t)), float(kn.up(t)))
+    """Enclosure of the sum of step sizes, where the step after them
+    begins: one contraction of the kernels, so a sum whose partial sums are
+    floats is thin.  `flow_to_section` stamps each step's start with it,
+    and the convexity verifier calls it too."""
+    s = np.asarray(sizes, float)
+    ones = np.ones(s.shape)
+    return Interval(*kn.dot(s, s, ones, ones, axis=0))
 
 
 @dataclass(frozen=True)
@@ -617,9 +614,10 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
             rng = _step_tau_overlap(steps, k, t_enc)
             if rng is None:
                 continue
-            tau_c = min(max(c - steps[k].t_prev, rng[0]), rng[1])
+            tau = c - steps[k].t_start.mid()
+            tau_c = min(max(tau, rng[0]), rng[1])
             k_c = k
-            if steps[k].t_prev <= c <= steps[k].t_k:
+            if 0.0 <= tau <= steps[k].h:
                 break
         if k_c is None:
             break

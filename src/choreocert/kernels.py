@@ -16,11 +16,10 @@ exact.  Round-down makes an exact cancellation x - x into -0; `Interval`,
 `IntervalVector` and `IntervalMatrix` store it as +0.
 
 Float choices stay at round-to-nearest outside the kernels: `mid`, the QR
-frames, step sizes, parsing and printing; `down` and `up` step such a float
-one ulp outward.  The mode constants are known for x86-64 only: elsewhere,
-or where the C library refuses the mode, every kernel raises
-`RoundingModeError`, and `check_rounding`, run before every command, also
-catches arithmetic that ignores the mode.
+frames, step sizes, parsing and printing.  The mode constants are known
+for x86-64 only: elsewhere, or where the C library refuses the mode, every
+kernel raises `RoundingModeError`, and `check_rounding`, run before every
+command, also catches arithmetic that ignores the mode.
 
 NaN and inf propagate harmlessly: all decision predicates built on these
 arrays (subset, sign exclusion, pivot tests) fail conservatively on NaN, and
@@ -59,14 +58,6 @@ def _round_down(body):
         finally:
             _fesetround(_NEAREST)
     return kernel
-
-
-def down(a: np.ndarray) -> np.ndarray:
-    return np.nextafter(a, -np.inf)
-
-
-def up(a: np.ndarray) -> np.ndarray:
-    return np.nextafter(a, np.inf)
 
 
 def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> None:

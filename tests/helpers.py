@@ -11,7 +11,7 @@ import numpy as np
 
 from choreocert import kernels as kn
 from choreocert.dynamics import PhaseLayout
-from choreocert.integrator import EnclosureStep, LohnerSet, step
+from choreocert.integrator import EnclosureStep, LohnerSet, run_time, step
 from choreocert.interval import Interval
 
 Pair = tuple[np.ndarray, np.ndarray]
@@ -92,7 +92,8 @@ def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
         hk = min(h, t_final - t)
         if hk <= 0:
             break
-        cur, rec = step(field, cur, hk, order, index=k, t_prev=t)
+        cur, rec = step(field, cur, hk, order, index=k,
+                        t_start=run_time([r.h for r in steps]))
         steps.append(rec)
         t = rec.t_k
         k += 1

@@ -17,7 +17,7 @@ def thick(rng, shape, scale=1.0):
     c = rng.normal(0.0, scale, shape) * 10.0 ** rng.integers(-6, 3, shape)
     r = np.abs(c) * rng.uniform(0.0, 1e-3, shape) * (rng.random(shape) < 0.8)
     c[rng.random(shape) < 0.05] = 0.0
-    return kn.down(c - r), kn.up(c + r)
+    return np.nextafter(c - r, -np.inf), np.nextafter(c + r, np.inf)
 
 
 def pick(rng, lo, hi):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestSoundnessAgainstReference:
             _, steps = flow(f, thin(s0), 0.2, 0.01, 6)
             ref = self._reference(f_np, s0, [0.2])
             for rec in steps:
-                for t in np.linspace(rec.t_prev, rec.t_k, 4):
+                for t in np.linspace(rec.t_start.mid(), rec.t_k, 4):
                     x = ref(t)
                     assert np.all(rec.whole[0] <= x + 1e-9)
                     assert np.all(x - 1e-9 <= rec.whole[1])
@@ -176,6 +177,41 @@ class TestSetPropagation:
     def test_rough_enclosure_failure_on_huge_step(self):
         with pytest.raises(RoughEnclosureFailure):
             step(HARMONIC, thin([1.0, 0.0]), 5.0, 5)
+
+
+def exact_inverse(a: np.ndarray) -> list[list[Fraction]]:
+    """The inverse of a float matrix in rationals, by Gauss-Jordan."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        m[col], m[piv] = m[piv], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+class TestInverseEnclosure:
+    @pytest.mark.parametrize("n", [2, 4, 12, 16])
+    def test_qr_frames_hold_their_exact_inverse(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lo, hi = integrator._inverse_enclosure(q)
+            inv = exact_inverse(q)
+            assert all(Fraction(lo[i, j]) <= inv[i][j] <= Fraction(hi[i, j])
+                       for i in range(n) for j in range(n))
+            assert np.max(hi - lo) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_an_orthogonal_frame_has_an_exact_inverse(self, n):
+        lo, hi = integrator._inverse_enclosure(np.eye(n))
+        assert np.array_equal(lo, np.eye(n)) and np.array_equal(hi, np.eye(n))
 
 
 class TestEightRegression:

@@ -162,25 +162,40 @@ class TestResumedFlow:
             assert np.all((a[0] <= b[1]) & (b[0] <= a[1]))
         # the resumed steps are the full run's steps, so nothing moves
         assert resumed.t_cross == full.t_cross
-        assert [s.t_prev for s in resumed.steps] == [
-            s.t_prev for s in full.steps[k0:]]
+        assert [s.t_start for s in resumed.steps] == [
+            s.t_start for s in full.steps[k0:]]
+
+
+def ulps_apart(t: Interval) -> int:
+    """How many floats the ends of t lie apart (t >= 0)."""
+    lo, hi = np.array([t.lo, t.hi]).view(np.int64)
+    return int(hi - lo)
 
 
 class TestStartTimes:
     @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
-    def test_one_size_starts_on_the_product_grid(self, h):
-        # a fixed-h flow starts step i at the float product i h: exact for
-        # i <= 2, one ulp outward beyond
+    def test_each_start_is_run_time_of_the_sizes_before(self, h):
+        # the flow stamps step i with the one sum the verifier also calls
         sec = coordinate_section(0, 2, "+-")
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(h, 7))
-        for rec in cr.steps:
-            i, t = rec.index, rec.t_start
-            assert (t.lo, t.hi) == (run_time([h] * i).lo, run_time([h] * i).hi)
-            if i <= 2:
-                assert t.lo == t.hi == i * h
-            else:
-                assert (t.lo, t.hi) == (math.nextafter(i * h, -math.inf),
-                                        math.nextafter(i * h, math.inf))
+        for i, rec in enumerate(cr.steps):
+            t = run_time([r.h for r in cr.steps[:i]])
+            assert (rec.t_start.lo, rec.t_start.hi) == (t.lo, t.hi)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encloses_the_exact_sum_thin_where_it_is_exact(self, seed):
+        # sizes as drawn, and sizes on a dyadic grid, where every partial
+        # sum is a float, so the kernels' sum is exact
+        rng = np.random.default_rng(seed)
+        drawn = rng.uniform(0.001, 0.03, 60)
+        dyadic = np.round(drawn * 2 ** 12) / 2 ** 12
+        for sizes, thin_sums in ((list(drawn), False), (list(dyadic), True)):
+            for i in range(len(sizes) + 1):
+                t = run_time(sizes[:i])
+                exact = sum(map(Fraction, sizes[:i]), Fraction(0))
+                assert Fraction(t.lo) <= exact <= Fraction(t.hi)
+                if thin_sums:
+                    assert Fraction(t.lo) == Fraction(t.hi) == exact
 
     def test_unequal_sizes_enclose_their_exact_sum(self):
         sizes = [0.01, 0.013, 0.0071, 0.02, 0.0199]
@@ -188,8 +203,18 @@ class TestStartTimes:
             t = run_time(sizes[:i])
             exact = sum(map(Fraction, sizes[:i]), Fraction(0))
             assert Fraction(t.lo) <= exact <= Fraction(t.hi)
-        # two unequal sizes do not sum exactly here, so the start widens
-        assert run_time(sizes[:2]).diam() > 0.0
+        # 0.01 + 0.013 is exactly the float 0.023, so that start is thin
+        assert sum(map(Fraction, sizes[:2])) == Fraction(0.023)
+        assert run_time(sizes[:2]) == Interval.point(0.023)
+
+    @pytest.mark.parametrize("h", [0.01, 0.025, 0.0075, 0.004, 0.001])
+    def test_one_size_stays_within_16_ulps(self, h):
+        # one contraction, not a fold: the width does not grow with the
+        # step count (13 to 16 floats apart at most, up to 1000 steps)
+        for i in range(1001):
+            t = run_time([h] * i)
+            assert Fraction(t.lo) <= i * Fraction(h) <= Fraction(t.hi)
+            assert ulps_apart(t) <= 16
 
 
 class TestControlledFlow:
