@@ -12,20 +12,23 @@ images only under that rule, so a document of another rule fails on its
 schema version, the first thing the verifier checks: schema 3 stored the
 images of the earlier round-to-nearest kernels with nudged endpoints.
 
-`existence_certificate` is the one writer of an existence document.  Its
-inputs are the problem, the certification job (candidate, box(candidate,
-delta), method, preconditioner), the outcome `certify` returned, `delta`
-and the step policy, written as `h`, `order` and `tolerance` (null for one
-size h); `read_step_policy` reads it back.  `max_iter` is the cap
-`rootfind.MAX_ITER`.  Every other field derives from them: the box, the
-top-level copies of the first iteration, the trace, the operator image, the
-refined box, the verdict and the iteration count.  Informative, not
-checked: `cause`, the crossing times, `crossing_notes`, `step_counts`,
-`step_sizes`, `wall_clock_seconds` and `environment`.  `step_counts.point`
-counts only the point steps integrated on their own: a point that rides
-inside the set flow's steps (`problems.phi_point`) takes no step of its own
-before the section zone.  `step_sizes` lists the set flow's sizes in hex,
-so a replay can re-run them without choosing them again.
+An existence document is a function of one record, `ProofCertificate`,
+which holds the run it documents: the problem, the certification job
+(candidate, box(candidate, delta), method, preconditioner), the outcome
+`certify` returned, `delta`, the step policy, written as `h`, `order` and
+`tolerance` (null for one size h) and read back by `read_step_policy`, and
+the certified map's last point and set evaluations.  `max_iter` is the cap
+`rootfind.MAX_ITER`.  The job and the outcome give the box, the top-level
+copies of the first iteration, the trace, the operator image, the refined
+box, the verdict, the cause and the iteration count; the evaluations give
+the crossing times, `crossing_notes`, `step_counts` and `step_sizes`.
+Informative, not checked: `cause`, the crossing times, `crossing_notes`,
+`step_counts`, `step_sizes`, `wall_clock_seconds` and `environment`.
+`step_counts.point` counts only the point steps integrated on their own: a
+point that rides inside the set flow's steps (`problems.phi_point`) takes
+no step of its own before the section zone.  `step_sizes` lists the set
+flow's sizes in hex, so a replay can re-run them without choosing them
+again.
 
 The verifier audits a stored verdict without any integration.  It checks
 the inputs: the schema version (4, for both kinds), the parameters (exactly
@@ -34,19 +37,19 @@ bool), the problem block `make_problem` rebuilds and the candidate's
 dimension.  It checks the shape of `step_sizes`, though not the values: one
 per set step, which the step policy must take as given.  Then it replays
 `certify` itself on the stored enclosures, iteration k getting record k's
-`f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and passes the replayed
-run to the writer.  The stored document must have the writer's key set and
-equal it in every field that is not informative, also as canonical JSON
-(`true` is not `1`), so no other `max_iter` agrees.  A convexity document
-must be one `verify_convexity` writes: closed key sets at the top level and
-in every row, the writer's `problem` and `parameters` as canonical JSON
-(the Eight at `convexity.POLICY`, h 0.01 and order 7), rows in step and
-body order that all passed, each meeting its condition under the prover's
-own rule `condition_holds`, and a verdict that fails exactly when it states
-a failure.  Once the body agrees, the text after it must be empty or
-exactly the writer's decimal rendering of it: of the replayed certificate
-for an existence document, of the stored rows for a convexity document.  So
-the comment block cannot state another verdict.
+`f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and builds the record of
+the replayed run, without evaluations.  The stored document must have the
+writer's key set and equal it in every field that is not informative, also
+as canonical JSON (`true` is not `1`), so no other `max_iter` agrees.  A
+convexity document must be one `verify_convexity` writes: closed key sets
+at the top level and in every row, the writer's `problem` and `parameters`
+as canonical JSON (the Eight at `convexity.POLICY`, h 0.01 and order 7),
+rows in step and body order that all passed, each meeting its condition
+under the prover's own rule `condition_holds`, and a verdict that fails
+exactly when it states a failure.  Once the body agrees, the text after it
+must be empty or exactly the writer's decimal rendering of it, which both
+kinds read from the body alone.  So the comment block cannot state another
+verdict.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .convexity import (AXES, POLICY, ConvexityCertificate, condition,
 from .errors import ChoreoCertError
 from .integrator import StepPolicy, run_time
 from .interval import Interval, rounding_backend
-from .problems import ChoreographyProblem, make_problem
+from .problems import ChoreographyProblem, MapEvaluation, make_problem
 from .rootfind import (MAX_ITER, CertifiableMap, CertificationJob,
                        CertificationOutcome, certify)
 
@@ -92,6 +95,15 @@ def _hex_float(x: float | None):
     return None if x is None else float(x).hex()
 
 
+def _hex_rows(m: np.ndarray | None):
+    return None if m is None else [_hex_vec(row) for row in m]
+
+
+def _to_hex(value):
+    """An interval, box or matrix in hex; None stays None."""
+    return None if value is None else list(value.to_hex())
+
+
 def _comment_block(lines: list[str]) -> str:
     """The text after a document's JSON body: the header, then `lines`."""
     return "\n" + "\n".join([_COMMENT_HEADER, *lines]) + "\n"
@@ -114,38 +126,36 @@ def rebuild_problem(problem_id: str, a_hex: str | None) -> ChoreographyProblem:
 
 @dataclass
 class ProofCertificate:
-    """Existence-proof record for one certification run."""
+    """The record of one certification run, from which its document
+    derives: the problem, the job, the outcome `certify` returned, the step
+    policy, `delta`, and the certified map's last point and set evaluations
+    (None in the verifier's replay, which integrates nothing)."""
 
     problem: ChoreographyProblem
-    method: str
+    job: CertificationJob
+    outcome: CertificationOutcome
     policy: StepPolicy
     delta: float
-    candidate: np.ndarray
-    box: IntervalVector
-    phi_at_candidate: IntervalVector | None
-    dphi_on_box: IntervalMatrix | None
-    preconditioner: np.ndarray | None
-    operator_image: IntervalVector | None
-    refined_box: IntervalVector | None
-    verdict: str
-    cause: str
-    iterations: int
-    trace: list[dict] = field(default_factory=list)
-    crossing_time_point: Interval | None = None
-    crossing_time_set: Interval | None = None
-    steps_point: int = 0
-    steps_set: int = 0
-    step_sizes: list[float] = field(default_factory=list)
-    crossing_notes: dict = field(default_factory=dict)
+    point: MapEvaluation | None = None
+    set: MapEvaluation | None = None
     wall_clock_seconds: float = 0.0
 
     def body(self) -> dict:
         """The document's JSON body."""
+        job, out = self.job, self.outcome
+        first = out.trace[0] if out.trace else None
+        point = self.point.crossing if self.point is not None else None
+        flow = self.set.crossing if self.set is not None else None
+        notes = {}
+        if self.set is not None:
+            notes.update({f"{k}_on_box": v for k, v in self.set.notes.items()})
+        if self.point is not None:
+            notes.update(self.point.notes)
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "existence",
             "problem": _problem_block(self.problem),
-            "method": self.method,
+            "method": job.method,
             "parameters": {
                 "h": _hex_float(self.policy.h),
                 "order": self.policy.order,
@@ -153,90 +163,61 @@ class ProofCertificate:
                 "max_iter": MAX_ITER,
                 "tolerance": _hex_float(self.policy.tol),
             },
-            "candidate": _hex_vec(self.candidate),
-            "box": self.box.to_hex(),
-            "phi_at_candidate": (self.phi_at_candidate.to_hex()
-                                 if self.phi_at_candidate is not None else None),
-            "dphi_on_box": (self.dphi_on_box.to_hex()
-                            if self.dphi_on_box is not None else None),
-            "preconditioner": ([_hex_vec(row) for row in self.preconditioner]
-                               if self.preconditioner is not None else None),
-            "operator_image": (self.operator_image.to_hex()
-                               if self.operator_image is not None else None),
-            "refined_box": (self.refined_box.to_hex()
-                            if self.refined_box is not None else None),
-            "verdict": self.verdict,
-            "cause": self.cause,
-            "iterations": self.iterations,
-            "trace": self.trace,
-            "crossing_time_point": (list(self.crossing_time_point.to_hex())
-                                    if self.crossing_time_point else None),
-            "crossing_time_set": (list(self.crossing_time_set.to_hex())
-                                  if self.crossing_time_set else None),
-            "crossing_notes": {k: list(v.to_hex())
-                               for k, v in sorted(self.crossing_notes.items())},
-            "step_counts": {"point": self.steps_point, "set": self.steps_set},
-            "step_sizes": _hex_vec(self.step_sizes),
+            "candidate": _hex_vec(job.x0),
+            "box": job.X.to_hex(),
+            "phi_at_candidate": _to_hex(first.f_x if first else None),
+            "dphi_on_box": _to_hex(first.df_X if first else None),
+            "preconditioner": _hex_rows(job.C if job.method == "krawczyk"
+                                        else None),
+            "operator_image": _to_hex(out.operator_image),
+            "refined_box": _to_hex(out.refined_box),
+            "verdict": out.verdict,
+            "cause": out.cause,
+            "iterations": out.iterations,
+            "trace": [{"index": rec.index, "x": _hex_vec(rec.x),
+                       "X": rec.X.to_hex(), "f_x": rec.f_x.to_hex(),
+                       "df_X": rec.df_X.to_hex(), "C": _hex_rows(rec.C),
+                       "image": rec.image.to_hex(), "relation": rec.relation}
+                      for rec in out.trace],
+            "crossing_time_point": _to_hex(point.t_cross if point else None),
+            "crossing_time_set": _to_hex(flow.t_cross if flow else None),
+            "crossing_notes": {k: _to_hex(v) for k, v in sorted(notes.items())},
+            "step_counts": {"point": len(point.steps) if point else 0,
+                            "set": len(flow.steps) if flow else 0},
+            "step_sizes": _hex_vec([rec.h for rec in flow.steps] if flow
+                                   else []),
             "wall_clock_seconds": self.wall_clock_seconds,
             "environment": {"rounding_backend": rounding_backend()},
         }
 
     def to_document(self) -> str:
-        return json.dumps(self.body(), sort_keys=True, indent=1) + self.comment()
-
-    def comment(self) -> str:
-        """The decimal rendering that follows the JSON body."""
-        a = self.problem.size_parameter
-        lines = [f"# system: {self.problem.key}  method: {self.method}  "
-                 f"verdict: {self.verdict}"]
-        lines.append("# candidate: ("
-                     + ", ".join(f"{x:.17g}" for x in self.candidate) + ")")
-        if a is not None:
-            lines.append(f"# size parameter a = {a:.17g}")
-        if self.phi_at_candidate is not None:
-            for i, iv in enumerate(self.phi_at_candidate):
-                lines.append(f"# defect[{i}] = [{iv.lo:.8e}, {iv.hi:.8e}]  "
-                             f"diam {iv.diam():.3e}")
-        if self.operator_image is not None:
-            for i, iv in enumerate(self.operator_image):
-                lines.append(f"# image[{i}] = [{iv.lo:.17g}, {iv.hi:.17g}]")
-        return _comment_block(lines)
+        body = self.body()
+        return (json.dumps(body, sort_keys=True, indent=1)
+                + _existence_comment(body))
 
 
-def existence_certificate(problem: ChoreographyProblem, job: CertificationJob,
-                          outcome: CertificationOutcome, policy: StepPolicy,
-                          delta: float, **informative) -> ProofCertificate:
-    """The certificate of one `certify` run; `informative` sets the fields
-    that only describe the run (crossing times, step counts and sizes,
-    notes, wall clock)."""
-    first = outcome.trace[0] if outcome.trace else None
-    return ProofCertificate(
-        problem=problem, method=job.method, policy=policy, delta=delta,
-        candidate=job.x0, box=job.X,
-        phi_at_candidate=first.f_x if first else None,
-        dphi_on_box=first.df_X if first else None,
-        preconditioner=job.C if job.method == "krawczyk" else None,
-        operator_image=outcome.operator_image,
-        refined_box=outcome.refined_box, verdict=outcome.verdict,
-        cause=outcome.cause, iterations=outcome.iterations,
-        trace=trace_to_json(outcome), **informative)
-
-
-def trace_to_json(outcome: CertificationOutcome) -> list[dict]:
-    out = []
-    for rec in outcome.trace:
-        out.append({
-            "index": rec.index,
-            "x": _hex_vec(rec.x),
-            "X": rec.X.to_hex(),
-            "f_x": rec.f_x.to_hex(),
-            "df_X": rec.df_X.to_hex(),
-            "C": ([_hex_vec(row) for row in rec.C]
-                  if rec.C is not None else None),
-            "image": rec.image.to_hex(),
-            "relation": rec.relation,
-        })
-    return out
+def _existence_comment(body: dict) -> str:
+    """The decimal rendering that follows an existence document's JSON body,
+    read from the body alone: the verdict line, the candidate, the size
+    parameter, the defect and the operator image."""
+    pb = body["problem"]
+    lines = [f"# system: {pb['id']}  method: {body['method']}  "
+             f"verdict: {body['verdict']}",
+             "# candidate: (" + ", ".join(
+                 f"{x:.17g}" for x in _unhex_vec(body["candidate"])) + ")"]
+    if pb["size_parameter"] is not None:
+        lines.append(f"# size parameter a = "
+                     f"{float.fromhex(pb['size_parameter']):.17g}")
+    if body["phi_at_candidate"] is not None:
+        defect = IntervalVector.from_hex(body["phi_at_candidate"])
+        for i, iv in enumerate(defect):
+            lines.append(f"# defect[{i}] = [{iv.lo:.8e}, {iv.hi:.8e}]  "
+                         f"diam {iv.diam():.3e}")
+    if body["operator_image"] is not None:
+        image = IntervalVector.from_hex(body["operator_image"])
+        for i, iv in enumerate(image):
+            lines.append(f"# image[{i}] = [{iv.lo:.17g}, {iv.hi:.17g}]")
+    return _comment_block(lines)
 
 
 def parse_document(text: str) -> dict:
@@ -288,17 +269,16 @@ def reverify_document(text: str) -> VerificationReport:
         version = body.get("schema_version")
         rep.add(type(version) is int and version == SCHEMA_VERSION,
                 f"schema version {version!r} is {SCHEMA_VERSION}")
-        replayed = None
         if kind == "existence":
-            replayed = _reverify_existence(body, rep)
+            _reverify_existence(body, rep)
         elif kind == "convexity":
             _reverify_convexity(body, rep)
         else:
             rep.add(False, f"unknown certificate kind {kind!r}")
         if rep.ok:
             # the body agrees, so its writer's rendering is the only block
-            rendering = (replayed.comment() if replayed is not None
-                         else _convexity_comment(body))
+            rendering = (_existence_comment if kind == "existence"
+                         else _convexity_comment)(body)
             comment = text[end:]
             rep.add(not comment.strip() or comment == rendering,
                     "the decimal rendering is absent or the one the writer "
@@ -308,10 +288,9 @@ def reverify_document(text: str) -> VerificationReport:
     return rep
 
 
-def _reverify_existence(body: dict,
-                        rep: VerificationReport) -> ProofCertificate | None:
-    """Check an existence document by replay; returns the replayed
-    certificate, or None when the replay could not run."""
+def _reverify_existence(body: dict, rep: VerificationReport) -> None:
+    """Check an existence document by replaying `certify` on its stored
+    enclosures."""
     pb, params = body["problem"], body["parameters"]
     if set(params) != _EXISTENCE_PARAMETERS:
         rep.add(False, f"parameters {sorted(params)} are exactly "
@@ -360,9 +339,8 @@ def _reverify_existence(body: dict,
         x0=candidate, X=IntervalVector.box(candidate, delta),
         method=body["method"],
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
-    replayed = existence_certificate(problem, job, certify(job), policy,
-                                     delta)
-    rebuilt = replayed.body()
+    rebuilt = ProofCertificate(problem, job, certify(job), policy,
+                               delta).body()
     rep.add(set(body) == set(rebuilt),
             "top-level keys are exactly the ones the prover writes")
     fields = sorted(set(rebuilt) - _INFORMATIVE)
@@ -372,7 +350,6 @@ def _reverify_existence(body: dict,
     rep.add(_canonical([body.get(k) for k in fields])
             == _canonical([rebuilt[k] for k in fields]),
             "every field has the JSON type the prover writes")
-    return replayed
 
 
 # --- convexity certificates ------------------------------------------------

@@ -45,8 +45,8 @@ import numpy as np
 from . import kernels as kn
 from .boxes import IntervalVector
 from .certificates import (
+    ProofCertificate,
     convexity_to_document,
-    existence_certificate,
     parse_document,
     read_step_policy,
     rebuild_problem,
@@ -83,6 +83,7 @@ EXIT_USAGE = 64
 # later step is sized for (`integrator.StepPolicy`); gerver stays at order
 # 14, where order 16 widens its image.  Any run with an explicit --h or
 # --order takes the one size h: the tolerance was set for the default pair.
+# Every "a" is None: the published size parameters are `make_problem`'s.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
@@ -92,13 +93,13 @@ DEFAULTS = {
     "gerver": {
         "candidate": (1.382857, 1.87193510824, 0.584872579881),
         "method": "krawczyk", "h": 0.0075, "order": 14, "delta": 1e-7,
-        "a": "0.157029944461", "tol": 1e-14,
+        "a": None, "tol": 1e-14,
     },
     "chain6": {
         "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864),
         "method": "krawczyk", "h": 0.004, "order": 16, "delta": 1e-9,
-        "a": "1.887041548253914", "tol": 2e-16,
+        "a": None, "tol": 2e-16,
     },
 }
 
@@ -226,16 +227,14 @@ def _resolve_prove_params(args, system: str) -> dict:
 def run_certification(problem, method, policy, delta, candidate):
     """One certification run under `policy`; returns (certificate, outcome)."""
     started = time.perf_counter()
-    notes, last = {}, {}   # certify encloses at least once
+    last = {}   # certify encloses at least once
 
     def enclose(x, box):
         # the point rides inside the box flow up to the section zone
-        ev_set = phi_jacobian(problem, box, policy, point=x)
-        ev = phi_point(problem, x, policy, along=ev_set.crossing)
-        last.update(set=ev_set.crossing, point=ev.crossing)
-        notes.update({f"{k}_on_box": v for k, v in ev_set.notes.items()})
-        notes.update(ev.notes)
-        return ev.value, ev_set.jacobian
+        last["set"] = phi_jacobian(problem, box, policy, point=x)
+        last["point"] = phi_point(problem, x, policy,
+                                  along=last["set"].crossing)
+        return last["point"].value, last["set"].jacobian
 
     cmap = CertifiableMap(dimension=problem.reduced_dim, enclose=enclose)
     X = IntervalVector.box(candidate, delta)
@@ -247,14 +246,8 @@ def run_certification(problem, method, policy, delta, candidate):
             C = None  # certify falls back to the midpoint Jacobian inverse
     job = CertificationJob(map=cmap, x0=candidate, X=X, method=method, C=C)
     outcome = certify(job)
-
-    point, box_flow = last["point"], last["set"]
-    cert = existence_certificate(
-        problem, job, outcome, policy, delta,
-        crossing_time_point=point.t_cross, crossing_time_set=box_flow.t_cross,
-        steps_point=len(point.steps), steps_set=len(box_flow.steps),
-        step_sizes=[rec.h for rec in box_flow.steps], crossing_notes=notes,
-        wall_clock_seconds=time.perf_counter() - started)
+    cert = ProofCertificate(problem, job, outcome, policy, delta, **last,
+                            wall_clock_seconds=time.perf_counter() - started)
     return cert, outcome
 
 

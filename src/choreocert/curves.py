@@ -41,8 +41,8 @@ class UnfoldResult:
     note: str = ""
 
 
-def _segment_midpoints(problem: ChoreographyProblem,
-                       crossing: SectionCrossing) -> tuple[np.ndarray, np.ndarray]:
+def _segment_midpoints(crossing: SectionCrossing
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """(times, states) float samples along the certified segment, clipped to
     the crossing time."""
     t_hi = crossing.t_cross.mid()
@@ -124,7 +124,7 @@ def _unfold_eight(problem: ChoreographyProblem, crossing: SectionCrossing,
         if not r.contains_zero():
             raise GluingMismatch(f"junction residual {name} = {r} excludes 0")
 
-    times, states = _segment_midpoints(problem, crossing)
+    times, states = _segment_midpoints(crossing)
     tracks = _body_tracks(problem, states)
     c_f = c_iv.mid()
     s_f = s_iv.mid()
@@ -153,7 +153,7 @@ def _unfold_eight(problem: ChoreographyProblem, crossing: SectionCrossing,
         samples.append((6 * t_tilde - t, tau(p)))
         samples.append((6 * t_tilde + t, sig(p)))
         samples.append((12 * t_tilde - t, sig(tau(p))))
-    return _finish(problem, crossing, times, tracks, samples, period, residuals,
+    return _finish(times, tracks, samples, period, residuals,
                    note="rotated so the first body crosses on the x axis")
 
 
@@ -186,7 +186,7 @@ def _unfold_chain(problem: ChoreographyProblem, crossing: SectionCrossing,
         if not r.contains_zero():
             raise GluingMismatch(f"junction residual {name} = {r} excludes 0")
 
-    times, states = _segment_midpoints(problem, crossing)
+    times, states = _segment_midpoints(crossing)
     tracks = _body_tracks(problem, states)
     t_half = crossing.t_cross.mid()
     t_bar = 2.0 * t_half
@@ -210,11 +210,10 @@ def _unfold_chain(problem: ChoreographyProblem, crossing: SectionCrossing,
         samples = [((t + 0.25 * T) % T, np.array([p[1], p[0]]))
                    for t, p in samples]
         note = "axes interchanged back and time shifted by a quarter period"
-    return _finish(problem, crossing, times, tracks, samples, period,
-                   residuals, note=note)
+    return _finish(times, tracks, samples, period, residuals, note=note)
 
 
-def _finish(problem, crossing, times, tracks, samples, period, residuals,
+def _finish(times, tracks, samples, period, residuals,
             note="") -> UnfoldResult:
     samples.sort(key=lambda tp: tp[0])
     n_total = len(tracks)

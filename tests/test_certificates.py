@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from choreocert import rootfind
+from choreocert import certificates, rootfind
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.certificates import (
-    existence_certificate,
+    ProofCertificate,
     parse_document,
     reverify_document,
 )
@@ -53,9 +54,8 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, h=0.01):
     job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
                            C=C)
     out = certify(job)
-    return existence_certificate(make_problem("eight"), job, out,
-                                 StepPolicy(h, 7), delta,
-                                 wall_clock_seconds=1.234), out
+    return ProofCertificate(make_problem("eight"), job, out, StepPolicy(h, 7),
+                            delta, wall_clock_seconds=1.234), out
 
 
 class TestSerialization:
@@ -74,6 +74,25 @@ class TestSerialization:
         doc = cert.to_document()
         assert "# " in doc
         parse_document(doc)  # must not raise
+
+    def test_informative_fields_are_what_a_replay_cannot_know(self):
+        # the verifier's replay integrates nothing: without the map's last
+        # evaluations and the wall clock, exactly the informative fields
+        # that describe the flows change
+        d = DEFAULTS["eight"]
+        cert, _ = run_certification(
+            make_problem("eight"), d["method"],
+            StepPolicy(d["h"], d["order"], d["tol"]),
+            d["delta"], np.array(d["candidate"]))
+        replayed = dataclasses.replace(cert, point=None, set=None,
+                                       wall_clock_seconds=0.0)
+        written, rebuilt = cert.body(), replayed.body()
+        assert set(written) == set(rebuilt)
+        differ = {k for k in written if written[k] != rebuilt[k]}
+        assert differ == {"crossing_time_point", "crossing_time_set",
+                          "crossing_notes", "step_counts", "step_sizes",
+                          "wall_clock_seconds"}
+        assert differ <= certificates._INFORMATIVE
 
     def test_document_deterministic_except_wall_clock(self):
         cert1, _ = small_certificate()

@@ -9,7 +9,8 @@ import pytest
 
 from choreocert import cli, convexity, integrator, kernels
 from choreocert.boxes import IntervalVector
-from choreocert.certificates import parse_document, reverify_document
+from choreocert.certificates import (ProofCertificate, parse_document,
+                                     reverify_document)
 from choreocert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTEGRATOR,
@@ -103,13 +104,15 @@ class TestProve:
         cert, _ = cli.run_certification(*args)
         alone = phi_point(make_problem("eight"), candidate,
                           StepPolicy(0.01, 7))
-        for got, want in ((cert.phi_at_candidate.lo, alone.value.lo),
-                          (cert.phi_at_candidate.hi, alone.value.hi)):
+        first, riding_first = cert.outcome.trace[0], riding.outcome.trace[0]
+        for got, want in ((first.f_x.lo, alone.value.lo),
+                          (first.f_x.hi, alone.value.hi)):
             assert np.array_equal(got, want)
-        assert cert.steps_point == cert.steps_set == len(alone.crossing.steps)
-        assert riding.steps_point < cert.steps_point
-        assert np.array_equal(cert.dphi_on_box.lo, riding.dphi_on_box.lo)
-        assert np.array_equal(cert.dphi_on_box.hi, riding.dphi_on_box.hi)
+        counts = cert.body()["step_counts"]
+        assert counts["point"] == counts["set"] == len(alone.crossing.steps)
+        assert riding.body()["step_counts"]["point"] < counts["point"]
+        assert np.array_equal(first.df_X.lo, riding_first.df_X.lo)
+        assert np.array_equal(first.df_X.hi, riding_first.df_X.hi)
 
     def test_retry_halves_every_controlled_step(self, monkeypatch, tmp_path,
                                                 capsys):
@@ -573,13 +576,17 @@ class TestOptions:
                                   ("CertificationJob", CertificationJob),
                                   ("flow_to_section", flow_to_section),
                                   ("verify_convexity",
-                                   convexity.verify_convexity))}
+                                   convexity.verify_convexity),
+                                  ("ProofCertificate", ProofCertificate))}
         assert knobs == {
             "StepPolicy": ["h", "order", "tol", "given"],
             "CertificationJob": ["map", "x0", "X", "method", "C"],
             "flow_to_section": ["field", "start", "section", "policy",
                                 "first_step"],
             "verify_convexity": ["certified_box"],
+            "ProofCertificate": ["problem", "job", "outcome", "policy",
+                                 "delta", "point", "set",
+                                 "wall_clock_seconds"],
         }
 
 

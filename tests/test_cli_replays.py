@@ -224,7 +224,7 @@ class TestSignedZeros:
         crossing = phi_jacobian(problem,
                                 IntervalVector.from_hex(body["refined_box"]),
                                 read_step_policy(body["parameters"])).crossing
-        _, samples = _segment_midpoints(problem, crossing)
+        _, samples = _segment_midpoints(crossing)
         assert not np.any((samples == 0.0) & np.signbit(samples))
 
     def test_value_types_store_positive_zero(self):
