@@ -22,8 +22,9 @@ the certified map's last point and set evaluations.  `max_iter` is the cap
 copies of the first iteration, the trace, the operator image, the refined
 box, the verdict, the cause and the iteration count; the evaluations give
 the crossing times, `crossing_notes`, `step_counts` and `step_sizes`.
-Informative, not checked: `cause`, the crossing times, `crossing_notes`,
-`step_counts`, `step_sizes`, `wall_clock_seconds` and `environment`.
+Informative, not checked: the crossing times, `crossing_notes`,
+`step_counts`, `step_sizes` and `wall_clock_seconds`.  The replay derives
+`cause` and `environment` exactly, so both are checked.
 `step_counts.point` counts only the point steps integrated on their own: a
 point that rides inside the set flow's steps (`problems.phi_point`) takes
 no step of its own before the section zone.  `step_sizes` lists the set
@@ -75,9 +76,9 @@ SCHEMA_VERSION = 4
 _EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter",
                                    "tolerance"})
 # Existence fields that describe how the run went, not what it proved.
-_INFORMATIVE = frozenset({"cause", "crossing_time_point", "crossing_time_set",
+_INFORMATIVE = frozenset({"crossing_time_point", "crossing_time_set",
                           "crossing_notes", "step_counts", "step_sizes",
-                          "wall_clock_seconds", "environment"})
+                          "wall_clock_seconds"})
 _COMMENT_HEADER = "# --- decimal rendering (informative) ---"
 # == takes true for 1 and 7.0 for 7; canonical JSON does not
 _canonical = json.JSONEncoder(sort_keys=True).encode

@@ -34,7 +34,9 @@ series.  The Lohner step stacks the box center, the box and its rough
 enclosure into one pass at order R+1: layer m depends only on the layers
 below it, so layers 0..R are those of an order-R series.  A series without
 variational data stops at the state layers; the z, u, p and s layers at the
-top order feed only the gradient layers.
+top order feed only the gradient layers.  The transition layers take a seed
+block per member and an order per member, so one pass serves the step's
+box and rough box at their own orders.
 """
 
 from __future__ import annotations
@@ -338,20 +340,27 @@ class GravitySeries:
         place = self.field.layout.field_jacobian
         return place(self.grad_lo[0]), place(self.grad_hi[0])
 
-    def transition_layers(self, order: int | None = None,
-                          members: slice | None = None) -> Pair:
-        """Taylor layers of the transition matrix M(t), M(0) = identity:
-        (order+1, dim, dim), or (order+1, B', dim, dim) for the batch
-        members selected by `members` (default all).
+    def transition_layers(self, order: int | tuple[int, ...] | None = None,
+                          members: slice | None = None,
+                          seed: Pair | None = None,
+                          tangent: int | None = None) -> Pair:
+        """Taylor layers of M(t) V, with M(t) the transition matrix, M(0) =
+        identity, and V the seed: (top+1, dim, d), or (top+1, B', dim, d)
+        for the batch members selected by `members` (default all).
 
-        Needs gradient layers up to order-1, i.e. `variational=True` and
-        `order <= self.order + 1`.
+        `seed` is one interval (dim, d) block per member, (B', dim, d) for a
+        batch, by default the identity (d = dim).  Over a box X, the
+        sequence M_k(y) V obeys the same linear recurrence for every y in X
+        and every V, with M_0 = V, so the layers enclose {M_k(y) V : y in X,
+        V in seed}.  `order` is the top layer, one for every member or one
+        per member, non-decreasing; with `tangent` the last column of the
+        last member runs on alone, in the same loop, to layer `tangent`.
+        top is the highest layer asked for; the entries never computed are
+        NaN.  Layer k needs gradient layers up to k-1, i.e.
+        `variational=True` and top <= `self.order + 1`.
         """
         if not self.variational:
             raise ValueError("series was built without variational data")
-        R = self.order if order is None else order
-        if R > self.order + 1:
-            raise ValueError("not enough gradient layers for requested order")
         fld = self.field
         n = fld.layout.dim
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
@@ -363,18 +372,34 @@ class GravitySeries:
         Gl, Gh = (np.ascontiguousarray(g[:, pick].transpose(0, 3, 2, 1))[..., None]
                   for g in (self._gl, self._gh))
         B = Gl.shape[3]
-        Ml = np.zeros((R + 1, n, B, n))
-        Mh = np.zeros((R + 1, n, B, n))
-        Ml[0] = Mh[0] = np.eye(n)[:, None]
-        for m in range(R):
+        tops = np.broadcast_to(self.order if order is None else order,
+                               (B,)).tolist()
+        top = max(tops[-1], tops[-1] if tangent is None else tangent)
+        if tops != sorted(tops):
+            raise ValueError("member orders must not decrease")
+        if top > self.order + 1:
+            raise ValueError("not enough gradient layers for requested order")
+        d = n if seed is None else seed[0].shape[-1]
+        Ml = np.full((top + 1, n, B, d), np.nan)
+        Mh = np.full((top + 1, n, B, d), np.nan)
+        if seed is None:
+            Ml[0] = Mh[0] = np.eye(n)[:, None]
+        else:
+            Ml[0], Mh[0] = (np.reshape(v, (B, n, d)).transpose(1, 0, 2)
+                            for v in seed)
+        for m in range(top):
+            if m < tops[-1]:   # the members still running, all columns
+                b, c = sum(t <= m for t in tops), 0
+            else:              # the tangent alone
+                b, c = B - 1, d - 1
+            al, ah = Ml[:, :, b:, c:], Mh[:, :, b:, c:]
             # velocity rows: sum_k G[k] . Mq[m-k], batched over k.
-            mq_l = Ml[m::-1][:, qsel, None]
-            mq_h = Mh[m::-1][:, qsel, None]
-            accl, acch = kn.dot(Gl[:m + 1], Gh[:m + 1], mq_l, mq_h,
-                                axis=(0, 1))
-            Ml[m + 1][qsel], Mh[m + 1][qsel] = kn.div_int(
-                Ml[m][vsel], Mh[m][vsel], m + 1)
-            Ml[m + 1][vsel], Mh[m + 1][vsel] = kn.div_int(accl, acch, m + 1)
+            accl, acch = kn.dot(Gl[:m + 1, :, :, b:], Gh[:m + 1, :, :, b:],
+                                al[m::-1][:, qsel, None],
+                                ah[m::-1][:, qsel, None], axis=(0, 1))
+            al[m + 1][qsel], ah[m + 1][qsel] = kn.div_int(
+                al[m][vsel], ah[m][vsel], m + 1)
+            al[m + 1][vsel], ah[m + 1][vsel] = kn.div_int(accl, acch, m + 1)
         return (self._view(Ml.transpose(0, 2, 1, 3)),
                 self._view(Mh.transpose(0, 2, 1, 3)))
 

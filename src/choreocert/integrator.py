@@ -11,6 +11,16 @@ One step of the validated integrator produces, for the whole input box:
   transition itself over the step - the linear analogue of the rough
   enclosure).
 
+The transition, the C1 part, runs at its own order R_t = min(R, 10)
+(`StepPolicy.transition_order`): it reaches the set only through products
+with its width, while the state keeps order R.  Each step makes one pass of
+the transition recurrence, seeded per member: over the box with [I | 0] to
+layer R_t, over the rough box with [V | W - m] to layer R_t + 1, V the
+transition's a-priori enclosure, and the last column of that, the tangent,
+on alone to layer R + 1.  Layer R_t + 1 of the second block is the
+transition's Lagrange term; the tangent's layer R + 1 is the mean-value
+correction M_{R+1}(W) (W - m) of the state's.
+
 The state set and the C1 slab (selected monodromy columns) are both carried
 as one `Frame`, center + Q * [r] with r an n x 1 or n x d box, and share one
 update: the frame is re-chosen every step from a floating-point QR
@@ -231,8 +241,8 @@ class EnclosureStep:
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
-    trans_layers: Pair | None = None  # transition Taylor layers (C1 only)
-    trans_rem: Pair | None = None     # order-(R+1) transition remainder (C1)
+    trans_layers: Pair | None = None  # transition layers 0..R_t (C1 only)
+    trans_rem: Pair | None = None     # order-(R_t+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at the start (C1)
 
     @property
@@ -297,27 +307,12 @@ def step(field, cur: LohnerSet, h: float, order: int,
     center = cur.state.m[:, 0]
     ser = field.series(np.stack([center, xl, wl]), np.stack([center, xh, wh]),
                        order + 1, variational=True)
-    R = order
+    R, Rt = order, StepPolicy.transition_order(order)
     sl, sh = ser.layers()
     layers_m = sl[:R + 1, 0], sh[:R + 1, 0]
     layers_x = sl[:R + 1, 1].copy(), sh[:R + 1, 1].copy()
-    ml, mh = ser.transition_layers(R + 1, members=slice(1, None))
-    mx = ml[:R + 1, 0].copy(), mh[:R + 1, 0].copy()
-
-    # The Lagrange coefficient c_{R+1} over the rough box W, intersected
-    # with its mean-value form c_{R+1}(m) + M_{R+1}(W) (W - m): layer R+1
-    # of the transition is the gradient of c_{R+1}, and the form holds
-    # because W is convex and holds m.
     if not kn.contains_point(wl, wh, center):
         raise ValueError("the set's center left its rough enclosure")
-    dl, dh = kn.matvec(ml[R + 1, 1], mh[R + 1, 1],
-                       *kn.sub(wl, wh, center, center))
-    rem = kn.intersect(sl[R + 1, 2], sh[R + 1, 2],
-                       *kn.add(sl[R + 1, 0], sh[R + 1, 0], dl, dh))
-
-    # The center's image is thin, so it keeps Horner's ulp-sized rounding.
-    h_iv = Interval.point(h)
-    pt = poly_eval(layers_m, rem, h_iv)
 
     # The transition's Picard iteration on V' = J V, V(0) = I, with J over
     # the rough enclosure, starts from I.
@@ -325,8 +320,31 @@ def step(field, cur: LohnerSet, h: float, order: int,
     eye = np.eye(n)
     vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[2], jh[2], cl, ch), h,
                 (eye, eye), "transition enclosure")
-    trans_rem = kn.matmul(ml[R + 1, 1], mh[R + 1, 1], *vw)
+
+    # One transition pass, n + 1 columns per member: the box X seeded with
+    # [I | 0] to layer R_t, the rough box W with [vw | W - m] to layer
+    # R_t + 1, and W's last column, the tangent, on alone to layer R + 1.
+    x_seed = np.hstack([eye, np.zeros((n, 1))])
+    seed = tuple(np.stack([x_seed, np.hstack([v, u[:, None]])])
+                 for v, u in zip(vw, kn.sub(wl, wh, center, center)))
+    ml, mh = ser.transition_layers((Rt, Rt + 1), members=slice(1, None),
+                                   seed=seed, tangent=R + 1)
+    mx = ml[:Rt + 1, 0, :, :n].copy(), mh[:Rt + 1, 0, :, :n].copy()
+    # M_{R_t+1}(W) vw: the Lagrange term of A, as y runs over W and the
+    # transition over vw.
+    trans_rem = ml[Rt + 1, 1, :, :n].copy(), mh[Rt + 1, 1, :, :n].copy()
     A = poly_at_step(mx, trans_rem, h)
+
+    # The Lagrange coefficient c_{R+1} over the rough box W, intersected
+    # with its mean-value form c_{R+1}(m) + M_{R+1}(W) (W - m): layer R+1
+    # of the transition is the gradient of c_{R+1}, the tangent encloses
+    # that product, and the form holds because W is convex and holds m.
+    rem = kn.intersect(sl[R + 1, 2], sh[R + 1, 2],
+                       *kn.add(sl[R + 1, 0], sh[R + 1, 0],
+                               ml[R + 1, 1, :, n], mh[R + 1, 1, :, n]))
+
+    # The center's image is thin, so it keeps Horner's ulp-sized rounding.
+    pt = poly_eval(layers_m, rem, Interval.point(h))
 
     # Whole-step enclosure: the in-step polynomial sharpens the rough box.
     span = Interval(0.0, h)
@@ -510,7 +528,9 @@ class StepPolicy:
     one; past them step 0 takes h and step k the size of step k-1 or, under
     a tolerance, that size times 0.9 (tol / w)^(1/(R+1)) kept in [1/2, 2],
     w the widest component of step k-1's Lagrange term h^(R+1) [rem] (any
-    size gives a sound step), a flow at most its `budget` of 10/h steps.  It
+    size gives a sound step), a flow at most its `budget` of 10/h steps.
+    The state runs at order R and the transition at `transition_order(R)`,
+    which every step derives from R: no option sets it.  It
     refuses, naming the field, an h not finite and > 0 or whose budget
     exceeds 10^6 steps (h below 1e-5), an order not an int >= 1, a tol not
     None or finite and > 0, and given sizes off the rule the control keeps
@@ -542,6 +562,13 @@ class StepPolicy:
     def budget(self) -> int:
         """The most steps a flow from time 0 takes."""
         return math.ceil(10.0 / self.h)
+
+    @staticmethod
+    def transition_order(order: int) -> int:
+        """R_t = min(R, 10), the Taylor order of the C1 part of a step at
+        state order R: A = Dphi_h reaches the set only through products
+        with its width, so it needs less order than the state."""
+        return min(order, 10)
 
     def sizes_before(self, k: int) -> list[float]:
         """Steps 0..k-1's sizes: the given ones, padded with h if no tol."""

@@ -39,33 +39,38 @@ class LinearField:
             self._A = A
             self._batch = sl.shape[:-1]
 
-        def _stacked(self, M: np.ndarray, lead: tuple) -> np.ndarray:
-            n = self._A.shape[0]
-            return np.broadcast_to(M.reshape(lead + (1,) * len(self._batch)
-                                             + (n, n)),
-                                   lead + self._batch + (n, n))
-
         def layers(self) -> Pair:
             return self.state_lo, self.state_hi
 
         def jacobian(self) -> Pair:
-            J = self._stacked(self._A, ())
+            J = np.broadcast_to(self._A, self._batch + self._A.shape)
             return J, J
 
-        def transition_layers(self, order: int | None = None,
-                              members: slice | None = None) -> Pair:
-            R = self.order if order is None else order
+        def transition_layers(self, order=None, members: slice | None = None,
+                              seed: Pair | None = None,
+                              tangent: int | None = None) -> Pair:
+            """The gravity series' protocol: layers of M(t) V, M_k = A^k / k!,
+            with one seed (n, d) per member (default the identity), an order
+            per member and a tangent; entries never computed are NaN."""
             n = self._A.shape[0]
-            Ml = np.zeros((R + 1, n, n))
-            Mh = np.zeros((R + 1, n, n))
-            Ml[0] = Mh[0] = np.eye(n)
-            for m in range(R):
-                nl, nh = kn.matmul_thin_left(self._A, Ml[m], Mh[m])
+            B = len(range(int(np.prod(self._batch)))[members or slice(None)])
+            tops = np.broadcast_to(self.order if order is None else order, (B,))
+            top = max(tops[-1], tangent or 0)
+            eye = np.broadcast_to(np.eye(n), (B, n, n))
+            vl, vh = (np.reshape(v, (B, n, -1)) for v in (seed or (eye, eye)))
+            Ml = np.empty((top + 1,) + vl.shape)
+            Mh = np.empty((top + 1,) + vh.shape)
+            Ml[0], Mh[0] = vl, vh
+            for m in range(top):
+                nl, nh = kn.dot(self._A[:, :, None], self._A[:, :, None],
+                                Ml[m][:, None], Mh[m][:, None], axis=-2)
                 Ml[m + 1], Mh[m + 1] = kn.div_int(nl, nh, m + 1)
-            Ml, Mh = self._stacked(Ml, (R + 1,)), self._stacked(Mh, (R + 1,))
-            if members is None:
-                return Ml, Mh
-            return Ml[:, members], Mh[:, members]
+            tail = Ml[:, -1, :, -1].copy(), Mh[:, -1, :, -1].copy()
+            past = np.arange(top + 1)[:, None] > tops
+            Ml[past] = Mh[past] = np.nan
+            if top > tops[-1]:   # the last member's last column runs on
+                Ml[:, -1, :, -1], Mh[:, -1, :, -1] = tail
+            return (Ml, Mh) if self._batch else (Ml[:, 0], Mh[:, 0])
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=np.float64)

@@ -92,7 +92,7 @@ class TestSerialization:
         assert differ == {"crossing_time_point", "crossing_time_set",
                           "crossing_notes", "step_counts", "step_sizes",
                           "wall_clock_seconds"}
-        assert differ <= certificates._INFORMATIVE
+        assert differ == certificates._INFORMATIVE
 
     def test_document_deterministic_except_wall_clock(self):
         cert1, _ = small_certificate()
@@ -152,6 +152,31 @@ class TestReverify:
         body["operator_image"] = IntervalVector.box([1.4], 1e-3).to_hex()
         report = reverify_document(json.dumps(body))
         assert not report.ok
+
+    @pytest.mark.parametrize("max_iter, cause", [
+        (64, "iteration limit reached"), (1, ""), (1, "iteration limit")])
+    def test_edited_cause_disagrees(self, monkeypatch, max_iter, cause):
+        # the replay derives the cause exactly: "" for a UniqueZero, the
+        # stop's reason for an Inconclusive
+        monkeypatch.setattr(rootfind, "MAX_ITER", max_iter)
+        cert, _ = small_certificate(x0=1.2, delta=0.3)
+        body = parse_document(cert.to_document())
+        assert reverify_document(json.dumps(body)).ok
+        body["cause"] = cause
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert "FAIL cause is the one the replay writes" in report.messages
+
+    @pytest.mark.parametrize("environment", [
+        {"rounding_backend": "nearest"}, {}, None])
+    def test_edited_environment_disagrees(self, environment):
+        cert, _ = small_certificate()
+        body = parse_document(cert.to_document())
+        body["environment"] = environment
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert ("FAIL environment is the one the replay writes"
+                in report.messages)
 
     def test_detects_forged_verdict(self):
         cert, _ = small_certificate(x0=10.5)  # honest NoZero

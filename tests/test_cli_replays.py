@@ -18,11 +18,11 @@ from choreocert.problems import phi_jacobian
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6's point value is bound by rounding and wrapping, so its
-# ratio moves with the candidate's bits (0.0082-0.0084 over the default
-# candidate and the two corners, up to 0.0086 over seeds 1-10; gerver's
-# stays at 0.00371); the Eight's Newton image grows with the candidate's
-# distance from the zero (0.00017 at the default candidate, 0.00041 and
-# 0.00076 at the corners).
+# ratio moves with the candidate's bits (0.0082-0.0085 over the default
+# candidate, the two corners and the benchmark's seeds 1-3; gerver's stays
+# at 0.00374); the Eight's Newton image grows with the candidate's distance
+# from the zero (0.00017 at the default candidate, 0.00041 and 0.00076 at
+# the corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
 
 

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from choreocert import kernels as kn
+from choreocert.boxes import IntervalVector
 from choreocert.cli import DEFAULTS
 from choreocert.dynamics import (
     AttractionTerm,
     GravityField,
+    GravitySeries,
     PhaseLayout,
     nbody_field,
     reduced6_field,
 )
 from choreocert.errors import CollisionEnclosure
+from choreocert.integrator import StepPolicy, step
 from choreocert.problems import make_problem
 from helpers import (
     LinearField,
@@ -374,6 +377,183 @@ class TestBatch:
         assert same(one.layers(), (a[:, 1] for a in ser.layers()))
         assert same(one.transition_layers(), (ml[:, 0], mh[:, 0]))
         assert ser.jacobian()[0].shape == (2, 2, 2)
+
+
+def recorded_step(monkeypatch, system, scale=1.0, order=None):
+    """One set step of a replay from its embedded slab box(candidate,
+    delta), at its default h and order (or `order`), h and delta divided by
+    `scale`,
+    with its series passes and transition calls recorded: (field, R, the
+    variational stack (center, X, W) as (lo, hi), one (series, args,
+    kwargs, result) per `transition_layers` call, and the step's record)."""
+    d = DEFAULTS[system]
+    problem = make_problem(system, a_text=d["a"])
+    start = problem.embed_slab(IntervalVector.box(np.array(d["candidate"]),
+                                                  d["delta"] / scale))
+    stacks, calls = [], []
+    series, transition = GravityField.series, GravitySeries.transition_layers
+
+    def recording_series(self, sl, sh, order, variational=False):
+        if variational:
+            stacks.append((np.array(sl), np.array(sh)))
+        return series(self, sl, sh, order, variational)
+
+    def recording_transition(self, *args, **kwargs):
+        out = transition(self, *args, **kwargs)
+        calls.append((self, args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(GravityField, "series", recording_series)
+    monkeypatch.setattr(GravitySeries, "transition_layers", recording_transition)
+    R = d["order"] if order is None else order
+    _, rec = step(problem.field, start, d["h"] / scale, R)
+    monkeypatch.undo()
+    (stack,) = stacks
+    return problem.field, R, stack, calls, rec
+
+
+def layer_mid(f, y, k):
+    """The float midpoint of state layer k of the series at the point y."""
+    lo, hi = f.series(y, y, k).layers()
+    return 0.5 * (lo[k] + hi[k])
+
+
+def central_difference(f, y, u, k):
+    """Float central difference of state layer k at y along u, with a step
+    of 1e-5 in the max norm.  Layer k's gradient is transition layer k
+    (TestVariational), so this approximates M_k(y) u.  The stated bound on
+    its error is 1e-6 of the largest component: on the replays' rough boxes
+    the differences at steps 1e-5 and 1e-6 agree to ~4e-9 of it."""
+    eps = 1e-5 / np.max(np.abs(u))
+    fd = (layer_mid(f, y + eps * u, k) - layer_mid(f, y - eps * u, k)) / (2 * eps)
+    return fd, 1e-6 * np.max(np.abs(fd))
+
+
+class TestSeededTransition:
+    """`integrator.step` makes one transition pass per step, seeded per
+    member: the box X with [I | 0] to layer R_t, the rough box W with
+    [vw | W - m] to layer R_t + 1, and W's last column, the tangent, on
+    alone to layer R + 1."""
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
+    def test_identity_seed_is_the_unseeded_call(self, system):
+        f, R, s0 = replay_field(system)
+        lo, hi = random_boxes(s0, np.random.default_rng(31), 3)
+        ser = f.series(lo, hi, R + 1, variational=True)
+        eye = np.broadcast_to(np.eye(f.dim), (3, f.dim, f.dim))
+        for members, count in ((None, 3), (slice(1, None), 2)):
+            seed = (eye[:count], eye[:count])
+            assert same(ser.transition_layers(R + 1, members, seed),
+                        ser.transition_layers(R + 1, members))
+        one = f.series(lo[0], hi[0], R, variational=True)
+        assert same(one.transition_layers(seed=(np.eye(f.dim),) * 2),
+                    one.transition_layers())
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_step_makes_one_pass_at_the_transition_order(self, system,
+                                                         monkeypatch):
+        f, R, _, calls, rec = recorded_step(monkeypatch, system)
+        (ser, args, kwargs, (ml, mh)), = calls
+        Rt, n = StepPolicy.transition_order(R), f.dim
+        assert Rt == 10 < R
+        assert args == ((Rt, Rt + 1),) and kwargs["tangent"] == R + 1
+        assert ml.shape == (R + 2, 2, n, n + 1)
+        # X, seeded [I | 0], is the identity call's first n columns bit for
+        # bit, with a zero last column, and stops at layer R_t
+        x = ml[:Rt + 1, 0], mh[:Rt + 1, 0]
+        assert same((a[..., :n] for a in x),
+                    (a[:, 0] for a in ser.transition_layers(
+                        Rt, members=slice(1, 2))))
+        assert not np.any(x[0][..., n]) and not np.any(x[1][..., n])
+        assert np.all(np.isnan(ml[Rt + 1:, 0]))
+        # W runs every column to R_t + 1, then the tangent alone
+        assert not np.any(np.isnan(ml[:Rt + 2, 1]))
+        assert np.all(np.isnan(ml[Rt + 2:, 1, :, :n]))
+        assert not np.any(np.isnan(ml[:, 1, :, n]))
+        # the step reads A's Lagrange term from W's layer R_t + 1, and the
+        # mean-value correction of the state's from the tangent's layer R + 1
+        assert same(rec.trans_layers, (a[..., :n] for a in x))
+        assert same(rec.trans_rem, (ml[Rt + 1, 1, :, :n], mh[Rt + 1, 1, :, :n]))
+        sl, sh = ser.layers()
+        assert same(rec.rem, kn.intersect(
+            sl[R + 1, 2], sh[R + 1, 2], *kn.add(sl[R + 1, 0], sh[R + 1, 0],
+                                                ml[R + 1, 1, :, n],
+                                                mh[R + 1, 1, :, n])))
+
+    def test_up_to_order_ten_the_transition_keeps_the_state_order(
+            self, monkeypatch):
+        # at convexity.POLICY's and the published orders R_t = R: W runs
+        # every column to R + 1, and the tangent has no layer of its own
+        f, R, _, calls, rec = recorded_step(monkeypatch, "eight", order=7)
+        (_, args, kwargs, (ml, _)), = calls
+        assert StepPolicy.transition_order(R) == R == 7
+        assert args == ((7, 8),) and kwargs["tangent"] == 8
+        assert ml.shape == (9, 2, f.dim, f.dim + 1)
+        assert not np.any(np.isnan(ml[:, 1]))
+        assert rec.trans_layers[0].shape == (8, f.dim, f.dim)
+
+    @pytest.mark.parametrize("scale", [1.0, 256.0])
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_tangent_encloses_central_differences(self, system, scale,
+                                                  monkeypatch):
+        # layer R+1 of the tangent encloses M_{R+1}(y) u for every y in W
+        # and u in W - m; at h / 256 W is thin enough that the enclosure is
+        # within a few times the spread of the differences
+        f, R, (lo, hi), calls, _ = recorded_step(monkeypatch, system, scale)
+        m, wl, wh = lo[0], lo[2], hi[2]
+        _, _, _, (ml, mh) = calls[0]
+        tl, th = ml[R + 1, 1, :, f.dim], mh[R + 1, 1, :, f.dim]
+        rng = np.random.default_rng(7)
+        for y, u in [(m, wh - m), (m, wl - m)] + [
+                (wl + rng.uniform(0, 1, f.dim) * (wh - wl),
+                 (wl - m) + rng.integers(0, 2, f.dim) * (wh - wl))
+                for _ in range(4)]:
+            fd, err = central_difference(f, y, u, R + 1)
+            assert np.all((tl - err <= fd) & (fd <= th + err))
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_vw_seeded_layer_encloses_products(self, system, monkeypatch):
+        # layer R_t+1 of W's first n columns encloses M_{R_t+1}(y) V for y
+        # in W and V in vw, the transition's a-priori enclosure
+        f, R, (lo, hi), calls, _ = recorded_step(monkeypatch, system)
+        wl, wh = lo[2], hi[2]
+        _, args, kwargs, (ml, mh) = calls[0]
+        Rt, n = args[0][0], f.dim
+        vl, vh = (v[1, :, :n] for v in kwargs["seed"])
+        assert np.all(vl <= np.eye(n)) and np.all(np.eye(n) <= vh)
+        tl, th = ml[Rt + 1, 1, :, :n], mh[Rt + 1, 1, :, :n]
+        rng = np.random.default_rng(11)
+        for V in (vl, vh, vl + rng.uniform(0, 1, vl.shape) * (vh - vl)):
+            y = wl + rng.uniform(0, 1, n) * (wh - wl)
+            for j in range(n):
+                fd, err = central_difference(f, y, V[:, j], Rt + 1)
+                assert np.all((tl[:, j] - err <= fd) & (fd <= th[:, j] + err))
+
+    def test_orders_and_seed_shapes_are_checked(self):
+        f, R, s0 = replay_field("eight")
+        lo, hi = random_boxes(s0, np.random.default_rng(2), 2)
+        ser = f.series(lo, hi, R, variational=True)
+        with pytest.raises(ValueError, match="must not decrease"):
+            ser.transition_layers((R, R - 1))
+        with pytest.raises(ValueError, match="not enough gradient layers"):
+            ser.transition_layers(R, tangent=R + 2)
+
+    def test_linear_field_follows_the_protocol(self):
+        # M_k V = A^k V / k! per member, past a member's order NaN, and the
+        # last member's last column on to the tangent's layer
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        lo = np.array([[1.0, 0.0], [0.5, 0.25], [0.0, 1.0]])
+        ser = LinearField(A).series(lo, lo, 6)
+        V = np.array([[[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]] * 2)
+        ml, mh = ser.transition_layers((2, 3), slice(1, None), (V, V), 5)
+        assert ml.shape == (6, 2, 2, 3)
+        for k in range(6):
+            exact = np.linalg.matrix_power(A, k) @ V[0] / math.factorial(k)
+            done = np.array([[k <= 2] * 3, [k <= 3, k <= 3, True]])[:, None]
+            assert np.array_equal(np.isnan(ml[k]),
+                                  np.broadcast_to(~done, ml[k].shape))
+            ok = (ml[k] - 1e-14 <= exact) & (exact <= mh[k] + 1e-14)
+            assert np.all(ok | ~done)
 
 
 class TestDivInt:
