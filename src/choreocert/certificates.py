@@ -426,10 +426,10 @@ def _convexity_comment(body: dict) -> str:
 def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
     """Re-check every stored row with the prover's own rule,
     `condition_holds`, and that the document is one `verify_convexity`
-    writes: closed key sets, the writer's problem and parameters, rows of
-    finite ordered intervals for each of its three bodies step by
-    step, each naming the condition of its piece and marked passed, and a
-    verdict that fails exactly when a failure is stated.  A passing
+    writes: closed key sets, the writer's problem, parameters and
+    rounding rule, rows of finite ordered intervals for each of its three
+    bodies step by step, each naming the condition of its piece and marked
+    passed, and a verdict that fails exactly when a failure is stated.  A passing
     document must cover every step that starts before the crossing time and
     have the origin in the first step."""
     rep.add(set(body) == _CONVEXITY_KEYS,
@@ -438,6 +438,8 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
             == _canonical(_CONVEXITY_SETTING),
             f"problem and parameters are the prover's: eight at h "
             f"{POLICY.h!r} and order {POLICY.order}")
+    rep.add(body.get("environment") == {"rounding_backend": rounding_backend()},
+            "environment names the kernels' rounding rule")
     rep.add(all(set(c) == _CONVEXITY_ROW for c in body["checks"]),
             "every row's keys are exactly the ones the prover writes")
     rows = body["checks"]

@@ -20,7 +20,8 @@ convexity and emit-curve read their certificate through one reader: the
 no-integration verifier must agree with it, and it must be a UniqueZero
 existence certificate (of the Eight, for convexity).  verify binds what no
 option sets: `max_iter` to `rootfind.MAX_ITER`, and a convexity document's
-problem and parameters to the Eight at `convexity.POLICY`.
+problem and parameters to the Eight at `convexity.POLICY` and its
+environment to the kernels' rounding rule.
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
@@ -78,28 +79,29 @@ EXIT_USAGE = 64
 # Replay defaults: candidate points, methods and step sizes for the three
 # reference orbits.  All three take fewer, higher-order steps than the
 # published 0.01 / 7, 0.002 / 6 and 0.001 / 9, at smaller image/box ratios.
-# The Eight takes the one size h, 23 steps where 0.01 / 7 takes 55.  For
+# The Eight takes the one size h, 19 steps where 0.01 / 7 takes 55.  For
 # gerver and chain6 h is the first step, and "tol" the Lagrange width each
-# later step is sized for (`integrator.StepPolicy`); gerver stays at order
-# 14, where order 16 widens its image.  Any run with an explicit --h or
-# --order takes the one size h: the tolerance was set for the default pair.
-# Every "a" is None: the published size parameters are `make_problem`'s.
+# later step is sized for (`integrator.StepPolicy`): 56 and 57 steps.
+# gerver's tolerance is tight for its order, since a looser one widens its
+# image.  Any run with an explicit --h or --order takes the one size h: the
+# tolerance was set for the default pair.  Every "a" is None: the published
+# size parameters are `make_problem`'s.
 DEFAULTS = {
     "eight": {
         "candidate": (0.347116768716, 0.532724944657),
-        "method": "newton", "h": 0.025, "order": 14, "delta": 1e-6,
+        "method": "newton", "h": 0.03, "order": 18, "delta": 1e-6,
         "a": None, "tol": None,
     },
     "gerver": {
         "candidate": (1.382857, 1.87193510824, 0.584872579881),
-        "method": "krawczyk", "h": 0.0075, "order": 14, "delta": 1e-7,
-        "a": None, "tol": 1e-14,
+        "method": "krawczyk", "h": 0.0075, "order": 16, "delta": 1e-7,
+        "a": None, "tol": 3e-15,
     },
     "chain6": {
         "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
                       0.100637737317, -2.03152227864),
-        "method": "krawczyk", "h": 0.004, "order": 16, "delta": 1e-9,
-        "a": None, "tol": 2e-16,
+        "method": "krawczyk", "h": 0.004, "order": 18, "delta": 1e-9,
+        "a": None, "tol": 1e-15,
     },
 }
 

@@ -9,14 +9,17 @@ first-variation recurrences identical for every problem.
 
 Series bookkeeping per term, all in interval arithmetic (kernels module):
 
-    u = |z|^2,  p = u^(-5/2) via the power-series closure  u w' = a u' w,
+    u = |z|^2, each layer one contraction over the layers and both
+        components of z,
+    p = u^(-5/2) via the power-series closure  u p' = -5/2 u' p, each layer
+        one weighted sum  m u0 p[m] = -sum_{j=1..m} (3j/2 + m) u[j] p[m-j],
     s = u * p   (= |z|^-3),  acceleration coefficients from conv(z, s),
     gravity-gradient blocks from  s I - 3 (z x z) * p.
 
-The xx and yy series of z x z are the halves of u from the state pass.  The
-state pass is a recurrence, one layer after the other; the variational pass
-reads finished series, so it forms every layer of xy and of (z x z) * p in
-one Cauchy-product contraction each (`kernels.cauchy`), and all of
+The state pass is a recurrence, one layer after the other, in 11 kernel
+calls a layer; the variational pass reads finished series, so it forms
+every layer of z x z = (xx, xy, yy) and of (z x z) * p in one
+Cauchy-product contraction each (`kernels.cauchy`), and all of
 s I - 3 (z x z) * p in one stacked pass.  Each `GravityField` builds its
 term scatter once (the blocks of G each term touches, with exact factors
 +-1 or +-2); the layers G[k] and the float Jacobian of `pointflow` both
@@ -32,11 +35,12 @@ convolution still sums over the layer axis and each matrix row over the
 contiguous last axis, so a member's layers are bit for bit those of its own
 series.  The Lohner step stacks the box center, the box and its rough
 enclosure into one pass at order R+1: layer m depends only on the layers
-below it, so layers 0..R are those of an order-R series.  A series without
-variational data stops at the state layers; the z, u, p and s layers at the
-top order feed only the gradient layers.  The transition layers take a seed
-block per member and an order per member, so one pass serves the step's
-box and rough box at their own orders.
+below it, so layers 0..R are those of an order-R series.  A series of
+order R computes the state layers 0..R and, with or without variational
+data, z, u, p and s at the layers 0..R-1 that they read; the gradient
+layers G[0..R-1] are what the transition layers up to R read.  The
+transition layers take a seed block per member and an order per member, so
+one pass serves the step's box and rough box at their own orders.
 """
 
 from __future__ import annotations
@@ -186,26 +190,22 @@ class GravitySeries:
         """Drops the batch axis (axis 1) of a series built from a 1-D box."""
         return a[:, 0] if self._single else a
 
-    # Series arrays, all with the batch axis B second: z = (zx, zy) as
-    # (order+1, B, 2, T); z (x) z = (xx, xy, yy) as (order+1, B, 3, T), where
-    # this pass fills xx and yy (the halves of u) and the variational pass
-    # xy; then (order+1, B, T) each for u = |z|^2, p = u^(-5/2), s = u * p,
-    # and the weighted rows a*u[a] / a*p[a] of the power closure.  Every
-    # convolution sums over the layer axis 0 and every matrix row over the
-    # contiguous last axis, as for a single box, so batching moves no bit.
+    # Series arrays, all with the batch axis B second and layers 0..order-1,
+    # the layers that the state layers up to `order` read: z = (zx, zy) as
+    # (order, B, 2, T), then (order, B, T) each for u = |z|^2,
+    # p = u^(-5/2) and s = u * p.  Every convolution sums over the layer
+    # axis 0 and every matrix row over the contiguous last axis, as for a
+    # single box, so batching moves no bit.
     def _run(self) -> None:
         fld = self.field
         R = self.order
         B = self._lo.shape[1]
         T = fld.n_terms
-        shape = (R + 1, B, T)
-        zl = np.zeros((R + 1, B, 2, T)); zh = np.zeros((R + 1, B, 2, T))
-        zzl = np.zeros((R + 1, B, 3, T)); zzh = np.zeros((R + 1, B, 3, T))
+        shape = (R, B, T)
+        zl = np.zeros((R, B, 2, T)); zh = np.zeros((R, B, 2, T))
         ul = np.zeros(shape); uh = np.zeros(shape)
         pl = np.zeros(shape); ph = np.zeros(shape)
         sl_ = np.zeros(shape); sh_ = np.zeros(shape)
-        wul = np.zeros(shape); wuh = np.zeros(shape)   # a * u[a]
-        wpl = np.zeros(shape); wph = np.zeros(shape)   # a * p[a]
 
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
         state_lo, state_hi = self._lo, self._hi
@@ -216,44 +216,38 @@ class GravitySeries:
             zl[m], zh[m] = lo.reshape(B, 2, T), hi.reshape(B, 2, T)
 
         def u_layer(m: int) -> None:
-            if m == 0:
-                zzl[0, :, ::2], zzh[0, :, ::2] = kn.sqr(zl[0], zh[0])
-            else:
-                zzl[m, :, ::2], zzh[m, :, ::2] = kn.dot(
-                    zl[:m + 1], zh[:m + 1], zl[m::-1], zh[m::-1], axis=0)
-            ul[m], uh[m] = kn.add(zzl[m, :, 0], zzh[m, :, 0],
-                                  zzl[m, :, 2], zzh[m, :, 2])
-            wul[m], wuh[m] = kn.scale(ul[m], uh[m], float(m))
+            # u[m] = sum over the layers and both components of z[k] z[m-k]
+            ul[m], uh[m] = kn.dot(zl[:m + 1], zh[:m + 1], zl[m::-1], zh[m::-1],
+                                  axis=(0, 2))
 
+        # u[0] from the tight squares, which keep u0 > 0 wherever the
+        # separation stays off zero; the gradient pass reuses them.
         z_layer(0)
-        u_layer(0)
+        sql, sqh = self._sq0 = kn.sqr(zl[0], zh[0])
+        ul[0], uh[0] = kn.add(sql[:, 0], sqh[:, 0], sql[:, 1], sqh[:, 1])
         if np.any(ul[0] <= 0.0):
             raise CollisionEnclosure(
                 "a pairwise separation enclosure touches zero")
 
         # p[0] = u0^(-5/2) with a single division:
-        #   e = u0^(3/2), p0 = 1 / (u0 * e), inv_u0 = p0 * e, s0 = p0 * u0.
+        #   e = u0^(3/2), p0 = 1 / (u0 * e), 1/u0 = p0 * e, s0 = p0 * u0.
         rt = kn.sqrt(ul[0], uh[0])
         e = kn.mul(ul[0], uh[0], *rt)
         denom = kn.mul(ul[0], uh[0], *e)
         one = np.ones((B, T))
         pl[0], ph[0] = kn.div(one, one, *denom)
-        inv_u0 = kn.mul(pl[0], ph[0], *e)
+        minus_inv_u0 = kn.neg(*kn.mul(pl[0], ph[0], *e))
         sl_[0], sh_[0] = kn.mul(pl[0], ph[0], ul[0], uh[0])
 
         def p_layer(m: int) -> None:
-            # (m) p[m] u[0] = a * conv(a u[a], p)[m] - conv(a p[a], u)[m],
-            # a = -5/2; both convolutions run over a = 1..m (weights kill 0).
-            t1 = kn.dot(wul[1:m + 1], wuh[1:m + 1],
-                        pl[m - 1::-1], ph[m - 1::-1], axis=0)
-            t1 = kn.scale(*t1, -2.5)
-            if m >= 2:
-                t2 = kn.dot(wpl[1:m], wph[1:m],
-                            ul[m - 1:0:-1], uh[m - 1:0:-1], axis=0)
-                t1 = kn.sub(*t1, *t2)
-            t1 = kn.mul(*t1, *inv_u0)
-            pl[m], ph[m] = kn.div_int(*t1, m)
-            wpl[m], wph[m] = kn.scale(pl[m], ph[m], float(m))
+            # The power closure u p' = -5/2 u' p, at layer m:
+            #   m u[0] p[m] = -sum_{j=1..m} (3j/2 + m) u[j] p[m-j],
+            # one weighted sum with exact positive float weights; the sign
+            # rides on -1/u0, an exact negation.
+            w = (1.5 * np.arange(1, m + 1) + m)[:, None, None]
+            t = kn.dot(*kn.scale(ul[1:m + 1], uh[1:m + 1], w),
+                       pl[m - 1::-1], ph[m - 1::-1], axis=0)
+            pl[m], ph[m] = kn.div_int(*kn.mul(*t, *minus_inv_u0), m)
 
         def s_layer(m: int) -> None:
             sl_[m], sh_[m] = kn.dot(ul[:m + 1], uh[:m + 1],
@@ -267,40 +261,38 @@ class GravitySeries:
                                        tl.swapaxes(1, 2).reshape(B, -1),
                                        th.swapaxes(1, 2).reshape(B, -1))
 
-        # Only the gradient layers read z, u, p and s at the top layer.
-        top = R + 1 if self.variational else R
         for m in range(R):
             state_lo[m + 1][:, qsel], state_hi[m + 1][:, qsel] = kn.div_int(
                 state_lo[m][:, vsel], state_hi[m][:, vsel], m + 1)
             state_lo[m + 1][:, vsel], state_hi[m + 1][:, vsel] = kn.div_int(
                 *acc_layer(m), m + 1)
-            if m + 1 < top:
+            if m + 1 < R:
                 z_layer(m + 1)
                 u_layer(m + 1)
                 p_layer(m + 1)
                 s_layer(m + 1)
 
         self._z = (zl, zh)
-        self._zz = (zzl, zzh)
+        self._u = (ul, uh)
         self._p = (pl, ph)
         self._s = (sl_, sh_)
 
     def _build_gradient_layers(self) -> None:
         """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks),
-        shaped (order+1, B, 2N, 2N)."""
+        k < order, shaped (order, B, 2N, 2N)."""
         fld = self.field
         R = self.order
         B = self._lo.shape[1]
         nb = fld.layout.n_bodies
         zl, zh = self._z
-        zzl, zzh = self._zz
         pl, ph = self._p
         sl_, sh_ = self._s
 
-        # the xy component of z (x) z, layer 0 as one product like xx and
-        # yy, which came with u.
-        xyl, xyh = kn.cauchy(zl[:, :, 0], zh[:, :, 0], zl[:, :, 1], zh[:, :, 1])
-        zzl[1:, :, 1], zzh[1:, :, 1] = xyl[1:], xyh[1:]
+        # z (x) z = (xx, xy, yy), every layer in one Cauchy contraction;
+        # layer 0 is the state pass's tight squares and one product.
+        a, b = [0, 0, 1], [0, 1, 1]
+        zzl, zzh = kn.cauchy(zl[:, :, a], zh[:, :, a], zl[:, :, b], zh[:, :, b])
+        zzl[0, :, ::2], zzh[0, :, ::2] = self._sq0
         zzl[0, :, 1], zzh[0, :, 1] = kn.mul(zl[0, :, 0], zh[0, :, 0],
                                             zl[0, :, 1], zh[0, :, 1])
 
@@ -310,12 +302,12 @@ class GravitySeries:
         el[:, :, ::2], eh[:, :, ::2] = kn.add(sl_[:, :, None], sh_[:, :, None],
                                               el[:, :, ::2], eh[:, :, ::2])
 
-        # per-term 2x2 blocks [[xx, xy], [xy, yy]], shaped (R+1, B, T, 2, 2)
+        # per-term 2x2 blocks [[xx, xy], [xy, yy]], shaped (R, B, T, 2, 2)
         sym = [[0, 1], [1, 2]]
         dl = el[:, :, sym].transpose(0, 1, 4, 2, 3)
         dh = eh[:, :, sym].transpose(0, 1, 4, 2, 3)
-        Gl = np.zeros((R + 1, B, 2 * nb, 2 * nb))
-        Gh = np.zeros((R + 1, B, 2 * nb, 2 * nb))
+        Gl = np.zeros((R, B, 2 * nb, 2 * nb))
+        Gh = np.zeros((R, B, 2 * nb, 2 * nb))
         for t, rows, cols, f in fld.scatter:
             # f is +-1 or +-2, so f * endpoint is exact
             bl, bh = dl[:, :, t], dh[:, :, t]
@@ -357,7 +349,7 @@ class GravitySeries:
         last member runs on alone, in the same loop, to layer `tangent`.
         top is the highest layer asked for; the entries never computed are
         NaN.  Layer k needs gradient layers up to k-1, i.e.
-        `variational=True` and top <= `self.order + 1`.
+        `variational=True` and top <= `self.order`.
         """
         if not self.variational:
             raise ValueError("series was built without variational data")
@@ -377,7 +369,7 @@ class GravitySeries:
         top = max(tops[-1], tops[-1] if tangent is None else tangent)
         if tops != sorted(tops):
             raise ValueError("member orders must not decrease")
-        if top > self.order + 1:
+        if top > self.order:
             raise ValueError("not enough gradient layers for requested order")
         d = n if seed is None else seed[0].shape[-1]
         Ml = np.full((top + 1, n, B, d), np.nan)

@@ -73,14 +73,16 @@ _ROUGH_TRIES = 20
 
 # --- small helpers -----------------------------------------------------------
 
-def poly_eval(layers: Pair, rem: Pair, tau: Interval) -> Pair:
+def poly_eval(layers: Pair, rem: Pair, tau: Interval | Pair) -> Pair:
     """Horner evaluation of sum_i c_i tau^i + tau^(R+1) rem.
 
     `layers` is (R+1, ...) coefficient enclosures, `rem` the order-(R+1)
-    Lagrange coefficient enclosure; tau may be a thick time interval.
+    Lagrange coefficient enclosure; tau may be a thick time interval, or a
+    pair of arrays of its ends that broadcast against a layer, one time per
+    member of a stack.
     """
-    tl = np.float64(tau.lo)
-    th = np.float64(tau.hi)
+    tl, th = ((np.float64(tau.lo), np.float64(tau.hi))
+              if isinstance(tau, Interval) else tau)
     acc_l, acc_h = rem
     order = layers[0].shape[0] - 1
     for i in range(order, -1, -1):
@@ -309,7 +311,6 @@ def step(field, cur: LohnerSet, h: float, order: int,
                        order + 1, variational=True)
     R, Rt = order, StepPolicy.transition_order(order)
     sl, sh = ser.layers()
-    layers_m = sl[:R + 1, 0], sh[:R + 1, 0]
     layers_x = sl[:R + 1, 1].copy(), sh[:R + 1, 1].copy()
     if not kn.contains_point(wl, wh, center):
         raise ValueError("the set's center left its rough enclosure")
@@ -343,14 +344,14 @@ def step(field, cur: LohnerSet, h: float, order: int,
                        *kn.add(sl[R + 1, 0], sh[R + 1, 0],
                                ml[R + 1, 1, :, n], mh[R + 1, 1, :, n]))
 
-    # The center's image is thin, so it keeps Horner's ulp-sized rounding.
-    pt = poly_eval(layers_m, rem, Interval.point(h))
-
-    # Whole-step enclosure: the in-step polynomial sharpens the rough box.
-    span = Interval(0.0, h)
-    ql, qh = poly_eval(layers_x, rem, span)
-    ql, qh = kn.intersect(ql, qh, wl, wh)
-    whole = (ql, qh)
+    # One Horner pass over (center, box): the center's image at the thin h,
+    # which keeps Horner's ulp-sized rounding, and the box's polynomial
+    # over [0, h], which sharpens the rough box into the whole-step
+    # enclosure.
+    (ptl, ql), (pth, qh) = poly_eval((sl[:R + 1, :2], sh[:R + 1, :2]), rem,
+                                     (np.array([[h], [0.0]]), np.full((2, 1), h)))
+    pt = ptl, pth
+    whole = kn.intersect(ql, qh, wl, wh)
 
     # Lohner propagation: the state is the n x 1 case of the frame update.
     state, (bl, bh) = cur.state.advance(A, _column(pt))

@@ -110,9 +110,13 @@ def div_int(al, ah, k: int) -> Pair:
 
 
 @_round_down
-def scale(al, ah, c: float) -> Pair:
-    """Multiply by a thin float scalar."""
-    if c < 0.0:
+def scale(al, ah, c) -> Pair:
+    """Multiply by a thin float scalar, or by an array of floats >= 0 that
+    broadcasts against the operands."""
+    if np.ndim(c):
+        if np.any(c < 0.0):
+            raise ValueError("an array of scale factors must be >= 0")
+    elif c < 0.0:
         al, ah, c = -ah, -al, -c
     return al * c, -((-ah) * c)
 

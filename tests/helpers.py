@@ -51,11 +51,14 @@ class LinearField:
                               tangent: int | None = None) -> Pair:
             """The gravity series' protocol: layers of M(t) V, M_k = A^k / k!,
             with one seed (n, d) per member (default the identity), an order
-            per member and a tangent; entries never computed are NaN."""
+            per member and a tangent, none above the series' order; entries
+            never computed are NaN."""
             n = self._A.shape[0]
             B = len(range(int(np.prod(self._batch)))[members or slice(None)])
             tops = np.broadcast_to(self.order if order is None else order, (B,))
             top = max(tops[-1], tangent or 0)
+            if top > self.order:
+                raise ValueError("not enough gradient layers for requested order")
             eye = np.broadcast_to(np.eye(n), (B, n, n))
             vl, vh = (np.reshape(v, (B, n, -1)) for v in (seed or (eye, eye)))
             Ml = np.empty((top + 1,) + vl.shape)

@@ -102,7 +102,7 @@ def test_convexity_checks_in_one_kernel_pass(monkeypatch):
 @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
 def test_gradient_pass_kernel_calls_do_not_grow_with_the_order(system,
                                                                monkeypatch):
-    # `kernels.dot_calls_per_step`: the xy series and (z (x) z) * p take one
+    # `kernels.dot_calls_per_step`: z (x) z and (z (x) z) * p take one
     # Cauchy contraction each over all layers, so the gradient pass makes
     # the same kernel calls at every order; a per-layer loop would add two
     # contractions a layer
@@ -137,6 +137,38 @@ def test_gradient_pass_kernel_calls_do_not_grow_with_the_order(system,
         counts[order] = (calls[0], contractions[0])
     assert counts[7] == counts[14] == counts[18]
     assert counts[7][1] == 2
+
+
+@pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+def test_state_pass_makes_at_most_eleven_kernel_calls_a_layer(system,
+                                                              monkeypatch):
+    # `kernels.calls_per_step`: each added layer costs the state pass two
+    # divisions, z, u, the power closure's weighted sum (scale, dot, mul,
+    # div_int), s and the acceleration (dot, matvec); the gradient pass
+    # adds none, and a variational series stops its gradient layers at the
+    # ones the transition layers up to its order read
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    d = DEFAULTS[system]
+    problem = make_problem(system, a_text=d["a"])
+    s = problem.embed_point(np.array(d["candidate"]))
+    for variational in (False, True):
+        counts = {}
+        for order in (7, 14):
+            calls[0] = 0
+            ser = problem.field.series(s, s, order, variational=variational)
+            counts[order] = calls[0]
+            if variational:
+                assert ser.grad_lo.shape[0] == ser.grad_hi.shape[0] == order
+        assert (counts[14] - counts[7]) / 7 <= 11, (variational, counts)
 
 
 @pytest.mark.slow

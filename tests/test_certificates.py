@@ -8,10 +8,12 @@ from choreocert import certificates, rootfind
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.certificates import (
     ProofCertificate,
+    convexity_to_document,
     parse_document,
     reverify_document,
 )
 from choreocert.cli import DEFAULTS, run_certification
+from choreocert.convexity import verify_convexity
 from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
@@ -176,6 +178,17 @@ class TestReverify:
         report = reverify_document(json.dumps(body))
         assert not report.ok
         assert ("FAIL environment is the one the replay writes"
+                in report.messages)
+
+    @pytest.mark.parametrize("environment", [
+        {"rounding_backend": "nearest"}, None])
+    def test_edited_convexity_environment_disagrees(self, eight_convexity_body,
+                                                    environment):
+        assert reverify_document(json.dumps(eight_convexity_body)).ok
+        body = {**eight_convexity_body, "environment": environment}
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert ("FAIL environment names the kernels' rounding rule"
                 in report.messages)
 
     def test_detects_forged_verdict(self):
@@ -412,6 +425,18 @@ class TestMalformed:
     def test_unreadable_text_fails(self, text):
         report = reverify_document(text)
         assert not report.ok
+
+
+@pytest.fixture(scope="module")
+def eight_convexity_body():
+    """The body of the convexity document on the default Eight proof's
+    refined box."""
+    d = DEFAULTS["eight"]
+    _, out = run_certification(make_problem("eight"), d["method"],
+                               StepPolicy(d["h"], d["order"], d["tol"]),
+                               d["delta"], np.array(d["candidate"]))
+    return parse_document(convexity_to_document(
+        verify_convexity(out.refined_box)))
 
 
 @pytest.fixture(scope="session")

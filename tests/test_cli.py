@@ -127,8 +127,9 @@ class TestProve:
         assert main(["prove", "--system", "gerver",
                      "--out", str(tmp_path / "g.cert")]) == EXIT_INTEGRATOR
         d = cli.DEFAULTS["gerver"]
+        r1 = d["order"] + 1
         assert [(p.h, p.tol) for p in seen] == [
-            (d["h"] / 2 ** i, d["tol"] / 2 ** (15 * i)) for i in range(4)]
+            (d["h"] / 2 ** i, d["tol"] / 2 ** (r1 * i)) for i in range(4)]
         assert "retries exhausted" in capsys.readouterr().err
 
     def test_retries_end_at_the_step_budget(self, monkeypatch, tmp_path,

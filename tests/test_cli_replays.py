@@ -18,11 +18,11 @@ from choreocert.problems import phi_jacobian
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6's point value is bound by rounding and wrapping, so its
-# ratio moves with the candidate's bits (0.0082-0.0085 over the default
+# ratio moves with the candidate's bits (0.0072-0.0084 over the default
 # candidate, the two corners and the benchmark's seeds 1-3; gerver's stays
-# at 0.00374); the Eight's Newton image grows with the candidate's distance
-# from the zero (0.00017 at the default candidate, 0.00041 and 0.00076 at
-# the corners).
+# at 0.003742-0.003744); the Eight's Newton image grows with the
+# candidate's distance from the zero (0.00017 at the default candidate,
+# 0.00041 and 0.000759 at the corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
 
 
@@ -122,7 +122,7 @@ class TestJitteredDefaults:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_seeded_interior_candidates(self, system, seed, tmp_path):
-        # chain6's ratio follows the candidate's low bits (0.0081-0.0086
+        # chain6's ratio follows the candidate's low bits (0.0072-0.0084
         # over seeds 1-10), so only the verdict and the verifier are asserted
         d = DEFAULTS[system]
         rng = random.Random(seed)

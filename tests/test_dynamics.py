@@ -137,30 +137,30 @@ class TestTaylorSeries:
 
 
 def loop_gradient(f, ser, b=0):
-    """G[k] of batch member b by per-component series and per-term,
-    per-block loops: the reference that the stacked pass and the term
-    scatter reproduce bit for bit, since every block still sums its terms in
-    term order."""
+    """G[k], k < order, of batch member b by per-component series and
+    per-term, per-block loops: the reference that the stacked pass and the
+    term scatter reproduce bit for bit, since every block still sums its
+    terms in term order."""
     R, T = ser.order, f.n_terms
     zl, zh = (a[:, b] for a in ser._z)
     pl, ph = (a[:, b] for a in ser._p)
     sl, sh = (a[:, b] for a in ser._s)
     dT = {}
     for a, b in ((0, 0), (0, 1), (1, 1)):
-        wl, wh = np.zeros((R + 1, T)), np.zeros((R + 1, T))
+        wl, wh = np.zeros((R, T)), np.zeros((R, T))
         wl[0], wh[0] = (kn.sqr(zl[0, a], zh[0, a]) if a == b else
                         kn.mul(zl[0, a], zh[0, a], zl[0, b], zh[0, b]))
-        for m in range(1, R + 1):
+        for m in range(1, R):
             wl[m], wh[m] = kn.dot(zl[:m + 1, a], zh[:m + 1, a],
                                   zl[m::-1, b], zh[m::-1, b], axis=0)
-        el, eh = np.zeros((R + 1, T)), np.zeros((R + 1, T))
-        for m in range(R + 1):
+        el, eh = np.zeros((R, T)), np.zeros((R, T))
+        for m in range(R):
             el[m], eh[m] = kn.dot(wl[:m + 1], wh[:m + 1],
                                   pl[m::-1], ph[m::-1], axis=0)
         el, eh = kn.scale(el, eh, -3.0)
         dT[a, b] = dT[b, a] = kn.add(sl, sh, el, eh) if a == b else (el, eh)
     n2 = 2 * f.layout.n_bodies
-    Gl, Gh = np.zeros((R + 1, n2, n2)), np.zeros((R + 1, n2, n2))
+    Gl, Gh = np.zeros((R, n2, n2)), np.zeros((R, n2, n2))
     for t, term in enumerate(f.terms):
         for b, sgn in term.receivers:
             for c, coef in term.coeffs:
@@ -172,6 +172,52 @@ def loop_gradient(f, ser, b=0):
                         Gl[:, r, q], Gh[:, r, q] = kn.add(
                             Gl[:, r, q], Gh[:, r, q], cl, ch)
     return Gl, Gh
+
+
+def power_coefficients(mpmath, u, a):
+    """The Taylor coefficients of (sum_k u_k t^k)^a up to the length of u,
+    by the binomial series (u0 (1 + v))^a = u0^a sum_n C(a, n) v^n with
+    v = sum_{k>=1} (u_k / u0) t^k, which shares no step with the series'
+    power closure."""
+    n = len(u)
+    v = [mpmath.mpf(0)] + [uk / u[0] for uk in u[1:]]
+    vn = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
+    out = [mpmath.mpf(0)] * n
+    for k in range(n):   # v^k starts at t^k
+        c = mpmath.binomial(a, k)
+        out = [o + c * w for o, w in zip(out, vn)]
+        vn = [mpmath.fsum(vn[i] * v[m - i] for i in range(m + 1))
+              for m in range(n)]
+    return [u[0] ** a * o for o in out]
+
+
+class TestPowerClosureOracle:
+    # p = u^(-5/2) and s = u^(-3/2) from the series' own u layers: each
+    # interval layer holds the exact coefficient for every u inside the u
+    # layers, so for their midpoints, as exact rationals
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
+    def test_p_and_s_contain_40_digit_powers_of_u(self, system):
+        mpmath = pytest.importorskip("mpmath")
+        f, R, s0 = replay_field(system)
+        lo, hi = random_boxes(s0, np.random.default_rng(5), 2)
+        ser = f.series(lo, hi, R)
+        um = kn.mid(*ser._u)
+        assert um.shape == (R, 2, f.n_terms)
+        with mpmath.workdps(40):
+            for b in range(2):
+                for t in range(f.n_terms):
+                    u = [mpmath.mpf(float(x)) for x in um[:, b, t]]
+                    for a, (ll, lh) in ((mpmath.mpf(-5) / 2, ser._p),
+                                        (mpmath.mpf(-3) / 2, ser._s)):
+                        exact = power_coefficients(mpmath, u, a)
+                        for m in range(R):
+                            assert (mpmath.mpf(ll[m, b, t]) <= exact[m]
+                                    <= mpmath.mpf(lh[m, b, t])), (b, t, a, m)
+        # the point box's layers are narrow (a relative 6e-7 at most, at
+        # the top layers), so containment says something
+        for ll, lh in (ser._p, ser._s):
+            assert np.all(lh[:, 0] - ll[:, 0]
+                          <= 1e-5 * np.maximum(1.0, np.abs(lh[:, 0])))
 
 
 class TestVariational:
@@ -331,7 +377,7 @@ class TestBatch:
                 batch = f.series(lo, hi, order, variational=True)
                 bl, bh = batch.layers()
                 jl, jh = batch.jacobian()
-                for top in (order, order + 1):
+                for top in (order - 1, order):
                     ml, mh = batch.transition_layers(top)
                     tail = batch.transition_layers(top, members=slice(1, None))
                     assert same(tail, (ml[:, 1:], mh[:, 1:]))
@@ -536,7 +582,7 @@ class TestSeededTransition:
         with pytest.raises(ValueError, match="must not decrease"):
             ser.transition_layers((R, R - 1))
         with pytest.raises(ValueError, match="not enough gradient layers"):
-            ser.transition_layers(R, tangent=R + 2)
+            ser.transition_layers(R, tangent=R + 1)
 
     def test_linear_field_follows_the_protocol(self):
         # M_k V = A^k V / k! per member, past a member's order NaN, and the

@@ -222,6 +222,17 @@ class TestScalarDivisionAndSquares:
         assert encloses(got, least)
         assert encloses(got, max(Fraction(a) ** 2, Fraction(b) ** 2))
 
+    @given(operands, operands, st.lists(finite.map(abs), min_size=1,
+                                        max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_scale_by_an_array_of_nonnegative_weights(self, a, b, w):
+        lo, hi = min(a, b), max(a, b)
+        gl, gh = kn.scale(np.array([lo]), np.array([hi]), np.array(w))
+        for k, c in enumerate(w):
+            for end in (lo, hi):
+                assert Fraction(gl[k]) <= Fraction(end) * Fraction(c) \
+                    <= Fraction(gh[k])
+
     @given(operands.map(abs))
     @settings(max_examples=400, deadline=None)
     def test_sqrt(self, x):
@@ -310,7 +321,9 @@ class TestOneRounding:
     @pytest.mark.parametrize("call, error", [
         (lambda: kn.div(*thin(1.0, 2.0, -1.0, 1.0)), DivisionByZeroInterval),
         (lambda: kn.sqrt(*thin(-1.0, 1.0)), ValueError),
-    ], ids=["div-by-zero-straddle", "sqrt-of-negative"])
+        (lambda: kn.scale(*thin(1.0, 2.0), np.array([1.0, -1.0])), ValueError),
+    ], ids=["div-by-zero-straddle", "sqrt-of-negative",
+            "scale-by-a-negative-weight"])
     def test_kernels_that_raise_restore_round_to_nearest(self, call, error):
         with pytest.raises(error):
             call()
