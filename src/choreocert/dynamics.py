@@ -16,9 +16,11 @@ Series bookkeeping per term, all in interval arithmetic (kernels module):
     s = u * p   (= |z|^-3),  acceleration coefficients from conv(z, s),
     gravity-gradient blocks from  s I - 3 (z x z) * p.
 
-The state pass is a recurrence, one layer after the other, in 11 kernel
-calls a layer; the variational pass reads finished series, so it forms
-every layer of z x z = (xx, xy, yy) and of (z x z) * p in one
+The state pass is a recurrence, one layer after the other, in 10 kernel
+calls a layer: one division makes the whole layer, none the first, which
+divides by 1, and an order-1 series (a field value) forms no -1/u0, which
+only p's recurrence reads.  The variational pass reads finished series, so
+it forms every layer of z x z = (xx, xy, yy) and of (z x z) * p in one
 Cauchy-product contraction each (`kernels.cauchy`), and all of
 s I - 3 (z x z) * p in one stacked pass.  Each `GravityField` builds its
 term scatter once (the blocks of G each term touches, with exact factors
@@ -35,10 +37,12 @@ convolution still sums over the layer axis and each matrix row over the
 contiguous last axis, so a member's layers are bit for bit those of its own
 series.  The Lohner step stacks the box center, the box and its rough
 enclosure into one pass at order R+1: layer m depends only on the layers
-below it, so layers 0..R are those of an order-R series.  A series of
-order R computes the state layers 0..R and, with or without variational
-data, z, u, p and s at the layers 0..R-1 that they read; the gradient
-layers G[0..R-1] are what the transition layers up to R read.  The
+below it, so layers 0..R are those of an order-R series.  Only the members
+that `variational` selects carry gradient layers, in the step the box and
+the rough box; the center's state layers are all the step reads of it.  A
+series of order R computes the state layers 0..R and, with or without
+variational data, z, u, p and s at the layers 0..R-1 that they read; the
+gradient layers G[0..R-1] are what the transition layers up to R read.  The
 transition layers take a seed block per member and an order per member, so
 one pass serves the step's box and rough box at their own orders.
 """
@@ -165,13 +169,15 @@ class GravitySeries:
     `GravityField`.
 
     Every array carries a batch axis right after the layer axis; a 1-D box
-    is the batch of one, and the public views drop that axis again."""
+    is the batch of one, and the public views drop that axis again.
+    `variational` is True (every member carries gradient layers), False
+    (none does) or a slice of the members that do; the gradient layers of
+    the others are NaN, and `transition_layers` refuses them."""
 
     def __init__(self, field: GravityField, sl: np.ndarray, sh: np.ndarray,
-                 order: int, variational: bool):
+                 order: int, variational: bool | slice):
         self.field = field
         self.order = order
-        self.variational = variational
         sl = np.asarray(sl, float)
         self._single = sl.ndim == 1
         sl, sh = sl.reshape(-1, field.dim), np.reshape(sh, (-1, field.dim))
@@ -181,7 +187,11 @@ class GravitySeries:
         self._hi[0] = sh
         self._run()
         self.state_lo, self.state_hi = self._view(self._lo), self._view(self._hi)
-        if variational:
+        if isinstance(variational, bool):
+            variational = slice(None) if variational else slice(0)
+        self._graded = np.zeros(sl.shape[0], bool)
+        self._graded[variational] = True
+        if self._graded.any():
             self._build_gradient_layers()
             self.grad_lo = self._view(self._gl)
             self.grad_hi = self._view(self._gh)
@@ -230,13 +240,15 @@ class GravitySeries:
                 "a pairwise separation enclosure touches zero")
 
         # p[0] = u0^(-5/2) with a single division:
-        #   e = u0^(3/2), p0 = 1 / (u0 * e), 1/u0 = p0 * e, s0 = p0 * u0.
+        #   e = u0^(3/2), p0 = 1 / (u0 * e), 1/u0 = p0 * e, s0 = p0 * u0;
+        # 1/u0 only for p's recurrence, which an order-1 series never runs.
         rt = kn.sqrt(ul[0], uh[0])
         e = kn.mul(ul[0], uh[0], *rt)
         denom = kn.mul(ul[0], uh[0], *e)
         one = np.ones((B, T))
         pl[0], ph[0] = kn.div(one, one, *denom)
-        minus_inv_u0 = kn.neg(*kn.mul(pl[0], ph[0], *e))
+        if R > 1:
+            minus_inv_u0 = kn.neg(*kn.mul(pl[0], ph[0], *e))
         sl_[0], sh_[0] = kn.mul(pl[0], ph[0], ul[0], uh[0])
 
         def p_layer(m: int) -> None:
@@ -262,10 +274,13 @@ class GravitySeries:
                                        th.swapaxes(1, 2).reshape(B, -1))
 
         for m in range(R):
-            state_lo[m + 1][:, qsel], state_hi[m + 1][:, qsel] = kn.div_int(
-                state_lo[m][:, vsel], state_hi[m][:, vsel], m + 1)
-            state_lo[m + 1][:, vsel], state_hi[m + 1][:, vsel] = kn.div_int(
-                *acc_layer(m), m + 1)
+            # layer m+1 is (v[m], a[m]) / (m+1) in one division, none at
+            # m = 0, where it divides by 1
+            nl, nh = state_lo[m + 1], state_hi[m + 1]
+            nl[:, qsel], nh[:, qsel] = state_lo[m][:, vsel], state_hi[m][:, vsel]
+            nl[:, vsel], nh[:, vsel] = acc_layer(m)
+            if m:
+                nl[:], nh[:] = kn.div_int(nl, nh, m + 1)
             if m + 1 < R:
                 z_layer(m + 1)
                 u_layer(m + 1)
@@ -279,20 +294,22 @@ class GravitySeries:
 
     def _build_gradient_layers(self) -> None:
         """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks),
-        k < order, shaped (order, B, 2N, 2N)."""
+        k < order, shaped (order, B, 2N, 2N), of the graded members; NaN
+        for the others."""
         fld = self.field
         R = self.order
-        B = self._lo.shape[1]
+        g = self._graded
+        B = int(g.sum())
         nb = fld.layout.n_bodies
-        zl, zh = self._z
-        pl, ph = self._p
-        sl_, sh_ = self._s
+        zl, zh = (a[:, g] for a in self._z)
+        pl, ph = (a[:, g] for a in self._p)
+        sl_, sh_ = (a[:, g] for a in self._s)
 
         # z (x) z = (xx, xy, yy), every layer in one Cauchy contraction;
         # layer 0 is the state pass's tight squares and one product.
         a, b = [0, 0, 1], [0, 1, 1]
         zzl, zzh = kn.cauchy(zl[:, :, a], zh[:, :, a], zl[:, :, b], zh[:, :, b])
-        zzl[0, :, ::2], zzh[0, :, ::2] = self._sq0
+        zzl[0, :, ::2], zzh[0, :, ::2] = (a[g] for a in self._sq0)
         zzl[0, :, 1], zzh[0, :, 1] = kn.mul(zl[0, :, 0], zh[0, :, 0],
                                             zl[0, :, 1], zh[0, :, 1])
 
@@ -315,7 +332,9 @@ class GravitySeries:
             ch = np.where(f > 0, f * bh, f * bl)
             Gl[:, :, rows, cols], Gh[:, :, rows, cols] = kn.add(
                 Gl[:, :, rows, cols], Gh[:, :, rows, cols], cl, ch)
-        self._gl, self._gh = Gl, Gh
+        self._gl, self._gh = (np.full((R, g.size, 2 * nb, 2 * nb), np.nan)
+                              for _ in range(2))
+        self._gl[:, g], self._gh[:, g] = Gl, Gh
 
     # -- public views --
 
@@ -326,8 +345,9 @@ class GravitySeries:
 
     def jacobian(self) -> Pair:
         """Field Jacobian enclosure over the input box: [[0, I], [G0, 0]]
-        arranged per the layout; (B, dim, dim) for a batch."""
-        if not self.variational:
+        arranged per the layout; (B, dim, dim) for a batch, NaN in the G0
+        block of a member without gradient layers."""
+        if not self._graded.any():
             raise ValueError("series was built without variational data")
         place = self.field.layout.field_jacobian
         return place(self.grad_lo[0]), place(self.grad_hi[0])
@@ -348,11 +368,13 @@ class GravitySeries:
         per member, non-decreasing; with `tangent` the last column of the
         last member runs on alone, in the same loop, to layer `tangent`.
         top is the highest layer asked for; the entries never computed are
-        NaN.  Layer k needs gradient layers up to k-1, i.e.
-        `variational=True` and top <= `self.order`.
+        NaN.  Layer k needs gradient layers up to k-1, i.e. selected
+        members that carry them and top <= `self.order`.
         """
-        if not self.variational:
-            raise ValueError("series was built without variational data")
+        pick = slice(None) if members is None else members
+        if not self._graded[pick].all():
+            raise ValueError("series was built without variational data "
+                             "for a selected member")
         fld = self.field
         n = fld.layout.dim
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
@@ -360,7 +382,6 @@ class GravitySeries:
         # row i, member): each velocity-row contraction sums over its two
         # leading axes (k, j), in the same order as any other layout, but
         # over long contiguous rows.
-        pick = slice(None) if members is None else members
         Gl, Gh = (np.ascontiguousarray(g[:, pick].transpose(0, 3, 2, 1))[..., None]
                   for g in (self._gl, self._gh))
         B = Gl.shape[3]
@@ -440,7 +461,7 @@ class GravityField:
         return self.layout.dim
 
     def series(self, sl: np.ndarray, sh: np.ndarray, order: int,
-               variational: bool = False) -> GravitySeries:
+               variational: bool | slice = False) -> GravitySeries:
         return GravitySeries(self, sl, sh, order, variational)
 
     def eval(self, sl: np.ndarray, sh: np.ndarray) -> Pair:

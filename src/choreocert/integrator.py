@@ -13,19 +13,22 @@ One step of the validated integrator produces, for the whole input box:
 
 The transition, the C1 part, runs at its own order R_t = min(R, 10)
 (`StepPolicy.transition_order`): it reaches the set only through products
-with its width, while the state keeps order R.  Each step makes one pass of
-the transition recurrence, seeded per member: over the box with [I | 0] to
-layer R_t, over the rough box with [V | W - m] to layer R_t + 1, V the
-transition's a-priori enclosure, and the last column of that, the tangent,
-on alone to layer R + 1.  Layer R_t + 1 of the second block is the
-transition's Lagrange term; the tangent's layer R + 1 is the mean-value
-correction M_{R+1}(W) (W - m) of the state's.
+with its width, while the state keeps order R.  Each step makes one series
+pass over (center, box, rough box), with gradient layers for the box and
+the rough box only, and one pass of the transition recurrence, seeded per
+member: over the box with [I | 0] to layer R_t, over the rough box with
+[V | W - m] to layer R_t + 1, V the transition's a-priori enclosure, and
+the last column of that, the tangent, on alone to layer R + 1.  Layer
+R_t + 1 of the second block is the transition's Lagrange term; the
+tangent's layer R + 1 is the mean-value correction M_{R+1}(W) (W - m) of
+the state's.
 
 The state set and the C1 slab (selected monodromy columns) are both carried
 as one `Frame`, center + Q * [r] with r an n x 1 or n x d box, and share one
 update: the frame is re-chosen every step from a floating-point QR
 factorization (columns sorted by contribution) to control the wrapping
-effect, and its inverse is enclosed rigorously via a Neumann bound, so the
+effect, and its inverse is enclosed rigorously via a Neumann bound on
+Q^T Q - I, a product of two float factors (`kernels.matmul_thin`), so the
 representation change never loses soundness.  The rough enclosure of the
 state and the a-priori enclosure of the transition come from one Picard
 validation loop.
@@ -109,7 +112,7 @@ def _inverse_enclosure(Q: np.ndarray) -> Pair:
     """
     n = Q.shape[0]
     qt = np.ascontiguousarray(Q.T)
-    pl, ph = kn.matmul_thin_right(qt, qt, Q)
+    pl, ph = kn.matmul_thin(qt, Q)
     el, eh = kn.sub(pl, ph, np.eye(n), np.eye(n))
     a = kn.mag(el, eh)
     e = float(np.max(kn.matvec_thin_right(a, a, np.ones(n))[1]))
@@ -303,12 +306,14 @@ def step(field, cur: LohnerSet, h: float, order: int,
     wl, wh = _rough((xl, xh), field.eval, h, kn.hull(xl, xh, wl, wh),
                     "enclosure")
 
-    # One series pass at order R+1 over the stack (center, box, rough box).
-    # Layer m depends only on the layers below it, so layers 0..R of the
-    # center and of the box are those of their own order-R series.
+    # One series pass at order R+1 over the stack (center, box, rough box),
+    # with gradient layers for the box and the rough box only: the center
+    # needs its state layers alone.  Layer m depends only on the layers
+    # below it, so layers 0..R of the center and of the box are those of
+    # their own order-R series.
     center = cur.state.m[:, 0]
     ser = field.series(np.stack([center, xl, wl]), np.stack([center, xh, wh]),
-                       order + 1, variational=True)
+                       order + 1, variational=slice(1, None))
     R, Rt = order, StepPolicy.transition_order(order)
     sl, sh = ser.layers()
     layers_x = sl[:R + 1, 1].copy(), sh[:R + 1, 1].copy()

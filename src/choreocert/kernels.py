@@ -15,6 +15,10 @@ above the rounded-down root unless that root is exact.  Exact results stay
 exact.  Round-down makes an exact cancellation x - x into -0; `Interval`,
 `IntervalVector` and `IntervalMatrix` store it as +0.
 
+A product of two float (thin) factors, `matmul_thin`, forms each product
+once for the lower end and once negated for the upper end; the thin-factor
+contractions `matmul_thin_right`/`_left` take one interval factor.
+
 Float choices stay at round-to-nearest outside the kernels: `mid`, the QR
 frames, step sizes, parsing and printing.  The mode constants are known
 for x86-64 only: elsewhere, or where the C library refuses the mode, every
@@ -205,6 +209,16 @@ def matmul(Al, Ah, Bl, Bh) -> Pair:
     """(n, k) interval times (k, m) interval."""
     return _dot(Al[:, :, None], Ah[:, :, None],
                 Bl[None, :, :], Bh[None, :, :], axis=1)
+
+
+@_round_down
+def matmul_thin(A, B) -> Pair:
+    """A B for two float matrices: each product is formed once for the
+    lower end and once negated for the upper end, where
+    `matmul_thin_right(A, A, B)` forms each twice; the two agree bit for
+    bit."""
+    lo = np.add.reduce(A[:, :, None] * B[None, :, :], 1)
+    return lo, -np.add.reduce((-A)[:, :, None] * B[None, :, :], 1)
 
 
 @_round_down

@@ -79,7 +79,9 @@ class LinearField:
         self.A = np.asarray(A, dtype=np.float64)
         self.dim = self.A.shape[0]
 
-    def series(self, sl, sh, order: int, variational: bool = False):
+    def series(self, sl, sh, order: int, variational: bool | slice = False):
+        """The series protocol; `variational` selects members as for the
+        gravity series, and every member carries the constant Jacobian."""
         return LinearField.Series(self.A, sl, sh, order)
 
     def eval(self, sl, sh) -> Pair:

@@ -584,6 +584,29 @@ class TestSeededTransition:
         with pytest.raises(ValueError, match="not enough gradient layers"):
             ser.transition_layers(R, tangent=R + 1)
 
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_members_without_gradient_layers_are_refused(self, system):
+        # the step's series grades the box and the rough box only; those
+        # carry the all-members layers bit for bit
+        f, R, s0 = replay_field(system)
+        lo, hi = random_boxes(s0, np.random.default_rng(8), 3)
+        part = f.series(lo, hi, R + 1, variational=slice(1, None))
+        full = f.series(lo, hi, R + 1, variational=True)
+        assert np.isnan(part.grad_lo[:, 0]).all()
+        assert same((part.grad_lo[:, 1:], part.grad_hi[:, 1:]),
+                    (full.grad_lo[:, 1:], full.grad_hi[:, 1:]))
+        assert same((a[1:] for a in part.jacobian()),
+                    (a[1:] for a in full.jacobian()))
+        assert same(part.transition_layers(R, members=slice(1, None)),
+                    full.transition_layers(R, members=slice(1, None)))
+        for members in (None, slice(0, 2)):
+            with pytest.raises(ValueError, match="without variational data"):
+                part.transition_layers(R, members=members)
+        plain = f.series(lo, hi, R)
+        for call in (plain.jacobian, plain.transition_layers):
+            with pytest.raises(ValueError, match="without variational data"):
+                call()
+
     def test_linear_field_follows_the_protocol(self):
         # M_k V = A^k V / k! per member, past a member's order NaN, and the
         # last member's last column on to the tangent's layer

@@ -7,9 +7,13 @@ from scipy.integrate import solve_ivp
 
 from choreocert import integrator
 from choreocert import kernels as kn
-from choreocert.dynamics import nbody_field
+from choreocert.boxes import IntervalVector
+from choreocert.cli import DEFAULTS
+from choreocert.dynamics import GravityField, nbody_field
 from choreocert.errors import RoughEnclosureFailure
 from choreocert.integrator import LohnerSet, step
+from choreocert.interval import Interval
+from choreocert.problems import make_problem
 from helpers import LinearField, flow
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -212,6 +216,85 @@ class TestInverseEnclosure:
     def test_an_orthogonal_frame_has_an_exact_inverse(self, n):
         lo, hi = integrator._inverse_enclosure(np.eye(n))
         assert np.array_equal(lo, np.eye(n)) and np.array_equal(hi, np.eye(n))
+
+    @pytest.mark.parametrize("n", [2, 4, 12, 16])
+    def test_thin_product_is_the_interval_kernel_bit_for_bit(self, n):
+        # Q^T Q of the frames: each product formed once per end, as the
+        # interval kernel forms it twice over a thin left factor
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            qt = np.ascontiguousarray(q.T)
+            got = kn.matmul_thin(qt, q)
+            want = kn.matmul_thin_right(qt, qt, q)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_thin_product_holds_the_exact_product(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        lo, hi = kn.matmul_thin(a, b)
+        for i in range(3):
+            for j in range(3):
+                exact = sum(Fraction(a[i, k]) * Fraction(b[k, j])
+                            for k in range(3))
+                assert Fraction(lo[i, j]) <= exact <= Fraction(hi[i, j])
+                assert lo[i, j] < hi[i, j]   # inexact here, so not thin
+
+
+def step_arrays(*records):
+    """Every array of a step's LohnerSet and EnclosureStep as (shape,
+    bytes), and every other value, in field order."""
+    out = []
+    for rec in records:
+        if isinstance(rec, np.ndarray):
+            out.append((rec.shape, rec.tobytes()))
+        elif isinstance(rec, Interval):
+            out += [rec.lo, rec.hi]
+        elif isinstance(rec, (tuple, list)):
+            out += step_arrays(*rec)
+        elif hasattr(rec, "__dataclass_fields__"):
+            out += step_arrays(*(getattr(rec, f) for f in rec.__dataclass_fields__))
+        else:
+            out.append(rec)
+    return out
+
+
+class TestCenterWithoutGradientLayers:
+    """`step` builds gradient layers for the box and the rough box only:
+    the center's were never read, so leaving them out moves no bit."""
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    @pytest.mark.parametrize("carry_transition", [True, False],
+                             ids=["C1", "C0"])
+    def test_step_is_the_all_members_step_bit_for_bit(self, system,
+                                                      carry_transition,
+                                                      monkeypatch):
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
+        start = problem.embed_slab(box, carry_transition).carrying(
+            problem.embed_point(np.array(d["candidate"])))
+        series, built = GravityField.series, []
+
+        def recorded(self, sl, sh, order, variational=False):
+            built.append(series(self, sl, sh, order, variational))
+            return built[-1]
+
+        def every_member(self, sl, sh, order, variational=False):
+            return series(self, sl, sh, order, bool(variational))
+
+        monkeypatch.setattr(GravityField, "series", recorded)
+        shipped = step(problem.field, start, d["h"], d["order"])
+        (ser,) = [s for s in built if s.order > 1]   # not the field values
+        assert np.isnan(ser.grad_lo[:, 0]).all()
+        assert np.isnan(ser.grad_hi[:, 0]).all()
+        assert not np.isnan(ser.grad_lo[:, 1:]).any()
+        assert not np.isnan(ser.grad_hi[:, 1:]).any()
+        monkeypatch.setattr(GravityField, "series", every_member)
+        forced = step(problem.field, start, d["h"], d["order"])
+        assert shipped[0].point is not None
+        assert (shipped[0].slab is not None) == carry_transition
+        assert step_arrays(*shipped) == step_arrays(*forced)
 
 
 class TestEightRegression:

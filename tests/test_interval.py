@@ -288,6 +288,7 @@ KERNEL_CALLS = [
     ("cauchy", [np.full((3, 2), v) for v in (0.1, 0.3, 0.7, 0.9)]),
     ("powers", [0.1, 5]),
     ("matmul", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7, 0.9)]),
+    ("matmul_thin", [np.full((2, 2), v) for v in (0.1, 0.3)]),
     ("matmul_thin_right", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7)]),
     ("matmul_thin_left", [np.full((2, 2), v) for v in (0.1, 0.3, 0.7)]),
     ("matvec", [np.full((2, 2), 0.1), np.full((2, 2), 0.3),
