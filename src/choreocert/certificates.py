@@ -7,10 +7,11 @@ machine reproduces the document bit for bit except the wall-clock field;
 float QR and inverses go through BLAS/LAPACK, so another CPU or BLAS build
 can change stored bits.  `environment.rounding_backend` names the one
 rounding rule, "directed": every enclosure comes from the kernels computing
-under the FPU's round-down mode (`kernels`).  A replay reproduces stored
-images only under that rule, so a document of another rule fails on its
-schema version, the first thing the verifier checks: schema 3 stored the
-images of the earlier round-to-nearest kernels with nudged endpoints.
+lower ends under the FPU's round-down mode and upper ends under its
+round-up mode (`kernels`).  A replay reproduces stored images only under
+that rule, so a document of another rule fails on its schema version, the
+first thing the verifier checks: schema 3 stored the images of the earlier
+round-to-nearest kernels with nudged endpoints.
 
 An existence document is a function of one record, `ProofCertificate`,
 which holds the run it documents: the problem, the certification job

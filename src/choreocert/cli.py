@@ -25,11 +25,11 @@ environment to the kernels' rounding rule.
 
 Exit codes: 0 certified (UniqueZero, or NoZero with --expect-no-zero),
 2 inconclusive / convexity failure, 3 unexpected NoZero, 4 integrator or
-refinement failure, or kernels that cannot round down (every command runs
-`kernels.check_rounding` first), 1 verifier disagreement, 64 usage errors:
-every command line argparse rejects, and every number or option a run
-cannot use or does not read, among them an --h or --order the step policy
-refuses.
+refinement failure, or kernels that cannot round down and up (every
+command runs `kernels.check_rounding` first), 1 verifier disagreement, 64
+usage errors: every command line argparse rejects, and every number or
+option a run cannot use or does not read, among them an --h or --order the
+step policy refuses.
 """
 
 from __future__ import annotations

@@ -54,6 +54,6 @@ class Diverged(ChoreoCertError):
 
 
 class RoundingModeError(Exception):
-    """The FPU refused round-down, or arithmetic ignores it, so no enclosure
-    can be trusted.  Not a ChoreoCertError: no handler that turns those into
-    a verdict or a FAIL line may catch it."""
+    """The FPU refused round-down or round-up, or arithmetic ignores one of
+    them, so no enclosure can be trusted.  Not a ChoreoCertError: no handler
+    that turns those into a verdict or a FAIL line may catch it."""

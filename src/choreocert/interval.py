@@ -3,11 +3,11 @@
 Every arithmetic result encloses the exact real result.  `Interval` is the
 value type only: each operator hands its endpoints to the matching array
 kernel of `kernels`, the one place that rounds, under the one rule there:
-round-down, and upper ends as negated lower ends of negated operands.  So
-thin and thick operands take the same path, exact results stay exact with
-no shortcut for them, and a scalar result has the bits of the array kernel
-on every machine that runs the kernels.  An endpoint that is zero is stored
-as +0: round-down makes an exact cancellation -0.
+lower ends rounded down, upper ends rounded up.  So thin and thick operands
+take the same path, exact results stay exact with no shortcut for them, and
+a scalar result has the bits of the array kernel on every machine that runs
+the kernels.  An endpoint that is zero is stored as +0: round-down makes an
+exact cancellation -0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .errors import EmptyIntersection
 
 
 def rounding_backend() -> str:
-    """Name of the outward-rounding scheme: the round-down mode of `kernels`."""
+    """Name of the outward-rounding scheme: the directed modes of `kernels`,
+    round-down for lower ends and round-up for upper ends."""
     return "directed"
 
 

@@ -4,26 +4,30 @@ These kernels are the hot path of the validated integrator and the only
 code that rounds: the scalar `Interval` operators call them on their
 endpoints.  Every result encloses the exact real result.
 
-One rounding rule, as in INTLAB and CAPD: each public arithmetic kernel
-runs its float operations with the FPU rounding toward -inf, and resets it
-to round-to-nearest on exit, also when it raises.  Rounding is monotone,
-so a lower end is the float result itself, however many operations made it
-and in whatever order `np.add.reduce` sums them; an upper end is the
-negated lower end of the negated operands, hi(a + b) = -lo(-a - b), and a
-contraction needs no error term.  A square root's upper end is the float
-above the rounded-down root unless that root is exact.  Exact results stay
-exact.  Round-down makes an exact cancellation x - x into -0; `Interval`,
-`IntervalVector` and `IntervalMatrix` store it as +0.
+Directed rounding, as in INTLAB and CAPD: each public arithmetic kernel
+computes its lower end with the FPU rounding toward -inf, switches to
+rounding toward +inf, computes its upper end, and resets round-to-nearest
+on exit, also when it raises.  Rounding is monotone, so each end is the
+float result itself, however many operations made it and in whatever order
+`np.add.reduce` sums them: hi(a + b) is ah + bh rounded up, a product's
+upper end the largest of its four endpoint products, a contraction's the
+sum of the largest products, a square root's the rounded-up root, and no
+contraction needs an error term.  An upper end rounded up has the bits of
+the negated lower end of the negated operands, RU(x) = -RD(-x), summed in
+the same order.  Exact results stay exact.  Round-down makes an exact
+cancellation x - x into -0; `Interval`, `IntervalVector` and
+`IntervalMatrix` store it as +0.
 
 A product of two float (thin) factors, `matmul_thin`, forms each product
-once for the lower end and once negated for the upper end; the thin-factor
-contractions `matmul_thin_right`/`_left` take one interval factor.
+once for each end; the thin-factor contractions `matmul_thin_right`/`_left`
+take one interval factor.
 
 Float choices stay at round-to-nearest outside the kernels: `mid`, the QR
 frames, step sizes, parsing and printing.  The mode constants are known
-for x86-64 only: elsewhere, or where the C library refuses the mode, every
-kernel raises `RoundingModeError`, and `check_rounding`, run before every
-command, also catches arithmetic that ignores the mode.
+for x86-64 only: elsewhere, or where the C library refuses or ignores
+either directed mode, every kernel raises `RoundingModeError`, and
+`check_rounding`, run before every command, also catches numpy arithmetic
+that ignores either mode.
 
 NaN and inf propagate harmlessly: all decision predicates built on these
 arrays (subset, sign exclusion, pivot tests) fail conservatively on NaN, and
@@ -41,27 +45,45 @@ import numpy as np
 
 from .errors import DivisionByZeroInterval, EmptyIntersection, RoundingModeError
 
-# FE_DOWNWARD and FE_TONEAREST of <fenv.h> where they were tested, else the
-# mode -1, which fesetround refuses.  Its argtypes stay unset: ctypes passes a
-# Python int as a C int, and declaring them doubles the cost of a switch.
-_DOWN, _NEAREST = {"x86_64": (0x400, 0)}.get(platform.machine(), (-1, 0))
+# FE_DOWNWARD, FE_UPWARD and FE_TONEAREST of <fenv.h> where they were tested,
+# else the mode -1, which fesetround refuses.  Its argtypes stay unset: ctypes
+# passes a Python int as a C int, and declaring them doubles the cost of a
+# switch.
+_DOWN, _UP, _NEAREST = {"x86_64": (0x400, 0x800, 0)}.get(
+    platform.machine(), (-1, -1, 0))
 _fesetround = ctypes.CDLL(None).fesetround
+
+# -1 - _TINY and 1 + _TINY lie strictly between two floats, nearer the one of
+# smaller magnitude: only round-down moves the first and only round-up the
+# second, so one float operation tells whether a switch took effect
+_TINY = 2.0 ** -60
 
 Pair = tuple[np.ndarray, np.ndarray]
 
 
+def _refused(direction: str) -> RoundingModeError:
+    return RoundingModeError(f"the FPU refused or ignored round-{direction} "
+                             f"on {platform.machine()!r}")
+
+
 def _round_down(body):
-    """The kernel that runs `body` under round-down, round-to-nearest after."""
+    """The kernel that runs `body` from round-down, round-to-nearest after;
+    `body` switches to round-up by `_up` for its upper ends."""
     @functools.wraps(body)
     def kernel(*args, **kwargs):
-        if _fesetround(_DOWN):   # the mode is left as it was
-            raise RoundingModeError(
-                f"the FPU refused round-down on {platform.machine()!r}")
         try:
+            if _fesetround(_DOWN) or -1.0 - _TINY == -1.0:
+                raise _refused("down")
             return body(*args, **kwargs)
         finally:
             _fesetround(_NEAREST)
     return kernel
+
+
+def _up() -> None:
+    """Switch a kernel's window from its lower ends to its upper ends."""
+    if _fesetround(_UP) or 1.0 + _TINY == 1.0:
+        raise _refused("up")
 
 
 def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> None:
@@ -75,42 +97,49 @@ def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> Non
 
 @_round_down
 def add(al, ah, bl, bh) -> Pair:
-    return al + bl, -((-ah) - bh)
+    lo = al + bl
+    _up()
+    return lo, ah + bh
 
 
 @_round_down
 def sub(al, ah, bl, bh) -> Pair:
-    return al - bh, -(bl - ah)
+    lo = al - bh
+    _up()
+    return lo, ah - bl
 
 
 def neg(al, ah) -> Pair:
     return -ah, -al
 
 
-def _least(op, al, ah, bl, bh):
-    """The least of op's four endpoint results, each rounded down."""
-    return np.minimum(np.minimum(op(al, bl), op(al, bh)),
-                      np.minimum(op(ah, bl), op(ah, bh)))
+def _extreme(pick, op, al, ah, bl, bh):
+    """pick (np.minimum or np.maximum) of op's four endpoint results."""
+    return pick(pick(op(al, bl), op(al, bh)), pick(op(ah, bl), op(ah, bh)))
 
 
 @_round_down
 def mul(al, ah, bl, bh) -> Pair:
-    return (_least(operator.mul, al, ah, bl, bh),
-            -_least(operator.mul, -ah, -al, bl, bh))
+    lo = _extreme(np.minimum, operator.mul, al, ah, bl, bh)
+    _up()
+    return lo, _extreme(np.maximum, operator.mul, al, ah, bl, bh)
 
 
 @_round_down
 def div(al, ah, bl, bh) -> Pair:
     if np.any((bl <= 0.0) & (0.0 <= bh)):
         raise DivisionByZeroInterval("divisor interval contains zero")
-    return (_least(operator.truediv, al, ah, bl, bh),
-            -_least(operator.truediv, -ah, -al, bl, bh))
+    lo = _extreme(np.minimum, operator.truediv, al, ah, bl, bh)
+    _up()
+    return lo, _extreme(np.maximum, operator.truediv, al, ah, bl, bh)
 
 
 @_round_down
 def div_int(al, ah, k: int) -> Pair:
     """[al, ah] / k for a positive integer k."""
-    return al / k, -((-ah) / k)
+    lo = al / k
+    _up()
+    return lo, ah / k
 
 
 @_round_down
@@ -122,7 +151,9 @@ def scale(al, ah, c) -> Pair:
             raise ValueError("an array of scale factors must be >= 0")
     elif c < 0.0:
         al, ah, c = -ah, -al, -c
-    return al * c, -((-ah) * c)
+    lo = al * c
+    _up()
+    return lo, ah * c
 
 
 @_round_down
@@ -130,17 +161,18 @@ def sqr(al, ah) -> Pair:
     m = np.maximum(np.abs(al), np.abs(ah))
     g = np.where((al <= 0.0) & (0.0 <= ah), 0.0,
                  np.minimum(np.abs(al), np.abs(ah)))
-    return g * g, -((-m) * m)
+    lo = g * g
+    _up()
+    return lo, m * m
 
 
 @_round_down
 def sqrt(al, ah) -> Pair:
     if np.any(al < 0.0):
         raise ValueError("sqrt of an interval with a negative part")
-    r = np.sqrt(ah)
-    # an inexact root r rounded down has r * r < ah; -(-r - 5e-324) is the
-    # float above it
-    return np.sqrt(al), np.where(r * r < ah, -(-r - 5e-324), r)
+    lo = np.sqrt(al)
+    _up()
+    return lo, np.sqrt(ah)
 
 
 # --- contractions -----------------------------------------------------------
@@ -148,20 +180,22 @@ def sqrt(al, ah) -> Pair:
 # Products are formed in place, and lower ends summed before upper ends are
 # formed: allocating large blocks costs more than the arithmetic on them.
 
-def _summed_least_products(al, ah, bl, bh, axis):
-    """sum_k of the least of a_k * b_k's four endpoint products."""
-    lo = al * bl
+def _summed_extreme_products(pick, al, ah, bl, bh, axis):
+    """sum_k of pick (np.minimum or np.maximum) of a_k * b_k's four endpoint
+    products."""
+    s = al * bl
     q = al * bh
-    np.minimum(lo, q, out=lo)
+    pick(s, q, out=s)
     for b in (bl, bh):
         np.multiply(ah, b, out=q)
-        np.minimum(lo, q, out=lo)
-    return np.add.reduce(lo, axis)
+        pick(s, q, out=s)
+    return np.add.reduce(s, axis)
 
 
 def _dot(al, ah, bl, bh, axis) -> Pair:
-    return (_summed_least_products(al, ah, bl, bh, axis),
-            -_summed_least_products(-ah, -al, bl, bh, axis))
+    lo = _summed_extreme_products(np.minimum, al, ah, bl, bh, axis)
+    _up()
+    return lo, _summed_extreme_products(np.maximum, al, ah, bl, bh, axis)
 
 
 @_round_down
@@ -188,20 +222,21 @@ def cauchy(al, ah, bl, bh) -> Pair:
 @_round_down
 def powers(x: float, n: int) -> Pair:
     """Enclosures of x^0, ..., x^n for a float x > 0: the running products
-    of x from 1 and from -1, each product rounded down, are lower ends and
-    negated upper ends.  x^0 = 1 and x^1 = x stay exact."""
+    of x from 1, rounded down for the lower ends and up for the upper ends.
+    x^0 = 1 and x^1 = x stay exact."""
     f = np.full(n + 1, float(x))
     f[0] = 1.0
     lo = np.cumprod(f)
-    f[0] = -1.0
-    return lo, -np.cumprod(f)
+    _up()
+    return lo, np.cumprod(f)
 
 
 def _dot_thin(al, ah, b, axis) -> Pair:
     """`_dot` with a thin (point) right factor."""
     reduce = np.add.reduce
-    return (reduce(np.minimum(al * b, ah * b), axis),
-            -reduce(np.minimum((-al) * b, (-ah) * b), axis))
+    lo = reduce(np.minimum(al * b, ah * b), axis)
+    _up()
+    return lo, reduce(np.maximum(al * b, ah * b), axis)
 
 
 @_round_down
@@ -213,12 +248,12 @@ def matmul(Al, Ah, Bl, Bh) -> Pair:
 
 @_round_down
 def matmul_thin(A, B) -> Pair:
-    """A B for two float matrices: each product is formed once for the
-    lower end and once negated for the upper end, where
-    `matmul_thin_right(A, A, B)` forms each twice; the two agree bit for
-    bit."""
+    """A B for two float matrices: each product is formed once for each
+    end, where `matmul_thin_right(A, A, B)` forms each twice; the two agree
+    bit for bit."""
     lo = np.add.reduce(A[:, :, None] * B[None, :, :], 1)
-    return lo, -np.add.reduce((-A)[:, :, None] * B[None, :, :], 1)
+    _up()
+    return lo, np.add.reduce(A[:, :, None] * B[None, :, :], 1)
 
 
 @_round_down
@@ -250,29 +285,46 @@ def matvec_thin_left(A, bl, bh) -> Pair:
 
 # --- the probe --------------------------------------------------------------
 
+# The probe's operands, exact at any rounding and made once: 64 lanes each
+# of 1, -1, v = 1 + 2^-52, -v, 2 and 3, and 64 rows of the terms (-1,
+# -2^-60, 0, ...), one inexact addition in any order, with their negations.
+# Each case's exact result lies strictly between two floats: _PROBE_ENDS
+# holds the one round-down must give and the one round-up must give, and
+# round-to-nearest gives the other.
+_PROBE_LANES = tuple(np.full(64, x) for x in (
+    1.0, -1.0, 1.0 + 2.0 ** -52, -1.0 - 2.0 ** -52, 2.0, 3.0))
+_PROBE_TERMS = np.zeros((2, 64, 16))
+_PROBE_TERMS[0, :, :2] = -1.0, -2.0 ** -60
+_PROBE_TERMS[1] = -_PROBE_TERMS[0]
+_PROBE_ENDS = np.array([
+    (-1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, -1.0 - 3 * 2.0 ** -52,
+     -0.33333333333333337, 1.4142135623730949, -1.0 - 2.0 ** -52),
+    (1.0 + 2.0 ** -52, -1.0 + 2.0 ** -53, 1.0 + 3 * 2.0 ** -52,
+     0.33333333333333337, 1.7320508075688774, 1.0 + 2.0 ** -52)])[:, :, None]
+
+
 def check_rounding() -> None:
     """Raise RoundingModeError unless + - x / sqrt, and a sum by
-    `np.add.reduce`, round down inside the kernels' window, on 64 lanes:
-    each exact result lies strictly between two floats, and
-    round-to-nearest would give the upper one."""
-    t, u, one = 2.0 ** -60, 2.0 ** -52, np.ones(64)
-    terms = np.zeros((64, 16))
-    terms[:, :2] = -1.0, -t        # one inexact addition in any order
-    got = _rounded_down(one, t, (1.0 + u) * one, terms)
-    want = (-1.0 - u, 1.0 - u / 2, -1.0 - 3 * u, -0.33333333333333337,
-            1.4142135623730949, -1.0 - u)
-    ok = (np.array(got) == np.array(want)[:, None]).all(axis=1)
+    `np.add.reduce`, round down for lower ends and up for upper ends inside
+    the kernels' window, on 64 lanes: each exact result lies strictly
+    between two floats, and round-to-nearest would give the other one."""
+    ok = np.array(_probe(*_PROBE_LANES)) == _PROBE_ENDS
     if not ok.all():
-        name = ("+", "-", "x", "/", "sqrt", "np.add.reduce")[np.argmin(ok)]
+        direction, case = np.argwhere(~ok)[0, :2]
         raise RoundingModeError(
-            f"{name} ignores round-down on {platform.machine()!r}, so no "
-            "enclosure can be trusted")
+            f"{('+', '-', 'x', '/', 'sqrt', 'np.add.reduce')[case]} ignores "
+            f"round-{('down', 'up')[direction]} on {platform.machine()!r}, "
+            "so no enclosure can be trusted")
 
 
 @_round_down
-def _rounded_down(one, t, v, terms):
-    return (-one - t, one - t, -v * v, -one / 3, np.sqrt(2 * one),
-            np.add.reduce(terms, -1))
+def _probe(one, neg_one, v, neg_v, two, three):
+    t = 2.0 ** -60
+    lower = (neg_one - t, one - t, neg_v * v, neg_one / 3, np.sqrt(two),
+             np.add.reduce(_PROBE_TERMS[0], -1))
+    _up()
+    return lower, (one + t, t - one, v * v, one / 3, np.sqrt(three),
+                   np.add.reduce(_PROBE_TERMS[1], -1))
 
 
 # --- set operations ---------------------------------------------------------
@@ -312,7 +364,8 @@ def mid(al, ah) -> np.ndarray:
 
 @_round_down
 def diam(al, ah) -> np.ndarray:
-    return -(al - ah)
+    _up()
+    return ah - al
 
 
 def mag(al, ah) -> np.ndarray:

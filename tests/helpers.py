@@ -1,11 +1,14 @@
 """Test oracles that no command runs: a constant linear field, a flow to a
-fixed time, and the conserved quantities of the N-body problem.
+fixed time, the conserved quantities of the N-body problem, and the FPU's
+rounding mode as the C library reports it.
 
 Tests import this module by name (`from helpers import ...`): `tests/` has
 no `__init__.py`, so pytest puts it on `sys.path`.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -15,6 +18,12 @@ from choreocert.integrator import EnclosureStep, LohnerSet, run_time, step
 from choreocert.interval import Interval
 
 Pair = tuple[np.ndarray, np.ndarray]
+
+FE_TONEAREST = 0
+
+
+def fegetround() -> int:
+    return ctypes.CDLL(None).fegetround()
 
 
 # --- a linear field ------------------------------------------------------------

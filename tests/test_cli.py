@@ -21,10 +21,11 @@ from choreocert.cli import (
     main,
 )
 from choreocert.errors import (GluingMismatch, NoCrossing,
-                               RoughEnclosureFailure)
+                               RoughEnclosureFailure, RoundingModeError)
 from choreocert.integrator import StepPolicy, flow_to_section
 from choreocert.problems import make_problem, phi_point
 from choreocert.rootfind import CertificationJob
+from helpers import FE_TONEAREST, fegetround
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +282,44 @@ class TestRoundingProbe:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{command}: ") and "round-down" in err
         assert not (tmp_path / "e.cert").exists()
+
+    # a setter that refuses or ignores round-up only: the lower ends still
+    # round down, and each upper end must not be computed at round-down
+    @pytest.mark.parametrize("answer", [-1, 0], ids=["refused", "ignored"])
+    def test_round_up_refused_or_ignored(self, answer, eight_cert,
+                                         monkeypatch, capsys):
+        real = kernels._fesetround
+        monkeypatch.setattr(kernels, "_fesetround", lambda mode: (
+            answer if mode == kernels._UP else real(mode)))
+        one = np.array([1.0])
+        for call in (kernels.check_rounding,
+                     lambda: kernels.add(one, one, one, one)):
+            with pytest.raises(RoundingModeError, match="round-up"):
+                call()
+            assert fegetround() == FE_TONEAREST
+        assert main(["verify", "--cert", str(eight_cert)]) == EXIT_INTEGRATOR
+        out, err = capsys.readouterr()
+        assert "AGREES" not in out
+        assert err.startswith("verify: ") and "round-up" in err
+        assert fegetround() == FE_TONEAREST
+
+    # arithmetic that ignores a mode which fesetround reports set, and which
+    # the switch's own one-float check misses (made blind here by a _TINY
+    # that rounds in no mode): the probe's 64-lane cases must catch it
+    @pytest.mark.parametrize("ignored, direction", [
+        ((kernels._DOWN, kernels._UP), "down"), ((kernels._UP,), "up")])
+    def test_the_probe_catches_arithmetic_the_switch_check_misses(
+            self, ignored, direction, monkeypatch):
+        real = kernels._fesetround
+        monkeypatch.setattr(kernels, "_fesetround", lambda mode: (
+            0 if mode in ignored else real(mode)))
+        monkeypatch.setattr(kernels, "_TINY", 0.5)
+        one = np.array([1.0])
+        kernels.add(one, one, one, one)      # the blind switch passes
+        with pytest.raises(RoundingModeError,
+                           match=f"^\\+ ignores round-{direction} "):
+            kernels.check_rounding()
+        assert fegetround() == FE_TONEAREST
 
 
 class TestDecimalRendering:

@@ -1,4 +1,4 @@
-import ctypes
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from choreocert import kernels as kn
 from choreocert.errors import DivisionByZeroInterval, EmptyIntersection
 from choreocert.interval import Interval
+from helpers import FE_TONEAREST, fegetround
 
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
@@ -263,26 +264,20 @@ def _modules_naming(name: str) -> set[str]:
     return users
 
 
-FE_TONEAREST = 0
-
-
-def fegetround() -> int:
-    return ctypes.CDLL(None).fegetround()
-
-
 def thin(*values):
     return [np.array([v]) for v in values]
 
 
-# every public kernel that rounds, with operands it accepts
+# every public kernel that rounds, with operands it accepts; each has an
+# upper end whose exact value lies strictly between two floats
 KERNEL_CALLS = [
     ("add", thin(1.0, 2.0, 0.1, 0.3)),
     ("sub", thin(1.0, 2.0, 0.1, 0.3)),
-    ("mul", thin(-1.0, 2.0, 0.1, 0.3)),
+    ("mul", thin(-0.7, 1.9, 0.1, 0.3)),
     ("div", thin(-1.0, 2.0, 0.1, 0.3)),
     ("div_int", thin(1.0, 2.0) + [3]),
-    ("scale", thin(1.0, 2.0) + [-0.1]),
-    ("sqr", thin(-1.0, 0.3)),
+    ("scale", thin(0.7, 1.9) + [-0.1]),
+    ("sqr", thin(-0.7, 0.3)),
     ("sqrt", thin(0.1, 0.3)),
     ("dot", thin(0.1, 0.3, 0.7, 0.9) + [0]),
     ("cauchy", [np.full((3, 2), v) for v in (0.1, 0.3, 0.7, 0.9)]),
@@ -297,8 +292,78 @@ KERNEL_CALLS = [
                            np.full(2, 0.7)]),
     ("matvec_thin_left", [np.full((2, 2), 0.1), np.full(2, 0.3),
                           np.full(2, 0.7)]),
-    ("diam", thin(0.1, 0.3)),
+    ("diam", thin(0.1, 1.3)),
 ]
+
+
+def exact(a) -> np.ndarray:
+    """The floats of `a` as an object array of Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def hull_of(*values) -> tuple:
+    """The elementwise least and greatest of exact arrays."""
+    return (functools.reduce(np.minimum, values),
+            functools.reduce(np.maximum, values))
+
+
+def products(al, ah, bl, bh) -> tuple:
+    """The least and greatest exact endpoint products of [a] [b]."""
+    al, ah, bl, bh = map(exact, (al, ah, bl, bh))
+    return hull_of(al * bl, al * bh, ah * bl, ah * bh)
+
+
+def summed(ends, axis) -> tuple:
+    return tuple(np.add.reduce(e, axis) for e in ends)
+
+
+def exact_cauchy(al, ah, bl, bh) -> tuple:
+    n = len(al)
+    return tuple(np.array([sum(e[k, m - k] for k in range(m + 1))
+                           for m in range(n)])
+                 for e in products(al[:, None], ah[:, None],
+                                   bl[None], bh[None]))
+
+
+def exact_sqr(al, ah) -> tuple:
+    low, high = hull_of(*(exact(a) ** 2 for a in (al, ah)))
+    return np.where((al <= 0.0) & (0.0 <= ah), Fraction(0), low), high
+
+
+# each kernel's exact result, from its own operands; for sqrt the exact
+# squares of its ends
+EXACT = {
+    "add": lambda al, ah, bl, bh: (exact(al) + exact(bl),
+                                   exact(ah) + exact(bh)),
+    "sub": lambda al, ah, bl, bh: (exact(al) - exact(bh),
+                                   exact(ah) - exact(bl)),
+    "mul": products,
+    "div": lambda al, ah, bl, bh: hull_of(*(exact(a) / exact(b)
+                                            for a in (al, ah)
+                                            for b in (bl, bh))),
+    "div_int": lambda al, ah, k: (exact(al) / k, exact(ah) / k),
+    "scale": lambda al, ah, c: hull_of(exact(al) * Fraction(c),
+                                       exact(ah) * Fraction(c)),
+    "sqr": exact_sqr,
+    "sqrt": lambda al, ah: (exact(al), exact(ah)),
+    "dot": lambda al, ah, bl, bh, axis: summed(products(al, ah, bl, bh),
+                                               axis),
+    "cauchy": exact_cauchy,
+    "powers": lambda x, n: (np.array([Fraction(x) ** k
+                                      for k in range(n + 1)]),) * 2,
+    "matmul": lambda Al, Ah, Bl, Bh: summed(products(
+        Al[:, :, None], Ah[:, :, None], Bl[None], Bh[None]), 1),
+    "matmul_thin": lambda A, B: summed(products(
+        A[:, :, None], A[:, :, None], B[None], B[None]), 1),
+    "matmul_thin_right": lambda Al, Ah, B: summed(products(
+        Al[:, :, None], Ah[:, :, None], B[None], B[None]), 1),
+    "matmul_thin_left": lambda A, Bl, Bh: summed(products(
+        A[:, :, None], A[:, :, None], Bl[None], Bh[None]), 1),
+    "matvec": lambda Al, Ah, bl, bh: summed(products(Al, Ah, bl, bh), 1),
+    "matvec_thin_right": lambda Al, Ah, b: summed(products(Al, Ah, b, b), 1),
+    "matvec_thin_left": lambda A, bl, bh: summed(products(A, A, bl, bh), 1),
+    "diam": lambda al, ah: (None, exact(ah) - exact(al)),
+}
 
 
 class TestOneRounding:
@@ -344,9 +409,27 @@ class TestOneRounding:
                           and isinstance(c.func, ast.Name)}
                 assert not called & public, node.name
 
+    @pytest.mark.parametrize("name, args", KERNEL_CALLS,
+                             ids=[n for n, _ in KERNEL_CALLS])
+    def test_kernels_enclose_the_exact_result(self, name, args):
+        # lo <= exact <= hi, strictly where the exact end is no float, and
+        # each case has such an upper end: a kernel that left its upper end
+        # rounded down fails here
+        got = getattr(kn, name)(*args)
+        lo, hi = got if isinstance(got, tuple) else (None, got)
+        elo, ehi = EXACT[name](*args)
+        key = (lambda f: f * f) if name == "sqrt" else (lambda f: f)
+        above = [key(Fraction(h)) - e for h, e in zip(np.ravel(hi),
+                                                      np.ravel(ehi))]
+        assert min(above) >= 0 and max(above) > 0
+        if lo is not None:
+            for low, e in zip(np.ravel(lo), np.ravel(elo)):
+                assert key(Fraction(low)) <= e
+
     def test_every_rounding_kernel_is_covered(self):
-        # a kernel is wrapped in the round-down window iff it is listed
+        # a kernel is wrapped in the rounding window iff it is listed, with
+        # its exact result
         wrapped = {name for name, fn in vars(kn).items()
                    if callable(fn) and hasattr(fn, "__wrapped__")
                    and not name.startswith("_")}
-        assert wrapped == {n for n, _ in KERNEL_CALLS}
+        assert wrapped == {n for n, _ in KERNEL_CALLS} == set(EXACT)

@@ -3,8 +3,8 @@
 `fesetround` sets the rounding mode of the calling thread only, and
 `np.matmul`, `np.einsum`, `np.dot`, `np.tensordot` and the `@` operator may
 run on BLAS threads that still round to nearest.  So the kernels, which
-compute under round-down, contract with elementwise products and
-`np.add.reduce` only.
+compute under round-down and round-up, contract with elementwise products
+and `np.add.reduce` only.
 """
 
 import ast
