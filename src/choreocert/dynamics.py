@@ -2,10 +2,11 @@
 
 The N-body right-hand side is assembled from *attraction terms*: each term
 owns a linear combination z of body positions and contributes z * |z|^-3 to
-the acceleration of one or more bodies.  The plain N-body field, and the
-6-body field reduced to 3 bodies by the antipodal symmetry q_{i+3} = -q_i,
-are both instances.  Working per term makes the Taylor coefficient and
-first-variation recurrences identical for every problem.
+the acceleration of one or more bodies.  The plain N-body field, which the
+Eight integrates, and the 2H-body field reduced to H bodies by the antipodal
+symmetry q_{i+H} = -q_i, which every chain integrates, are both instances.
+Working per term makes the Taylor coefficient and first-variation
+recurrences identical for every problem.
 
 Series bookkeeping per term, all in interval arithmetic (kernels module):
 
@@ -138,23 +139,24 @@ def nbody_terms(n_bodies: int) -> tuple[AttractionTerm, ...]:
     return tuple(terms)
 
 
-def reduced6_terms() -> tuple[AttractionTerm, ...]:
-    """6-body attraction restricted to the antipodal subspace q_{i+3} = -q_i.
+def antipodal_terms(half: int) -> tuple[AttractionTerm, ...]:
+    """2H-body attraction restricted to the antipodal subspace
+    q_{i+H} = -q_i, for H = `half` bodies.
 
-    Body i < 3 feels: its three direct partners, the three antipodes, and its
-    own antipode at -2 q_i.  Antipodal pair terms are symmetric (both bodies
-    receive +T), direct ones antisymmetric.
+    Body i < H feels: its H - 1 direct partners, their H - 1 antipodes, and
+    its own antipode at -2 q_i.  Antipodal pair terms are symmetric (both
+    bodies receive +T), direct ones antisymmetric.
     """
     terms = []
-    for i in range(3):
-        for j in range(i + 1, 3):
+    for i in range(half):
+        for j in range(i + 1, half):
             terms.append(AttractionTerm(
                 coeffs=((j, 1.0), (i, -1.0)),
                 receivers=((i, 1.0), (j, -1.0))))
             terms.append(AttractionTerm(
                 coeffs=((j, -1.0), (i, -1.0)),
                 receivers=((i, 1.0), (j, 1.0))))
-    for i in range(3):
+    for i in range(half):
         terms.append(AttractionTerm(
             coeffs=((i, -2.0),),
             receivers=((i, 1.0),)))
@@ -472,8 +474,3 @@ class GravityField:
 
 def nbody_field(n_bodies: int, kind: str = "blocks") -> GravityField:
     return GravityField(PhaseLayout(n_bodies, kind), nbody_terms(n_bodies))
-
-
-def reduced6_field(kind: str = "blocks") -> GravityField:
-    return GravityField(PhaseLayout(3, kind), reduced6_terms())
-

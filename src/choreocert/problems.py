@@ -8,22 +8,23 @@ R(P(E(x))) = 0 certifies one choreography:
 * eight    - the three-body figure Eight in the rotated frame (first body on
              the positive x axis, third at the origin); reduced space is the
              first body's velocity.
-* chain(N) - doubly symmetric chains for even N = 2H (full phase space),
-             with size parameter a; key "chainN".  Two rules fix the state
-             at t = 0 from body 0 = (0, a, vx0, 0) and the free bodies
-             0 < 2i < H: the mirror rule, body H - i is the x-axis mirror
-             image under time reversal of body i, (x, y, vx, vy) ->
-             (x, -y, -vx, vy), so a body with 2i = H is (x_i, 0, 0, vy_i);
-             and the antipode rule, body i + H = -(body i).  At the section
-             the mirror rule pairs body i with body H - 1 - i instead, and
-             its residuals are the defects.
+* chain(N) - doubly symmetric chains for even N = 2H, with size parameter
+             a; key "chainN".  Two rules fix the state at t = 0 from body
+             0 = (0, a, vx0, 0) and the free bodies 0 < 2i < H: the mirror
+             rule, body H - i is the x-axis mirror image under time reversal
+             of body i, (x, y, vx, vy) -> (x, -y, -vx, vy), so a body with
+             2i = H is (x_i, 0, 0, vy_i); and the antipode rule, body
+             i + H = -(body i).  The flow keeps the antipode rule, so the
+             state is the antipodal half: the 4H-dim system of bodies
+             0..H-1 under `dynamics.antipodal_terms`.  At the section the
+             mirror rule pairs body i with body H - 1 - i instead, and its
+             residuals are the defects.
 * gerver   - the four-body SuperEight: chain(4) with its reduced
              coordinates reordered to (x1, vx0, vy1), as in the results
              tables.
-* chain6   - the antipodal half of chain(6): the 12-dim system of the
-             first three bodies (q_{i+3} = -q_i) in the frame of the source
-             data (axes interchanged, quarter-period time shift); reduced
-             coordinates (vx0, x1, y1, vx1, vy1), section y1 = 0.
+* chain6   - chain(6) in the frame of the source data (axes interchanged,
+             quarter-period time shift); reduced coordinates
+             (vx0, x1, y1, vx1, vy1), section y1 = 0.
 
 Embeddings are exact: components are copies, negations or doublings of the
 reduced coordinates, or the size parameter alone, which is pinned to one
@@ -47,7 +48,8 @@ import numpy as np
 
 from . import kernels as kn
 from .boxes import IntervalMatrix, IntervalVector
-from .dynamics import GravityField, PhaseLayout, nbody_field, reduced6_field
+from .dynamics import (GravityField, PhaseLayout, antipodal_terms,
+                       nbody_field)
 from .errors import DimensionMismatch, NonTransversal
 from .integrator import (LohnerSet, SectionCrossing, SectionSpec, StepPolicy,
                          flow_to_section)
@@ -315,8 +317,8 @@ _MIRROR = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
-    """Generic doubly symmetric chain for even N in the full phase space,
-    built from the mirror and antipode rules (module docstring).
+    """Doubly symmetric chain for even N on its antipodal half, built from
+    the mirror and antipode rules (module docstring).
 
     Reduced coordinates, in body order: vx0, the free bodies'
     (x_i, y_i, vx_i, vy_i), then (x_k, vy_k) when N = 4k.
@@ -326,8 +328,8 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
     a = float(a_text)
     N, H = n_bodies, n_bodies // 2
 
-    offset = np.zeros((N, 4))
-    mat = np.zeros((N, 4, N - 1))
+    offset = np.zeros((H, 4))
+    mat = np.zeros((H, 4, N - 1))
     offset[0, 1] = a
     mat[0, 2, 0] = 1.0
     names = ["vx0"]
@@ -339,11 +341,9 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
         for c in (range(4) if 2 * i < H else (0, 3)):
             mat[i, c, len(names)] = 1.0
             names.append(f"{_COMPONENTS[c]}{i}")
-    offset[H:] = -offset[:H]
-    mat[H:] = -mat[:H]
-    # + 0.0 turns negated zeros into +0, so E and DE put no -0 into the flow.
+    # + 0.0 turns mirrored zeros into +0, so E and DE put no -0 into the flow.
     embed = LinearEmbedding(offset.reshape(-1) + 0.0,
-                            mat.reshape(4 * N, N - 1) + 0.0)
+                            mat.reshape(4 * H, N - 1) + 0.0)
 
     def row(*parts) -> tuple:
         """One linear term, the signed sum of (index, sign) parts."""
@@ -369,20 +369,22 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
     rows = middle + [r for i in range((H - 1) // 2) for r in pair(i)]
     return ChoreographyProblem(
         key=f"chain{N}",
-        field=nbody_field(N, kind="blocks"),
+        field=GravityField(PhaseLayout(H, "blocks"), antipodal_terms(H)),
         section=ProductForm((section,)).section("either"),
         embed_map=embed,
         defects=ProductForm(tuple(rows)),
         size_parameter=a,
         period_multiplier=2 * N,
         reduced_names=tuple(names),
+        antipodal=True,
     )
 
 
 def gerver_problem(a_text: str = "0.157029944461") -> ChoreographyProblem:
-    """Gerver's SuperEight: chain(4) in the results tables' coordinate order
-    (x1, vx0, vy1).  The column order is part of the problem: it is the
-    column order of the set flow's initial slab, which feeds the QR frames."""
+    """Gerver's SuperEight: chain(4), bodies 0 and 1 of the four, in the
+    results tables' coordinate order (x1, vx0, vy1), crossing the section
+    from + to -.  The column order is part of the problem: it is the column
+    order of the set flow's initial slab, which feeds the QR frames."""
     chain = chain_problem(4, a_text)
     order = [1, 0, 2]
     return replace(
@@ -396,28 +398,26 @@ def gerver_problem(a_text: str = "0.157029944461") -> ChoreographyProblem:
 
 
 def chain6_problem(a_text: str = "1.887041548253914") -> ChoreographyProblem:
-    """chain(6) on its antipodal half q_{i+3} = -q_i: the first three
-    bodies under the reduced six-body field, section y1 = 0."""
+    """chain(6), bodies 0..2 of the six, crossing its section y1 = 0 from
+    + to -."""
     chain = chain_problem(6, a_text)
-    dim = 12
-    return replace(
-        chain,
-        field=reduced6_field(kind="blocks"),
-        section=replace(chain.section, crossing_sign="+-"),
-        embed_map=LinearEmbedding(chain.embed_map.offset[:dim],
-                                  chain.embed_map.matrix[:dim]),
-        antipodal=True,
-    )
+    return replace(chain,
+                   section=replace(chain.section, crossing_sign="+-"))
 
 
 def make_problem(key: str, n_bodies: int | None = None,
                  a_text: str | None = None) -> ChoreographyProblem:
     """The problem for a system name ("chain" with n_bodies), or for the key
-    a certificate records ("eight", "gerver", "chain6", "chainN").  Raises
+    a certificate records ("eight", "gerver", "chain6", "chainN"); "chain"
+    with N bodies is the key "chainN", so it names the same problem.  Raises
     ValueError for an unknown system, and for a body count or a size
     parameter the system does not read: ignored, it would stand for
     another system."""
-    if n_bodies is not None and key != "chain":
+    if key == "chain":
+        if n_bodies is None or a_text is None:
+            raise ValueError("chain needs --bodies and --a")
+        key = f"chain{n_bodies}"
+    elif n_bodies is not None:
         raise ValueError(f"a body count is read by 'chain' only, not by {key!r}")
     if key == "eight":
         if a_text is not None:
@@ -428,13 +428,11 @@ def make_problem(key: str, n_bodies: int | None = None,
         return gerver_problem() if a_text is None else gerver_problem(a_text)
     if key == "chain6":
         return chain6_problem() if a_text is None else chain6_problem(a_text)
-    if key.startswith("chain") and key[5:].isdigit():
-        n_bodies = int(key[5:])
-        key = "chain"
-    if key == "chain":
-        if n_bodies is None or a_text is None:
+    # a negative count too, so that chain_problem refuses it by name
+    if key.startswith("chain") and key[5:].removeprefix("-").isdigit():
+        if a_text is None:
             raise ValueError("chain needs --bodies and --a")
-        return chain_problem(n_bodies, a_text)
+        return chain_problem(int(key[5:]), a_text)
     raise ValueError(f"unknown system {key!r}")
 
 

@@ -19,8 +19,10 @@ from choreocert.problems import phi_jacobian
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6's point value is bound by rounding and wrapping, so its
 # ratio moves with the candidate's bits (0.0072-0.0084 over the default
-# candidate, the two corners and the benchmark's seeds 1-3; gerver's stays
-# at 0.003742-0.003744); the Eight's Newton image grows with the
+# candidate, the two corners and the benchmark's seeds 1-3; gerver's, on
+# its antipodal half, stays at 0.001938 over the default candidate and the
+# two corners, half its bound, which is room to spend on fewer steps);
+# the Eight's Newton image grows with the
 # candidate's distance from the zero (0.00017 at the default candidate,
 # 0.00041 and 0.000759 at the corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
@@ -133,6 +135,11 @@ class TestJitteredDefaults:
                      f"--candidate={jittered}")
 
 
+def strip_wall_clock(text: str) -> str:
+    return "\n".join(line for line in text.splitlines()
+                     if "wall_clock" not in line)
+
+
 class TestDeterminism:
     def test_identical_flags_give_identical_documents(self, tmp_path):
         args = ["prove", "--system", "eight", "--method", "newton",
@@ -141,13 +148,24 @@ class TestDeterminism:
         b = tmp_path / "b.cert"
         assert main(args + ["--out", str(a)]) == EXIT_OK
         assert main(args + ["--out", str(b)]) == EXIT_OK
-
-        def strip_wall_clock(text: str) -> str:
-            return "\n".join(line for line in text.splitlines()
-                             if "wall_clock" not in line)
-
         assert strip_wall_clock(a.read_text()) == strip_wall_clock(b.read_text())
         assert a.read_text() != "" and b.read_text() != ""
+
+    def test_chain_with_six_bodies_is_chain6(self, tmp_path):
+        # one key, one problem: "chain" with 6 bodies is the key "chain6",
+        # whose document `verify` and `emit-curve` rebuild
+        flags = ["--a", "1.887041548253914", "--method", "krawczyk",
+                 "--h", "0.008", "--order", "18", "--delta", "1e-9",
+                 "--candidate=" + ",".join(map(repr,
+                                               DEFAULTS["chain6"]["candidate"]))]
+        a = tmp_path / "chain.cert"
+        b = tmp_path / "chain6.cert"
+        assert main(["prove", "--system", "chain", "--bodies", "6", *flags,
+                     "--out", str(a)]) == EXIT_OK
+        assert main(["prove", "--system", "chain6", *flags,
+                     "--out", str(b)]) == EXIT_OK
+        assert parse_document(a.read_text())["verdict"] == "UniqueZero"
+        assert strip_wall_clock(a.read_text()) == strip_wall_clock(b.read_text())
 
 
 @pytest.mark.slow

@@ -12,8 +12,8 @@ from choreocert.dynamics import (
     GravityField,
     GravitySeries,
     PhaseLayout,
+    antipodal_terms,
     nbody_field,
-    reduced6_field,
 )
 from choreocert.errors import CollisionEnclosure
 from choreocert.integrator import StepPolicy, step
@@ -122,18 +122,41 @@ class TestTaylorSeries:
         assert lo[2][5] <= 0.0 <= hi[2][5]
         assert hi[2][4] - lo[2][4] < 1e-12
 
-    def test_reduced6_equals_full_field_on_antipodal_states(self):
-        rng = np.random.default_rng(0)
-        f6 = nbody_field(6)
-        fr = reduced6_field()
-        for _ in range(100):
-            half = rng.normal(size=(3, 4)) * 0.6
-            half[:, :2] += np.array([[2.0, 0], [0, 2.0], [-1.5, 1.5]])
-            full = np.concatenate([half, -half]).reshape(-1)
-            hl, hh = fr.eval(half.reshape(-1), half.reshape(-1))
-            fl6, fh6 = f6.eval(full, full)
-            assert np.all(np.maximum(fl6[:12], hl)
-                          <= np.minimum(fh6[:12], hh))
+
+class TestAntipodalHalf:
+    @pytest.mark.parametrize("half", [2, 3, 4, 5])
+    def test_half_overlaps_the_full_field(self, half):
+        """On thin states s_full = [s; -s], the half field's value, state
+        layers and transition layers overlap the plain 2H-body field's,
+        whose terms (`nbody_terms`) share nothing with `antipodal_terms`.
+        The full flow maps [s; -s] to [phi(s); -phi(s)], so the half's
+        transition matrix is the full one's first rows applied to [I; -I]:
+        T_full[:n, :n] - T_full[:n, n:]."""
+        rng = np.random.default_rng(half)
+        B, R, n = 16, 16, 4 * half
+        # bodies spread over a half circle, so no body nears an antipode
+        angle = (np.pi * (np.arange(half) + 0.5) / half
+                 + rng.uniform(-0.2, 0.2, (B, half)))
+        radius = rng.uniform(1.0, 2.0, (B, half))
+        s = np.zeros((B, half, 4))
+        s[..., 0], s[..., 1] = radius * np.cos(angle), radius * np.sin(angle)
+        s[..., 2:] = 0.5 * rng.normal(size=(B, half, 2))
+        s = s.reshape(B, n)
+        full = np.concatenate([s, -s], axis=1)
+        fh = GravityField(PhaseLayout(half), antipodal_terms(half))
+        ff = nbody_field(2 * half)
+
+        def overlap(a, b):
+            assert np.all(np.maximum(a[0], b[0]) <= np.minimum(a[1], b[1]))
+
+        overlap(fh.eval(s, s), [a[:, :n] for a in ff.eval(full, full)])
+        sh = fh.series(s, s, R, variational=True)
+        sf = ff.series(full, full, R, variational=True)
+        overlap(sh.layers(), [a[..., :n] for a in sf.layers()])
+        tl, th = sf.transition_layers()
+        overlap(sh.transition_layers(),
+                kn.sub(tl[..., :n, :n], th[..., :n, :n],
+                       tl[..., :n, n:], th[..., :n, n:]))
 
 
 def loop_gradient(f, ser, b=0):
@@ -286,8 +309,8 @@ class TestVariational:
         ql, qh = kn.matmul(jl, jh, V2, V2)
         assert np.allclose(ql[:, 3], 2 * pl[:, 3], atol=1e-12)
 
-    # the Eight's split layout, chain(4) as the N-body field in blocks, and
-    # the reduced six-body field with its -2 self-antipode coefficient
+    # the Eight's split layout, and the antipodal halves of chain(4) and
+    # chain(6) in blocks, with their -2 self-antipode coefficients
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_transition_layers_match_central_differences(self, system):
         # M[k] is the derivative of state layer k with respect to the start
@@ -295,7 +318,7 @@ class TestVariational:
         d = DEFAULTS[system]
         problem = make_problem(system, a_text=d["a"])
         f, R = problem.field, d["order"]
-        if system == "chain6":
+        if system != "eight":
             assert any(np.any(fac == -2.0) for *_, fac in f.scatter)
         s = problem.embed_point(np.array(d["candidate"]))
         ml, mh = f.series(s, s, R, variational=True).transition_layers()

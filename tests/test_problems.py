@@ -45,7 +45,11 @@ class TestEmbeddings:
         s = prob.embed_point(GERVER_X)
         expect = [0, a, vx0, 0, x1, 0, 0, vy1,
                   0, -a, -vx0, 0, -x1, 0, 0, -vy1]
-        assert np.array_equal(s, expect)
+        # the state is bodies 0 and 1; the antipode rule gives 2 and 3
+        assert np.array_equal(s, expect[:8])
+        layout, el, eh = prob.expand_state(s, s)
+        assert layout.n_bodies == 4
+        assert np.array_equal(el, expect) and np.array_equal(eh, expect)
 
     def test_chain6_embedding_layout(self):
         prob = chain6_problem()
@@ -62,23 +66,21 @@ class TestEmbeddings:
         assert emb.contains_point(prob.embed_point(GERVER_X))
 
     def test_embedding_center_of_mass_and_momentum_vanish(self):
-        # exact zero for the replay systems; within a few ulps for generic
-        # chains (cancelling terms are not adjacent in the summation order)
+        # over all bodies, the chains' antipodes unfolded: exact zero for
+        # the replay systems; within a few ulps for generic chains
+        # (cancelling terms are not adjacent in the summation order)
         for prob, x in ((eight_problem(), EIGHT_X0),
                         (gerver_problem(), GERVER_X),
+                        (chain6_problem(), CHAIN6_X),
                         (chain_problem(8, "0.2"), np.arange(1.0, 8.0) / 10)):
             s = prob.embed_point(x)
-            cx, cy = center_of_mass(prob.layout, s, s)
-            px, py = linear_momentum(prob.layout, s, s)
+            layout, el, eh = prob.expand_state(s, s)
+            assert layout.n_bodies == prob.orbit_bodies
+            cx, cy = center_of_mass(layout, el, eh)
+            px, py = linear_momentum(layout, el, eh)
             for q in (cx, cy, px, py):
                 assert q.lo <= 0.0 <= q.hi
                 assert q.diam() < 1e-14
-        # antipodal chain6: expand first
-        prob = chain6_problem()
-        s = prob.embed_point(CHAIN6_X)
-        layout, el, eh = prob.expand_state(s, s)
-        cx, cy = center_of_mass(layout, el, eh)
-        assert cx.lo <= 0.0 <= cx.hi and cy.lo <= 0.0 <= cy.hi
 
     def test_embedding_rejects_inexact_rows(self):
         offset = np.array([0.0, 0.5, 0.0])
@@ -112,25 +114,38 @@ class TestEmbeddings:
         expect[11, 1] = -2
         assert np.array_equal(de, expect)
 
-        dg = gerver_problem().embed_derivative()
-        assert np.count_nonzero(dg) == 6
-        assert set(np.unique(dg)) == {-1.0, 0.0, 1.0}
+        prob = gerver_problem()
+        dg = prob.embed_derivative()
+        assert dg.shape == (8, 3)
+        assert np.count_nonzero(dg) == 3
+        # each column unfolded over all four bodies, antipodes negated
+        full = np.stack([prob.expand_state(c, c)[1] for c in dg.T], axis=1)
+        assert full.shape == (16, 3)
+        assert np.count_nonzero(full) == 6
+        assert set(np.unique(full)) == {-1.0, 0.0, 1.0}
 
     def test_chain_counts(self):
         rng = np.random.default_rng(4)
         for n in range(4, 18, 2):
             prob = chain_problem(n, "0.25")
             h = n // 2
+            # the state is the antipodal half, bodies 0..H-1
+            assert prob.antipodal and prob.n_bodies == h
+            assert prob.orbit_bodies == n
             assert prob.reduced_dim == n - 1
-            assert prob.embed_map.matrix.shape == (4 * n, n - 1)
+            assert prob.embed_map.matrix.shape == (2 * n, n - 1)
             assert len(prob.defects.rows) == n - 1
-            z = np.zeros(4 * n)
-            assert prob.reduce_derivative(z, z)[0].shape == (n - 1, 4 * n)
+            z = np.zeros(2 * n)
+            assert prob.reduce_derivative(z, z)[0].shape == (n - 1, 2 * n)
             # antipode rule: body i + H is exactly -(body i)
-            s = prob.embed_point(rng.standard_normal(n - 1)).reshape(n, 4)
+            s = prob.embed_point(rng.standard_normal(n - 1))
+            layout, el, eh = prob.expand_state(s, s)
+            assert layout.n_bodies == n
+            s = el.reshape(n, 4)
             assert np.array_equal(s[h:], -s[:h]), n
+            assert np.array_equal(eh, el), n
             # pairs (i, H - 1 - i) of exact mirror images leave no defect
-            s = rng.standard_normal((n, 4))
+            s = rng.standard_normal((h, 4))
             for i in range(h):
                 j = h - 1 - i
                 if i < j:
@@ -151,11 +166,21 @@ class TestEmbeddings:
 
     def test_chain6_reduced_matches_full_six_body_chain(self):
         reduced = chain6_problem()
-        full = chain_problem(6, "1.887041548253914")
-        assert full.reduced_names == reduced.reduced_names
+        chain = chain_problem(6, "1.887041548253914")
+        assert chain.reduced_names == reduced.reduced_names
+        # chain6 is chain(6) with its own crossing sign
+        assert (reduced.section.crossing_sign,
+                chain.section.crossing_sign) == ("+-", "either")
         s_half = reduced.embed_point(CHAIN6_X)
-        s_full = full.embed_point(CHAIN6_X)
-        assert np.array_equal(s_full, np.concatenate([s_half, -s_half]))
+        assert np.array_equal(chain.embed_point(CHAIN6_X), s_half)
+        # unfolded, the half is the six-body state of the antipode rule
+        a = reduced.size_parameter
+        vx0, x1, y1, vx1, vy1 = CHAIN6_X
+        half = [0, a, vx0, 0, x1, y1, vx1, vy1, x1, -y1, -vx1, vy1]
+        layout, el, eh = reduced.expand_state(s_half, s_half)
+        assert layout.n_bodies == 6
+        for s in (el, eh):
+            assert np.array_equal(s, np.concatenate([half, np.negative(half)]))
 
 
 class TestReductions:
@@ -170,12 +195,16 @@ class TestReductions:
 
     def test_gerver_mirror_state_reduces_to_zero(self):
         prob = gerver_problem()
-        s = np.zeros(16)
+        s = np.zeros(8)                   # bodies 0 and 1, the state
         s[0:4] = (0.3, -0.2, 0.5, 0.7)    # body0
         s[4:8] = (0.3, 0.2, -0.5, 0.7)    # body1 = x-mirror partner
         val = prob.reduce(s, s)
-        assert np.array_equal(val.lo[:3], [0.0, 0.0, 0.0])
-        assert np.array_equal(val.hi[:3], [0.0, 0.0, 0.0])
+        assert np.array_equal(val.lo, [0.0, 0.0, 0.0])
+        assert np.array_equal(val.hi, [0.0, 0.0, 0.0])
+        # the defects read the half only: the full 16-dim state is refused
+        full = prob.expand_state(s, s)[1]
+        with pytest.raises(DimensionMismatch):
+            prob.reduce(full, full)
 
     def test_chain6_reduction_components(self):
         prob = chain6_problem()
@@ -371,6 +400,14 @@ class TestPhi:
         assert make_problem("chain", n_bodies=8, a_text="0.3").key == "chain8"
         # certificates record "chainN"; it rebuilds the same problem
         assert make_problem("chain8", a_text="0.3").reduced_dim == 7
+        # "chain" with 6 bodies is the key "chain6", the same problem
+        chain = make_problem("chain", n_bodies=6, a_text="1.887041548253914")
+        assert chain.key == "chain6" and chain.section.crossing_sign == "+-"
+        with pytest.raises(ValueError, match="needs --bodies and --a"):
+            make_problem("chain", n_bodies=6)
+        for n in (-2, 2, 5):
+            with pytest.raises(ValueError, match="even number of bodies"):
+                make_problem("chain", n_bodies=n, a_text="0.3")
         with pytest.raises(ValueError):
             make_problem("chain")
         with pytest.raises(ValueError):
@@ -405,16 +442,6 @@ class TestPhi:
         # component (the box contains the true zero)
         val = prob.reduce(*ev.crossing.state)
         assert val.contains_zero()
-
-    def test_reduced6_field_on_embedded_candidate_matches_full(self):
-        prob = chain6_problem()
-        s = prob.embed_point(CHAIN6_X)
-        from choreocert.dynamics import nbody_field
-        f6 = nbody_field(6)
-        full = np.concatenate([s, -s])
-        lo6, hi6 = f6.eval(full, full)
-        lo, hi = prob.field.eval(s, s)
-        assert np.all(np.maximum(lo6[:12], lo) <= np.minimum(hi6[:12], hi))
 
 
 @pytest.fixture(scope="module")
