@@ -122,6 +122,19 @@ class TestTaylorSeries:
         assert lo[2][5] <= 0.0 <= hi[2][5]
         assert hi[2][4] - lo[2][4] < 1e-12
 
+    def test_reduced6_equals_full_field_on_antipodal_states(self):
+        rng = np.random.default_rng(0)
+        f6 = nbody_field(6)
+        fr = GravityField(PhaseLayout(3), antipodal_terms(3))
+        for _ in range(100):
+            half = rng.normal(size=(3, 4)) * 0.6
+            half[:, :2] += np.array([[2.0, 0], [0, 2.0], [-1.5, 1.5]])
+            full = np.concatenate([half, -half]).reshape(-1)
+            hl, hh = fr.eval(half.reshape(-1), half.reshape(-1))
+            fl6, fh6 = f6.eval(full, full)
+            assert np.all(np.maximum(fl6[:12], hl)
+                          <= np.minimum(fh6[:12], hh))
+
 
 class TestAntipodalHalf:
     @pytest.mark.parametrize("half", [2, 3, 4, 5])

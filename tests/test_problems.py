@@ -443,6 +443,16 @@ class TestPhi:
         val = prob.reduce(*ev.crossing.state)
         assert val.contains_zero()
 
+    def test_reduced6_field_on_embedded_candidate_matches_full(self):
+        prob = chain6_problem()
+        s = prob.embed_point(CHAIN6_X)
+        from choreocert.dynamics import nbody_field
+        f6 = nbody_field(6)
+        full = np.concatenate([s, -s])
+        lo6, hi6 = f6.eval(full, full)
+        lo, hi = prob.field.eval(s, s)
+        assert np.all(np.maximum(lo6[:12], lo) <= np.minimum(hi6[:12], hi))
+
 
 @pytest.fixture(scope="module")
 def eight_set_flow():
