@@ -238,6 +238,18 @@ class IntervalMatrix:
                    np.array([[float.fromhex(e[1]) for e in row] for row in data]))
 
 
+def midpoint_inverse(A: IntervalMatrix) -> np.ndarray:
+    """inv(mid A) in plain floats: the preconditioner of `solve_linear` and
+    of the Krawczyk operator.  Raises SingularEnclosure when there is none."""
+    try:
+        pre = np.linalg.inv(A.mid())
+    except np.linalg.LinAlgError as exc:
+        raise SingularEnclosure("midpoint matrix is numerically singular") from exc
+    if not np.all(np.isfinite(pre)):
+        raise SingularEnclosure("midpoint inverse overflowed")
+    return pre
+
+
 def solve_linear(A: IntervalMatrix, b: IntervalVector) -> IntervalVector:
     """Enclosure of {A0^-1 b0 : A0 in A, b0 in b} for square A.
 
@@ -249,13 +261,7 @@ def solve_linear(A: IntervalMatrix, b: IntervalVector) -> IntervalVector:
     n, m = A.shape
     if n != m or len(b) != n:
         raise DimensionMismatch("solve_linear needs square A and matching b")
-    try:
-        pre = np.linalg.inv(A.mid())
-    except np.linalg.LinAlgError as exc:
-        raise SingularEnclosure("midpoint matrix is numerically singular") from exc
-    if not np.all(np.isfinite(pre)):
-        raise SingularEnclosure("midpoint inverse overflowed")
-
+    pre = midpoint_inverse(A)
     ul, uh = kn.matmul_thin_left(pre, A.lo, A.hi)
     vl, vh = kn.matvec_thin_left(pre, b.lo, b.hi)
 

@@ -15,17 +15,22 @@ round-to-nearest kernels with nudged endpoints.
 
 An existence document is a function of one record, `ProofCertificate`,
 which holds the run it documents: the problem, the certification job
-(candidate, box(candidate, delta), method, preconditioner), the outcome
-`certify` returned, `delta`, the step policy, written as `h`, `order` and
+(candidate, box(candidate, delta), method), the outcome `certify`
+returned, `delta`, the step policy, written as `h`, `order` and
 `tolerance` (null for one size h) and read back by `read_step_policy`, and
 the certified map's last point and set evaluations.  `max_iter` is the cap
 `rootfind.MAX_ITER`.  The job and the outcome give the box, the top-level
-copies of the first iteration, the trace, the operator image, the refined
-box, the verdict, the cause and the iteration count; the evaluations give
-the crossing times, `crossing_notes`, `step_counts` and `step_sizes`.
+copies of the first iteration (its preconditioner among them), the trace,
+the operator image, the refined box, the verdict, the cause and the
+iteration count; the evaluations give the crossing times,
+`crossing_notes`, `step_counts` and `step_sizes`.
 Informative, not checked: the crossing times, `crossing_notes`,
 `step_counts`, `step_sizes` and `wall_clock_seconds`.  The replay derives
-`cause` and `environment` exactly, so both are checked.
+`cause` and `environment` exactly, so both are checked.  A Krawczyk run
+has one preconditioner, the top-level `preconditioner`: the prover's job
+gives none, so `certify` takes the midpoint inverse of the first
+iteration's derivative enclosure (`boxes.midpoint_inverse`) and keeps it;
+the replay runs under the stored one.
 `step_counts.point` counts only the point steps integrated on their own: a
 point that rides inside the set flow's steps (`problems.phi_point`) takes
 no step of its own before the section zone.  `step_sizes` lists the set
@@ -169,8 +174,7 @@ class ProofCertificate:
             "box": job.X.to_hex(),
             "phi_at_candidate": _to_hex(first.f_x if first else None),
             "dphi_on_box": _to_hex(first.df_X if first else None),
-            "preconditioner": _hex_rows(job.C if job.method == "krawczyk"
-                                        else None),
+            "preconditioner": _hex_rows(first.C if first else None),
             "operator_image": _to_hex(out.operator_image),
             "refined_box": _to_hex(out.refined_box),
             "verdict": out.verdict,
@@ -327,9 +331,10 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
         return
 
     # Replay the prover's loop on the stored enclosures.  Past the trace
-    # comes the zero derivative.  Newton stops on it as singular, the
-    # prover's one early stop; a Krawczyk run records one iteration more
-    # than the trace, or cannot invert it, and so disagrees.
+    # comes the zero derivative.  Newton, and Krawczyk with no stored
+    # preconditioner, stop on it as singular, the prover's one early stop;
+    # a Krawczyk run under a stored one records one iteration more than the
+    # trace, and so disagrees.
     records = iter([(IntervalVector.from_hex(r["f_x"]),
                      IntervalMatrix.from_hex(r["df_X"])) for r in body["trace"]])
     zero = (IntervalVector.point(np.zeros(n)),

@@ -253,7 +253,8 @@ def write_curve_file(path: str, problem: ChoreographyProblem,
         for name, r in result.residuals:
             fh.write(f"#   {name}: [{r.lo:.3e}, {r.hi:.3e}]\n")
         fh.write("# columns: t x y\n")
-        for t, x, y in result.curve:
+        # + 0.0 turns a sample's -0 (a reflected zero) into +0
+        for t, x, y in result.curve + 0.0:
             fh.write(f"{t:.12f} {x:.15f} {y:.15f}\n")
 
 
@@ -263,5 +264,5 @@ def write_segment_file(path: str, problem: ChoreographyProblem,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# certified segment samples: system={problem.key}\n")
         fh.write(f"# columns: t {cols}\n")
-        for row in result.segment:
+        for row in result.segment + 0.0:
             fh.write(" ".join(f"{v:.15f}" for v in row) + "\n")

@@ -1,10 +1,9 @@
 """Nonrigorous floating-point evaluation of the defect map.
 
-Used for candidate refinement (plain Newton until the defect is at rounding
-level) and for the Krawczyk preconditioner (inverse of the monodromy matrix
-at the candidate).  Nothing here is validated; the rigorous machinery never
-depends on these values for soundness, only for the choice of candidate
-points and preconditioners, which are stored verbatim in certificates.
+Used only for candidate refinement (`refine`: plain Newton until the defect
+is at rounding level).  Nothing here is validated, and no proof reads it:
+a Krawczyk proof inverts the midpoint of its own derivative enclosure.
+`monodromy_preconditioner` is kept for the benchmark's tracing span alone.
 """
 
 from __future__ import annotations

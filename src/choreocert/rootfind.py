@@ -28,7 +28,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .boxes import IntervalMatrix, IntervalVector, solve_linear
+from .boxes import (IntervalMatrix, IntervalVector, midpoint_inverse,
+                    solve_linear)
 from .errors import EmptyIntersection, SingularEnclosure
 
 Verdict = Literal["UniqueZero", "NoZero", "Inconclusive"]
@@ -52,6 +53,8 @@ class CertificationJob:
     x0: np.ndarray
     X: IntervalVector
     method: Literal["newton", "krawczyk"] = "newton"
+    # Krawczyk's one C for the run; None: the midpoint inverse of the first
+    # iteration's derivative enclosure
     C: np.ndarray | None = None
 
     def __post_init__(self):
@@ -100,11 +103,6 @@ def krawczyk_operator(x: np.ndarray, X: IntervalVector, f_x: IntervalVector,
             + lin.matvec(X - x))
 
 
-def default_preconditioner(df_X: IntervalMatrix) -> np.ndarray:
-    """Approximate inverse of the midpoint Jacobian, in plain floats."""
-    return np.linalg.inv(df_X.mid())
-
-
 def judge(X: IntervalVector, image: IntervalVector
           ) -> tuple[str, Verdict | None, IntervalVector | None]:
     """The one rule that turns an operator image over [X] into a verdict.
@@ -132,16 +130,17 @@ def certify(job: CertificationJob) -> CertificationOutcome:
     x = np.asarray(job.x0, float)
     X = job.X
     trace: list[IterationRecord] = []
+    C = job.C if job.method == "krawczyk" else None
 
     for it in range(1, MAX_ITER + 1):
         f_x, df_X = job.map.enclose(x, X)
 
-        C = None
         try:
             if job.method == "newton":
                 image = newton_operator(x, f_x, df_X)
             elif job.method == "krawczyk":
-                C = job.C if job.C is not None else default_preconditioner(df_X)
+                if C is None:  # the first iteration's midpoint inverse
+                    C = midpoint_inverse(df_X)
                 image = krawczyk_operator(x, X, f_x, df_X, C)
             else:
                 raise ValueError(f"unknown method {job.method!r}")

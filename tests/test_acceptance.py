@@ -25,7 +25,6 @@ from choreocert.convexity import verify_convexity
 from choreocert.dynamics import nbody_field
 from choreocert.integrator import LohnerSet, StepPolicy
 from choreocert.interval import Interval
-from choreocert.pointflow import monodromy_preconditioner
 from choreocert.problems import (
     chain6_problem,
     eight_problem,
@@ -131,9 +130,8 @@ def _run_proof(problem, candidate, delta, h_point, h_set, order, method):
         return f_x, df_X
 
     cmap = CertifiableMap(problem.reduced_dim, enclose)
-    C = monodromy_preconditioner(problem, candidate) \
-        if method == "krawczyk" else None
-    job = CertificationJob(map=cmap, x0=candidate, X=box, method=method, C=C)
+    # no C, as the prover builds it: Krawczyk inverts the first mid DF([X])
+    job = CertificationJob(map=cmap, x0=candidate, X=box, method=method)
     outcome = certify(job)
     return ProofRun(problem, candidate, box, point_eval, jac_eval, outcome,
                     time.perf_counter() - t0)

@@ -21,7 +21,6 @@ from choreocert.rootfind import (
     CertifiableMap,
     CertificationJob,
     certify,
-    default_preconditioner,
     judge,
     krawczyk_operator,
 )
@@ -50,11 +49,8 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, h=0.01):
     # certificate carries the Eight's problem block; a Krawczyk run has one
     # preconditioner, the midpoint inverse over the first box
     x = np.array([x0, x0])
-    X = IntervalVector.box(x, delta)
-    C = (default_preconditioner(quadratic_map().enclose(x, X)[1])
-         if method == "krawczyk" else None)
-    job = CertificationJob(map=quadratic_map(), x0=x, X=X, method=method,
-                           C=C)
+    job = CertificationJob(map=quadratic_map(), x0=x,
+                           X=IntervalVector.box(x, delta), method=method)
     out = certify(job)
     return ProofCertificate(make_problem("eight"), job, out, StepPolicy(h, 7),
                             delta, wall_clock_seconds=1.234), out
@@ -254,6 +250,17 @@ class TestBoundToTrace:
         for count in (0, 2):
             body["iterations"] = count
             assert not reverify_document(json.dumps(body)).ok
+
+    def test_krawczyk_singular_midpoint_stops_as_newton_does(self):
+        # the midpoint of 2X is singular, so Krawczyk stops before it has a
+        # preconditioner to store, and the replay stops there too
+        cert, out = small_certificate("krawczyk", x0=0.0, delta=0.5)
+        assert out.trace == [] and out.iterations == 1
+        body = parse_document(cert.to_document())
+        assert body["preconditioner"] is None
+        assert reverify_document(json.dumps(body)).ok
+        body["iterations"] = 2
+        assert not reverify_document(json.dumps(body)).ok
 
     @pytest.mark.parametrize("key, value, failing", [
         ("h", "0x0.0p+0", "problem and parameters"),

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from choreocert import kernels as kn
-from choreocert.boxes import IntervalMatrix, IntervalVector
+from choreocert.boxes import IntervalMatrix, IntervalVector, midpoint_inverse
 from choreocert.certificates import (parse_document, read_step_policy,
                                      rebuild_problem)
 from choreocert.cli import DEFAULTS, EXIT_OK, main
-from choreocert.curves import _segment_midpoints
+from choreocert.curves import _segment_midpoints, unfold
 from choreocert.interval import Interval
 from choreocert.problems import phi_jacobian
 
@@ -91,6 +91,12 @@ class TestVerbatimInvocations:
         point, set_ = (Interval.from_hex(*body[f"crossing_time_{k}"])
                        for k in ("point", "set"))
         assert not point.disjoint(set_) and point.diam() < set_.diam()
+        # the Krawczyk preconditioner is the midpoint inverse of the first
+        # derivative enclosure, bit for bit, and every iteration keeps it
+        assert body["method"] == "krawczyk"
+        C = midpoint_inverse(IntervalMatrix.from_hex(body["dphi_on_box"]))
+        assert body["preconditioner"] == [[v.hex() for v in row] for row in C]
+        assert all(rec["C"] == body["preconditioner"] for rec in body["trace"])
 
     def test_generic_chain_four_bodies(self, tmp_path):
         # the four-body chain in generic coordinates (vx0, x1, vy1)
@@ -232,10 +238,9 @@ class TestSignedZeros:
     @pytest.mark.parametrize("name", ["eight", "gerver", "chain6", "chain4"])
     def test_curve_samples_carry_no_negative_zero(self, outputs, name):
         # the curve and segment files are decimal: their samples are the
-        # flow's midpoints, before any symmetry of the orbit maps them
+        # flow's midpoints, which the symmetries of the orbit then map, and
+        # a map can negate a zero
         path = outputs / f"{name}.cert"
-        assert (outputs / f"{name}.curve").stat().st_size > 0
-        assert (outputs / f"{name}.segment").stat().st_size > 0
         body = parse_document(path.read_text())
         problem = rebuild_problem(body["problem"]["id"],
                                   body["problem"]["size_parameter"])
@@ -244,6 +249,18 @@ class TestSignedZeros:
                                 read_step_policy(body["parameters"])).crossing
         _, samples = _segment_midpoints(crossing)
         assert not np.any((samples == 0.0) & np.signbit(samples))
+        # each written sample has a sign exactly when it is below zero, so a
+        # zero is written as +0 (a tiny negative still rounds to "-0.000...")
+        result = unfold(problem, crossing)
+        for suffix, values in (("curve", result.curve),
+                               ("segment", result.segment)):
+            rows = [line.split() for line in
+                    (outputs / f"{name}.{suffix}").read_text().splitlines()
+                    if not line.startswith("#")]
+            assert len(rows) == len(values) > 0
+            signed = np.array([[tok.startswith("-") for tok in row]
+                               for row in rows])
+            assert np.array_equal(signed, values < 0.0), suffix
 
     def test_value_types_store_positive_zero(self):
         lo, hi = kn.sub(np.array([0.1]), np.array([0.1]),

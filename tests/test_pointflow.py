@@ -121,23 +121,32 @@ class TestFloatJacobian:
             assert np.all(jl - slack <= J) and np.all(J <= jh + slack)
 
 
-def loaded_by_cli_import(*names: str) -> list[str]:
+def loaded_by_cli_import(*names: str, argv=None) -> list[str]:
     """Those of the named modules that a fresh `import choreocert.cli`
-    loads."""
+    loads, followed by `choreocert.cli.main(argv)` when argv is given."""
     src = str(Path(choreocert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, choreocert.cli; "
-            f"print(' '.join(m for m in {names!r} if m in sys.modules))")
+    code = "import sys, choreocert.cli\n"
+    if argv is not None:
+        code += f"assert choreocert.cli.main({argv!r}) == 0\n"
+    code += f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.split()
+    return out.splitlines()[-1].split()
 
 
 def test_cli_import_does_not_load_scipy_integrate():
     # verify, convexity and emit-curve never integrate in floats, so only
     # point_phi imports the solver
     assert loaded_by_cli_import("scipy.integrate") == []
+
+
+def test_krawczyk_proof_does_not_load_scipy_integrate(tmp_path):
+    # the Krawczyk preconditioner is the midpoint inverse of the proof's own
+    # derivative enclosure, so prove never integrates in floats
+    argv = ["prove", "--system", "gerver", "--out", str(tmp_path / "g.cert")]
+    assert loaded_by_cli_import("scipy.integrate", argv=argv) == []
 
 
 def test_cli_import_does_not_load_a_process_pool():

@@ -155,6 +155,19 @@ class TestCertify:
         assert out.verdict == "Inconclusive"
         assert "inflat" in out.cause
 
+    @pytest.mark.parametrize("method", ["newton", "krawczyk"])
+    def test_singular_midpoint_is_inconclusive(self, method):
+        # DF([-1, 1]) = [-2, 2], whose midpoint 0 has no inverse: both
+        # operators stop on the first iteration, before any image
+        job = CertificationJob(map=quadratic_map(), x0=np.array([0.0]),
+                               X=IntervalVector.box([0.0], 1.0), method=method)
+        out = certify(job)
+        assert out.verdict == "Inconclusive"
+        assert out.cause.startswith(
+            "derivative enclosure not certifiably regular")
+        assert out.iterations == 1 and out.trace == []
+        assert out.operator_image is None and out.refined_box == job.X
+
     def test_iteration_limit(self, monkeypatch):
         # an image that always overlaps but never contracts inside
         def enclose(x, X):
