@@ -10,7 +10,9 @@ Subcommands:
 * convexity   verify lobe convexity of the Eight on the refined box of an
               existence certificate, re-verified first, at the published
               h 0.01 and order 7 (`convexity.POLICY`)
-* refine      nonrigorous Newton refinement of a candidate point
+* refine      nonrigorous Newton refinement of a candidate point: plain
+              Newton on the validated map of a thin box, under the system's
+              default step policy (chain6's for any other chain)
 * emit-curve  unfold a certified segment (re-verified first) into the full
               closed curve, flowed under the certificate's step policy (its
               h, tolerance and order)
@@ -65,10 +67,9 @@ from .errors import (
     RoundingModeError,
 )
 from .integrator import StepPolicy
-# prove no longer calls monodromy_preconditioner; perfbench/tracing.py still
-# spans it here, so the name stays until that span goes
-from .pointflow import monodromy_preconditioner, refine_candidate  # noqa: F401
-from .problems import make_problem, phi_jacobian, phi_point
+# refine_candidate's Newton step; perfbench/tracing.py spans it by this name
+from .problems import monodromy_preconditioner  # noqa: F401
+from .problems import make_problem, phi_jacobian, phi_point, refine_candidate
 from .rootfind import CertifiableMap, CertificationJob, certify
 
 EXIT_OK = 0
@@ -346,8 +347,11 @@ def _cmd_convexity(args) -> int:
 def _cmd_refine(args) -> int:
     problem = _problem(args.system, args.bodies, args.a)
     guess = _parse_vector(args.guess, problem.reduced_dim)
+    # the system's step policy; any other chain takes chain6's
+    d = DEFAULTS.get(problem.key, DEFAULTS["chain6"])
     try:
-        refined = refine_candidate(problem, guess)
+        refined = refine_candidate(problem, guess,
+                                   StepPolicy(d["h"], d["order"], d["tol"]))
     except Diverged as exc:
         print(f"refine: diverged: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR

@@ -25,8 +25,7 @@ it forms every layer of z x z = (xx, xy, yy) and of (z x z) * p in one
 Cauchy-product contraction each (`kernels.cauchy`), and all of
 s I - 3 (z x z) * p in one stacked pass.  Each `GravityField` builds its
 term scatter once (the blocks of G each term touches, with exact factors
-+-1 or +-2); the layers G[k] and the float Jacobian of `pointflow` both
-read it and sum each block in term order.
++-1 or +-2); the layers G[k] read it and sum each block in term order.
 
 Layer k of any series encloses the k-th Taylor coefficient (derivative / k!)
 of that quantity along every trajectory starting in the input box.

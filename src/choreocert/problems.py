@@ -38,6 +38,10 @@ under one step policy (`integrator.StepPolicy`).  The point can ride inside
 the box flow (`phi_jacobian(..., point=x)`), advanced by each box step's
 own Lohner update up to the step before the section zone, where phi_point
 takes it over at the box flow's sizes.
+
+refine_candidate runs plain Newton on the same validated map at a thin box,
+stepping with the midpoints of Phi and of DPhi: it finds candidates, and
+nothing it returns is certified.
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels as kn
-from .boxes import IntervalMatrix, IntervalVector
+from .boxes import IntervalMatrix, IntervalVector, midpoint_inverse
 from .dynamics import (GravityField, PhaseLayout, antipodal_terms,
                        nbody_field)
-from .errors import DimensionMismatch, NonTransversal
+from .errors import (CollisionEnclosure, DimensionMismatch, Diverged,
+                     NoCrossing, NonTransversal, RoughEnclosureFailure,
+                     SingularEnclosure)
 from .integrator import (LohnerSet, SectionCrossing, SectionSpec, StepPolicy,
                          flow_to_section)
 from .interval import Interval
@@ -502,3 +508,35 @@ def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector,
     return MapEvaluation(value=problem.reduce(*cr.state),
                          jacobian=IntervalMatrix(jl, jh), crossing=cr,
                          notes=_crossing_notes(problem, cr))
+
+
+# --- candidate refinement --------------------------------------------------------
+
+def monodromy_preconditioner(problem: ChoreographyProblem, x,
+                             policy: StepPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(mid Phi(x), inv(mid DPhi(x))) from one validated flow of the thin
+    box at x: the Newton step of `refine_candidate`."""
+    ev = phi_jacobian(problem, IntervalVector.point(x), policy)
+    return ev.value.mid(), midpoint_inverse(ev.jacobian)
+
+
+def refine_candidate(problem: ChoreographyProblem, guess,
+                     policy: StepPolicy) -> np.ndarray:
+    """Plain Newton on the validated map, x <- x - inv(mid DPhi) mid Phi(x),
+    until |mid Phi(x)| < 1e-12, in at most 12 steps.  Nonrigorous: it only
+    picks a candidate for `prove`.  A failure of the flow, a singular
+    midpoint, a step longer than 1 or no convergence raises Diverged."""
+    x = np.asarray(guess, float)
+    for _ in range(12):
+        try:
+            value, inverse = monodromy_preconditioner(problem, x, policy)
+        except (CollisionEnclosure, RoughEnclosureFailure, NoCrossing,
+                NonTransversal, SingularEnclosure, FloatingPointError) as exc:
+            raise Diverged(str(exc)) from exc
+        if np.max(np.abs(value)) < 1e-12:
+            return x
+        step = inverse @ value
+        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1.0:
+            raise Diverged("Newton step diverged")
+        x = x - step
+    raise Diverged("no convergence after 12 Newton steps")

@@ -2,11 +2,16 @@ import argparse
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choreocert
 from choreocert import cli, convexity, integrator, kernels
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import (ProofCertificate, parse_document,
@@ -642,8 +647,7 @@ class TestRefine:
                      "--guess", "10,10"]) == EXIT_INTEGRATOR
 
     def test_overflowing_field_diverges(self, capsys):
-        # the float field overflows at once; the solver must not keep
-        # shrinking its step on it
+        # the field is not finite over the start set: one diverged line
         guess = ",".join(map(repr, cli.DEFAULTS["gerver"]["candidate"]))
         assert main(["refine", "--system", "gerver", "--a", "1e300",
                      "--guess", guess]) == EXIT_INTEGRATOR
@@ -846,3 +850,48 @@ class TestConvexityVerify:
                                      edit):
         assert verify_edited(failing_convexity_cert, tmp_path,
                              edit) == EXIT_VERIFY_DISAGREE
+
+
+def in_a_fresh_interpreter(code: str, cwd) -> str:
+    """The last line that `code` prints, run by a new interpreter that
+    imports the package from this tree."""
+    src = str(Path(choreocert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_a_process_pool(tmp_path):
+    # prove runs the systems of a comma list in turn, in this process
+    code = ("import sys, choreocert.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])")
+    assert in_a_fresh_interpreter(code, tmp_path) == "[]"
+
+
+def run_without_scipy(argv, cwd) -> str:
+    """The exit code of `main(argv)`, printed by a fresh interpreter in which
+    scipy cannot be imported, followed by the scipy modules it loaded."""
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from choreocert.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, [m for m in sys.modules"
+            " if m.startswith('scipy') and sys.modules[m] is not None])")
+    return in_a_fresh_interpreter(code, cwd)
+
+
+def test_cli_import_does_not_load_scipy_integrate(tmp_path):
+    # scipy is a test dependency only: with it unimportable, refine's Newton
+    # iteration on the validated map still runs
+    argv = ["refine", "--system", "eight", "--guess", "0.35,0.53"]
+    assert run_without_scipy(argv, tmp_path) == "0 []"
+
+
+def test_krawczyk_proof_does_not_load_scipy_integrate(tmp_path):
+    # the Krawczyk preconditioner is the midpoint inverse of the proof's own
+    # derivative enclosure, so prove never integrates in floats
+    argv = ["prove", "--system", "gerver", "--out", "g.cert"]
+    assert run_without_scipy(argv, tmp_path) == "0 []"
