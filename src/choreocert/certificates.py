@@ -32,9 +32,10 @@ gives none, so `certify` takes the midpoint inverse of the first
 iteration's derivative enclosure (`boxes.midpoint_inverse`) and keeps it;
 the replay runs under the stored one.
 `step_counts.point` counts only the point steps integrated on their own: a
-point that rides inside the set flow's steps (`problems.phi_point`) takes
-no step of its own before the section zone.  `step_sizes` lists the set
-flow's sizes in hex, so a replay can re-run them without choosing them
+point that rides inside the set flow's steps (`problems.phi_point`) starts
+its own flow at the first step of the section zone, at that step's size,
+and `crossing_time_point` adds that step's start.  `step_sizes` lists the
+set flow's sizes in hex, so a replay can re-run them without choosing them
 again.
 
 The verifier audits a stored verdict without any integration.  It checks
@@ -493,8 +494,6 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         return
     t_cross = Interval.from_hex(*body["crossing_time"])
     rep.add(complete and n >= 1
-            and starts_before_crossing(run_time(POLICY.sizes_before(n - 1)),
-                                       t_cross)
-            and not starts_before_crossing(run_time(POLICY.sizes_before(n)),
-                                           t_cross),
+            and starts_before_crossing(run_time([POLICY.h] * (n - 1)), t_cross)
+            and not starts_before_crossing(run_time([POLICY.h] * n), t_cross),
             f"step {n} is the last step that begins before the crossing time")

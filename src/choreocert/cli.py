@@ -40,6 +40,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
 
@@ -121,7 +122,13 @@ class _Disagreement(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a rejected command line exiting EXIT_USAGE, not 2,
-    which means inconclusive here."""
+    which means inconclusive here, and with a value that starts with a minus
+    sign and a number read as a value even when it is a comma list
+    (`--guess -0.63,0.14`): argparse's own pattern takes one number only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.,eE+-]*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -240,6 +240,13 @@ def unfold(problem: ChoreographyProblem,
     return _unfold_chain(problem, crossing, period)
 
 
+def _fixed(v: float, digits: int) -> str:
+    """v to `digits` decimals, with no sign where that reads as zero: a -0
+    or a tiny negative, such as a reflected zero, prints as 0."""
+    text = f"{v:.{digits}f}"
+    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
+
+
 def write_curve_file(path: str, problem: ChoreographyProblem,
                      result: UnfoldResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -253,9 +260,8 @@ def write_curve_file(path: str, problem: ChoreographyProblem,
         for name, r in result.residuals:
             fh.write(f"#   {name}: [{r.lo:.3e}, {r.hi:.3e}]\n")
         fh.write("# columns: t x y\n")
-        # + 0.0 turns a sample's -0 (a reflected zero) into +0
-        for t, x, y in result.curve + 0.0:
-            fh.write(f"{t:.12f} {x:.15f} {y:.15f}\n")
+        for t, x, y in result.curve:
+            fh.write(f"{_fixed(t, 12)} {_fixed(x, 15)} {_fixed(y, 15)}\n")
 
 
 def write_segment_file(path: str, problem: ChoreographyProblem,
@@ -264,5 +270,5 @@ def write_segment_file(path: str, problem: ChoreographyProblem,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# certified segment samples: system={problem.key}\n")
         fh.write(f"# columns: t {cols}\n")
-        for row in result.segment + 0.0:
-            fh.write(" ".join(f"{v:.15f}" for v in row) + "\n")
+        for row in result.segment:
+            fh.write(" ".join(_fixed(v, 15) for v in row) + "\n")

@@ -36,18 +36,19 @@ validation loop.
 Section crossings are located in two rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, then an interval
 Newton iteration in time over the straddling steps' Taylor polynomials.
-Every step has one clock, set when it is made: its start time `run_time`,
-the kernels' sum of the sizes before it.  All time code reads it, so a
-flow may start at any step of a run (`flow_to_section(..., first_step=k)`)
-and its steps, which one `StepPolicy` sizes, may differ.
+Every flow starts at time 0, and each step has one clock, set when it is
+made: its start time `run_time`, the kernels' sum of the sizes before it.
+All time code reads it, so the steps, which one `StepPolicy` sizes, may
+differ.
 
 A set may carry a thin point along (`LohnerSet.carrying`).  The point
 sits in its own frame around the set's center m, so each step advances it
 by the set's own update, phi_h(m) + A Q r with A the enclosure of Dphi_h
 over the step's input box: the mean-value theorem makes that valid while
 the point's box lies inside the set's box.  Each step checks that
-inclusion and drops the point when it fails.  `flow_to_section` stops it
-at the zone (`PointHandoff`); only zone steps keep their transition data.
+inclusion and drops the point when it fails.  `flow_to_section` hands
+it over at the first zone step (`PointHandoff`), for a flow of its own;
+only zone steps keep their transition data.
 """
 
 from __future__ import annotations
@@ -414,10 +415,12 @@ class SectionSpec:
 
 @dataclass(frozen=True)
 class PointHandoff:
-    """A carried point's frames at the flow's start (`origin`) and at step
-    `index`, the one before the section zone (or 0), still inside the set."""
+    """A carried point's frames at the flow's start (`origin`) and at the
+    start of the first zone step (`frame`), which begins at `t_start` and
+    takes size `h`."""
 
-    index: int
+    t_start: Interval
+    h: float
     frame: Frame
     origin: Frame
 
@@ -431,7 +434,7 @@ class SectionCrossing:
     projected: Pair | None           # after removing the flow direction
     steps: list[EnclosureStep]
     zone: list[int]                  # positions in steps of the straddling steps
-    handoff: PointHandoff | None = None  # where the carried point resumes
+    handoff: PointHandoff | None = None  # where the carried point leaves
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
@@ -449,13 +452,9 @@ def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
 
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
-                    policy: StepPolicy, first_step: int = 0) -> SectionCrossing:
-    """Integrate to the first transversal crossing of the section.
-
-    `start` is the set at step `first_step` of a run from time 0 under
-    `policy`; the policy's step budget counts from step 0.  A run resumed
-    there must not cross before it."""
-    earlier = policy.sizes_before(first_step)
+                    policy: StepPolicy) -> SectionCrossing:
+    """Integrate `start` from time 0 under `policy` to the first
+    transversal crossing of the section."""
     box = start.box()
     kn.assert_valid(*box, "start set")
     try:
@@ -469,13 +468,12 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     steps: list[EnclosureStep] = []
     cur = start
     zone: list[int] = []
-    handoff = before = rec = None
-    for k in range(first_step, policy.budget):
+    handoff = rec = None
+    for k in range(policy.budget):
         carried = cur.point
         cur, rec = step(field, cur, policy.size(k, rec), policy.order, index=k,
-                        t_start=run_time([*earlier, *(r.h for r in steps)]))
+                        t_start=run_time([r.h for r in steps]))
         steps.append(rec)
-        here = PointHandoff(k, carried, start.point) if cur.point else None
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
             # only the zone's transitions are read, for the crossing's hull
@@ -489,15 +487,14 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
             if not on_start_side:
                 raise NonTransversal(
                     "sign flip without a straddled step; enclosures inconsistent")
-            before = here
             continue
         gd = section.gdot(*rec.whole, field)
         if (want == 1 and not gd.hi < 0.0) or (want == -1 and not gd.lo > 0.0):
             raise NonTransversal(
                 f"dg.f = {gd} does not exclude zero with the required sign "
                 f"on step {k}")
-        if not zone:  # the point stops riding, to resume a step before
-            handoff = before if len(steps) > 1 else here
+        if not zone and carried is not None:  # the point leaves at this step
+            handoff = PointHandoff(rec.t_start, rec.h, carried, start.point)
             cur = replace(cur, point=None)
         zone.append(len(steps) - 1)
     else:
@@ -531,17 +528,17 @@ def run_time(sizes) -> Interval:
 @dataclass(frozen=True)
 class StepPolicy:
     """How a run sizes its steps.  Step k takes `given[k]` while there is
-    one; past them step 0 takes h and step k the size of step k-1 or, under
-    a tolerance, that size times 0.9 (tol / w)^(1/(R+1)) kept in [1/2, 2],
-    w the widest component of step k-1's Lagrange term h^(R+1) [rem] (any
-    size gives a sound step), a flow at most its `budget` of 10/h steps.
-    The state runs at order R and the transition at `transition_order(R)`,
-    which every step derives from R: no option sets it.  It
-    refuses, naming the field, an h not finite and > 0 or whose budget
-    exceeds 10^6 steps (h below 1e-5), an order not an int >= 1, a tol not
-    None or finite and > 0, and given sizes off the rule the control keeps
-    exactly: the first h, all h without a tolerance, else each in [1/2, 2]
-    times the one before."""
+    one; past them step 0 takes h, every step takes h without a tolerance,
+    and under one step k takes step k-1's size times
+    0.9 (tol / w)^(1/(R+1)) kept in [1/2, 2], w the widest component of
+    step k-1's Lagrange term h^(R+1) [rem] (any size gives a sound step),
+    a flow at most its `budget` of 10/h steps.  The state runs at order R
+    and the transition at `transition_order(R)`, which every step derives
+    from R: no option sets it.  It refuses, naming the field, an h not
+    finite and > 0 or whose budget exceeds 10^6 steps (h below 1e-5), an
+    order not an int >= 1, a tol not None or finite and > 0, and given
+    sizes off the rule the control keeps exactly: the first h, all h
+    without a tolerance, else each in [1/2, 2] times the one before."""
 
     h: float
     order: int
@@ -566,7 +563,7 @@ class StepPolicy:
 
     @property
     def budget(self) -> int:
-        """The most steps a flow from time 0 takes."""
+        """The most steps a flow takes."""
         return math.ceil(10.0 / self.h)
 
     @staticmethod
@@ -576,20 +573,12 @@ class StepPolicy:
         with its width, so it needs less order than the state."""
         return min(order, 10)
 
-    def sizes_before(self, k: int) -> list[float]:
-        """Steps 0..k-1's sizes: the given ones, padded with h if no tol."""
-        if self.tol is not None and len(self.given) < k:
-            raise ValueError("a controlled run resumes after given sizes")
-        return [*self.given[:k], *[self.h] * (k - len(self.given))]
-
     def size(self, k: int, before: EnclosureStep | None = None) -> float:
-        """The size of step k, with `before` step k-1 when the flow took it."""
+        """The size of step k, with `before` step k-1 (None for step 0)."""
         if k < len(self.given):
             return self.given[k]
-        if before is None:  # a flow's first step
-            return self.sizes_before(k)[-1] if k else self.h
-        if self.tol is None:
-            return before.h
+        if before is None or self.tol is None:
+            return self.h
         R = self.order
         w = before.h ** (R + 1) * float(np.max(before.rem[1] - before.rem[0]))
         factor = 0.9 * (self.tol / w) ** (1.0 / (R + 1)) if w > 0.0 else 2.0
@@ -599,10 +588,6 @@ class StepPolicy:
         """The retry at half the step: h halves, and tol by 2^(R+1)."""
         tol = None if self.tol is None else self.tol / 2.0 ** (self.order + 1)
         return StepPolicy(self.h * 0.5, self.order, tol)
-
-    def following(self, sizes) -> StepPolicy:
-        """This policy with a run's first step sizes given."""
-        return replace(self, given=tuple(sizes))
 
 
 def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:

@@ -36,8 +36,8 @@ state, their products and their squares; DR and dg are their product rule.
 phi_jacobian flows the embedded box and phi_point the thin point, both
 under one step policy (`integrator.StepPolicy`).  The point can ride inside
 the box flow (`phi_jacobian(..., point=x)`), advanced by each box step's
-own Lohner update up to the step before the section zone, where phi_point
-takes it over at the box flow's sizes.
+own Lohner update up to the first step of the section zone, where
+phi_point starts a flow of its own at that step's size.
 
 refine_candidate runs plain Newton on the same validated map at a thin box,
 stepping with the midpoints of Phi and of DPhi: it finds candidates, and
@@ -471,25 +471,24 @@ def phi_point(problem: ChoreographyProblem, x, policy: StepPolicy,
     """Rigorous enclosure of the defect map at a point (thin run).
 
     `along` is the crossing of `phi_jacobian(..., point=x)` under the same
-    policy, whose sizes the point then takes as given.  The point starts
-    from the frame that crossing hands over (`SectionCrossing.handoff`), on
-    the start side inside the set's box, and only the steps from there on
-    are integrated; without a hand-off (the point left the set's box on the
-    way) it is integrated alone from step 0."""
+    policy.  The point then flows afresh from the frame that crossing hands
+    over at its first zone step (`SectionCrossing.handoff`), the first
+    step at that step's size, and its crossing time is shifted by that
+    step's start; without a hand-off (the point left the set's box on the
+    way) it flows alone under `policy`."""
     s0 = problem.embed_point(x)
-    start, first = LohnerSet.from_box(s0, s0), 0
+    start, t_start = LohnerSet.from_box(s0, s0), Interval(0.0)
     if along is not None:
-        if along.steps[0].index != 0:
-            raise ValueError("phi_point rides a flow from step 0")
-        # refused unless the flow's first size is the policy's h
-        policy = policy.following(rec.h for rec in along.steps)
+        if along.steps[0].h != policy.h:
+            raise ValueError("phi_point rides a flow of the policy's h")
         handoff = along.handoff
         if handoff is not None:
             if not kn.contains_point(*LohnerSet(handoff.origin).box(), s0):
                 raise ValueError("the flow carried another point")
-            start, first = LohnerSet(handoff.frame), handoff.index
-    cr = flow_to_section(problem.field, start, problem.section, policy,
-                         first_step=first)
+            start, t_start = LohnerSet(handoff.frame), handoff.t_start
+            policy = StepPolicy(handoff.h, policy.order, policy.tol)
+    cr = flow_to_section(problem.field, start, problem.section, policy)
+    cr = replace(cr, t_cross=t_start + cr.t_cross)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
                          crossing=cr, notes=_crossing_notes(problem, cr))
 

@@ -99,14 +99,14 @@ class LinearField:
 
 # --- a flow to a fixed time ----------------------------------------------------
 
-def flow(field, start: LohnerSet, t_final: float, h: float, order: int,
-         max_steps: int | None = None) -> tuple[LohnerSet, list[EnclosureStep]]:
+def flow(field, start: LohnerSet, t_final: float, h: float, order: int
+         ) -> tuple[LohnerSet, list[EnclosureStep]]:
     """Chain steps to time t_final; the last step is shortened to land on it."""
     steps: list[EnclosureStep] = []
     cur = start
     t = 0.0
     k = 0
-    budget = max_steps if max_steps is not None else int(np.ceil(t_final / h)) + 2
+    budget = int(np.ceil(t_final / h)) + 2
     while t < t_final and k < budget:
         hk = min(h, t_final - t)
         if hk <= 0:

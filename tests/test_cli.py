@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import choreocert
-from choreocert import cli, convexity, integrator, kernels
+from choreocert import cli, convexity, integrator, kernels, problems
 from choreocert.boxes import IntervalVector
 from choreocert.certificates import (ProofCertificate, parse_document,
                                      reverify_document)
@@ -620,14 +620,19 @@ class TestOptions:
                  for name, fn in (("StepPolicy", StepPolicy),
                                   ("CertificationJob", CertificationJob),
                                   ("flow_to_section", flow_to_section),
+                                  ("step", integrator.step),
+                                  ("phi_point", problems.phi_point),
+                                  ("phi_jacobian", problems.phi_jacobian),
                                   ("verify_convexity",
                                    convexity.verify_convexity),
                                   ("ProofCertificate", ProofCertificate))}
         assert knobs == {
             "StepPolicy": ["h", "order", "tol", "given"],
             "CertificationJob": ["map", "x0", "X", "method", "C"],
-            "flow_to_section": ["field", "start", "section", "policy",
-                                "first_step"],
+            "flow_to_section": ["field", "start", "section", "policy"],
+            "step": ["field", "cur", "h", "order", "index", "t_start"],
+            "phi_point": ["problem", "x", "policy", "along"],
+            "phi_jacobian": ["problem", "X", "policy", "point"],
             "verify_convexity": ["certified_box"],
             "ProofCertificate": ["problem", "job", "outcome", "policy",
                                  "delta", "point", "set",
@@ -645,6 +650,23 @@ class TestRefine:
     def test_refine_garbage_diverges(self):
         assert main(["refine", "--system", "eight",
                      "--guess", "10,10"]) == EXIT_INTEGRATOR
+
+    @pytest.mark.parametrize("command, option", [("refine", "--guess"),
+                                                 ("prove", "--candidate")])
+    def test_a_vector_may_start_with_a_minus_sign(self, command, option):
+        # chain6's candidate starts with -0.63: a value, not an option
+        value = ",".join(map(repr, cli.DEFAULTS["chain6"]["candidate"]))
+        assert value.startswith("-0.63")
+        args = cli.build_parser().parse_args(
+            [command, "--system", "chain6", option, value])
+        assert vars(args)[option[2:]] == value
+
+    def test_an_option_in_place_of_the_guess_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["refine", "--system", "eight", "--guess", "-x"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--guess: expected one argument" in capsys.readouterr().err
 
     def test_overflowing_field_diverges(self, capsys):
         # the field is not finite over the start set: one diverged line

@@ -86,7 +86,8 @@ class TestVerbatimInvocations:
         assert body["parameters"]["tolerance"] == DEFAULTS[system]["tol"].hex()
         assert body["step_sizes"][0] == body["parameters"]["h"]
         assert len(set(body["step_sizes"])) > 1
-        # the point resumes at the set flow's sizes, so it crosses when the
+        # the point flows afresh from the set flow's first zone step, its
+        # crossing time shifted to the set's clock, so it crosses when the
         # set does
         point, set_ = (Interval.from_hex(*body[f"crossing_time_{k}"])
                        for k in ("point", "set"))
@@ -249,8 +250,9 @@ class TestSignedZeros:
                                 read_step_policy(body["parameters"])).crossing
         _, samples = _segment_midpoints(crossing)
         assert not np.any((samples == 0.0) & np.signbit(samples))
-        # each written sample has a sign exactly when it is below zero, so a
-        # zero is written as +0 (a tiny negative still rounds to "-0.000...")
+        # each written sample has a sign exactly when it is below zero and
+        # reads as nonzero, so neither a zero nor a tiny negative is written
+        # as "-0.000..."
         result = unfold(problem, crossing)
         for suffix, values in (("curve", result.curve),
                                ("segment", result.segment)):
@@ -260,7 +262,9 @@ class TestSignedZeros:
             assert len(rows) == len(values) > 0
             signed = np.array([[tok.startswith("-") for tok in row]
                                for row in rows])
-            assert np.array_equal(signed, values < 0.0), suffix
+            written = np.array([[float(tok) for tok in row] for row in rows])
+            assert np.array_equal(signed, (values < 0.0) & (written != 0.0)), \
+                suffix
 
     def test_value_types_store_positive_zero(self):
         lo, hi = kn.sub(np.array([0.1]), np.array([0.1]),

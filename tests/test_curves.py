@@ -3,7 +3,9 @@ import pytest
 
 from choreocert.boxes import IntervalVector
 from choreocert.integrator import StepPolicy
-from choreocert.curves import unfold
+from choreocert.curves import (UnfoldResult, unfold, write_curve_file,
+                               write_segment_file)
+from choreocert.interval import Interval
 from choreocert.problems import (
     chain6_problem,
     eight_problem,
@@ -98,3 +100,26 @@ class TestChainUnfolds:
             a = seg[:, 1 + 2 * i:3 + 2 * i]
             b = seg[:, 1 + 2 * (i + 3):3 + 2 * (i + 3)]
             assert np.max(np.abs(a + b)) < 1e-12
+
+
+class TestWrittenSamples:
+    # a zero that a symmetry map or a midpoint leaves as -0 or a tiny
+    # negative prints as 0; a negative that shows a digit keeps its sign
+    def test_a_field_that_reads_zero_has_no_sign(self, tmp_path):
+        rows = np.array([[-0.0, -5.6e-17, -2.8e-31],
+                         [0.5, -2e-15, 0.25],
+                         [1.0, -0.125, -4e-13]])
+        result = UnfoldResult(period=Interval(1.0, 1.0), curve=rows,
+                              segment=rows, residuals=[])
+        prob = eight_problem()
+        write_curve_file(str(tmp_path / "curve"), prob, result)
+        write_segment_file(str(tmp_path / "segment"), prob, result)
+        for name, t_format in (("curve", ".12f"), ("segment", ".15f")):
+            got = [line.split() for line in
+                   (tmp_path / name).read_text().splitlines()
+                   if not line.startswith("#")]
+            assert got == [
+                [format(0.0, t_format), "0.000000000000000", "0.000000000000000"],
+                [format(0.5, t_format), "-0.000000000000002", "0.250000000000000"],
+                [format(1.0, t_format), "-0.125000000000000", "-0.000000000000400"],
+            ], name

@@ -9,7 +9,7 @@ from choreocert.errors import NoCrossing, NonTransversal
 from choreocert.integrator import (LohnerSet, SectionSpec, StepPolicy,
                                   flow_to_section, run_time)
 from choreocert.interval import Interval
-from helpers import LinearField, flow
+from helpers import LinearField
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -113,12 +113,21 @@ class TestLocator:
         # crossing down to rounding level
         sec = coordinate_section(0, 2, "+-")
         h = (math.pi / 2) / 157
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                             sec, StepPolicy(h, 7))
+        start = thin([1.0, 0.0], transition=2).carrying(np.array([1.0, 0.0]))
+        cr = flow_to_section(HARMONIC, start, sec, StepPolicy(h, 7))
         zone = [s.index for s in cr.steps if sec.g(*s.whole).contains_zero()]
         assert zone == [156, 157]
         assert contains(cr.t_cross, math.pi / 2)
         assert cr.t_cross.diam() < 1e-10
+        # so does the carried point's fresh flow from step 156, shifted by
+        # that step's start
+        handoff = cr.handoff
+        assert handoff.t_start == cr.steps[156].t_start
+        point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
+                                StepPolicy(handoff.h, 7))
+        t_point = handoff.t_start + point.t_cross
+        assert contains(t_point, math.pi / 2)
+        assert t_point.diam() < 1e-10
 
     @pytest.mark.parametrize("delta", [1e-3, 0.05])
     def test_thick_box_encloses_every_member(self, delta):
@@ -139,31 +148,6 @@ class TestLocator:
             proj = np.array([[0.0, 0.0], [-x0 / r, -y0 / r]])
             pl, ph = cr.projected
             assert np.all((pl <= proj) & (proj <= ph))
-
-
-class TestResumedFlow:
-    @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
-    def test_restart_from_the_full_runs_frame(self, h):
-        # a flow started at step k0 from the frame the full run had there
-        # times its steps by their own index: it finds the full run's
-        # crossing, including a zone on a step boundary (second h)
-        sec = coordinate_section(0, 2, "+-")
-        full = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
-                               sec, StepPolicy(h, 7))
-        k0 = full.steps[full.zone[0]].index - 1
-        at_k0, _ = flow(HARMONIC, thin([1.0, 0.0], transition=2), 10.0, h, 7,
-                        max_steps=k0)
-        resumed = flow_to_section(HARMONIC, at_k0, sec, StepPolicy(h, 7), first_step=k0)
-        assert resumed.steps[0].index == k0
-        assert not resumed.t_cross.disjoint(full.t_cross)
-        assert contains(resumed.t_cross, math.pi / 2)
-        for a, b in ((resumed.state, full.state),
-                     (resumed.projected, full.projected)):
-            assert np.all((a[0] <= b[1]) & (b[0] <= a[1]))
-        # the resumed steps are the full run's steps, so nothing moves
-        assert resumed.t_cross == full.t_cross
-        assert [s.t_start for s in resumed.steps] == [
-            s.t_start for s in full.steps[k0:]]
 
 
 def ulps_apart(t: Interval) -> int:
@@ -242,27 +226,21 @@ class TestControlledFlow:
         assert cr.state[0][1] <= -1.0 <= cr.state[1][1]
 
     def test_point_resumes_from_the_handoff_at_the_set_sizes(self):
+        # the set hands the point over at its first zone step; a fresh flow
+        # from there, first at that step's size, crosses on the set's clock
+        # once shifted by the step's start
         sec, cr = self.controlled()
-        handoff = cr.handoff
-        assert handoff is not None and handoff.index > 0
-        sizes = [rec.h for rec in cr.steps]
-        policy = StepPolicy(0.01, 7, self.TOL).following(sizes)
+        handoff, first = cr.handoff, cr.steps[cr.zone[0]]
+        assert handoff is not None and cr.zone[0] > 0
+        assert (handoff.t_start, handoff.h) == (first.t_start, first.h)
         point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
-                                policy, first_step=handoff.index)
-        assert point.steps[0].index == handoff.index
-        taken = [rec.h for rec in point.steps]
-        assert taken == sizes[handoff.index:handoff.index + len(taken)]
-        first = cr.steps[handoff.index]
-        assert point.steps[0].t_start == first.t_start
-        assert contains(point.t_cross, math.pi / 2)
-        assert point.t_cross.diam() < cr.t_cross.diam()
-
-    def test_resuming_needs_the_earlier_sizes(self):
-        sec = coordinate_section(0, 2, "+-")
-        with pytest.raises(ValueError):
-            flow_to_section(HARMONIC, thin([1.0, 0.0]), sec,
-                            StepPolicy(0.01, 7, self.TOL).following([0.01]),
-                            first_step=3)
+                                StepPolicy(handoff.h, 7, self.TOL))
+        assert point.steps[0].h == handoff.h
+        assert point.steps[0].t_start == Interval(0.0)
+        t_cross = handoff.t_start + point.t_cross
+        assert contains(t_cross, math.pi / 2)
+        assert t_cross.diam() < cr.t_cross.diam()
+        assert not t_cross.disjoint(cr.t_cross)
 
 
 class TestStepPolicy:
@@ -283,7 +261,7 @@ class TestStepPolicy:
         # sizes the control would not choose, then the control's own
         sec = coordinate_section(0, 2, "+-")
         given = [0.01, 0.02, 0.04]
-        policy = StepPolicy(0.01, 7, self.TOL).following(given)
+        policy = StepPolicy(0.01, 7, self.TOL, given=tuple(given))
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, policy)
         taken = [rec.h for rec in cr.steps]
         assert taken[:3] == given

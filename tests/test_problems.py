@@ -465,10 +465,11 @@ class TestRideTheSetFlow:
         prob = eight_problem()
         alone = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7))
         ridden = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7), along=eight_set_flow.crossing)
-        # only the steps from the one before the set's zone are integrated
-        zone0 = eight_set_flow.crossing.zone[0]
-        assert eight_set_flow.crossing.handoff.index == zone0 - 1
-        assert ridden.crossing.steps[0].index == zone0 - 1
+        # the point flows afresh from the set's first zone step, at its size
+        crossing = eight_set_flow.crossing
+        first = crossing.steps[crossing.zone[0]]
+        assert crossing.handoff.t_start == first.t_start
+        assert ridden.crossing.steps[0].h == crossing.handoff.h == first.h
         assert len(ridden.crossing.steps) < len(alone.crossing.steps)
         assert not ridden.value.disjoint(alone.value)
         assert not ridden.crossing.t_cross.disjoint(alone.crossing.t_cross)
