@@ -455,9 +455,14 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(False, "every row's step and body are ints")
         return
 
+    spelled = []
+
     def lanes(key):
-        ends = [(float.fromhex(lo), float.fromhex(hi))
-                for lo, hi in (c[key] for c in rows)]
+        stored = [c[key] for c in rows]
+        ends = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in stored]
+        # as `Interval.to_hex` spells them, so +0 for a zero
+        spelled.append([[(lo + 0.0).hex(), (hi + 0.0).hex()]
+                        for lo, hi in ends] == stored)
         lo, hi = np.array(ends).reshape(-1, 2).T
         if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
             raise ValueError(f"a row's {key} is not a finite ordered interval")
@@ -471,6 +476,11 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         rep.add(bool(ok) and c["axis"] in AXES and c["passed"] is True,
                 f"step {c['step']} body {c['body']}: axis {c['axis']!r} is "
                 "y_of_x or x_of_y, the row passed and its condition holds")
+    times = body["crossing_time"]
+    t_cross = None if times is None else Interval.from_hex(*times)
+    rep.add(all(spelled) and (times is None or list(t_cross.to_hex()) == times),
+            "every row value and the crossing time are spelled as the "
+            "prover writes them")
     passed = body["passed"]
     rep.add(type(passed) is bool and isinstance(body["failure"], str)
             and passed == (body["failure"] == ""),
@@ -489,10 +499,9 @@ def _reverify_convexity(body: dict, rep: VerificationReport) -> None:
         return
     rep.add(body["origin_in_first_step"] is True,
             "origin lies in the first step enclosure")
-    if body["crossing_time"] is None:
+    if t_cross is None:
         rep.add(False, "a passing document records its crossing time")
         return
-    t_cross = Interval.from_hex(*body["crossing_time"])
     rep.add(complete and n >= 1
             and starts_before_crossing(run_time([POLICY.h] * (n - 1)), t_cross)
             and not starts_before_crossing(run_time([POLICY.h] * n), t_cross),

@@ -41,14 +41,15 @@ made: its start time `run_time`, the kernels' sum of the sizes before it.
 All time code reads it, so the steps, which one `StepPolicy` sizes, may
 differ.
 
-A set may carry a thin point along (`LohnerSet.carrying`).  The point
-sits in its own frame around the set's center m, so each step advances it
-by the set's own update, phi_h(m) + A Q r with A the enclosure of Dphi_h
-over the step's input box: the mean-value theorem makes that valid while
-the point's box lies inside the set's box.  Each step checks that
-inclusion and drops the point when it fails.  `flow_to_section` hands
-it over at the first zone step (`PointHandoff`), for a flow of its own;
-only zone steps keep their transition data.
+A set may carry a thin point along (`LohnerSet.carrying`) as a box P,
+with no frame: a point has no width for a frame to keep from wrapping.
+Each step advances it by the set's own update, phi_h(m) + A (P - m) with
+m the set's center and A the enclosure of Dphi_h over the step's input
+box: the mean-value theorem makes that valid while the box holds m and
+P, since it is convex.  Each step checks both inclusions and drops the
+point when one fails.  `flow_to_section` hands it over at the first zone
+step (`PointHandoff`), for a flow of its own; only zone steps keep their
+transition data.
 """
 
 from __future__ import annotations
@@ -180,12 +181,11 @@ def _exact_slab(columns: np.ndarray) -> Frame:
 @dataclass
 class LohnerSet:
     """Current enclosure: the state frame, optionally with a monodromy slab
-    frame (n x d columns of the flow derivative) and a thin point's frame
-    around the same center."""
+    frame (n x d columns of the flow derivative) and a carried point's box."""
 
     state: Frame
     slab: Frame | None = None
-    point: Frame | None = None
+    point: Pair | None = None
 
     @classmethod
     def from_box(cls, lo, hi, transition_dim: int | None = None) -> LohnerSet:
@@ -217,22 +217,14 @@ class LohnerSet:
                    _exact_slab(D) if carry_transition else None)
 
     def carrying(self, p: np.ndarray) -> LohnerSet:
-        """This set with the thin point p in an identity frame at its
-        center, for `step` to advance by the set's own update."""
-        m = self.state.m
-        p = np.asarray(p, float)[:, None]
-        return replace(self, point=Frame(m, np.eye(m.size), kn.sub(p, p, m, m)))
+        """This set with the thin point p, for `step` to advance by the
+        set's own update."""
+        p = np.asarray(p, float)
+        return replace(self, point=(p, p))
 
     def box(self) -> Pair:
         lo, hi = self.state.box()
         return lo[:, 0], hi[:, 0]
-
-    def transition_box(self) -> Pair:
-        return self.slab.box()
-
-    @property
-    def has_transition(self) -> bool:
-        return self.slab is not None
 
 
 @dataclass
@@ -240,7 +232,6 @@ class EnclosureStep:
     """One validated step: tight endpoint and whole-step enclosures plus the
     per-step Taylor data needed to re-evaluate the flow inside the step."""
 
-    index: int
     t_start: Interval                 # start time in its run (`run_time`)
     h: float
     tight: Pair
@@ -295,8 +286,7 @@ def _rough(x: Pair, rhs: Callable[[np.ndarray, np.ndarray], Pair], h: float,
 # --- the Lohner step ---------------------------------------------------------
 
 def step(field, cur: LohnerSet, h: float, order: int,
-         index: int = 0, t_start: Interval = Interval(0.0)
-         ) -> tuple[LohnerSet, EnclosureStep]:
+         t_start: Interval = Interval(0.0)) -> tuple[LohnerSet, EnclosureStep]:
     """Advance the set by one step of size h at the given Taylor order."""
     n = field.dim
     xl, xh = cur.box()
@@ -369,21 +359,19 @@ def step(field, cur: LohnerSet, h: float, order: int,
     tight = kn.intersect(dl, dh, *nxt.box())
     kn.assert_valid(*tight, "step output")
 
-    rec = EnclosureStep(
-        index=index, t_start=t_start, h=h, tight=tight,
-        whole=whole, layers=layers_x, rem=rem)
+    rec = EnclosureStep(t_start=t_start, h=h, tight=tight, whole=whole,
+                        layers=layers_x, rem=rem)
 
-    # The point shares the center, so A covers it while its box lies in the
-    # set's (convex) box, which holds the center.
-    p = cur.point
-    if p is not None:
-        pl, ph = p.box()
-        if (np.array_equal(p.m, cur.state.m) and kn.contains_point(xl, xh, center)
-                and kn.subset(pl[:, 0], ph[:, 0], xl, xh)):
-            nxt.point, _ = p.advance(A, _column(pt))
+    # The mean-value form about the center: A covers the segment from the
+    # center to any member of the point's box while the set's (convex) box
+    # holds both.
+    if (cur.point is not None and kn.contains_point(xl, xh, center)
+            and kn.subset(*cur.point, xl, xh)):
+        nxt.point = kn.add(*kn.matvec(*A, *kn.sub(*cur.point, center, center)),
+                           *pt)
 
-    if cur.has_transition:
-        rec.v_start = cur.transition_box()
+    if cur.slab is not None:
+        rec.v_start = cur.slab.box()
         rec.trans_layers = mx
         rec.trans_rem = trans_rem
         nxt.slab, _ = cur.slab.advance(
@@ -415,14 +403,14 @@ class SectionSpec:
 
 @dataclass(frozen=True)
 class PointHandoff:
-    """A carried point's frames at the flow's start (`origin`) and at the
-    start of the first zone step (`frame`), which begins at `t_start` and
+    """A carried point's boxes at the flow's start (`origin`) and at the
+    start of the first zone step (`box`), which begins at `t_start` and
     takes size `h`."""
 
     t_start: Interval
     h: float
-    frame: Frame
-    origin: Frame
+    box: Pair
+    origin: Pair
 
 
 @dataclass
@@ -471,7 +459,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     handoff = rec = None
     for k in range(policy.budget):
         carried = cur.point
-        cur, rec = step(field, cur, policy.size(k, rec), policy.order, index=k,
+        cur, rec = step(field, cur, policy.size(k, rec), policy.order,
                         t_start=run_time([r.h for r in steps]))
         steps.append(rec)
         g_whole = section.g(*rec.whole)
@@ -506,7 +494,7 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         raise NonTransversal("transversality lost at the refined crossing")
 
     transition = projected = None
-    if start.has_transition:
+    if start.slab is not None:
         transition = _hull_over(steps, zone, t_enc, EnclosureStep.transition_at)
         projected = _project_transition(field, section, state, gdot, transition)
 

@@ -111,7 +111,7 @@ def flow(field, start: LohnerSet, t_final: float, h: float, order: int
         hk = min(h, t_final - t)
         if hk <= 0:
             break
-        cur, rec = step(field, cur, hk, order, index=k,
+        cur, rec = step(field, cur, hk, order,
                         t_start=run_time([r.h for r in steps]))
         steps.append(rec)
         t = rec.t_k

@@ -275,7 +275,7 @@ class TestCriterion5OracleContainment:
             t = rec.t_k
             exact = np.array([math.cos(t), -math.sin(t)])
             assert np.all(rec.tight[0] <= exact) and np.all(exact <= rec.tight[1])
-        tl, th = fin.transition_box()
+        tl, th = fin.slab.box()
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
         c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
         rot = np.array([[c, s], [-s, c]])
@@ -305,7 +305,7 @@ class TestCriterion5OracleContainment:
             a, b = f2.eval(s, s)
             return 0.5 * (a + b)
 
-        tl, th = fin.transition_box()
+        tl, th = fin.slab.box()
         eps = 1e-6
         for k in range(8):
             e = np.zeros(8)

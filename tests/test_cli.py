@@ -630,7 +630,7 @@ class TestOptions:
             "StepPolicy": ["h", "order", "tol", "given"],
             "CertificationJob": ["map", "x0", "X", "method", "C"],
             "flow_to_section": ["field", "start", "section", "policy"],
-            "step": ["field", "cur", "h", "order", "index", "t_start"],
+            "step": ["field", "cur", "h", "order", "t_start"],
             "phi_point": ["problem", "x", "policy", "along"],
             "phi_jacobian": ["problem", "X", "policy", "point"],
             "verify_convexity": ["certified_box"],
@@ -757,6 +757,12 @@ def failing_convexity_cert(eight_cert, tmp_path_factory):
     return path
 
 
+def respelled(hex_text: str) -> str:
+    """The same float with one more trailing zero in its mantissa."""
+    assert float.fromhex(hex_text.replace("p", "0p")) == float.fromhex(hex_text)
+    return hex_text.replace("p", "0p")
+
+
 class TestConvexityVerify:
     # the honest document AGREES: TestConvexityCommand.test_from_certificate
     def test_truncated_rows(self, eight_convexity_cert, tmp_path):
@@ -811,11 +817,20 @@ class TestConvexityVerify:
         lambda b: b["parameters"].update(order=8),
         lambda b: b["parameters"].update(order=12),
         lambda b: b["parameters"].update(order=7.0),
+        # the same floats in spellings float.hex does not write
+        lambda b: b["checks"][5]["slope"].__setitem__(
+            0, respelled(b["checks"][5]["slope"][0])),
+        lambda b: b["checks"][5]["third"].__setitem__(
+            1, respelled(b["checks"][5]["third"][1])),
+        lambda b: b["crossing_time"].__setitem__(
+            0, respelled(b["crossing_time"][0])),
     ], ids=["problem-gerver", "problem-int", "order-2", "order-str",
             "failure-while-passed", "axis", "condition", "passed-int",
             "row-passed-str", "row-step-body-true", "row-second-reversed",
             "h-inf-one-step", "row-slope-unreadable", "h-ulp-up",
-            "h-ulp-down", "order-8", "order-12", "order-float"])
+            "h-ulp-down", "order-8", "order-12", "order-float",
+            "row-slope-respelled", "row-third-respelled",
+            "crossing-time-respelled"])
     def test_edit_the_prover_cannot_write(self, eight_convexity_cert,
                                           tmp_path, edit):
         assert verify_edited(eight_convexity_cert, tmp_path,
@@ -867,7 +882,11 @@ class TestConvexityVerify:
         lambda b: b.update(passed=True),
         lambda b: b["checks"][12].update(passed=False),
         lambda b: b["checks"].pop(5),
-    ], ids=["no-failure", "passed", "row-failed", "row-dropped"])
+        lambda b: b["crossing_time"].__setitem__(
+            1, respelled(b["crossing_time"][1])),
+        lambda b: b.update(crossing_time=["zz", "qq"]),
+    ], ids=["no-failure", "passed", "row-failed", "row-dropped",
+            "crossing-time-respelled", "crossing-time-unreadable"])
     def test_edited_failing_document(self, failing_convexity_cert, tmp_path,
                                      edit):
         assert verify_edited(failing_convexity_cert, tmp_path,

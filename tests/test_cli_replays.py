@@ -17,15 +17,21 @@ from choreocert.interval import Interval
 from choreocert.problems import phi_jacobian
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
-# +-delta/4: chain6's point value is bound by rounding and wrapping, so its
-# ratio moves with the candidate's bits (0.0072-0.0084 over the default
-# candidate, the two corners and the benchmark's seeds 1-3; gerver's, on
-# its antipodal half, stays at 0.001938 over the default candidate and the
-# two corners, half its bound, which is room to spend on fewer steps);
-# the Eight's Newton image grows with the
-# candidate's distance from the zero (0.00017 at the default candidate,
-# 0.00041 and 0.000759 at the corners).
+# +-delta/4: chain6 reads 0.0040 and gerver, on its antipodal half, 0.001924
+# over the default candidate and the two corners, about half their bounds,
+# which is room to spend on fewer steps; the Eight's Newton image grows
+# with the candidate's distance from the zero (0.00017 at the default
+# candidate, 0.00041 and 0.000759 at the corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
+# The widest entry of the defect at the candidate, which rides the set flow
+# as a box to the section zone: 4.4e-13, 9.4e-13 and 9.3e-13 at the three
+# defaults.
+DEFAULT_PHI_WIDTH = 2e-12
+
+
+def max_phi_width(body) -> float:
+    phi = IntervalVector.from_hex(body["phi_at_candidate"])
+    return float(np.max(phi.diam()))
 
 
 def max_image_box_ratio(body) -> float:
@@ -70,6 +76,7 @@ class TestVerbatimInvocations:
     def test_eight_defaults(self, tmp_path):
         body = prove_unique("eight", tmp_path / "eight.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO["eight"]
+        assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS["eight"]["h"]
         assert body["parameters"]["order"] == DEFAULTS["eight"]["order"]
         # no tolerance: every step takes the one size h
@@ -80,6 +87,7 @@ class TestVerbatimInvocations:
     def test_defaults(self, system, tmp_path):
         body = prove_unique(system, tmp_path / f"{system}.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
+        assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS[system]["h"]
         assert body["parameters"]["order"] == DEFAULTS[system]["order"]
         # the first step is h, and the tolerance sizes the others

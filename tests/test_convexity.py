@@ -300,8 +300,7 @@ class TestOneDerivativePass:
         cur = LohnerSet.from_box(np.array([0.9, 0.0]), np.array([1.1, 0.1]))
         steps = []
         for k in range(n):
-            cur, rec = step(field, cur, h, 7, index=k,
-                            t_start=run_time([h] * k))
+            cur, rec = step(field, cur, h, 7, t_start=run_time([h] * k))
             steps.append(rec)
         return steps
 

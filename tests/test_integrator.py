@@ -39,7 +39,7 @@ class TestHarmonicOscillator:
         assert lo[0] <= 0.0 <= hi[0]
         assert lo[1] <= -1.0 <= hi[1]
         assert np.max(hi - lo) < 1e-12
-        tl, th = fin.transition_box()
+        tl, th = fin.slab.box()
         rot = np.array([[math.cos(math.pi / 2), math.sin(math.pi / 2)],
                         [-math.sin(math.pi / 2), math.cos(math.pi / 2)]])
         assert np.all(tl <= rot) and np.all(rot <= th)
@@ -75,7 +75,7 @@ class TestTwoBodyCircular:
         assert np.max(hi - lo) < 1e-9
         # the flow derivative along the orbit direction has eigenvalue one:
         # V f(x0) must enclose f(x0)
-        tl, th = fin.transition_box()
+        tl, th = fin.slab.box()
         flo, fhi = f.eval(self.start(), self.start())
         fl = 0.5 * (flo + fhi)
         vl, vh = kn.matvec_thin_right(tl, th, fl)
@@ -134,7 +134,7 @@ class TestSoundnessAgainstReference:
         s0 = np.array([0.8, 0.1, -0.1, 0.6, -0.8, -0.1, 0.1, -0.6])
         T = 0.25
         fin, _ = flow(f, thin(s0, transition=8), T, 0.01, 6)
-        tl, th = fin.transition_box()
+        tl, th = fin.slab.box()
         eps = 1e-6
         for k in range(8):
             e = np.zeros(8)

@@ -109,22 +109,25 @@ class TestHarmonicCrossing:
 class TestLocator:
     def test_crossing_on_a_step_boundary(self):
         # 157 h = pi/2 in floating point: the steps on both sides of the
-        # boundary straddle the section, and Newton in time still pins the
-        # crossing down to rounding level
+        # boundary straddle the section, for the set's members that cross
+        # within its 2e-6 spread in angle
         sec = coordinate_section(0, 2, "+-")
         h = (math.pi / 2) / 157
-        start = thin([1.0, 0.0], transition=2).carrying(np.array([1.0, 0.0]))
-        cr = flow_to_section(HARMONIC, start, sec, StepPolicy(h, 7))
-        zone = [s.index for s in cr.steps if sec.g(*s.whole).contains_zero()]
-        assert zone == [156, 157]
+        box = LohnerSet.from_box([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6], 2)
+        cr = flow_to_section(HARMONIC, box.carrying(np.array([1.0, 0.0])),
+                             sec, StepPolicy(h, 7))
+        zone = [k for k, s in enumerate(cr.steps)
+                if sec.g(*s.whole).contains_zero()]
+        assert zone == cr.zone == [156, 157]
         assert contains(cr.t_cross, math.pi / 2)
-        assert cr.t_cross.diam() < 1e-10
-        # so does the carried point's fresh flow from step 156, shifted by
-        # that step's start
+        assert cr.t_cross.diam() < 3e-6
+        # the carried point's fresh flow from step 156, shifted by that
+        # step's start, crosses on the boundary too, and Newton in time
+        # pins it down to rounding level
         handoff = cr.handoff
         assert handoff.t_start == cr.steps[156].t_start
-        point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
-                                StepPolicy(handoff.h, 7))
+        point = flow_to_section(HARMONIC, LohnerSet.from_box(*handoff.box),
+                                sec, StepPolicy(handoff.h, 7))
         t_point = handoff.t_start + point.t_cross
         assert contains(t_point, math.pi / 2)
         assert t_point.diam() < 1e-10
@@ -233,8 +236,8 @@ class TestControlledFlow:
         handoff, first = cr.handoff, cr.steps[cr.zone[0]]
         assert handoff is not None and cr.zone[0] > 0
         assert (handoff.t_start, handoff.h) == (first.t_start, first.h)
-        point = flow_to_section(HARMONIC, LohnerSet(handoff.frame), sec,
-                                StepPolicy(handoff.h, 7, self.TOL))
+        point = flow_to_section(HARMONIC, LohnerSet.from_box(*handoff.box),
+                                sec, StepPolicy(handoff.h, 7, self.TOL))
         assert point.steps[0].h == handoff.h
         assert point.steps[0].t_start == Interval(0.0)
         t_cross = handoff.t_start + point.t_cross
@@ -266,8 +269,8 @@ class TestStepPolicy:
         taken = [rec.h for rec in cr.steps]
         assert taken[:3] == given
         assert taken[3] == policy.size(3, cr.steps[2]) != 0.04
-        for a, b in zip(cr.steps[3:], cr.steps[4:]):
-            assert b.h == policy.size(b.index, a)
+        for k in range(4, len(cr.steps)):
+            assert cr.steps[k].h == policy.size(k, cr.steps[k - 1])
         assert contains(cr.t_cross, math.pi / 2)
 
     def test_given_sizes_follow_the_rule(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.errors import DimensionMismatch
+from choreocert import integrator, kernels as kn
 from choreocert.integrator import Frame, StepPolicy, step
 from choreocert.interval import Interval
 from choreocert.problems import (
@@ -482,8 +483,27 @@ class TestRideTheSetFlow:
             cur = prob.embed_slab(X).carrying(prob.embed_point(p))
             nxt, _ = step(prob.field, cur, 0.01, 7)
             assert (nxt.point is not None) is kept
-            if kept:  # advanced by the set's own update, around its center
-                assert np.array_equal(nxt.point.m, nxt.state.m)
+            if kept:  # the kept box holds a float Taylor image of the point
+                s = prob.embed_point(p)
+                lo, hi = prob.field.series(s[None], s[None], 20).layers()
+                image = np.zeros_like(s)
+                for c in 0.5 * (lo[::-1, 0] + hi[::-1, 0]):
+                    image = image * 0.01 + c
+                assert kn.contains_point(*nxt.point, image)
+                assert np.max(nxt.point[1] - nxt.point[0]) < 1e-12
+
+    def test_a_set_step_makes_no_frame_for_the_point(self, monkeypatch):
+        # the state and the slab take a QR each; the point takes none
+        calls = []
+        sorted_qr = integrator._sorted_qr
+        monkeypatch.setattr(integrator, "_sorted_qr",
+                            lambda *a: calls.append(1) or sorted_qr(*a))
+        prob = eight_problem()
+        cur = prob.embed_slab(IntervalVector.box(EIGHT_X0, 1e-6)).carrying(
+            prob.embed_point(EIGHT_X0))
+        nxt, _ = step(prob.field, cur, 0.01, 7)
+        assert nxt.point is not None and nxt.slab is not None
+        assert len(calls) == 2
 
     def test_without_a_point_frame_the_point_flows_alone(self):
         prob = eight_problem()
@@ -500,13 +520,16 @@ class TestRideTheSetFlow:
 
     def test_a_flow_keeps_what_its_readers_read(self, eight_set_flow):
         # the crossing's hull reads only the zone's transitions, and the
-        # point run reads only the hand-off frame
+        # point run reads only the hand-off box, which holds no frame
         crossing = eight_set_flow.crossing
         for k, rec in enumerate(crossing.steps):
             held = [rec.trans_layers, rec.trans_rem, rec.v_start]
             assert all((v is not None) is (k in crossing.zone) for v in held)
             assert not any(isinstance(v, Frame) for v in vars(rec).values())
-        assert isinstance(crossing.handoff.frame, Frame)
+        handoff = crossing.handoff
+        assert not any(isinstance(v, Frame) for v in vars(handoff).values())
+        lo, hi = handoff.box
+        assert lo.shape == hi.shape == (12,) and np.all(lo <= hi)
 
     def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
         with pytest.raises(ValueError):
