@@ -24,8 +24,10 @@ copies of the first iteration (its preconditioner among them), the trace,
 the operator image, the refined box, the verdict, the cause and the
 iteration count; the evaluations give the crossing times,
 `crossing_notes`, `step_counts` and `step_sizes`.
-Informative, not checked: the crossing times, `crossing_notes`,
-`step_counts`, `step_sizes` and `wall_clock_seconds`.  The replay derives
+Informative, since the replay integrates nothing: the crossing times,
+`crossing_notes`, `step_counts`, `step_sizes` and `wall_clock_seconds`.
+They bind no verdict, but the verifier checks what follows from the bound
+fields alone (see below).  The replay derives
 `cause` and `environment` exactly, so both are checked.  A Krawczyk run
 has one preconditioner, the top-level `preconditioner`: the prover's job
 gives none, so `certify` takes the midpoint inverse of the first
@@ -43,7 +45,11 @@ the inputs: the schema version (4, for both kinds), the parameters (exactly
 `h`, `order`, `delta`, `max_iter` and `tolerance`, with an int never a
 bool), the problem block `make_problem` rebuilds and the candidate's
 dimension.  It checks the shape of `step_sizes`, though not the values: one
-per set step, which the step policy must take as given.  Then it replays
+per set step, which the step policy must take as given.  Every hex string
+of the informative fields must be spelled as the prover writes it
+(`float.hex`, with +0 for a zero), and the crossing times recorded together,
+the set's within [0, the end of the last set step] and the point's
+overlapping it, and every crossing note must exclude zero.  Then it replays
 `certify` itself on the stored enclosures, iteration k getting record k's
 `f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and builds the record of
 the replayed run, without evaluations.  The stored document must have the
@@ -317,6 +323,7 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     rep.add(type(body["step_counts"]["set"]) is int
             and len(body["step_sizes"]) == body["step_counts"]["set"],
             "one step size per set step")
+    _reverify_flow_fields(body, rep)
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
@@ -358,6 +365,37 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     rep.add(_canonical([body.get(k) for k in fields])
             == _canonical([rebuilt[k] for k in fields]),
             "every field has the JSON type the prover writes")
+
+
+def _reverify_flow_fields(body: dict, rep: VerificationReport) -> None:
+    """Check the informative fields against what the prover can write,
+    without integration: their hex spellings, crossing times that the set
+    flow's steps cover and that overlap, and notes that exclude zero."""
+    times = (body["crossing_time_set"], body["crossing_time_point"])
+    notes = list(body["crossing_notes"].values())
+    spelled = [*body["step_sizes"],
+               *(e for t in times if t is not None for e in t),
+               *(e for note in notes for e in note)]
+    # `Interval` stores a zero as +0, and + 0.0 maps -0 to +0
+    rep.add(all((float.fromhex(s) + 0.0).hex() == s for s in spelled),
+            "crossing times, crossing notes and step sizes are spelled as "
+            "the prover writes them")
+    rep.add(all(not Interval.from_hex(*note).contains_zero() for note in notes),
+            "every crossing note excludes zero")
+    if None in times:
+        rep.add(times == (None, None),
+                "the set and point crossing times are recorded together")
+        return
+    t_set, t_point = (Interval.from_hex(*t) for t in times)
+    # the end of the last step as the flow stamps it, its start plus its
+    # size; `run_time` of all sizes sums them in another order
+    sizes = [float.fromhex(v) for v in body["step_sizes"]]
+    rep.add(bool(sizes) and 0.0 <= t_set.lo and t_set.hi
+            <= (run_time(sizes[:-1]) + Interval(0.0, sizes[-1])).hi,
+            "the set crossing time lies within [0, the end of the last set "
+            "step]")
+    rep.add(not t_point.disjoint(t_set),
+            "the point crossing time overlaps the set crossing time")
 
 
 # --- convexity certificates ------------------------------------------------

@@ -81,31 +81,38 @@ EXIT_INTEGRATOR = 4
 EXIT_USAGE = 64
 
 # Replay defaults: candidate points, methods and step sizes for the three
-# reference orbits.  All three take fewer, higher-order steps than the
+# reference orbits.  Each candidate is the center of its default proof's
+# refined box at full precision, the certified zero, so a proof from it
+# holds at any --delta down to 1e-12; the published digits lie up to 1.2e-7
+# from it (README).  All three take fewer, higher-order steps than the
 # published 0.01 / 7, 0.002 / 6 and 0.001 / 9, at smaller image/box ratios.
 # The Eight takes the one size h, 19 steps where 0.01 / 7 takes 55.  For
 # gerver and chain6 h is the first step, and "tol" the Lagrange width each
-# later step is sized for (`integrator.StepPolicy`): 56 and 57 steps.
-# gerver's tolerance is tight for its order, since a looser one widens its
-# image.  Any run with an explicit --h or --order takes the one size h: the
+# later step is sized for (`integrator.StepPolicy`): 50 steps each.  Both
+# tolerances keep the ratio ratchets of the replay tests at the defaults,
+# their +-delta/4 corners and seeded candidates, each run proving on its
+# first attempt; a looser tolerance takes fewer steps but widens the image.
+# Any run with an explicit --h or --order takes the one size h: the
 # tolerance was set for the default pair.  Every "a" is None: the published
 # size parameters are `make_problem`'s.
 DEFAULTS = {
     "eight": {
-        "candidate": (0.347116768716, 0.532724944657),
+        "candidate": (0.34711688811892705, 0.5327249453880302),
         "method": "newton", "h": 0.03, "order": 18, "delta": 1e-6,
         "a": None, "tol": None,
     },
     "gerver": {
-        "candidate": (1.382857, 1.87193510824, 0.584872579881),
+        "candidate": (1.3828570389408101, 1.871935113677417,
+                      0.584872589509548),
         "method": "krawczyk", "h": 0.0075, "order": 16, "delta": 1e-7,
-        "a": None, "tol": 3e-15,
+        "a": None, "tol": 5e-15,
     },
     "chain6": {
-        "candidate": (-0.635277524319, 0.140342838651, 0.797833002006,
-                      0.100637737317, -2.03152227864),
+        "candidate": (-0.6352775243189919, 0.14034283865108155,
+                      0.7978330020060579, 0.10063773731699234,
+                      -2.0315222786429366),
         "method": "krawczyk", "h": 0.004, "order": 18, "delta": 1e-9,
-        "a": None, "tol": 1e-15,
+        "a": None, "tol": 3e-15,
     },
 }
 
@@ -363,7 +370,8 @@ def _cmd_refine(args) -> int:
         print(f"refine: diverged: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     print("refined candidate:")
-    print("  decimal:", ", ".join(f"{x:.15g}" for x in refined))
+    # repr digits read back as the same floats, so --candidate takes them
+    print("  decimal:", ", ".join(repr(float(x)) for x in refined))
     print("  hex:    ", ", ".join(float(x).hex() for x in refined))
     return EXIT_OK
 

@@ -12,15 +12,19 @@ Series bookkeeping per term, all in interval arithmetic (kernels module):
 
     u = |z|^2, each layer one contraction over the layers and both
         components of z,
-    p = u^(-5/2) via the power-series closure  u p' = -5/2 u' p, each layer
-        one weighted sum  m u0 p[m] = -sum_{j=1..m} (3j/2 + m) u[j] p[m-j],
-    s = u * p   (= |z|^-3),  acceleration coefficients from conv(z, s),
+    p = u^(-5/2) and s = u^(-3/2) (= |z|^-3) via their power-series
+        closures  u p' = -5/2 u' p  and  u s' = -3/2 u' s,  stacked, each
+        layer one weighted sum for both:
+            m u0 p[m] = -sum_{j=1..m} (3j/2 + m) u[j] p[m-j],
+            m u0 s[m] = -sum_{j=1..m} (j/2 + m) u[j] s[m-j],
+        from p0 = u0^(-5/2) and s0 = p0 u0,
+    acceleration coefficients from conv(z, s),
     gravity-gradient blocks from  s I - 3 (z x z) * p.
 
-The state pass is a recurrence, one layer after the other, in 10 kernel
+The state pass is a recurrence, one layer after the other, in 9 kernel
 calls a layer: one division makes the whole layer, none the first, which
 divides by 1, and an order-1 series (a field value) forms no -1/u0, which
-only p's recurrence reads.  The variational pass reads finished series, so
+only the closures read.  The variational pass reads finished series, so
 it forms every layer of z x z = (xx, xy, yy) and of (z x z) * p in one
 Cauchy-product contraction each (`kernels.cauchy`), and all of
 s I - 3 (z x z) * p in one stacked pass.  Each `GravityField` builds its
@@ -203,20 +207,20 @@ class GravitySeries:
 
     # Series arrays, all with the batch axis B second and layers 0..order-1,
     # the layers that the state layers up to `order` read: z = (zx, zy) as
-    # (order, B, 2, T), then (order, B, T) each for u = |z|^2,
-    # p = u^(-5/2) and s = u * p.  Every convolution sums over the layer
-    # axis 0 and every matrix row over the contiguous last axis, as for a
-    # single box, so batching moves no bit.
+    # (order, B, 2, T), u = |z|^2 as (order, B, T), and p = u^(-5/2) and
+    # s = u^(-3/2) stacked as (order, 2, B, T), whose (order, B, T) views
+    # are `_p` and `_s`.  Every convolution sums over the layer axis 0 and
+    # every matrix row over the contiguous last axis, as for a single box,
+    # so batching moves no bit.
     def _run(self) -> None:
         fld = self.field
         R = self.order
         B = self._lo.shape[1]
         T = fld.n_terms
-        shape = (R, B, T)
         zl = np.zeros((R, B, 2, T)); zh = np.zeros((R, B, 2, T))
-        ul = np.zeros(shape); uh = np.zeros(shape)
-        pl = np.zeros(shape); ph = np.zeros(shape)
-        sl_ = np.zeros(shape); sh_ = np.zeros(shape)
+        ul = np.zeros((R, B, T)); uh = np.zeros((R, B, T))
+        psl = np.zeros((R, 2, B, T)); psh = np.zeros((R, 2, B, T))
+        pl, ph, sl_, sh_ = psl[:, 0], psh[:, 0], psl[:, 1], psh[:, 1]
 
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
         state_lo, state_hi = self._lo, self._hi
@@ -242,7 +246,7 @@ class GravitySeries:
 
         # p[0] = u0^(-5/2) with a single division:
         #   e = u0^(3/2), p0 = 1 / (u0 * e), 1/u0 = p0 * e, s0 = p0 * u0;
-        # 1/u0 only for p's recurrence, which an order-1 series never runs.
+        # 1/u0 only for the closures, which an order-1 series never runs.
         rt = kn.sqrt(ul[0], uh[0])
         e = kn.mul(ul[0], uh[0], *rt)
         denom = kn.mul(ul[0], uh[0], *e)
@@ -251,20 +255,20 @@ class GravitySeries:
         if R > 1:
             minus_inv_u0 = kn.neg(*kn.mul(pl[0], ph[0], *e))
         sl_[0], sh_[0] = kn.mul(pl[0], ph[0], ul[0], uh[0])
+        # the closures' weights (3j/2, j/2) for (p, s), j = 1..R-1
+        wj = (np.arange(1, R)[:, None] * [1.5, 0.5])[..., None, None]
 
-        def p_layer(m: int) -> None:
-            # The power closure u p' = -5/2 u' p, at layer m:
+        def power_layers(m: int) -> None:
+            # The power closures u p' = -5/2 u' p and u s' = -3/2 u' s, at
+            # layer m:
             #   m u[0] p[m] = -sum_{j=1..m} (3j/2 + m) u[j] p[m-j],
-            # one weighted sum with exact positive float weights; the sign
-            # rides on -1/u0, an exact negation.
-            w = (1.5 * np.arange(1, m + 1) + m)[:, None, None]
-            t = kn.dot(*kn.scale(ul[1:m + 1], uh[1:m + 1], w),
-                       pl[m - 1::-1], ph[m - 1::-1], axis=0)
-            pl[m], ph[m] = kn.div_int(*kn.mul(*t, *minus_inv_u0), m)
-
-        def s_layer(m: int) -> None:
-            sl_[m], sh_[m] = kn.dot(ul[:m + 1], uh[:m + 1],
-                                    pl[m::-1], ph[m::-1], axis=0)
+            #   m u[0] s[m] = -sum_{j=1..m} (j/2 + m) u[j] s[m-j],
+            # one weighted sum over the stacked (p, s) with exact positive
+            # float weights; the sign rides on -1/u0, an exact negation.
+            t = kn.dot(*kn.scale(ul[1:m + 1, None], uh[1:m + 1, None],
+                                 wj[:m] + m),
+                       psl[m - 1::-1], psh[m - 1::-1], axis=0)
+            psl[m], psh[m] = kn.div_int(*kn.mul(*t, *minus_inv_u0), m)
 
         def acc_layer(m: int) -> Pair:
             # conv(z, s) per term, interleaved (x_t, y_t) for the receivers S
@@ -285,8 +289,7 @@ class GravitySeries:
             if m + 1 < R:
                 z_layer(m + 1)
                 u_layer(m + 1)
-                p_layer(m + 1)
-                s_layer(m + 1)
+                power_layers(m + 1)
 
         self._z = (zl, zh)
         self._u = (ul, uh)

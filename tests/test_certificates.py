@@ -435,15 +435,88 @@ class TestMalformed:
 
 
 @pytest.fixture(scope="module")
-def eight_convexity_body():
+def eight_default():
+    """The default Eight proof: its certificate and outcome."""
+    d = DEFAULTS["eight"]
+    return run_certification(make_problem("eight"), d["method"],
+                             StepPolicy(d["h"], d["order"], d["tol"]),
+                             d["delta"], np.array(d["candidate"]))
+
+
+@pytest.fixture(scope="module")
+def eight_convexity_body(eight_default):
     """The body of the convexity document on the default Eight proof's
     refined box."""
-    d = DEFAULTS["eight"]
-    _, out = run_certification(make_problem("eight"), d["method"],
-                               StepPolicy(d["h"], d["order"], d["tol"]),
-                               d["delta"], np.array(d["candidate"]))
+    _, out = eight_default
     return parse_document(convexity_to_document(
         verify_convexity(out.refined_box)))
+
+
+def respelled(hex_text):
+    """The same float with a trailing zero on its mantissa, a spelling
+    `float.hex` never writes."""
+    return hex_text.replace("p", "0p", 1)
+
+
+def first_note(body):
+    return body["crossing_notes"][min(body["crossing_notes"])]
+
+
+def shifted(pair, by):
+    return [(float.fromhex(v) + by).hex() for v in pair]
+
+
+SPELLED = ("crossing times, crossing notes and step sizes are spelled as the "
+           "prover writes them")
+
+
+class TestFlowFields:
+    # the crossing times, crossing notes and step sizes bind no verdict,
+    # but without any integration a document must carry the spellings and
+    # the values the prover can write
+    def test_default_document_agrees(self, eight_default):
+        cert, _ = eight_default
+        body = cert.body()
+        assert body["crossing_notes"] and len(body["step_sizes"]) > 3
+        report = reverify_document(cert.to_document())
+        assert report.ok, report.messages
+        assert "ok   " + SPELLED in report.messages
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda b: b["crossing_time_set"].__setitem__(
+            0, respelled(b["crossing_time_set"][0])), SPELLED),
+        (lambda b: b["crossing_time_point"].__setitem__(
+            1, respelled(b["crossing_time_point"][1])), SPELLED),
+        (lambda b: first_note(b).__setitem__(0, respelled(first_note(b)[0])),
+         SPELLED),
+        (lambda b: b["step_sizes"].__setitem__(
+            3, respelled(b["step_sizes"][3])), SPELLED),
+        (lambda b: b["crossing_time_set"].__setitem__(
+            0, (float.fromhex(b["crossing_time_set"][0]) + 1.0).hex()),
+         "malformed document: ValueError: interval endpoints out of order"),
+        (lambda b: b.update(crossing_time_set=shifted(b["crossing_time_set"],
+                                                      1.0)),
+         "the set crossing time lies within [0, the end of the last set "
+         "step]"),
+        (lambda b: b.update(crossing_time_point=shifted(
+            b["crossing_time_point"], 1e-3)),
+         "the point crossing time overlaps the set crossing time"),
+        (lambda b: b["crossing_notes"].update(
+            {min(b["crossing_notes"]): ["-0x1.0p-60", "0x1.0p-60"]}),
+         "every crossing note excludes zero"),
+        (lambda b: b.update(crossing_time_point=None),
+         "the set and point crossing times are recorded together"),
+    ], ids=["set-time-respelled", "point-time-respelled", "note-respelled",
+            "step-size-respelled", "set-time-lo-plus-one",
+            "set-time-past-the-steps", "point-time-off-the-set",
+            "note-holds-zero", "point-time-missing"])
+    def test_edit_disagrees(self, eight_default, edit, line):
+        body = parse_document(eight_default[0].to_document())
+        edit(body)
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert any(m.startswith("FAIL " + line) for m in report.messages), \
+            report.messages
 
 
 @pytest.fixture(scope="session")

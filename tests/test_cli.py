@@ -647,6 +647,17 @@ class TestRefine:
         out = capsys.readouterr().out
         assert "0.3471168" in out
 
+    def test_refined_digits_are_a_candidate_prove_reads_exactly(self, capsys):
+        # the decimal line is repr digits: read back, it is the hex line's
+        # floats, so it passes to --candidate without rounding
+        assert main(["refine", "--system", "eight",
+                     "--guess", "0.35,0.53"]) == EXIT_OK
+        lines = dict(line.split(":", 1) for line in
+                     capsys.readouterr().out.splitlines()[1:])
+        decimal = cli._parse_vector(lines["  decimal"], 2)
+        assert [float.fromhex(v) for v in lines["  hex"].split(",")] \
+            == list(decimal)
+
     def test_refine_garbage_diverges(self):
         assert main(["refine", "--system", "eight",
                      "--guess", "10,10"]) == EXIT_INTEGRATOR

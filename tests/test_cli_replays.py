@@ -17,16 +17,18 @@ from choreocert.interval import Interval
 from choreocert.problems import phi_jacobian
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
-# +-delta/4: chain6 reads 0.0040 and gerver, on its antipodal half, 0.001924
-# over the default candidate and the two corners, about half their bounds,
-# which is room to spend on fewer steps; the Eight's Newton image grows
-# with the candidate's distance from the zero (0.00017 at the default
-# candidate, 0.00041 and 0.000759 at the corners).
+# +-delta/4: chain6 reads 0.00496 and gerver, on its antipodal half,
+# 0.001965 over the default candidate and the two corners, at their
+# tolerances of 3e-15 and 5e-15; the Eight's Newton image grows with the
+# candidate's distance from the zero (3.7e-8 at the default candidate, the
+# certified zero, and 0.000581 at both corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
 # The widest entry of the defect at the candidate, which rides the set flow
-# as a box to the section zone: 4.4e-13, 9.4e-13 and 9.3e-13 at the three
+# as a box to the section zone: 3.0e-13, 1.49e-12 and 1.13e-12 at the three
 # defaults.
 DEFAULT_PHI_WIDTH = 2e-12
+# Count ratchet: the set steps of the default proofs.
+DEFAULT_SET_STEPS = {"eight": 19, "gerver": 50, "chain6": 50}
 
 
 def max_phi_width(body) -> float:
@@ -39,6 +41,15 @@ def max_image_box_ratio(body) -> float:
     return max(float(np.max(IntervalVector.from_hex(rec["image"]).diam()
                             / IntervalVector.from_hex(rec["X"]).diam()))
                for rec in body["trace"])
+
+
+def assert_candidate_in_refined_box(system, body):
+    """The default candidate is the certified zero: it lies in the refined
+    box of its own default proof."""
+    refined = IntervalVector.from_hex(body["refined_box"])
+    candidate = np.array(DEFAULTS[system]["candidate"])
+    assert [float.fromhex(v) for v in body["candidate"]] == list(candidate)
+    assert np.all((refined.lo <= candidate) & (candidate <= refined.hi))
 
 
 def prove_unique(system, path, *flags):
@@ -77,6 +88,8 @@ class TestVerbatimInvocations:
         body = prove_unique("eight", tmp_path / "eight.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO["eight"]
         assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
+        assert body["step_counts"]["set"] <= DEFAULT_SET_STEPS["eight"]
+        assert_candidate_in_refined_box("eight", body)
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS["eight"]["h"]
         assert body["parameters"]["order"] == DEFAULTS["eight"]["order"]
         # no tolerance: every step takes the one size h
@@ -88,6 +101,8 @@ class TestVerbatimInvocations:
         body = prove_unique(system, tmp_path / f"{system}.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
         assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
+        assert body["step_counts"]["set"] <= DEFAULT_SET_STEPS[system]
+        assert_candidate_in_refined_box(system, body)
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS[system]["h"]
         assert body["parameters"]["order"] == DEFAULTS[system]["order"]
         # the first step is h, and the tolerance sizes the others
@@ -106,6 +121,13 @@ class TestVerbatimInvocations:
         C = midpoint_inverse(IntervalMatrix.from_hex(body["dphi_on_box"]))
         assert body["preconditioner"] == [[v.hex() for v in row] for row in C]
         assert all(rec["C"] == body["preconditioner"] for rec in body["trace"])
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_a_tiny_box_about_the_default_candidate(self, system, tmp_path):
+        # the candidate is the certified zero, so a box of half-width 1e-12
+        # about it still holds a zero, which a box about the published
+        # digits misses
+        prove_unique(system, tmp_path / f"{system}.cert", "--delta", "1e-12")
 
     def test_generic_chain_four_bodies(self, tmp_path):
         # the four-body chain in generic coordinates (vx0, x1, vy1)
@@ -139,8 +161,9 @@ class TestJitteredDefaults:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_seeded_interior_candidates(self, system, seed, tmp_path):
-        # chain6's ratio follows the candidate's low bits (0.0072-0.0084
-        # over seeds 1-10), so only the verdict and the verifier are asserted
+        # the ratios stay at the defaults' over seeds 1-10 (the Eight's up
+        # to 0.00054, gerver's 0.001965, chain6's 0.00495-0.00496), but only
+        # the verdict and the verifier are asserted
         d = DEFAULTS[system]
         rng = random.Random(seed)
         q = d["delta"] / 4

@@ -227,33 +227,70 @@ def power_coefficients(mpmath, u, a):
     return [u[0] ** a * o for o in out]
 
 
+def assert_powers_of_u_contained(mpmath, ser):
+    """Each member's p and s layers contain the 40-digit coefficients of
+    u^(-5/2) and u^(-3/2) at the midpoints of its u layers."""
+    um = kn.mid(*ser._u)
+    R, B, T = um.shape
+    with mpmath.workdps(40):
+        for b in range(B):
+            for t in range(T):
+                u = [mpmath.mpf(float(x)) for x in um[:, b, t]]
+                for a, (ll, lh) in ((mpmath.mpf(-5) / 2, ser._p),
+                                    (mpmath.mpf(-3) / 2, ser._s)):
+                    exact = power_coefficients(mpmath, u, a)
+                    for m in range(R):
+                        assert (mpmath.mpf(ll[m, b, t]) <= exact[m]
+                                <= mpmath.mpf(lh[m, b, t])), (b, t, a, m)
+
+
 class TestPowerClosureOracle:
-    # p = u^(-5/2) and s = u^(-3/2) from the series' own u layers: each
-    # interval layer holds the exact coefficient for every u inside the u
-    # layers, so for their midpoints, as exact rationals
+    # p = u^(-5/2) and s = u^(-3/2) from the series' own u layers, each by
+    # its own power closure: each interval layer holds the exact
+    # coefficient for every u inside the u layers, so for their midpoints,
+    # as exact rationals
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6", "nbody5"])
     def test_p_and_s_contain_40_digit_powers_of_u(self, system):
         mpmath = pytest.importorskip("mpmath")
         f, R, s0 = replay_field(system)
         lo, hi = random_boxes(s0, np.random.default_rng(5), 2)
         ser = f.series(lo, hi, R)
-        um = kn.mid(*ser._u)
-        assert um.shape == (R, 2, f.n_terms)
-        with mpmath.workdps(40):
-            for b in range(2):
-                for t in range(f.n_terms):
-                    u = [mpmath.mpf(float(x)) for x in um[:, b, t]]
-                    for a, (ll, lh) in ((mpmath.mpf(-5) / 2, ser._p),
-                                        (mpmath.mpf(-3) / 2, ser._s)):
-                        exact = power_coefficients(mpmath, u, a)
-                        for m in range(R):
-                            assert (mpmath.mpf(ll[m, b, t]) <= exact[m]
-                                    <= mpmath.mpf(lh[m, b, t])), (b, t, a, m)
+        assert ser._u[0].shape == (R, 2, f.n_terms)
+        assert_powers_of_u_contained(mpmath, ser)
         # the point box's layers are narrow (a relative 6e-7 at most, at
         # the top layers), so containment says something
         for ll, lh in (ser._p, ser._s):
             assert np.all(lh[:, 0] - ll[:, 0]
                           <= 1e-5 * np.maximum(1.0, np.abs(lh[:, 0])))
+
+    @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
+    def test_the_steps_stacked_batch_contains_them(self, system, monkeypatch):
+        # the batch a Lohner step runs, (center, box, rough box) at order
+        # R + 1, from the default proof's box
+        mpmath = pytest.importorskip("mpmath")
+        built = []
+        series = GravityField.series
+
+        def kept(self, *args, **kwargs):
+            built.append(series(self, *args, **kwargs))
+            return built[-1]
+
+        d = DEFAULTS[system]
+        problem = make_problem(system, a_text=d["a"])
+        start = problem.embed_slab(
+            IntervalVector.box(np.array(d["candidate"]), d["delta"]))
+        monkeypatch.setattr(GravityField, "series", kept)
+        step(problem.field, start, d["h"], d["order"])
+        (ser,) = [s for s in built if s.order == d["order"] + 1]
+        assert ser._u[0].shape == (d["order"] + 1, 3, problem.field.n_terms)
+        assert_powers_of_u_contained(mpmath, ser)
+        # the center's layers are narrow against the largest entry of their
+        # layer (a relative 2.7e-7 at most), so containment says something;
+        # the symmetric start makes some coefficients zero, and those
+        # straddle it at the scale of their layer
+        for ll, lh in (ser._p, ser._s):
+            scale = np.max(np.abs(lh[:, 0]), axis=-1, keepdims=True)
+            assert np.all(lh[:, 0] - ll[:, 0] <= 1e-5 * np.maximum(1.0, scale))
 
 
 class TestVariational:

@@ -19,6 +19,7 @@ from choreocert.problems import (
 )
 
 EIGHT_X0 = np.array(DEFAULTS["eight"]["candidate"])
+EIGHT_PUBLISHED = np.array([0.347116768716, 0.532724944657])
 GERVER_X = np.array(DEFAULTS["gerver"]["candidate"])
 CHAIN6_X = np.array(DEFAULTS["chain6"]["candidate"])
 
@@ -32,10 +33,14 @@ def policy(key: str) -> StepPolicy:
 class TestPointPhi:
     # the validated map at the reference candidates, thin
     def test_eight_candidate_defect_is_tiny(self):
-        ev = phi_point(eight_problem(), EIGHT_X0, policy("eight"))
+        # the published digits, 1.2e-7 from the zero
+        ev = phi_point(eight_problem(), EIGHT_PUBLISHED, policy("eight"))
         assert np.max(np.abs(ev.value.mid())) < 1e-5
         assert ev.crossing.t_cross.mid() == pytest.approx(0.5271592126,
                                                           abs=1e-8)
+        # the default candidate is the certified zero
+        ev = phi_point(eight_problem(), EIGHT_X0, policy("eight"))
+        assert np.max(np.abs(ev.value.mid())) < 1e-12
 
     def test_gerver_candidate_is_essentially_fixed(self):
         ev = phi_point(gerver_problem(), GERVER_X, policy("gerver"))
@@ -50,9 +55,9 @@ class TestPointPhi:
 
 class TestRefine:
     def test_eight_from_rough_seed(self):
-        # The reference candidate sits ~1.2e-7 away from the true zero (its
-        # own certified Newton box shows this), so the refiner must land in
-        # that box rather than on the candidate itself.
+        # The default candidate is the certified zero, and the published
+        # digits sit ~1.2e-7 away from it: the refiner must land in the
+        # published Newton box, next to the candidate.
         refined = refine_candidate(eight_problem(), [0.35, 0.53],
                                    policy("eight"))
         assert np.max(np.abs(refined - EIGHT_X0)) < 3e-7
