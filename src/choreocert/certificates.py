@@ -34,8 +34,9 @@ gives none, so `certify` takes the midpoint inverse of the first
 iteration's derivative enclosure (`boxes.midpoint_inverse`) and keeps it;
 the replay runs under the stored one.
 `step_counts.point` counts only the point steps integrated on their own: a
-point that rides inside the set flow's steps (`problems.phi_point`) starts
-its own flow at the first step of the section zone, at that step's size,
+point that rides inside the set flow's steps starts its own flow
+(`problems.phi_point`) from the box the first step of the section zone
+records for it (`integrator.EnclosureStep.point`), at that step's size,
 and `crossing_time_point` adds that step's start.  `step_sizes` lists the
 set flow's sizes in hex, so a replay can re-run them without choosing them
 again.
@@ -49,12 +50,16 @@ per set step, which the step policy must take as given.  Every hex string
 of the informative fields must be spelled as the prover writes it
 (`float.hex`, with +0 for a zero), and the crossing times recorded together,
 the set's within [0, the end of the last set step] and the point's
-overlapping it, and every crossing note must exclude zero.  Then it replays
-`certify` itself on the stored enclosures, iteration k getting record k's
-`f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and builds the record of
-the replayed run, without evaluations.  The stored document must have the
-writer's key set and equal it in every field that is not informative, also
-as canonical JSON (`true` is not `1`), so no other `max_iter` agrees.  A
+overlapping it, and every crossing note must exclude zero.  `step_counts`
+is exactly `point` and `set`, ints >= 0, with `point` >= 1, and the notes
+exactly `<guard>` and `<guard>_on_box` for each guard, exactly when the
+crossing times are recorded; `wall_clock_seconds` is a finite float >= 0.
+Then it replays `certify` itself on the stored enclosures, iteration k
+getting record k's `f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and
+builds the record of the replayed run, without evaluations.  The stored
+document must have the writer's key set and equal it in every field that
+is not informative, also as canonical JSON (`true` is not `1`), so no
+other `max_iter` agrees.  A
 convexity document must be one `verify_convexity` writes: closed key sets
 at the top level and in every row, the writer's `problem` and `parameters`
 as canonical JSON (the Eight at `convexity.POLICY`, h 0.01 and order 7),
@@ -288,6 +293,9 @@ def reverify_document(text: str) -> VerificationReport:
             _reverify_convexity(body, rep)
         else:
             rep.add(False, f"unknown certificate kind {kind!r}")
+        wall = body.get("wall_clock_seconds")
+        rep.add(type(wall) is float and math.isfinite(wall) and wall >= 0.0,
+                "the wall clock is a finite float >= 0 seconds")
         if rep.ok:
             # the body agrees, so its writer's rendering is the only block
             rendering = (_existence_comment if kind == "existence"
@@ -320,10 +328,8 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
             and (a_hex is None or math.isfinite(float.fromhex(a_hex))),
             "problem and parameters are readable, delta > 0, and h, order, "
             "tolerance and step sizes make a step policy" + refusal)
-    rep.add(type(body["step_counts"]["set"]) is int
-            and len(body["step_sizes"]) == body["step_counts"]["set"],
+    rep.add(len(body["step_sizes"]) == body["step_counts"]["set"],
             "one step size per set step")
-    _reverify_flow_fields(body, rep)
     try:
         problem = rebuild_problem(pb["id"], a_hex)
     except ValueError as exc:
@@ -332,6 +338,7 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
         return
     rep.add(pb == _problem_block(problem),
             "problem block is the one make_problem rebuilds")
+    _reverify_flow_fields(body, problem, rep)
     n = problem.reduced_dim
     rep.add(len(body["candidate"]) == n,
             "candidate has the problem's reduced dimension")
@@ -367,11 +374,26 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
             "every field has the JSON type the prover writes")
 
 
-def _reverify_flow_fields(body: dict, rep: VerificationReport) -> None:
+def _reverify_flow_fields(body: dict, problem: ChoreographyProblem,
+                          rep: VerificationReport) -> None:
     """Check the informative fields against what the prover can write,
-    without integration: their hex spellings, crossing times that the set
-    flow's steps cover and that overlap, and notes that exclude zero."""
+    without integration: their hex spellings, step counts and note names
+    that follow from whether the crossing times are recorded, crossing
+    times that the set flow's steps cover and that overlap, and notes that
+    exclude zero."""
     times = (body["crossing_time_set"], body["crossing_time_point"])
+    recorded = None not in times
+    counts = body["step_counts"]
+    rep.add(set(counts) == {"point", "set"}
+            and all(type(v) is int and v >= 0 for v in counts.values())
+            and (counts["point"] >= 1) == recorded,
+            "step counts are exactly point and set, ints >= 0, with point "
+            "steps exactly when the crossing times are recorded")
+    names = [name for name, _ in problem.guards] if recorded else []
+    rep.add(set(body["crossing_notes"])
+            == {*names, *(f"{name}_on_box" for name in names)},
+            "crossing notes name each guard at the point and on the box "
+            "exactly when the crossing times are recorded")
     notes = list(body["crossing_notes"].values())
     spelled = [*body["step_sizes"],
                *(e for t in times if t is not None for e in t),
@@ -382,7 +404,7 @@ def _reverify_flow_fields(body: dict, rep: VerificationReport) -> None:
             "the prover writes them")
     rep.add(all(not Interval.from_hex(*note).contains_zero() for note in notes),
             "every crossing note excludes zero")
-    if None in times:
+    if not recorded:
         rep.add(times == (None, None),
                 "the set and point crossing times are recorded together")
         return

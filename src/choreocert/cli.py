@@ -249,7 +249,8 @@ def run_certification(problem, method, policy, delta, candidate):
     last = {}   # certify encloses at least once
 
     def enclose(x, box):
-        # the point rides inside the box flow up to the section zone
+        # the point rides inside the box flow, and flows on alone from the
+        # box the first zone step records for it
         last["set"] = phi_jacobian(problem, box, policy, point=x)
         last["point"] = phi_point(problem, x, policy,
                                   along=last["set"].crossing)

@@ -47,9 +47,9 @@ Each step advances it by the set's own update, phi_h(m) + A (P - m) with
 m the set's center and A the enclosure of Dphi_h over the step's input
 box: the mean-value theorem makes that valid while the box holds m and
 P, since it is convex.  Each step checks both inclusions and drops the
-point when one fails.  `flow_to_section` hands it over at the first zone
-step (`PointHandoff`), for a flow of its own; only zone steps keep their
-transition data.
+point when one fails, and records the point's box at its start
+(`EnclosureStep.point`), so a flow of the point alone can start from any
+step.  Only zone steps keep their transition data.
 """
 
 from __future__ import annotations
@@ -188,14 +188,12 @@ class LohnerSet:
     point: Pair | None = None
 
     @classmethod
-    def from_box(cls, lo, hi, transition_dim: int | None = None) -> LohnerSet:
+    def from_box(cls, lo, hi) -> LohnerSet:
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         m = kn.mid(lo, hi)
-        eye = np.eye(m.size)
-        slab = (None if transition_dim is None
-                else _exact_slab(eye[:, :transition_dim]))
-        return cls(Frame(m[:, None], eye, _column(kn.sub(lo, hi, m, m))), slab)
+        return cls(Frame(m[:, None], np.eye(m.size),
+                         _column(kn.sub(lo, hi, m, m))))
 
     @classmethod
     def from_slab(cls, anchor: np.ndarray, directions: np.ndarray,
@@ -241,6 +239,7 @@ class EnclosureStep:
     trans_layers: Pair | None = None  # transition layers 0..R_t (C1 only)
     trans_rem: Pair | None = None     # order-(R_t+1) transition remainder (C1)
     v_start: Pair | None = None       # accumulated slab box at the start (C1)
+    point: Pair | None = None         # the carried point's box at the start
 
     @property
     def t_k(self) -> float:  # the float end time, for samples
@@ -360,7 +359,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
     kn.assert_valid(*tight, "step output")
 
     rec = EnclosureStep(t_start=t_start, h=h, tight=tight, whole=whole,
-                        layers=layers_x, rem=rem)
+                        layers=layers_x, rem=rem, point=cur.point)
 
     # The mean-value form about the center: A covers the segment from the
     # center to any member of the point's box while the set's (convex) box
@@ -386,8 +385,8 @@ def step(field, cur: LohnerSet, h: float, order: int,
 class SectionSpec:
     """Poincare section g(x) = 0 with gradient and required crossing sign.
 
-    crossing_sign "+-" means g passes from positive to negative, "-+" the
-    reverse, "either" takes the sign of g at the start state.
+    crossing_sign "+-" means g passes from positive to negative, "either"
+    takes the sign of g at the start state.
     """
 
     g: Callable[[np.ndarray, np.ndarray], Interval]
@@ -401,42 +400,21 @@ class SectionSpec:
         return Interval(float(lo), float(hi))
 
 
-@dataclass(frozen=True)
-class PointHandoff:
-    """A carried point's boxes at the flow's start (`origin`) and at the
-    start of the first zone step (`box`), which begins at `t_start` and
-    takes size `h`."""
-
-    t_start: Interval
-    h: float
-    box: Pair
-    origin: Pair
-
-
 @dataclass
 class SectionCrossing:
     state: Pair
     t_cross: Interval
-    gdot: Interval
-    transition: Pair | None          # monodromy columns at the crossing
-    projected: Pair | None           # after removing the flow direction
+    projected: Pair | None           # monodromy columns, flow direction removed
     steps: list[EnclosureStep]
     zone: list[int]                  # positions in steps of the straddling steps
-    handoff: PointHandoff | None = None  # where the carried point leaves
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
-    if section.crossing_sign == "+-":
-        want = 1
-    elif section.crossing_sign == "-+":
-        want = -1
-    else:
-        if g0.contains_zero():
-            raise NonTransversal("section function straddles zero at start")
-        want = 1 if g0.lo > 0.0 else -1
-    if (want == 1 and not g0.lo > 0.0) or (want == -1 and not g0.hi < 0.0):
+    if section.crossing_sign != "+-" and g0.contains_zero():
+        raise NonTransversal("section function straddles zero at start")
+    if section.crossing_sign == "+-" and not g0.lo > 0.0:
         raise NonTransversal("start state is not on the required section side")
-    return want
+    return 1 if g0.lo > 0.0 else -1
 
 
 def flow_to_section(field, start: LohnerSet, section: SectionSpec,
@@ -456,9 +434,8 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     steps: list[EnclosureStep] = []
     cur = start
     zone: list[int] = []
-    handoff = rec = None
+    rec = None
     for k in range(policy.budget):
-        carried = cur.point
         cur, rec = step(field, cur, policy.size(k, rec), policy.order,
                         t_start=run_time([r.h for r in steps]))
         steps.append(rec)
@@ -481,9 +458,6 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
             raise NonTransversal(
                 f"dg.f = {gd} does not exclude zero with the required sign "
                 f"on step {k}")
-        if not zone and carried is not None:  # the point leaves at this step
-            handoff = PointHandoff(rec.t_start, rec.h, carried, start.point)
-            cur = replace(cur, point=None)
         zone.append(len(steps) - 1)
     else:
         raise NoCrossing(f"no section crossing within {policy.budget} steps")
@@ -493,14 +467,13 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
     if gdot.contains_zero():
         raise NonTransversal("transversality lost at the refined crossing")
 
-    transition = projected = None
+    projected = None
     if start.slab is not None:
         transition = _hull_over(steps, zone, t_enc, EnclosureStep.transition_at)
         projected = _project_transition(field, section, state, gdot, transition)
 
-    return SectionCrossing(
-        state=state, t_cross=t_enc, gdot=gdot, transition=transition,
-        projected=projected, steps=steps, zone=zone, handoff=handoff)
+    return SectionCrossing(state=state, t_cross=t_enc, projected=projected,
+                           steps=steps, zone=zone)
 
 
 def run_time(sizes) -> Interval:

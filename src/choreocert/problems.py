@@ -36,9 +36,9 @@ state, their products and their squares; DR and dg are their product rule.
 phi_jacobian flows the embedded box and phi_point the thin point, both
 under one step policy (`integrator.StepPolicy`).  The point can ride inside
 the box flow (`phi_jacobian(..., point=x)`) as a box, advanced by each box
-step's image of the center plus A (P - center) up to the first step of the
-section zone, where phi_point starts a flow of its own from that box at
-that step's size.
+step's image of the center plus A (P - center), and each step records the
+box it started from; phi_point starts a flow of its own from the box of
+the first step of the section zone, at that step's size.
 
 refine_candidate runs plain Newton on the same validated map at a thin box,
 stepping with the midpoints of Phi and of DPhi: it finds candidates, and
@@ -472,22 +472,22 @@ def phi_point(problem: ChoreographyProblem, x, policy: StepPolicy,
     """Rigorous enclosure of the defect map at a point (thin run).
 
     `along` is the crossing of `phi_jacobian(..., point=x)` under the same
-    policy.  The point then flows afresh from the box that crossing hands
-    over at its first zone step (`SectionCrossing.handoff`), the first
-    step at that step's size, and its crossing time is shifted by that
-    step's start; without a hand-off (the point left the set's box on the
+    policy.  The point then flows afresh from the box that crossing's first
+    zone step records for it (`EnclosureStep.point`), the first step at
+    that step's size, and its crossing time is shifted by that step's
+    start; when that step carries no point (it left the set's box on the
     way) it flows alone under `policy`."""
     s0 = problem.embed_point(x)
     start, t_start = LohnerSet.from_box(s0, s0), Interval(0.0)
     if along is not None:
         if along.steps[0].h != policy.h:
             raise ValueError("phi_point rides a flow of the policy's h")
-        handoff = along.handoff
-        if handoff is not None:
-            if not kn.contains_point(*handoff.origin, s0):
+        first = along.steps[along.zone[0]]
+        if first.point is not None:
+            if not kn.contains_point(*along.steps[0].point, s0):
                 raise ValueError("the flow carried another point")
-            start, t_start = LohnerSet.from_box(*handoff.box), handoff.t_start
-            policy = StepPolicy(handoff.h, policy.order, policy.tol)
+            start, t_start = LohnerSet.from_box(*first.point), first.t_start
+            policy = StepPolicy(first.h, policy.order, policy.tol)
     cr = flow_to_section(problem.field, start, problem.section, policy)
     cr = replace(cr, t_cross=t_start + cr.t_cross)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,

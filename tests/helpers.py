@@ -1,6 +1,7 @@
-"""Test oracles that no command runs: a constant linear field, a flow to a
-fixed time, the conserved quantities of the N-body problem, and the FPU's
-rounding mode as the C library reports it.
+"""Test oracles that no command runs: a constant linear field, a box that
+carries its monodromy slab, a flow to a fixed time, the conserved
+quantities of the N-body problem, and the FPU's rounding mode as the C
+library reports it.
 
 Tests import this module by name (`from helpers import ...`): `tests/` has
 no `__init__.py`, so pytest puts it on `sys.path`.
@@ -95,6 +96,17 @@ class LinearField:
 
     def eval(self, sl, sh) -> Pair:
         return kn.matvec_thin_left(self.A, sl, sh)
+
+
+# --- a box with its monodromy slab ---------------------------------------------
+
+def box_with_slab(lo, hi) -> LohnerSet:
+    """The box [lo, hi] as a set whose monodromy slab starts at the identity,
+    one column per state component."""
+    lo = np.asarray(lo, float)
+    hi = np.asarray(hi, float)
+    m = kn.mid(lo, hi)
+    return LohnerSet.from_slab(m, np.eye(m.size), kn.sub(lo, hi, m, m))
 
 
 # --- a flow to a fixed time ----------------------------------------------------

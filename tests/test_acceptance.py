@@ -23,7 +23,7 @@ from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.convexity import verify_convexity
 from choreocert.dynamics import nbody_field
-from choreocert.integrator import LohnerSet, StepPolicy
+from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import (
     chain6_problem,
@@ -33,7 +33,7 @@ from choreocert.problems import (
     phi_point,
 )
 from choreocert.rootfind import CertifiableMap, CertificationJob, certify
-from helpers import LinearField, conservation_containment, flow
+from helpers import LinearField, box_with_slab, conservation_containment, flow
 
 pytestmark = pytest.mark.acceptance
 
@@ -267,8 +267,7 @@ class TestCriterion5OracleContainment:
         # quarter rotation as transition
         harm = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         s0 = np.array([1.0, 0.0])
-        fin, steps = flow(harm, LohnerSet.from_box(s0, s0, transition_dim=2),
-                          math.pi / 2, 0.01, 7)
+        fin, steps = flow(harm, box_with_slab(s0, s0), math.pi / 2, 0.01, 7)
         lo, hi = fin.box()
         assert lo[0] <= 0.0 <= hi[0] and lo[1] <= -1.0 <= hi[1]
         for rec in steps:
@@ -287,8 +286,7 @@ class TestCriterion5OracleContainment:
         v = om / 2
         s0 = np.array([0.5, 0, 0, v, -0.5, 0, 0, -v])
         period = 2 * math.pi / om
-        fin, steps = flow(f2, LohnerSet.from_box(s0, s0, transition_dim=8),
-                          period, 0.01, 7)
+        fin, steps = flow(f2, box_with_slab(s0, s0), period, 0.01, 7)
         for rec in steps:
             t = rec.t_k
             ct, st = math.cos(om * t), math.sin(om * t)

@@ -468,6 +468,15 @@ def shifted(pair, by):
 
 SPELLED = ("crossing times, crossing notes and step sizes are spelled as the "
            "prover writes them")
+COUNTS = ("step counts are exactly point and set, ints >= 0, with point "
+          "steps exactly when the crossing times are recorded")
+NOTES = ("crossing notes name each guard at the point and on the box "
+         "exactly when the crossing times are recorded")
+WALL = "the wall clock is a finite float >= 0 seconds"
+
+
+def set_point_steps(count):
+    return lambda b: b["step_counts"].update(point=count)
 
 
 class TestFlowFields:
@@ -506,10 +515,22 @@ class TestFlowFields:
          "every crossing note excludes zero"),
         (lambda b: b.update(crossing_time_point=None),
          "the set and point crossing times are recorded together"),
+        (set_point_steps("x"), COUNTS),
+        (set_point_steps(-5), COUNTS),
+        (set_point_steps(2.0), COUNTS),
+        (set_point_steps(0), COUNTS),
+        (lambda b: b["step_counts"].update(retries=0), COUNTS),
+        (lambda b: b.update(crossing_notes={}), NOTES),
+        (lambda b: b.update(wall_clock_seconds="x"), WALL),
+        (lambda b: b.update(wall_clock_seconds=-1.0), WALL),
+        (lambda b: b.update(wall_clock_seconds=True), WALL),
     ], ids=["set-time-respelled", "point-time-respelled", "note-respelled",
             "step-size-respelled", "set-time-lo-plus-one",
             "set-time-past-the-steps", "point-time-off-the-set",
-            "note-holds-zero", "point-time-missing"])
+            "note-holds-zero", "point-time-missing", "point-steps-text",
+            "point-steps-negative", "point-steps-float", "point-steps-zero",
+            "step-counts-extra-key", "notes-emptied", "wall-clock-text",
+            "wall-clock-negative", "wall-clock-true"])
     def test_edit_disagrees(self, eight_default, edit, line):
         body = parse_document(eight_default[0].to_document())
         edit(body)
@@ -517,6 +538,14 @@ class TestFlowFields:
         assert not report.ok
         assert any(m.startswith("FAIL " + line) for m in report.messages), \
             report.messages
+
+    @pytest.mark.parametrize("wall", ["x", -1.0, True],
+                             ids=["text", "negative", "true"])
+    def test_convexity_wall_clock_disagrees(self, eight_convexity_body, wall):
+        body = {**eight_convexity_body, "wall_clock_seconds": wall}
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert "FAIL " + WALL in report.messages, report.messages
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from choreocert.errors import RoughEnclosureFailure
 from choreocert.integrator import LohnerSet, step
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
-from helpers import LinearField, flow
+from helpers import LinearField, box_with_slab, flow
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -26,14 +26,14 @@ def eight_state():
     return np.array([1.0, 0, -1.0, 0, 0, 0, v, u, v, u, -2 * v, -2 * u])
 
 
-def thin(x, transition=None):
+def thin(x, slab=False):
     x = np.asarray(x, float)
-    return LohnerSet.from_box(x, x, transition_dim=transition)
+    return box_with_slab(x, x) if slab else LohnerSet.from_box(x, x)
 
 
 class TestHarmonicOscillator:
     def test_quarter_period_containment(self):
-        fin, steps = flow(HARMONIC, thin([1.0, 0.0], transition=2),
+        fin, steps = flow(HARMONIC, thin([1.0, 0.0], slab=True),
                           math.pi / 2, 0.01, 7)
         lo, hi = fin.box()
         assert lo[0] <= 0.0 <= hi[0]
@@ -69,7 +69,7 @@ class TestTwoBodyCircular:
     def test_full_period_returns_to_start(self):
         f = nbody_field(2)
         period = 2 * math.pi / self.OMEGA
-        fin, steps = flow(f, thin(self.start(), transition=8), period, 0.01, 7)
+        fin, steps = flow(f, thin(self.start(), slab=True), period, 0.01, 7)
         lo, hi = fin.box()
         assert np.all(lo <= self.start()) and np.all(self.start() <= hi)
         assert np.max(hi - lo) < 1e-9
@@ -133,7 +133,7 @@ class TestSoundnessAgainstReference:
 
         s0 = np.array([0.8, 0.1, -0.1, 0.6, -0.8, -0.1, 0.1, -0.6])
         T = 0.25
-        fin, _ = flow(f, thin(s0, transition=8), T, 0.01, 6)
+        fin, _ = flow(f, thin(s0, slab=True), T, 0.01, 6)
         tl, th = fin.slab.box()
         eps = 1e-6
         for k in range(8):

@@ -9,68 +9,69 @@ from choreocert.errors import NoCrossing, NonTransversal
 from choreocert.integrator import (LohnerSet, SectionSpec, StepPolicy,
                                   flow_to_section, run_time)
 from choreocert.interval import Interval
-from helpers import LinearField
+from helpers import LinearField, box_with_slab
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def coordinate_section(index: int, dim: int, sign: str = "+-") -> SectionSpec:
+def coordinate_section(index: int, dim: int, c: float = 1.0) -> SectionSpec:
+    """g = c x_index, c = +-1, crossing from + to -."""
     def g(sl, sh):
-        return Interval(float(sl[index]), float(sh[index]))
+        return Interval(float(sl[index]), float(sh[index])) * Interval(c)
 
     def dg(sl, sh):
         v = np.zeros(dim)
-        v[index] = 1.0
+        v[index] = c
         return v, v
 
-    return SectionSpec(g=g, dg=dg, crossing_sign=sign)
+    return SectionSpec(g=g, dg=dg, crossing_sign="+-")
 
 
 def contains(iv: Interval, x: float) -> bool:
     return iv.lo <= x <= iv.hi
 
 
-def thin(x, transition=None):
+def thin(x, slab=False):
     x = np.asarray(x, float)
-    return LohnerSet.from_box(x, x, transition_dim=transition)
+    return box_with_slab(x, x) if slab else LohnerSet.from_box(x, x)
 
 
 class TestHarmonicCrossing:
     def test_crossing_state_and_time(self):
-        sec = coordinate_section(0, 2, "+-")
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
+        sec = coordinate_section(0, 2)
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], slab=True),
                              sec, StepPolicy(0.01, 7))
         assert contains(cr.t_cross, math.pi / 2)
         assert cr.t_cross.diam() < 1e-10
         assert cr.state[0][1] <= -1.0 <= cr.state[1][1]
         assert cr.state[0][0] <= 0.0 <= cr.state[1][0]
-        assert cr.gdot.hi < 0.0
+        assert sec.gdot(*cr.state, HARMONIC).hi < 0.0
 
     def test_first_crossing_not_a_later_one(self):
         # from (1, 0) the first x = 0 crossing is at pi/2, not 3 pi/2
-        sec = coordinate_section(0, 2, "+-")
+        sec = coordinate_section(0, 2)
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7))
         assert cr.t_cross.hi < math.pi
 
     def test_requested_opposite_sign_crossing(self):
-        # x = 0 rising happens at 3 pi / 2 starting from (1, 0)
-        sec = coordinate_section(0, 2, "-+")
+        # x = 0 rising, -x falling, happens at 3 pi / 2 starting from (1, 0)
+        sec = coordinate_section(0, 2, -1.0)
         with pytest.raises(NonTransversal):
-            # the start state is on the wrong side for a -+ crossing
+            # the start state is on the wrong side for -x to fall
             flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(0.01, 7))
         cr = flow_to_section(HARMONIC, thin([-1.0, 0.0]), sec, StepPolicy(0.01, 7))
         assert contains(cr.t_cross, math.pi / 2)
 
     def test_no_crossing_budget(self):
-        # the circle never reaches x = 2: the flow ends after the policy's
-        # budget of 10/h steps
+        # the circle never reaches x = 2, where 2 - x falls to 0: the flow
+        # ends after the policy's budget of 10/h steps
         def g(sl, sh):
-            return Interval(float(sl[0]) - 2.0, float(sh[0]) - 2.0)
+            return Interval(2.0 - float(sh[0]), 2.0 - float(sl[0]))
 
         def dg(sl, sh):
-            return np.array([1.0, 0.0]), np.array([1.0, 0.0])
+            return np.array([-1.0, 0.0]), np.array([-1.0, 0.0])
 
-        sec = SectionSpec(g=g, dg=dg, crossing_sign="-+")
+        sec = SectionSpec(g=g, dg=dg, crossing_sign="+-")
         policy = StepPolicy(0.5, 7)
         assert policy.budget == 20
         with pytest.raises(NoCrossing, match="within 20 steps"):
@@ -94,8 +95,8 @@ class TestHarmonicCrossing:
         # (Id - f dg/(dg.f)) V applied to the flow direction vanishes:
         # for the return map to the section, the image of f(x0) must be
         # (numerically) the zero vector
-        sec = coordinate_section(0, 2, "+-")
-        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], transition=2),
+        sec = coordinate_section(0, 2)
+        cr = flow_to_section(HARMONIC, thin([1.0, 0.0], slab=True),
                              sec, StepPolicy(0.01, 7))
         pl, ph = cr.projected
         f0 = np.array([0.0, -1.0])  # field at (1,0)
@@ -111,9 +112,9 @@ class TestLocator:
         # 157 h = pi/2 in floating point: the steps on both sides of the
         # boundary straddle the section, for the set's members that cross
         # within its 2e-6 spread in angle
-        sec = coordinate_section(0, 2, "+-")
+        sec = coordinate_section(0, 2)
         h = (math.pi / 2) / 157
-        box = LohnerSet.from_box([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6], 2)
+        box = box_with_slab([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6])
         cr = flow_to_section(HARMONIC, box.carrying(np.array([1.0, 0.0])),
                              sec, StepPolicy(h, 7))
         zone = [k for k, s in enumerate(cr.steps)
@@ -121,14 +122,14 @@ class TestLocator:
         assert zone == cr.zone == [156, 157]
         assert contains(cr.t_cross, math.pi / 2)
         assert cr.t_cross.diam() < 3e-6
-        # the carried point's fresh flow from step 156, shifted by that
-        # step's start, crosses on the boundary too, and Newton in time
-        # pins it down to rounding level
-        handoff = cr.handoff
-        assert handoff.t_start == cr.steps[156].t_start
-        point = flow_to_section(HARMONIC, LohnerSet.from_box(*handoff.box),
-                                sec, StepPolicy(handoff.h, 7))
-        t_point = handoff.t_start + point.t_cross
+        # the carried point's fresh flow from the box step 156 records,
+        # shifted by that step's start, crosses on the boundary too, and
+        # Newton in time pins it down to rounding level
+        first = cr.steps[cr.zone[0]]
+        assert first.t_start == cr.steps[156].t_start
+        point = flow_to_section(HARMONIC, LohnerSet.from_box(*first.point),
+                                sec, StepPolicy(first.h, 7))
+        t_point = first.t_start + point.t_cross
         assert contains(t_point, math.pi / 2)
         assert t_point.diam() < 1e-10
 
@@ -137,10 +138,10 @@ class TestLocator:
         # from (x0, y0) = r (cos a, sin a) the rotation reaches x = 0 at
         # t = a + pi/2 in (0, -r); the section-to-section derivative is
         # d(0, -r)/d(x0, y0) = [[0, 0], [-x0/r, -y0/r]]
-        sec = coordinate_section(0, 2, "+-")
+        sec = coordinate_section(0, 2)
         lo = np.array([1.0 - delta, -delta])
         hi = np.array([1.0 + delta, delta])
-        cr = flow_to_section(HARMONIC, LohnerSet.from_box(lo, hi, 2),
+        cr = flow_to_section(HARMONIC, box_with_slab(lo, hi),
                              sec, StepPolicy(0.01, 7))
         corners = [np.array(c) for c in itertools.product(*zip(lo, hi))]
         for x0, y0 in corners + [0.5 * (lo + hi)]:
@@ -163,7 +164,7 @@ class TestStartTimes:
     @pytest.mark.parametrize("h", [0.01, (math.pi / 2) / 157])
     def test_each_start_is_run_time_of_the_sizes_before(self, h):
         # the flow stamps step i with the one sum the verifier also calls
-        sec = coordinate_section(0, 2, "+-")
+        sec = coordinate_section(0, 2)
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, StepPolicy(h, 7))
         for i, rec in enumerate(cr.steps):
             t = run_time([r.h for r in cr.steps[:i]])
@@ -209,8 +210,8 @@ class TestControlledFlow:
     TOL = 1e-13
 
     def controlled(self):
-        sec = coordinate_section(0, 2, "+-")
-        box = LohnerSet.from_box([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6], 2)
+        sec = coordinate_section(0, 2)
+        box = box_with_slab([1.0 - 1e-6, -1e-6], [1.0 + 1e-6, 1e-6])
         cr = flow_to_section(HARMONIC, box.carrying(np.array([1.0, 0.0])),
                              sec, StepPolicy(0.01, 7, self.TOL))
         return sec, cr
@@ -229,18 +230,17 @@ class TestControlledFlow:
         assert cr.state[0][1] <= -1.0 <= cr.state[1][1]
 
     def test_point_resumes_from_the_handoff_at_the_set_sizes(self):
-        # the set hands the point over at its first zone step; a fresh flow
-        # from there, first at that step's size, crosses on the set's clock
-        # once shifted by the step's start
+        # the set's first zone step records the point's box at its start; a
+        # fresh flow from there, first at that step's size, crosses on the
+        # set's clock once shifted by the step's start
         sec, cr = self.controlled()
-        handoff, first = cr.handoff, cr.steps[cr.zone[0]]
-        assert handoff is not None and cr.zone[0] > 0
-        assert (handoff.t_start, handoff.h) == (first.t_start, first.h)
-        point = flow_to_section(HARMONIC, LohnerSet.from_box(*handoff.box),
-                                sec, StepPolicy(handoff.h, 7, self.TOL))
-        assert point.steps[0].h == handoff.h
+        first = cr.steps[cr.zone[0]]
+        assert first.point is not None and cr.zone[0] > 0
+        point = flow_to_section(HARMONIC, LohnerSet.from_box(*first.point),
+                                sec, StepPolicy(first.h, 7, self.TOL))
+        assert point.steps[0].h == first.h
         assert point.steps[0].t_start == Interval(0.0)
-        t_cross = handoff.t_start + point.t_cross
+        t_cross = first.t_start + point.t_cross
         assert contains(t_cross, math.pi / 2)
         assert t_cross.diam() < cr.t_cross.diam()
         assert not t_cross.disjoint(cr.t_cross)
@@ -262,7 +262,7 @@ class TestStepPolicy:
 
     def test_following_takes_the_given_sizes_then_the_control(self):
         # sizes the control would not choose, then the control's own
-        sec = coordinate_section(0, 2, "+-")
+        sec = coordinate_section(0, 2)
         given = [0.01, 0.02, 0.04]
         policy = StepPolicy(0.01, 7, self.TOL, given=tuple(given))
         cr = flow_to_section(HARMONIC, thin([1.0, 0.0]), sec, policy)

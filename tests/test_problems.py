@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from choreocert.boxes import IntervalVector
 from choreocert.errors import DimensionMismatch
 from choreocert import integrator, kernels as kn
-from choreocert.integrator import Frame, StepPolicy, step
+from choreocert.integrator import (Frame, LohnerSet, StepPolicy,
+                                   flow_to_section, step)
 from choreocert.interval import Interval
 from choreocert.problems import (
     _MIRROR,
@@ -455,6 +456,15 @@ class TestPhi:
         assert np.all(np.maximum(lo6[:12], lo) <= np.minimum(hi6[:12], hi))
 
 
+def float_taylor_step(field, s, h):
+    """The point s moved by h along an order-20 float Taylor polynomial."""
+    lo, hi = field.series(s[None], s[None], 20).layers()
+    image = np.zeros_like(s)
+    for c in 0.5 * (lo[::-1, 0] + hi[::-1, 0]):
+        image = image * h + c
+    return image
+
+
 @pytest.fixture(scope="module")
 def eight_set_flow():
     return phi_jacobian(eight_problem(), IntervalVector.box(EIGHT_X0, 1e-6),
@@ -469,8 +479,8 @@ class TestRideTheSetFlow:
         # the point flows afresh from the set's first zone step, at its size
         crossing = eight_set_flow.crossing
         first = crossing.steps[crossing.zone[0]]
-        assert crossing.handoff.t_start == first.t_start
-        assert ridden.crossing.steps[0].h == crossing.handoff.h == first.h
+        assert first.point is not None
+        assert ridden.crossing.steps[0].h == first.h
         assert len(ridden.crossing.steps) < len(alone.crossing.steps)
         assert not ridden.value.disjoint(alone.value)
         assert not ridden.crossing.t_cross.disjoint(alone.crossing.t_cross)
@@ -484,11 +494,7 @@ class TestRideTheSetFlow:
             nxt, _ = step(prob.field, cur, 0.01, 7)
             assert (nxt.point is not None) is kept
             if kept:  # the kept box holds a float Taylor image of the point
-                s = prob.embed_point(p)
-                lo, hi = prob.field.series(s[None], s[None], 20).layers()
-                image = np.zeros_like(s)
-                for c in 0.5 * (lo[::-1, 0] + hi[::-1, 0]):
-                    image = image * 0.01 + c
+                image = float_taylor_step(prob.field, prob.embed_point(p), 0.01)
                 assert kn.contains_point(*nxt.point, image)
                 assert np.max(nxt.point[1] - nxt.point[0]) < 1e-12
 
@@ -510,7 +516,9 @@ class TestRideTheSetFlow:
         x = EIGHT_X0 + 1e-4
         crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
                                 StepPolicy(0.01, 7), point=x).crossing
-        assert crossing.handoff is None
+        # the first step starts with the point and drops it
+        assert crossing.steps[0].point is not None
+        assert all(rec.point is None for rec in crossing.steps[1:])
         alone = phi_point(prob, x, StepPolicy(0.01, 7))
         ridden = phi_point(prob, x, StepPolicy(0.01, 7), along=crossing)
         assert np.array_equal(ridden.value.lo, alone.value.lo)
@@ -520,16 +528,35 @@ class TestRideTheSetFlow:
 
     def test_a_flow_keeps_what_its_readers_read(self, eight_set_flow):
         # the crossing's hull reads only the zone's transitions, and the
-        # point run reads only the hand-off box, which holds no frame
+        # point run reads only a step's point box; no record holds a frame
         crossing = eight_set_flow.crossing
         for k, rec in enumerate(crossing.steps):
             held = [rec.trans_layers, rec.trans_rem, rec.v_start]
             assert all((v is not None) is (k in crossing.zone) for v in held)
             assert not any(isinstance(v, Frame) for v in vars(rec).values())
-        handoff = crossing.handoff
-        assert not any(isinstance(v, Frame) for v in vars(handoff).values())
-        lo, hi = handoff.box
-        assert lo.shape == hi.shape == (12,) and np.all(lo <= hi)
+            lo, hi = rec.point
+            assert lo.shape == hi.shape == (12,) and np.all(lo <= hi)
+
+    def test_each_step_records_the_point_at_its_start(self, eight_set_flow):
+        # step 0 records the embedded point, each later step a box holding
+        # the point's float Taylor flow to its start, and phi_point flows
+        # from the first zone step's box, shifted by that step's start
+        prob = eight_problem()
+        s = prob.embed_point(EIGHT_X0)
+        crossing = eight_set_flow.crossing
+        steps = crossing.steps
+        assert all(np.array_equal(end, s) for end in steps[0].point)
+        for before, rec in zip(steps, steps[1:]):
+            s = float_taylor_step(prob.field, s, before.h)
+            assert kn.contains_point(*rec.point, s)
+        first = steps[crossing.zone[0]]
+        own = flow_to_section(prob.field, LohnerSet.from_box(*first.point),
+                              prob.section, StepPolicy(first.h, 7))
+        ridden = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7),
+                           along=crossing).crossing
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(ridden.state, own.state))
+        assert ridden.t_cross == first.t_start + own.t_cross
 
     def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
         with pytest.raises(ValueError):

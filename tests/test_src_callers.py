@@ -1,10 +1,15 @@
 """`src/choreocert` holds only what a command or the benchmark runs: every
-module-level function and class has a caller outside its own body.
+module-level function and class has a caller outside its own body, and
+every dataclass field has a reader.
 
 A caller is an import of the name or a `module.name` access from another
 module of the package or of `perfbench/`, or a use in its own module outside
-the definition.  The package's `__init__` re-exports do not count, and
-neither do the tests: code only a test calls belongs in `tests/helpers.py`.
+the definition.  A reader is an attribute read `.field` anywhere in the
+package or in `perfbench/`; attributes are matched by name, so a field
+shares its reader with any same-named attribute.  The package's `__init__`
+re-exports do not count, and neither do the tests: code only a test calls
+belongs in `tests/helpers.py`, and a field only a test reads is a record
+nobody keeps.
 """
 
 import ast
@@ -49,22 +54,61 @@ def _used_in_own_module(tree: ast.Module, definition) -> bool:
                and node.lineno not in inside for node in ast.walk(tree))
 
 
+def _modules(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: _parse(path) for path in sorted(package.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _other_trees(others) -> list[ast.Module]:
+    return [_parse(path) for directory in others
+            for path in sorted(directory.glob("*.py"))]
+
+
 def uncalled_definitions(package: Path = PACKAGE,
                          others=(ROOT / "perfbench",)) -> list[str]:
     """`module.name` of every module-level function and class of `package`
     that nothing outside its own body calls."""
-    modules = {path.stem: _parse(path) for path in sorted(package.glob("*.py"))
-               if path.name != "__init__.py"}
+    modules = _modules(package)
     external: set[tuple[str, str]] = set()
     for stem, tree in modules.items():
         external |= {(m, n) for m, n in _external_uses(tree) if m != stem}
-    for directory in others:
-        for path in sorted(directory.glob("*.py")):
-            external |= _external_uses(_parse(path))
+    for tree in _other_trees(others):
+        external |= _external_uses(tree)
     return [f"{stem}.{d.name}" for stem, tree in modules.items()
             for d in _definitions(tree)
             if (stem, d.name) not in external
             and not _used_in_own_module(tree, d)]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(package: Path = PACKAGE,
+                  others=(ROOT / "perfbench",)) -> list[str]:
+    """`module.Class.field` of every dataclass field of `package` that no
+    code of the package or of `others` reads as an attribute."""
+    modules = _modules(package)
+    reads = set().union(*map(_attribute_reads,
+                             [*modules.values(), *_other_trees(others)]))
+    return [f"{stem}.{cls.name}.{item.target.id}"
+            for stem, tree in modules.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id not in reads]
 
 
 def test_every_definition_has_a_caller():
@@ -81,3 +125,28 @@ def test_the_guard_sees_a_test_only_definition(tmp_path):
         "def unused(n):\n    return unused(n - 1) if n else used()\n")
     (package / "b.py").write_text("from . import a as m\n\nX = m.used\n")
     assert uncalled_definitions(package, others=()) == ["a.unused"]
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert unread_fields() == []
+
+
+def test_the_guard_sees_a_field_only_a_test_reads(tmp_path):
+    # `unread` is written by its module and read by a test alone; a
+    # store is no read
+    package = tmp_path / "choreocert"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(eq=False)\nclass Record:\n    read: int\n"
+        "    unread: int = 0\n\n\n"
+        "def total(r):\n    r.unread = r.read\n    return r.read\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text(
+        "from choreocert.a import Record\n\n\n"
+        "def test_unread():\n    assert Record(1, 2).unread == 2\n")
+    assert unread_fields(package, others=()) == ["a.Record.unread"]
+    # the same read from a directory the guard scans counts
+    assert unread_fields(package, others=(tests,)) == []
