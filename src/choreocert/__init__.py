@@ -22,7 +22,6 @@ from .errors import (
 from .interval import Interval, rounding_backend
 from .problems import make_problem
 from .rootfind import (
-    CertifiableMap,
     CertificationJob,
     CertificationOutcome,
     certify,
@@ -38,7 +37,6 @@ __all__ = [
     "rounding_backend",
     "make_problem",
     "certify",
-    "CertifiableMap",
     "CertificationJob",
     "CertificationOutcome",
     "verify_convexity",

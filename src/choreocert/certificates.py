@@ -19,11 +19,15 @@ which holds the run it documents: the problem, the certification job
 returned, `delta`, the step policy, written as `h`, `order` and
 `tolerance` (null for one size h) and read back by `read_step_policy`, and
 the certified map's last point and set evaluations.  `max_iter` is the cap
-`rootfind.MAX_ITER`.  The job and the outcome give the box, the top-level
-copies of the first iteration (its preconditioner among them), the trace,
+`rootfind.MAX_ITER`.  The job and the outcome give the box, the trace,
+the top-level copies of its first record (the preconditioner among them),
 the operator image, the refined box, the verdict, the cause and the
-iteration count; the evaluations give the crossing times,
-`crossing_notes`, `step_counts` and `step_sizes`.
+iteration count.  The trace is the whole run: one record per iteration,
+numbered from 1, a stop on a derivative enclosure that is not certifiably
+regular included (its image null, its relation "singular", its enclosures
+stored), so the first record always exists, the count is the trace's
+length and the operator image is the last record's.  The evaluations give
+the crossing times, `crossing_notes`, `step_counts` and `step_sizes`.
 Informative, since the replay integrates nothing: the crossing times,
 `crossing_notes`, `step_counts`, `step_sizes` and `wall_clock_seconds`.
 They bind no verdict, but the verifier checks what follows from the bound
@@ -56,16 +60,18 @@ exactly `<guard>` and `<guard>_on_box` for each guard, exactly when the
 crossing times are recorded; `wall_clock_seconds` is a finite float >= 0.
 Then it replays `certify` itself on the stored enclosures, iteration k
 getting record k's `f_x` and `df_X`, at the cap `rootfind.MAX_ITER`, and
-builds the record of the replayed run, without evaluations.  The stored
-document must have the writer's key set and equal it in every field that
-is not informative, also as canonical JSON (`true` is not `1`), so no
-other `max_iter` agrees.  A
-convexity document must be one `verify_convexity` writes: closed key sets
-at the top level and in every row, the writer's `problem` and `parameters`
-as canonical JSON (the Eight at `convexity.POLICY`, h 0.01 and order 7),
-rows in step and body order that all passed, each meeting its condition
-under the prover's own rule `condition_holds`, and a verdict that fails
-exactly when it states a failure.  Once the body agrees, the text after it
+builds the record of the replayed run, without evaluations; a replay that
+asks for a record past the trace fails.  The stored document must have the
+writer's key set and equal it in every field that is not informative, also
+as canonical JSON (`true` is not `1`), so no other `max_iter` agrees.  In
+either kind the JSON body must name no key twice in one object, since
+readers differ on which of the two they keep.  A convexity document must
+be one `verify_convexity` writes: closed key sets at the top level and in
+every row, the writer's `problem` and `parameters` as canonical JSON (the
+Eight at `convexity.POLICY`, h 0.01 and order 7), rows in step and body
+order that all passed, each meeting its condition under the prover's own
+rule `condition_holds`, and a verdict that fails exactly when it states a
+failure.  Once the body agrees, the text after it
 must be empty or exactly the writer's decimal rendering of it, which both
 kinds read from the body alone.  So the comment block cannot state another
 verdict.
@@ -87,8 +93,8 @@ from .errors import ChoreoCertError
 from .integrator import StepPolicy, run_time
 from .interval import Interval, rounding_backend
 from .problems import ChoreographyProblem, MapEvaluation, make_problem
-from .rootfind import (MAX_ITER, CertifiableMap, CertificationJob,
-                       CertificationOutcome, certify)
+from .rootfind import (MAX_ITER, CertificationJob, CertificationOutcome,
+                       certify)
 
 SCHEMA_VERSION = 4
 _EXISTENCE_PARAMETERS = frozenset({"h", "order", "delta", "max_iter",
@@ -162,7 +168,7 @@ class ProofCertificate:
     def body(self) -> dict:
         """The document's JSON body."""
         job, out = self.job, self.outcome
-        first = out.trace[0] if out.trace else None
+        first = out.trace[0]
         point = self.point.crossing if self.point is not None else None
         flow = self.set.crossing if self.set is not None else None
         notes = {}
@@ -184,19 +190,19 @@ class ProofCertificate:
             },
             "candidate": _hex_vec(job.x0),
             "box": job.X.to_hex(),
-            "phi_at_candidate": _to_hex(first.f_x if first else None),
-            "dphi_on_box": _to_hex(first.df_X if first else None),
-            "preconditioner": _hex_rows(first.C if first else None),
+            "phi_at_candidate": first.f_x.to_hex(),
+            "dphi_on_box": first.df_X.to_hex(),
+            "preconditioner": _hex_rows(first.C),
             "operator_image": _to_hex(out.operator_image),
             "refined_box": _to_hex(out.refined_box),
             "verdict": out.verdict,
             "cause": out.cause,
             "iterations": out.iterations,
-            "trace": [{"index": rec.index, "x": _hex_vec(rec.x),
+            "trace": [{"index": k, "x": _hex_vec(rec.x),
                        "X": rec.X.to_hex(), "f_x": rec.f_x.to_hex(),
                        "df_X": rec.df_X.to_hex(), "C": _hex_rows(rec.C),
-                       "image": rec.image.to_hex(), "relation": rec.relation}
-                      for rec in out.trace],
+                       "image": _to_hex(rec.image), "relation": rec.relation}
+                      for k, rec in enumerate(out.trace, 1)],
             "crossing_time_point": _to_hex(point.t_cross if point else None),
             "crossing_time_set": _to_hex(flow.t_cross if flow else None),
             "crossing_notes": {k: _to_hex(v) for k, v in sorted(notes.items())},
@@ -226,11 +232,10 @@ def _existence_comment(body: dict) -> str:
     if pb["size_parameter"] is not None:
         lines.append(f"# size parameter a = "
                      f"{float.fromhex(pb['size_parameter']):.17g}")
-    if body["phi_at_candidate"] is not None:
-        defect = IntervalVector.from_hex(body["phi_at_candidate"])
-        for i, iv in enumerate(defect):
-            lines.append(f"# defect[{i}] = [{iv.lo:.8e}, {iv.hi:.8e}]  "
-                         f"diam {iv.diam():.3e}")
+    defect = IntervalVector.from_hex(body["phi_at_candidate"])
+    for i, iv in enumerate(defect):
+        lines.append(f"# defect[{i}] = [{iv.lo:.8e}, {iv.hi:.8e}]  "
+                     f"diam {iv.diam():.3e}")
     if body["operator_image"] is not None:
         image = IntervalVector.from_hex(body["operator_image"])
         for i, iv in enumerate(image):
@@ -241,6 +246,21 @@ def _existence_comment(body: dict) -> str:
 def parse_document(text: str) -> dict:
     """JSON body of a certificate document (comments ignored)."""
     return json.JSONDecoder().raw_decode(text)[0]
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: a reader that keeps the
+    first of two equal keys would see another document than one keeping
+    the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError(f"the key {key!r} repeats in one object")
+    return obj
+
+
+_STRICT = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def read_step_policy(parameters: dict, step_sizes=()) -> StepPolicy:
@@ -282,7 +302,7 @@ def reverify_document(text: str) -> VerificationReport:
     """
     rep = VerificationReport(ok=True)
     try:
-        body, end = json.JSONDecoder().raw_decode(text)
+        body, end = _STRICT.raw_decode(text)
         kind = body.get("kind")
         version = body.get("schema_version")
         rep.add(type(version) is int and version == SCHEMA_VERSION,
@@ -339,30 +359,28 @@ def _reverify_existence(body: dict, rep: VerificationReport) -> None:
     rep.add(pb == _problem_block(problem),
             "problem block is the one make_problem rebuilds")
     _reverify_flow_fields(body, problem, rep)
-    n = problem.reduced_dim
-    rep.add(len(body["candidate"]) == n,
+    rep.add(len(body["candidate"]) == problem.reduced_dim,
             "candidate has the problem's reduced dimension")
     if not rep.ok:
         return
 
-    # Replay the prover's loop on the stored enclosures.  Past the trace
-    # comes the zero derivative.  Newton, and Krawczyk with no stored
-    # preconditioner, stop on it as singular, the prover's one early stop;
-    # a Krawczyk run under a stored one records one iteration more than the
-    # trace, and so disagrees.
+    # Replay the prover's loop on the stored enclosures, record k for the
+    # k-th call of `enclose`
     records = iter([(IntervalVector.from_hex(r["f_x"]),
                      IntervalMatrix.from_hex(r["df_X"])) for r in body["trace"]])
-    zero = (IntervalVector.point(np.zeros(n)),
-            IntervalMatrix.point(np.zeros((n, n))))
     C = body["preconditioner"]
     candidate = _unhex_vec(body["candidate"])
     job = CertificationJob(
-        map=CertifiableMap(n, lambda x, X: next(records, zero)),
-        x0=candidate, X=IntervalVector.box(candidate, delta),
-        method=body["method"],
+        enclose=lambda x, X: next(records), x0=candidate,
+        X=IntervalVector.box(candidate, delta), method=body["method"],
         C=None if C is None else np.array([_unhex_vec(row) for row in C]))
-    rebuilt = ProofCertificate(problem, job, certify(job), policy,
-                               delta).body()
+    try:
+        outcome = certify(job)
+    except StopIteration:  # `next` past the last record, out of `certify`
+        rep.add(False, f"the trace's {len(body['trace'])} record(s) serve "
+                       "every iteration of the replay")
+        return
+    rebuilt = ProofCertificate(problem, job, outcome, policy, delta).body()
     rep.add(set(body) == set(rebuilt),
             "top-level keys are exactly the ones the prover writes")
     fields = sorted(set(rebuilt) - _INFORMATIVE)

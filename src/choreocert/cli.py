@@ -71,7 +71,7 @@ from .integrator import StepPolicy
 # refine_candidate's Newton step; perfbench/tracing.py spans it by this name
 from .problems import monodromy_preconditioner  # noqa: F401
 from .problems import make_problem, phi_jacobian, phi_point, refine_candidate
-from .rootfind import CertifiableMap, CertificationJob, certify
+from .rootfind import CertificationJob, certify
 
 EXIT_OK = 0
 EXIT_VERIFY_DISAGREE = 1
@@ -256,9 +256,8 @@ def run_certification(problem, method, policy, delta, candidate):
                                   along=last["set"].crossing)
         return last["point"].value, last["set"].jacobian
 
-    cmap = CertifiableMap(dimension=problem.reduced_dim, enclose=enclose)
     # no C: Krawczyk inverts the midpoint of the first DF([X]) and keeps it
-    job = CertificationJob(map=cmap, x0=candidate,
+    job = CertificationJob(enclose=enclose, x0=candidate,
                            X=IntervalVector.box(candidate, delta), method=method)
     outcome = certify(job)
     cert = ProofCertificate(problem, job, outcome, policy, delta, **last,

@@ -62,6 +62,7 @@ import numpy as np
 
 from . import kernels as kn
 from .errors import (
+    CollisionEnclosure,
     EmptyIntersection,
     NoCrossing,
     NonTransversal,
@@ -267,13 +268,18 @@ def _rough(x: Pair, rhs: Callable[[np.ndarray, np.ndarray], Pair], h: float,
            start: Pair, what: str) -> Pair:
     """A-priori enclosure over one step of y' = rhs(y), y(0) in x: a box c
     with x + [0, h] rhs(c) inside c, found by Picard iteration from the
-    float guess `start`, grown each try; the image is what it returns."""
+    float guess `start`, grown each try; the image is what it returns.  A
+    candidate on which rhs meets a collision ends the tries: a shorter
+    step may keep clear of it."""
     wl, wh = start
     for _ in range(_ROUGH_TRIES):
         # Validate an inflated candidate; on failure re-anchor to the latest
         # Picard image (hull-and-grow overshoots on anisotropic boxes).
         cl, ch = _inflate(wl, wh)
-        il, ih = _zero_hold(h, *rhs(cl, ch))
+        try:
+            il, ih = _zero_hold(h, *rhs(cl, ch))
+        except CollisionEnclosure:
+            break
         nl, nh = kn.add(*x, il, ih)
         if kn.subset(nl, nh, cl, ch):
             return nl, nh

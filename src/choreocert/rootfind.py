@@ -1,6 +1,6 @@
 """Interval Newton and Krawczyk certification of zeros of C1 maps.
 
-The map is supplied as one callback, `enclose(x, X)`, that returns a
+The job holds the map as one callback, `enclose(x, X)`, that returns a
 rigorous value enclosure at the point x and a rigorous derivative enclosure
 over the box [X] together, so one flow can serve both (the prover's point
 rides inside the box flow).  The certification loop computes the chosen
@@ -11,11 +11,17 @@ operator image T(x, [X]) and decides:
 * [X] inside T              -> the enclosures are too wide  (Inconclusive)
 * otherwise                 -> shrink [X] to [X] & T, re-center, repeat.
 
-`judge` is this rule; the certificate verifier applies the same function to
-the stored images.  The interior-inclusion test is used for both operators:
-the Krawczyk theorem demands it, and for Newton a boundary touch is
-deliberately treated as not-included so the iteration continues instead of
-over-claiming.
+A derivative enclosure that cannot be certified regular (a pivot interval
+holding zero, or a numerically singular midpoint for Krawczyk's C) stops
+the loop Inconclusive.  Every call of `enclose` is one `IterationRecord` of
+the trace, that stop included, with no image and the relation "singular";
+the outcome reads its iteration count and operator image from the trace.
+
+`judge` is the rule above; the certificate verifier replays the loop, so
+it applies the same function to the stored enclosures.  The
+interior-inclusion test is used for both operators: the Krawczyk theorem
+demands it, and for Newton a boundary touch is deliberately treated as
+not-included so the iteration continues instead of over-claiming.
 
 Inconclusive never silently mutates integration parameters; the caller (the
 command-line driver) owns any retry policy.
@@ -23,7 +29,7 @@ command-line driver) owns any retry policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -37,19 +43,11 @@ Verdict = Literal["UniqueZero", "NoZero", "Inconclusive"]
 MAX_ITER = 64  # every certification's cap; the reference proofs take one
 
 
-@dataclass(frozen=True)
-class CertifiableMap:
-    """Value-plus-Jacobian-enclosure view of a C1 map F: R^n -> R^n:
-    enclose(x, [X]) returns (F(x), DF([X]))."""
-
-    dimension: int
-    enclose: Callable[[np.ndarray, IntervalVector],
-                      tuple[IntervalVector, IntervalMatrix]]
-
-
 @dataclass
 class CertificationJob:
-    map: CertifiableMap
+    # enclose(x, [X]) returns (F(x), DF([X])) for a C1 map F: R^n -> R^n
+    enclose: Callable[[np.ndarray, IntervalVector],
+                      tuple[IntervalVector, IntervalMatrix]]
     x0: np.ndarray
     X: IntervalVector
     method: Literal["newton", "krawczyk"] = "newton"
@@ -59,7 +57,7 @@ class CertificationJob:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, float)
-        if self.x0.size != self.map.dimension or len(self.X) != self.map.dimension:
+        if self.x0.size != len(self.X):
             raise ValueError("job dimensions are inconsistent")
         if not self.X.contains_point(self.x0):
             raise ValueError("x0 must lie inside the initial box")
@@ -67,24 +65,29 @@ class CertificationJob:
 
 @dataclass
 class IterationRecord:
-    index: int
     x: np.ndarray
     X: IntervalVector
     f_x: IntervalVector
     df_X: IntervalMatrix
     C: np.ndarray | None
-    image: IntervalVector
+    image: IntervalVector | None  # None: the derivative stopped singular
     relation: str
 
 
 @dataclass
 class CertificationOutcome:
     verdict: Verdict
-    operator_image: IntervalVector | None
     refined_box: IntervalVector | None
-    iterations: int
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: list[IterationRecord]  # one record per enclosure, never empty
     cause: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def operator_image(self) -> IntervalVector | None:
+        return self.trace[-1].image
 
 
 def newton_operator(x: np.ndarray, f_x: IntervalVector,
@@ -132,8 +135,8 @@ def certify(job: CertificationJob) -> CertificationOutcome:
     trace: list[IterationRecord] = []
     C = job.C if job.method == "krawczyk" else None
 
-    for it in range(1, MAX_ITER + 1):
-        f_x, df_X = job.map.enclose(x, X)
+    for _ in range(MAX_ITER):
+        f_x, df_X = job.enclose(x, X)
 
         try:
             if job.method == "newton":
@@ -145,15 +148,15 @@ def certify(job: CertificationJob) -> CertificationOutcome:
             else:
                 raise ValueError(f"unknown method {job.method!r}")
         except SingularEnclosure as exc:
+            trace.append(IterationRecord(x.copy(), X, f_x, df_X, C, None,
+                                         "singular"))
             return CertificationOutcome(
-                verdict="Inconclusive", operator_image=None, refined_box=X,
-                iterations=it, trace=trace,
-                cause=f"derivative enclosure not certifiably regular: {exc}")
+                "Inconclusive", X, trace,
+                f"derivative enclosure not certifiably regular: {exc}")
 
         relation, verdict, next_X = judge(X, image)
-        trace.append(IterationRecord(
-            index=it, x=x.copy(), X=X, f_x=f_x, df_X=df_X, C=C,
-            image=image, relation=relation))
+        trace.append(IterationRecord(x.copy(), X, f_x, df_X, C, image,
+                                     relation))
 
         if verdict is not None:
             cause = ""
@@ -161,13 +164,9 @@ def certify(job: CertificationJob) -> CertificationOutcome:
                 ratio = float(np.max(image.diam() / np.maximum(X.diam(), 1e-300)))
                 cause = (f"operator image inflates the box (ratio {ratio:.3g}); "
                          "tighten the integration parameters")
-            return CertificationOutcome(
-                verdict=verdict, operator_image=image, refined_box=next_X,
-                iterations=it, trace=trace, cause=cause)
+            return CertificationOutcome(verdict, next_X, trace, cause)
         X = next_X
         x = X.mid()
 
-    return CertificationOutcome(
-        verdict="Inconclusive", operator_image=trace[-1].image if trace else None,
-        refined_box=X, iterations=MAX_ITER, trace=trace,
-        cause="iteration limit reached")
+    return CertificationOutcome("Inconclusive", X, trace,
+                                "iteration limit reached")

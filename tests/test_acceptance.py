@@ -32,7 +32,7 @@ from choreocert.problems import (
     phi_jacobian,
     phi_point,
 )
-from choreocert.rootfind import CertifiableMap, CertificationJob, certify
+from choreocert.rootfind import CertificationJob, certify
 from helpers import LinearField, box_with_slab, conservation_containment, flow
 
 pytestmark = pytest.mark.acceptance
@@ -129,9 +129,8 @@ def _run_proof(problem, candidate, delta, h_point, h_set, order, method):
                 else phi_jacobian(problem, x_box, set_policy).jacobian)
         return f_x, df_X
 
-    cmap = CertifiableMap(problem.reduced_dim, enclose)
     # no C, as the prover builds it: Krawczyk inverts the first mid DF([X])
-    job = CertificationJob(map=cmap, x0=candidate, X=box, method=method)
+    job = CertificationJob(enclose=enclose, x0=candidate, X=box, method=method)
     outcome = certify(job)
     return ProofRun(problem, candidate, box, point_eval, jac_eval, outcome,
                     time.perf_counter() - t0)

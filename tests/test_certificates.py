@@ -18,7 +18,6 @@ from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
 from choreocert.rootfind import (
-    CertifiableMap,
     CertificationJob,
     certify,
     judge,
@@ -41,7 +40,7 @@ def quadratic_map():
                 _matrix([[two * X[0], Interval(0.0)],
                          [Interval(0.0), two * X[1]]]))
 
-    return CertifiableMap(2, enclose)
+    return enclose
 
 
 def small_certificate(method="newton", x0=1.5, delta=0.5, h=0.01):
@@ -49,7 +48,7 @@ def small_certificate(method="newton", x0=1.5, delta=0.5, h=0.01):
     # certificate carries the Eight's problem block; a Krawczyk run has one
     # preconditioner, the midpoint inverse over the first box
     x = np.array([x0, x0])
-    job = CertificationJob(map=quadratic_map(), x0=x,
+    job = CertificationJob(enclose=quadratic_map(), x0=x,
                            X=IntervalVector.box(x, delta), method=method)
     out = certify(job)
     return ProofCertificate(make_problem("eight"), job, out, StepPolicy(h, 7),
@@ -243,9 +242,13 @@ class TestBoundToTrace:
 
     def test_singular_derivative_stop_counts_one_more(self):
         # 2X contains 0 on [-0.5, 0.5]: the first iteration stops singular
+        # and counts as one record, with its enclosures and no image
         cert, out = small_certificate(x0=0.0, delta=0.5)
-        assert out.trace == [] and out.iterations == 1
+        assert [r.relation for r in out.trace] == ["singular"]
+        assert out.iterations == 1
         body = parse_document(cert.to_document())
+        assert body["trace"][0]["image"] is None
+        assert body["phi_at_candidate"] == body["trace"][0]["f_x"]
         assert reverify_document(json.dumps(body)).ok
         for count in (0, 2):
             body["iterations"] = count
@@ -255,12 +258,35 @@ class TestBoundToTrace:
         # the midpoint of 2X is singular, so Krawczyk stops before it has a
         # preconditioner to store, and the replay stops there too
         cert, out = small_certificate("krawczyk", x0=0.0, delta=0.5)
-        assert out.trace == [] and out.iterations == 1
+        assert [r.relation for r in out.trace] == ["singular"]
+        assert out.iterations == 1
         body = parse_document(cert.to_document())
         assert body["preconditioner"] is None
+        assert body["trace"][0]["C"] is None
         assert reverify_document(json.dumps(body)).ok
         body["iterations"] = 2
         assert not reverify_document(json.dumps(body)).ok
+
+    def test_singular_pivot_under_a_regular_midpoint_agrees(self):
+        # DF = [-1, 3] has the regular midpoint 1 but a pivot that holds
+        # zero: the stored enclosure, not a stand-in, reproduces the cause
+        def enclose(x, X):
+            two = Interval.point(2.0)
+            return (IntervalVector.from_intervals(
+                        [Interval.point(float(v)).sqr() - two for v in x]),
+                    _matrix([[Interval(-1.0, 3.0), Interval(0.0)],
+                             [Interval(0.0), Interval(-1.0, 3.0)]]))
+
+        x = np.array([1.5, 1.5])
+        job = CertificationJob(enclose=enclose, x0=x,
+                               X=IntervalVector.box(x, 0.5))
+        out = certify(job)
+        assert [r.relation for r in out.trace] == ["singular"]
+        assert "pivot interval" in out.cause
+        cert = ProofCertificate(make_problem("eight"), job, out,
+                                StepPolicy(0.01, 7), 0.5)
+        report = reverify_document(cert.to_document())
+        assert report.ok, report.messages
 
     @pytest.mark.parametrize("key, value, failing", [
         ("h", "0x0.0p+0", "problem and parameters"),
@@ -634,3 +660,68 @@ class TestReplay:
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         assert not names & {"judge", "newton_operator", "krawczyk_operator"}
+
+
+@pytest.fixture(scope="module", params=["newton", "krawczyk"])
+def eight_default_by_method(request):
+    """The body of the default Eight proof by each method."""
+    d = DEFAULTS["eight"]
+    cert, _ = run_certification(make_problem("eight"), request.param,
+                                StepPolicy(d["h"], d["order"], d["tol"]),
+                                d["delta"], np.array(d["candidate"]))
+    return cert.body()
+
+
+class TestWholeTrace:
+    # the trace is the whole run, so the replay is served by its records
+    # alone: one missing or one too many disagrees
+    def test_trace_cut_to_a_singular_stop_disagrees(self,
+                                                    eight_default_by_method):
+        body = json.loads(json.dumps(eight_default_by_method))
+        assert reverify_document(json.dumps(body)).ok
+        body.update(trace=[], iterations=1, verdict="Inconclusive",
+                    cause="derivative enclosure not certifiably regular: "
+                          "midpoint matrix is numerically singular",
+                    phi_at_candidate=None, dphi_on_box=None,
+                    preconditioner=None, operator_image=None,
+                    refined_box=body["box"])
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert ("FAIL the trace's 0 record(s) serve every iteration of the "
+                "replay" in report.messages), report.messages
+
+    def test_appended_record_disagrees(self, eight_default_by_method):
+        body = json.loads(json.dumps(eight_default_by_method))
+        body["trace"].append(dict(body["trace"][-1], index=2))
+        report = reverify_document(json.dumps(body))
+        assert not report.ok
+        assert "FAIL trace is the one the replay writes" in report.messages
+
+
+class TestRepeatedKey:
+    # Python's json keeps the last of two equal keys, another reader the
+    # first: a document must not leave the choice to its reader
+    def test_existence_verdict_twice_disagrees(self):
+        cert, out = small_certificate(x0=10.5)
+        assert out.verdict == "NoZero"
+        text = cert.to_document()
+        assert reverify_document(text).ok
+        forged = text.replace('\n "verdict": "NoZero"',
+                              '\n "verdict": "UniqueZero",'
+                              '\n "verdict": "NoZero"', 1)
+        assert forged != text
+        report = reverify_document(forged)
+        assert not report.ok
+        assert report.messages == [
+            "FAIL malformed document: ValueError: the key 'verdict' repeats "
+            "in one object"]
+
+    def test_convexity_passed_twice_disagrees(self, eight_convexity_body):
+        text = json.dumps(eight_convexity_body, sort_keys=True, indent=1)
+        assert reverify_document(text).ok
+        forged = text.replace('\n "passed": true,',
+                              '\n "passed": false,\n "passed": true,', 1)
+        assert forged != text
+        report = reverify_document(forged)
+        assert not report.ok
+        assert any("the key 'passed' repeats" in m for m in report.messages)

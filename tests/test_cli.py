@@ -628,7 +628,7 @@ class TestOptions:
                                   ("ProofCertificate", ProofCertificate))}
         assert knobs == {
             "StepPolicy": ["h", "order", "tol", "given"],
-            "CertificationJob": ["map", "x0", "X", "method", "C"],
+            "CertificationJob": ["enclose", "x0", "X", "method", "C"],
             "flow_to_section": ["field", "start", "section", "policy"],
             "step": ["field", "cur", "h", "order", "t_start"],
             "phi_point": ["problem", "x", "policy", "along"],

@@ -11,7 +11,7 @@ from choreocert import kernels as kn
 from choreocert.boxes import IntervalMatrix, IntervalVector, midpoint_inverse
 from choreocert.certificates import (parse_document, read_step_policy,
                                      rebuild_problem)
-from choreocert.cli import DEFAULTS, EXIT_OK, main
+from choreocert.cli import DEFAULTS, EXIT_INCONCLUSIVE, EXIT_OK, main
 from choreocert.curves import _segment_midpoints, unfold
 from choreocert.interval import Interval
 from choreocert.problems import phi_jacobian
@@ -143,6 +143,30 @@ class TestVerbatimInvocations:
         # the certificate's problem id "chain4" rebuilds the problem
         assert main(["emit-curve", "--cert", str(out),
                      "--out", str(tmp_path / "chain4.curve")]) == EXIT_OK
+
+
+@pytest.mark.slow
+class TestRetriesAndStops:
+    @pytest.mark.parametrize("system", ["gerver", "chain6"])
+    def test_collision_on_a_picard_candidate_halves_h(self, system,
+                                                     tmp_path):
+        # at h 0.05 a Picard candidate of a step reaches a collision: the
+        # rough enclosure fails, and the retry halves h until a proof holds
+        body = prove_unique(system, tmp_path / f"{system}.cert",
+                            "--h", "0.05")
+        assert float.fromhex(body["parameters"]["h"]) < 0.05
+
+    def test_singular_stop_is_a_document_verify_agrees_with(self, tmp_path):
+        # the Eight's box of half-width 1e-3 has a derivative enclosure whose
+        # pivot holds zero: the stop is the trace's one record
+        path = tmp_path / "eight.cert"
+        assert main(["prove", "--system", "eight", "--delta", "1e-3",
+                     "--out", str(path)]) == EXIT_INCONCLUSIVE
+        assert main(["verify", "--cert", str(path), "--quiet"]) == EXIT_OK
+        body = parse_document(path.read_text())
+        assert [rec["relation"] for rec in body["trace"]] == ["singular"]
+        assert body["cause"].startswith(
+            "derivative enclosure not certifiably regular: pivot interval")
 
 
 @pytest.mark.slow

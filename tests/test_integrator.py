@@ -10,7 +10,7 @@ from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.cli import DEFAULTS
 from choreocert.dynamics import GravityField, nbody_field
-from choreocert.errors import RoughEnclosureFailure
+from choreocert.errors import CollisionEnclosure, RoughEnclosureFailure
 from choreocert.integrator import LohnerSet, step
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
@@ -181,6 +181,32 @@ class TestSetPropagation:
     def test_rough_enclosure_failure_on_huge_step(self):
         with pytest.raises(RoughEnclosureFailure):
             step(HARMONIC, thin([1.0, 0.0]), 5.0, 5)
+
+    def test_collision_on_a_picard_candidate_is_a_failed_try(self):
+        # from (0, 1) the oscillator runs into the wall at x = 0.05 within
+        # the step: the step's own box is clear, its Picard candidates are
+        # not, and a shorter step is what the failure asks for
+        walled = WalledHarmonic(wall=0.05)
+        with pytest.raises(RoughEnclosureFailure):
+            step(walled, thin([0.0, 1.0]), 0.1, 5)
+        step(walled, thin([0.0, 1.0]), 0.01, 5)
+        with pytest.raises(CollisionEnclosure):
+            step(walled, thin([0.06, 1.0]), 0.01, 5)
+
+
+class WalledHarmonic(LinearField):
+    """The harmonic oscillator with a collision at x = wall: a box that
+    reaches it has no field enclosure, as a box holding a collision of the
+    gravity fields has none."""
+
+    def __init__(self, wall: float):
+        super().__init__(HARMONIC.A)
+        self.wall = wall
+
+    def eval(self, sl, sh):
+        if np.any(sh[..., 0] >= self.wall):
+            raise CollisionEnclosure("the box reaches the wall")
+        return super().eval(sl, sh)
 
 
 def exact_inverse(a: np.ndarray) -> list[list[Fraction]]:

@@ -6,7 +6,7 @@ import pytest
 
 from choreocert import cli
 from choreocert.cli import DEFAULTS, main
-from choreocert.errors import CollisionEnclosure, Diverged
+from choreocert.errors import Diverged, RoughEnclosureFailure
 from choreocert.integrator import StepPolicy
 from choreocert.problems import (
     chain6_problem,
@@ -75,10 +75,11 @@ class TestRefine:
         assert np.max(np.abs(refined - CHAIN6_X)) < 1e-10
 
     def test_garbage_guess_diverges(self):
-        # the flow from (10, 10) meets a collision, which refine reports
+        # the flow from (10, 10) runs into a collision: no Picard candidate
+        # of the step that reaches it validates, which refine reports
         with pytest.raises(Diverged) as info:
             refine_candidate(eight_problem(), [10.0, 10.0], policy("eight"))
-        assert isinstance(info.value.__cause__, CollisionEnclosure)
+        assert isinstance(info.value.__cause__, RoughEnclosureFailure)
 
     def test_chain_with_six_bodies_is_chain6(self, capsys):
         guess = ",".join(map(repr, DEFAULTS["chain6"]["candidate"]))

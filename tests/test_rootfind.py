@@ -5,7 +5,6 @@ from choreocert import rootfind
 from choreocert.boxes import IntervalMatrix, IntervalVector
 from choreocert.interval import Interval
 from choreocert.rootfind import (
-    CertifiableMap,
     CertificationJob,
     certify,
     krawczyk_operator,
@@ -27,7 +26,7 @@ def quadratic_map():
         return (IntervalVector.from_intervals([iv.sqr() - Interval.point(2.0)]),
                 _matrix([[Interval.point(2.0) * X[0]]]))
 
-    return CertifiableMap(1, enclose)
+    return enclose
 
 
 def cross_system_map():
@@ -44,7 +43,7 @@ def cross_system_map():
                     y.sqr() - x - Interval.point(1.0)]),
                 _matrix([[two * X[0], m1], [m1, two * X[1]]]))
 
-    return CertifiableMap(2, enclose)
+    return enclose
 
 
 class TestOperators:
@@ -81,21 +80,21 @@ class TestOperators:
 
 class TestCertify:
     def test_unique_zero_quadratic(self):
-        job = CertificationJob(map=quadratic_map(), x0=np.array([1.5]),
+        job = CertificationJob(enclose=quadratic_map(), x0=np.array([1.5]),
                                X=IntervalVector(np.array([1.0]), np.array([2.0])))
         out = certify(job)
         assert out.verdict == "UniqueZero"
         assert out.refined_box.contains_point([np.sqrt(2.0)])
 
     def test_no_zero_quadratic(self):
-        job = CertificationJob(map=quadratic_map(), x0=np.array([10.5]),
+        job = CertificationJob(enclose=quadratic_map(), x0=np.array([10.5]),
                                X=IntervalVector(np.array([10.0]), np.array([11.0])))
         out = certify(job)
         assert out.verdict == "NoZero"
 
     def test_krawczyk_agrees_with_newton(self):
         for method in ("newton", "krawczyk"):
-            job = CertificationJob(map=quadratic_map(), x0=np.array([1.5]),
+            job = CertificationJob(enclose=quadratic_map(), x0=np.array([1.5]),
                                    X=IntervalVector(np.array([1.0]),
                                                     np.array([2.0])),
                                    method=method)
@@ -104,7 +103,7 @@ class TestCertify:
 
     def test_zero_stays_in_every_image(self):
         golden = (1.0 + np.sqrt(5.0)) / 2.0
-        job = CertificationJob(map=cross_system_map(),
+        job = CertificationJob(enclose=cross_system_map(),
                                x0=np.array([1.7, 1.5]),
                                X=IntervalVector.box([1.6, 1.6], 0.35),
                                method="krawczyk")
@@ -117,12 +116,12 @@ class TestCertify:
     def test_nested_box_verdict_monotone(self):
         # a box certified UniqueZero stays certified when restarted from its
         # own refined box
-        job = CertificationJob(map=cross_system_map(),
+        job = CertificationJob(enclose=cross_system_map(),
                                x0=np.array([1.6, 1.6]),
                                X=IntervalVector.box([1.6, 1.6], 0.1))
         out = certify(job)
         assert out.verdict == "UniqueZero"
-        again = CertificationJob(map=cross_system_map(),
+        again = CertificationJob(enclose=cross_system_map(),
                                  x0=out.refined_box.mid(),
                                  X=out.refined_box)
         out2 = certify(again)
@@ -133,7 +132,7 @@ class TestCertify:
         # shifted boxes around the quadratic zero: each is one of the three
         # verdicts and never both certifiable and excluded
         for center in (1.3, 1.41, 1.5, 2.5, 10.0):
-            job = CertificationJob(map=quadratic_map(), x0=np.array([center]),
+            job = CertificationJob(enclose=quadratic_map(), x0=np.array([center]),
                                    X=IntervalVector.box([center], 0.05))
             out = certify(job)
             has_root = abs(center - np.sqrt(2.0)) <= 0.05
@@ -148,8 +147,7 @@ class TestCertify:
                         [Interval(-1e-3, 1e-3)]),  # hopelessly wide defect
                     _matrix([[Interval(0.9, 1.1)]]))
 
-        m = CertifiableMap(1, enclose)
-        job = CertificationJob(map=m, x0=np.array([0.0]),
+        job = CertificationJob(enclose=enclose, x0=np.array([0.0]),
                                X=IntervalVector.box([0.0], 1e-6))
         out = certify(job)
         assert out.verdict == "Inconclusive"
@@ -158,15 +156,35 @@ class TestCertify:
     @pytest.mark.parametrize("method", ["newton", "krawczyk"])
     def test_singular_midpoint_is_inconclusive(self, method):
         # DF([-1, 1]) = [-2, 2], whose midpoint 0 has no inverse: both
-        # operators stop on the first iteration, before any image
-        job = CertificationJob(map=quadratic_map(), x0=np.array([0.0]),
+        # operators stop on the first iteration, which the trace records
+        # with its enclosures and no image
+        job = CertificationJob(enclose=quadratic_map(), x0=np.array([0.0]),
                                X=IntervalVector.box([0.0], 1.0), method=method)
         out = certify(job)
         assert out.verdict == "Inconclusive"
         assert out.cause.startswith(
             "derivative enclosure not certifiably regular")
-        assert out.iterations == 1 and out.trace == []
+        assert out.iterations == 1
+        [rec] = out.trace
+        assert rec.relation == "singular" and rec.image is None
+        assert rec.X == job.X and rec.C is None
+        assert rec.df_X.to_hex() == _matrix([[Interval(-2.0, 2.0)]]).to_hex()
         assert out.operator_image is None and out.refined_box == job.X
+
+    def test_singular_pivot_with_a_regular_midpoint_is_a_record(self):
+        # DF = [-1, 3] has the regular midpoint 1, but its pivot holds zero:
+        # Newton stops on the first iteration, Krawczyk goes on under C = 1
+        def enclose(x, X):
+            return (IntervalVector.from_intervals([Interval.point(0.25)]),
+                    _matrix([[Interval(-1.0, 3.0)]]))
+
+        for method, relation in (("newton", "singular"),
+                                 ("krawczyk", "inflating")):
+            out = certify(CertificationJob(
+                enclose=enclose, x0=np.array([0.0]),
+                X=IntervalVector.box([0.0], 0.5), method=method))
+            assert out.verdict == "Inconclusive", method
+            assert [r.relation for r in out.trace] == [relation], method
 
     def test_iteration_limit(self, monkeypatch):
         # an image that always overlaps but never contracts inside
@@ -175,8 +193,7 @@ class TestCertify:
                     _matrix([[Interval(0.5, 2.0)]]))
 
         monkeypatch.setattr(rootfind, "MAX_ITER", 5)
-        m = CertifiableMap(1, enclose)
-        job = CertificationJob(map=m, x0=np.array([1.0]),
+        job = CertificationJob(enclose=enclose, x0=np.array([1.0]),
                                X=IntervalVector.box([1.0], 0.5))
         out = certify(job)
         assert out.iterations <= 5
@@ -189,9 +206,9 @@ class TestCertify:
 
         def enclose(x, X):
             calls.append((x.copy(), X))
-            return inner.enclose(x, X)
+            return inner(x, X)
 
-        out = certify(CertificationJob(map=CertifiableMap(1, enclose),
+        out = certify(CertificationJob(enclose=enclose,
                                        x0=np.array([2.0]),
                                        X=IntervalVector.box([2.0], 0.7)))
         assert out.iterations > 1
@@ -202,5 +219,10 @@ class TestCertify:
 
     def test_x0_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            CertificationJob(map=quadratic_map(), x0=np.array([5.0]),
+            CertificationJob(enclose=quadratic_map(), x0=np.array([5.0]),
+                             X=IntervalVector.box([1.5], 0.5))
+
+    def test_x0_and_box_of_other_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            CertificationJob(enclose=quadratic_map(), x0=np.array([1.5, 1.5]),
                              X=IntervalVector.box([1.5], 0.5))
