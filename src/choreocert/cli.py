@@ -211,6 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built at the first `main` call and shared by
+    every later one in the process: a parse keeps no state on the parser
+    (each returns a fresh Namespace), and building it costs some 20 times
+    a `verify` line's parse."""
+    return build_parser()
+
+
 def _resolve_prove_params(args, system: str) -> dict:
     """run_certification's arguments for one system, its problem built once."""
     d = DEFAULTS.get(system, {})
@@ -399,7 +408,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         kn.check_rounding()
         if args.command == "prove":

@@ -267,6 +267,32 @@ class TestVerify:
         assert verify_edited(eight_cert, tmp_path,
                              reshape) == EXIT_VERIFY_DISAGREE
 
+    def test_main_builds_one_parser_per_process(self, eight_cert,
+                                                monkeypatch, capsys):
+        # a refused command line and the calls around it share one parser
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(None) or build())
+        cli._parser.cache_clear()
+        verify = ["verify", "--cert", str(eight_cert), "--quiet"]
+        assert main(verify) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quiet"])
+        assert exc.value.code == EXIT_USAGE
+        assert "required: --cert" in capsys.readouterr().err
+        assert main(verify) == EXIT_OK
+        assert len(built) == 1
+
+    def test_an_option_does_not_carry_over_to_the_next_call(self, eight_cert,
+                                                            capsys):
+        cert = str(eight_cert)
+        assert main(["verify", "--cert", cert, "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == "verify: AGREES\n"
+        assert main(["verify", "--cert", cert]) == EXIT_OK
+        *checks, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "verify: AGREES" and checks
+        assert all(line.startswith("ok   ") for line in checks)
+
 
 class TestRoundingProbe:
     # a mode setter that changes nothing leaves the kernels at
@@ -598,13 +624,16 @@ class TestUnusableNumbers:
 
 class TestOptions:
     def test_option_inventory(self):
-        # every knob is counted: a new one takes an edit here
-        parser = cli.build_parser()
-        (sub,) = (a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction))
-        options = {name: [a.option_strings[0] for a in p._actions
-                          if not isinstance(a, argparse._HelpAction)]
-                   for name, p in sub.choices.items()}
+        # every knob is counted: a new one takes an edit here, and the
+        # parser main shares lists the same options as a new one
+        def inventory(parser):
+            (sub,) = (a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+            return {name: [a.option_strings[0] for a in p._actions
+                           if not isinstance(a, argparse._HelpAction)]
+                    for name, p in sub.choices.items()}
+        options = inventory(cli.build_parser())
+        assert inventory(cli._parser()) == options
         assert options == {
             "prove": ["--system", "--bodies", "--method", "--h", "--order",
                       "--delta", "--a", "--candidate", "--out",
@@ -921,6 +950,22 @@ def test_cli_import_does_not_load_a_process_pool(tmp_path):
             "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
             " if m in sys.modules])")
     assert in_a_fresh_interpreter(code, tmp_path) == "[]"
+
+
+def test_cli_import_builds_no_parser(tmp_path):
+    # main builds its parser at its first call, not at import
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import choreocert.cli\n"
+            "at_import = len(built)\n"
+            "choreocert.cli._parser()\n"
+            "print(at_import, len(built) > 0)")
+    assert in_a_fresh_interpreter(code, tmp_path) == "0 True"
 
 
 def run_without_scipy(argv, cwd) -> str:
