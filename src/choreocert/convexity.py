@@ -11,10 +11,13 @@ only zero.
 
 All time derivatives come from the same Taylor recurrences the integrator
 uses, evaluated over each step's whole-step enclosure, for all checked
-steps in one pass.  The graph derivatives of both axes are then evaluated
-on (step, body, axis) lanes of `kernels` arrays, and `condition_holds`, the
-one rule that the verifier applies to stored rows too, marks the lanes
-where a piece's condition holds; each piece keeps its first such axis.
+steps in one pass.  The Eight flows its free state, bodies 1 and 2, and the
+third body's derivatives are minus their sum (`expand_state`), as is its
+position in the origin check.  The graph derivatives of both axes are then
+evaluated on (step, body, axis) lanes of `kernels` arrays, and
+`condition_holds`, the one rule that the verifier applies to stored rows
+too, marks the lanes where a piece's condition holds; each piece keeps its
+first such axis.
 The check is one fixed computation, the Eight flowed under `POLICY`, so
 `verify` binds a document's problem and parameters to the writer's.
 """
@@ -174,10 +177,9 @@ def verify_convexity(certified_box: IntervalVector) -> ConvexityCertificate:
 
     # Origin membership for the inflection argument: the third body starts
     # at the origin exactly, so the first whole-step box contains it.
-    first = crossing.steps[0]
-    ox, oy = problem.layout.body_position(2)
-    origin_ok = (first.whole[0][ox] <= 0.0 <= first.whole[1][ox]
-                 and first.whole[0][oy] <= 0.0 <= first.whole[1][oy])
+    layout, wl, wh = problem.expand_state(*crossing.steps[0].whole)
+    ox, oy = layout.body_position(2)
+    origin_ok = wl[ox] <= 0.0 <= wh[ox] and wl[oy] <= 0.0 <= wh[oy]
 
     # The step starts grow with k, so the checked steps are a prefix.
     n = max(1, sum(starts_before_crossing(rec.t_start, crossing.t_cross)
@@ -190,17 +192,18 @@ def verify_convexity(certified_box: IntervalVector) -> ConvexityCertificate:
         cert.failure = "origin not contained in the first step enclosure"
         return cert
 
-    dl, dh = _time_derivatives(crossing.steps[:n])
+    # (steps, 3, 12): the derivatives of every orbit body's state; and
     # (bodies, 2): the position components, x then y
-    pos = np.array([problem.layout.body_position(b)
-                    for b in range(problem.n_bodies)])
+    _, dl, dh = problem.expand_state(*_time_derivatives(crossing.steps[:n]))
+    pos = np.array([layout.body_position(b)
+                    for b in range(problem.orbit_bodies)])
 
     def lanes(cols):
         return tuple((dl[:, m][:, cols], dh[:, m][:, cols]) for m in range(3))
 
     derivs = graph_lanes(lanes(pos), lanes(pos[:, ::-1]))
     holds = condition_holds(np.arange(1, n + 1)[:, None, None],
-                            np.arange(1, problem.n_bodies + 1)[None, :, None],
+                            np.arange(1, len(pos) + 1)[None, :, None],
                             derivs[0], derivs[2], derivs[3])
     for s, b in np.ndindex(holds.shape[:2]):
         step, body = s + 1, b + 1

@@ -63,15 +63,10 @@ def _segment_midpoints(crossing: SectionCrossing
 
 def _body_tracks(problem: ChoreographyProblem, states: np.ndarray
                  ) -> list[np.ndarray]:
-    """Per-body (x, y) tracks; antipodal problems are expanded to all bodies."""
-    layout = problem.layout
-    tracks = []
-    for i in range(problem.n_bodies):
-        ix, iy = layout.body_position(i)
-        tracks.append(states[:, [ix, iy]].copy())
-    if problem.antipodal:
-        tracks += [-tr for tr in tracks]
-    return tracks
+    """(x, y) tracks of every orbit body (`expand_state`)."""
+    layout, full, _ = problem.expand_state(states, states)
+    return [full[:, list(layout.body_position(i))]
+            for i in range(problem.orbit_bodies)]
 
 
 def _interval_components(state: Pair, idx: tuple[int, int]) -> tuple[Interval, Interval]:
@@ -106,10 +101,10 @@ def _unfold_eight(problem: ChoreographyProblem, crossing: SectionCrossing,
     # Junction data at the crossing, rotated so the first body sits on the
     # positive x axis: first body on axis, third body the x-mirror of the
     # second, third velocity the y-mirror of the second.
-    st = crossing.state
-    q = {i: _interval_components(st, problem.layout.body_position(i))
+    layout, *st = problem.expand_state(*crossing.state)
+    q = {i: _interval_components(st, layout.body_position(i))
          for i in range(3)}
-    v = {i: _interval_components(st, problem.layout.body_velocity(i))
+    v = {i: _interval_components(st, layout.body_velocity(i))
          for i in range(3)}
     rq = {i: _rot_interval(c_iv, s_iv, *q[i]) for i in range(3)}
     rv = {i: _rot_interval(c_iv, s_iv, *v[i]) for i in range(3)}

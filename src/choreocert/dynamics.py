@@ -2,11 +2,12 @@
 
 The N-body right-hand side is assembled from *attraction terms*: each term
 owns a linear combination z of body positions and contributes z * |z|^-3 to
-the acceleration of one or more bodies.  The plain N-body field, which the
-Eight integrates, and the 2H-body field reduced to H bodies by the antipodal
-symmetry q_{i+H} = -q_i, which every chain integrates, are both instances.
-Working per term makes the Taylor coefficient and first-variation
-recurrences identical for every problem.
+the acceleration of one or more bodies.  The N-body field with its centre
+of mass at the origin, reduced to N - 1 bodies by q_N = -(q_1 + ... +
+q_{N-1}), which the Eight integrates, and the 2H-body field reduced to H
+bodies by the antipodal symmetry q_{i+H} = -q_i, which every chain
+integrates, are both instances.  Working per term makes the Taylor
+coefficient and first-variation recurrences identical for every problem.
 
 Series bookkeeping per term, all in interval arithmetic (kernels module):
 
@@ -112,6 +113,14 @@ class PhaseLayout:
         J[..., self.vsel[:, None], self.qsel[None, :]] = G
         return J
 
+    @cached_property
+    def body_columns(self) -> np.ndarray:
+        """(n_bodies, 4) indices of each body's (x, y, vx, vy)."""
+        cols = np.concatenate([self.qsel.reshape(-1, 2),
+                               self.vsel.reshape(-1, 2)], axis=1)
+        cols.flags.writeable = False
+        return cols
+
     def body_position(self, i: int) -> tuple[int, int]:
         q = self.qsel
         return int(q[2 * i]), int(q[2 * i + 1])
@@ -140,6 +149,20 @@ def nbody_terms(n_bodies: int) -> tuple[AttractionTerm, ...]:
                 coeffs=((j, 1.0), (i, -1.0)),
                 receivers=((i, 1.0), (j, -1.0))))
     return tuple(terms)
+
+
+def barycentric_terms(n_bodies: int) -> tuple[AttractionTerm, ...]:
+    """N-body attraction restricted to zero centre of mass, on the free
+    state of bodies 0..N-2: the last body, q_{N-1} = -(q_0 + ... +
+    q_{N-2}), pulls body i through z = -2 q_i - sum_{k != i} q_k, a term
+    body i alone receives.  Every coefficient is +-1 or +-2.
+    """
+    last = n_bodies - 1
+    return nbody_terms(last) + tuple(
+        AttractionTerm(coeffs=tuple((k, -2.0 if k == i else -1.0)
+                                    for k in reversed(range(last))),
+                       receivers=((i, 1.0),))
+        for i in range(last))
 
 
 def antipodal_terms(half: int) -> tuple[AttractionTerm, ...]:
@@ -472,7 +495,3 @@ class GravityField:
         """Field value enclosure f(box): layer 1 of an order-1 series."""
         ser = self.series(sl, sh, 1)
         return ser.state_lo[1].copy(), ser.state_hi[1].copy()
-
-
-def nbody_field(n_bodies: int, kind: str = "blocks") -> GravityField:
-    return GravityField(PhaseLayout(n_bodies, kind), nbody_terms(n_bodies))

@@ -87,9 +87,10 @@ def _up() -> None:
 
 
 def assert_valid(lo: np.ndarray, hi: np.ndarray, what: str = "enclosure") -> None:
-    """Reject non-finite or inverted enclosures (e.g. after overflow)."""
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
-            and np.all(lo <= hi)):
+    """Reject non-finite or inverted enclosures (e.g. after overflow).
+    Ufuncs take arrays, numpy scalars and Python floats alike, and one
+    `all` method call on their combined result skips what `np.all` adds."""
+    if not (np.isfinite(lo) & np.isfinite(hi) & np.less_equal(lo, hi)).all():
         raise FloatingPointError(f"invalid {what}: endpoints not finite/ordered")
 
 

@@ -7,7 +7,9 @@ R(P(E(x))) = 0 certifies one choreography:
 
 * eight    - the three-body figure Eight in the rotated frame (first body on
              the positive x axis, third at the origin); reduced space is the
-             first body's velocity.
+             first body's velocity.  Its centre of mass and momentum stay
+             zero, so the state is bodies 1 and 2 under
+             `dynamics.barycentric_terms`, and body 3 is -(body 1 + body 2).
 * chain(N) - doubly symmetric chains for even N = 2H, with size parameter
              a; key "chainN".  Two rules fix the state at t = 0 from body
              0 = (0, a, vx0, 0) and the free bodies 0 < 2i < H: the mirror
@@ -30,8 +32,11 @@ Embeddings are exact: components are copies, negations or doublings of the
 reduced coordinates, or the size parameter alone, which is pinned to one
 binary64 value, so E introduces no rounding at all.  LinearEmbedding checks
 this shape when it is built.  R, the sections and the crossing guards are
-exact product forms (ProductForm): signed sums of +-1 linear forms in the
-state, their products and their squares; DR and dg are their product rule.
+exact product forms (ProductForm): signed sums of linear forms in the state
+with coefficients +-1 or +-2, their products and their squares; DR and dg
+are their product rule.  Each problem states the rule that restores the
+orbit bodies its state leaves out (`ChoreographyProblem.expansion`), which
+the curves, the convexity check and the document's body count read.
 
 phi_jacobian flows the embedded box and phi_point the thin point, both
 under one step policy (`integrator.StepPolicy`).  The point can ride inside
@@ -54,7 +59,7 @@ import numpy as np
 from . import kernels as kn
 from .boxes import IntervalMatrix, IntervalVector, midpoint_inverse
 from .dynamics import (GravityField, PhaseLayout, antipodal_terms,
-                       nbody_field)
+                       barycentric_terms)
 from .errors import (CollisionEnclosure, DimensionMismatch, Diverged,
                      NoCrossing, NonTransversal, RoughEnclosureFailure,
                      SingularEnclosure)
@@ -76,15 +81,18 @@ class LinearEmbedding:
 
     def __post_init__(self):
         # box() adds offset and scaled coordinates with plain float sums;
-        # these conditions make every such sum exact.
+        # these conditions make every such sum exact.  Plain comparisons
+        # only: np.isin and np.unique would import numpy.ma.
         nonzero = self.matrix != 0
-        if np.any(nonzero.sum(axis=1) > 1):
+        if (nonzero.sum(axis=1) > 1).any():
             raise ValueError("embedding row mixes several reduced coordinates")
-        if np.any(nonzero.any(axis=1) & (self.offset != 0)):
+        if (nonzero.any(axis=1) & (self.offset != 0)).any():
             raise ValueError("embedding row has both an offset and a coordinate")
-        if not np.all(np.isin(np.abs(self.matrix[nonzero]), (1.0, 2.0))):
+        coeffs = np.abs(self.matrix[nonzero])
+        if not ((coeffs == 1.0) | (coeffs == 2.0)).all():
             raise ValueError("embedding coefficients must be +-1 or +-2")
-        if np.unique(np.abs(self.offset[self.offset != 0])).size > 1:
+        offsets = np.abs(self.offset[self.offset != 0])
+        if (offsets != offsets[:1]).any():
             raise ValueError("embedding offsets must share one magnitude")
 
     def point(self, x: np.ndarray) -> np.ndarray:
@@ -118,22 +126,26 @@ def _signed_sum(parts) -> Interval:
 
 
 def _linear(form: tuple, sl: np.ndarray, sh: np.ndarray) -> Interval:
-    return _signed_sum((c, Interval(float(sl[j]), float(sh[j])))
+    # |c| is 1 or 2, so |c| times an endpoint is exact, or overflows, which
+    # `Interval` refuses
+    return _signed_sum((c, Interval(abs(c) * float(sl[j]),
+                                    abs(c) * float(sh[j])))
                        for j, c in form)
 
 
 @dataclass(frozen=True)
 class ProductForm:
     """Rows that are signed sums of terms in the state s, each term an exact
-    +-1 linear form L, a product L M of two, or a square L^2.  A form is a
-    tuple of (index, +-1) pairs, a term (+-1, factors) with one or two
-    forms, and a term whose two factors are the same form is its square.
+    linear form L, a product L M of two, or a square L^2.  A form is a
+    tuple of (index, c) pairs with c one of +-1 and +-2, so each c s_j is
+    exact; a term is (+-1, factors) with one or two forms, and a term whose
+    two factors are the same form is its square.
 
     `values` evaluates the rows in scalar `Interval` arithmetic, left to
     right from 0, squares with the tight `Interval.sqr`, reading only the
     components the forms name.  `derivative` is the product rule in the same
     arithmetic, d(L M)/ds_j = L_j M + M_j L and d(L^2)/ds_j = 2 L_j L with
-    L_j in {0, +-1}, and has one column per state component.
+    L_j in {0, +-1, +-2}, and has one column per state component.
     """
 
     rows: tuple[tuple[tuple[int, tuple], ...], ...]
@@ -142,10 +154,11 @@ class ProductForm:
         for sign, factors in (term for row in self.rows for term in row):
             if sign not in (1, -1) or len(factors) not in (1, 2) or not all(
                     form and len({j for j, _ in form}) == len(form)
-                    and all(j >= 0 and c in (1, -1) for j, c in form)
+                    and all(j >= 0 and c in (1, -1, 2, -2) for j, c in form)
                     for form in factors):
-                raise ValueError("a term is +-1 times one or two +-1 sums "
-                                 "of distinct state components")
+                raise ValueError("a term is +-1 times one or two sums of "
+                                 "distinct state components, each times "
+                                 "+-1 or +-2")
 
     def values(self, sl: np.ndarray, sh: np.ndarray) -> list[Interval]:
         def term(first, *rest) -> Interval:
@@ -200,7 +213,9 @@ class ChoreographyProblem:
     size_parameter: float | None                # exact binary64, or None
     period_multiplier: int                      # T = multiplier * t_cross
     reduced_names: tuple[str, ...]
-    antipodal: bool = False                     # state is the first half
+    # Each orbit body after the state's is minus the sum of these state
+    # bodies: (i,) for a chain's antipode, (0, 1) for the Eight's third.
+    expansion: tuple[tuple[int, ...], ...] = ()
     # (name, one-row form) pairs that must exclude zero at the crossing for
     # the defects to characterize the symmetry there
     guards: tuple[tuple[str, ProductForm], ...] = ()
@@ -216,8 +231,8 @@ class ChoreographyProblem:
 
     @property
     def orbit_bodies(self) -> int:
-        """Bodies on the full orbit (twice the state's when antipodal)."""
-        return 2 * self.n_bodies if self.antipodal else self.n_bodies
+        """Bodies on the full orbit: the state's and the expansion's."""
+        return self.n_bodies + len(self.expansion)
 
     @property
     def reduced_dim(self) -> int:
@@ -267,15 +282,26 @@ class ChoreographyProblem:
     def reduce_derivative(self, sl, sh) -> Pair:
         return self.defects.derivative(sl, sh)
 
-    # -- full 4N-dim view (identity unless antipodally reduced) --
+    # -- every orbit body --
 
     def expand_state(self, sl, sh) -> tuple[PhaseLayout, np.ndarray, np.ndarray]:
-        """Full unreduced state, for unfolding a curve."""
-        if not self.antipodal:
-            return self.layout, np.asarray(sl, float), np.asarray(sh, float)
-        full = PhaseLayout(self.orbit_bodies, "blocks")
-        el = np.concatenate([sl, -np.asarray(sh, float)])
-        eh = np.concatenate([sh, -np.asarray(sl, float)])
+        """The state of every orbit body, in the state's layout kind, from
+        state enclosures on the last axis of (..., dim) arrays: each body
+        of `expansion` is minus the sum of its state bodies, added left to
+        right, with a zero stored as +0."""
+        sl, sh = np.asarray(sl, float), np.asarray(sh, float)
+        full = PhaseLayout(self.orbit_bodies, self.layout.kind)
+        cols, into = self.layout.body_columns, full.body_columns
+        el = np.empty(sl.shape[:-1] + (full.dim,))
+        eh = np.empty_like(el)
+        el[..., into[:self.n_bodies]] = sl[..., cols]
+        eh[..., into[:self.n_bodies]] = sh[..., cols]
+        for k, (first, *rest) in enumerate(self.expansion, self.n_bodies):
+            al, ah = sl[..., cols[first]], sh[..., cols[first]]
+            for i in rest:
+                al, ah = kn.add(al, ah, sl[..., cols[i]], sh[..., cols[i]])
+            # 0 - x at round-to-nearest negates exactly and turns -0 into +0
+            el[..., into[k]], eh[..., into[k]] = 0.0 - ah, 0.0 - al
         return full, el, eh
 
 
@@ -283,33 +309,39 @@ class ChoreographyProblem:
 
 def eight_problem() -> ChoreographyProblem:
     """The rotated Eight: q1 = (1,0), q2 = (-1,0), q3 = 0, parameterized by
-    the first body's velocity (v, u); section: q1 . dq1 = 0 (first body's
-    position orthogonal to its velocity); defects in the order the results
-    tables use (velocity cross product first), which characterize the
-    symmetry only with the first body off the origin: the guard x1^2 + y1^2."""
-    x1, y1, v1, u1 = (((j, 1),) for j in (0, 1, 6, 7))
-    dx2, dy2, dx3, dy3, dv, du = (((i, 1), (j, -1)) for i, j in (
-        (2, 0), (3, 1), (4, 0), (5, 1), (8, 10), (9, 11)))
+    the first body's velocity (v, u), with v2 = v1 and v3 = -2 v1; section:
+    q1 . dq1 = 0 (first body's position orthogonal to its velocity); defects
+    in the order the results tables use (velocity cross product first),
+    which characterize the symmetry only with the first body off the
+    origin: the guard x1^2 + y1^2.
+
+    The centre of mass and the momentum are zero and stay zero, so the
+    state is bodies 1 and 2, (x1, y1, x2, y2, v1, u1, v2, u2), under
+    `dynamics.barycentric_terms(3)`, and body 3 is -(body 1 + body 2): the
+    defects read q3 - q1 = -2 q1 - q2 and v2 - v3 = v1 + 2 v2."""
+    x1, y1, v1, u1 = (((j, 1),) for j in (0, 1, 4, 5))
+    dx2, dy2 = ((2, 1), (0, -1)), ((3, 1), (1, -1))
+    dx3, dy3 = ((2, -1), (0, -2)), ((3, -1), (1, -2))
+    dv, du = ((6, 2), (4, 1)), ((7, 2), (5, 1))
     # (v2 - v3) y1 - (u2 - u3) x1, then |q2 - q1|^2 - |q3 - q1|^2
     cross = ((1, (dv, y1)), (-1, (du, x1)))
     dist = ((1, (dx2, dx2)), (1, (dy2, dy2)),
             (-1, (dx3, dx3)), (-1, (dy3, dy3)))
-    offset = np.zeros(12)
+    offset = np.zeros(8)
     offset[0], offset[2] = 1.0, -1.0
-    mat = np.zeros((12, 2))
-    mat[6, 0] = mat[8, 0] = 1.0
-    mat[7, 1] = mat[9, 1] = 1.0
-    mat[10, 0] = -2.0
-    mat[11, 1] = -2.0
+    mat = np.zeros((8, 2))
+    mat[4, 0] = mat[6, 0] = 1.0
+    mat[5, 1] = mat[7, 1] = 1.0
     return ChoreographyProblem(
         key="eight",
-        field=nbody_field(3, kind="split"),
+        field=GravityField(PhaseLayout(2, "split"), barycentric_terms(3)),
         section=ProductForm((((1, (x1, v1)), (1, (y1, u1))),)).section("+-"),
         embed_map=LinearEmbedding(offset, mat),
         defects=ProductForm((cross, dist)),
         size_parameter=None,
         period_multiplier=12,
         reduced_names=("v", "u"),
+        expansion=((0, 1),),
         guards=(("first_body_distance_squared",
                  ProductForm((((1, (x1, x1)), (1, (y1, y1))),))),),
     )
@@ -383,7 +415,7 @@ def chain_problem(n_bodies: int, a_text: str) -> ChoreographyProblem:
         size_parameter=a,
         period_multiplier=2 * N,
         reduced_names=tuple(names),
-        antipodal=True,
+        expansion=tuple((i,) for i in range(H)),
     )
 
 

@@ -1,7 +1,7 @@
-"""Test oracles that no command runs: a constant linear field, a box that
-carries its monodromy slab, a flow to a fixed time, the conserved
-quantities of the N-body problem, and the FPU's rounding mode as the C
-library reports it.
+"""Test oracles that no command runs: the plain N-body field, a constant
+linear field, a box that carries its monodromy slab, a flow to a fixed
+time, the conserved quantities of the N-body problem, and the FPU's
+rounding mode as the C library reports it.
 
 Tests import this module by name (`from helpers import ...`): `tests/` has
 no `__init__.py`, so pytest puts it on `sys.path`.
@@ -14,7 +14,7 @@ import ctypes
 import numpy as np
 
 from choreocert import kernels as kn
-from choreocert.dynamics import PhaseLayout
+from choreocert.dynamics import GravityField, PhaseLayout, nbody_terms
 from choreocert.integrator import EnclosureStep, LohnerSet, run_time, step
 from choreocert.interval import Interval
 
@@ -25,6 +25,14 @@ FE_TONEAREST = 0
 
 def fegetround() -> int:
     return ctypes.CDLL(None).fegetround()
+
+
+# --- the plain N-body field -------------------------------------------------
+
+def nbody_field(n_bodies: int, kind: str = "blocks") -> GravityField:
+    """All N unit masses, none eliminated: the oracle of the reduced fields
+    the problems integrate."""
+    return GravityField(PhaseLayout(n_bodies, kind), nbody_terms(n_bodies))
 
 
 # --- a linear field ------------------------------------------------------------

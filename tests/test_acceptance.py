@@ -22,7 +22,6 @@ import pytest
 from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.convexity import verify_convexity
-from choreocert.dynamics import nbody_field
 from choreocert.integrator import StepPolicy
 from choreocert.interval import Interval
 from choreocert.problems import (
@@ -33,7 +32,8 @@ from choreocert.problems import (
     phi_point,
 )
 from choreocert.rootfind import CertificationJob, certify
-from helpers import LinearField, box_with_slab, conservation_containment, flow
+from helpers import (LinearField, box_with_slab, conservation_containment,
+                     flow, nbody_field)
 
 pytestmark = pytest.mark.acceptance
 

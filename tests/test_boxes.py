@@ -48,6 +48,29 @@ class TestVectors:
         v = IntervalVector.box([0.1, -0.2, 3.7], [1e-9, 2e-8, 0.0])
         assert IntervalVector.from_hex(v.to_hex()) == v
 
+    @pytest.mark.parametrize("lo, hi", [
+        (np.nan, 1.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf),
+        (np.inf, np.inf), (1.0, 0.0)], ids=["nan-lo", "nan-hi", "-inf",
+                                           "+inf", "inf-inf", "inverted"])
+    def test_invalid_enclosures_are_refused(self, lo, hi):
+        # as arrays, 0-d arrays, numpy scalars and Python floats, and by
+        # the boxes that check on construction
+        for cast in (lambda v: np.array([0.5, v]), np.array, np.float64,
+                     float):
+            with pytest.raises(FloatingPointError):
+                kn.assert_valid(cast(lo), cast(hi))
+        with pytest.raises(FloatingPointError):
+            IntervalVector(np.array([0.0, lo]), np.array([1.0, hi]))
+        with pytest.raises(FloatingPointError):
+            IntervalMatrix(np.full((2, 2), lo), np.full((2, 2), hi))
+
+    def test_valid_enclosures_pass(self):
+        for lo, hi in ((np.zeros(3), np.ones(3)),
+                       (np.array(0.0), np.array(0.0)),
+                       (np.float64(-1.0), np.float64(2.0)), (-0.0, 0.0),
+                       (np.zeros((2, 2)), np.zeros((2, 2)))):
+            kn.assert_valid(lo, hi)
+
 
 class TestKernelConsistency:
     """Array kernels share rounding semantics with the scalar class."""

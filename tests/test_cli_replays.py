@@ -20,11 +20,11 @@ from choreocert.problems import phi_jacobian
 # +-delta/4: chain6 reads 0.00496 and gerver, on its antipodal half,
 # 0.001965 over the default candidate and the two corners, at their
 # tolerances of 3e-15 and 5e-15; the Eight's Newton image grows with the
-# candidate's distance from the zero (3.7e-8 at the default candidate, the
-# certified zero, and 0.000581 at both corners).
+# candidate's distance from the zero (4.9e-8 at the default candidate, the
+# certified zero, and 0.000559 at both corners).
 DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
 # The widest entry of the defect at the candidate, which rides the set flow
-# as a box to the section zone: 3.0e-13, 1.49e-12 and 1.13e-12 at the three
+# as a box to the section zone: 3.9e-13, 1.49e-12 and 1.13e-12 at the three
 # defaults.
 DEFAULT_PHI_WIDTH = 2e-12
 # Count ratchet: the set steps of the default proofs.
@@ -186,7 +186,7 @@ class TestJitteredDefaults:
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_seeded_interior_candidates(self, system, seed, tmp_path):
         # the ratios stay at the defaults' over seeds 1-10 (the Eight's up
-        # to 0.00054, gerver's 0.001965, chain6's 0.00495-0.00496), but only
+        # to 0.00051, gerver's 0.001965, chain6's 0.00495-0.00496), but only
         # the verdict and the verifier are asserted
         d = DEFAULTS[system]
         rng = random.Random(seed)

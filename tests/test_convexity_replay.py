@@ -89,7 +89,9 @@ class TestCurvatureSoundness:
                         acc[i] += d / np.linalg.norm(d) ** 3
             return np.concatenate([v.ravel(), acc.ravel()])
 
-        s0 = eight_problem().embed_point(EIGHT_X0)
+        # the three bodies' state: the Eight's free state, expanded
+        prob = eight_problem()
+        s0 = prob.expand_state(*(prob.embed_point(EIGHT_X0),) * 2)[1]
         t_end = cert_h.crossing_time.hi
         sol = solve_ivp(field, (0.0, t_end), s0, method="DOP853",
                         rtol=1e-11, atol=1e-12, dense_output=True)

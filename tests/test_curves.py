@@ -48,7 +48,9 @@ class TestEightUnfold:
 
     def test_segment_columns(self, eight_unfold):
         prob, result = eight_unfold
-        assert result.segment.shape[1] == 1 + 2 * prob.n_bodies
+        # time, then the (x, y) track of each of the three bodies
+        assert prob.orbit_bodies == 3
+        assert result.segment.shape[1] == 1 + 2 * prob.orbit_bodies
         assert result.segment[0, 0] == 0.0
 
 

@@ -13,13 +13,13 @@ from choreocert.dynamics import (
     GravitySeries,
     PhaseLayout,
     antipodal_terms,
-    nbody_field,
 )
 from choreocert.errors import CollisionEnclosure
 from choreocert.integrator import StepPolicy, step
 from choreocert.problems import make_problem
 from helpers import (
     LinearField,
+    nbody_field,
     angular_momentum,
     center_of_mass,
     linear_momentum,
@@ -170,6 +170,43 @@ class TestAntipodalHalf:
         overlap(sh.transition_layers(),
                 kn.sub(tl[..., :n, :n], th[..., :n, :n],
                        tl[..., :n, n:], th[..., :n, n:]))
+
+
+class TestEightFreeState:
+    """The Eight integrates bodies 1 and 2 (`barycentric_terms(3)`) and
+    restores body 3 as -(body 1 + body 2).  Oracle: the plain three-body
+    field, whose terms share nothing with the free state's, in float at
+    thin points of the replay box, unfolded to all three bodies."""
+
+    def test_free_layers_contain_the_full_fields(self):
+        d = DEFAULTS["eight"]
+        prob, R = make_problem("eight"), d["order"]
+        assert prob.field.dim == 8
+        X = IntervalVector.box(d["candidate"], d["delta"])
+        box = prob.embed(X)
+        ser = prob.field.series(box.lo, box.hi, R, variational=True)
+        # state layers (R+1, 12), and the transition layers' columns
+        # (R+1, 8 columns, 12 rows), each unfolded to the three bodies
+        _, sl, sh = prob.expand_state(*ser.layers())
+        _, tl, th = prob.expand_state(*(m.swapaxes(1, 2)
+                                        for m in ser.transition_layers()))
+        # d(full state) / d(free state): the free unit vectors, unfolded
+        unfold = prob.expand_state(np.eye(8), np.eye(8))[1].T
+        full = nbody_field(3, "split")
+        rng = np.random.default_rng(40)
+        for x in rng.uniform(X.lo, X.hi, (8, 2)):
+            s = prob.expand_state(*(prob.embed_point(x),) * 2)[1]
+            fs = full.series(s, s, R, variational=True)
+            layers = 0.5 * np.add(*fs.layers())
+            trans = 0.5 * np.add(*fs.transition_layers()) @ unfold
+            # bodies 1 and 2 in the free layers, body 3 in their expansion
+            assert contains(sl, sh, layers)
+            assert contains(tl, th, trans.swapaxes(1, 2))
+            # body 3 is where the expansion puts it, to float accuracy
+            assert np.allclose(layers[:, [4, 5, 10, 11]],
+                               -(layers[:, [0, 1, 6, 7]]
+                                 + layers[:, [2, 3, 8, 9]]),
+                               rtol=1e-12, atol=1e-12)
 
 
 def loop_gradient(f, ser, b=0):
@@ -359,8 +396,9 @@ class TestVariational:
         ql, qh = kn.matmul(jl, jh, V2, V2)
         assert np.allclose(ql[:, 3], 2 * pl[:, 3], atol=1e-12)
 
-    # the Eight's split layout, and the antipodal halves of chain(4) and
-    # chain(6) in blocks, with their -2 self-antipode coefficients
+    # the Eight's free state in the split layout, and the antipodal halves
+    # of chain(4) and chain(6) in blocks, all with -2 coefficients: body i's
+    # in its pair with the Eight's third body, or in its own antipode's
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
     def test_transition_layers_match_central_differences(self, system):
         # M[k] is the derivative of state layer k with respect to the start
@@ -368,8 +406,7 @@ class TestVariational:
         d = DEFAULTS[system]
         problem = make_problem(system, a_text=d["a"])
         f, R = problem.field, d["order"]
-        if system != "eight":
-            assert any(np.any(fac == -2.0) for *_, fac in f.scatter)
+        assert any(np.any(fac == -2.0) for *_, fac in f.scatter)
         s = problem.embed_point(np.array(d["candidate"]))
         ml, mh = f.series(s, s, R, variational=True).transition_layers()
 

@@ -9,12 +9,12 @@ from choreocert import integrator
 from choreocert import kernels as kn
 from choreocert.boxes import IntervalVector
 from choreocert.cli import DEFAULTS
-from choreocert.dynamics import GravityField, nbody_field
+from choreocert.dynamics import GravityField
 from choreocert.errors import CollisionEnclosure, RoughEnclosureFailure
 from choreocert.integrator import LohnerSet, step
 from choreocert.interval import Interval
 from choreocert.problems import make_problem
-from helpers import LinearField, box_with_slab, flow
+from helpers import LinearField, box_with_slab, flow, nbody_field
 
 HARMONIC = LinearField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
+from choreocert.dynamics import PhaseLayout
 from choreocert.errors import DimensionMismatch
 from choreocert import integrator, kernels as kn
 from choreocert.integrator import (Frame, LohnerSet, StepPolicy,
@@ -22,7 +27,7 @@ from choreocert.problems import (
     phi_jacobian,
     phi_point,
 )
-from helpers import center_of_mass, linear_momentum
+from helpers import center_of_mass, linear_momentum, nbody_field
 
 EIGHT_X0 = np.array([0.347116768716, 0.532724944657])
 GERVER_X = np.array([1.382857, 1.87193510824, 0.584872579881])
@@ -35,10 +40,17 @@ class TestEmbeddings:
         prob = eight_problem()
         v, u = 0.3, -0.7
         s = prob.embed_point([v, u])
-        assert np.array_equal(
-            s, [1, 0, -1, 0, 0, 0, v, u, v, u, -2 * v, -2 * u])
+        # the state is bodies 1 and 2; body 3 is -(body 1 + body 2)
+        assert np.array_equal(s, [1, 0, -1, 0, v, u, v, u])
+        layout, el, eh = prob.expand_state(s, s)
+        assert layout == PhaseLayout(3, "split")
+        for full in (el, eh):
+            assert np.array_equal(
+                full, [1, 0, -1, 0, 0, 0, v, u, v, u, -2 * v, -2 * u])
+            # -(1 + (-1)) is stored as +0
+            assert not np.any(np.signbit(full[4:6]))
         sz = prob.embed_point([0.0, 0.0])
-        assert np.array_equal(sz, [1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+        assert np.array_equal(sz, np.zeros(8) + [1, 0, -1, 0, 0, 0, 0, 0])
 
     def test_gerver_embedding_layout(self):
         prob = gerver_problem()
@@ -108,13 +120,14 @@ class TestEmbeddings:
     def test_derivative_patterns(self):
         prob = eight_problem()
         de = prob.embed_derivative()
-        assert de.shape == (12, 2)
-        expect = np.zeros((12, 2))
-        expect[6, 0] = expect[8, 0] = 1
-        expect[7, 1] = expect[9, 1] = 1
-        expect[10, 0] = -2
-        expect[11, 1] = -2
+        assert de.shape == (8, 2)
+        expect = np.zeros((8, 2))
+        expect[4, 0] = expect[6, 0] = 1
+        expect[5, 1] = expect[7, 1] = 1
         assert np.array_equal(de, expect)
+        # unfolded, body 3's velocity takes -2 of each column
+        full = np.stack([prob.expand_state(c, c)[1] for c in de.T], axis=1)
+        assert np.array_equal(full[10:], [[-2, 0], [0, -2]])
 
         prob = gerver_problem()
         dg = prob.embed_derivative()
@@ -132,7 +145,8 @@ class TestEmbeddings:
             prob = chain_problem(n, "0.25")
             h = n // 2
             # the state is the antipodal half, bodies 0..H-1
-            assert prob.antipodal and prob.n_bodies == h
+            assert prob.n_bodies == h
+            assert prob.expansion == tuple((i,) for i in range(h))
             assert prob.orbit_bodies == n
             assert prob.reduced_dim == n - 1
             assert prob.embed_map.matrix.shape == (2 * n, n - 1)
@@ -188,12 +202,15 @@ class TestEmbeddings:
 class TestReductions:
     def test_eight_mirror_state_reduces_to_zero(self):
         prob = eight_problem()
-        # isosceles: |q2 - q1| = |q3 - q1| and equal velocities of 2 and 3
-        s = np.array([1.0, 0, -0.5, 0.5, -0.5, -0.5,
-                      0, 0, 0.3, 0.4, 0.3, 0.4])
+        # isosceles: |q2 - q1| = |q3 - q1| and equal velocities of 2 and 3,
+        # with q3 = (-0.5, -0.5) and v3 = (0.25, 0.5) restored from the state
+        s = np.array([1.0, 0, -0.5, 0.5, -0.5, -1.0, 0.25, 0.5])
         val = prob.reduce(s, s)
         assert val.contains_zero()
         assert np.max(val.diam()) == 0.0
+        layout, el, _ = prob.expand_state(s, s)
+        assert np.array_equal(el[list(layout.body_columns[2])],
+                              [-0.5, -0.5, 0.25, 0.5])
 
     def test_gerver_mirror_state_reduces_to_zero(self):
         prob = gerver_problem()
@@ -218,43 +235,49 @@ class TestReductions:
     def test_forms_reject_inexact_terms(self):
         x0 = ((0, 1),)
         for rows in ([[(3, (x0,))]], [[(1, (x0, x0, x0))]],
-                     [[(1, (((0, 2),),))]], [[(1, (((0, 1), (0, -1)),))]],
+                     [[(1, (((0, 3),),))]], [[(1, (((0, -3),),))]],
+                     [[(1, (((0, 0.5),),))]], [[(1, (((0, 1), (0, -1)),))]],
                      [[(1, ((),))]]):
             with pytest.raises(ValueError):
                 ProductForm(rows)
+        # doubling is exact: +-2 coefficients are forms, and scale exactly
+        form = ProductForm([[(1, (((0, 2), (1, -2)),))]])
+        s = np.array([0.75, 0.25])
+        assert form.values(s, s)[0] == Interval(1.0)
+        dl, dh = form.derivative(s, s)
+        assert np.array_equal(dl, [[2.0, -2.0]]) and np.array_equal(dh, dl)
         with pytest.raises(ValueError):
             ProductForm((((1, (x0,)),), ((1, (x0,)),))).section("+-")
 
 
 # The Eight's reduction, its Jacobian, its section with gradient and its
-# crossing guard as they were written by hand before they became product
-# forms; the forms must match them endpoint for endpoint.
+# crossing guard written by hand on the free state (x1, y1, x2, y2, v1, u1,
+# v2, u2), with body 3 = -(body 1 + body 2): q3 - q1 = -x2 - 2 x1 and
+# v2 - v3 = 2 v2 + v1; the forms must match them endpoint for endpoint.
 
 def reference_eight(sl, sh):
-    s = [Interval(float(sl[i]), float(sh[i])) for i in range(12)]
-    cross = (s[8] - s[10]) * s[1] - (s[9] - s[11]) * s[0]
-    dist = ((s[2] - s[0]).sqr() + (s[3] - s[1]).sqr()
-            - (s[4] - s[0]).sqr() - (s[5] - s[1]).sqr())
-    two = Interval.point(2.0)
-    rows = [[Interval(0.0)] * 12 for _ in range(2)]
-    rows[0][0] = -(s[9] - s[11])
-    rows[0][1] = s[8] - s[10]
-    rows[0][8] = s[1]
-    rows[0][10] = -s[1]
-    rows[0][9] = -s[0]
-    rows[0][11] = s[0]
+    s = [Interval(float(sl[i]), float(sh[i])) for i in range(8)]
+    two, four = Interval.point(2.0), Interval.point(4.0)
+    dv, du = two * s[6] + s[4], two * s[7] + s[5]
     d21 = (s[2] - s[0], s[3] - s[1])
-    d31 = (s[4] - s[0], s[5] - s[1])
-    rows[1][0] = two * (d31[0] - d21[0])
-    rows[1][1] = two * (d31[1] - d21[1])
-    rows[1][2] = two * d21[0]
-    rows[1][3] = two * d21[1]
-    rows[1][4] = -(two * d31[0])
-    rows[1][5] = -(two * d31[1])
-    g = s[0] * s[6] + s[1] * s[7]
-    dgl, dgh = np.zeros(12), np.zeros(12)
-    dgl[0:2], dgh[0:2] = sl[6:8], sh[6:8]
-    dgl[6:8], dgh[6:8] = sl[0:2], sh[0:2]
+    d31 = (-s[2] - two * s[0], -s[3] - two * s[1])
+    cross = dv * s[1] - du * s[0]
+    dist = d21[0].sqr() + d21[1].sqr() - d31[0].sqr() - d31[1].sqr()
+    rows = [[Interval(0.0)] * 8 for _ in range(2)]
+    rows[0][0] = -du
+    rows[0][1] = dv
+    rows[0][4] = s[1]
+    rows[0][5] = -s[0]
+    rows[0][6] = two * s[1]
+    rows[0][7] = -(two * s[0])
+    rows[1][0] = -(two * d21[0]) + four * d31[0]
+    rows[1][1] = -(two * d21[1]) + four * d31[1]
+    rows[1][2] = two * d21[0] + two * d31[0]
+    rows[1][3] = two * d21[1] + two * d31[1]
+    g = s[0] * s[4] + s[1] * s[5]
+    dgl, dgh = np.zeros(8), np.zeros(8)
+    dgl[0:2], dgh[0:2] = sl[4:6], sh[4:6]
+    dgl[4:6], dgh[4:6] = sl[0:2], sh[0:2]
     guard = s[0].sqr() + s[1].sqr()
     return [cross, dist], rows, g, (dgl, dgh), guard
 
@@ -272,7 +295,7 @@ _COMPONENT = st.one_of(_ENDPOINT.map(lambda x: (x, x)),
 @st.composite
 def eight_states(draw, thin=False):
     comps = draw(st.lists(_ENDPOINT.map(lambda x: (x, x)) if thin
-                          else _COMPONENT, min_size=12, max_size=12))
+                          else _COMPONENT, min_size=8, max_size=8))
     return np.array([c[0] for c in comps]), np.array([c[1] for c in comps])
 
 
@@ -302,22 +325,31 @@ class TestEightForms:
         assert _guard(prob).values(sl, sh)[0] == guard
 
 
-# Independent oracle: the paper's formulas in exact rational arithmetic.
-# Every function here is a polynomial of degree <= 2, so the central
-# difference with step 1 is its exact gradient.
+# Independent oracle: the paper's formulas in exact rational arithmetic, on
+# the Eight's three bodies, the third restored from zero centre of mass and
+# momentum.  Every function here is a polynomial of degree <= 2, so the
+# central difference with step 1 is its exact gradient.
+
+def _eight_bodies(s):
+    """((x, y), (v, u)) of the Eight's bodies 1, 2 and 3."""
+    q1, q2, v1, v2 = s[0:2], s[2:4], s[4:6], s[6:8]
+    q3 = [-a - b for a, b in zip(q1, q2)]
+    v3 = [-a - b for a, b in zip(v1, v2)]
+    return (q1, q2, q3), (v1, v2, v3)
+
 
 def _cross(s):
-    x1, y1, v2, u2, v3, u3 = s[0], s[1], s[8], s[9], s[10], s[11]
+    ((x1, y1), _, _), (_, (v2, u2), (v3, u3)) = _eight_bodies(s)
     return (v2 - v3) * y1 - (u2 - u3) * x1
 
 
 def _dist(s):
-    (x1, y1), (x2, y2), (x3, y3) = s[0:2], s[2:4], s[4:6]
+    ((x1, y1), (x2, y2), (x3, y3)), _ = _eight_bodies(s)
     return (x2 - x1) ** 2 + (y2 - y1) ** 2 - (x3 - x1) ** 2 - (y3 - y1) ** 2
 
 
 def _eight_section(s):
-    return s[0] * s[6] + s[1] * s[7]
+    return s[0] * s[4] + s[1] * s[5]
 
 
 def _eight_guard(s):
@@ -417,6 +449,22 @@ class TestPhi:
         with pytest.raises(ValueError):
             make_problem("nonsense")
 
+    def test_building_every_system_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs a one-shot `choreocert verify` ~15 ms to import;
+        # np.isin and np.unique would import it
+        code = ("import sys\n"
+                "from choreocert.problems import make_problem\n"
+                "for key, a in (('eight', None), ('gerver', None), "
+                "('chain6', None), ('chain8', '0.3')):\n"
+                "    make_problem(key, a_text=a)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(kn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
     @pytest.mark.parametrize("key, kwargs", [
         ("eight", {"a_text": "0.3"}),
         ("eight", {"n_bodies": 3}),
@@ -448,7 +496,6 @@ class TestPhi:
     def test_reduced6_field_on_embedded_candidate_matches_full(self):
         prob = chain6_problem()
         s = prob.embed_point(CHAIN6_X)
-        from choreocert.dynamics import nbody_field
         f6 = nbody_field(6)
         full = np.concatenate([s, -s])
         lo6, hi6 = f6.eval(full, full)
@@ -535,7 +582,7 @@ class TestRideTheSetFlow:
             assert all((v is not None) is (k in crossing.zone) for v in held)
             assert not any(isinstance(v, Frame) for v in vars(rec).values())
             lo, hi = rec.point
-            assert lo.shape == hi.shape == (12,) and np.all(lo <= hi)
+            assert lo.shape == hi.shape == (8,) and np.all(lo <= hi)
 
     def test_each_step_records_the_point_at_its_start(self, eight_set_flow):
         # step 0 records the embedded point, each later step a box holding
