@@ -37,8 +37,8 @@ has one preconditioner, the top-level `preconditioner`: the prover's job
 gives none, so `certify` takes the midpoint inverse of the first
 iteration's derivative enclosure (`boxes.midpoint_inverse`) and keeps it;
 the replay runs under the stored one.
-`step_counts.point` counts only the point steps integrated on their own: a
-point that rides inside the set flow's steps starts its own flow
+`step_counts.point` counts only the point steps integrated on their own:
+the point rides inside the set flow's steps and hands off to its own flow
 (`problems.phi_point`) from the box the first step of the section zone
 records for it (`integrator.EnclosureStep.point`), at that step's size,
 and `crossing_time_point` adds that step's start.  `step_sizes` lists the

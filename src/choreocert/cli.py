@@ -258,11 +258,10 @@ def run_certification(problem, method, policy, delta, candidate):
     last = {}   # certify encloses at least once
 
     def enclose(x, box):
-        # the point rides inside the box flow, and flows on alone from the
-        # box the first zone step records for it
+        # the point rides inside the box flow, and flows on from the box the
+        # first zone step records for it
         last["set"] = phi_jacobian(problem, box, policy, point=x)
-        last["point"] = phi_point(problem, x, policy,
-                                  along=last["set"].crossing)
+        last["point"] = phi_point(problem, last["set"].crossing, policy)
         return last["point"].value, last["set"].jacobian
 
     # no C: Krawczyk inverts the midpoint of the first DF([X]) and keeps it

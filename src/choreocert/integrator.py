@@ -41,15 +41,16 @@ made: its start time `run_time`, the kernels' sum of the sizes before it.
 All time code reads it, so the steps, which one `StepPolicy` sizes, may
 differ.
 
-A set may carry a thin point along (`LohnerSet.carrying`) as a box P,
-with no frame: a point has no width for a frame to keep from wrapping.
-Each step advances it by the set's own update, phi_h(m) + A (P - m) with
-m the set's center and A the enclosure of Dphi_h over the step's input
-box: the mean-value theorem makes that valid while the box holds m and
-P, since it is convex.  Each step checks both inclusions and drops the
-point when one fails, and records the point's box at its start
-(`EnclosureStep.point`), so a flow of the point alone can start from any
-step.  Only zone steps keep their transition data.
+A set may carry a thin point of the set along (`LohnerSet.carrying`) as
+a box P, with no frame: a point has no width for a frame to keep from
+wrapping.  Each step advances it by the set's own update,
+phi_h(m) + A (P - m) with m the set's center and A the enclosure of
+Dphi_h over the step's input box: the mean-value theorem makes that valid
+for every member of the box, which is convex and holds m (every frame's
+r holds 0; a step whose box misses m raises).  The point lies in the set,
+so each step first clips P to the box.  Each step records the
+point's box at its start (`EnclosureStep.point`), so a flow of the point
+can start from any step.  Only zone steps keep their transition data.
 """
 
 from __future__ import annotations
@@ -296,6 +297,11 @@ def step(field, cur: LohnerSet, h: float, order: int,
     n = field.dim
     xl, xh = cur.box()
     kn.assert_valid(xl, xh, "step input")
+    # The mean-value forms below hold over the box because it is convex and
+    # holds the center: every frame's r holds 0.
+    center = cur.state.m[:, 0]
+    if not kn.contains_point(xl, xh, center):
+        raise ValueError("the set's box misses its center")
     # The state's Picard iteration starts from its first, un-inflated image.
     il, ih = _zero_hold(h, *field.eval(xl, xh))
     wl, wh = kn.add(xl, xh, il, ih)
@@ -307,7 +313,6 @@ def step(field, cur: LohnerSet, h: float, order: int,
     # needs its state layers alone.  Layer m depends only on the layers
     # below it, so layers 0..R of the center and of the box are those of
     # their own order-R series.
-    center = cur.state.m[:, 0]
     ser = field.series(np.stack([center, xl, wl]), np.stack([center, xh, wh]),
                        order + 1, variational=slice(1, None))
     R, Rt = order, StepPolicy.transition_order(order)
@@ -367,12 +372,11 @@ def step(field, cur: LohnerSet, h: float, order: int,
     rec = EnclosureStep(t_start=t_start, h=h, tight=tight, whole=whole,
                         layers=layers_x, rem=rem, point=cur.point)
 
-    # The mean-value form about the center: A covers the segment from the
-    # center to any member of the point's box while the set's (convex) box
-    # holds both.
-    if (cur.point is not None and kn.contains_point(xl, xh, center)
-            and kn.subset(*cur.point, xl, xh)):
-        nxt.point = kn.add(*kn.matvec(*A, *kn.sub(*cur.point, center, center)),
+    # The mean-value form about the center over the set's box: the point
+    # lies in the set, so the part of its box inside the set's box holds it.
+    if cur.point is not None:
+        pl, ph = kn.intersect(*cur.point, xl, xh)
+        nxt.point = kn.add(*kn.matvec(*A, *kn.sub(pl, ph, center, center)),
                            *pt)
 
     if cur.slab is not None:

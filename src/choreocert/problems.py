@@ -38,12 +38,13 @@ are their product rule.  Each problem states the rule that restores the
 orbit bodies its state leaves out (`ChoreographyProblem.expansion`), which
 the curves, the convexity check and the document's body count read.
 
-phi_jacobian flows the embedded box and phi_point the thin point, both
-under one step policy (`integrator.StepPolicy`).  The point can ride inside
-the box flow (`phi_jacobian(..., point=x)`) as a box, advanced by each box
-step's image of the center plus A (P - center), and each step records the
-box it started from; phi_point starts a flow of its own from the box of
-the first step of the section zone, at that step's size.
+phi_jacobian flows the embedded box under one step policy
+(`integrator.StepPolicy`), with a point of the box riding inside
+(`phi_jacobian(..., point=x)`) as a box, clipped to the set's box and
+advanced by each box step's image of the center plus A (P - center); each
+step records the point's box at its start.  phi_point hands the point off:
+it flows on from the box of the first step of the section zone, at that
+step's size.
 
 refine_candidate runs plain Newton on the same validated map at a thin box,
 stepping with the midpoints of Phi and of DPhi: it finds candidates, and
@@ -255,9 +256,6 @@ class ChoreographyProblem:
                 f"expected {self.reduced_dim}")
         return IntervalVector(*self.embed_map.box(X))
 
-    def embed_derivative(self) -> np.ndarray:
-        return self.embed_map.matrix.copy()
-
     def embed_slab(self, X: IntervalVector,
                    carry_transition: bool = True) -> LohnerSet:
         """E(X) as the slab E(mid) + DE (X - mid), with X - mid rounded
@@ -267,7 +265,7 @@ class ChoreographyProblem:
         mid = X.mid()
         coords = kn.sub(X.lo, X.hi, mid, mid)
         return LohnerSet.from_slab(self.embed_point(mid),
-                                   self.embed_derivative(), coords,
+                                   self.embed_map.matrix, coords,
                                    carry_transition=carry_transition)
 
     # -- R --
@@ -278,9 +276,6 @@ class ChoreographyProblem:
         if sl.size != self.layout.dim:
             raise DimensionMismatch(f"{self.key}: bad full-state size")
         return IntervalVector.from_intervals(self.defects.values(sl, sh))
-
-    def reduce_derivative(self, sl, sh) -> Pair:
-        return self.defects.derivative(sl, sh)
 
     # -- every orbit body --
 
@@ -499,29 +494,18 @@ def _crossing_notes(problem: ChoreographyProblem,
     return notes
 
 
-def phi_point(problem: ChoreographyProblem, x, policy: StepPolicy,
-              along: SectionCrossing | None = None) -> MapEvaluation:
-    """Rigorous enclosure of the defect map at a point (thin run).
-
-    `along` is the crossing of `phi_jacobian(..., point=x)` under the same
-    policy.  The point then flows afresh from the box that crossing's first
-    zone step records for it (`EnclosureStep.point`), the first step at
-    that step's size, and its crossing time is shifted by that step's
-    start; when that step carries no point (it left the set's box on the
-    way) it flows alone under `policy`."""
-    s0 = problem.embed_point(x)
-    start, t_start = LohnerSet.from_box(s0, s0), Interval(0.0)
-    if along is not None:
-        if along.steps[0].h != policy.h:
-            raise ValueError("phi_point rides a flow of the policy's h")
-        first = along.steps[along.zone[0]]
-        if first.point is not None:
-            if not kn.contains_point(*along.steps[0].point, s0):
-                raise ValueError("the flow carried another point")
-            start, t_start = LohnerSet.from_box(*first.point), first.t_start
-            policy = StepPolicy(first.h, policy.order, policy.tol)
-    cr = flow_to_section(problem.field, start, problem.section, policy)
-    cr = replace(cr, t_cross=t_start + cr.t_cross)
+def phi_point(problem: ChoreographyProblem, along: SectionCrossing,
+              policy: StepPolicy) -> MapEvaluation:
+    """Rigorous enclosure of the defect map at the point that rode
+    `along`, the crossing of `phi_jacobian(..., point=x)` under `policy`.
+    The point flows on from the box that crossing's first zone step
+    records for it (`EnclosureStep.point`), the first step at that step's
+    size, and its crossing time is shifted by that step's start."""
+    first = along.steps[along.zone[0]]
+    cr = flow_to_section(problem.field, LohnerSet.from_box(*first.point),
+                         problem.section,
+                         StepPolicy(first.h, policy.order, policy.tol))
+    cr = replace(cr, t_cross=first.t_start + cr.t_cross)
     return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
                          crossing=cr, notes=_crossing_notes(problem, cr))
 
@@ -530,12 +514,16 @@ def phi_jacobian(problem: ChoreographyProblem, X: IntervalVector,
                  policy: StepPolicy, point=None) -> MapEvaluation:
     """Rigorous defect map and derivative enclosure over a reduced box,
     flowing the embedded slab (`ChoreographyProblem.embed_slab`) under
-    `policy`, the reduced point `point`, if given, riding along."""
+    `policy`, the reduced point `point`, if given, riding along.  Each step
+    clips the point's box to the set's, which is sound only for a point of
+    X: any other is refused."""
     start = problem.embed_slab(X)
     if point is not None:
         start = start.carrying(problem.embed_point(point))
+        if not kn.contains_point(X.lo, X.hi, point):
+            raise ValueError("the riding point lies outside the box")
     cr = flow_to_section(problem.field, start, problem.section, policy)
-    drl, drh = problem.reduce_derivative(*cr.state)
+    drl, drh = problem.defects.derivative(*cr.state)
     jl, jh = kn.matmul(drl, drh, *cr.projected)
     return MapEvaluation(value=problem.reduce(*cr.state),
                          jacobian=IntervalMatrix(jl, jh), crossing=cr,

@@ -1,7 +1,8 @@
 """Test oracles that no command runs: the plain N-body field, a constant
 linear field, a box that carries its monodromy slab, a flow to a fixed
-time, the conserved quantities of the N-body problem, and the FPU's
-rounding mode as the C library reports it.
+time, the thin point's flow alone to the section, the conserved quantities
+of the N-body problem, and the FPU's rounding mode as the C library
+reports it.
 
 Tests import this module by name (`from helpers import ...`): `tests/` has
 no `__init__.py`, so pytest puts it on `sys.path`.
@@ -15,8 +16,10 @@ import numpy as np
 
 from choreocert import kernels as kn
 from choreocert.dynamics import GravityField, PhaseLayout, nbody_terms
-from choreocert.integrator import EnclosureStep, LohnerSet, run_time, step
+from choreocert.integrator import (EnclosureStep, LohnerSet, StepPolicy,
+                                   flow_to_section, run_time, step)
 from choreocert.interval import Interval
+from choreocert.problems import MapEvaluation, _crossing_notes
 
 Pair = tuple[np.ndarray, np.ndarray]
 
@@ -137,6 +140,20 @@ def flow(field, start: LohnerSet, t_final: float, h: float, order: int
         t = rec.t_k
         k += 1
     return cur, steps
+
+
+# --- the point's flow alone ----------------------------------------------------
+
+def phi_point_alone(problem, x, policy: StepPolicy) -> MapEvaluation:
+    """The defect map at the reduced point x from a flow of the thin point
+    alone, from time 0 under `policy`: the reference for the point that
+    rides the set flow (`problems.phi_point`), and the map at a point with
+    no set flow to ride."""
+    s0 = problem.embed_point(x)
+    cr = flow_to_section(problem.field, LohnerSet.from_box(s0, s0),
+                         problem.section, policy)
+    return MapEvaluation(value=problem.reduce(*cr.state), jacobian=None,
+                         crossing=cr, notes=_crossing_notes(problem, cr))
 
 
 # --- conserved quantities ------------------------------------------------------

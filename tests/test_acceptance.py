@@ -29,11 +29,10 @@ from choreocert.problems import (
     eight_problem,
     gerver_problem,
     phi_jacobian,
-    phi_point,
 )
 from choreocert.rootfind import CertificationJob, certify
 from helpers import (LinearField, box_with_slab, conservation_containment,
-                     flow, nbody_field)
+                     flow, nbody_field, phi_point_alone)
 
 pytestmark = pytest.mark.acceptance
 
@@ -119,12 +118,12 @@ def _run_proof(problem, candidate, delta, h_point, h_set, order, method):
     box = IntervalVector.box(candidate, delta)
     point_policy = StepPolicy(h_point, order)
     set_policy = StepPolicy(h_set, order)
-    point_eval = phi_point(problem, candidate, point_policy)
+    point_eval = phi_point_alone(problem, candidate, point_policy)
     jac_eval = phi_jacobian(problem, box, set_policy)
 
     def enclose(x, x_box):
         f_x = (point_eval.value if np.array_equal(x, candidate)
-               else phi_point(problem, x, point_policy).value)
+               else phi_point_alone(problem, x, point_policy).value)
         df_X = (jac_eval.jacobian if x_box == box
                 else phi_jacobian(problem, x_box, set_policy).jacobian)
         return f_x, df_X

@@ -28,7 +28,7 @@ from choreocert.cli import (
 from choreocert.errors import (GluingMismatch, NoCrossing,
                                RoughEnclosureFailure, RoundingModeError)
 from choreocert.integrator import StepPolicy, flow_to_section
-from choreocert.problems import make_problem, phi_point
+from choreocert.problems import make_problem
 from choreocert.rootfind import CertificationJob
 from helpers import FE_TONEAREST, fegetround
 
@@ -96,29 +96,31 @@ class TestProve:
         counts = body["step_counts"]
         assert 0 < counts["point"] < counts["set"]
 
-    def test_point_outside_the_set_is_integrated_alone(self, monkeypatch):
-        # a point whose box leaves the set's box is dropped by the step, and
-        # the standalone point flow's value goes into the certificate bit
-        # for bit
+    def test_a_point_outside_the_box_is_refused(self, monkeypatch):
+        # each step clips the ridden point's box to the set's, which is
+        # sound only for a point of X: the map refuses any other before it
+        # flows
+        def flow(*args):
+            raise AssertionError("a flow started")
+
+        monkeypatch.setattr(problems, "flow_to_section", flow)
+        monkeypatch.setattr(cli, "certify",
+                            lambda job: job.enclose(job.X.hi + 1e-9, job.X))
         candidate = np.array(cli.DEFAULTS["eight"]["candidate"])
-        args = (make_problem("eight"), "newton", StepPolicy(0.01, 7), 1e-6,
-                candidate)
-        riding, _ = cli.run_certification(*args)
-        carrying = integrator.LohnerSet.carrying
-        monkeypatch.setattr(integrator.LohnerSet, "carrying",
-                            lambda self, p: carrying(self, p + 1.0))
-        cert, _ = cli.run_certification(*args)
-        alone = phi_point(make_problem("eight"), candidate,
-                          StepPolicy(0.01, 7))
-        first, riding_first = cert.outcome.trace[0], riding.outcome.trace[0]
-        for got, want in ((first.f_x.lo, alone.value.lo),
-                          (first.f_x.hi, alone.value.hi)):
-            assert np.array_equal(got, want)
-        counts = cert.body()["step_counts"]
-        assert counts["point"] == counts["set"] == len(alone.crossing.steps)
-        assert riding.body()["step_counts"]["point"] < counts["point"]
-        assert np.array_equal(first.df_X.lo, riding_first.df_X.lo)
-        assert np.array_equal(first.df_X.hi, riding_first.df_X.hi)
+        with pytest.raises(ValueError, match="outside the box"):
+            cli.run_certification(make_problem("eight"), "newton",
+                                  StepPolicy(0.01, 7), 1e-6, candidate)
+
+    def test_a_tiny_box_hands_the_point_off_in_the_zone(self, tmp_path):
+        # at delta 1e-14 every halving of h from the default 0.03 / 18 stays
+        # inconclusive, and the point rides to the zone in each: its own
+        # flow is the hand-off alone, however small the set's box
+        path = tmp_path / "tiny.cert"
+        assert main(["prove", "--system", "eight", "--delta", "1e-14",
+                     "--out", str(path)]) == EXIT_INCONCLUSIVE
+        counts = parse_document(path.read_text())["step_counts"]
+        assert 1 <= counts["point"] <= 3 < counts["set"]
+        assert main(["verify", "--cert", str(path), "--quiet"]) == EXIT_OK
 
     def test_retry_halves_every_controlled_step(self, monkeypatch, tmp_path,
                                                 capsys):
@@ -660,7 +662,7 @@ class TestOptions:
             "CertificationJob": ["enclose", "x0", "X", "method", "C"],
             "flow_to_section": ["field", "start", "section", "policy"],
             "step": ["field", "cur", "h", "order", "t_start"],
-            "phi_point": ["problem", "x", "policy", "along"],
+            "phi_point": ["problem", "along", "policy"],
             "phi_jacobian": ["problem", "X", "policy", "point"],
             "verify_convexity": ["certified_box"],
             "ProofCertificate": ["problem", "job", "outcome", "policy",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import PhaseLayout
-from choreocert.errors import DimensionMismatch
+from choreocert.errors import DimensionMismatch, EmptyIntersection
 from choreocert import integrator, kernels as kn
 from choreocert.integrator import (Frame, LohnerSet, StepPolicy,
                                    flow_to_section, step)
@@ -27,7 +28,8 @@ from choreocert.problems import (
     phi_jacobian,
     phi_point,
 )
-from helpers import center_of_mass, linear_momentum, nbody_field
+from helpers import (center_of_mass, linear_momentum, nbody_field,
+                     phi_point_alone)
 
 EIGHT_X0 = np.array([0.347116768716, 0.532724944657])
 GERVER_X = np.array([1.382857, 1.87193510824, 0.584872579881])
@@ -119,7 +121,7 @@ class TestEmbeddings:
 
     def test_derivative_patterns(self):
         prob = eight_problem()
-        de = prob.embed_derivative()
+        de = prob.embed_map.matrix
         assert de.shape == (8, 2)
         expect = np.zeros((8, 2))
         expect[4, 0] = expect[6, 0] = 1
@@ -130,7 +132,7 @@ class TestEmbeddings:
         assert np.array_equal(full[10:], [[-2, 0], [0, -2]])
 
         prob = gerver_problem()
-        dg = prob.embed_derivative()
+        dg = prob.embed_map.matrix
         assert dg.shape == (8, 3)
         assert np.count_nonzero(dg) == 3
         # each column unfolded over all four bodies, antipodes negated
@@ -152,7 +154,7 @@ class TestEmbeddings:
             assert prob.embed_map.matrix.shape == (2 * n, n - 1)
             assert len(prob.defects.rows) == n - 1
             z = np.zeros(2 * n)
-            assert prob.reduce_derivative(z, z)[0].shape == (n - 1, 2 * n)
+            assert prob.defects.derivative(z, z)[0].shape == (n - 1, 2 * n)
             # antipode rule: body i + H is exactly -(body i)
             s = prob.embed_point(rng.standard_normal(n - 1))
             layout, el, eh = prob.expand_state(s, s)
@@ -316,7 +318,7 @@ class TestEightForms:
         val = prob.reduce(sl, sh)
         assert np.array_equal(val.lo, _ends(values)[0])
         assert np.array_equal(val.hi, _ends(values)[1])
-        dl, dh = prob.reduce_derivative(sl, sh)
+        dl, dh = prob.defects.derivative(sl, sh)
         assert np.array_equal(dl, [_ends(r)[0] for r in rows])
         assert np.array_equal(dh, [_ends(r)[1] for r in rows])
         assert prob.section.g(sl, sh) == g
@@ -383,7 +385,7 @@ def _check_enclosures(prob, sl, sh, points):
     """Exact values and gradients at `points` (in the box [sl, sh]) lie in
     the enclosures over the box."""
     val = prob.reduce(sl, sh)
-    dl, dh = prob.reduce_derivative(sl, sh)
+    dl, dh = prob.defects.derivative(sl, sh)
     if prob.key == "eight":
         g = prob.section.g(sl, sh)
         gl, gh = prob.section.dg(sl, sh)
@@ -480,7 +482,7 @@ class TestPhi:
             make_problem(key, **kwargs)
 
     def test_eight_phi_value_is_small_at_candidate(self):
-        ev = phi_point(eight_problem(), EIGHT_X0, StepPolicy(0.01, 7))
+        ev = phi_point_alone(eight_problem(), EIGHT_X0, StepPolicy(0.01, 7))
         assert np.max(np.abs(ev.value.mid())) < 1e-5
         assert np.max(ev.value.diam()) < 1e-8
 
@@ -521,8 +523,8 @@ def eight_set_flow():
 class TestRideTheSetFlow:
     def test_ridden_point_matches_the_integrated_point(self, eight_set_flow):
         prob = eight_problem()
-        alone = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7))
-        ridden = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7), along=eight_set_flow.crossing)
+        alone = phi_point_alone(prob, EIGHT_X0, StepPolicy(0.01, 7))
+        ridden = phi_point(prob, eight_set_flow.crossing, StepPolicy(0.01, 7))
         # the point flows afresh from the set's first zone step, at its size
         crossing = eight_set_flow.crossing
         first = crossing.steps[crossing.zone[0]]
@@ -533,17 +535,45 @@ class TestRideTheSetFlow:
         assert not ridden.crossing.t_cross.disjoint(alone.crossing.t_cross)
         assert np.all(ridden.value.diam() <= 1.001 * alone.value.diam())
 
-    def test_a_step_drops_a_point_outside_the_set(self):
+    def test_a_step_clips_the_point_to_the_set(self):
         prob = eight_problem()
-        X = IntervalVector.box(EIGHT_X0, 1e-6)
-        for p, kept in ((EIGHT_X0, True), (EIGHT_X0 + 1e-4, False)):
-            cur = prob.embed_slab(X).carrying(prob.embed_point(p))
-            nxt, _ = step(prob.field, cur, 0.01, 7)
-            assert (nxt.point is not None) is kept
-            if kept:  # the kept box holds a float Taylor image of the point
-                image = float_taylor_step(prob.field, prob.embed_point(p), 0.01)
-                assert kn.contains_point(*nxt.point, image)
-                assert np.max(nxt.point[1] - nxt.point[0]) < 1e-12
+        s = prob.embed_point(EIGHT_X0)
+        cur = prob.embed_slab(IntervalVector.box(EIGHT_X0, 1e-6))
+        # the ridden box holds a float Taylor image of the point
+        nxt, _ = step(prob.field, cur.carrying(s), 0.01, 7)
+        image = float_taylor_step(prob.field, s, 0.01)
+        assert kn.contains_point(*nxt.point, image)
+        assert np.max(nxt.point[1] - nxt.point[0]) < 1e-12
+        # a box reaching 1e-4 past the set's box moves as its part inside
+        wide = (s - 1e-4, s + 1e-4)
+        clipped = kn.intersect(*wide, *cur.box())
+        assert not kn.subset(*wide, *clipped)
+        got, _ = step(prob.field, replace(cur, point=wide), 0.01, 7)
+        want, _ = step(prob.field, replace(cur, point=clipped), 0.01, 7)
+        assert all(np.array_equal(a, b) for a, b in zip(got.point, want.point))
+        assert np.max(got.point[1] - got.point[0]) < 1e-5
+        # and a point outside the set's box has no part inside
+        with pytest.raises(EmptyIntersection):
+            step(prob.field, cur.carrying(prob.embed_point(EIGHT_X0 + 1e-4)),
+                 0.01, 7)
+
+    def test_a_step_refuses_a_box_that_misses_its_center(self, monkeypatch):
+        # every frame's r holds 0, so the box holds the center; lift one
+        # lower end one ulp above it and the step raises
+        prob = eight_problem()
+        cur = prob.embed_slab(IntervalVector.box(EIGHT_X0, 1e-6))
+        box, center = Frame.box, cur.state.m[:, 0]
+
+        def lifted(self):
+            lo, hi = box(self)
+            if self is cur.state:
+                lo = lo.copy()
+                lo[4] = np.nextafter(center[4], np.inf)
+            return lo, hi
+
+        monkeypatch.setattr(Frame, "box", lifted)
+        with pytest.raises(ValueError, match="misses its center"):
+            step(prob.field, cur, 0.01, 7)
 
     def test_a_set_step_makes_no_frame_for_the_point(self, monkeypatch):
         # the state and the slab take a QR each; the point takes none
@@ -557,21 +587,6 @@ class TestRideTheSetFlow:
         nxt, _ = step(prob.field, cur, 0.01, 7)
         assert nxt.point is not None and nxt.slab is not None
         assert len(calls) == 2
-
-    def test_without_a_point_frame_the_point_flows_alone(self):
-        prob = eight_problem()
-        x = EIGHT_X0 + 1e-4
-        crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
-                                StepPolicy(0.01, 7), point=x).crossing
-        # the first step starts with the point and drops it
-        assert crossing.steps[0].point is not None
-        assert all(rec.point is None for rec in crossing.steps[1:])
-        alone = phi_point(prob, x, StepPolicy(0.01, 7))
-        ridden = phi_point(prob, x, StepPolicy(0.01, 7), along=crossing)
-        assert np.array_equal(ridden.value.lo, alone.value.lo)
-        assert np.array_equal(ridden.value.hi, alone.value.hi)
-        assert ridden.crossing.t_cross == alone.crossing.t_cross
-        assert len(ridden.crossing.steps) == len(alone.crossing.steps)
 
     def test_a_flow_keeps_what_its_readers_read(self, eight_set_flow):
         # the crossing's hull reads only the zone's transitions, and the
@@ -599,18 +614,7 @@ class TestRideTheSetFlow:
         first = steps[crossing.zone[0]]
         own = flow_to_section(prob.field, LohnerSet.from_box(*first.point),
                               prob.section, StepPolicy(first.h, 7))
-        ridden = phi_point(prob, EIGHT_X0, StepPolicy(0.01, 7),
-                           along=crossing).crossing
+        ridden = phi_point(prob, crossing, StepPolicy(0.01, 7)).crossing
         assert all(np.array_equal(a, b)
                    for a, b in zip(ridden.state, own.state))
         assert ridden.t_cross == first.t_start + own.t_cross
-
-    def test_only_a_flow_from_step_zero_at_the_same_h(self, eight_set_flow):
-        with pytest.raises(ValueError):
-            phi_point(eight_problem(), EIGHT_X0, StepPolicy(0.005, 7),
-                      along=eight_set_flow.crossing)
-
-    def test_only_the_point_the_flow_carried(self, eight_set_flow):
-        with pytest.raises(ValueError, match="another point"):
-            phi_point(eight_problem(), EIGHT_X0 + 1e-7, StepPolicy(0.01, 7),
-                      along=eight_set_flow.crossing)

@@ -14,9 +14,9 @@ from choreocert.problems import (
     gerver_problem,
     make_problem,
     monodromy_preconditioner,
-    phi_point,
     refine_candidate,
 )
+from helpers import phi_point_alone
 
 EIGHT_X0 = np.array(DEFAULTS["eight"]["candidate"])
 EIGHT_PUBLISHED = np.array([0.347116768716, 0.532724944657])
@@ -34,20 +34,21 @@ class TestPointPhi:
     # the validated map at the reference candidates, thin
     def test_eight_candidate_defect_is_tiny(self):
         # the published digits, 1.2e-7 from the zero
-        ev = phi_point(eight_problem(), EIGHT_PUBLISHED, policy("eight"))
+        ev = phi_point_alone(eight_problem(), EIGHT_PUBLISHED,
+                             policy("eight"))
         assert np.max(np.abs(ev.value.mid())) < 1e-5
         assert ev.crossing.t_cross.mid() == pytest.approx(0.5271592126,
                                                           abs=1e-8)
         # the default candidate is the certified zero
-        ev = phi_point(eight_problem(), EIGHT_X0, policy("eight"))
+        ev = phi_point_alone(eight_problem(), EIGHT_X0, policy("eight"))
         assert np.max(np.abs(ev.value.mid())) < 1e-12
 
     def test_gerver_candidate_is_essentially_fixed(self):
-        ev = phi_point(gerver_problem(), GERVER_X, policy("gerver"))
+        ev = phi_point_alone(gerver_problem(), GERVER_X, policy("gerver"))
         assert np.max(np.abs(ev.value.mid())) < 1e-7
 
     def test_chain6_candidate(self):
-        ev = phi_point(chain6_problem(), CHAIN6_X, policy("chain6"))
+        ev = phi_point_alone(chain6_problem(), CHAIN6_X, policy("chain6"))
         assert np.max(np.abs(ev.value.mid())) < 1e-9
         # a twelfth of the period 2 pi
         assert ev.crossing.t_cross.mid() == pytest.approx(np.pi / 6, abs=1e-6)

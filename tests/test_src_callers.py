@@ -1,15 +1,16 @@
 """`src/choreocert` holds only what a command or the benchmark runs: every
-module-level function and class has a caller outside its own body, and
-every dataclass field has a reader.
+module-level function and class has a caller outside its own body, every
+public method of a class has a reader outside its own body, and every
+dataclass field has a reader.
 
 A caller is an import of the name or a `module.name` access from another
 module of the package or of `perfbench/`, or a use in its own module outside
-the definition.  A reader is an attribute read `.field` anywhere in the
-package or in `perfbench/`; attributes are matched by name, so a field
-shares its reader with any same-named attribute.  The package's `__init__`
-re-exports do not count, and neither do the tests: code only a test calls
-belongs in `tests/helpers.py`, and a field only a test reads is a record
-nobody keeps.
+the definition.  A reader is an attribute read `.name` anywhere in the
+package or in `perfbench/`, for a method outside its own body; attributes
+are matched by name, so a field or a method shares its reader with any
+same-named attribute.  The package's `__init__` re-exports do not count, and
+neither do the tests: code only a test calls belongs in `tests/helpers.py`,
+and a field only a test reads is a record nobody keeps.
 """
 
 import ast
@@ -111,6 +112,39 @@ def unread_fields(package: Path = PACKAGE,
             and item.target.id not in reads]
 
 
+def _attribute_read_lines(tree: ast.Module) -> list[tuple[str, int]]:
+    return [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)]
+
+
+def unread_methods(package: Path = PACKAGE,
+                   others=(ROOT / "perfbench",)) -> list[str]:
+    """`module.Class.method` of every public method of a class of `package`
+    that no code of the package or of `others` reads as an attribute
+    outside the method's own body."""
+    modules = _modules(package)
+    module_reads = {stem: _attribute_reads(t) for stem, t in modules.items()}
+    other_reads = set().union(*map(_attribute_reads, _other_trees(others)))
+    unread = []
+    for stem, tree in modules.items():
+        reads = other_reads.union(*(r for s, r in module_reads.items()
+                                    if s != stem))
+        own_reads = _attribute_read_lines(tree)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("_") or fn.name in reads):
+                    continue
+                body = range(fn.lineno, fn.end_lineno + 1)
+                if not any(name == fn.name and line not in body
+                           for name, line in own_reads):
+                    unread.append(f"{stem}.{cls.name}.{fn.name}")
+    return unread
+
+
 def test_every_definition_has_a_caller():
     assert uncalled_definitions() == []
 
@@ -150,3 +184,30 @@ def test_the_guard_sees_a_field_only_a_test_reads(tmp_path):
     assert unread_fields(package, others=()) == ["a.Record.unread"]
     # the same read from a directory the guard scans counts
     assert unread_fields(package, others=(tests,)) == []
+
+
+def test_every_public_method_has_a_reader():
+    assert unread_methods() == []
+
+
+def test_the_guard_sees_a_method_only_a_test_calls(tmp_path):
+    # `unused` calls itself and a test calls it; `used` is read from
+    # another module, and `_private` by nobody
+    package = tmp_path / "choreocert"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text(
+        "class Box:\n    def used(self):\n        return 1\n\n"
+        "    def unused(self, n):\n"
+        "        return self.unused(n - 1) if n else self.used()\n\n"
+        "    def _private(self):\n        return 0\n")
+    (package / "b.py").write_text(
+        "from .a import Box\n\n\ndef one():\n    return Box().used()\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text(
+        "from choreocert.a import Box\n\n\n"
+        "def test_unused():\n    assert Box().unused(2) == 1\n")
+    assert unread_methods(package, others=()) == ["a.Box.unused"]
+    # the same call from a directory the guard scans counts
+    assert unread_methods(package, others=(tests,)) == []
