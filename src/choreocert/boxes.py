@@ -1,8 +1,14 @@
 """Interval vectors and matrices, plus the verified linear solve.
 
 `IntervalVector` and `IntervalMatrix` wrap (lo, hi) float64 arrays and expose
-the set predicates needed by the certification operators.  Heavy inner loops
-elsewhere use the raw kernels directly; these classes are the stable API.
+the set predicates needed by the certification operators.  One private base
+holds what both shapes share: the checks on construction (the number of
+axes, nonempty, finite, ordered ends, -0 stored as +0), immutability, the
+set operations and the elementwise arithmetic, each one kernel call.  The
+vector adds indexing, point membership and its hex codec; the matrix adds
+the interval products `matvec` and `matmul` and its hex codec.  Heavy inner
+loops elsewhere use the raw kernels directly; these classes are the stable
+API.
 """
 
 from __future__ import annotations
@@ -16,33 +22,98 @@ from .errors import DimensionMismatch, SingularEnclosure
 from .interval import Interval
 
 
-def _as_pair(lo, hi, ndim: int, what: str):
-    # copies; + 0.0 at round-to-nearest stores a -0 endpoint as +0, as
-    # `Interval` does
-    lo = np.asarray(lo, dtype=np.float64) + 0.0
-    hi = np.asarray(hi, dtype=np.float64) + 0.0
-    if lo.ndim != ndim or hi.shape != lo.shape:
-        raise DimensionMismatch(f"{what}: bad shapes {lo.shape} / {hi.shape}")
-    kn.assert_valid(lo, hi, what)
-    return lo, hi
-
-
-class IntervalVector:
-    """Interval box: a product of nonempty closed intervals."""
+class _IntervalBox:
+    """A nonempty (lo, hi) pair of float64 arrays with `NDIM` axes, one
+    closed interval per entry, immutable once built.  Every operation is
+    one kernel call; an operand is a box of the same shape or a float
+    array, which stands for the box of its points."""
 
     __slots__ = ("lo", "hi")
+    NDIM: int
 
     def __init__(self, lo, hi):
-        lo, hi = _as_pair(lo, hi, 1, "IntervalVector")
+        # copies; + 0.0 at round-to-nearest stores a -0 endpoint as +0, as
+        # `Interval` does
+        lo = np.asarray(lo, dtype=np.float64) + 0.0
+        hi = np.asarray(hi, dtype=np.float64) + 0.0
+        what = type(self).__name__
+        if lo.ndim != self.NDIM or hi.shape != lo.shape:
+            raise DimensionMismatch(f"{what}: bad shapes {lo.shape} / {hi.shape}")
         if lo.size == 0:
-            raise DimensionMismatch("IntervalVector must be nonempty")
+            raise DimensionMismatch(f"{what} must be nonempty")
+        kn.assert_valid(lo, hi, what)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("IntervalVector is immutable")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors --
+    @classmethod
+    def point(cls, values):
+        v = np.asarray(values, dtype=np.float64)
+        return cls(v, v)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return (np.array_equal(self.lo, other.lo)
+                    and np.array_equal(self.hi, other.hi))
+        return NotImplemented
+
+    def _coerce(self, other) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(other, _IntervalBox):
+            bl, bh = other.lo, other.hi
+        else:
+            bl = bh = np.asarray(other, dtype=np.float64)
+        if bl.shape != self.lo.shape:
+            raise DimensionMismatch(f"{type(self).__name__}: shapes differ, "
+                                    f"{self.lo.shape} and {bl.shape}")
+        return bl, bh
+
+    # -- set ops --
+
+    def mid(self) -> np.ndarray:
+        return kn.mid(self.lo, self.hi)
+
+    def diam(self) -> np.ndarray:
+        return kn.diam(self.lo, self.hi)
+
+    def hull(self, other):
+        return type(self)(*kn.hull(self.lo, self.hi, *self._coerce(other)))
+
+    def intersect(self, other):
+        return type(self)(*kn.intersect(self.lo, self.hi, *self._coerce(other)))
+
+    def subset(self, other) -> bool:
+        return kn.subset(self.lo, self.hi, *self._coerce(other))
+
+    def subset_interior(self, other) -> bool:
+        return kn.subset_interior(self.lo, self.hi, *self._coerce(other))
+
+    def disjoint(self, other) -> bool:
+        return kn.disjoint(self.lo, self.hi, *self._coerce(other))
+
+    # -- arithmetic --
+
+    def __add__(self, other):
+        return type(self)(*kn.add(self.lo, self.hi, *self._coerce(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)(*kn.sub(self.lo, self.hi, *self._coerce(other)))
+
+    def __rsub__(self, other):
+        return type(self)(*kn.sub(*self._coerce(other), self.lo, self.hi))
+
+    def __neg__(self):
+        return type(self)(*kn.neg(self.lo, self.hi))
+
+
+class IntervalVector(_IntervalBox):
+    """Interval box: a product of nonempty closed intervals."""
+
+    __slots__ = ()
+    NDIM = 1
 
     @classmethod
     def from_intervals(cls, items: Iterable[Interval]) -> IntervalVector:
@@ -51,18 +122,11 @@ class IntervalVector:
                    np.array([iv.hi for iv in items]))
 
     @classmethod
-    def point(cls, values) -> IntervalVector:
-        v = np.asarray(values, dtype=np.float64)
-        return cls(v, v.copy())
-
-    @classmethod
     def box(cls, center, radius) -> IntervalVector:
         """center +- radius, componentwise, outward rounded."""
         c = np.asarray(center, dtype=np.float64)
         r = np.abs(np.asarray(radius, dtype=np.float64))
         return cls(*kn.add(c, c, -r, r))
-
-    # -- basics --
 
     def __len__(self) -> int:
         return self.lo.size
@@ -79,76 +143,11 @@ class IntervalVector:
                           for a, b in zip(self.lo, self.hi))
         return f"IntervalVector({parts})"
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntervalVector):
-            return (np.array_equal(self.lo, other.lo)
-                    and np.array_equal(self.hi, other.hi))
-        return NotImplemented
-
-    def _coerce(self, other) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(other, IntervalVector):
-            if len(other) != len(self):
-                raise DimensionMismatch("vector lengths differ")
-            return other.lo, other.hi
-        v = np.asarray(other, dtype=np.float64)
-        if v.shape != self.lo.shape:
-            raise DimensionMismatch("vector lengths differ")
-        return v, v
-
-    # -- set ops --
-
-    def mid(self) -> np.ndarray:
-        return kn.mid(self.lo, self.hi)
-
-    def diam(self) -> np.ndarray:
-        return kn.diam(self.lo, self.hi)
-
-    def hull(self, other: IntervalVector) -> IntervalVector:
-        bl, bh = self._coerce(other)
-        return IntervalVector(*kn.hull(self.lo, self.hi, bl, bh))
-
-    def intersect(self, other: IntervalVector) -> IntervalVector:
-        bl, bh = self._coerce(other)
-        return IntervalVector(*kn.intersect(self.lo, self.hi, bl, bh))
-
-    def subset(self, other: IntervalVector) -> bool:
-        bl, bh = self._coerce(other)
-        return kn.subset(self.lo, self.hi, bl, bh)
-
-    def subset_interior(self, other: IntervalVector) -> bool:
-        bl, bh = self._coerce(other)
-        return kn.subset_interior(self.lo, self.hi, bl, bh)
-
-    def disjoint(self, other: IntervalVector) -> bool:
-        bl, bh = self._coerce(other)
-        return kn.disjoint(self.lo, self.hi, bl, bh)
-
     def contains_point(self, x) -> bool:
         return kn.contains_point(self.lo, self.hi, np.asarray(x, dtype=np.float64))
 
     def contains_zero(self) -> bool:
         return kn.contains_point(self.lo, self.hi, np.zeros(len(self)))
-
-    # -- arithmetic --
-
-    def __add__(self, other) -> IntervalVector:
-        bl, bh = self._coerce(other)
-        return IntervalVector(*kn.add(self.lo, self.hi, bl, bh))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> IntervalVector:
-        bl, bh = self._coerce(other)
-        return IntervalVector(*kn.sub(self.lo, self.hi, bl, bh))
-
-    def __rsub__(self, other) -> IntervalVector:
-        bl, bh = self._coerce(other)
-        return IntervalVector(*kn.sub(bl, bh, self.lo, self.hi))
-
-    def __neg__(self) -> IntervalVector:
-        return IntervalVector(*kn.neg(self.lo, self.hi))
-
-    # -- serialization --
 
     def to_hex(self) -> list[list[str]]:
         return [[float(a).hex(), float(b).hex()]
@@ -160,28 +159,15 @@ class IntervalVector:
                    np.array([float.fromhex(p[1]) for p in data]))
 
 
-class IntervalMatrix:
+class IntervalMatrix(_IntervalBox):
     """Rectangular grid of intervals; encloses every pointwise selection."""
 
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo, hi = _as_pair(lo, hi, 2, "IntervalMatrix")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("IntervalMatrix is immutable")
-
-    @classmethod
-    def point(cls, values) -> IntervalMatrix:
-        v = np.asarray(values, dtype=np.float64)
-        return cls(v, v.copy())
+    __slots__ = ()
+    NDIM = 2
 
     @classmethod
     def identity(cls, n: int) -> IntervalMatrix:
-        e = np.eye(n)
-        return cls(e, e.copy())
+        return cls.point(np.eye(n))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -194,39 +180,15 @@ class IntervalMatrix:
     def __repr__(self) -> str:
         return f"IntervalMatrix(shape={self.shape})"
 
-    def mid(self) -> np.ndarray:
-        return kn.mid(self.lo, self.hi)
+    def matvec(self, v: IntervalVector) -> IntervalVector:
+        if self.shape[1] != len(v):
+            raise DimensionMismatch("matvec shape mismatch")
+        return IntervalVector(*kn.matvec(self.lo, self.hi, v.lo, v.hi))
 
-    def diam(self) -> np.ndarray:
-        return kn.diam(self.lo, self.hi)
-
-    def hull(self, other: IntervalMatrix) -> IntervalMatrix:
-        return IntervalMatrix(*kn.hull(self.lo, self.hi, other.lo, other.hi))
-
-    def __add__(self, other: IntervalMatrix) -> IntervalMatrix:
-        return IntervalMatrix(*kn.add(self.lo, self.hi, other.lo, other.hi))
-
-    def __sub__(self, other: IntervalMatrix) -> IntervalMatrix:
-        return IntervalMatrix(*kn.sub(self.lo, self.hi, other.lo, other.hi))
-
-    def __neg__(self) -> IntervalMatrix:
-        return IntervalMatrix(*kn.neg(self.lo, self.hi))
-
-    def matvec(self, v) -> IntervalVector:
-        if isinstance(v, IntervalVector):
-            if self.shape[1] != len(v):
-                raise DimensionMismatch("matvec shape mismatch")
-            return IntervalVector(*kn.matvec(self.lo, self.hi, v.lo, v.hi))
-        vv = np.asarray(v, dtype=np.float64)
-        return IntervalVector(*kn.matvec_thin_right(self.lo, self.hi, vv))
-
-    def matmul(self, other) -> IntervalMatrix:
-        if isinstance(other, IntervalMatrix):
-            if self.shape[1] != other.shape[0]:
-                raise DimensionMismatch("matmul shape mismatch")
-            return IntervalMatrix(*kn.matmul(self.lo, self.hi, other.lo, other.hi))
-        b = np.asarray(other, dtype=np.float64)
-        return IntervalMatrix(*kn.matmul_thin_right(self.lo, self.hi, b))
+    def matmul(self, other: IntervalMatrix) -> IntervalMatrix:
+        if self.shape[1] != other.shape[0]:
+            raise DimensionMismatch("matmul shape mismatch")
+        return IntervalMatrix(*kn.matmul(self.lo, self.hi, other.lo, other.hi))
 
     def to_hex(self) -> list[list[list[str]]]:
         return [[[float(self.lo[i, j]).hex(), float(self.hi[i, j]).hex()]

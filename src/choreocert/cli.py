@@ -276,6 +276,7 @@ def run_certification(problem, method, policy, delta, candidate):
 def _prove_one(system: str, params: dict, out_path: str | None,
                expect_no_zero: bool) -> int:
     for attempt in range(_RETRY_HALVINGS + 1):
+        cert = None
         try:
             cert, outcome = run_certification(**params)
         except RoughEnclosureFailure as exc:
@@ -284,21 +285,23 @@ def _prove_one(system: str, params: dict, out_path: str | None,
             print(f"{system}: integration failed: {exc}", file=sys.stderr)
             return EXIT_INTEGRATOR
         else:
-            if outcome.verdict != "Inconclusive" or attempt == _RETRY_HALVINGS:
+            if outcome.verdict != "Inconclusive":
                 break
             failure = f"inconclusive ({outcome.cause})"
+        halved = None
         if attempt < _RETRY_HALVINGS:
             try:
-                params = dict(params, policy=params["policy"].halved())
+                halved = params["policy"].halved()
             except ValueError:  # the step policy refuses a step that small
                 pass
-            else:
-                print(f"{system}: {failure}; halving the step size",
-                      file=sys.stderr)
-                continue
-        print(f"{system}: {failure}; step-size retries exhausted",
-              file=sys.stderr)
-        return EXIT_INTEGRATOR
+        if halved is None:
+            if cert is not None:   # an Inconclusive run keeps its document
+                break
+            print(f"{system}: {failure}; step-size retries exhausted",
+                  file=sys.stderr)
+            return EXIT_INTEGRATOR
+        print(f"{system}: {failure}; halving the step size", file=sys.stderr)
+        params = dict(params, policy=halved)
 
     path = out_path or f"{system}.cert"
     with open(path, "w", encoding="utf-8") as fh:

@@ -44,7 +44,8 @@ series.  The Lohner step stacks the box center, the box and its rough
 enclosure into one pass at order R+1: layer m depends only on the layers
 below it, so layers 0..R are those of an order-R series.  Only the members
 that `variational` selects carry gradient layers, in the step the box and
-the rough box; the center's state layers are all the step reads of it.  A
+the rough box, and the Jacobian and the transition layers run over those
+members alone; the center's state layers are all the step reads of it.  A
 series of order R computes the state layers 0..R and, with or without
 variational data, z, u, p and s at the layers 0..R-1 that they read; the
 gradient layers G[0..R-1] are what the transition layers up to R read.  The
@@ -199,8 +200,9 @@ class GravitySeries:
     Every array carries a batch axis right after the layer axis; a 1-D box
     is the batch of one, and the public views drop that axis again.
     `variational` is True (every member carries gradient layers), False
-    (none does) or a slice of the members that do; the gradient layers of
-    the others are NaN, and `transition_layers` refuses them."""
+    (none does) or a slice of the members that do.  The gradient layers,
+    the Jacobian and the transition layers hold those members alone, in
+    batch order."""
 
     def __init__(self, field: GravityField, sl: np.ndarray, sh: np.ndarray,
                  order: int, variational: bool | slice):
@@ -321,8 +323,7 @@ class GravitySeries:
 
     def _build_gradient_layers(self) -> None:
         """Gravity-gradient Taylor layers G[k] (2N x 2N position blocks),
-        k < order, shaped (order, B, 2N, 2N), of the graded members; NaN
-        for the others."""
+        k < order, shaped (order, B', 2N, 2N), of the B' graded members."""
         fld = self.field
         R = self.order
         g = self._graded
@@ -359,9 +360,7 @@ class GravitySeries:
             ch = np.where(f > 0, f * bh, f * bl)
             Gl[:, :, rows, cols], Gh[:, :, rows, cols] = kn.add(
                 Gl[:, :, rows, cols], Gh[:, :, rows, cols], cl, ch)
-        self._gl, self._gh = (np.full((R, g.size, 2 * nb, 2 * nb), np.nan)
-                              for _ in range(2))
-        self._gl[:, g], self._gh[:, g] = Gl, Gh
+        self._gl, self._gh = Gl, Gh
 
     # -- public views --
 
@@ -372,20 +371,19 @@ class GravitySeries:
 
     def jacobian(self) -> Pair:
         """Field Jacobian enclosure over the input box: [[0, I], [G0, 0]]
-        arranged per the layout; (B, dim, dim) for a batch, NaN in the G0
-        block of a member without gradient layers."""
+        arranged per the layout; (B', dim, dim) for the B' graded members
+        of a batch."""
         if not self._graded.any():
             raise ValueError("series was built without variational data")
         place = self.field.layout.field_jacobian
         return place(self.grad_lo[0]), place(self.grad_hi[0])
 
     def transition_layers(self, order: int | tuple[int, ...] | None = None,
-                          members: slice | None = None,
                           seed: Pair | None = None,
                           tangent: int | None = None) -> Pair:
         """Taylor layers of M(t) V, with M(t) the transition matrix, M(0) =
         identity, and V the seed: (top+1, dim, d), or (top+1, B', dim, d)
-        for the batch members selected by `members` (default all).
+        for the B' graded members of a batch.
 
         `seed` is one interval (dim, d) block per member, (B', dim, d) for a
         batch, by default the identity (d = dim).  Over a box X, the
@@ -395,13 +393,11 @@ class GravitySeries:
         per member, non-decreasing; with `tangent` the last column of the
         last member runs on alone, in the same loop, to layer `tangent`.
         top is the highest layer asked for; the entries never computed are
-        NaN.  Layer k needs gradient layers up to k-1, i.e. selected
-        members that carry them and top <= `self.order`.
+        NaN.  Layer k needs gradient layers up to k-1, i.e. top <=
+        `self.order`.
         """
-        pick = slice(None) if members is None else members
-        if not self._graded[pick].all():
-            raise ValueError("series was built without variational data "
-                             "for a selected member")
+        if not self._graded.any():
+            raise ValueError("series was built without variational data")
         fld = self.field
         n = fld.layout.dim
         qsel, vsel = fld.layout.qsel, fld.layout.vsel
@@ -409,7 +405,7 @@ class GravitySeries:
         # row i, member): each velocity-row contraction sums over its two
         # leading axes (k, j), in the same order as any other layout, but
         # over long contiguous rows.
-        Gl, Gh = (np.ascontiguousarray(g[:, pick].transpose(0, 3, 2, 1))[..., None]
+        Gl, Gh = (np.ascontiguousarray(g.transpose(0, 3, 2, 1))[..., None]
                   for g in (self._gl, self._gh))
         B = Gl.shape[3]
         tops = np.broadcast_to(self.order if order is None else order,

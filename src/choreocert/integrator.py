@@ -322,10 +322,10 @@ def step(field, cur: LohnerSet, h: float, order: int,
         raise ValueError("the set's center left its rough enclosure")
 
     # The transition's Picard iteration on V' = J V, V(0) = I, with J over
-    # the rough enclosure, starts from I.
+    # the rough enclosure, the last graded member, starts from I.
     jl, jh = ser.jacobian()
     eye = np.eye(n)
-    vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[2], jh[2], cl, ch), h,
+    vw = _rough((eye, eye), lambda cl, ch: kn.matmul(jl[-1], jh[-1], cl, ch), h,
                 (eye, eye), "transition enclosure")
 
     # One transition pass, n + 1 columns per member: the box X seeded with
@@ -334,8 +334,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
     x_seed = np.hstack([eye, np.zeros((n, 1))])
     seed = tuple(np.stack([x_seed, np.hstack([v, u[:, None]])])
                  for v, u in zip(vw, kn.sub(wl, wh, center, center)))
-    ml, mh = ser.transition_layers((Rt, Rt + 1), members=slice(1, None),
-                                   seed=seed, tangent=R + 1)
+    ml, mh = ser.transition_layers((Rt, Rt + 1), seed=seed, tangent=R + 1)
     mx = ml[:Rt + 1, 0, :, :n].copy(), mh[:Rt + 1, 0, :, :n].copy()
     # M_{R_t+1}(W) vw: the Lagrange term of A, as y runs over W and the
     # transition over vw.

@@ -500,8 +500,12 @@ def phi_point(problem: ChoreographyProblem, along: SectionCrossing,
     `along`, the crossing of `phi_jacobian(..., point=x)` under `policy`.
     The point flows on from the box that crossing's first zone step
     records for it (`EnclosureStep.point`), the first step at that step's
-    size, and its crossing time is shifted by that step's start."""
+    size, and its crossing time is shifted by that step's start.  A
+    crossing that carried no point is refused."""
     first = along.steps[along.zone[0]]
+    if first.point is None:
+        raise ValueError("the crossing carried no point: it is not one of "
+                         "phi_jacobian(..., point=x)")
     cr = flow_to_section(problem.field, LohnerSet.from_box(*first.point),
                          problem.section,
                          StepPolicy(first.h, policy.order, policy.tol))

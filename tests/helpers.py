@@ -46,7 +46,8 @@ class LinearField:
     batches included."""
 
     class Series:
-        def __init__(self, A: np.ndarray, sl, sh, order: int):
+        def __init__(self, A: np.ndarray, sl, sh, order: int,
+                     variational: bool | slice):
             sl = np.asarray(sl, float)
             self.order = order
             self.state_lo = np.zeros((order + 1,) + sl.shape)
@@ -59,23 +60,32 @@ class LinearField:
                     kn.div_int(nl, nh, m + 1)
             self._A = A
             self._batch = sl.shape[:-1]
+            if isinstance(variational, bool):
+                variational = slice(None) if variational else slice(0)
+            self._graded = len(range(int(np.prod(self._batch)))[variational])
 
         def layers(self) -> Pair:
             return self.state_lo, self.state_hi
 
+        def _graded_count(self) -> int:
+            if not self._graded:
+                raise ValueError("series was built without variational data")
+            return self._graded
+
         def jacobian(self) -> Pair:
-            J = np.broadcast_to(self._A, self._batch + self._A.shape)
+            B = self._graded_count()
+            J = np.broadcast_to(self._A, ((B,) if self._batch else ())
+                                + self._A.shape)
             return J, J
 
-        def transition_layers(self, order=None, members: slice | None = None,
-                              seed: Pair | None = None,
+        def transition_layers(self, order=None, seed: Pair | None = None,
                               tangent: int | None = None) -> Pair:
             """The gravity series' protocol: layers of M(t) V, M_k = A^k / k!,
-            with one seed (n, d) per member (default the identity), an order
-            per member and a tangent, none above the series' order; entries
-            never computed are NaN."""
+            for the graded members, with one seed (n, d) per member (default
+            the identity), an order per member and a tangent, none above the
+            series' order; entries never computed are NaN."""
             n = self._A.shape[0]
-            B = len(range(int(np.prod(self._batch)))[members or slice(None)])
+            B = self._graded_count()
             tops = np.broadcast_to(self.order if order is None else order, (B,))
             top = max(tops[-1], tangent or 0)
             if top > self.order:
@@ -101,9 +111,9 @@ class LinearField:
         self.dim = self.A.shape[0]
 
     def series(self, sl, sh, order: int, variational: bool | slice = False):
-        """The series protocol; `variational` selects members as for the
-        gravity series, and every member carries the constant Jacobian."""
-        return LinearField.Series(self.A, sl, sh, order)
+        """The series protocol; `variational` selects the members that carry
+        the constant Jacobian, as for the gravity series."""
+        return LinearField.Series(self.A, sl, sh, order, variational)
 
     def eval(self, sl, sh) -> Pair:
         return kn.matvec_thin_left(self.A, sl, sh)

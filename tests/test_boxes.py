@@ -14,6 +14,36 @@ from choreocert.errors import (
 from choreocert.interval import Interval
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 2)], ids=["vector", "matrix"])
+def test_every_box_checks_its_ends(shape):
+    # both box types build through one constructor and share its checks
+    cls = IntervalVector if len(shape) == 1 else IntervalMatrix
+    lo, hi = np.zeros(shape), np.ones(shape)
+    box = cls(lo, hi)
+    wide = np.zeros(shape[:-1] + (3,))
+    for bad in ((lo[..., None], hi[..., None]), (lo[0], hi[0]), (lo, wide)):
+        with pytest.raises(DimensionMismatch, match="bad shapes"):
+            cls(*bad)
+    empty = np.zeros(shape[:-1] + (0,))
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        cls(empty, empty)
+    for bad in ((lo, np.full(shape, np.inf)), (np.full(shape, np.nan), hi),
+                (hi, lo)):
+        with pytest.raises(FloatingPointError):
+            cls(*bad)
+    # -0 is stored as +0, and the box keeps copies of its ends
+    ends = np.full(shape, -0.0)
+    zero = cls(ends, ends)
+    ends[...] = 1.0
+    assert not np.signbit(zero.lo).any() and not np.signbit(zero.hi).any()
+    assert zero == cls.point(np.zeros(shape)) and not zero.hi.any()
+    with pytest.raises(AttributeError, match="immutable"):
+        box.lo = hi
+    for other in (cls(wide, wide), wide):
+        with pytest.raises(DimensionMismatch, match="shapes differ"):
+            box + other
+
+
 class TestVectors:
     def test_box_constructor_outward(self):
         v = IntervalVector.box([1.0, 2.0], 1e-6)
@@ -53,16 +83,12 @@ class TestVectors:
         (np.inf, np.inf), (1.0, 0.0)], ids=["nan-lo", "nan-hi", "-inf",
                                            "+inf", "inf-inf", "inverted"])
     def test_invalid_enclosures_are_refused(self, lo, hi):
-        # as arrays, 0-d arrays, numpy scalars and Python floats, and by
-        # the boxes that check on construction
+        # as arrays, 0-d arrays, numpy scalars and Python floats; the boxes
+        # check theirs on construction (test_every_box_checks_its_ends)
         for cast in (lambda v: np.array([0.5, v]), np.array, np.float64,
                      float):
             with pytest.raises(FloatingPointError):
                 kn.assert_valid(cast(lo), cast(hi))
-        with pytest.raises(FloatingPointError):
-            IntervalVector(np.array([0.0, lo]), np.array([1.0, hi]))
-        with pytest.raises(FloatingPointError):
-            IntervalMatrix(np.full((2, 2), lo), np.full((2, 2), hi))
 
     def test_valid_enclosures_pass(self):
         for lo, hi in ((np.zeros(3), np.ones(3)),

@@ -158,6 +158,28 @@ class TestProve:
         assert err.count("\n") == 1 and "retries exhausted" in err
         assert not out.exists()
 
+    def test_an_inconclusive_run_at_the_step_budget_keeps_its_document(
+            self, monkeypatch, tmp_path, capsys):
+        # the policy refuses to halve 1.5e-5, so the first Inconclusive
+        # attempt is the last: it writes its document and exits 2, as after
+        # the third halving.  The run itself is the Eight's at delta 1e-14
+        # and the default h, which stays Inconclusive
+        seen, run = [], cli.run_certification
+        d = cli.DEFAULTS["eight"]
+
+        def at_the_default_h(**params):
+            seen.append(params["policy"].h)
+            return run(**dict(params, policy=StepPolicy(d["h"], d["order"])))
+
+        monkeypatch.setattr(cli, "run_certification", at_the_default_h)
+        out = tmp_path / "e.cert"
+        assert main(["prove", "--system", "eight", "--h", "1.5e-5",
+                     "--delta", "1e-14", "--out", str(out)]) == EXIT_INCONCLUSIVE
+        assert seen == [1.5e-5]
+        assert "retries exhausted" not in capsys.readouterr().err
+        assert parse_document(out.read_text())["verdict"] == "Inconclusive"
+        assert main(["verify", "--cert", str(out), "--quiet"]) == EXIT_OK
+
     @pytest.mark.parametrize("flags, controlled", [
         ([], True), (["--h", "0.005"], False), (["--order", "8"], False),
         (["--h", "0.005", "--order", "8"], False),

@@ -436,7 +436,7 @@ class TestVariational:
     def test_linear_field_transition_layers(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         ser = LinearField(A).series(np.array([1.0, 0.0]),
-                                    np.array([1.0, 0.0]), 6)
+                                    np.array([1.0, 0.0]), 6, variational=True)
         ml, mh = ser.transition_layers()
         for k in range(7):
             exact = np.linalg.matrix_power(A, k) / math.factorial(k)
@@ -485,12 +485,14 @@ class TestBatch:
             lo, hi = random_boxes(s0, rng, 3)
             for order in (R, R + 1):
                 batch = f.series(lo, hi, order, variational=True)
+                part = f.series(lo, hi, order, variational=slice(1, None))
                 bl, bh = batch.layers()
                 jl, jh = batch.jacobian()
                 for top in (order - 1, order):
                     ml, mh = batch.transition_layers(top)
-                    tail = batch.transition_layers(top, members=slice(1, None))
-                    assert same(tail, (ml[:, 1:], mh[:, 1:]))
+                    # a series graded on the last two members runs on those
+                    assert same(part.transition_layers(top),
+                                (ml[:, 1:], mh[:, 1:]))
                     for b in range(3):
                         one = f.series(lo[b], hi[b], order, variational=True)
                         assert same(one.transition_layers(top),
@@ -527,12 +529,14 @@ class TestBatch:
     def test_linear_field_batch(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         lo = np.array([[1.0, 0.0], [0.5, 0.25]])
-        ser = LinearField(A).series(lo, lo + 1e-3, 4)
-        ml, mh = ser.transition_layers(members=slice(1, None))
-        one = LinearField(A).series(lo[1], lo[1] + 1e-3, 4)
+        ser = LinearField(A).series(lo, lo + 1e-3, 4,
+                                    variational=slice(1, None))
+        ml, mh = ser.transition_layers()
+        one = LinearField(A).series(lo[1], lo[1] + 1e-3, 4, variational=True)
         assert same(one.layers(), (a[:, 1] for a in ser.layers()))
         assert same(one.transition_layers(), (ml[:, 0], mh[:, 0]))
-        assert ser.jacobian()[0].shape == (2, 2, 2)
+        assert ser.jacobian()[0].shape == (1, 2, 2)
+        assert one.jacobian()[0].shape == (2, 2)
 
 
 def recorded_step(monkeypatch, system, scale=1.0, order=None):
@@ -595,12 +599,12 @@ class TestSeededTransition:
     def test_identity_seed_is_the_unseeded_call(self, system):
         f, R, s0 = replay_field(system)
         lo, hi = random_boxes(s0, np.random.default_rng(31), 3)
-        ser = f.series(lo, hi, R + 1, variational=True)
         eye = np.broadcast_to(np.eye(f.dim), (3, f.dim, f.dim))
-        for members, count in ((None, 3), (slice(1, None), 2)):
+        for graded, count in ((True, 3), (slice(1, None), 2)):
+            ser = f.series(lo, hi, R + 1, variational=graded)
             seed = (eye[:count], eye[:count])
-            assert same(ser.transition_layers(R + 1, members, seed),
-                        ser.transition_layers(R + 1, members))
+            assert same(ser.transition_layers(R + 1, seed),
+                        ser.transition_layers(R + 1))
         one = f.series(lo[0], hi[0], R, variational=True)
         assert same(one.transition_layers(seed=(np.eye(f.dim),) * 2),
                     one.transition_layers())
@@ -618,8 +622,7 @@ class TestSeededTransition:
         # bit, with a zero last column, and stops at layer R_t
         x = ml[:Rt + 1, 0], mh[:Rt + 1, 0]
         assert same((a[..., :n] for a in x),
-                    (a[:, 0] for a in ser.transition_layers(
-                        Rt, members=slice(1, 2))))
+                    (a[:, 0] for a in ser.transition_layers(Rt)))
         assert not np.any(x[0][..., n]) and not np.any(x[1][..., n])
         assert np.all(np.isnan(ml[Rt + 1:, 0]))
         # W runs every column to R_t + 1, then the tangent alone
@@ -695,36 +698,40 @@ class TestSeededTransition:
             ser.transition_layers(R, tangent=R + 1)
 
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])
-    def test_members_without_gradient_layers_are_refused(self, system):
+    def test_only_graded_members_carry_gradient_layers(self, system):
         # the step's series grades the box and the rough box only; those
-        # carry the all-members layers bit for bit
+        # carry the all-members layers bit for bit, and no array holds a
+        # row for the center
         f, R, s0 = replay_field(system)
         lo, hi = random_boxes(s0, np.random.default_rng(8), 3)
         part = f.series(lo, hi, R + 1, variational=slice(1, None))
         full = f.series(lo, hi, R + 1, variational=True)
-        assert np.isnan(part.grad_lo[:, 0]).all()
-        assert same((part.grad_lo[:, 1:], part.grad_hi[:, 1:]),
+        assert part.grad_lo.shape == part.grad_hi.shape == (
+            R + 1, 2, f.dim // 2, f.dim // 2)
+        assert same((part.grad_lo, part.grad_hi),
                     (full.grad_lo[:, 1:], full.grad_hi[:, 1:]))
-        assert same((a[1:] for a in part.jacobian()),
-                    (a[1:] for a in full.jacobian()))
-        assert same(part.transition_layers(R, members=slice(1, None)),
-                    full.transition_layers(R, members=slice(1, None)))
-        for members in (None, slice(0, 2)):
-            with pytest.raises(ValueError, match="without variational data"):
-                part.transition_layers(R, members=members)
-        plain = f.series(lo, hi, R)
-        for call in (plain.jacobian, plain.transition_layers):
-            with pytest.raises(ValueError, match="without variational data"):
-                call()
+        assert same(part.jacobian(), (a[1:] for a in full.jacobian()))
+        assert same(part.transition_layers(R),
+                    (a[:, 1:] for a in full.transition_layers(R)))
+
+    def test_a_series_without_gradient_layers_refuses_a_transition(self):
+        f, R, s0 = replay_field("eight")
+        lo, hi = random_boxes(s0, np.random.default_rng(8), 3)
+        for graded in (False, slice(0)):
+            plain = f.series(lo, hi, R, variational=graded)
+            for call in (plain.jacobian, plain.transition_layers):
+                with pytest.raises(ValueError,
+                                   match="without variational data"):
+                    call()
 
     def test_linear_field_follows_the_protocol(self):
         # M_k V = A^k V / k! per member, past a member's order NaN, and the
         # last member's last column on to the tangent's layer
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         lo = np.array([[1.0, 0.0], [0.5, 0.25], [0.0, 1.0]])
-        ser = LinearField(A).series(lo, lo, 6)
+        ser = LinearField(A).series(lo, lo, 6, variational=slice(1, None))
         V = np.array([[[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]] * 2)
-        ml, mh = ser.transition_layers((2, 3), slice(1, None), (V, V), 5)
+        ml, mh = ser.transition_layers((2, 3), (V, V), 5)
         assert ml.shape == (6, 2, 2, 3)
         for k in range(6):
             exact = np.linalg.matrix_power(A, k) @ V[0] / math.factorial(k)

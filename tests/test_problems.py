@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from choreocert.boxes import IntervalVector
 from choreocert.dynamics import PhaseLayout
 from choreocert.errors import DimensionMismatch, EmptyIntersection
-from choreocert import integrator, kernels as kn
+from choreocert import integrator, kernels as kn, problems
 from choreocert.integrator import (Frame, LohnerSet, StepPolicy,
                                    flow_to_section, step)
 from choreocert.interval import Interval
@@ -618,3 +618,18 @@ class TestRideTheSetFlow:
         assert all(np.array_equal(a, b)
                    for a, b in zip(ridden.state, own.state))
         assert ridden.t_cross == first.t_start + own.t_cross
+
+    def test_a_crossing_that_carried_no_point_is_refused(self, monkeypatch):
+        # a flow without point= records no point box at its first zone
+        # step: the map names that before any flow
+        prob, policy = eight_problem(), StepPolicy(0.01, 7)
+        crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
+                                policy).crossing
+        assert crossing.steps[crossing.zone[0]].point is None
+
+        def flow(*args):
+            raise AssertionError("a flow started")
+
+        monkeypatch.setattr(problems, "flow_to_section", flow)
+        with pytest.raises(ValueError, match="carried no point"):
+            phi_point(prob, crossing, policy)
