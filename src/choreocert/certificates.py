@@ -41,9 +41,10 @@ the replay runs under the stored one.
 the point rides inside the set flow's steps and hands off to its own flow
 (`problems.phi_point`) from the box the first step of the section zone
 records for it (`integrator.EnclosureStep.point`), at that step's size,
-and `crossing_time_point` adds that step's start.  `step_sizes` lists the
-set flow's sizes in hex, so a replay can re-run them without choosing them
-again.
+and `crossing_time_point` adds that step's start.  The zone ends the set
+flow, so the point's own flow is as long as the zone: one step at the
+defaults.  `step_sizes` lists the set flow's sizes in hex, so a replay can
+re-run them without choosing them again.
 
 The verifier audits a stored verdict without any integration.  It checks
 the inputs: the schema version (4, for both kinds), the parameters (exactly

@@ -86,9 +86,9 @@ EXIT_USAGE = 64
 # holds at any --delta down to 1e-12; the published digits lie up to 1.2e-7
 # from it (README).  All three take fewer, higher-order steps than the
 # published 0.01 / 7, 0.002 / 6 and 0.001 / 9, at smaller image/box ratios.
-# The Eight takes the one size h, 19 steps where 0.01 / 7 takes 55.  For
+# The Eight takes the one size h, 18 steps where 0.01 / 7 takes 53.  For
 # gerver and chain6 h is the first step, and "tol" the Lagrange width each
-# later step is sized for (`integrator.StepPolicy`): 50 steps each.  Both
+# later step is sized for (`integrator.StepPolicy`): 49 steps each.  Both
 # tolerances keep the ratio ratchets of the replay tests at the defaults,
 # their +-delta/4 corners and seeded candidates, each run proving on its
 # first attempt; a looser tolerance takes fewer steps but widens the image.
@@ -275,8 +275,8 @@ def run_certification(problem, method, policy, delta, candidate):
 
 def _prove_one(system: str, params: dict, out_path: str | None,
                expect_no_zero: bool) -> int:
+    best = None   # the Inconclusive attempt with the smallest ratio
     for attempt in range(_RETRY_HALVINGS + 1):
-        cert = None
         try:
             cert, outcome = run_certification(**params)
         except RoughEnclosureFailure as exc:
@@ -288,6 +288,8 @@ def _prove_one(system: str, params: dict, out_path: str | None,
             if outcome.verdict != "Inconclusive":
                 break
             failure = f"inconclusive ({outcome.cause})"
+            if best is None or outcome.ratio < best[1].ratio:
+                best = cert, outcome
         halved = None
         if attempt < _RETRY_HALVINGS:
             try:
@@ -295,7 +297,8 @@ def _prove_one(system: str, params: dict, out_path: str | None,
             except ValueError:  # the step policy refuses a step that small
                 pass
         if halved is None:
-            if cert is not None:   # an Inconclusive run keeps its document
+            if best is not None:   # the best Inconclusive run's document
+                cert, outcome = best
                 break
             print(f"{system}: {failure}; step-size retries exhausted",
                   file=sys.stderr)

@@ -36,10 +36,11 @@ validation loop.
 Section crossings are located in two rigorous stages: straddle detection on
 whole-step enclosures with a transversality sign check, then an interval
 Newton iteration in time over the straddling steps' Taylor polynomials.
-Every flow starts at time 0, and each step has one clock, set when it is
-made: its start time `run_time`, the kernels' sum of the sizes before it.
-All time code reads it, so the steps, which one `StepPolicy` sizes, may
-differ.
+These steps, the section zone, end the flow: its last step ends strictly
+past the section.  Every flow starts at time 0, and each step has one
+clock, set when it is made: its start time `run_time`, the kernels' sum of
+the sizes before it.  All time code reads it, so the steps, which one
+`StepPolicy` sizes, may differ.
 
 A set may carry a thin point of the set along (`LohnerSet.carrying`) as
 a box P, with no frame: a point has no width for a frame to keep from
@@ -50,7 +51,8 @@ for every member of the box, which is convex and holds m (every frame's
 r holds 0; a step whose box misses m raises).  The point lies in the set,
 so each step first clips P to the box.  Each step records the
 point's box at its start (`EnclosureStep.point`), so a flow of the point
-can start from any step.  Only zone steps keep their transition data.
+can start from any step.  Only zone steps keep their transition record,
+whose slab frame gives its box only when the crossing reads it.
 """
 
 from __future__ import annotations
@@ -238,9 +240,8 @@ class EnclosureStep:
     whole: Pair
     layers: Pair                      # state Taylor layers at the step start set
     rem: Pair                         # order-(R+1) state Lagrange coefficient
-    trans_layers: Pair | None = None  # transition layers 0..R_t (C1 only)
-    trans_rem: Pair | None = None     # order-(R_t+1) transition remainder (C1)
-    v_start: Pair | None = None       # accumulated slab box at the start (C1)
+    # C1 only: transition layers 0..R_t, order-(R_t+1) remainder, start slab
+    transition: tuple[Pair, Pair, Frame] | None = None
     point: Pair | None = None         # the carried point's box at the start
 
     @property
@@ -252,8 +253,8 @@ class EnclosureStep:
         return poly_eval(self.layers, self.rem, tau)
 
     def transition_at(self, tau: Interval) -> Pair:
-        mt = poly_eval(self.trans_layers, self.trans_rem, tau)
-        return kn.matmul(*mt, *self.v_start)
+        layers, rem, slab = self.transition
+        return kn.matmul(*poly_eval(layers, rem, tau), *slab.box())
 
 
 # --- rough enclosures --------------------------------------------------------
@@ -379,9 +380,7 @@ def step(field, cur: LohnerSet, h: float, order: int,
                            *pt)
 
     if cur.slab is not None:
-        rec.v_start = cur.slab.box()
-        rec.trans_layers = mx
-        rec.trans_rem = trans_rem
+        rec.transition = mx, trans_rem, cur.slab
         nxt.slab, _ = cur.slab.advance(
             A, kn.matmul_thin_right(*A, cur.slab.m))
 
@@ -415,7 +414,7 @@ class SectionCrossing:
     t_cross: Interval
     projected: Pair | None           # monodromy columns, flow direction removed
     steps: list[EnclosureStep]
-    zone: list[int]                  # positions in steps of the straddling steps
+    zone: list[EnclosureStep]        # the straddling steps, which end `steps`
 
 
 def _crossing_sign(section: SectionSpec, g0: Interval) -> int:
@@ -440,10 +439,12 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         kn.assert_valid(*field.eval(*box), "field over the start set")
     want = _crossing_sign(section, g0)
 
+    def past(g: Interval) -> bool:  # strictly on the far side
+        return g.hi < 0.0 if want == 1 else g.lo > 0.0
+
     steps: list[EnclosureStep] = []
-    cur = start
-    zone: list[int] = []
-    rec = None
+    zone: list[EnclosureStep] = []
+    cur, rec = start, None
     for k in range(policy.budget):
         cur, rec = step(field, cur, policy.size(k, rec), policy.order,
                         t_start=run_time([r.h for r in steps]))
@@ -451,34 +452,33 @@ def flow_to_section(field, start: LohnerSet, section: SectionSpec,
         g_whole = section.g(*rec.whole)
         if not g_whole.contains_zero():
             # only the zone's transitions are read, for the crossing's hull
-            rec.trans_layers = rec.trans_rem = rec.v_start = None
-            on_start_side = (g_whole.lo > 0.0) if want == 1 else (g_whole.hi < 0.0)
-            if zone:
-                if on_start_side:
-                    raise NonTransversal(
-                        "section straddle ended on the starting side")
-                break
-            if not on_start_side:
+            rec.transition = None
+            if past(g_whole):   # it holds the end of the step before
                 raise NonTransversal(
                     "sign flip without a straddled step; enclosures inconsistent")
+            if zone:
+                raise NonTransversal(
+                    "section straddle ended on the starting side")
             continue
         gd = section.gdot(*rec.whole, field)
-        if (want == 1 and not gd.hi < 0.0) or (want == -1 and not gd.lo > 0.0):
+        if not past(gd):   # g must move toward the far side
             raise NonTransversal(
                 f"dg.f = {gd} does not exclude zero with the required sign "
                 f"on step {k}")
-        zone.append(len(steps) - 1)
+        zone.append(rec)
+        if past(section.g(*rec.tight)):   # the zone ends, and the flow
+            break
     else:
         raise NoCrossing(f"no section crossing within {policy.budget} steps")
 
-    t_enc, state = _locate_crossing(steps, zone, section, field)
+    t_enc, state = _locate_crossing(zone, section, field)
     gdot = section.gdot(*state, field)
     if gdot.contains_zero():
         raise NonTransversal("transversality lost at the refined crossing")
 
     projected = None
     if start.slab is not None:
-        transition = _hull_over(steps, zone, t_enc, EnclosureStep.transition_at)
+        transition = _hull_over(zone, t_enc, EnclosureStep.transition_at)
         projected = _project_transition(field, section, state, gdot, transition)
 
     return SectionCrossing(state=state, t_cross=t_enc, projected=projected,
@@ -560,61 +560,60 @@ class StepPolicy:
         return StepPolicy(self.h * 0.5, self.order, tol)
 
 
-def _step_tau_overlap(steps, k: int, t_enc: Interval) -> tuple[float, float] | None:
-    """Rigorous in-step time range covering t_enc within step k, or None."""
-    t0 = steps[k].t_start
+def _step_tau_overlap(rec, t_enc: Interval) -> tuple[float, float] | None:
+    """Rigorous in-step time range covering t_enc within the step, or None."""
+    t0 = rec.t_start
     lo = max(0.0, (Interval.point(t_enc.lo) - t0).lo)
-    hi = min(steps[k].h, (Interval.point(t_enc.hi) - t0).hi)
+    hi = min(rec.h, (Interval.point(t_enc.hi) - t0).hi)
     if lo > hi:
         return None
     return lo, hi
 
 
-def _hull_over(steps, zone, t_enc: Interval,
+def _hull_over(zone: list[EnclosureStep], t_enc: Interval,
                at: Callable[[EnclosureStep, Interval], Pair]) -> Pair:
     """Hull of at(step, tau) over the zone steps, each at the in-step times
     that t_enc covers."""
     out = None
-    for k in zone:
-        rng = _step_tau_overlap(steps, k, t_enc)
+    for rec in zone:
+        rng = _step_tau_overlap(rec, t_enc)
         if rng is not None:
-            enc = at(steps[k], Interval(*rng))
+            enc = at(rec, Interval(*rng))
             out = enc if out is None else kn.hull(*out, *enc)
     if out is None:
         raise NonTransversal("crossing time enclosure left the crossing zone")
     return out
 
 
-def _locate_crossing(steps, zone, section: SectionSpec, field
+def _locate_crossing(zone: list[EnclosureStep], section: SectionSpec, field
                      ) -> tuple[Interval, Pair]:
     """Interval Newton in time, t* = c - g(phi(c)) / (dg.f)(span), from the
     time range of the zone steps and iterated while it still contracts.  The
     slope domain must cover every mean-value point between the chosen center
     and any crossing time, so it is the flow over the hull of t_enc and the
     center."""
-    first, last = steps[zone[0]], steps[zone[-1]]
-    t_enc = (first.t_start + Interval(0.0, first.h)).hull(
-        last.t_start + Interval(0.0, last.h))
+    t_enc = (zone[0].t_start + Interval(0.0, zone[0].h)).hull(
+        zone[-1].t_start + Interval(0.0, zone[-1].h))
     for _ in range(12):
         c = t_enc.mid()
-        k_c = None
-        for k in zone:
-            rng = _step_tau_overlap(steps, k, t_enc)
+        at_c = None
+        for rec in zone:
+            rng = _step_tau_overlap(rec, t_enc)
             if rng is None:
                 continue
-            tau = c - steps[k].t_start.mid()
+            tau = c - rec.t_start.mid()
             tau_c = min(max(tau, rng[0]), rng[1])
-            k_c = k
-            if 0.0 <= tau <= steps[k].h:
+            at_c = rec
+            if 0.0 <= tau <= rec.h:
                 break
-        if k_c is None:
+        if at_c is None:
             break
-        t_c = steps[k_c].t_start + Interval(tau_c, tau_c)
-        span = _hull_over(steps, zone, t_enc.hull(t_c), EnclosureStep.state_at)
+        t_c = at_c.t_start + Interval(tau_c, tau_c)
+        span = _hull_over(zone, t_enc.hull(t_c), EnclosureStep.state_at)
         gd = section.gdot(*span, field)
         if gd.contains_zero():
             break
-        g_c = section.g(*steps[k_c].state_at(Interval.point(tau_c)))
+        g_c = section.g(*at_c.state_at(Interval.point(tau_c)))
         try:
             t_new = (t_c - g_c / gd).intersect(t_enc)
         except EmptyIntersection:
@@ -625,7 +624,7 @@ def _locate_crossing(steps, zone, section: SectionSpec, field
             break
         t_enc = t_new
 
-    state = _hull_over(steps, zone, t_enc, EnclosureStep.state_at)
+    state = _hull_over(zone, t_enc, EnclosureStep.state_at)
     kn.assert_valid(*state, "crossing state")
     return t_enc, state
 

@@ -43,8 +43,8 @@ phi_jacobian flows the embedded box under one step policy
 (`phi_jacobian(..., point=x)`) as a box, clipped to the set's box and
 advanced by each box step's image of the center plus A (P - center); each
 step records the point's box at its start.  phi_point hands the point off:
-it flows on from the box of the first step of the section zone, at that
-step's size.
+it flows on from the box of the first step of the section zone, which ends
+the box flow, at that step's size.
 
 refine_candidate runs plain Newton on the same validated map at a thin box,
 stepping with the midpoints of Phi and of DPhi: it finds candidates, and
@@ -502,7 +502,7 @@ def phi_point(problem: ChoreographyProblem, along: SectionCrossing,
     records for it (`EnclosureStep.point`), the first step at that step's
     size, and its crossing time is shifted by that step's start.  A
     crossing that carried no point is refused."""
-    first = along.steps[along.zone[0]]
+    first = along.zone[0]
     if first.point is None:
         raise ValueError("the crossing carried no point: it is not one of "
                          "phi_jacobian(..., point=x)")

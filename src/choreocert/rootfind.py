@@ -15,7 +15,8 @@ A derivative enclosure that cannot be certified regular (a pivot interval
 holding zero, or a numerically singular midpoint for Krawczyk's C) stops
 the loop Inconclusive.  Every call of `enclose` is one `IterationRecord` of
 the trace, that stop included, with no image and the relation "singular";
-the outcome reads its iteration count and operator image from the trace.
+the outcome reads its iteration count, operator image and image/box width
+ratio from the trace.
 
 `judge` is the rule above; the certificate verifier replays the loop, so
 it applies the same function to the stored enclosures.  The
@@ -89,6 +90,14 @@ class CertificationOutcome:
     def operator_image(self) -> IntervalVector | None:
         return self.trace[-1].image
 
+    @property
+    def ratio(self) -> float:
+        """max w(image) / w(X) of the last record; inf for a singular
+        stop, which has no image."""
+        last = self.trace[-1]
+        return np.inf if last.image is None else float(
+            np.max(last.image.diam() / np.maximum(last.X.diam(), 1e-300)))
+
 
 def newton_operator(x: np.ndarray, f_x: IntervalVector,
                     df_X: IntervalMatrix) -> IntervalVector:
@@ -159,12 +168,12 @@ def certify(job: CertificationJob) -> CertificationOutcome:
                                      relation))
 
         if verdict is not None:
-            cause = ""
+            outcome = CertificationOutcome(verdict, next_X, trace)
             if relation == "inflating":
-                ratio = float(np.max(image.diam() / np.maximum(X.diam(), 1e-300)))
-                cause = (f"operator image inflates the box (ratio {ratio:.3g}); "
-                         "tighten the integration parameters")
-            return CertificationOutcome(verdict, next_X, trace, cause)
+                outcome.cause = (f"operator image inflates the box (ratio "
+                                 f"{outcome.ratio:.3g}); tighten the "
+                                 "integration parameters")
+            return outcome
         X = next_X
         x = X.mid()
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,16 +112,22 @@ class TestProve:
             cli.run_certification(make_problem("eight"), "newton",
                                   StepPolicy(0.01, 7), 1e-6, candidate)
 
-    def test_a_tiny_box_hands_the_point_off_in_the_zone(self, tmp_path):
+    def test_a_tiny_box_hands_the_point_off_in_the_zone(self, tmp_path,
+                                                        capsys):
         # at delta 1e-14 every halving of h from the default 0.03 / 18 stays
         # inconclusive, and the point rides to the zone in each: its own
         # flow is the hand-off alone, however small the set's box
         path = tmp_path / "tiny.cert"
         assert main(["prove", "--system", "eight", "--delta", "1e-14",
                      "--out", str(path)]) == EXIT_INCONCLUSIVE
-        counts = parse_document(path.read_text())["step_counts"]
-        assert 1 <= counts["point"] <= 3 < counts["set"]
+        body = parse_document(path.read_text())
+        assert body["step_counts"]["point"] == 1 < body["step_counts"]["set"]
         assert main(["verify", "--cert", str(path), "--quiet"]) == EXIT_OK
+        # the ratios grow with each halving (4.88, 8.78, 17, 32.4), so the
+        # document is the first attempt's, at the default h
+        assert body["parameters"]["h"] == "0x1.eb851eb851eb8p-6" == (0.03).hex()
+        assert "ratio 4.88)" in body["cause"]
+        assert capsys.readouterr().err.count("halving the step size") == 3
 
     def test_retry_halves_every_controlled_step(self, monkeypatch, tmp_path,
                                                 capsys):
@@ -157,6 +164,29 @@ class TestProve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "retries exhausted" in err
         assert not out.exists()
+
+    def test_retries_ship_the_inconclusive_attempt_with_the_least_ratio(
+            self, monkeypatch, tmp_path, capsys):
+        # a singular stop ranks last, and of two equal ratios the earlier
+        # attempt is kept: here attempt 3
+        ratios, seen = iter([np.inf, 3.0, 2.0, 2.0]), []
+
+        def attempt(**params):
+            seen.append(params["policy"].h)
+            name = f"attempt {len(seen)}"
+            outcome = SimpleNamespace(verdict="Inconclusive", iterations=1,
+                                      ratio=next(ratios), cause=name)
+            cert = SimpleNamespace(wall_clock_seconds=0.0,
+                                   to_document=lambda: name + "\n")
+            return cert, outcome
+
+        monkeypatch.setattr(cli, "run_certification", attempt)
+        out = tmp_path / "e.cert"
+        assert main(["prove", "--system", "eight",
+                     "--out", str(out)]) == EXIT_INCONCLUSIVE
+        assert len(seen) == 4
+        assert out.read_text() == "attempt 3\n"
+        assert capsys.readouterr().err.endswith("eight: attempt 3\n")
 
     def test_an_inconclusive_run_at_the_step_budget_keeps_its_document(
             self, monkeypatch, tmp_path, capsys):

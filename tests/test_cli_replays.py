@@ -7,14 +7,19 @@ import random
 import numpy as np
 import pytest
 
+from choreocert import convexity
 from choreocert import kernels as kn
 from choreocert.boxes import IntervalMatrix, IntervalVector, midpoint_inverse
 from choreocert.certificates import (parse_document, read_step_policy,
                                      rebuild_problem)
-from choreocert.cli import DEFAULTS, EXIT_INCONCLUSIVE, EXIT_OK, main
+from choreocert.cli import (DEFAULTS, EXIT_INCONCLUSIVE, EXIT_OK,
+                            build_parser, main)
 from choreocert.curves import _segment_midpoints, unfold
+from choreocert.integrator import StepPolicy, flow_to_section
 from choreocert.interval import Interval
-from choreocert.problems import phi_jacobian
+from choreocert.problems import make_problem, phi_jacobian
+
+import reference_runs
 
 # Tightness ratchet at the replay defaults, also for the candidates moved by
 # +-delta/4: chain6 reads 0.00496 and gerver, on its antipodal half,
@@ -27,8 +32,11 @@ DEFAULT_RATIO = {"eight": 0.00076, "gerver": 0.00375, "chain6": 0.0087}
 # as a box to the section zone: 3.9e-13, 1.49e-12 and 1.13e-12 at the three
 # defaults.
 DEFAULT_PHI_WIDTH = 2e-12
-# Count ratchet: the set steps of the default proofs.
-DEFAULT_SET_STEPS = {"eight": 19, "gerver": 50, "chain6": 50}
+# Count pin: the set steps of the default proofs, the last of them the one
+# step of the section zone, from whose start the point takes one step.
+DEFAULT_SET_STEPS = {"eight": 18, "gerver": 49, "chain6": 49}
+# and of the convexity flow of the Eight's default box, every one checked
+CONVEXITY_STEPS = 53
 
 
 def max_phi_width(body) -> float:
@@ -88,7 +96,8 @@ class TestVerbatimInvocations:
         body = prove_unique("eight", tmp_path / "eight.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO["eight"]
         assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
-        assert body["step_counts"]["set"] <= DEFAULT_SET_STEPS["eight"]
+        assert body["step_counts"] == {"set": DEFAULT_SET_STEPS["eight"],
+                                       "point": 1}
         assert_candidate_in_refined_box("eight", body)
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS["eight"]["h"]
         assert body["parameters"]["order"] == DEFAULTS["eight"]["order"]
@@ -101,7 +110,8 @@ class TestVerbatimInvocations:
         body = prove_unique(system, tmp_path / f"{system}.cert")
         assert max_image_box_ratio(body) <= DEFAULT_RATIO[system]
         assert max_phi_width(body) <= DEFAULT_PHI_WIDTH
-        assert body["step_counts"]["set"] <= DEFAULT_SET_STEPS[system]
+        assert body["step_counts"] == {"set": DEFAULT_SET_STEPS[system],
+                                       "point": 1}
         assert_candidate_in_refined_box(system, body)
         assert float.fromhex(body["parameters"]["h"]) == DEFAULTS[system]["h"]
         assert body["parameters"]["order"] == DEFAULTS[system]["order"]
@@ -195,6 +205,41 @@ class TestJitteredDefaults:
                             for c in d["candidate"])
         prove_unique(system, tmp_path / f"{system}.cert",
                      f"--candidate={jittered}")
+
+
+class TestZoneEnd:
+    # the flow ends with its section zone: no step past it
+    @pytest.mark.parametrize("flow", ["eight", "gerver", "chain6",
+                                      "convexity"])
+    def test_the_last_step_ends_the_zone_past_the_section(self, flow):
+        system = "eight" if flow == "convexity" else flow
+        d, problem = DEFAULTS[system], make_problem(system)
+        box = IntervalVector.box(np.array(d["candidate"]), d["delta"])
+        if flow == "convexity":
+            start, policy = (problem.embed_slab(box, carry_transition=False),
+                             convexity.POLICY)
+        else:
+            start, policy = (problem.embed_slab(box),
+                             StepPolicy(d["h"], d["order"], d["tol"]))
+        cr = flow_to_section(problem.field, start, problem.section, policy)
+        assert len(cr.steps) == {**DEFAULT_SET_STEPS,
+                                 "convexity": CONVEXITY_STEPS}[flow]
+        assert cr.zone[-1] is cr.steps[-1] and len(cr.zone) == 1
+        # every section here is crossed from + to -
+        assert problem.section.g(*cr.steps[-1].tight).hi < 0.0
+
+
+def test_reference_runs_are_command_lines(tmp_path):
+    # `reference_runs.py` names each run once, argparse takes each argv,
+    # and a run that reads a certificate follows the run that writes it
+    listed = reference_runs.runs(tmp_path)
+    names = [name for name, _ in listed]
+    assert len(names) == len(set(names)) == 20
+    parser, written = build_parser(), set()
+    for _, argv in listed:
+        args = parser.parse_args(argv)
+        assert getattr(args, "cert", None) in (None, *written)
+        written.update(map(str, reference_runs.outputs(argv)))
 
 
 def strip_wall_clock(text: str) -> str:

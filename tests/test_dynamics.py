@@ -631,8 +631,9 @@ class TestSeededTransition:
         assert not np.any(np.isnan(ml[:, 1, :, n]))
         # the step reads A's Lagrange term from W's layer R_t + 1, and the
         # mean-value correction of the state's from the tangent's layer R + 1
-        assert same(rec.trans_layers, (a[..., :n] for a in x))
-        assert same(rec.trans_rem, (ml[Rt + 1, 1, :, :n], mh[Rt + 1, 1, :, :n]))
+        layers, rem, _ = rec.transition
+        assert same(layers, (a[..., :n] for a in x))
+        assert same(rem, (ml[Rt + 1, 1, :, :n], mh[Rt + 1, 1, :, :n]))
         sl, sh = ser.layers()
         assert same(rec.rem, kn.intersect(
             sl[R + 1, 2], sh[R + 1, 2], *kn.add(sl[R + 1, 0], sh[R + 1, 0],
@@ -649,7 +650,7 @@ class TestSeededTransition:
         assert args == ((7, 8),) and kwargs["tangent"] == 8
         assert ml.shape == (9, 2, f.dim, f.dim + 1)
         assert not np.any(np.isnan(ml[:, 1]))
-        assert rec.trans_layers[0].shape == (8, f.dim, f.dim)
+        assert rec.transition[0][0].shape == (8, f.dim, f.dim)
 
     @pytest.mark.parametrize("scale", [1.0, 256.0])
     @pytest.mark.parametrize("system", ["eight", "gerver", "chain6"])

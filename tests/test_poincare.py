@@ -31,6 +31,12 @@ def contains(iv: Interval, x: float) -> bool:
     return iv.lo <= x <= iv.hi
 
 
+def positions(cr) -> list[int]:
+    """Positions in the flow's steps of the crossing zone's steps."""
+    return [k for k, rec in enumerate(cr.steps)
+            if any(rec is z for z in cr.zone)]
+
+
 def thin(x, slab=False):
     x = np.asarray(x, float)
     return box_with_slab(x, x) if slab else LohnerSet.from_box(x, x)
@@ -119,14 +125,19 @@ class TestLocator:
                              sec, StepPolicy(h, 7))
         zone = [k for k, s in enumerate(cr.steps)
                 if sec.g(*s.whole).contains_zero()]
-        assert zone == cr.zone == [156, 157]
+        assert zone == positions(cr) == [156, 157]
+        # step 156 ends within that spread, so the zone goes on; step 157
+        # ends past the section, and the flow ends with it
+        assert sec.g(*cr.steps[156].tight).contains_zero()
+        assert sec.g(*cr.steps[157].tight).hi < 0.0
+        assert len(cr.steps) == 158
         assert contains(cr.t_cross, math.pi / 2)
         assert cr.t_cross.diam() < 3e-6
         # the carried point's fresh flow from the box step 156 records,
         # shifted by that step's start, crosses on the boundary too, and
         # Newton in time pins it down to rounding level
-        first = cr.steps[cr.zone[0]]
-        assert first.t_start == cr.steps[156].t_start
+        first = cr.zone[0]
+        assert first is cr.steps[156]
         point = flow_to_section(HARMONIC, LohnerSet.from_box(*first.point),
                                 sec, StepPolicy(first.h, 7))
         t_point = first.t_start + point.t_cross
@@ -234,8 +245,8 @@ class TestControlledFlow:
         # fresh flow from there, first at that step's size, crosses on the
         # set's clock once shifted by the step's start
         sec, cr = self.controlled()
-        first = cr.steps[cr.zone[0]]
-        assert first.point is not None and cr.zone[0] > 0
+        first = cr.zone[0]
+        assert first.point is not None and first is not cr.steps[0]
         point = flow_to_section(HARMONIC, LohnerSet.from_box(*first.point),
                                 sec, StepPolicy(first.h, 7, self.TOL))
         assert point.steps[0].h == first.h

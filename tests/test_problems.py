@@ -527,7 +527,7 @@ class TestRideTheSetFlow:
         ridden = phi_point(prob, eight_set_flow.crossing, StepPolicy(0.01, 7))
         # the point flows afresh from the set's first zone step, at its size
         crossing = eight_set_flow.crossing
-        first = crossing.steps[crossing.zone[0]]
+        first = crossing.zone[0]
         assert first.point is not None
         assert ridden.crossing.steps[0].h == first.h
         assert len(ridden.crossing.steps) < len(alone.crossing.steps)
@@ -589,12 +589,18 @@ class TestRideTheSetFlow:
         assert len(calls) == 2
 
     def test_a_flow_keeps_what_its_readers_read(self, eight_set_flow):
-        # the crossing's hull reads only the zone's transitions, and the
-        # point run reads only a step's point box; no record holds a frame
+        # the crossing's hull reads only the zone's transitions, the flow's
+        # last steps, and the point run reads only a step's point box; a
+        # frame is kept only as a zone step's slab at its start
         crossing = eight_set_flow.crossing
-        for k, rec in enumerate(crossing.steps):
-            held = [rec.trans_layers, rec.trans_rem, rec.v_start]
-            assert all((v is not None) is (k in crossing.zone) for v in held)
+        zone = crossing.steps[len(crossing.steps) - len(crossing.zone):]
+        assert all(a is b for a, b in zip(zone, crossing.zone, strict=True))
+        for rec in crossing.steps:
+            if any(rec is z for z in zone):
+                _, _, slab = rec.transition
+                assert isinstance(slab, Frame) and slab.r[0].shape == (8, 2)
+            else:
+                assert rec.transition is None
             assert not any(isinstance(v, Frame) for v in vars(rec).values())
             lo, hi = rec.point
             assert lo.shape == hi.shape == (8,) and np.all(lo <= hi)
@@ -611,7 +617,7 @@ class TestRideTheSetFlow:
         for before, rec in zip(steps, steps[1:]):
             s = float_taylor_step(prob.field, s, before.h)
             assert kn.contains_point(*rec.point, s)
-        first = steps[crossing.zone[0]]
+        first = crossing.zone[0]
         own = flow_to_section(prob.field, LohnerSet.from_box(*first.point),
                               prob.section, StepPolicy(first.h, 7))
         ridden = phi_point(prob, crossing, StepPolicy(0.01, 7)).crossing
@@ -625,7 +631,7 @@ class TestRideTheSetFlow:
         prob, policy = eight_problem(), StepPolicy(0.01, 7)
         crossing = phi_jacobian(prob, IntervalVector.box(EIGHT_X0, 1e-6),
                                 policy).crossing
-        assert crossing.steps[crossing.zone[0]].point is None
+        assert crossing.zone[0].point is None
 
         def flow(*args):
             raise AssertionError("a flow started")

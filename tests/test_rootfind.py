@@ -151,7 +151,12 @@ class TestCertify:
                                X=IntervalVector.box([0.0], 1e-6))
         out = certify(job)
         assert out.verdict == "Inconclusive"
-        assert "inflat" in out.cause
+        # the cause reads the outcome's one ratio, w(image) / w(X) at most
+        [rec] = out.trace
+        assert out.ratio == float(np.max(rec.image.diam() / rec.X.diam())) > 1
+        assert out.cause == (f"operator image inflates the box (ratio "
+                             f"{out.ratio:.3g}); tighten the integration "
+                             "parameters")
 
     @pytest.mark.parametrize("method", ["newton", "krawczyk"])
     def test_singular_midpoint_is_inconclusive(self, method):
@@ -170,6 +175,8 @@ class TestCertify:
         assert rec.X == job.X and rec.C is None
         assert rec.df_X.to_hex() == _matrix([[Interval(-2.0, 2.0)]]).to_hex()
         assert out.operator_image is None and out.refined_box == job.X
+        # with no image, a singular stop ranks below every ratio
+        assert out.ratio == np.inf
 
     def test_singular_pivot_with_a_regular_midpoint_is_a_record(self):
         # DF = [-1, 3] has the regular midpoint 1, but its pivot holds zero:
